@@ -65,7 +65,6 @@ from .pencils import (
 from .polyring import (
     DiffOpTerm,
     RatPoly,
-    Rational,
     op_apply,
     poly_add,
     poly_diff,

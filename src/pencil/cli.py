@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,9 +33,14 @@ __all__ = ["main", "entrypoint", "VerifyReport"]
 
 def _atomic_write(path: str, data: str) -> None:
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _frac_str(value) -> str:
@@ -403,6 +407,8 @@ def _suite_residuals(lmax: int, parallelism: int = 1) -> VerifyReport:
         start = 1 if family == 1 else 0
         jobs += [("quartic", l, family) for l in range(start, lmax_quartic + 1)]
     if parallelism > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             results = list(pool.map(_residual_task, jobs, chunksize=8))
     else:
@@ -528,6 +534,9 @@ def _cmd_verify(args) -> int:
     if not names or names == [None]:
         raise ValueError("choose --suite NAME or --all")
     parallelism = int(os.environ.get("PENCIL_PARALLELISM", args.parallelism))
+    cpus = os.cpu_count() or 1
+    if not 1 <= parallelism <= cpus:
+        raise ValueError(f"parallelism must lie in 1..{cpus}, got {parallelism}")
     reports = [_run_suite(name, args.lmax, parallelism) for name in names]
     total_failed = sum(r.failed for r in reports)
     body = {

@@ -50,7 +50,6 @@ _SAFETY = 0.9
 class IntegrationResult:
     ts: list[float]
     ys: list[tuple[float, ...]]
-    derivs: list[tuple[float, ...]]
     truncated: bool
     nfev: int
     _segments: list[tuple[float, float, tuple[float, ...], list[tuple[float, ...]]]]
@@ -137,7 +136,6 @@ def integrate(
 
     ts = [t]
     ys = [y]
-    derivs = [f]
     segments: list[tuple[float, float, tuple[float, ...], list[tuple[float, ...]]]] = []
     truncated = False
     n = len(y)
@@ -180,16 +178,15 @@ def integrate(
             f = f_new
             ts.append(t)
             ys.append(y)
-            derivs.append(f)
             factor = _MAX_FACTOR if norm == 0.0 else min(_MAX_FACTOR, _SAFETY * norm**-0.2)
             h_abs *= max(_MIN_FACTOR, factor)
         else:
             h_abs *= max(_MIN_FACTOR, _SAFETY * norm**-0.2)
 
-    return IntegrationResult(ts=ts, ys=ys, derivs=derivs, truncated=truncated, nfev=nfev, _segments=segments)
+    return IntegrationResult(ts=ts, ys=ys, truncated=truncated, nfev=nfev, _segments=segments)
 
 
-def find_zeros(result: IntegrationResult, component: int = 0, skip_initial: bool = False) -> list[float]:
+def find_zeros(result: IntegrationResult, component: int = 0) -> list[float]:
     """Abscissae where the chosen component changes sign, refined on the dense output."""
     zeros: list[float] = []
     vals = [y[component] for y in result.ys]
@@ -197,8 +194,7 @@ def find_zeros(result: IntegrationResult, component: int = 0, skip_initial: bool
         a, b = result.ts[i], result.ts[i + 1]
         fa, fb = vals[i], vals[i + 1]
         if fa == 0.0:
-            if not (skip_initial and i == 0):
-                zeros.append(a)
+            zeros.append(a)
             continue
         if fa * fb < 0.0:
             for _ in range(80):

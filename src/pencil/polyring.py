@@ -16,10 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "RatPoly",
     "DiffOpTerm",
     "poly_add",

@@ -56,7 +56,6 @@ class ODEProblem:
     p: float
     symmetry: str = "none"
     far_condition: str = "decay_inverse"
-    domain_cut: float = DEFAULT_Z_END
 
     def __post_init__(self):
         if self.kind not in (STATIONARY, SELFSIMILAR):
@@ -160,7 +159,7 @@ def solve_stationary(
         raise ValueError("the exponent p must exceed 1")
     if far not in FAR_FIELD_ROOT:
         raise ValueError("far must be 'decay_inverse' or 'plateau_one'")
-    problem = ODEProblem(STATIONARY, p, symmetry, far, z_end)
+    problem = ODEProblem(STATIONARY, p, symmetry, far)
 
     def shoot(s: float, rtol: float) -> IntegrationResult:
         return integrate(problem.rhs, 0.0, z_end, _initial_state(symmetry, s), rtol=rtol, atol=rtol * 1e-2)
@@ -245,7 +244,7 @@ def solve_selfsimilar(
             asymptotic_constant=0.0,
             truncated=False,
         )
-    problem = ODEProblem(SELFSIMILAR, p, "none", "decay_inverse", xi_min)
+    problem = ODEProblem(SELFSIMILAR, p)
     y0 = (amplitude / xi_far, -amplitude / xi_far**2)
     result = integrate(problem.rhs, xi_far, xi_min, y0, rtol=tol, atol=tol * 1e-2)
     zeros = tuple(find_zeros(result))

@@ -138,6 +138,15 @@ class TestDeterminism:
         assert json.loads(path.read_text())["eigenpair"]["lambda"] == -4
         assert os.listdir(tmp_path) == ["out.json"]
 
+    def test_failed_replace_removes_tmp_file(self, tmp_path, capsys, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            main(["eig", "--order", "quadratic", "--l", "3", "--family", "2", "--out", str(tmp_path / "out.json")])
+        assert os.listdir(tmp_path) == []
+
 
 class TestVerify:
     def test_small_residual_suite(self, capsys):
@@ -160,6 +169,24 @@ class TestVerify:
         body1 = {k: v for k, v in json.loads(out1).items() if k != "config"}
         body2 = {k: v for k, v in json.loads(out2).items() if k != "config"}
         assert body1 == body2
+
+    def test_parallelism_out_of_range_exit_1(self, capsys, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was created")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        for bad in (0, (os.cpu_count() or 1) + 1):
+            argv = ("verify", "--suite", "residuals", "--lmax", "2")
+            code, _, err = run_cli(capsys, *argv, "--parallelism", str(bad))
+            assert code == 1
+            assert json.loads(err)["error"] == "ValueError"
+            monkeypatch.setenv("PENCIL_PARALLELISM", str(bad))
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 1
+            assert "parallelism" in json.loads(err)["message"]
+            monkeypatch.delenv("PENCIL_PARALLELISM")
 
 
 class TestOde:

@@ -45,6 +45,22 @@ def binomial_harmonic(l: int, kind: str) -> RatPoly:
     return RatPoly(coeffs)
 
 
+def dense_kernel_in_class(op, l: int) -> RatPoly | None:
+    """Independent oracle: exact dense nullspace of the operator matrix on the
+    degree<=l, parity-of-l monomials; None unless it is one element of exact
+    degree l."""
+    degrees = list(range(l % 2, l + 1, 2))
+    columns = [op_apply(op, RatPoly.monomial(d)) for d in degrees]
+    rows = [[col.coefficient(r) for col in columns] for r in range(l + 1)]
+    kernel = rational_kernel(rows, ncols=len(degrees))
+    if len(kernel) != 1 or kernel[0][-1] == 0:
+        return None
+    coeffs = [Fraction(0)] * (l + 1)
+    for d, v in zip(degrees, kernel[0]):
+        coeffs[d] = v
+    return RatPoly(coeffs).monic()
+
+
 class TestSpectra:
     def test_quadratic_families(self):
         entries = quadratic_spectrum(3)
@@ -214,6 +230,13 @@ class TestQuarticEigenfunctions:
         with pytest.raises(KernelDimensionError):
             _kernel_in_class(quartic_pencil(-6), 6, "test")
 
+    def test_wrong_eigenvalue_has_no_kernel_element(self):
+        # at lam=-5 the quadratic diagonal at degree 2 is 6, not 0
+        from pencil.pencils import _kernel_in_class
+
+        with pytest.raises(KernelDimensionError):
+            _kernel_in_class(quadratic_pencil(-5), 2, "test")
+
     def test_pencil_spec_apply(self):
         spec = PencilSpec("quartic", -4)
         pair = quartic_eigenfunction(2, 3)
@@ -310,6 +333,33 @@ class TestLinalg:
     def test_rank(self):
         m = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
         assert rational_rank(m) == 2
+
+
+class TestDenseOracle:
+    def test_eigenfunctions_match_dense_nullspace(self):
+        for l in range(0, 46):
+            for fam in (1, 2):
+                if fam == 1 and l == 0:
+                    continue
+                pair = quadratic_eigenfunction(l, fam)
+                assert dense_kernel_in_class(quadratic_pencil(pair.eigenvalue), l) == pair.poly
+        for l in range(0, 31):
+            for fam in (3, 4):
+                pair = quartic_eigenfunction(l, fam)
+                assert dense_kernel_in_class(quartic_pencil(pair.eigenvalue), l) == pair.poly
+
+    def test_back_substitution_raises_exactly_where_dense_is_ambiguous(self):
+        from pencil.pencils import _kernel_in_class
+
+        for pencil in (quadratic_pencil, quartic_pencil):
+            for lam in (Fraction(k, 2) for k in range(-30, 5)):
+                for l in range(0, 12):
+                    expected = dense_kernel_in_class(pencil(lam), l)
+                    try:
+                        got = _kernel_in_class(pencil(lam), l, "test")
+                    except KernelDimensionError:
+                        got = None
+                    assert got == expected, (pencil.__name__, lam, l)
 
 
 def test_random_pairs_recursion_agreement():
