@@ -1,9 +1,8 @@
 """Adaptive Dormand-Prince 5(4) integrator with dense output.
 
-Small, dependency-free, and direction-aware (t1 < t0 integrates backward),
-which the inward self-similar integration needs.  The dense output uses the
-standard quartic interpolant of the pair, so interpolated values carry the
-same accuracy order as the step error control.
+Small, dependency-free, and direction-aware (t1 < t0 integrates backward).
+The dense output uses the standard quartic interpolant of the pair, so
+interpolated values carry the same accuracy order as the step error control.
 """
 
 from __future__ import annotations
@@ -13,7 +12,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-__all__ = ["IntegrationResult", "integrate", "find_zeros"]
+__all__ = ["IntegrationResult", "integrate", "find_zeros", "MAX_STEPS"]
+
+# step budget of one integration; an integration that reaches it is truncated
+MAX_STEPS = 5_000_000
 
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 
@@ -116,13 +118,11 @@ def integrate(
     y0: Sequence[float],
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    max_step: float = math.inf,
-    max_steps: int = 5_000_000,
 ) -> IntegrationResult:
     """Integrate y' = rhs(t, y) from t0 to t1 (either direction).
 
     Stops early with `truncated=True` when the step size underflows or the
-    step budget runs out; everything integrated up to that point is kept.
+    MAX_STEPS budget runs out; everything integrated up to that point is kept.
     """
     if t1 == t0:
         raise ValueError("empty integration span")
@@ -132,7 +132,6 @@ def integrate(
     f = tuple(rhs(t, y))
     nfev = 1
     h_abs = _initial_step(rhs, t, y, f, direction, rtol, atol, abs(t1 - t0))
-    h_abs = min(h_abs, max_step)
 
     ts = [t]
     ys = [y]
@@ -143,14 +142,14 @@ def integrate(
 
     while (t1 - t) * direction > 0:
         steps += 1
-        if steps > max_steps:
+        if steps > MAX_STEPS:
             truncated = True
             break
         min_h = 1e-14 * max(1.0, abs(t))
         if h_abs < min_h:
             truncated = True
             break
-        h_abs = min(h_abs, abs(t1 - t), max_step)
+        h_abs = min(h_abs, abs(t1 - t))
         h = h_abs * direction
 
         k = [f]
@@ -186,10 +185,10 @@ def integrate(
     return IntegrationResult(ts=ts, ys=ys, truncated=truncated, nfev=nfev, _segments=segments)
 
 
-def find_zeros(result: IntegrationResult, component: int = 0) -> list[float]:
-    """Abscissae where the chosen component changes sign, refined on the dense output."""
+def find_zeros(result: IntegrationResult) -> list[float]:
+    """Abscissae where the first component changes sign, refined on the dense output."""
     zeros: list[float] = []
-    vals = [y[component] for y in result.ys]
+    vals = [y[0] for y in result.ys]
     for i in range(len(vals) - 1):
         a, b = result.ts[i], result.ts[i + 1]
         fa, fb = vals[i], vals[i + 1]
@@ -199,7 +198,7 @@ def find_zeros(result: IntegrationResult, component: int = 0) -> list[float]:
         if fa * fb < 0.0:
             for _ in range(80):
                 mid = 0.5 * (a + b)
-                fm = result.interpolate(mid)[component]
+                fm = result.interpolate(mid)[0]
                 if fm == 0.0 or abs(b - a) < 1e-15 * max(1.0, abs(mid)):
                     a = b = mid
                     break

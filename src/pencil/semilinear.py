@@ -1,25 +1,25 @@
-"""Shooting and inward-integration solvers for the singularly perturbed profiles.
-
-Two ordinary differential equations are covered:
+"""Solvers for the singularly perturbed stationary and self-similar profiles.
 
 * stationary:    (1+z^2) f'' + 2z f' + |f|^(p-1) f / (1+z^2) = 0 on [0, Z],
-  solved by shooting from z = 0 and bisecting the initial value against a
-  far-field classifier (inverse decay or unit plateau);
-* self-similar:  s^2 f'' + 2s f' + |f|^(p-1) f / s^2 = 0, integrated inward
-  from a far-field amplitude; the solution oscillates without bound in zero
-  count as the singular origin is approached.
+  shot from z = 0 against an inverse-decay or unit-plateau far field;
+* self-similar:  s^2 f'' + 2s f' + |f|^(p-1) f / s^2 = 0, started on the 1/s
+  branch; its zero count grows without bound toward the singular origin.
 
-The odd nonlinearity is evaluated as sign(f) |f|^p so reflection symmetry is
-exact for non-integer p as well.
+Both are the autonomous oscillator f'' + |f|^(p-1) f = 0 in another variable,
+and the solvers integrate only that: in theta = arctan z, z = infinity is the
+regular point theta = pi/2, and in t = 1/s every solution is periodic, with
+the period fixed by the energy E = f'^2/2 + |f|^(p+1)/(p+1).  The odd
+nonlinearity is evaluated as sign(f) |f|^p, exact for non-integer p as well.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
-from .ode import IntegrationResult, find_zeros, integrate
+from .ode import MAX_STEPS, IntegrationResult, find_zeros, integrate
 
 __all__ = [
     "NoProfileFoundError",
@@ -50,7 +50,9 @@ class NoProfileFoundError(RuntimeError):
 
 @dataclass(frozen=True)
 class ODEProblem:
-    """Profile equation selector with its far-field and symmetry conditions."""
+    """Profile equation in its original variable (z or s) with its far-field and
+    symmetry conditions; the tests integrate `rhs` against scipy, the solvers
+    integrate the oscillator form instead."""
 
     kind: str
     p: float
@@ -106,36 +108,31 @@ def _initial_state(symmetry: str, s: float) -> tuple[float, float]:
     raise ValueError("symmetry must be 'symmetric' or 'antisymmetric'")
 
 
-def _crosses_zero(result: IntegrationResult) -> bool:
-    values = [y[0] for y in result.ys]
-    # the antisymmetric shot starts exactly at zero; only interior behaviour counts
-    for v in values[1:]:
-        if v <= 0.0:
-            return True
-    return False
+def _oscillator(p: float, t: float, y: tuple[float, ...]) -> tuple[float, float]:
+    """Right-hand side of f'' + |f|^(p-1) f = 0 as a first-order system."""
+    f, df = y
+    return (df, -math.copysign(abs(f) ** p, f))
 
 
-def _plateau_estimate(result: IntegrationResult) -> float:
-    """Far-field constant c0 of f ~ c0 + c1/z, read off as d(z f)/dz at the cut.
-
-    Classifying on |f| directly is wrong here: the finite-window threshold
-    would be the profile with f(cut) = 0, not the 1/z branch.  On the true
-    decaying branch this estimate vanishes.
-    """
-    z = result.t_end
-    f, df = result.y_end
-    return f + z * df
+def _period(p: float, y: tuple[float, float]) -> float:
+    """Period 4 C_p a^((1-p)/2) of the oscillator orbit through y, with
+    C_p = sqrt((p+1)/2) B(1/(p+1), 1/2) / (p+1) and amplitude a = ((p+1) E)^(1/(p+1))."""
+    f, df = y
+    q = 1 / (p + 1)
+    a = ((p + 1) * df * df / 2 + abs(f) ** (p + 1)) ** q
+    c_p = math.sqrt((p + 1) / 2) * math.exp(math.lgamma(q) + math.lgamma(0.5) - math.lgamma(q + 0.5)) * q
+    return 4 * c_p * a ** ((1 - p) / 2) if a > 0 else math.inf  # a = 0: E underflowed
 
 
-def _scan_bracket(classify, s_lo: float, s_hi: float, n_scan: int) -> tuple[float, float]:
-    grid = [s_lo * (s_hi / s_lo) ** (i / (n_scan - 1)) for i in range(n_scan)]
-    signs = [classify(s) for s in grid]
-    for a, b, sa, sb in zip(grid, grid[1:], signs, signs[1:]):
-        if sa < 0 <= sb or sb < 0 <= sa:
-            return (a, b) if sa < 0 else (b, a)
-    raise NoProfileFoundError(
-        f"no classifier sign change for initial values in [{s_lo:g}, {s_hi:g}]"
-    )
+def _scan_bracket(above, s_lo: float, s_hi: float, n_scan: int) -> tuple[float, float, bool]:
+    """First sign change of `above` on a log grid from s_lo, as (lo, hi, above(lo))."""
+    lo, lo_above = s_lo, above(s_lo)
+    for i in range(1, n_scan):
+        s = s_lo * (s_hi / s_lo) ** (i / (n_scan - 1))
+        if above(s) != lo_above:
+            return lo, s, lo_above
+        lo = s
+    raise NoProfileFoundError(f"no classifier sign change for initial values in [{s_lo:g}, {s_hi:g}]")
 
 
 def solve_stationary(
@@ -150,63 +147,54 @@ def solve_stationary(
 ) -> ProfileSolution:
     """Shooting/bisection solution of the stationary profile equation.
 
-    For `decay_inverse` the separating initial value between profiles that
-    plateau above zero and profiles that cross zero is bracketed and bisected;
-    the returned profile sits on the non-crossing side.  For `plateau_one`
-    the plateau level itself is driven to 1.
+    Each shot integrates the oscillator in theta = arctan z up to theta_end:
+    pi/2 for `decay_inverse` (target f(pi/2) = 0), arctan(z_end) for
+    `plateau_one` (target f(z_end) = 1).  The initial value is scanned upward
+    over s_range until its class first changes, then bisected: f(theta_end) > 1
+    for a plateau, f > 0 on all of (0, pi/2] for decay (monotone in s, as the
+    first zero moves inward when s grows).  A decay profile is taken on the
+    positive side and its constant c in f ~ c/z is -f_theta(pi/2).  The output
+    grid is uniform in z over [0, z_end], with f_z = f_theta / (1 + z^2).
     """
     if p <= 1:
         raise ValueError("the exponent p must exceed 1")
     if far not in FAR_FIELD_ROOT:
         raise ValueError("far must be 'decay_inverse' or 'plateau_one'")
-    problem = ODEProblem(STATIONARY, p, symmetry, far)
+    if not z_end > 0:
+        raise ValueError("z_end must be positive")
+    decay = far == "decay_inverse"
+    theta_end = math.pi / 2 if decay else math.atan(z_end)
+    rhs = partial(_oscillator, p)
 
-    def shoot(s: float, rtol: float) -> IntegrationResult:
-        return integrate(problem.rhs, 0.0, z_end, _initial_state(symmetry, s), rtol=rtol, atol=rtol * 1e-2)
+    def shoot(s: float) -> IntegrationResult:
+        return integrate(rhs, 0.0, theta_end, _initial_state(symmetry, s), rtol=tol, atol=tol * 1e-2)
 
-    if far == "decay_inverse":
+    def above(s: float) -> bool:
+        ys = shoot(s).ys
+        # the antisymmetric shot starts at f = 0; only f on (0, theta_end] counts
+        return min(y[0] for y in ys[1:]) > 0 if decay else ys[-1][0] > 1
 
-        def classify(s: float) -> int:
-            result = shoot(s, tol)
-            if _crosses_zero(result):
-                return 1
-            return 1 if _plateau_estimate(result) < 0 else -1
-
-    else:
-
-        def classify(s: float) -> int:
-            return 1 if shoot(s, tol).y_end[0] - 1.0 > 0 else -1
-
-    lo, hi = _scan_bracket(classify, s_range[0], s_range[1], n_scan)
+    lo, hi, lo_above = _scan_bracket(above, s_range[0], s_range[1], n_scan)
     shot_tol = max(tol, 1e-12) * max(1.0, min(lo, hi))
     while abs(hi - lo) > shot_tol:
         mid = 0.5 * (lo + hi)
-        if classify(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if above(mid) == lo_above else (lo, mid)
 
-    shot = lo if far == "decay_inverse" else 0.5 * (lo + hi)
-    final = shoot(shot, tol)
+    shot = lo if decay else 0.5 * (lo + hi)
+    final = shoot(shot)
     grid = tuple(z_end * i / (n_output - 1) for i in range(n_output))
-    states = [final.interpolate(z) for z in grid]
-    zeros = tuple(find_zeros(final))
-    tail = [(z, fv[0]) for z, fv in zip(grid, states) if z >= z_end / 2]
-    if far == "decay_inverse":
-        asymptotic = sum(z * f for z, f in tail) / len(tail)
-    else:
-        asymptotic = final.y_end[0]
+    states = [final.interpolate(math.atan(z)) for z in grid]
     return ProfileSolution(
         kind=STATIONARY,
         p=p,
         symmetry=symmetry,
         far_condition=far,
         grid=grid,
-        values=tuple(s[0] for s in states),
-        derivative_values=tuple(s[1] for s in states),
+        values=tuple(f for f, _ in states),
+        derivative_values=tuple(df / (1 + z * z) for z, (_, df) in zip(grid, states)),
         shot_parameter=shot,
-        zeros=zeros,
-        asymptotic_constant=asymptotic,
+        zeros=tuple(math.tan(theta) for theta in find_zeros(final)),
+        asymptotic_constant=-final.y_end[1] if decay else final.y_end[0],
         truncated=final.truncated,
     )
 
@@ -218,12 +206,13 @@ def solve_selfsimilar(
     xi_min: float = DEFAULT_XI_MIN,
     tol: float = DEFAULT_TOL,
 ) -> ProfileSolution:
-    """Integrate the self-similar profile inward from its far-field decay.
+    """Self-similar profile on [xi_min, xi_far] from its far-field decay.
 
-    Starts at xi_far on the 1/xi branch with the given amplitude and records
-    every sign change down to xi_min; the singular origin itself is never
-    reached.  Step-size underflow returns the partial profile with the
-    truncation flag set.
+    In t = 1/xi the profile is a periodic orbit of the oscillator, started on
+    the 1/xi branch at t0 = 1/xi_far with g = A t0, g' = A.  One integration
+    over at most one period gives the first zero; the others follow every
+    half period out to t = 1/xi_min, and the grid is that period repeated.
+    Past MAX_STEPS grid steps the grid and the zeros stop, with `truncated` set.
     """
     if p <= 1:
         raise ValueError("the exponent p must exceed 1")
@@ -244,26 +233,46 @@ def solve_selfsimilar(
             asymptotic_constant=0.0,
             truncated=False,
         )
-    problem = ODEProblem(SELFSIMILAR, p)
-    y0 = (amplitude / xi_far, -amplitude / xi_far**2)
-    result = integrate(problem.rhs, xi_far, xi_min, y0, rtol=tol, atol=tol * 1e-2)
-    zeros = tuple(find_zeros(result))
-    ts = result.ts[::-1]
-    ys = result.ys[::-1]
-    tail = [(t, y[0]) for t, y in zip(ts, ys) if t >= xi_far / 2]
-    asymptotic = sum(t * f for t, f in tail) / len(tail)
+    t0, t_stop = 1.0 / xi_far, 1.0 / xi_min
+    y0 = (amplitude * t0, amplitude)
+    period = min(_period(p, y0), 2 * (t_stop - t0))  # a longer period repeats past t_stop only
+    result = integrate(partial(_oscillator, p), t0, min(t0 + period, t_stop), y0, rtol=tol, atol=tol * 1e-2)
+    if result.truncated:
+        t_stop = result.t_end
+
+    rows, k = [], 0
+    while len(rows) <= MAX_STEPS and t0 + k * period < t_stop:
+        shift = k * period
+        rows += [(t + shift, y) for t, y in zip(result.ts[:-1], result.ys[:-1]) if t + shift < t_stop]
+        k += 1
+    del rows[MAX_STEPS + 1 :]
+    truncated = result.truncated or len(rows) > MAX_STEPS
+    if not truncated:
+        rows.append((t_stop, result.interpolate(t0 + (t_stop - t0) % period)))
+    first = find_zeros(result)[:1]
+    half = period / 2
+    n_zeros = math.floor((rows[-1][0] - first[0]) / half) + 1 if first else 0
+    zeros = [first[0] + k * half for k in range(n_zeros)]
+
+    rows.reverse()
+    grid = [1.0 / t for t, _ in rows]
+    grid[-1] = xi_far
+    if not truncated:
+        grid[0] = xi_min
+    values = [y[0] for _, y in rows]
+    tail = [x * f for x, f in zip(grid, values) if x >= xi_far / 2]
     return ProfileSolution(
         kind=SELFSIMILAR,
         p=p,
         symmetry="none",
         far_condition="decay_inverse",
-        grid=tuple(ts),
-        values=tuple(y[0] for y in ys),
-        derivative_values=tuple(y[1] for y in ys),
+        grid=tuple(grid),
+        values=tuple(values),
+        derivative_values=tuple(-t * t * y[1] for t, y in rows),
         shot_parameter=amplitude,
-        zeros=zeros,
-        asymptotic_constant=asymptotic,
-        truncated=result.truncated,
+        zeros=tuple(1.0 / z for z in reversed(zeros)),
+        asymptotic_constant=sum(tail) / len(tail),
+        truncated=truncated,
     )
 
 

@@ -1,7 +1,8 @@
 """Profile solvers: integrator cross-checks, symmetry, and far-field behavior.
 
-scipy's independently implemented integrators serve as the numerical oracle
-for our Dormand-Prince implementation.
+scipy's independently implemented integrators, run on the original-variable
+equations, and the closed forms of the oscillator f'' + |f|^(p-1) f = 0 serve
+as oracles for the Dormand-Prince solvers.
 """
 
 import math
@@ -9,7 +10,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.special import beta
 
+from pencil import semilinear
 from pencil.ode import find_zeros, integrate
 from pencil.semilinear import (
     FAR_FIELD_ROOT,
@@ -159,6 +162,40 @@ class TestStationary:
         # the derivative dies like 1/z^2 toward the plateau
         assert abs(sol.derivative_values[-1]) < 30.0 / sol.grid[-1] ** 2
 
+    @pytest.mark.parametrize(
+        "p, symmetry, expected",
+        [
+            (2.0, "symmetric", 1.1952543850),
+            (2.0, "antisymmetric", 8.5356161403),
+            (3.0, "symmetric", 1.1803405990),
+            (3.0, "antisymmetric", 3.9405757850),
+            # one scan step passes several sign changes of f(pi/2) here
+            (7.0, "symmetric", 1.1399969415),
+            (7.0, "antisymmetric", 2.1279336219),
+        ],
+    )
+    def test_decay_shot_closed_form(self, p, symmetry, expected):
+        # theta = arctan z turns the equation into f'' + |f|^(p-1) f = 0 on
+        # [0, pi/2]; decay is f(pi/2) = 0, a quarter (symmetric) or half
+        # (antisymmetric) period of amplitude a, with quarter period C_p a^((1-p)/2)
+        c_p = math.sqrt((p + 1) / 2) * beta(1 / (p + 1), 0.5) / (p + 1)
+        if symmetry == "symmetric":
+            a = (2 * c_p / math.pi) ** (2 / (p - 1))
+            shot = a
+        else:
+            a = (4 * c_p / math.pi) ** (2 / (p - 1))
+            shot = math.sqrt(2 / (p + 1)) * a ** ((p + 1) / 2)
+        assert shot == pytest.approx(expected, rel=1e-9)
+        sol = solve_stationary(p, symmetry, "decay_inverse")
+        assert sol.shot_parameter == pytest.approx(shot, rel=1e-8)
+        # f ~ c/z with c = |f_theta(pi/2)| = sqrt(2E), E = a^(p+1)/(p+1)
+        c = math.sqrt(2 / (p + 1)) * a ** ((p + 1) / 2)
+        assert sol.asymptotic_constant == pytest.approx(c, rel=1e-8)
+
+    def test_z_end_validation(self):
+        with pytest.raises(ValueError):
+            solve_stationary(3.0, "symmetric", "decay_inverse", z_end=-10.0)
+
     def test_no_profile_in_tiny_range(self):
         with pytest.raises(NoProfileFoundError):
             solve_stationary(3.0, "symmetric", "decay_inverse", tol=1e-8, z_end=30.0,
@@ -183,6 +220,68 @@ class TestSelfSimilar:
         sol = solve_selfsimilar(3.0, 0.0)
         assert sol.zeros == ()
         assert all(v == 0.0 for v in sol.values)
+
+    def test_underflowing_amplitude(self):
+        # the orbit energy underflows to 0, so the period is taken as infinite;
+        # the profile is then the linear branch A/xi with no zero
+        sol = solve_selfsimilar(3.0, 1e-200)
+        assert sol.zeros == () and not sol.truncated
+        assert sol.grid[0] == 1e-4 and sol.grid[-1] == 100.0
+        for x, v in zip(sol.grid, sol.values):
+            assert v == pytest.approx(1e-200 / x, rel=1e-9)
+
+    def test_zeros_against_scipy_events(self):
+        xi_far, xi_min = 50.0, 0.05
+        sol = solve_selfsimilar(3.0, 1.0, xi_far=xi_far, xi_min=xi_min)
+        problem = ODEProblem("selfsimilar", 3.0)
+
+        def crossing(t, y):
+            return y[0]
+
+        ref = solve_ivp(
+            lambda t, y: list(problem.rhs(t, tuple(y))),
+            (xi_far, xi_min),
+            [1.0 / xi_far, -1.0 / xi_far**2],
+            method="DOP853",
+            events=crossing,
+            dense_output=True,
+            rtol=1e-12,
+            atol=1e-14,
+        )
+        expected = sorted(ref.t_events[0])
+        assert len(expected) == 6
+        assert sol.zeros == pytest.approx(expected, abs=1e-8)
+        # the repeated period follows the solution well past the first one
+        for x in (0.06, 0.1, 0.2, 1.0):
+            i = min(range(len(sol.grid)), key=lambda j: abs(sol.grid[j] - x))
+            assert sol.values[i] == pytest.approx(ref.sol(sol.grid[i])[0], abs=1e-7)
+
+    def test_one_integration_over_one_period(self, monkeypatch):
+        spans = []
+
+        def recording(rhs, t0, t1, y0, **kwargs):
+            spans.append((t0, t1))
+            return integrate(rhs, t0, t1, y0, **kwargs)
+
+        monkeypatch.setattr(semilinear, "integrate", recording)
+        sol = solve_selfsimilar(3.0, 1.0, xi_far=100.0, xi_min=1e-3)
+        assert len(spans) == 1
+        t_zeros = [1.0 / z for z in sol.zeros]
+        period = 2 * (t_zeros[0] - t_zeros[1])
+        (t0, t1), = spans
+        assert t0 == pytest.approx(1.0 / 100.0)
+        assert t1 - t0 == pytest.approx(period, rel=1e-9)
+
+    def test_grid_budget_truncates(self, monkeypatch, oscillatory):
+        monkeypatch.setattr(semilinear, "MAX_STEPS", 1000)
+        sol = solve_selfsimilar(3.0, 1.0, xi_far=50.0, xi_min=1e-3, tol=1e-9)
+        assert sol.truncated
+        assert len(sol.grid) == len(sol.values) == len(sol.derivative_values) == 1001
+        cut = sol.grid[0]
+        assert cut > 1e-3 and sol.grid[-1] == 50.0
+        assert sol.zeros and min(sol.zeros) >= cut
+        # the zeros kept are those of the full solve above the cut-off
+        assert sol.zeros == tuple(z for z in oscillatory.zeros if z >= cut)
 
     def test_oracle_spot_check(self):
         problem = ODEProblem("selfsimilar", 3.0)
