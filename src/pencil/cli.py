@@ -379,14 +379,6 @@ class VerifyReport:
     failed: int
     details: list[str]
 
-    def merge(self, other: "VerifyReport") -> "VerifyReport":
-        return VerifyReport(
-            suite=f"{self.suite}+{other.suite}",
-            passed=self.passed + other.passed,
-            failed=self.failed + other.failed,
-            details=self.details + other.details,
-        )
-
 
 def _residual_task(job: tuple[str, int, int]) -> tuple[str, bool]:
     order, l, family = job

@@ -2,13 +2,17 @@
 
 Root counting uses exact Sturm sequences over the integers (primitive
 pseudo-remainders, so only positive rescalings ever touch the chain signs).
-Admissibility of a slope tuple at expansion order l is a nullspace question
-for the matrix of eigenfunction values at the slopes: exact over the
-rationals, SVD-thresholded for floating input.
+Isolation bisects the square-free part from a power-of-two Fujiwara bound,
+carrying the chain's sign-variation count at every interval endpoint, and
+reads multiplicities off the signs of the Yun factors.  Admissibility of a
+slope tuple at expansion order l is a nullspace question for the matrix of
+eigenfunction values at the slopes: exact over the rationals,
+SVD-thresholded for floating input.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -23,10 +27,10 @@ from .polyring import (
     _int_primitive,
     _signed_prem,
     integer_coefficients,
-    poly_gcd,
     square_free_decomposition,
-    square_free_part,
 )
+# not called here; perfbench/tracing.py wraps them under these names on this module
+from .polyring import poly_gcd, square_free_part  # noqa: F401
 
 __all__ = [
     "RootSet",
@@ -58,7 +62,10 @@ def _int_eval_sign(coeffs: Sequence[int], point: Fraction) -> int:
 
 
 def _sturm_chain(coeffs: list[int]) -> list[list[int]]:
-    """Sturm chain of a square-free integer polynomial, primitive at each step."""
+    """Sturm chain of an integer polynomial, primitive at each step.
+
+    With repeated roots it ends at gcd(p, p') and still counts distinct roots.
+    """
     chain = [_int_primitive(list(coeffs))]
     d = _int_primitive(_int_diff(chain[0]))
     if d:
@@ -83,8 +90,10 @@ def _sign_variations(signs: Iterable[int]) -> int:
     return out
 
 
-def _variations_at(chain: list[list[int]], point: Fraction) -> int:
-    return _sign_variations(_int_eval_sign(p, point) for p in chain)
+def _variations_at(chain: list[list[int]], point: Fraction) -> tuple[int, int]:
+    """Sign of chain[0] at point and the chain's sign-variation count there."""
+    signs = [_int_eval_sign(p, point) for p in chain]
+    return signs[0], _sign_variations(signs)
 
 
 def _variations_at_infinity(chain: list[list[int]], negative: bool) -> int:
@@ -98,62 +107,62 @@ def _variations_at_infinity(chain: list[list[int]], negative: bool) -> int:
 
 
 def count_real_roots(p: RatPoly) -> int:
-    """Exact number of distinct real roots of p (Sturm's theorem)."""
+    """Exact number of distinct real roots of p (Sturm's theorem on p's own chain)."""
     if p.is_zero():
         raise ValueError("the zero polynomial has no root count")
     if p.degree == 0:
         return 0
-    sq = square_free_part(p)
-    if sq.degree == 0:
-        return 0
-    chain = _sturm_chain(integer_coefficients(sq))
+    chain = _sturm_chain(integer_coefficients(p))
     return _variations_at_infinity(chain, True) - _variations_at_infinity(chain, False)
 
 
 def _root_bound(coeffs: Sequence[int]) -> Fraction:
-    """Cauchy bound: strictly larger than the absolute value of every root."""
-    lead = abs(coeffs[-1])
-    biggest = max(abs(c) for c in coeffs[:-1]) if len(coeffs) > 1 else 0
-    return Fraction(biggest, lead) + 2
+    """Fujiwara bound rounded up to a power of two: above every |root|.
 
-
-def _count_open(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
-    # valid only when neither endpoint is a root of chain[0]
-    return _variations_at(chain, a) - _variations_at(chain, b)
+    Every root has |z| <= 2 max_k |a_k/a_n|^(1/(n-k)), and
+    |a_k/a_n| < 2^(bitlen a_k - bitlen a_n + 1).
+    """
+    n = len(coeffs) - 1
+    top = abs(coeffs[-1]).bit_length()
+    exponents = [-((top - abs(c).bit_length() - 1) // (n - k)) for k, c in enumerate(coeffs[:-1]) if c]
+    return Fraction(2) ** (1 + max(exponents, default=0))
 
 
 def _isolate_square_free(coeffs: list[int]) -> list[tuple[Fraction, Fraction]]:
     """Disjoint rational intervals each holding exactly one real root.
 
-    Exact rational roots are returned as degenerate [r, r] intervals.
+    Each stack entry (lo, V(lo), hi, V(hi)) carries the sign-variation counts
+    of its endpoints, which are never roots, so V(lo) - V(hi) roots lie in
+    (lo, hi) and every bisection point costs one chain evaluation.  Exact
+    rational roots are returned as degenerate [r, r] intervals.
     """
     chain = _sturm_chain(coeffs)
     bound = _root_bound(coeffs)
     out: list[tuple[Fraction, Fraction]] = []
-    stack = [(-bound, bound, _count_open(chain, -bound, bound))]
+    stack = [(-bound, _variations_at(chain, -bound)[1], bound, _variations_at(chain, bound)[1])]
     while stack:
-        lo, hi, n = stack.pop()
-        if n == 0:
+        lo, v_lo, hi, v_hi = stack.pop()
+        if v_lo - v_hi == 0:
             continue
-        if n == 1:
+        if v_lo - v_hi == 1:
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if _int_eval_sign(coeffs, mid) == 0:
+        sign, v_mid = _variations_at(chain, mid)
+        if sign == 0:
             # exact rational root at mid; carve out a root-free margin around it
             delta = (hi - lo) / 4
-            while (
-                _int_eval_sign(coeffs, mid - delta) == 0
-                or _int_eval_sign(coeffs, mid + delta) == 0
-                or _count_open(chain, mid - delta, mid + delta) != 1
-            ):
+            while True:
+                (s_a, v_a), (s_b, v_b) = _variations_at(chain, mid - delta), _variations_at(chain, mid + delta)
+                if s_a and s_b and v_a - v_b == 1:
+                    break
                 delta /= 2
             out.append((mid, mid))
-            stack.append((lo, mid - delta, _count_open(chain, lo, mid - delta)))
-            stack.append((mid + delta, hi, _count_open(chain, mid + delta, hi)))
+            stack.append((lo, v_lo, mid - delta, v_a))
+            stack.append((mid + delta, v_b, hi, v_hi))
         else:
-            stack.append((lo, mid, _count_open(chain, lo, mid)))
-            stack.append((mid, hi, _count_open(chain, mid, hi)))
+            stack.append((lo, v_lo, mid, v_mid))
+            stack.append((mid, v_mid, hi, v_hi))
     return sorted(out)
 
 
@@ -191,45 +200,34 @@ class RootSet:
 
 
 def isolate_real_roots(p: RatPoly, tol: float = 1e-12) -> RootSet:
-    """Isolate and refine every real root of p with exact multiplicities."""
+    """Isolate and refine every real root of p with exact multiplicities.
+
+    The square-free part is the product of the Yun factors f_i of p = lc *
+    prod f_i^i.  These are coprime and square-free, so the one factor that
+    changes sign across an isolating interval, or vanishes at a degenerate
+    [r, r], owns its root, and i is the root's multiplicity.
+    """
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     if p.degree == 0:
         return RootSet(p, (), (), ())
     factors = square_free_decomposition(p)
-    sq = square_free_part(p)
-    sq_int = integer_coefficients(sq)
+    sq_int = integer_coefficients(math.prod((f for f, _ in factors), start=RatPoly.one()))
     intervals = _isolate_square_free(sq_int)
-    factor_data = [
-        (integer_coefficients(f), _sturm_chain(integer_coefficients(square_free_part(f))), mult)
-        for f, mult in factors
-    ]
-    mults = []
-    for lo, hi in intervals:
-        assigned = 0
-        for f_int, f_chain, mult in factor_data:
-            if lo == hi:
-                if _int_eval_sign(f_int, lo) == 0:
-                    assigned = mult
-                    break
-            elif _count_open(f_chain, lo, hi) == 1:
-                assigned = mult
-                break
-        if assigned == 0:
-            raise RuntimeError("internal error: isolated root not matched to a square-free factor")
-        mults.append(assigned)
+    factor_ints = [(integer_coefficients(f), mult) for f, mult in factors]
+    mults = tuple(
+        next(mult for f, mult in factor_ints if _int_eval_sign(f, lo) * _int_eval_sign(f, hi) <= 0)
+        for lo, hi in intervals
+    )
     roots = tuple(_refine_root(sq_int, lo, hi, tol) for lo, hi in intervals)
-    return RootSet(p, tuple(intervals), roots, tuple(mults))
+    return RootSet(p, tuple(intervals), roots, mults)
 
 
 def transversality_check(pair: Eigenpair) -> bool:
-    """True iff the eigenfunction has deg-many real roots, all simple."""
+    """True iff the eigenfunction has deg-many distinct real roots, hence all simple."""
     if pair.order != "quadratic":
         raise ValueError("transversality is asserted for quadratic eigenpairs")
-    p = pair.poly
-    if poly_gcd(p, p.diff()).degree > 0:
-        return False
-    return count_real_roots(p) == p.degree
+    return count_real_roots(pair.poly) == pair.poly.degree
 
 
 # ---------------------------------------------------------------------------

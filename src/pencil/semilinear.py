@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
-from .ode import MAX_STEPS, IntegrationResult, find_zeros, integrate
+from .ode import IntegrationResult, find_zeros, integrate
 
 __all__ = [
     "NoProfileFoundError",
@@ -40,6 +40,8 @@ DEFAULT_Z_END = 50.0
 DEFAULT_XI_FAR = 100.0
 DEFAULT_XI_MIN = 1e-4
 DEFAULT_TOL = 1e-10
+# self-similar grid rows kept (about 210 B each); the default xi_min = 1e-4 gives 434,551
+MAX_STEPS = 1_000_000
 
 FAR_FIELD_ROOT = {"decay_inverse": -1, "plateau_one": 0}
 
@@ -212,7 +214,7 @@ def solve_selfsimilar(
     the 1/xi branch at t0 = 1/xi_far with g = A t0, g' = A.  One integration
     over at most one period gives the first zero; the others follow every
     half period out to t = 1/xi_min, and the grid is that period repeated.
-    Past MAX_STEPS grid steps the grid and the zeros stop, with `truncated` set.
+    Past MAX_STEPS grid rows the grid and the zeros stop, with `truncated` set.
     """
     if p <= 1:
         raise ValueError("the exponent p must exceed 1")

@@ -17,7 +17,7 @@ from pencil.nodal import (
     isolate_real_roots,
     transversality_check,
 )
-from pencil.pencils import quadratic_eigenfunction, quartic_eigenfunction
+from pencil.pencils import Eigenpair, quadratic_eigenfunction, quartic_eigenfunction
 from pencil.polyring import RatPoly
 
 
@@ -91,6 +91,35 @@ class TestIsolation:
         target = min(romap, key=lambda r: abs(r - roots[0]))
         assert romap[target] == power
 
+    def test_exact_root_margin_excludes_neighbouring_root(self):
+        # the first margin carved around the root 0 would end on the root -1
+        rs = isolate_real_roots(poly_from_roots([-1, 0]))
+        (lo, hi), zero = rs.isolating_intervals
+        assert lo < -1 < hi and zero == (0, 0)
+
+    def test_multiplicities_with_exact_root_at_bisection_point(self):
+        # 0 is the first bisection point; the cube factor z owns it
+        z = RatPoly([0, 1])
+        rs = isolate_real_roots(z ** 3 * (z - Fraction(1, 2)) ** 2 * (z ** 2 - 2))
+        assert rs.multiplicities == (1, 3, 2, 1)
+        assert rs.refined_roots == pytest.approx([-math.sqrt(2), 0.0, 0.5, math.sqrt(2)], abs=1e-12)
+
+    @pytest.mark.parametrize("l, family", [(7, 1), (31, 2), (33, 1), (45, 1), (50, 2)])
+    def test_eigenfunction_roots_match_closed_forms(self, l, family):
+        # cot((2k-1)pi/(2l)) for family 1 and cot(k pi/(l+1)) for family 2, written
+        # as tan(j pi/(2n)) so that the root 0 of odd l is exact; odd l puts it on
+        # the first bisection point
+        n = l if family == 1 else l + 1
+        expect = [math.tan(j * math.pi / (2 * n)) for j in range(1 - l, l, 2)]
+        rs = isolate_real_roots(quadratic_eigenfunction(l, family).poly)
+        assert rs.multiplicities == (1,) * l
+        for got, want in zip(rs.refined_roots, expect, strict=True):
+            assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+        for (lo, hi), want in zip(rs.isolating_intervals, expect):
+            assert lo <= want <= hi
+        for (_, hi), (lo, _) in zip(rs.isolating_intervals, rs.isolating_intervals[1:]):
+            assert hi <= lo
+
 
 class TestTransversality:
     def test_quartic_harmonic(self):
@@ -109,6 +138,15 @@ class TestTransversality:
     def test_count_matches_degree(self):
         for l in range(1, 26):
             assert count_real_roots(quadratic_eigenfunction(l, 1).poly) == l
+
+    def test_repeated_and_complex_roots_counted_once(self):
+        z = RatPoly([0, 1])
+        assert count_real_roots((z - 1) ** 2 * (z + 2) * (z ** 2 + 1) ** 3) == 2
+        assert count_real_roots((z ** 2 + 1) ** 2) == 0
+
+    def test_repeated_root_is_not_transversal(self):
+        z = RatPoly([0, 1])
+        assert not transversality_check(Eigenpair("quadratic", 1, 3, -3, (z - 1) ** 2 * (z + 2)))
 
     def test_rejects_quartic_pairs(self):
         with pytest.raises(ValueError):
