@@ -23,6 +23,8 @@ from . import nodal, pencils, semilinear
 from .svg import render_line_chart
 
 SCHEMA_VERSION = "1"
+# most points a range spec, a log y grid or the product of the grid axes may have
+MAX_POINTS = 1_000_000
 
 __all__ = ["main", "entrypoint", "VerifyReport"]
 
@@ -121,6 +123,11 @@ def _parse_alphas(text: str) -> tuple:
     return tuple(_parse_alpha(chunk) for chunk in text.split(",") if chunk)
 
 
+def _check_points(what: str, n: int) -> None:
+    if n > MAX_POINTS:
+        raise ValueError(f"{what} has {n} points, more than the bound of {MAX_POINTS}")
+
+
 def _parse_range(text: str) -> list[float]:
     if ":" not in text:
         return [float(chunk) for chunk in text.split(",") if chunk]
@@ -130,8 +137,13 @@ def _parse_range(text: str) -> list[float]:
     start, stop, step = (float(p) for p in parts)
     if step <= 0:
         raise ValueError("range step must be positive")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(max(n, 1))]
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ValueError(f"range spec {text!r} must be finite")
+    n = max(int(math.floor(span + 1e-9)) + 1, 1)
+    _check_points(f"range {text!r}", n)
+    return [start + i * step for i in range(n)]
+
 
 def _parse_ygrid(text: str) -> list[float]:
     parts = text.split(":")
@@ -140,6 +152,9 @@ def _parse_ygrid(text: str) -> list[float]:
         count = int(parts[3]) if len(parts) > 3 else 50
         if not (start < 0 and stop < 0):
             raise ValueError("y grid endpoints must be negative")
+        if count < 2:
+            raise ValueError(f"a log y grid needs at least 2 points, got {count}")
+        _check_points(f"y grid {text!r}", count)
         a, b = -start, -stop
         return [-(a * (b / a) ** (i / (count - 1))) for i in range(count)]
     return _parse_range(text)
@@ -152,6 +167,7 @@ def _parse_grid(text: str) -> dict[str, list[float]]:
         if not spec:
             raise ValueError(f"grid chunk {chunk!r} must look like name=start:stop:step")
         out[name.strip()] = _parse_range(spec)
+    _check_points(f"grid {text!r}", math.prod(len(axis) for axis in out.values()))
     return out
 
 

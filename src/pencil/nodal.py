@@ -4,10 +4,13 @@ Root counting uses exact Sturm sequences over the integers (primitive
 pseudo-remainders, so only positive rescalings ever touch the chain signs).
 Isolation bisects the square-free part from a power-of-two Fujiwara bound,
 carrying the chain's sign-variation count at every interval endpoint, and
-reads multiplicities off the signs of the Yun factors.  Admissibility of a
-slope tuple at expansion order l is a nullspace question for the matrix of
-eigenfunction values at the slopes: exact over the rationals,
-SVD-thresholded for floating input.
+reads multiplicities off the signs of the Yun factors.  Each isolated root
+is refined by certified Newton: safeguarded float Newton, exact Newton
+steps from the float iterate, and exact opposite signs on either side of
+the result, with exact bisection only where that certificate fails.
+Admissibility of a slope tuple at expansion order l is a nullspace question
+for the matrix of eigenfunction values at the slopes: exact over the
+rationals, SVD-thresholded for floating input.
 """
 
 from __future__ import annotations
@@ -166,14 +169,130 @@ def _isolate_square_free(coeffs: list[int]) -> list[tuple[Fraction, Fraction]]:
     return sorted(out)
 
 
+# float Newton iterations per root; bisection alone takes about 45 to narrow
+# a float bracket of width 2^8 to _FLOAT_STEP relative at a root near 1e-3
+_NEWTON_STEPS = 100
+# float Newton stops at a step this short relative to the iterate: one more
+# float step reaches float resolution or the rounding noise of p near its root
+_FLOAT_STEP = 2.0**-26
+# coefficients are shifted below 2^960 so that the Horner sums of p and p'
+# (at most (n + 1)^2 times the largest coefficient at |x| <= 1) stay finite;
+# further out an overflowing p(x) keeps its sign and the step bisects
+_FLOAT_COEFF_BITS = 960
+# exact Newton steps from the float iterate before exact bisection takes
+# over; one certifies every root of psi_{l,1} and psi_{l,2} for l <= 70, and
+# the noisier float iterates of psi_{200,1} mostly need 2 to 7
+_EXACT_STEPS = 8
+# a Newton step at most this long, relative to max(|r|, 1), leaves an error
+# near float resolution, so r is worth the two signs of a certificate
+_CERTIFY_STEP = 2.0**-20
+
+
+def _float_newton(coeffs: list[int], lo: Fraction, hi: Fraction, slo: int) -> float | None:
+    """Safeguarded float Newton for the one root in (lo, hi); None if lo or hi overflows.
+
+    slo is the sign of p at lo.  A Newton step that leaves the current float
+    bracket, or is longer than half the step before last (the rule of
+    rtsafe in Numerical Recipes), is replaced by bisection of the bracket.
+    Coefficients are divided by a power of two, correctly rounded, only when
+    they are too large for the float Horner sums.
+    """
+    try:
+        a, b = float(lo), float(hi)
+    except OverflowError:
+        return None
+    shift = max(0, max(abs(c).bit_length() for c in coeffs) - _FLOAT_COEFF_BITS)
+    desc = [c / (1 << shift) for c in reversed(coeffs)]
+    x = a / 2 + b / 2
+    dx = dx_old = b - a
+    for _ in range(_NEWTON_STEPS):
+        p = dp = 0.0
+        for c in desc:
+            dp = dp * x + p
+            p = p * x + c
+        if p == 0.0:
+            return x
+        if (p > 0) == (slo > 0):
+            a = x
+        else:
+            b = x
+        step = p / dp if dp else math.inf
+        nx = x - step
+        if not (a < nx < b and abs(step) <= dx_old / 2):
+            nx = a / 2 + b / 2
+            if not a < nx < b:
+                return x
+        dx_old, dx = dx, abs(nx - x)
+        if dx <= _FLOAT_STEP * abs(nx):
+            return nx
+        x = nx
+    return x
+
+
+def _exact_newton(coeffs: list[int], x: float) -> tuple[int, Fraction | None]:
+    """Exact sign of p(x) and the Newton iterate from the dyadic x = a/b.
+
+    The Horner sums give N = b^n p(x) and D = b^(n-1) p'(x), so the iterate
+    is x - N / (b D); it is None when p'(x) = 0.
+    """
+    a, b = x.as_integer_ratio()
+    n_acc = d_acc = 0
+    bp = 1
+    for c in reversed(coeffs):
+        d_acc = d_acc * a + n_acc
+        n_acc = n_acc * a + c * bp
+        bp *= b
+    sign = (n_acc > 0) - (n_acc < 0)
+    return sign, (Fraction(a * d_acc - n_acc, b * d_acc) if d_acc else None)
+
+
 def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float) -> float:
-    """Bisect an isolating interval down to tol and return a float root."""
+    """Refine the one root in an isolating interval to a float within goal/2 of it.
+
+    goal = tol/8 * max(|lo|, |hi|, 1).  Float Newton proposes the root; exact
+    Newton steps polish it, each rounded to a float r, narrowing the bracket
+    by the exact sign at its start and bisecting the bracket instead when it
+    would leave it.  With h a power of two in (goal/8, goal/2], exact
+    opposite signs at r - h and r + h, both strictly inside (lo, hi), certify
+    r (a zero sign there is the root itself).  Without a certificate the
+    bracket is bisected exactly down to width goal.
+    """
     if lo == hi:
         return float(lo)
     slo = _int_eval_sign(coeffs, lo)
-    width_goal = Fraction(tol if tol > 0 else 1e-12) / 8
-    scale = max(abs(lo), abs(hi), Fraction(1))
-    while hi - lo > width_goal * scale:
+    goal = Fraction(tol if tol > 0 else 1e-12) / 8 * max(abs(lo), abs(hi), Fraction(1))
+    r = _float_newton(coeffs, lo, hi, slo)
+    if r is not None:
+        half = Fraction(2) ** (goal.numerator.bit_length() - goal.denominator.bit_length() - 2)
+        a, b = lo, hi
+        for _ in range(_EXACT_STEPS):
+            x = Fraction(r)
+            sign, step = _exact_newton(coeffs, r)
+            if a < x < b:
+                if sign == 0:
+                    return r
+                a, b = (x, b) if sign == slo else (a, x)
+            if step is None or not a < step < b:
+                step = (a + b) / 2
+            r, last = float(step), r
+            if b - a <= goal:
+                break
+            if abs(r - last) > _CERTIFY_STEP * max(abs(r), 1.0):
+                continue
+            left, right = Fraction(r) - half, Fraction(r) + half
+            if not (lo < left and right < hi):
+                break
+            s_left, s_right = _int_eval_sign(coeffs, left), _int_eval_sign(coeffs, right)
+            if s_left * s_right < 0:
+                return r
+            if s_left == 0:
+                return float(left)
+            if s_right == 0:
+                return float(right)
+            if r == last:
+                break
+        lo, hi = a, b
+    while hi - lo > goal:
         mid = (lo + hi) / 2
         smid = _int_eval_sign(coeffs, mid)
         if smid == 0:
@@ -187,7 +306,12 @@ def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float) -> f
 
 @dataclass(frozen=True)
 class RootSet:
-    """All real roots of a polynomial with exact isolation and float refinement."""
+    """All real roots of a polynomial: exact isolation and multiplicities, certified floats.
+
+    Each refined root lies within tol/16 * max(|lo|, |hi|, 1), up to the
+    rounding to a float, of the one root in its isolating interval [lo, hi],
+    and is that root for a degenerate [r, r].
+    """
 
     poly: RatPoly
     isolating_intervals: tuple[tuple[Fraction, Fraction], ...]

@@ -84,6 +84,23 @@ class TestCracks:
         configs = json.loads(out)["configs"]
         assert any(c["ratio"] is None for c in configs)
 
+    def test_enum_ratio_range_bound_exit_1(self):
+        # a child capped at 1 GiB of address space (one BLAS thread keeps numpy's
+        # import well below it): building the 1e9-point list would raise
+        # MemoryError there instead of the structured error
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from pencil.cli import main\n"
+            "sys.exit(main(['cracks', 'enum', '--m', '2', '--l', '2', '--ratios', '0:1e9:1']))\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+        assert out.returncode == 1
+        err = json.loads(out.stderr)
+        assert err["error"] == "ValueError"
+        assert "1000000001 points" in err["message"]
+
 
 class TestExpand:
     def test_eval_csv_columns(self, capsys):
@@ -95,6 +112,18 @@ class TestExpand:
         assert lines[0].startswith("# config:")
         assert lines[1] == "z,tau,x,y,w"
         assert len(lines) == 2 + 6
+
+    def test_eval_grid_product_bound_exit_1(self, capsys, monkeypatch):
+        # each axis is within the bound, their product is not
+        def evaluated(*args):
+            raise AssertionError("the grid was evaluated")
+
+        monkeypatch.setattr("pencil.expansion.eval_expansion", evaluated)
+        code, _, err = run_cli(
+            capsys, "expand", "eval", "--terms", '{"2":[1,0]}', "--grid", "z=0:999:1,tau=0:1000:1"
+        )
+        assert code == 1
+        assert "1001000 points" in json.loads(err)["message"]
 
     def test_trace_svg(self, tmp_path, capsys):
         path = tmp_path / "trace.svg"
@@ -236,6 +265,17 @@ class TestOde:
         assert payload["total_zero_count"] >= 1
         curve = payload["curves"][0]
         assert len(curve["points"]) == 5
+
+    @pytest.mark.parametrize("count", [1, 0])
+    def test_crackcurves_log_ygrid_count_below_2_exit_1(self, capsys, count):
+        code, out, err = run_cli(
+            capsys, "ode", "crackcurves", "--p", "3", "--alpha", "1",
+            "--ygrid", f"-0.5:-1e-2:log:{count}", "--Xi", "30", "--ximin", "0.05", "--json",
+        )
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert f"got {count}" in payload["message"]
 
 
 def test_console_script_installed():

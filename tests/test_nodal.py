@@ -104,7 +104,7 @@ class TestIsolation:
         assert rs.multiplicities == (1, 3, 2, 1)
         assert rs.refined_roots == pytest.approx([-math.sqrt(2), 0.0, 0.5, math.sqrt(2)], abs=1e-12)
 
-    @pytest.mark.parametrize("l, family", [(7, 1), (31, 2), (33, 1), (45, 1), (50, 2)])
+    @pytest.mark.parametrize("l, family", [(7, 1), (31, 2), (33, 1), (45, 1), (50, 2), (51, 1), (70, 2)])
     def test_eigenfunction_roots_match_closed_forms(self, l, family):
         # cot((2k-1)pi/(2l)) for family 1 and cot(k pi/(l+1)) for family 2, written
         # as tan(j pi/(2n)) so that the root 0 of odd l is exact; odd l puts it on
@@ -119,6 +119,38 @@ class TestIsolation:
             assert lo <= want <= hi
         for (_, hi), (lo, _) in zip(rs.isolating_intervals, rs.isolating_intervals[1:]):
             assert hi <= lo
+
+    @pytest.mark.parametrize("l, family", [(51, 1), (70, 1), (70, 2)])
+    def test_refined_roots_carry_sign_certificates(self, l, family):
+        tol = 1e-12
+        p = quadratic_eigenfunction(l, family).poly
+        rs = isolate_real_roots(p, tol=tol)
+        for r in rs.refined_roots:
+            x, h = Fraction(r), Fraction(tol) * max(abs(Fraction(r)), 1)
+            assert p.eval(x - h) * p.eval(x + h) < 0
+
+    @pytest.mark.parametrize(
+        "factors, roots",
+        [
+            # coefficients of about 1111 bits: float() of them raises OverflowError
+            (
+                [RatPoly([-2 * 3**700 - 1, 3**700]), RatPoly([1, 1])],
+                [-1, 2 + Fraction(1, 3**700)],
+            ),
+            # two roots closer than a float ulp; the refinement falls back to bisection
+            (
+                [RatPoly([-1, 1]), RatPoly([-1 - Fraction(1, 2**60), 1]), RatPoly([-2, 0, 1])],
+                [-math.sqrt(2), 1, 1 + Fraction(1, 2**60), math.sqrt(2)],
+            ),
+        ],
+    )
+    def test_refined_roots_within_goal(self, factors, roots):
+        tol = 1e-12
+        rs = isolate_real_roots(math.prod(factors, start=RatPoly.one()), tol=tol)
+        assert rs.multiplicities == (1,) * len(roots)
+        for (lo, hi), got, want in zip(rs.isolating_intervals, rs.refined_roots, roots, strict=True):
+            goal = tol / 8 * float(max(abs(lo), abs(hi), 1))
+            assert abs(got - float(want)) <= goal
 
 
 class TestTransversality:
