@@ -123,9 +123,13 @@ def integrate(
 
     Stops early with `truncated=True` when the step size underflows or the
     MAX_STEPS budget runs out; everything integrated up to that point is kept.
+    Tolerances must be positive and finite: a NaN step never trips the step
+    floor, so a NaN tolerance would walk the whole step budget.
     """
     if t1 == t0:
         raise ValueError("empty integration span")
+    if not (0 < rtol < math.inf and 0 < atol < math.inf):
+        raise ValueError(f"tolerances must be positive and finite, got rtol={rtol!r}, atol={atol!r}")
     direction = 1.0 if t1 > t0 else -1.0
     y = tuple(float(v) for v in y0)
     t = float(t0)

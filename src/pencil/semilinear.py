@@ -8,8 +8,11 @@
 Both are the autonomous oscillator f'' + |f|^(p-1) f = 0 in another variable,
 and the solvers integrate only that: in theta = arctan z, z = infinity is the
 regular point theta = pi/2, and in t = 1/s every solution is periodic, with
-the period fixed by the energy E = f'^2/2 + |f|^(p+1)/(p+1).  The odd
-nonlinearity is evaluated as sign(f) |f|^p, exact for non-integer p as well.
+the period fixed by the energy E = f'^2/2 + |f|^(p+1)/(p+1).  The stationary
+solver integrates one unit orbit per solve, over a quarter period, and takes
+every shot from it by scaling: a W(a^((p-1)/2) theta) is again a solution.
+The odd nonlinearity is evaluated as sign(f) |f|^p, exact for non-integer p
+as well.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
-from .ode import IntegrationResult, find_zeros, integrate
+from .ode import find_zeros, integrate
 
 __all__ = [
     "NoProfileFoundError",
@@ -102,14 +105,6 @@ def linearized_exponents(kind: str) -> tuple[int, int]:
     return (-1, 0)
 
 
-def _initial_state(symmetry: str, s: float) -> tuple[float, float]:
-    if symmetry == "symmetric":
-        return (s, 0.0)
-    if symmetry == "antisymmetric":
-        return (0.0, s)
-    raise ValueError("symmetry must be 'symmetric' or 'antisymmetric'")
-
-
 def _oscillator(p: float, t: float, y: tuple[float, ...]) -> tuple[float, float]:
     """Right-hand side of f'' + |f|^(p-1) f = 0 as a first-order system."""
     f, df = y
@@ -124,6 +119,30 @@ def _period(p: float, y: tuple[float, float]) -> float:
     a = ((p + 1) * df * df / 2 + abs(f) ** (p + 1)) ** q
     c_p = math.sqrt((p + 1) / 2) * math.exp(math.lgamma(q) + math.lgamma(0.5) - math.lgamma(q + 0.5)) * q
     return 4 * c_p * a ** ((1 - p) / 2) if a > 0 else math.inf  # a = 0: E underflowed
+
+
+def _unit_orbit(p: float, symmetric: bool, tol: float):
+    """Quarter period K, phase function x -> (W(x), W'(x)) and truncation flag
+    of the unit-amplitude oscillator orbit W, from one integration over [0, K].
+
+    W starts at (1, 0) when `symmetric`, else at (0, sqrt(2/(p+1))); both have
+    energy 1/(p+1).  Every real x is reduced modulo the period 4K, and the
+    other three quarters are the first one reflected: W(x + 2K) = -W(x), and
+    the symmetric orbit is even about 0 and odd about K, the antisymmetric one
+    odd about 0 and even about K.
+    """
+    k = _period(p, (1.0, 0.0)) / 4
+    y0 = (1.0, 0.0) if symmetric else (0.0, math.sqrt(2 / (p + 1)))
+    quarter = integrate(partial(_oscillator, p), 0.0, k, y0, rtol=tol, atol=tol * 1e-2)
+
+    def orbit(x: float) -> tuple[float, float]:
+        q, u = divmod(x % (4 * k), k)
+        q = int(q) % 4  # x % (4 k) rounds up to 4 k only for tiny negative x
+        f, df = quarter.interpolate(k - u if q & 1 else u)  # odd quarters run backward
+        sign = -1.0 if (q + symmetric) & 2 else 1.0
+        return sign * f, (-sign if q & 1 else sign) * df
+
+    return k, orbit, quarter.truncated
 
 
 def _scan_bracket(above, s_lo: float, s_hi: float, n_scan: int) -> tuple[float, float, bool]:
@@ -147,34 +166,48 @@ def solve_stationary(
     n_scan: int = 25,
     n_output: int = 1201,
 ) -> ProfileSolution:
-    """Shooting/bisection solution of the stationary profile equation.
+    """Shooting/bisection solution of the stationary profile equation, with one
+    unit orbit per solve and every shot by scaling.
 
-    Each shot integrates the oscillator in theta = arctan z up to theta_end:
-    pi/2 for `decay_inverse` (target f(pi/2) = 0), arctan(z_end) for
-    `plateau_one` (target f(z_end) = 1).  The initial value is scanned upward
-    over s_range until its class first changes, then bisected: f(theta_end) > 1
-    for a plateau, f > 0 on all of (0, pi/2] for decay (monotone in s, as the
-    first zero moves inward when s grows).  A decay profile is taken on the
-    positive side and its constant c in f ~ c/z is -f_theta(pi/2).  The output
-    grid is uniform in z over [0, z_end], with f_z = f_theta / (1 + z^2).
+    In theta = arctan z the equation is the oscillator, and its scaling
+    symmetry makes every shot s a scaled copy of one unit orbit W (see
+    `_unit_orbit`): f(theta) = a W(omega theta) with omega = a^((p-1)/2) and
+    amplitude a = s (symmetric, f(0) = s) or a^(p+1) = (p+1) s^2 / 2
+    (antisymmetric, f'(0) = s).  The target sits at theta_end: pi/2 for
+    `decay_inverse` (f(pi/2) = 0), arctan(z_end) for `plateau_one`
+    (f(z_end) = 1).  The initial value is scanned upward over s_range until its
+    class first changes, then bisected: f(theta_end) > 1 for a plateau, one
+    lookup of W; f > 0 on all of (0, pi/2] for decay, which holds exactly when
+    the phase omega pi/2 lies below the first zero of W after 0 (monotone in s,
+    as the first zero moves inward when s grows).  A decay profile is taken on
+    the positive side and its constant c in f ~ c/z is -f_theta(pi/2).  The
+    zeros are the zero phases of W below omega theta_end.  The output grid is
+    uniform in z over [0, z_end], with f_z = f_theta / (1 + z^2).
     """
     if p <= 1:
         raise ValueError("the exponent p must exceed 1")
+    if symmetry not in ("symmetric", "antisymmetric"):
+        raise ValueError("symmetry must be 'symmetric' or 'antisymmetric'")
     if far not in FAR_FIELD_ROOT:
         raise ValueError("far must be 'decay_inverse' or 'plateau_one'")
-    if not z_end > 0:
-        raise ValueError("z_end must be positive")
+    if not 0 < z_end < math.inf:
+        raise ValueError("z_end must be positive and finite")
+    symmetric = symmetry == "symmetric"
     decay = far == "decay_inverse"
     theta_end = math.pi / 2 if decay else math.atan(z_end)
-    rhs = partial(_oscillator, p)
+    k, orbit, truncated = _unit_orbit(p, symmetric, tol)
+    first = k if symmetric else 0.0  # W vanishes at the phases first + 2 k j, j >= 0
+    first_zero = k if symmetric else 2 * k  # the first of them after 0
 
-    def shoot(s: float) -> IntegrationResult:
-        return integrate(rhs, 0.0, theta_end, _initial_state(symmetry, s), rtol=tol, atol=tol * 1e-2)
+    def scaling(s: float) -> tuple[float, float]:
+        a = s if symmetric else math.copysign(((p + 1) * s * s / 2) ** (1 / (p + 1)), s)
+        return a, abs(a) ** ((p - 1) / 2)
 
     def above(s: float) -> bool:
-        ys = shoot(s).ys
-        # the antisymmetric shot starts at f = 0; only f on (0, theta_end] counts
-        return min(y[0] for y in ys[1:]) > 0 if decay else ys[-1][0] > 1
+        a, omega = scaling(s)
+        if decay:
+            return a > 0 and omega * theta_end < first_zero
+        return a * orbit(omega * theta_end)[0] > 1
 
     lo, hi, lo_above = _scan_bracket(above, s_range[0], s_range[1], n_scan)
     shot_tol = max(tol, 1e-12) * max(1.0, min(lo, hi))
@@ -183,21 +216,23 @@ def solve_stationary(
         lo, hi = (mid, hi) if above(mid) == lo_above else (lo, mid)
 
     shot = lo if decay else 0.5 * (lo + hi)
-    final = shoot(shot)
+    a, omega = scaling(shot)
     grid = tuple(z_end * i / (n_output - 1) for i in range(n_output))
-    states = [final.interpolate(math.atan(z)) for z in grid]
+    states = [orbit(omega * math.atan(z)) for z in grid]
+    w_end, dw_end = orbit(omega * theta_end)
+    n_zeros = max(0, math.ceil((omega * theta_end - first) / (2 * k)))
     return ProfileSolution(
         kind=STATIONARY,
         p=p,
         symmetry=symmetry,
         far_condition=far,
         grid=grid,
-        values=tuple(f for f, _ in states),
-        derivative_values=tuple(df / (1 + z * z) for z, (_, df) in zip(grid, states)),
+        values=tuple(a * w for w, _ in states),
+        derivative_values=tuple(a * omega * dw / (1 + z * z) for z, (_, dw) in zip(grid, states)),
         shot_parameter=shot,
-        zeros=tuple(math.tan(theta) for theta in find_zeros(final)),
-        asymptotic_constant=-final.y_end[1] if decay else final.y_end[0],
-        truncated=final.truncated,
+        zeros=tuple(math.tan((first + 2 * k * j) / omega) for j in range(n_zeros)),
+        asymptotic_constant=-a * omega * dw_end if decay else a * w_end,
+        truncated=truncated,
     )
 
 

@@ -231,6 +231,34 @@ class TestOde:
         lines = path.read_text().splitlines()
         assert lines[1] == "abscissa,f,f'"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stationary", "--p", "3", "--tol", "0"),
+            ("stationary", "--p", "3", "--tol", "-1"),
+            ("stationary", "--p", "3", "--zend", "inf"),
+        ],
+    )
+    def test_bad_tolerance_or_zend_exit_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, "ode", *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stationary", "--p", "3", "--tol", "nan"],
+            ["selfsimilar", "--p", "3", "--A", "1", "--tol", "nan"],
+        ],
+    )
+    def test_nan_tolerance_exit_1(self, argv):
+        # in a child with a timeout: a NaN step never trips the step floor, so
+        # an unchecked NaN tolerance walks the whole step budget
+        code = f"import sys\nfrom pencil.cli import main\nsys.exit(main({['ode'] + argv!r}))\n"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 1
+        assert json.loads(out.stderr)["error"] == "ValueError"
+
     def test_selfsimilar_svg_and_json(self, tmp_path, capsys):
         path = tmp_path / "osc.svg"
         code, out, _ = run_cli(

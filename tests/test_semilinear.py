@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.special import beta
+from scipy.special import beta, betainc
 
 from pencil import semilinear
 from pencil.ode import find_zeros, integrate
@@ -76,6 +76,17 @@ class TestIntegrator:
         ours = integrate(lambda t, y: (y[1], -y[0]), 0.0, 10.0, (0.0, 1.0), rtol=1e-11, atol=1e-13)
         zs = find_zeros(ours)
         assert zs == pytest.approx([0.0, math.pi, 2 * math.pi, 3 * math.pi], abs=1e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("which", ["rtol", "atol"])
+    def test_rejects_tolerance_not_positive_finite(self, which, bad):
+        # rejected before the first step: an unchecked NaN tolerance walks the
+        # whole step budget, so the right-hand side must never run
+        def rhs(t, y):
+            raise AssertionError("the right-hand side was evaluated")
+
+        with pytest.raises(ValueError, match="tolerances"):
+            integrate(rhs, 0.0, 1.0, (1.0,), **{which: bad})
 
 
 class TestProblemSetup:
@@ -195,6 +206,81 @@ class TestStationary:
     def test_z_end_validation(self):
         with pytest.raises(ValueError):
             solve_stationary(3.0, "symmetric", "decay_inverse", z_end=-10.0)
+
+    @pytest.mark.parametrize("z_end", [math.inf, math.nan])
+    def test_z_end_must_be_finite(self, z_end):
+        with pytest.raises(ValueError, match="finite"):
+            solve_stationary(3.0, "symmetric", "decay_inverse", z_end=z_end)
+
+    @pytest.mark.parametrize("symmetry", ["symmetric", "antisymmetric"])
+    @pytest.mark.parametrize("far", ["decay_inverse", "plateau_one"])
+    def test_one_stationary_integration(self, monkeypatch, symmetry, far):
+        calls = []
+
+        def recording(rhs, t0, t1, y0, **kwargs):
+            calls.append((t0, t1, tuple(y0)))
+            return integrate(rhs, t0, t1, y0, **kwargs)
+
+        monkeypatch.setattr(semilinear, "integrate", recording)
+        p = 3.0
+        solve_stationary(p, symmetry, far)
+        quarter_period = math.sqrt((p + 1) / 2) * beta(1 / (p + 1), 0.5) / (p + 1)
+        (t0, t1, y0), = calls
+        assert t0 == 0.0
+        assert t1 == pytest.approx(quarter_period, rel=1e-12)
+        assert y0 == ((1.0, 0.0) if symmetry == "symmetric" else (0.0, math.sqrt(2 / (p + 1))))
+
+    @pytest.mark.parametrize("symmetry", ["symmetric", "antisymmetric"])
+    def test_negative_shots(self, symmetry):
+        # f -> -f maps profiles to profiles: no negative shot decays with f > 0,
+        # and a negative plateau shot starts with f(0) = s or f'(0) = s < 0
+        with pytest.raises(NoProfileFoundError):
+            solve_stationary(3.0, symmetry, "decay_inverse", s_range=(-1e3, -1e-3))
+        sol = solve_stationary(3.0, symmetry, "plateau_one", s_range=(-1e3, -1e-3))
+        s = sol.shot_parameter
+        assert s < 0
+        start = sol.values[0] if symmetry == "symmetric" else sol.derivative_values[0]
+        assert start == pytest.approx(s, rel=1e-12)
+        assert sol.values[-1] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_unit_orbit_against_incomplete_beta(self, p, symmetric):
+        # the orbit through (1, 0) takes K (1 - I_{y^(p+1)}(1/(p+1), 1/2)) to fall
+        # from 1 to y, with I the regularized incomplete Beta function; the orbit
+        # through (0, sqrt(2/(p+1))) is the same one shifted by a quarter period
+        k, orbit, truncated = semilinear._unit_orbit(p, symmetric, 1e-10)
+        assert not truncated
+        for n in (0, 1, 17, 1000, 250_000):
+            for y in (0.1, 0.5, 0.9):
+                fraction = betainc(1 / (p + 1), 0.5, y ** (p + 1))
+                x = 4 * n * k + (k - k * fraction if symmetric else k * fraction)
+                assert abs(orbit(x)[0] - y) < 1e-9
+                # the second half period is the first one negated
+                assert abs(orbit(x + 2 * k)[0] + y) < 1e-9
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("symmetry", ["symmetric", "antisymmetric"])
+    @pytest.mark.parametrize("far", ["decay_inverse", "plateau_one"])
+    def test_against_scipy_in_z(self, p, symmetry, far):
+        # the returned shot, integrated by scipy in the original variable z
+        sol = solve_stationary(p, symmetry, far)
+        problem = ODEProblem("stationary", p, symmetry, far)
+        s = sol.shot_parameter
+        ref = solve_ivp(
+            lambda t, y: list(problem.rhs(t, tuple(y))),
+            (0.0, sol.grid[-1]),
+            [s, 0.0] if symmetry == "symmetric" else [0.0, s],
+            method="DOP853",
+            dense_output=True,
+            rtol=1e-12,
+            atol=1e-14,
+        )
+        f_ref, df_ref = ref.sol(np.array(sol.grid))
+        assert np.max(np.abs(np.array(sol.values) - f_ref)) < 1e-8
+        assert np.max(np.abs(np.array(sol.derivative_values) - df_ref)) < 1e-7
+        if far == "plateau_one":
+            assert abs(ref.y[0, -1] - 1.0) < 1e-8
 
     def test_no_profile_in_tiny_range(self):
         with pytest.raises(NoProfileFoundError):
