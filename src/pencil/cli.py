@@ -645,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_output(p, svg=True, csv_flag=True)
     p.set_defaults(func=_cmd_ode_stationary)
 
-    p = ode.add_parser("selfsimilar", help="oscillatory profile, one period in t = 1/xi repeated")
+    p = ode.add_parser("selfsimilar", help="oscillatory profile, scaled from one unit orbit in t = 1/xi")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--A", type=float, default=1.0, help="far-field amplitude")
     p.add_argument("--Xi", type=float, default=semilinear.DEFAULT_XI_FAR)

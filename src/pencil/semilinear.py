@@ -8,21 +8,26 @@
 Both are the autonomous oscillator f'' + |f|^(p-1) f = 0 in another variable,
 and the solvers integrate only that: in theta = arctan z, z = infinity is the
 regular point theta = pi/2, and in t = 1/s every solution is periodic, with
-the period fixed by the energy E = f'^2/2 + |f|^(p+1)/(p+1).  The stationary
+the period fixed by the energy E = f'^2/2 + |f|^(p+1)/(p+1).  Its scaling
+symmetry makes a W(a^((p-1)/2) x) a solution for every unit orbit W, so each
 solver integrates one unit orbit per solve, over a quarter period, and takes
-every shot from it by scaling: a W(a^((p-1)/2) theta) is again a solution.
-The odd nonlinearity is evaluated as sign(f) |f|^p, exact for non-integer p
-as well.
+the profile from it by scaling: every stationary shot, and the self-similar
+profile with its zeros and grid.  The odd nonlinearity is evaluated as
+sign(f) |f|^p, exact for non-integer p as well.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
-from .ode import find_zeros, integrate
+from .ode import integrate
+
+# not called here; perfbench/tracing.py wraps it under this name on this module
+from .ode import find_zeros  # noqa: F401
 
 __all__ = [
     "NoProfileFoundError",
@@ -43,7 +48,7 @@ DEFAULT_Z_END = 50.0
 DEFAULT_XI_FAR = 100.0
 DEFAULT_XI_MIN = 1e-4
 DEFAULT_TOL = 1e-10
-# self-similar grid rows kept (about 210 B each); the default xi_min = 1e-4 gives 434,551
+# self-similar grid rows kept (about 150 B each at peak); the default xi_min = 1e-4 gives 436,155
 MAX_STEPS = 1_000_000
 
 FAR_FIELD_ROOT = {"decay_inverse": -1, "plateau_one": 0}
@@ -111,14 +116,19 @@ def _oscillator(p: float, t: float, y: tuple[float, ...]) -> tuple[float, float]
     return (df, -math.copysign(abs(f) ** p, f))
 
 
-def _period(p: float, y: tuple[float, float]) -> float:
-    """Period 4 C_p a^((1-p)/2) of the oscillator orbit through y, with
-    C_p = sqrt((p+1)/2) B(1/(p+1), 1/2) / (p+1) and amplitude a = ((p+1) E)^(1/(p+1))."""
-    f, df = y
+def _quarter_period(p: float) -> float:
+    """Quarter period K_p = sqrt((p+1)/2) B(1/(p+1), 1/2) / (p+1) of the
+    unit-amplitude orbit; the orbit of amplitude a takes K_p a^((1-p)/2)."""
     q = 1 / (p + 1)
-    a = ((p + 1) * df * df / 2 + abs(f) ** (p + 1)) ** q
-    c_p = math.sqrt((p + 1) / 2) * math.exp(math.lgamma(q) + math.lgamma(0.5) - math.lgamma(q + 0.5)) * q
-    return 4 * c_p * a ** ((1 - p) / 2) if a > 0 else math.inf  # a = 0: E underflowed
+    return math.sqrt((p + 1) / 2) * math.exp(math.lgamma(q) + math.lgamma(0.5) - math.lgamma(q + 0.5)) * q
+
+
+def _check_exponent_and_tol(p: float, tol: float) -> None:
+    # NaN fails both comparisons: unchecked, it walks the integrator's step budget
+    if not 1 < p < math.inf:
+        raise ValueError(f"the exponent p must be finite and exceed 1, got p={p!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got tol={tol!r}")
 
 
 def _unit_orbit(p: float, symmetric: bool, tol: float):
@@ -129,9 +139,10 @@ def _unit_orbit(p: float, symmetric: bool, tol: float):
     energy 1/(p+1).  Every real x is reduced modulo the period 4K, and the
     other three quarters are the first one reflected: W(x + 2K) = -W(x), and
     the symmetric orbit is even about 0 and odd about K, the antisymmetric one
-    odd about 0 and even about K.
+    odd about 0 and even about K.  The phase function carries the quarter's
+    integration as `orbit.quarter`, for callers that map its nodes themselves.
     """
-    k = _period(p, (1.0, 0.0)) / 4
+    k = _quarter_period(p)
     y0 = (1.0, 0.0) if symmetric else (0.0, math.sqrt(2 / (p + 1)))
     quarter = integrate(partial(_oscillator, p), 0.0, k, y0, rtol=tol, atol=tol * 1e-2)
 
@@ -142,7 +153,39 @@ def _unit_orbit(p: float, symmetric: bool, tol: float):
         sign = -1.0 if (q + symmetric) & 2 else 1.0
         return sign * f, (-sign if q & 1 else sign) * df
 
+    orbit.quarter = quarter
     return k, orbit, quarter.truncated
+
+
+def _start_phase(p: float, quarter, value: float, slope: float) -> float:
+    """The phase x of the antisymmetric unit orbit V, on its rising quarter,
+    where (V, V') = (value, slope), by safeguarded Newton on the dense output.
+
+    V rises and V' falls over the quarter.  Newton runs on V while its slope
+    V' is the larger one, else on V', whose slope is -V^p: near the turning
+    point V' vanishes and V no longer fixes the phase well.  The quarter's
+    nodes bracket the root and give the first iterate by linear interpolation.
+    """
+    on_value = slope >= value**p
+    key, target = (lambda y: y[0], value) if on_value else (lambda y: -y[1], -slope)
+    ts, ys = quarter.ts, quarter.ys
+    i = min(max(bisect_left(ys, target, key=key), 1), len(ts) - 1)
+    lo, hi = ts[i - 1], ts[i]
+    r_lo, r_hi = key(ys[i - 1]) - target, key(ys[i]) - target
+    x = lo - r_lo * (hi - lo) / (r_hi - r_lo) if r_hi > r_lo else lo
+    for _ in range(60):
+        f, df = quarter.interpolate(x)
+        r, dr = (f - value, df) if on_value else (slope - df, abs(f) ** p)
+        if r == 0.0:
+            break
+        lo, hi = (lo, x) if r > 0 else (x, hi)
+        x_new = x - r / dr if dr > 0 else lo
+        if not lo < x_new < hi:  # Newton left the bracket: bisect
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 1e-15 * x:
+            return x_new
+        x = x_new
+    return x
 
 
 def _scan_bracket(above, s_lo: float, s_hi: float, n_scan: int) -> tuple[float, float, bool]:
@@ -184,14 +227,21 @@ def solve_stationary(
     zeros are the zero phases of W below omega theta_end.  The output grid is
     uniform in z over [0, z_end], with f_z = f_theta / (1 + z^2).
     """
-    if p <= 1:
-        raise ValueError("the exponent p must exceed 1")
+    _check_exponent_and_tol(p, tol)
     if symmetry not in ("symmetric", "antisymmetric"):
         raise ValueError("symmetry must be 'symmetric' or 'antisymmetric'")
     if far not in FAR_FIELD_ROOT:
         raise ValueError("far must be 'decay_inverse' or 'plateau_one'")
     if not 0 < z_end < math.inf:
         raise ValueError("z_end must be positive and finite")
+    s_lo, s_hi = s_range
+    # the scan is geometric, so both ends share a sign; a negative range scans -|s|
+    if not (0 < s_lo < s_hi < math.inf or -math.inf < s_lo < s_hi < 0):
+        raise ValueError(f"s_range must be finite, of one sign and increasing, got {s_range!r}")
+    if n_scan < 2:
+        raise ValueError(f"n_scan must be at least 2, got {n_scan!r}")
+    if n_output < 2:
+        raise ValueError(f"n_output must be at least 2, got {n_output!r}")
     symmetric = symmetry == "symmetric"
     decay = far == "decay_inverse"
     theta_end = math.pi / 2 if decay else math.atan(z_end)
@@ -209,7 +259,7 @@ def solve_stationary(
             return a > 0 and omega * theta_end < first_zero
         return a * orbit(omega * theta_end)[0] > 1
 
-    lo, hi, lo_above = _scan_bracket(above, s_range[0], s_range[1], n_scan)
+    lo, hi, lo_above = _scan_bracket(above, s_lo, s_hi, n_scan)
     shot_tol = max(tol, 1e-12) * max(1.0, min(lo, hi))
     while abs(hi - lo) > shot_tol:
         mid = 0.5 * (lo + hi)
@@ -243,18 +293,24 @@ def solve_selfsimilar(
     xi_min: float = DEFAULT_XI_MIN,
     tol: float = DEFAULT_TOL,
 ) -> ProfileSolution:
-    """Self-similar profile on [xi_min, xi_far] from its far-field decay.
+    """Self-similar profile on [xi_min, xi_far] from its far-field decay, with
+    one unit orbit per solve.
 
-    In t = 1/xi the profile is a periodic orbit of the oscillator, started on
-    the 1/xi branch at t0 = 1/xi_far with g = A t0, g' = A.  One integration
-    over at most one period gives the first zero; the others follow every
-    half period out to t = 1/xi_min, and the grid is that period repeated.
-    Past MAX_STEPS grid rows the grid and the zeros stop, with `truncated` set.
+    In t = 1/xi the profile is an orbit of the oscillator, started on the 1/xi
+    branch at t0 = 1/xi_far with g = A t0, g' = A.  So it is a scaled,
+    phase-shifted copy of the antisymmetric unit orbit V (see `_unit_orbit`):
+    g(t) = a V(phi0 + omega (t - t0)) with omega = |a|^((p-1)/2), the signed
+    amplitude a fixed by the energy, |a|^(p+1) = (p+1) A^2/2 + |A t0|^(p+1),
+    and the start phase phi0 in [0, K) by V(phi0) = A t0 / a.  The zeros are
+    t0 + (2 j K - phi0) / omega, j >= 1, in closed form, and the grid is the
+    quarter's nodes reflected onto every quarter out to t = 1/xi_min.  Past
+    MAX_STEPS grid rows the grid and the zeros stop, with `truncated` set.
     """
-    if p <= 1:
-        raise ValueError("the exponent p must exceed 1")
-    if not (xi_far > xi_min > 0):
-        raise ValueError("need xi_far > xi_min > 0")
+    _check_exponent_and_tol(p, tol)
+    if not math.isfinite(amplitude):
+        raise ValueError(f"the amplitude A must be finite, got A={amplitude!r}")
+    if not (math.inf > xi_far > xi_min > 0):
+        raise ValueError("need xi_far > xi_min > 0, both finite")
     if amplitude == 0.0:
         grid = (xi_min, xi_far)
         return ProfileSolution(
@@ -271,32 +327,77 @@ def solve_selfsimilar(
             truncated=False,
         )
     t0, t_stop = 1.0 / xi_far, 1.0 / xi_min
-    y0 = (amplitude * t0, amplitude)
-    period = min(_period(p, y0), 2 * (t_stop - t0))  # a longer period repeats past t_stop only
-    result = integrate(partial(_oscillator, p), t0, min(t0 + period, t_stop), y0, rtol=tol, atol=tol * 1e-2)
-    if result.truncated:
-        t_stop = result.t_end
+    k, orbit, truncated = _unit_orbit(p, False, tol)
+    try:
+        # |A|^(2/(p+1)) taken out first, so a tiny A does not underflow the energy
+        a = math.copysign(
+            abs(amplitude) ** (2 / (p + 1))
+            * ((p + 1) / 2 + abs(amplitude) ** (p - 1) * t0 ** (p + 1)) ** (1 / (p + 1)),
+            amplitude,
+        )
+        omega = abs(a) ** ((p - 1) / 2)
+    except OverflowError:
+        omega = math.inf
+    if not t0 + k / omega > t0:  # also an overflowed or NaN omega
+        raise ValueError(
+            f"the amplitude A={amplitude!r} is too large for p={p!r}: a quarter period"
+            " of the profile in t = 1/xi is below the float resolution of t"
+        )
+    ratio = amplitude / a
+    phi0 = _start_phase(p, orbit.quarter, min(ratio * t0, 1.0), ratio / omega)
+    us, ws = orbit.quarter.ts, orbit.quarter.ys
+    if truncated:  # the quarter stops short of K: keep to the part integrated
+        t_stop = min(t_stop, t0 + (us[-1] - phi0) / omega)
 
-    rows, k = [], 0
-    while len(rows) <= MAX_STEPS and t0 + k * period < t_stop:
-        shift = k * period
-        rows += [(t + shift, y) for t, y in zip(result.ts[:-1], result.ys[:-1]) if t + shift < t_stop]
-        k += 1
-    del rows[MAX_STEPS + 1 :]
-    truncated = result.truncated or len(rows) > MAX_STEPS
+    # each quarter runs over n nodes, excluding its end, the next one's start
+    n = len(us) - 1
+    forward = (
+        [u / omega for u in us[:n]],
+        [a * w for w, _ in ws[:n]],
+        [a * omega * dw for _, dw in ws[:n]],
+    )
+    backward = (
+        [(k - u) / omega for u in us[n:0:-1]],
+        [a * w for w, _ in ws[n:0:-1]],
+        [-a * omega * dw for _, dw in ws[n:0:-1]],
+    )
+    # the second half period is the first one negated
+    quarters = (forward, backward) + tuple(
+        (offsets, [-f for f in fs], [-df for df in dfs]) for offsets, fs, dfs in (forward, backward)
+    )
+    # ascending t from the exact start row (A t0, A); xi-derivatives are -t^2 g'
+    grid, values, derivatives = [xi_far], [amplitude * t0], [-t0 * t0 * amplitude]
+    t_last, q = t0, 0
+    while len(values) <= MAX_STEPS:
+        base = t0 + (q * k - phi0) / omega
+        if base >= t_stop:
+            break
+        offsets, fs, dfs = quarters[q % 4]
+        ts = [base + u for u in offsets]
+        lo, hi = bisect_right(ts, t0), bisect_left(ts, t_stop)
+        ts = ts[lo:hi]
+        grid += [1.0 / t for t in ts]
+        values += fs[lo:hi]
+        derivatives += [-t * t * df for t, df in zip(ts, dfs[lo:hi])]
+        t_last = ts[-1] if ts else t_last
+        q += 1
+    extra = len(values) - (MAX_STEPS + 1)
+    if extra > 0:  # all from the last quarter, which started within the budget
+        del grid[-extra:], values[-extra:], derivatives[-extra:]
+        t_last = ts[-extra - 1]
+    truncated = truncated or extra >= 0
     if not truncated:
-        rows.append((t_stop, result.interpolate(t0 + (t_stop - t0) % period)))
-    first = find_zeros(result)[:1]
-    half = period / 2
-    n_zeros = math.floor((rows[-1][0] - first[0]) / half) + 1 if first else 0
-    zeros = [first[0] + k * half for k in range(n_zeros)]
+        w, dw = orbit(phi0 + omega * (t_stop - t0))
+        grid.append(xi_min)
+        values.append(a * w)
+        derivatives.append(-t_stop * t_stop * a * omega * dw)
+        t_last = t_stop
+    n_zeros = math.floor((omega * (t_last - t0) + phi0) / (2 * k))
+    zeros = tuple(1.0 / (t0 + (2 * k * j - phi0) / omega) for j in range(n_zeros, 0, -1))
 
-    rows.reverse()
-    grid = [1.0 / t for t, _ in rows]
-    grid[-1] = xi_far
-    if not truncated:
-        grid[0] = xi_min
-    values = [y[0] for _, y in rows]
+    grid.reverse()
+    values.reverse()
+    derivatives.reverse()
     tail = [x * f for x, f in zip(grid, values) if x >= xi_far / 2]
     return ProfileSolution(
         kind=SELFSIMILAR,
@@ -305,9 +406,9 @@ def solve_selfsimilar(
         far_condition="decay_inverse",
         grid=tuple(grid),
         values=tuple(values),
-        derivative_values=tuple(-t * t * y[1] for t, y in rows),
+        derivative_values=tuple(derivatives),
         shot_parameter=amplitude,
-        zeros=tuple(1.0 / z for z in reversed(zeros)),
+        zeros=zeros,
         asymptotic_constant=sum(tail) / len(tail),
         truncated=truncated,
     )

@@ -259,6 +259,25 @@ class TestOde:
         assert out.returncode == 1
         assert json.loads(out.stderr)["error"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["selfsimilar", "--p", "3", "--A", "nan"],
+            ["selfsimilar", "--p", "nan"],
+            ["stationary", "--p", "nan"],
+            ["selfsimilar", "--p", "3", "--A", "1e300"],
+            ["selfsimilar", "--p", "3", "--Xi", "inf"],
+            ["selfsimilar", "--p", "inf"],
+        ],
+    )
+    def test_non_finite_input_exit_1(self, argv):
+        # in a child with a timeout: a NaN p or A used to walk the integrator's
+        # whole step budget, and a huge A overflowed
+        code = f"import sys\nfrom pencil.cli import main\nsys.exit(main({['ode'] + argv!r}))\n"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 1
+        assert json.loads(out.stderr)["error"] == "ValueError"
+
     def test_selfsimilar_svg_and_json(self, tmp_path, capsys):
         path = tmp_path / "osc.svg"
         code, out, _ = run_cli(

@@ -7,6 +7,7 @@ as oracles for the Dormand-Prince solvers.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -282,6 +283,25 @@ class TestStationary:
         if far == "plateau_one":
             assert abs(ref.y[0, -1] - 1.0) < 1e-8
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"p": math.nan}, "p"),
+            ({"p": math.inf}, "p"),
+            ({"tol": math.inf}, "tol"),
+            ({"s_range": (-1.0, 1.0)}, "s_range"),
+            ({"s_range": (0.0, 1.0)}, "s_range"),
+            ({"s_range": (1.0, math.inf)}, "s_range"),
+            ({"s_range": (2.0, 1.0)}, "s_range"),
+            ({"n_scan": 1}, "n_scan"),
+            ({"n_output": 1}, "n_output"),
+            ({"n_output": 0}, "n_output"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            solve_stationary(**{"p": 3.0, **kwargs})
+
     def test_no_profile_in_tiny_range(self):
         with pytest.raises(NoProfileFoundError):
             solve_stationary(3.0, "symmetric", "decay_inverse", tol=1e-8, z_end=30.0,
@@ -342,21 +362,21 @@ class TestSelfSimilar:
             i = min(range(len(sol.grid)), key=lambda j: abs(sol.grid[j] - x))
             assert sol.values[i] == pytest.approx(ref.sol(sol.grid[i])[0], abs=1e-7)
 
-    def test_one_integration_over_one_period(self, monkeypatch):
-        spans = []
+    def test_one_integration_over_one_quarter(self, monkeypatch):
+        calls = []
 
         def recording(rhs, t0, t1, y0, **kwargs):
-            spans.append((t0, t1))
+            calls.append((t0, t1, tuple(y0)))
             return integrate(rhs, t0, t1, y0, **kwargs)
 
         monkeypatch.setattr(semilinear, "integrate", recording)
-        sol = solve_selfsimilar(3.0, 1.0, xi_far=100.0, xi_min=1e-3)
-        assert len(spans) == 1
-        t_zeros = [1.0 / z for z in sol.zeros]
-        period = 2 * (t_zeros[0] - t_zeros[1])
-        (t0, t1), = spans
-        assert t0 == pytest.approx(1.0 / 100.0)
-        assert t1 - t0 == pytest.approx(period, rel=1e-9)
+        p = 3.0
+        solve_selfsimilar(p, 1.0, xi_far=100.0, xi_min=1e-3)
+        quarter_period = math.sqrt((p + 1) / 2) * beta(1 / (p + 1), 0.5) / (p + 1)
+        (t0, t1, y0), = calls
+        assert t0 == 0.0
+        assert t1 == pytest.approx(quarter_period, rel=1e-12)
+        assert y0 == (0.0, math.sqrt(2 / (p + 1)))
 
     def test_grid_budget_truncates(self, monkeypatch, oscillatory):
         monkeypatch.setattr(semilinear, "MAX_STEPS", 1000)
@@ -368,6 +388,60 @@ class TestSelfSimilar:
         assert sol.zeros and min(sol.zeros) >= cut
         # the zeros kept are those of the full solve above the cut-off
         assert sol.zeros == tuple(z for z in oscillatory.zeros if z >= cut)
+
+    @pytest.mark.parametrize(
+        "p, amplitude, xi_min, count",
+        [(p, amplitude, 1e-2, None) for p in (2.0, 2.5, 3.0, 5.0) for amplitude in (1.0, 0.3, 30.0, -1.0)]
+        # |A t0| carries nearly all the energy: the profile starts by its turning point
+        + [(3.0, 1e6, 50.0, 27)],
+    )
+    def test_zeros_against_incomplete_beta_phase(self, p, amplitude, xi_min, count):
+        # in t = 1/xi the profile is an orbit of amplitude a, with
+        # a^(p+1) = (p+1) A^2/2 + |A t0|^(p+1); it rises from 0 to y a in
+        # K I_{y^(p+1)}(1/(p+1), 1/2) / omega, omega = a^((p-1)/2), so its last zero
+        # before t0 = 1/xi_far lies that long before t0, and zeros follow every
+        # half period 2 K / omega
+        xi_far = 100.0
+        with mpmath.workdps(30):
+            q, amp, t0 = 1 / (mpmath.mpf(p) + 1), mpmath.mpf(amplitude), 1 / mpmath.mpf(xi_far)
+            a = (amp**2 / (2 * q) + abs(amp * t0) ** (p + 1)) ** q
+            omega = a ** ((p - 1) / 2)
+            k = mpmath.sqrt(1 / (2 * q)) * mpmath.beta(q, 0.5) * q
+            rise = k * mpmath.betainc(q, 0.5, 0, (abs(amp * t0) / a) ** (p + 1), regularized=True) / omega
+            t_zero, half = t0 - rise, 2 * k / omega
+            count = int(mpmath.floor((1 / mpmath.mpf(xi_min) - t_zero) / half))
+            expected = [float(1 / (t_zero + j * half)) for j in range(count, 0, -1)]
+        sol = solve_selfsimilar(p, amplitude, xi_far=xi_far, xi_min=xi_min)
+        assert not sol.truncated
+        assert len(sol.zeros) == len(expected) == (count or len(expected))
+        assert sol.zeros == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize("p, amplitude", [(2.5, 1.0), (3.0, 30.0)])
+    def test_negated_amplitude_negates_profile(self, p, amplitude):
+        up = solve_selfsimilar(p, amplitude, xi_min=1e-2)
+        down = solve_selfsimilar(p, -amplitude, xi_min=1e-2)
+        assert down.grid == up.grid and down.zeros == up.zeros
+        assert down.values == tuple(-f for f in up.values)
+        assert down.derivative_values == tuple(-df for df in up.derivative_values)
+        assert down.asymptotic_constant == -up.asymptotic_constant
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"p": math.nan}, "p"),
+            ({"p": math.inf}, "p"),
+            ({"amplitude": math.nan}, "amplitude A"),
+            ({"amplitude": math.inf}, "amplitude A"),
+            ({"amplitude": 1e300}, "amplitude A"),
+            ({"xi_far": math.inf}, "xi_far"),
+            ({"xi_min": math.nan}, "xi_min"),
+            ({"tol": math.nan}, "tol"),
+        ],
+    )
+    def test_rejects_non_finite_input(self, kwargs, name):
+        args = {"p": 3.0, "amplitude": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=name):
+            solve_selfsimilar(**args)
 
     def test_oracle_spot_check(self):
         problem = ODEProblem("selfsimilar", 3.0)
