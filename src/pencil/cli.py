@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -677,13 +678,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: no argument has a mutable default or appends, and
+    # prog is fixed, so parsing leaves the parser as it was
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(_fuse_flag_values(argv))
+    args = _parser().parse_args(_fuse_flag_values(argv))
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, semilinear.NoProfileFoundError, pencils.InternalConsistencyError) as exc:
+    except (ValueError, ArithmeticError, semilinear.NoProfileFoundError, pencils.InternalConsistencyError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True) + "\n"
         )

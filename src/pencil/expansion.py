@@ -112,6 +112,11 @@ class Expansion:
     def combination(self, k: int) -> RatPoly:
         return _combination(self.equation, k, self.terms[k])
 
+    @functools.cached_property
+    def _float_terms(self) -> tuple[tuple[int, tuple[float, ...]], ...]:
+        """(k, float coefficients of combination(k)) for each k, in increasing k."""
+        return tuple((k, tuple(float(c) for c in self.combination(k).coeffs)) for k in self.terms)
+
 
 @functools.lru_cache(maxsize=None)
 def _cached_combination(equation: str, k: int, coeffs: tuple) -> RatPoly:
@@ -130,11 +135,6 @@ def _cached_combination(equation: str, k: int, coeffs: tuple) -> RatPoly:
 
 def _combination(equation: str, k: int, coeffs: Sequence[float]) -> RatPoly:
     return _cached_combination(equation, k, tuple(float(v) for v in coeffs))
-
-
-@functools.lru_cache(maxsize=None)
-def _float_coeffs(poly: RatPoly) -> tuple[float, ...]:
-    return tuple(float(c) for c in poly.coeffs)
 
 
 def _horner(coeffs: tuple[float, ...], x: float) -> float:
@@ -160,10 +160,7 @@ def _neumaier_sum(values: Sequence[float]) -> float:
 
 def eval_expansion(exp: Expansion, z: float, tau: float) -> float:
     """Truncated sum over decay rates, compensated-summation accumulated."""
-    values = [
-        math.exp(-k * tau) * _horner(_float_coeffs(exp.combination(k)), z)
-        for k in exp.terms
-    ]
+    values = [math.exp(-k * tau) * _horner(coeffs, z) for k, coeffs in exp._float_terms]
     return _neumaier_sum(values)
 
 
@@ -263,7 +260,7 @@ def perturbation_negligibility(
     taus = [float(t) for t in tau_grid]
     if len(taus) < 2:
         raise ValueError("need at least two tau values")
-    lead = _float_coeffs(exp.combination(exp.l_start))
+    lead = exp._float_terms[0][1]
     if z is None:
         candidates = np.linspace(-2.0, 2.0, 81)
         z = float(max(candidates, key=lambda t: abs(_horner(lead, t))))

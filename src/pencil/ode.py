@@ -17,30 +17,48 @@ __all__ = ["IntegrationResult", "integrate", "find_zeros", "MAX_STEPS"]
 # step budget of one integration; an integration that reaches it is truncated
 MAX_STEPS = 5_000_000
 
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+# Dormand-Prince 5(4) tableau: nodes _Cs, stage weights _Asj, solution
+# weights _Bj, error weights _Ej and the dense-output rows _Dj, whose entry s
+# multiplies stage s in the coefficient of theta^j.  Zero entries stay in the
+# sums below, and each sum starts at 0.0 as sum() does, so every stage adds
+# the same terms in the same order as a generic sum over the tableau.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B2, _B3, _B4, _B5, _B6 = 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (
+    71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 )
-
-_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-
-# dense-output polynomial coefficients (theta, theta^2, theta^3, theta^4)
-_P = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+_D11, _D12, _D13, _D14, _D15, _D16, _D17 = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+_D21, _D22, _D23, _D24, _D25, _D26, _D27 = (
+    -8048581381 / 2820520608,
+    0.0,
+    131558114200 / 32700410799,
+    -1754552775 / 470086768,
+    127303824393 / 49829197408,
+    -282668133 / 205662961,
+    40617522 / 29380423,
+)
+_D31, _D32, _D33, _D34, _D35, _D36, _D37 = (
+    8663915743 / 2820520608,
+    0.0,
+    -68118460800 / 10900136933,
+    14199869525 / 1410260304,
+    -318862633887 / 49829197408,
+    2019193451 / 616988883,
+    -110615467 / 29380423,
+)
+_D41, _D42, _D43, _D44, _D45, _D46, _D47 = (
+    -12715105075 / 11282082432,
+    0.0,
+    87487479700 / 32700410799,
+    -10690763975 / 1880347072,
+    701980252875 / 199316789632,
+    -1453857185 / 822651844,
+    69997945 / 29380423,
 )
 
 _MIN_FACTOR = 0.2
@@ -85,14 +103,6 @@ class IntegrationResult:
                 acc = acc * theta + q[j][i]
             out.append(y0[i] + h * theta * acc)
         return tuple(out)
-
-
-def _error_norm(err, y0, y1, rtol, atol) -> float:
-    total = 0.0
-    for e, a, b in zip(err, y0, y1):
-        scale = atol + rtol * max(abs(a), abs(b))
-        total += (e / scale) ** 2
-    return math.sqrt(total / len(err))
 
 
 def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, span) -> float:
@@ -156,29 +166,84 @@ def integrate(
         h_abs = min(h_abs, abs(t1 - t))
         h = h_abs * direction
 
-        k = [f]
-        for s in range(1, 6):
-            ts_stage = t + _C[s] * h
-            y_stage = tuple(
-                y[i] + h * sum(_A[s][j] * k[j][i] for j in range(s)) for i in range(n)
-            )
-            k.append(tuple(rhs(ts_stage, y_stage)))
-        y_new = tuple(y[i] + h * sum(_B[j] * k[j][i] for j in range(6)) for i in range(n))
-        f_new = tuple(rhs(t + h, y_new))
-        k.append(f_new)
+        k1 = f
+        y_s = tuple([v + h * (0.0 + _A21 * a) for v, a in zip(y, k1)])
+        k2 = tuple(rhs(t + _C2 * h, y_s))
+        y_s = tuple([v + h * (0.0 + _A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)])
+        k3 = tuple(rhs(t + _C3 * h, y_s))
+        y_s = tuple(
+            [v + h * (0.0 + _A41 * a + _A42 * b + _A43 * c) for v, a, b, c in zip(y, k1, k2, k3)]
+        )
+        k4 = tuple(rhs(t + _C4 * h, y_s))
+        y_s = tuple(
+            [
+                v + h * (0.0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                for v, a, b, c, d in zip(y, k1, k2, k3, k4)
+            ]
+        )
+        k5 = tuple(rhs(t + _C5 * h, y_s))
+        y_s = tuple(
+            [
+                v + h * (0.0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+            ]
+        )
+        k6 = tuple(rhs(t + h, y_s))
+        y_new = tuple(
+            [
+                v + h * (0.0 + _B1 * a + _B2 * b + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+                for v, a, b, c, d, e, g in zip(y, k1, k2, k3, k4, k5, k6)
+            ]
+        )
+        k7 = tuple(rhs(t + h, y_new))
         nfev += 6
-        err = tuple(h * sum(_E[j] * k[j][i] for j in range(7)) for i in range(n))
-        norm = _error_norm(err, y, y_new, rtol, atol)
+        # RMS of the error estimate, each component scaled by its own tolerance
+        norm = math.sqrt(
+            sum(
+                [
+                    (
+                        h * (0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * r)
+                        / (atol + rtol * max(abs(v), abs(w)))
+                    )
+                    ** 2
+                    for v, w, a, b, c, d, e, g, r in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7)
+                ]
+            )
+            / n
+        )
 
         if norm <= 1.0:
+            ks = tuple(zip(k1, k2, k3, k4, k5, k6, k7))
             q = [
-                tuple(sum(k[s][i] * _P[s][j] for s in range(7)) for i in range(n))
-                for j in range(4)
+                tuple(
+                    [
+                        0.0 + a * _D11 + b * _D12 + c * _D13 + d * _D14 + e * _D15 + g * _D16 + r * _D17
+                        for a, b, c, d, e, g, r in ks
+                    ]
+                ),
+                tuple(
+                    [
+                        0.0 + a * _D21 + b * _D22 + c * _D23 + d * _D24 + e * _D25 + g * _D26 + r * _D27
+                        for a, b, c, d, e, g, r in ks
+                    ]
+                ),
+                tuple(
+                    [
+                        0.0 + a * _D31 + b * _D32 + c * _D33 + d * _D34 + e * _D35 + g * _D36 + r * _D37
+                        for a, b, c, d, e, g, r in ks
+                    ]
+                ),
+                tuple(
+                    [
+                        0.0 + a * _D41 + b * _D42 + c * _D43 + d * _D44 + e * _D45 + g * _D46 + r * _D47
+                        for a, b, c, d, e, g, r in ks
+                    ]
+                ),
             ]
             segments.append((t, h, y, q))
             t += h
             y = y_new
-            f = f_new
+            f = k7
             ts.append(t)
             ys.append(y)
             factor = _MAX_FACTOR if norm == 0.0 else min(_MAX_FACTOR, _SAFETY * norm**-0.2)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -197,11 +197,26 @@ class RatPoly:
         return RatPoly(cs)
 
     def eval(self, x):
-        """Horner evaluation; exact for Fraction/int input, float for float."""
-        acc = 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
+        """Horner evaluation; exact for Fraction/int input, float for float.
+
+        At x = a/b the value is N / (D b^n) with D the lcm of the coefficient
+        denominators and N = sum_k (c_k D) a^k b^(n-k), an integer Horner sum,
+        so only the final quotient is a Fraction.
+        """
+        if not isinstance(x, (int, Fraction)):
+            acc = 0 * x
+            for c in reversed(self.coeffs):
+                acc = acc * x + c
+            return acc
+        if not self.coeffs:
+            return Fraction(0)
+        a, b = x.numerator, x.denominator
+        d = lcm(*(c.denominator for c in self.coeffs))
+        num, b_pow = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            num = num * a + c.numerator * (d // c.denominator) * b_pow
+            b_pow *= b
+        return Fraction(num, d * (b_pow // b))
 
     __call__ = eval
 

@@ -438,8 +438,8 @@ def crack_curves(
     if any(y == -1.0 for y in ys):
         raise ValueError("y = -1 makes the logarithm vanish; exclude it")
     beta = alpha * (p - 1) / 2.0
-    out = []
-    for xi in sol.zeros:
-        pts = tuple((y, xi * (-y) * abs(math.log(-y)) ** beta) for y in ys)
-        out.append(CrackCurve(xi=xi, points=pts))
-    return out
+    weights = [abs(math.log(-y)) ** beta for y in ys]
+    return [
+        CrackCurve(xi=xi, points=tuple((y, xi * (-y) * w) for y, w in zip(ys, weights)))
+        for xi in sol.zeros
+    ]

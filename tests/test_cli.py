@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from pencil import cli
 from pencil.cli import main
 from pencil.pencils import eigenpair_from_json, pencil_residual
 
@@ -278,6 +279,22 @@ class TestOde:
         assert out.returncode == 1
         assert json.loads(out.stderr)["error"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stationary", "--p", "1e12"],
+            ["selfsimilar", "--p", "1e20"],
+            ["stationary", "--p", "3", "--tol", "1e-170"],
+        ],
+    )
+    def test_overflow_exit_1(self, argv):
+        # in a child with a timeout: a huge finite exponent overflows |f|^p, and
+        # a tiny tolerance overflows the initial step's scaled norm
+        code = f"import sys\nfrom pencil.cli import main\nsys.exit(main({['ode'] + argv!r}))\n"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 1 and out.stdout == ""
+        assert json.loads(out.stderr)["error"] == "OverflowError"
+
     def test_selfsimilar_svg_and_json(self, tmp_path, capsys):
         path = tmp_path / "osc.svg"
         code, out, _ = run_cli(
@@ -323,6 +340,45 @@ class TestOde:
         payload = json.loads(err)
         assert payload["error"] == "ValueError"
         assert f"got {count}" in payload["message"]
+
+
+class TestSession:
+    EIG = ["eig", "--order", "quartic", "--l", "6", "--family", "3", "--json"]
+
+    def test_repeated_calls_identical_bytes(self, capsys, tmp_path):
+        first = run_cli(capsys, *self.EIG)
+        assert first[0] == 0 and first[1]
+        assert run_cli(capsys, *self.EIG) == first
+        # another command, then a usage error, must leave no trace in the next call
+        svg = tmp_path / "trace.svg"
+        code, _, _ = run_cli(
+            capsys, "expand", "trace", "--terms", '{"2":[1,0]}', "--samples", "16", "--svg", str(svg)
+        )
+        assert code == 0
+        assert run_cli(capsys, *self.EIG) == first
+        with pytest.raises(SystemExit) as exc:
+            main(["eig", "--order", "quartic", "--l", "six", "--family", "3"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, *self.EIG) == first
+        again = tmp_path / "again.svg"
+        run_cli(capsys, "expand", "trace", "--terms", '{"2":[1,0]}', "--samples", "16", "--svg", str(again))
+        assert again.read_bytes() == svg.read_bytes()
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+
+def test_python_m_pencil():
+    out = subprocess.run(
+        [sys.executable, "-m", "pencil", "spectrum", "--order", "quadratic", "--lmax", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0
+    assert "family=1 l=1 lambda=-1" in out.stdout
 
 
 def test_console_script_installed():

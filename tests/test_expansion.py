@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pencil.expansion import (
     BlowupCoords,
     Expansion,
+    _neumaier_sum,
     decay_order,
     eval_expansion,
     eval_expansion_xy,
@@ -113,6 +114,27 @@ class TestEvaluation:
             assert eval_expansion_xy(e, s * 0.4, s * -0.7) == pytest.approx(
                 s**3 * eval_expansion_xy(e, 0.4, -0.7), rel=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "equation, terms",
+        [
+            ("laplace", {2: (1.0, 0.0), 3: (0.25, -1.5), 6: (0.0, 3.0)}),
+            ("bilaplace", {3: (0.5, 0.0, 1.0, -2.0), 5: (0.0, 1.25, 0.0, 0.75)}),
+        ],
+    )
+    def test_equals_per_term_float_horner(self, equation, terms):
+        # each term is exp(-k tau) times the float Horner value of the exact
+        # order-k combination, and the terms are summed as before
+        e = Expansion(equation, terms)
+        for tau in (-1.0, 0.0, 0.5, 3.0):
+            for z in (-2.75, -1.0, -0.125, 0.0, 0.3, 1.0, 4.5):
+                values = []
+                for k in e.terms:
+                    acc = 0.0
+                    for c in reversed([float(c) for c in e.combination(k).coeffs]):
+                        acc = acc * z + c
+                    values.append(math.exp(-k * tau) * acc)
+                assert eval_expansion(e, z, tau) == _neumaier_sum(values)
 
 
 class TestDecayOrder:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pencil.polyring import (
@@ -78,6 +78,41 @@ class TestArithmetic:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             RatPoly([0.5])
+
+
+def _fraction_horner(p: RatPoly, x):
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+points = st.one_of(
+    st.integers(-10**6, 10**6),
+    rationals,
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**30)),
+)
+
+
+class TestEval:
+    @given(polys, points)
+    @example(RatPoly.zero(), 0)
+    @example(RatPoly.zero(), Fraction(-7, 10**25))
+    @example(RatPoly([Fraction(-5, 3)]), -3)
+    @example(RatPoly([Fraction(1, 6), 0, Fraction(-3, 4)]), Fraction(-2**70 + 1, 3**50))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_equals_fraction_horner(self, p, x):
+        value = p.eval(x)
+        assert type(value) is Fraction
+        assert value == _fraction_horner(p, x)
+
+    @given(polys, st.floats(-8.0, 8.0))
+    @settings(max_examples=100, deadline=None)
+    def test_float_path_unchanged(self, p, x):
+        acc = 0 * x
+        for c in reversed(p.coeffs):
+            acc = acc * x + c
+        assert p.eval(x) == acc and type(p.eval(x)) is float
 
 
 class TestOperators:

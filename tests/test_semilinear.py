@@ -6,6 +6,7 @@ as oracles for the Dormand-Prince solvers.
 """
 
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -14,7 +15,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import beta, betainc
 
 from pencil import semilinear
-from pencil.ode import find_zeros, integrate
+from pencil.ode import _initial_step, find_zeros, integrate
 from pencil.semilinear import (
     FAR_FIELD_ROOT,
     NoProfileFoundError,
@@ -88,6 +89,110 @@ class TestIntegrator:
 
         with pytest.raises(ValueError, match="tolerances"):
             integrate(rhs, 0.0, 1.0, (1.0,), **{which: bad})
+
+    @pytest.mark.parametrize(
+        "rhs, t0, t1, y0",
+        [
+            *[
+                (partial(semilinear._oscillator, p), 0.0, semilinear._quarter_period(p), y0)
+                for p in (2.0, 2.5, 3.0, 5.0, 7.0)
+                for y0 in ((1.0, 0.0), (0.0, math.sqrt(2 / (p + 1))))
+            ],
+            (lambda t, y: (y[1], -y[0]), 0.0, 10.0, (1.0, 0.0)),
+            (lambda t, y: (y[0],), 0.0, -5.0, (1.0,)),
+        ],
+    )
+    def test_matches_generic_stage_loop(self, rhs, t0, t1, y0):
+        # the unrolled stages add the same terms in the same order as a loop
+        # over the tableau, so the steps, values and dense output are identical
+        ours = integrate(rhs, t0, t1, y0, rtol=1e-10, atol=1e-12)
+        ts, ys, nfev, segments = _generic_dp5(rhs, t0, t1, y0, rtol=1e-10, atol=1e-12)
+        assert (ours.ts, ours.ys, ours.nfev) == (ts, ys, nfev)
+        assert ours._segments == segments
+        for t, h, y, q in segments:
+            mid = t + h / 2
+            theta = (mid - t) / h
+            expected = []
+            for i, v in enumerate(y):
+                acc = 0.0
+                for row in reversed(q):
+                    acc = acc * theta + row[i]
+                expected.append(v + h * theta * acc)
+            assert ours.interpolate(mid) == tuple(expected)
+
+
+# Dormand-Prince 5(4) tableau, for the generic stage loop below
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# dense output: row j holds the theta^(j+1) weight of each of the 7 stages
+_DP_P = (
+    (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (
+        -8048581381 / 2820520608, 0.0, 131558114200 / 32700410799, -1754552775 / 470086768,
+        127303824393 / 49829197408, -282668133 / 205662961, 40617522 / 29380423,
+    ),
+    (
+        8663915743 / 2820520608, 0.0, -68118460800 / 10900136933, 14199869525 / 1410260304,
+        -318862633887 / 49829197408, 2019193451 / 616988883, -110615467 / 29380423,
+    ),
+    (
+        -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+        701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
+    ),
+)
+
+
+def _weighted(weights, ks, i):
+    acc = 0.0
+    for w, k in zip(weights, ks):
+        acc += w * k[i]
+    return acc
+
+
+def _generic_dp5(rhs, t0, t1, y0, rtol, atol):
+    """Step history of the adaptive Dormand-Prince 5(4) pair, one stage at a
+    time, every weighted sum accumulated left to right from 0.0."""
+    direction = 1.0 if t1 > t0 else -1.0
+    t, y = float(t0), tuple(float(v) for v in y0)
+    f = tuple(rhs(t, y))
+    nfev, n = 1, len(y)
+    h_abs = _initial_step(rhs, t, y, f, direction, rtol, atol, abs(t1 - t0))
+    ts, ys, segments = [t], [y], []
+    while (t1 - t) * direction > 0:
+        assert h_abs >= 1e-14 * max(1.0, abs(t))
+        h_abs = min(h_abs, abs(t1 - t))
+        h = h_abs * direction
+        k = [f]
+        for s in range(1, 6):
+            y_s = tuple(y[i] + h * _weighted(_DP_A[s], k, i) for i in range(n))
+            k.append(tuple(rhs(t + _DP_C[s] * h, y_s)))
+        y_new = tuple(y[i] + h * _weighted(_DP_B, k, i) for i in range(n))
+        k.append(tuple(rhs(t + h, y_new)))
+        nfev += 6
+        total = 0.0
+        for i in range(n):
+            err = h * _weighted(_DP_E, k, i)
+            total += (err / (atol + rtol * max(abs(y[i]), abs(y_new[i])))) ** 2
+        norm = math.sqrt(total / n)
+        if norm <= 1.0:
+            q = [tuple(_weighted(row, k, i) for i in range(n)) for row in _DP_P]
+            segments.append((t, h, y, q))
+            t, y, f = t + h, y_new, k[6]
+            ts.append(t)
+            ys.append(y)
+            h_abs *= max(0.2, 10.0 if norm == 0.0 else min(10.0, 0.9 * norm**-0.2))
+        else:
+            h_abs *= max(0.2, 0.9 * norm**-0.2)
+    return ts, ys, nfev, segments
 
 
 class TestProblemSetup:
@@ -328,8 +433,10 @@ class TestSelfSimilar:
         assert all(v == 0.0 for v in sol.values)
 
     def test_underflowing_amplitude(self):
-        # the orbit energy underflows to 0, so the period is taken as infinite;
-        # the profile is then the linear branch A/xi with no zero
+        # |A|^(2/(p+1)) is taken out of the orbit energy, so it does not underflow;
+        # the frequency omega = |a|^((p-1)/2) is about 1e-100, so the first quarter
+        # period in t = 1/xi ends far past 1/xi_min, and the profile is the
+        # linear branch A/xi with no zero
         sol = solve_selfsimilar(3.0, 1e-200)
         assert sol.zeros == () and not sol.truncated
         assert sol.grid[0] == 1e-4 and sol.grid[-1] == 100.0
