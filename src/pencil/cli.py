@@ -1,9 +1,12 @@
 """Command-line entry point: eigenfunctions, crack checks, expansions, profiles.
 
-Output contract: JSON/CSV/SVG emission is deterministic (byte-identical for
-identical inputs), every run echoes its resolved configuration, files are
-written atomically, and exit codes are 0 (success), 1 (domain error,
-structured JSON on stderr), 2 (usage error).
+Output rule, the same for every command: --svg writes the chart, --csv the
+table, and --json or --out the JSON payload (to the --out file, else stdout).
+Without --json or --out, and with no file written, stdout gets the text form:
+text lines, the CSV table for `expand eval`, the JSON for `expand trace` and
+`ode crackcurves`. Every form opens with the same config JSON; output is
+byte-identical for identical inputs, files are written atomically, and exit
+codes are 0 (success), 1 (domain error, structured JSON on stderr), 2 (usage).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import expansion as expmod
@@ -31,7 +34,7 @@ __all__ = ["main", "entrypoint", "VerifyReport"]
 
 
 # ---------------------------------------------------------------------------
-# small emit helpers
+# output
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -69,44 +72,39 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return out
 
 
-def _payload(args: argparse.Namespace, command: str, body: dict) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "command": command, "config": _config_dict(args), **body}
-
-
-def _emit_json(args: argparse.Namespace, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
-    if getattr(args, "out", None):
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _print_config_header(args: argparse.Namespace) -> None:
-    print("# config: " + json.dumps(_config_dict(args), sort_keys=True))
-
-
-def _emit_csv(args: argparse.Namespace, header_config: dict, columns: list[str], rows) -> None:
+def _csv_text(header: str, columns: list[str], rows) -> str:
     buf = io.StringIO()
-    buf.write("# config: " + json.dumps(header_config, sort_keys=True) + "\n")
+    buf.write(f"# {header}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
         writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
-    if getattr(args, "csv", None):
-        _atomic_write(args.csv, buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    return buf.getvalue()
 
 
-def _emit_svg(args: argparse.Namespace, series, title: str, x_label: str, y_label: str) -> None:
-    doc = render_line_chart(
-        series,
-        title=title,
-        x_label=x_label,
-        y_label=y_label,
-        header_comment="config: " + json.dumps(_config_dict(args), sort_keys=True),
-    )
-    _atomic_write(args.svg, doc)
+def _emit(args: argparse.Namespace, command: str, body: dict, text="json", table=None, chart=None) -> None:
+    """Write a command's output by the rule in the module docstring.
+
+    `text` is the text lines, or "json" or "csv" when the text form is the
+    payload or the table; `table` is (columns, rows) and `chart` is the
+    (series, title, x label, y label) that render_line_chart takes.
+    """
+    config = _config_dict(args)
+    header = "config: " + json.dumps(config, sort_keys=True)
+    svg, csv_path = getattr(args, "svg", None), getattr(args, "csv", None)
+    if svg:
+        _atomic_write(svg, render_line_chart(*chart, header_comment=header))
+    if csv_path:
+        _atomic_write(csv_path, _csv_text(header, *table))
+    if args.json or args.out or (text == "json" and not (svg or csv_path)):
+        payload = {"schema_version": SCHEMA_VERSION, "command": command, "config": config, **body}
+        data = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+        if args.out:
+            _atomic_write(args.out, data)
+        else:
+            sys.stdout.write(data)
+    elif not (svg or csv_path):
+        sys.stdout.write(_csv_text(header, *table) if text == "csv" else "\n".join([f"# {header}", *text]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +172,11 @@ def _parse_grid(text: str) -> dict[str, list[float]]:
 
 def _parse_terms(text: str, equation: str) -> expmod.Expansion:
     raw = json.loads(text)
+    if not isinstance(raw, dict) or not all(
+        isinstance(v, list) and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
+        for v in raw.values()
+    ):
+        raise ValueError('terms must be a JSON object mapping decay rates to lists of numbers, like {"2":[1,0]}')
     terms = {int(k): tuple(float(x) for x in v) for k, v in raw.items()}
     return expmod.Expansion(equation, terms)
 
@@ -205,24 +208,19 @@ def _cmd_eig(args) -> int:
         pair = pencils.quadratic_eigenfunction(args.l, args.family)
     else:
         pair = pencils.quartic_eigenfunction(args.l, args.family)
-    if args.json or args.out:
-        _emit_json(args, _payload(args, "eig", {"eigenpair": pencils.eigenpair_to_json(pair)}))
-    else:
-        _print_config_header(args)
-        print(f"order={pair.order} family={pair.family} l={pair.l} lambda={pair.eigenvalue}")
-        print(f"psi(z) = {pair.poly.pretty()}")
+    text = [
+        f"order={pair.order} family={pair.family} l={pair.l} lambda={pair.eigenvalue}",
+        f"psi(z) = {pair.poly.pretty()}",
+    ]
+    _emit(args, "eig", {"eigenpair": pencils.eigenpair_to_json(pair)}, text=text)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     fn = pencils.quadratic_spectrum if args.order == "quadratic" else pencils.quartic_spectrum
     entries = [{"family": f, "l": l, "lambda": lam} for f, l, lam in fn(args.lmax)]
-    if args.json or args.out:
-        _emit_json(args, _payload(args, "spectrum", {"entries": entries}))
-    else:
-        _print_config_header(args)
-        for e in entries:
-            print(f"family={e['family']} l={e['l']} lambda={e['lambda']}")
+    text = [f"family={e['family']} l={e['l']} lambda={e['lambda']}" for e in entries]
+    _emit(args, "spectrum", {"entries": entries}, text=text)
     return 0
 
 
@@ -260,16 +258,13 @@ def _cmd_cracks_check(args) -> int:
         else nodal.check_admissibility_bilaplace
     )
     verdicts = check(config, (args.lmin, args.lmax), tol=args.tol)
-    if args.json or args.out:
-        body = {"alphas": [str(a) for a in config.alphas], "verdicts": [_verdict_json(v) for v in verdicts]}
-        _emit_json(args, _payload(args, "cracks-check", body))
-    else:
-        _print_config_header(args)
-        for v in verdicts:
-            combo = "" if v.combo_coefficients is None else " combo=" + ",".join(
-                str(c) for c in v.combo_coefficients
-            )
-            print(f"l={v.l} admissible={v.admissible} rank={v.rank}{combo}")
+    text = [
+        f"l={v.l} admissible={v.admissible} rank={v.rank}"
+        + ("" if v.combo_coefficients is None else " combo=" + ",".join(str(c) for c in v.combo_coefficients))
+        for v in verdicts
+    ]
+    body = {"alphas": [str(a) for a in config.alphas], "verdicts": [_verdict_json(v) for v in verdicts]}
+    _emit(args, "cracks-check", body, text=text)
     return 0
 
 
@@ -284,13 +279,12 @@ def _cmd_cracks_enum(args) -> int:
         }
         for c in configs
     ]
-    if args.json or args.out:
-        _emit_json(args, _payload(args, "cracks-enum", {"configs": rows}))
-    else:
-        _print_config_header(args)
-        for row in rows:
-            ratio = "endpoint" if row["ratio"] is None else f"{row['ratio']:g}"
-            print(f"l={row['l']} ratio={ratio} alphas=" + ",".join(f"{a:.12g}" for a in row["alphas"]))
+    text = [
+        f"l={row['l']} ratio={'endpoint' if row['ratio'] is None else format(row['ratio'], 'g')} alphas="
+        + ",".join(f"{a:.12g}" for a in row["alphas"])
+        for row in rows
+    ]
+    _emit(args, "cracks-enum", {"configs": rows}, text=text)
     return 0
 
 
@@ -304,36 +298,21 @@ def _cmd_expand_eval(args) -> int:
         for z in grid["z"]:
             x, y = expmod.from_blowup(expmod.BlowupCoords(z, tau))
             rows.append((z, tau, x, y, expmod.eval_expansion(exp, z, tau)))
-    if args.json:
-        _emit_json(args, _payload(args, "expand-eval", {"columns": ["z", "tau", "x", "y", "w"], "rows": rows}))
-    else:
-        _emit_csv(args, _config_dict(args), ["z", "tau", "x", "y", "w"], rows)
+    columns = ["z", "tau", "x", "y", "w"]
+    _emit(args, "expand-eval", {"columns": columns, "rows": rows}, text="csv", table=(columns, rows))
     return 0
 
 
 def _cmd_expand_trace(args) -> int:
     exp = _parse_terms(args.terms, args.equation)
     trace = expmod.synthesize_boundary_trace(exp, args.samples)
-    if args.svg:
-        series = [("u on lower unit circle", list(trace.samples))]
-        _emit_svg(args, series, "boundary trace", "theta", "u")
-    if args.json or args.out or not args.svg:
-        body = {
-            "samples": [[t, v] for t, v in trace.samples],
-            "crack_angles": list(trace.crack_angles),
-        }
-        _emit_json(args, _payload(args, "expand-trace", body))
+    body = {"samples": [[t, v] for t, v in trace.samples], "crack_angles": list(trace.crack_angles)}
+    chart = ([("u on lower unit circle", list(trace.samples))], "boundary trace", "theta", "u")
+    _emit(args, "expand-trace", body, chart=chart)
     return 0
 
 
 def _profile_outputs(args, sol: semilinear.ProfileSolution, command: str) -> None:
-    rows = list(zip(sol.grid, sol.values, sol.derivative_values))
-    if args.svg:
-        stride = max(1, len(rows) // 4000)
-        pts = [(g, v) for g, v, _ in rows[::stride]]
-        _emit_svg(args, [("f", pts)], command, "abscissa", "f")
-    if args.csv:
-        _emit_csv(args, _config_dict(args), ["abscissa", "f", "f'"], rows)
     body = {
         "shot_parameter": sol.shot_parameter,
         "zeros": list(sol.zeros),
@@ -342,13 +321,12 @@ def _profile_outputs(args, sol: semilinear.ProfileSolution, command: str) -> Non
         "truncated": sol.truncated,
         "f_at_cut": sol.values[-1],
     }
-    if args.json or args.out:
-        _emit_json(args, _payload(args, command, body))
-    elif not (args.svg or args.csv):
-        _print_config_header(args)
-        for key, value in body.items():
-            if key != "zeros":
-                print(f"{key}={value}")
+    text = [f"{key}={value}" for key, value in body.items() if key != "zeros"]
+    # a deep self-similar solve has ~436k points: the table stays a lazy zip and the chart keeps ~4000
+    stride = max(1, len(sol.grid) // 4000)
+    chart = ([("f", list(zip(sol.grid[::stride], sol.values[::stride])))], command, "abscissa", "f")
+    table = (["abscissa", "f", "f'"], zip(sol.grid, sol.values, sol.derivative_values))
+    _emit(args, command, body, text=text, table=table, chart=chart)
 
 
 def _cmd_ode_stationary(args) -> int:
@@ -369,24 +347,19 @@ def _cmd_ode_crackcurves(args) -> int:
     ys = _parse_ygrid(args.ygrid)
     curves = semilinear.crack_curves(sol, args.alpha, args.p, ys)
     shown = curves[: args.maxcurves]
-    if args.svg:
-        series = [(f"xi={c.xi:.4g}", [(x, y) for y, x in c.points]) for c in shown]
-        _emit_svg(args, series, "crack curves", "x", "y")
-    if args.csv:
-        rows = [(c.xi, y, x) for c in shown for y, x in c.points]
-        _emit_csv(args, _config_dict(args), ["xi", "y", "x"], rows)
-    if args.json or args.out or not (args.svg or args.csv):
-        body = {
-            "beta": args.alpha * (args.p - 1) / 2.0,
-            "curves": [{"xi": c.xi, "points": [[y, x] for y, x in c.points]} for c in shown],
-            "total_zero_count": len(sol.zeros),
-        }
-        _emit_json(args, _payload(args, "ode-crackcurves", body))
+    body = {
+        "beta": args.alpha * (args.p - 1) / 2.0,
+        "curves": [{"xi": c.xi, "points": [[y, x] for y, x in c.points]} for c in shown],
+        "total_zero_count": len(sol.zeros),
+    }
+    chart = ([(f"xi={c.xi:.4g}", [(x, y) for y, x in c.points]) for c in shown], "crack curves", "x", "y")
+    table = (["xi", "y", "x"], ((c.xi, y, x) for c in shown for y, x in c.points))
+    _emit(args, "ode-crackcurves", body, table=table, chart=chart)
     return 0
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# verify suites: each returns (failure message, ok) pairs
 
 
 @dataclass
@@ -404,10 +377,10 @@ def _residual_task(job: tuple[str, int, int]) -> tuple[str, bool]:
     else:
         pair = pencils.quartic_eigenfunction(l, family)
     ok = pencils.pencil_residual(pair).is_zero() and pair.poly.degree == l
-    return (f"{order} l={l} family={family}", ok)
+    return (f"nonzero residual: {order} l={l} family={family}", ok)
 
 
-def _suite_residuals(lmax: int, parallelism: int = 1) -> VerifyReport:
+def _suite_residuals(lmax: int, parallelism: int) -> list[tuple[str, bool]]:
     lmax_quartic = min(lmax, 30)
     jobs: list[tuple[str, int, int]] = []
     jobs += [("quadratic", l, 1) for l in range(1, lmax + 1)]
@@ -419,61 +392,41 @@ def _suite_residuals(lmax: int, parallelism: int = 1) -> VerifyReport:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_residual_task, jobs, chunksize=8))
-    else:
-        results = [_residual_task(j) for j in jobs]
-    failures = [label for label, ok in results if not ok]
-    return VerifyReport(
-        suite="residuals",
-        passed=len(results) - len(failures),
-        failed=len(failures),
-        details=[f"nonzero residual: {label}" for label in failures],
-    )
+            return list(pool.map(_residual_task, jobs, chunksize=8))
+    return [_residual_task(j) for j in jobs]
 
 
-def _suite_roots(lmax: int) -> VerifyReport:
-    failures = []
-    for l in range(1, lmax + 1):
-        if not nodal.transversality_check(pencils.quadratic_eigenfunction(l, 1)):
-            failures.append(f"family-1 l={l} is not transversal")
-    return VerifyReport("roots", lmax - len(failures), len(failures), failures)
+def _suite_roots(lmax: int, parallelism: int) -> list[tuple[str, bool]]:
+    return [
+        (f"family-1 l={l} is not transversal", nodal.transversality_check(pencils.quadratic_eigenfunction(l, 1)))
+        for l in range(1, lmax + 1)
+    ]
 
 
-def _suite_reconstruction(lmax: int) -> VerifyReport:
+def _suite_reconstruction(lmax: int, parallelism: int) -> list[tuple[str, bool]]:
     lmax_quartic = min(lmax, 15)
-    passed = 0
-    failures = []
+    checks = []
     for l in range(1, lmax + 1):
         for family in (1, 2):
             rep = pencils.reconstruct_xy(pencils.quadratic_eigenfunction(l, family))
-            if rep.laplacian_zero:
-                passed += 1
-            else:
-                failures.append(f"quadratic l={l} family={family}: Laplacian not zero")
+            checks.append((f"quadratic l={l} family={family}: Laplacian not zero", rep.laplacian_zero))
     for family in (1, 2, 3, 4):
         start = 1 if family == 1 else 0
         for l in range(start, lmax_quartic + 1):
             rep = pencils.reconstruct_xy(pencils.quartic_eigenfunction(l, family))
             ok = rep.bilaplacian_zero and (family in (1, 2) or not rep.laplacian_zero)
-            if ok:
-                passed += 1
-            else:
-                failures.append(f"quartic l={l} family={family}: reconstruction check failed")
-    return VerifyReport("reconstruction", passed, len(failures), failures)
+            checks.append((f"quartic l={l} family={family}: reconstruction check failed", ok))
+    return checks
 
 
-def _suite_sturm_liouville(lmax: int, tol: float = 1e-10) -> VerifyReport:
-    passed = 0
-    failures = []
+def _suite_sturm_liouville(lmax: int, parallelism: int, tol: float = 1e-10) -> list[tuple[str, bool]]:
+    checks = []
     for l in range(1, lmax + 1):
         for family in (1, 2):
             red = pencils.sturm_liouville_check(pencils.quadratic_eigenfunction(l, family))
             worst = max(abs(r) for _, r in red.residuals)
-            if worst < tol:
-                passed += 1
-            else:
-                failures.append(f"l={l} family={family}: residual {worst:.3e} >= {tol:g}")
-    return VerifyReport("sturm-liouville", passed, len(failures), failures)
+            checks.append((f"l={l} family={family}: residual {worst:.3e} >= {tol:g}", worst < tol))
+    return checks
 
 
 def _laplace_combo_carries(cfg: "nodal.CrackConfig", l: int) -> bool:
@@ -492,7 +445,7 @@ def _laplace_combo_carries(cfg: "nodal.CrackConfig", l: int) -> bool:
     )
 
 
-def _suite_admissibility_examples() -> VerifyReport:
+def _suite_admissibility_examples(lmax: int | None, parallelism: int) -> list[tuple[str, bool]]:
     checks: list[tuple[str, bool]] = []
     cfg = nodal.CrackConfig((Fraction(-1), Fraction(1)))
     v = nodal.check_admissibility_laplace(cfg, (2, 2))[0]
@@ -516,61 +469,45 @@ def _suite_admissibility_examples() -> VerifyReport:
         checks.append(
             (f"laplace combo carries to bilaplace at l={l} zero-padded", _laplace_combo_carries(cfg, l))
         )
-
-    failures = [name for name, ok in checks if not ok]
-    return VerifyReport("admissibility-examples", len(checks) - len(failures), len(failures), failures)
+    return checks
 
 
-_SUITES = ("residuals", "roots", "reconstruction", "sturm-liouville", "admissibility-examples")
-
-
-def _run_suite(name: str, lmax: int | None, parallelism: int) -> VerifyReport:
-    if name == "residuals":
-        return _suite_residuals(lmax or 50, parallelism)
-    if name == "roots":
-        return _suite_roots(lmax or 50)
-    if name == "reconstruction":
-        return _suite_reconstruction(lmax or 20)
-    if name == "sturm-liouville":
-        return _suite_sturm_liouville(lmax or 10)
-    if name == "admissibility-examples":
-        return _suite_admissibility_examples()
-    raise ValueError(f"unknown suite {name!r}")
+# name -> (suite, the lmax it runs at when --lmax is not given)
+_SUITES = {
+    "residuals": (_suite_residuals, 50),
+    "roots": (_suite_roots, 50),
+    "reconstruction": (_suite_reconstruction, 20),
+    "sturm-liouville": (_suite_sturm_liouville, 10),
+    "admissibility-examples": (_suite_admissibility_examples, None),
+}
 
 
 def _cmd_verify(args) -> int:
     names = list(_SUITES) if args.all else [args.suite]
-    if not names or names == [None]:
+    if names == [None]:
         raise ValueError("choose --suite NAME or --all")
     parallelism = int(os.environ.get("PENCIL_PARALLELISM", args.parallelism))
     cpus = os.cpu_count() or 1
     if not 1 <= parallelism <= cpus:
         raise ValueError(f"parallelism must lie in 1..{cpus}, got {parallelism}")
-    reports = [_run_suite(name, args.lmax, parallelism) for name in names]
-    total_failed = sum(r.failed for r in reports)
-    body = {
-        "suites": [
-            {"suite": r.suite, "passed": r.passed, "failed": r.failed, "details": r.details}
-            for r in reports
-        ],
-        "failed": total_failed,
-    }
-    if args.json or args.out:
-        _emit_json(args, _payload(args, "verify", body))
-    else:
-        _print_config_header(args)
-        for r in reports:
-            print(f"suite={r.suite} passed={r.passed} failed={r.failed}")
-            for d in r.details:
-                print(f"  FAIL {d}")
-    return 0 if total_failed == 0 else 1
+    reports, text = [], []
+    for name in names:
+        suite, default_lmax = _SUITES[name]
+        checks = suite(args.lmax or default_lmax, parallelism)
+        failures = [message for message, ok in checks if not ok]
+        reports.append(VerifyReport(name, len(checks) - len(failures), len(failures), failures))
+        text += [f"suite={name} passed={reports[-1].passed} failed={len(failures)}", *(f"  FAIL {d}" for d in failures)]
+    body = {"suites": [asdict(r) for r in reports], "failed": sum(r.failed for r in reports)}
+    _emit(args, "verify", body, text=text)
+    return 0 if body["failed"] == 0 else 1
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common_output(p: argparse.ArgumentParser, svg: bool = False, csv_flag: bool = False) -> None:
+def _add_outputs_and_handler(p: argparse.ArgumentParser, func, svg: bool = False, csv_flag: bool = False) -> None:
+    p.set_defaults(func=func)
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.add_argument("--out", help="write the JSON payload to a file instead of stdout")
     if svg:
@@ -587,14 +524,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", choices=("quadratic", "quartic"), required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--family", type=int, required=True)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_eig)
+    _add_outputs_and_handler(p, _cmd_eig)
 
     p = sub.add_parser("spectrum", help="eigenvalue families up to lmax")
     p.add_argument("--order", choices=("quadratic", "quartic"), required=True)
     p.add_argument("--lmax", type=int, required=True)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_spectrum)
+    _add_outputs_and_handler(p, _cmd_spectrum)
 
     cracks = sub.add_parser("cracks", help="crack admissibility").add_subparsers(
         dest="subcommand", required=True
@@ -605,15 +540,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lmin", type=int, required=True)
     p.add_argument("--lmax", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_cracks_check)
+    _add_outputs_and_handler(p, _cmd_cracks_check)
 
     p = cracks.add_parser("enum", help="enumerate admissible configurations")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--ratios", required=True, help="start:stop:step or comma list")
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_cracks_enum)
+    _add_outputs_and_handler(p, _cmd_cracks_enum)
 
     expand = sub.add_parser("expand", help="expansion evaluation").add_subparsers(
         dest="subcommand", required=True
@@ -622,17 +555,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", required=True, help='JSON like {"2":[1,0]}')
     p.add_argument("--equation", choices=("laplace", "bilaplace"), default="laplace")
     p.add_argument("--grid", required=True, help="z=-3:3:0.01,tau=0:5:0.5")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", help="write the JSON payload to a file")
-    p.add_argument("--csv", help="write CSV to this path (default: stdout)")
-    p.set_defaults(func=_cmd_expand_eval)
+    _add_outputs_and_handler(p, _cmd_expand_eval, csv_flag=True)
 
     p = expand.add_parser("trace", help="boundary trace on the lower unit circle")
     p.add_argument("--terms", required=True)
     p.add_argument("--equation", choices=("laplace", "bilaplace"), default="laplace")
     p.add_argument("--samples", type=int, default=720)
-    _add_common_output(p, svg=True)
-    p.set_defaults(func=_cmd_expand_trace)
+    _add_outputs_and_handler(p, _cmd_expand_trace, svg=True)
 
     ode = sub.add_parser("ode", help="semilinear profiles").add_subparsers(
         dest="subcommand", required=True
@@ -643,8 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--far", choices=("decay", "plateau"), default="decay")
     p.add_argument("--tol", type=float, default=semilinear.DEFAULT_TOL)
     p.add_argument("--zend", type=float, default=semilinear.DEFAULT_Z_END)
-    _add_common_output(p, svg=True, csv_flag=True)
-    p.set_defaults(func=_cmd_ode_stationary)
+    _add_outputs_and_handler(p, _cmd_ode_stationary, svg=True, csv_flag=True)
 
     p = ode.add_parser("selfsimilar", help="oscillatory profile, scaled from one unit orbit in t = 1/xi")
     p.add_argument("--p", type=float, required=True)
@@ -652,8 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Xi", type=float, default=semilinear.DEFAULT_XI_FAR)
     p.add_argument("--ximin", type=float, default=semilinear.DEFAULT_XI_MIN)
     p.add_argument("--tol", type=float, default=semilinear.DEFAULT_TOL)
-    _add_common_output(p, svg=True, csv_flag=True)
-    p.set_defaults(func=_cmd_ode_selfsimilar)
+    _add_outputs_and_handler(p, _cmd_ode_selfsimilar, svg=True, csv_flag=True)
 
     p = ode.add_parser("crackcurves", help="log-perturbed crack curves from profile zeros")
     p.add_argument("--p", type=float, required=True)
@@ -664,16 +591,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ximin", type=float, default=1e-2)
     p.add_argument("--tol", type=float, default=semilinear.DEFAULT_TOL)
     p.add_argument("--maxcurves", type=int, default=12)
-    _add_common_output(p, svg=True, csv_flag=True)
-    p.set_defaults(func=_cmd_ode_crackcurves)
+    _add_outputs_and_handler(p, _cmd_ode_crackcurves, svg=True, csv_flag=True)
 
     p = sub.add_parser("verify", help="acceptance-style verification suites")
     p.add_argument("--suite", choices=_SUITES)
     p.add_argument("--all", action="store_true")
     p.add_argument("--lmax", type=int)
     p.add_argument("--parallelism", type=int, default=1)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_verify)
+    _add_outputs_and_handler(p, _cmd_verify)
 
     return parser
 

@@ -110,31 +110,23 @@ class Expansion:
         return max(self.terms)
 
     def combination(self, k: int) -> RatPoly:
-        return _combination(self.equation, k, self.terms[k])
+        """The exact order-k combination: terms[k] weighting the eigenfunctions."""
+        combo = RatPoly.zero()
+        for family, value in enumerate(self.terms[k], start=1):
+            if value == 0.0:
+                continue
+            degree = k - (family - 1)
+            if self.equation == LAPLACE:
+                poly = quadratic_eigenfunction(degree, family).poly
+            else:
+                poly = quartic_eigenfunction(degree, family).poly
+            combo = combo + poly * Fraction(value)
+        return combo
 
     @functools.cached_property
     def _float_terms(self) -> tuple[tuple[int, tuple[float, ...]], ...]:
         """(k, float coefficients of combination(k)) for each k, in increasing k."""
         return tuple((k, tuple(float(c) for c in self.combination(k).coeffs)) for k in self.terms)
-
-
-@functools.lru_cache(maxsize=None)
-def _cached_combination(equation: str, k: int, coeffs: tuple) -> RatPoly:
-    combo = RatPoly.zero()
-    for family, value in enumerate(coeffs, start=1):
-        if value == 0.0:
-            continue
-        degree = k - (family - 1)
-        if equation == LAPLACE:
-            poly = quadratic_eigenfunction(degree, family).poly
-        else:
-            poly = quartic_eigenfunction(degree, family).poly
-        combo = combo + poly * Fraction(value)
-    return combo
-
-
-def _combination(equation: str, k: int, coeffs: Sequence[float]) -> RatPoly:
-    return _cached_combination(equation, k, tuple(float(v) for v in coeffs))
 
 
 def _horner(coeffs: tuple[float, ...], x: float) -> float:

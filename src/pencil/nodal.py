@@ -373,6 +373,9 @@ class CrackConfig:
         object.__setattr__(self, "alphas", alphas)
         if not alphas:
             raise ValueError("a crack configuration needs at least one slope")
+        for a in alphas:
+            if not _is_exact(a) and not math.isfinite(a):
+                raise ValueError(f"crack slope {a!r} is not finite")
         for a, b in zip(alphas, alphas[1:]):
             if not a < b:
                 raise ValueError("crack slopes must be strictly increasing")

@@ -1,5 +1,6 @@
 """Command-line surface: schemas, determinism, exit codes, file emission."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -72,6 +73,14 @@ class TestCracks:
         assert code == 0
         assert all(not v["admissible"] for v in json.loads(out)["verdicts"])
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_exit_1(self, capsys, alpha):
+        code, out, err = run_cli(capsys, "cracks", "check", "--alphas", alpha, "--lmin", "1", "--lmax", "3")
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"] == f"crack slope {float(alpha)!r} is not finite"
+
     def test_enum(self, capsys):
         # the endpoint combination is linear here, so it admits no 2-crack window
         code, out, _ = run_cli(capsys, "cracks", "enum", "--m", "2", "--l", "2", "--ratios", "-1:1:1", "--json")
@@ -104,6 +113,8 @@ class TestCracks:
 
 
 class TestExpand:
+    EVAL = ("expand", "eval", "--terms", '{"2":[1,0]}', "--grid", "z=-1:1:1,tau=0:1:1")
+
     def test_eval_csv_columns(self, capsys):
         code, out, _ = run_cli(
             capsys, "expand", "eval", "--terms", '{"2":[1,0]}', "--grid", "z=-1:1:1,tau=0:1:1"
@@ -125,6 +136,31 @@ class TestExpand:
         )
         assert code == 1
         assert "1001000 points" in json.loads(err)["message"]
+
+    def test_eval_out_without_json_writes_payload(self, tmp_path, capsys):
+        path = tmp_path / "eval.json"
+        code, out, _ = run_cli(capsys, *self.EVAL, "--out", str(path))
+        assert code == 0 and out == ""
+        payload = json.loads(path.read_text())
+        assert payload["columns"] == ["z", "tau", "x", "y", "w"]
+        assert len(payload["rows"]) == 6
+
+    def test_eval_json_with_csv_writes_both(self, tmp_path, capsys):
+        path = tmp_path / "eval.csv"
+        code, out, _ = run_cli(capsys, *self.EVAL, "--json", "--csv", str(path))
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 6
+        assert path.read_text().splitlines()[1] == "z,tau,x,y,w"
+
+    @pytest.mark.parametrize("command", ["eval", "trace"])
+    @pytest.mark.parametrize("terms", ['{"2": 5}', "[1]", '"2"', '{"2": [[1], 0]}', '{"2": [true, false]}'])
+    def test_malformed_terms_exit_1(self, capsys, command, terms):
+        extra = ["--grid", "z=0:1:1,tau=0:1:1"] if command == "eval" else []
+        code, out, err = run_cli(capsys, "expand", command, "--terms", terms, *extra)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "lists of numbers" in payload["message"]
 
     def test_trace_svg(self, tmp_path, capsys):
         path = tmp_path / "trace.svg"
@@ -340,6 +376,84 @@ class TestOde:
         payload = json.loads(err)
         assert payload["error"] == "ValueError"
         assert f"got {count}" in payload["message"]
+
+
+def _config_of(form: str, data: str) -> dict:
+    """The config JSON that opens one emitted form."""
+    if form == "json":
+        return json.loads(data)["config"]
+    if form == "svg":
+        line = next(line for line in data.splitlines() if line.startswith("<!-- config: "))
+        return json.loads(line[len("<!-- config: ") : -len(" -->")])
+    first = data.splitlines()[0]
+    assert first.startswith("# config: ")
+    return json.loads(first[len("# config: ") :])
+
+
+# command -> (argv, output flags it accepts, the form stdout gets when no flag applies)
+_RULE_COMMANDS = {
+    "eig": (["eig", "--order", "quadratic", "--l", "3", "--family", "1"], (), "text"),
+    "cracks-check": (["cracks", "check", "--alphas", "-1,1", "--lmin", "2", "--lmax", "3"], (), "text"),
+    "expand-eval": (
+        ["expand", "eval", "--terms", '{"2":[1,0]}', "--grid", "z=-1:1:1,tau=0:1:1"], ("csv",), "csv"
+    ),
+    "expand-trace": (["expand", "trace", "--terms", '{"2":[1,0]}', "--samples", "16"], ("svg",), "json"),
+    "ode-stationary": (
+        ["ode", "stationary", "--p", "3", "--symmetry", "antisymmetric", "--tol", "1e-7", "--zend", "25"],
+        ("csv", "svg"),
+        "text",
+    ),
+    "ode-crackcurves": (
+        ["ode", "crackcurves", "--p", "3", "--alpha", "1", "--ygrid", "-0.5:-1e-2:log:5",
+         "--Xi", "30", "--ximin", "0.05", "--tol", "1e-8"],
+        ("csv", "svg"),
+        "json",
+    ),
+    "verify": (["verify", "--suite", "roots", "--lmax", "3"], (), "text"),
+}
+
+
+def _rule_cases():
+    for name, (_, file_flags, _) in _RULE_COMMANDS.items():
+        flags = ("json", "out") + file_flags
+        for n in range(len(flags) + 1):
+            for chosen in itertools.combinations(flags, n):
+                yield pytest.param(name, chosen, id=f"{name}[{','.join(chosen) or 'plain'}]")
+
+
+class TestOutputRule:
+    """--svg writes the chart and --csv the table; --json or --out emits the
+    payload; stdout gets the text form only when neither applies and no file
+    was written; every form opens with the same config JSON."""
+
+    @pytest.mark.parametrize("name, flags", list(_rule_cases()))
+    def test_destinations_and_config(self, tmp_path, capsys, name, flags):
+        argv, _, text_form = _RULE_COMMANDS[name]
+        paths = {"out": tmp_path / "out.json", "csv": tmp_path / "out.csv", "svg": tmp_path / "out.svg"}
+        extra = []
+        for flag in flags:
+            extra += [f"--{flag}"] if flag == "json" else [f"--{flag}", str(paths[flag])]
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 0 and err == ""
+
+        wrote_file = "csv" in flags or "svg" in flags
+        if "json" in flags and "out" not in flags:
+            stdout_form = "json"
+        elif "json" in flags or "out" in flags or wrote_file:
+            stdout_form = None
+        else:
+            stdout_form = text_form
+        assert bool(out) == (stdout_form is not None)
+        for flag, path in paths.items():
+            assert path.exists() == (flag in flags)
+
+        files = (("json", paths["out"]), ("csv", paths["csv"]), ("svg", paths["svg"]))
+        forms = [(form, path.read_text()) for form, path in files if path.exists()]
+        if stdout_form is not None:
+            forms.append((stdout_form, out))
+        configs = [_config_of(form, data) for form, data in forms]
+        assert configs and all(c == configs[0] for c in configs)
+        assert configs[0]["command"] == argv[0] and configs[0]["json"] == ("json" in flags)
 
 
 class TestSession:

@@ -1,6 +1,8 @@
 """Scaling transform, germ evaluation, decay measurement, boundary traces."""
 
+import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,26 @@ class TestExpansionType:
         e = Expansion("laplace", {2: (1, 0), 5: (0, 1)})
         assert e.l_start == 2
         assert e.k_max == 5
+
+    def test_dropped_expansions_leave_nothing_behind(self):
+        # a long-lived process evaluates many distinct expansions; once dropped,
+        # none of them may stay reachable (a cache keyed on the coefficients
+        # kept about 0.5 KB per expansion)
+        def evaluate(start, count):
+            for i in range(start, start + count):
+                exp = Expansion("laplace", {2: (1.0, i * 1e-6), 3: (0.5, 0.25)})
+                eval_expansion(exp, 0.5, 1.0)
+
+        evaluate(0, 100)  # builds the eigenfunctions every expansion shares
+        gc.collect()
+        tracemalloc.start()
+        try:
+            evaluate(100, 2000)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 2000 * 32
 
 
 class TestEvaluation:

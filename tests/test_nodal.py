@@ -197,6 +197,13 @@ class TestCrackConfig:
         assert CrackConfig((Fraction(1, 2), 2)).exact
         assert not CrackConfig((0.5, 2.0)).exact
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slope_rejected(self, bad):
+        # a non-finite slope used to reach the SVD and end in "SVD did not converge"
+        for alphas in ((bad,), (-1.0, bad)):
+            with pytest.raises(ValueError, match=f"crack slope {bad!r} is not finite"):
+                CrackConfig(alphas)
+
 
 class TestAdmissibility:
     def test_symmetric_pair(self):
