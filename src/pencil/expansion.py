@@ -111,17 +111,25 @@ class Expansion:
 
     def combination(self, k: int) -> RatPoly:
         """The exact order-k combination: terms[k] weighting the eigenfunctions."""
-        combo = RatPoly.zero()
-        for family, value in enumerate(self.terms[k], start=1):
-            if value == 0.0:
-                continue
-            degree = k - (family - 1)
-            if self.equation == LAPLACE:
-                poly = quadratic_eigenfunction(degree, family).poly
-            else:
-                poly = quartic_eigenfunction(degree, family).poly
-            combo = combo + poly * Fraction(value)
-        return combo
+        return self._combinations[k]
+
+    @functools.cached_property
+    def _combinations(self) -> dict[int, RatPoly]:
+        """combination(k) for each k, built once per expansion."""
+        out = {}
+        for k, tup in self.terms.items():
+            combo = RatPoly.zero()
+            for family, value in enumerate(tup, start=1):
+                if value == 0.0:
+                    continue
+                degree = k - (family - 1)
+                if self.equation == LAPLACE:
+                    poly = quadratic_eigenfunction(degree, family).poly
+                else:
+                    poly = quartic_eigenfunction(degree, family).poly
+                combo = combo + poly * Fraction(value)
+            out[k] = combo
+        return out
 
     @functools.cached_property
     def _float_terms(self) -> tuple[tuple[int, tuple[float, ...]], ...]:
@@ -219,11 +227,12 @@ def synthesize_boundary_trace(exp: Expansion, n_samples: int) -> BoundaryTrace:
         theta = -math.pi + math.pi * (j + 0.5) / n_samples
         value = eval_expansion_xy(exp, math.cos(theta), math.sin(theta))
         samples.append((theta, value))
-    from .nodal import isolate_real_roots  # local import avoids a cycle
+    from .nodal import _phase_seeds, isolate_real_roots  # local import avoids a cycle
 
     combo = exp.combination(exp.l_start)
     if combo.degree >= 1:
-        roots = isolate_real_roots(combo).refined_roots
+        seeds = _phase_seeds(exp.l_start, exp.terms[exp.l_start])
+        roots = isolate_real_roots(combo, seeds=seeds).refined_roots
     else:
         roots = ()
     crack_angles = tuple(math.atan2(-1.0, a) for a in roots)

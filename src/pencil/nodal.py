@@ -1,16 +1,24 @@
 """Real-root isolation and crack-admissibility decisions.
 
-Root counting uses exact Sturm sequences over the integers (primitive
-pseudo-remainders, so only positive rescalings ever touch the chain signs).
-Isolation bisects the square-free part from a power-of-two Fujiwara bound,
-carrying the chain's sign-variation count at every interval endpoint, and
-reads multiplicities off the signs of the Yun factors.  Each isolated root
-is refined by certified Newton: safeguarded float Newton, exact Newton
-steps from the float iterate, and exact opposite signs on either side of
-the result, with exact bisection only where that certificate fails.
-Admissibility of a slope tuple at expansion order l is a nullspace question
-for the matrix of eigenfunction values at the slopes: exact over the
-rationals, SVD-thresholded for floating input.
+Callers that know their polynomial as a combination of the family
+eigenfunctions pass seeds, one float guess per root, from its phase form
+(`_phase_seeds`: closed-form cotangents for Laplace, a float scan in the
+angle for bi-Laplace).  Exact signs at one short dyadic separator between
+consecutive seeds then certify, when they alternate degree-many times,
+that every root is real and simple and isolated by its gap; no Sturm chain
+is built.  Otherwise, and without seeds, isolation uses exact Sturm
+sequences over the integers (primitive pseudo-remainders, so only positive
+rescalings ever touch the chain signs).  The chain of p itself shows
+whether p is square-free; if so it bisects p's roots from a power-of-two
+Fujiwara bound, carrying the sign-variation count at every interval
+endpoint.  Otherwise the chain of the square-free part does, and
+multiplicities come from the signs of the Yun factors.  Each isolated root
+is refined by certified Newton: a seed or safeguarded float Newton, exact
+Newton steps, and exact opposite signs on either side of the result, with
+exact bisection only where that certificate fails.  Root counts use the
+chain of p.  Admissibility of a slope tuple at expansion order l is a
+nullspace question for the matrix of eigenfunction values at the slopes:
+exact over the rationals, SVD-thresholded for floating input.
 """
 
 from __future__ import annotations
@@ -131,16 +139,16 @@ def _root_bound(coeffs: Sequence[int]) -> Fraction:
     return Fraction(2) ** (1 + max(exponents, default=0))
 
 
-def _isolate_square_free(coeffs: list[int]) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational intervals each holding exactly one real root.
+def _isolate_square_free(chain: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint rational intervals each holding exactly one real root of chain[0].
 
-    Each stack entry (lo, V(lo), hi, V(hi)) carries the sign-variation counts
-    of its endpoints, which are never roots, so V(lo) - V(hi) roots lie in
-    (lo, hi) and every bisection point costs one chain evaluation.  Exact
-    rational roots are returned as degenerate [r, r] intervals.
+    chain is the Sturm chain of a square-free polynomial.  Each stack entry
+    (lo, V(lo), hi, V(hi)) carries the sign-variation counts of its
+    endpoints, which are never roots, so V(lo) - V(hi) roots lie in (lo, hi)
+    and every bisection point costs one chain evaluation.  Exact rational
+    roots are returned as degenerate [r, r] intervals.
     """
-    chain = _sturm_chain(coeffs)
-    bound = _root_bound(coeffs)
+    bound = _root_bound(chain[0])
     out: list[tuple[Fraction, Fraction]] = []
     stack = [(-bound, _variations_at(chain, -bound)[1], bound, _variations_at(chain, bound)[1])]
     while stack:
@@ -167,6 +175,59 @@ def _isolate_square_free(coeffs: list[int]) -> list[tuple[Fraction, Fraction]]:
             stack.append((lo, v_lo, mid, v_mid))
             stack.append((mid, v_mid, hi, v_hi))
     return sorted(out)
+
+
+def _short_dyadic(lo: float, hi: float) -> Fraction:
+    """The dyadic rational m / 2^k in [lo, hi] with the least k, for lo < hi.
+
+    A separator's cost in an exact sign is its bit size, and this one has
+    a few bits where the float midpoint of two seeds has 53.
+    """
+    if lo <= 0 <= hi:
+        return Fraction(0)
+    if hi < 0:
+        return -_short_dyadic(-hi, -lo)
+    k = 1 - math.frexp(hi - lo)[1]  # 2^-k <= hi - lo: some m / 2^k lies in [lo, hi]
+    while math.ceil(math.ldexp(lo, k - 1)) <= math.floor(math.ldexp(hi, k - 1)):
+        k -= 1
+    m = math.ceil(math.ldexp(lo, k))
+    return Fraction(m, 1 << k) if k >= 0 else Fraction(m << -k)
+
+
+def _certified_gaps(coeffs: list[int], seeds: Sequence[float]) -> list[tuple[Fraction, Fraction]] | None:
+    """Isolating intervals of every root of p from one seed per root, or None.
+
+    One separator lies in the middle half of each gap between sorted seeds,
+    and -B, B (B the root bound) close the ends.  If p is nonzero at every
+    separator with alternating signs, each of the n gaps holds an odd
+    number of roots; a degree-n p has n roots in all, so each gap holds
+    exactly one and it is simple: p is square-free and all its roots are
+    real.  Any other outcome (a wrong count, a non-finite seed, separators
+    out of order, a sign that fails to alternate) returns None.
+    """
+    n = len(coeffs) - 1
+    if len(seeds) != n or not all(math.isfinite(s) for s in seeds):
+        return None
+    seeds = sorted(seeds)
+    bound = _root_bound(coeffs)
+    seps = [-bound]
+    for a, b in zip(seeds, seeds[1:]):
+        if not a < b:
+            return None
+        lo, hi = 0.75 * a + 0.25 * b, 0.25 * a + 0.75 * b
+        if not a <= lo < hi <= b:
+            lo, hi = a, b
+        seps.append(_short_dyadic(lo, hi))
+    seps.append(bound)
+    if not all(x < y for x, y in zip(seps, seps[1:])):
+        return None
+    sign = _int_eval_sign(coeffs, seps[0])
+    for x in seps[1:]:
+        nxt = _int_eval_sign(coeffs, x)
+        if sign == 0 or nxt != -sign:
+            return None
+        sign = nxt
+    return list(zip(seps, seps[1:]))
 
 
 # float Newton iterations per root; bisection alone takes about 45 to narrow
@@ -246,24 +307,48 @@ def _exact_newton(coeffs: list[int], x: float) -> tuple[int, Fraction | None]:
     return sign, (Fraction(a * d_acc - n_acc, b * d_acc) if d_acc else None)
 
 
-def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float) -> float:
+def _sign_certificate(coeffs: list[int], r: float, left: Fraction, right: Fraction) -> float | None:
+    """r if p has opposite exact signs at left < r < right, a zero there, or None."""
+    s_left, s_right = _int_eval_sign(coeffs, left), _int_eval_sign(coeffs, right)
+    if s_left * s_right < 0:
+        return r
+    if s_left == 0:
+        return float(left)
+    if s_right == 0:
+        return float(right)
+    return None
+
+
+def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, start: float | None = None) -> float:
     """Refine the one root in an isolating interval to a float within goal/2 of it.
 
-    goal = tol/8 * max(|lo|, |hi|, 1).  Float Newton proposes the root; exact
-    Newton steps polish it, each rounded to a float r, narrowing the bracket
-    by the exact sign at its start and bisecting the bracket instead when it
-    would leave it.  With h a power of two in (goal/8, goal/2], exact
-    opposite signs at r - h and r + h, both strictly inside (lo, hi), certify
-    r (a zero sign there is the root itself).  Without a certificate the
-    bracket is bisected exactly down to width goal.
+    goal = tol/8 * max(|lo|, |hi|, 1).  A start inside (lo, hi) is tried
+    first by the sign certificate below and then proposes the root; without
+    one, float Newton proposes it.  Exact Newton steps polish it, each
+    rounded to a float r, narrowing the bracket by the exact sign at its
+    start and bisecting the bracket instead when it would leave it.  With h
+    a power of two in (goal/8, goal/2], exact opposite signs at r - h and
+    r + h, both strictly inside (lo, hi), certify r (a zero sign there is
+    the root itself).  Without a certificate the bracket is bisected exactly
+    down to width goal.
     """
     if lo == hi:
         return float(lo)
-    slo = _int_eval_sign(coeffs, lo)
     goal = Fraction(tol if tol > 0 else 1e-12) / 8 * max(abs(lo), abs(hi), Fraction(1))
-    r = _float_newton(coeffs, lo, hi, slo)
+    half = Fraction(2) ** (goal.numerator.bit_length() - goal.denominator.bit_length() - 2)
+    r = None
+    x = None if start is None else Fraction(start)
+    if x is not None and lo < x < hi:
+        r = start
+        left, right = x - half, x + half
+        if lo < left and right < hi:
+            found = _sign_certificate(coeffs, r, left, right)
+            if found is not None:
+                return found
+    slo = _int_eval_sign(coeffs, lo)
+    if r is None:
+        r = _float_newton(coeffs, lo, hi, slo)
     if r is not None:
-        half = Fraction(2) ** (goal.numerator.bit_length() - goal.denominator.bit_length() - 2)
         a, b = lo, hi
         for _ in range(_EXACT_STEPS):
             x = Fraction(r)
@@ -279,16 +364,13 @@ def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float) -> f
                 break
             if abs(r - last) > _CERTIFY_STEP * max(abs(r), 1.0):
                 continue
-            left, right = Fraction(r) - half, Fraction(r) + half
+            x = Fraction(r)
+            left, right = x - half, x + half
             if not (lo < left and right < hi):
                 break
-            s_left, s_right = _int_eval_sign(coeffs, left), _int_eval_sign(coeffs, right)
-            if s_left * s_right < 0:
-                return r
-            if s_left == 0:
-                return float(left)
-            if s_right == 0:
-                return float(right)
+            found = _sign_certificate(coeffs, r, left, right)
+            if found is not None:
+                return found
             if r == last:
                 break
         lo, hi = a, b
@@ -308,9 +390,13 @@ def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float) -> f
 class RootSet:
     """All real roots of a polynomial: exact isolation and multiplicities, certified floats.
 
-    Each refined root lies within tol/16 * max(|lo|, |hi|, 1), up to the
-    rounding to a float, of the one root in its isolating interval [lo, hi],
-    and is that root for a degenerate [r, r].
+    Each isolating interval [lo, hi] holds exactly one distinct real root:
+    the square-free part of p has exact opposite signs at lo and hi, or
+    lo = hi is the root.  Each refined root lies within
+    tol/16 * max(|lo|, |hi|, 1), up to the rounding to a float, of that
+    root.  Seeded and unseeded isolation of one polynomial give the same
+    counts and multiplicities and roots within that bound, but different
+    intervals.
     """
 
     poly: RatPoly
@@ -323,28 +409,121 @@ class RootSet:
         return len(self.refined_roots)
 
 
-def isolate_real_roots(p: RatPoly, tol: float = 1e-12) -> RootSet:
+def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | None = None) -> RootSet:
     """Isolate and refine every real root of p with exact multiplicities.
 
-    The square-free part is the product of the Yun factors f_i of p = lc *
-    prod f_i^i.  These are coprime and square-free, so the one factor that
-    changes sign across an isolating interval, or vanishes at a degenerate
-    [r, r], owns its root, and i is the root's multiplicity.
+    seeds, one float guess per root of p, let one exact sign per separator
+    between them certify that all roots are real and simple
+    (`_certified_gaps`); each root is then refined from its seed.  When the
+    certificate fails, or without seeds, p's Sturm chain decides: if it
+    ends in a constant, p is square-free and the chain isolates its roots.
+    Otherwise the square-free part is the product of the Yun factors f_i of
+    p = lc * prod f_i^i; these are coprime and square-free, so the one
+    factor that changes sign across an isolating interval, or vanishes at a
+    degenerate [r, r], owns its root, and i is the root's multiplicity.
     """
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     if p.degree == 0:
         return RootSet(p, (), (), ())
-    factors = square_free_decomposition(p)
-    sq_int = integer_coefficients(math.prod((f for f, _ in factors), start=RatPoly.one()))
-    intervals = _isolate_square_free(sq_int)
-    factor_ints = [(integer_coefficients(f), mult) for f, mult in factors]
-    mults = tuple(
-        next(mult for f, mult in factor_ints if _int_eval_sign(f, lo) * _int_eval_sign(f, hi) <= 0)
-        for lo, hi in intervals
-    )
-    roots = tuple(_refine_root(sq_int, lo, hi, tol) for lo, hi in intervals)
+    coeffs = integer_coefficients(p)
+    gaps = None if seeds is None else _certified_gaps(coeffs, seeds)
+    if gaps is not None:
+        roots = tuple(_refine_root(coeffs, lo, hi, tol, s) for (lo, hi), s in zip(gaps, sorted(seeds)))
+        return RootSet(p, tuple(gaps), roots, (1,) * len(gaps))
+    chain = _sturm_chain(coeffs)
+    if len(chain[-1]) == 1:
+        intervals = _isolate_square_free(chain)
+        mults = (1,) * len(intervals)
+    else:
+        factors = square_free_decomposition(p)
+        coeffs = integer_coefficients(math.prod((f for f, _ in factors), start=RatPoly.one()))
+        intervals = _isolate_square_free(_sturm_chain(coeffs))
+        factor_ints = [(integer_coefficients(f), mult) for f, mult in factors]
+        mults = tuple(
+            next(mult for f, mult in factor_ints if _int_eval_sign(f, lo) * _int_eval_sign(f, hi) <= 0)
+            for lo, hi in intervals
+        )
+    roots = tuple(_refine_root(coeffs, lo, hi, tol) for lo, hi in intervals)
     return RootSet(p, tuple(intervals), roots, mults)
+
+
+# phase-scan samples per unit of l: two roots of a bi-Laplace combination
+# closer than pi / (_PHASE_SAMPLES * l) in angle share a bracket, the scan
+# finds fewer seeds than roots, and isolation falls back to the Sturm path
+_PHASE_SAMPLES = 32
+# safeguarded Newton steps per scan bracket, at most: from the bracket's
+# midpoint the error falls about as e -> l e^2 / 2, so four or five steps
+# reach float resolution; a step that would leave the bracket bisects it
+_PHASE_STEPS = 12
+
+
+def _phase_seeds(l: int, coeffs: Sequence) -> list[float]:
+    """Float guesses of the real roots of c_1 psi_{l,1} + c_2 psi_{l-1,2} + c_3 psi_{l-2,3} + c_4 psi_{l-3,4}.
+
+    coeffs holds c_1, c_2 and, for bi-Laplace, c_3 and c_4; the psi are the
+    monic family eigenfunctions.  With z = cot(phi) the closed forms
+    psi_{l,1} = Re (z+i)^l, psi_{l-1,2} = Im (z+i)^l / l,
+    psi_{l-2,3} = Im (z+i)^(l-1) / (l-1) and
+    psi_{l-3,4} = 3 (Im (z+i)^l - l Re (z+i)^(l-1)) / (l(l-1)(l-2)) give
+    sin^l(phi) p(cot phi) = A cos(l phi) + B sin(l phi)
+                            + sin(phi) (C sin((l-1) phi) + D cos((l-1) phi)),
+    a sum well conditioned in phi for every l, whose zeros in (0, pi) are
+    the roots' angles.  For Laplace (C = D = 0) it is
+    |w| cos(l phi - theta) with w = c_1 - i c_2 / l = |w| e^(-i theta), so the
+    roots are cot((theta + pi/2 + k pi) / l).  Otherwise the sum is sampled
+    on [0, pi], and Newton steps in phi, safeguarded by bisection, refine
+    every sign-change bracket at once.  When c_1 = 0 the degree is below l
+    and the endpoint zeros at phi = 0 and pi are not roots.  The guesses
+    carry no guarantee: `isolate_real_roots` certifies them or falls back.
+    """
+    c1, c2, c3, c4 = (list(coeffs) + [0, 0, 0])[:4]
+    if c3 == 0 and c4 == 0:
+        if c1 == 0:
+            phi = np.arange(1, l) * (math.pi / l)
+        else:
+            # t = theta + pi/2 = arg(i (c_1 + i c_2 / l)), taken in (0, pi)
+            s = 1 if c1 > 0 else -1
+            t = math.atan2(s * float(c1), -s * float(c2) / l)
+            phi = (t + np.arange(l) * math.pi) / l
+        return (np.cos(phi) / np.sin(phi)).tolist()
+    a = float(c1)
+    b = float(c2) / l + (3 * float(c4) / (l * (l - 1) * (l - 2)) if c4 else 0.0)
+    c = float(c3) / (l - 1) if c3 else 0.0
+    d = -3 * float(c4) / ((l - 1) * (l - 2)) if c4 else 0.0
+
+    def form(phi):
+        """The phase form and its derivative in phi."""
+        cos_l, sin_l = np.cos(l * phi), np.sin(l * phi)
+        cos_m, sin_m = np.cos((l - 1) * phi), np.sin((l - 1) * phi)
+        cos_1, sin_1 = np.cos(phi), np.sin(phi)
+        inner = c * sin_m + d * cos_m
+        value = a * cos_l + b * sin_l + sin_1 * inner
+        slope = l * (b * cos_l - a * sin_l) + cos_1 * inner + (l - 1) * sin_1 * (c * cos_m - d * sin_m)
+        return value, slope
+
+    phi = np.linspace(0.0, math.pi, _PHASE_SAMPLES * l + 1)
+    values = form(phi)[0]
+    # the exact endpoint values; with c_1 = 0 both are zeros that are not roots
+    values[0], values[-1] = a, a * (-1) ** l
+    sign = np.sign(values)
+    exact = phi[1:-1][sign[1:-1] == 0]
+    j = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    lo, hi, s_lo = phi[j], phi[j + 1], sign[j]
+    x = 0.5 * (lo + hi)
+    for _ in range(_PHASE_STEPS):
+        value, slope = form(x)
+        below = np.sign(value) == s_lo
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - value / slope
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        done = np.all(np.abs(step - x) <= 2 * np.spacing(x))
+        x = step
+        if done:
+            break
+    phi = np.concatenate((exact, x))
+    return (np.cos(phi) / np.sin(phi)).tolist()
 
 
 def transversality_check(pair: Eigenpair) -> bool:
@@ -481,7 +660,8 @@ def _verdict_for_matrix(
     if combo is not None:
         combo_poly = _combination(polys, combo)
         if not combo_poly.is_zero() and combo_poly.degree > 0:
-            zero_set = isolate_real_roots(combo_poly)
+            # families are always 1..len(polys), so combo is c_1, c_2, ... in order
+            zero_set = isolate_real_roots(combo_poly, seeds=_phase_seeds(l, combo))
             consecutive = _match_consecutive(
                 config.alphas, zero_set.refined_roots, max(tol, 1e-9)
             )
@@ -561,17 +741,17 @@ def enumerate_admissible(
         raise ValueError("need l >= m so the combination can have m zeros")
     base = quadratic_eigenfunction(l, 1).poly
     second = quadratic_eigenfunction(l - 1, 2).poly
-    jobs: list[tuple[float | None, RatPoly]] = []
+    jobs: list[tuple[float | None, RatPoly, tuple]] = []
     for r in ratios:
         frac = r if isinstance(r, (int, Fraction)) else Fraction(float(r))
-        jobs.append((float(r), base + second * frac))
+        jobs.append((float(r), base + second * frac, (1, frac)))
     if include_endpoint:
-        jobs.append((None, second))
+        jobs.append((None, second, (0, 1)))
     out = []
-    for ratio, combo in jobs:
+    for ratio, combo, family_coeffs in jobs:
         if combo.is_zero() or combo.degree < 1:
             continue
-        roots = isolate_real_roots(combo).refined_roots
+        roots = isolate_real_roots(combo, seeds=_phase_seeds(l, family_coeffs)).refined_roots
         for start in range(0, len(roots) - m + 1):
             window = roots[start : start + m]
             out.append(EnumeratedConfig(CrackConfig(tuple(window)), l, ratio))

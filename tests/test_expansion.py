@@ -1,5 +1,6 @@
 """Scaling transform, germ evaluation, decay measurement, boundary traces."""
 
+import collections
 import gc
 import math
 import tracemalloc
@@ -196,6 +197,23 @@ class TestBoundaryTrace:
         trace = synthesize_boundary_trace(e, 32)
         for theta, value in trace.samples:
             assert value == pytest.approx(math.cos(theta), abs=1e-13)
+
+    def test_each_combination_built_once(self, monkeypatch):
+        # the trace reads combination(2) twice: for the float terms and for the crack angles
+        from pencil import expansion
+
+        calls = collections.Counter()
+        original = expansion.quadratic_eigenfunction
+
+        def counting(degree, family):
+            calls[degree, family] += 1
+            return original(degree, family)
+
+        monkeypatch.setattr(expansion, "quadratic_eigenfunction", counting)
+        e = Expansion("laplace", {2: (1, 0), 3: (0.5, 0.25)})
+        synthesize_boundary_trace(e, 16)
+        # k = 2 weights psi_{2,1}; k = 3 weights psi_{3,1} and psi_{2,2}
+        assert calls == {(2, 1): 1, (3, 1): 1, (2, 2): 1}
 
     def test_trace_vanishes_at_crack_angles(self):
         e = Expansion("laplace", {2: (1, 0)})

@@ -1,14 +1,23 @@
 """Root isolation, transversality, and admissibility decisions."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pencil import nodal
 from pencil.nodal import (
     CrackConfig,
+    _certified_gaps,
+    _combination,
+    _eigenfunctions_for_order,
+    _isolate_square_free,
+    _phase_seeds,
+    _refine_root,
+    _sturm_chain,
     _verdict_for_matrix,
     check_admissibility_bilaplace,
     check_admissibility_laplace,
@@ -18,7 +27,7 @@ from pencil.nodal import (
     transversality_check,
 )
 from pencil.pencils import Eigenpair, quadratic_eigenfunction, quartic_eigenfunction
-from pencil.polyring import RatPoly
+from pencil.polyring import RatPoly, integer_coefficients, square_free_decomposition
 
 
 def poly_from_roots(roots) -> RatPoly:
@@ -151,6 +160,153 @@ class TestIsolation:
         for (lo, hi), got, want in zip(rs.isolating_intervals, rs.refined_roots, roots, strict=True):
             goal = tol / 8 * float(max(abs(lo), abs(hi), 1))
             assert abs(got - float(want)) <= goal
+
+
+# nodal-warm's crack slopes of one, two and three cracks, checked at l <= 30
+ADM_POOL = (
+    (("1/3",), ("-1/2",), ("2",), ("-3/4",)),
+    (("-1", "1"), ("0", "1"), ("-1/2", "2/3"), ("-2", "1/3")),
+    (("-2", "0", "1"), ("-3/2", "1/5", "2"), ("-1", "1/2", "3/2"), ("-1/3", "0", "1/3")),
+)
+
+
+def assert_same_roots(seeded, plain, tol=1e-12):
+    """Seeded and unseeded isolation of one polynomial agree; each seeded interval is certified."""
+    p = seeded.poly
+    assert seeded.count == plain.count
+    assert seeded.multiplicities == plain.multiplicities
+    # each refined root is within tol/16 * max(|lo|, |hi|, 1) of the true root
+    scales = [
+        [float(max(abs(lo), abs(hi), 1)) for lo, hi in rs.isolating_intervals] for rs in (seeded, plain)
+    ]
+    for a, b, s_a, s_b in zip(seeded.refined_roots, plain.refined_roots, *scales):
+        assert abs(a - b) <= tol / 16 * (s_a + s_b)
+    for (lo, hi), m in zip(seeded.isolating_intervals, seeded.multiplicities):
+        # a fallback may return an exact rational root as [r, r] and roots of any multiplicity
+        if lo == hi:
+            assert p.eval(lo) == 0
+        else:
+            assert p.eval(lo) * p.eval(hi) * (-1) ** m > 0
+    for (_, hi), (lo, _) in zip(seeded.isolating_intervals, seeded.isolating_intervals[1:]):
+        assert hi <= lo
+
+
+def certified(p, seeds) -> bool:
+    return _certified_gaps(integer_coefficients(p), seeds) is not None
+
+
+class TestSeededIsolation:
+    @pytest.mark.parametrize("l", range(1, 71, 3))
+    def test_laplace_combinations(self, l):
+        # every Laplace combination has l (or l - 1) real simple roots, so its
+        # closed-form seeds always certify
+        rng = random.Random(l)
+        polys = [p for _, p in _eigenfunctions_for_order("laplace", l)]
+        rational = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)), Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        combos = [rational, (0, 1) if l % 2 else (rng.uniform(-2, 2), rng.uniform(-2, 2))]
+        for combo in combos:
+            p = _combination(polys, combo)
+            if p.is_zero() or p.degree < 1:
+                continue
+            seeds = _phase_seeds(l, combo)
+            assert certified(p, seeds)
+            assert_same_roots(isolate_real_roots(p, seeds=seeds), isolate_real_roots(p))
+
+    @pytest.mark.parametrize("l", range(2, 61, 2))
+    def test_bilaplace_combinations(self, l):
+        rng = random.Random(1000 + l)
+        polys = [p for _, p in _eigenfunctions_for_order("bilaplace", l)]
+        combo = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in polys]
+        if l % 6 == 0:
+            combo[0] = Fraction(0)  # degree below l: the phase form vanishes at phi = 0 and pi
+        p = _combination(polys, combo)
+        seeds = _phase_seeds(l, combo)
+        plain = isolate_real_roots(p)
+        if plain.count == p.degree and count_real_roots(p) == p.degree:
+            assert certified(p, seeds)
+        assert_same_roots(isolate_real_roots(p, seeds=seeds), plain)
+
+    @pytest.mark.parametrize("equation", ["laplace", "bilaplace"])
+    @pytest.mark.parametrize("pool", ADM_POOL, ids=["m1", "m2", "m3"])
+    def test_admissibility_verdicts(self, equation, pool, monkeypatch):
+        # each configuration at every other l, alternating the parity between configurations
+        check = check_admissibility_laplace if equation == "laplace" else check_admissibility_bilaplace
+        configs = [CrackConfig(tuple(Fraction(a) for a in alphas)) for alphas in pool]
+        orders = [range(max(cfg.m, 2) + i % 2, 31, 2) for i, cfg in enumerate(configs)]
+        seeded = [[check(cfg, (l, l))[0] for l in ls] for cfg, ls in zip(configs, orders)]
+        monkeypatch.setattr(nodal, "_phase_seeds", lambda l, coeffs: None)
+        for cfg, ls, verdicts in zip(configs, orders, seeded):
+            for a, b in zip(verdicts, [check(cfg, (l, l))[0] for l in ls], strict=True):
+                assert (a.admissible, a.rank, a.combo_coefficients, a.consecutive_flag) == (
+                    b.admissible, b.rank, b.combo_coefficients, b.consecutive_flag
+                )
+                if a.full_zero_set is not None:
+                    assert_same_roots(a.full_zero_set, b.full_zero_set)
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda s: s[1:],  # one seed dropped
+            lambda s: [s[0], *s[:-1]],  # one seed duplicated, one dropped
+            lambda s: [*s, 2 * s[-1]],  # one spurious seed
+            lambda s: [s[0] - 1.0, *s[1:-1], s[1] - 0.1],  # two seeds in one gap, none in the last
+            lambda s: [math.nan, *s[1:]],
+            lambda s: [*s[:-1], math.inf],
+        ],
+    )
+    def test_bad_seeds_fall_back(self, spoil):
+        p = _combination([quadratic_eigenfunction(12, 1).poly, quadratic_eigenfunction(11, 2).poly], (1, 3))
+        seeds = spoil(sorted(_phase_seeds(12, (1, 3))))
+        assert not certified(p, seeds)
+        assert isolate_real_roots(p, seeds=seeds) == isolate_real_roots(p)
+
+    def test_complex_roots_fall_back(self):
+        # z^2 + 1 adds two complex roots; n seeds can then never certify n real roots
+        psi = quadratic_eigenfunction(10, 1).poly
+        p = psi * RatPoly([1, 0, 1])
+        real = sorted(_phase_seeds(10, (1, 0)))
+        seeds = [*real, (real[0] + real[1]) / 2, (real[-2] + real[-1]) / 2]
+        assert not certified(p, seeds)
+        rs = isolate_real_roots(p, seeds=seeds)
+        assert rs == isolate_real_roots(p) and rs.count == 10
+
+    def test_rough_seeds_are_refined(self):
+        # seeds off by 1e-6 fail the direct certificate; exact Newton steps finish
+        p = quadratic_eigenfunction(20, 1).poly
+        seeds = [s * (1 + 1e-6) for s in _phase_seeds(20, (1, 0))]
+        assert_same_roots(isolate_real_roots(p, seeds=seeds), isolate_real_roots(p))
+
+    def test_square_free_input_skips_yun(self, monkeypatch):
+        # the Sturm chain of p decides square-freeness; Yun runs only when it
+        # ends above a constant, and the RootSet is what the Yun path gives
+        z = RatPoly([0, 1])
+        square_free = [
+            quadratic_eigenfunction(25, 1).poly,
+            quartic_eigenfunction(17, 4).poly,
+            (z - 1) * (z + Fraction(1, 3)) * (z ** 2 + 2) * (z ** 2 - 3),
+            -(z ** 5) + 3 * z - 1,
+        ]
+        expected = []
+        for p in square_free:
+            factors = square_free_decomposition(p)
+            assert [m for _, m in factors] == [1]
+            coeffs = integer_coefficients(factors[0][0])
+            intervals = _isolate_square_free(_sturm_chain(coeffs))
+            roots = tuple(_refine_root(coeffs, lo, hi, 1e-12) for lo, hi in intervals)
+            expected.append((tuple(intervals), roots))
+
+        def only_repeated(p):
+            if len(_sturm_chain(integer_coefficients(p))[-1]) == 1:
+                raise AssertionError("square_free_decomposition called on square-free input")
+            return square_free_decomposition(p)
+
+        monkeypatch.setattr(nodal, "square_free_decomposition", only_repeated)
+        for p, (intervals, roots) in zip(square_free, expected):
+            rs = isolate_real_roots(p)
+            assert (rs.isolating_intervals, rs.refined_roots) == (intervals, roots)
+            assert rs.multiplicities == (1,) * len(roots)
+        rs = isolate_real_roots((z - 1) ** 2 * (z + 2))
+        assert rs.multiplicities == (1, 2)
 
 
 class TestTransversality:

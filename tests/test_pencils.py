@@ -178,6 +178,35 @@ class TestQuadraticEigenfunctions:
             assert quadratic_eigenfunction(l - 1, 2).poly == im.monic()
 
 
+def z_plus_i_power(n: int) -> tuple[RatPoly, RatPoly]:
+    """Independent reference: Re (z+i)^n and Im (z+i)^n from the binomial theorem."""
+    re = [0] * (n + 1)
+    im = [0] * (n + 1)
+    for k in range(n + 1):
+        c = math.comb(n, k) * (-1) ** (k // 2)  # i^k = (-1)^(k//2) i^(k%2)
+        (im if k % 2 else re)[n - k] += c
+    return RatPoly(re), RatPoly(im)
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("l", [*range(1, 61), 100, 200, 300])
+    def test_four_families_are_integer_binomial_forms(self, l):
+        # the phase-form root seeds of pencil.nodal rest on these normalizations
+        re_l, im_l = z_plus_i_power(l)
+        assert quadratic_eigenfunction(l, 1).poly == re_l
+        assert quadratic_eigenfunction(l - 1, 2).poly == im_l * Fraction(1, l)
+        for family, degree in ((1, l), (2, l - 1)):
+            assert quartic_eigenfunction(degree, family).poly == quadratic_eigenfunction(degree, family).poly
+        if l >= 2:
+            im_prev = z_plus_i_power(l - 1)[1]
+            assert quartic_eigenfunction(l - 2, 3).poly == im_prev * Fraction(1, l - 1)
+        if l >= 3:
+            form = im_l - z_plus_i_power(l - 1)[0] * l
+            assert form.degree == l - 3
+            assert form.leading_coefficient == Fraction(l * (l - 1) * (l - 2), 3)
+            assert quartic_eigenfunction(l - 3, 4).poly == form * Fraction(3, l * (l - 1) * (l - 2))
+
+
 class TestQuarticEigenfunctions:
     def test_spec_examples(self):
         assert quartic_eigenfunction(2, 3).poly == RatPoly([Fraction(-1, 3), 0, 1])
