@@ -44,7 +44,6 @@ from .pencils import (
     ReconstructionReport,
     SLReduction,
     analyticity_filter,
-    characteristic_quadratic,
     characteristic_quartic,
     eigenpair_from_json,
     eigenpair_to_json,
@@ -55,7 +54,6 @@ from .pencils import (
     quadratic_spectrum,
     quartic_eigenfunction,
     quartic_pencil,
-    quartic_polynomial_kernel_degrees,
     quartic_recursion_report,
     quartic_spectrum,
     reconstruct_xy,
@@ -66,12 +64,9 @@ from .polyring import (
     DiffOpTerm,
     RatPoly,
     op_apply,
-    poly_add,
-    poly_diff,
     poly_from_json,
     poly_from_text,
     poly_gcd,
-    poly_mul,
     poly_to_json,
     poly_to_text,
     square_free_decomposition,
@@ -81,7 +76,6 @@ from .semilinear import (
     FAR_FIELD_ROOT,
     CrackCurve,
     NoProfileFoundError,
-    ODEProblem,
     ProfileSolution,
     crack_curves,
     linearized_exponents,

@@ -486,14 +486,13 @@ def _cmd_verify(args) -> int:
     names = list(_SUITES) if args.all else [args.suite]
     if names == [None]:
         raise ValueError("choose --suite NAME or --all")
-    parallelism = int(os.environ.get("PENCIL_PARALLELISM", args.parallelism))
     cpus = os.cpu_count() or 1
-    if not 1 <= parallelism <= cpus:
-        raise ValueError(f"parallelism must lie in 1..{cpus}, got {parallelism}")
+    if not 1 <= args.parallelism <= cpus:
+        raise ValueError(f"parallelism must lie in 1..{cpus}, got {args.parallelism}")
     reports, text = [], []
     for name in names:
         suite, default_lmax = _SUITES[name]
-        checks = suite(args.lmax or default_lmax, parallelism)
+        checks = suite(args.lmax or default_lmax, args.parallelism)
         failures = [message for message, ok in checks if not ok]
         reports.append(VerifyReport(name, len(checks) - len(failures), len(failures), failures))
         text += [f"suite={name} passed={reports[-1].passed} failed={len(failures)}", *(f"  FAIL {d}" for d in failures)]

@@ -1,7 +1,7 @@
-"""Exact rank and nullspace computation for rational matrices.
+"""Exact row reduction and nullspace computation for rational matrices.
 
-Matrices are lists of rows of `Fraction` entries.  Used for the pencil
-kernel extraction and for exact crack-admissibility rank decisions.
+Matrices are lists of rows of `Fraction` entries.  Used for the exact
+crack-admissibility rank decisions.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-__all__ = ["rational_rref", "rational_rank", "rational_kernel"]
+__all__ = ["rational_rref", "rational_kernel"]
 
 
 def rational_rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -36,10 +36,6 @@ def rational_rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fractio
         if r == len(m):
             break
     return m, pivots
-
-
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rational_rref(rows)[1])
 
 
 def rational_kernel(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[tuple[Fraction, ...]]:

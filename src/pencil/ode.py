@@ -1,8 +1,8 @@
 """Adaptive Dormand-Prince 5(4) integrator with dense output.
 
-Small, dependency-free, and direction-aware (t1 < t0 integrates backward).
-The dense output uses the standard quartic interpolant of the pair, so
-interpolated values carry the same accuracy order as the step error control.
+Small, dependency-free and forward-only (t1 > t0).  The dense output uses
+the standard quartic interpolant of the pair, so interpolated values carry
+the same accuracy order as the step error control.
 """
 
 from __future__ import annotations
@@ -73,11 +73,6 @@ class IntegrationResult:
     truncated: bool
     nfev: int
     _segments: list[tuple[float, float, tuple[float, ...], list[tuple[float, ...]]]]
-    _index: tuple[bool, list[float]] | None = None
-
-    @property
-    def t_end(self) -> float:
-        return self.ts[-1]
 
     @property
     def y_end(self) -> tuple[float, ...]:
@@ -87,11 +82,8 @@ class IntegrationResult:
         """Dense-output evaluation anywhere inside the covered span."""
         if not self._segments:
             return self.ys[0]
-        if self._index is None:
-            ascending = self.ts[-1] >= self.ts[0]
-            self._index = (ascending, [seg[0] if ascending else -seg[0] for seg in self._segments])
-        ascending, keys = self._index
-        idx = bisect_right(keys, t if ascending else -t) - 1
+        # ts holds each accepted segment's start, then the end of the last one
+        idx = bisect_right(self.ts, t) - 1
         idx = min(max(idx, 0), len(self._segments) - 1)
         t0, h, y0, q = self._segments[idx]
         theta = (t - t0) / h
@@ -105,14 +97,14 @@ class IntegrationResult:
         return tuple(out)
 
 
-def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, span) -> float:
+def _initial_step(rhs, t0, y0, f0, rtol, atol, span) -> float:
     scale = [atol + rtol * abs(v) for v in y0]
     d0 = math.sqrt(sum((v / s) ** 2 for v, s in zip(y0, scale)) / len(y0))
     d1 = math.sqrt(sum((v / s) ** 2 for v, s in zip(f0, scale)) / len(y0))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
-    y1 = tuple(y + h0 * direction * f for y, f in zip(y0, f0))
-    f1 = rhs(t0 + h0 * direction, y1)
+    y1 = tuple(y + h0 * f for y, f in zip(y0, f0))
+    f1 = rhs(t0 + h0, y1)
     d2 = math.sqrt(sum(((a - b) / s) ** 2 for a, b, s in zip(f1, f0, scale)) / len(y0)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -129,23 +121,23 @@ def integrate(
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> IntegrationResult:
-    """Integrate y' = rhs(t, y) from t0 to t1 (either direction).
+    """Integrate y' = rhs(t, y) forward from t0 to t1 > t0.
 
     Stops early with `truncated=True` when the step size underflows or the
     MAX_STEPS budget runs out; everything integrated up to that point is kept.
     Tolerances must be positive and finite: a NaN step never trips the step
     floor, so a NaN tolerance would walk the whole step budget.
     """
-    if t1 == t0:
-        raise ValueError("empty integration span")
+    # NaN fails the comparison too
+    if not t1 > t0:
+        raise ValueError(f"integration runs forward only: need t1 > t0, got t0={t0!r}, t1={t1!r}")
     if not (0 < rtol < math.inf and 0 < atol < math.inf):
         raise ValueError(f"tolerances must be positive and finite, got rtol={rtol!r}, atol={atol!r}")
-    direction = 1.0 if t1 > t0 else -1.0
     y = tuple(float(v) for v in y0)
     t = float(t0)
     f = tuple(rhs(t, y))
     nfev = 1
-    h_abs = _initial_step(rhs, t, y, f, direction, rtol, atol, abs(t1 - t0))
+    h = _initial_step(rhs, t, y, f, rtol, atol, t1 - t0)
 
     ts = [t]
     ys = [y]
@@ -154,17 +146,16 @@ def integrate(
     n = len(y)
     steps = 0
 
-    while (t1 - t) * direction > 0:
+    while t < t1:
         steps += 1
         if steps > MAX_STEPS:
             truncated = True
             break
         min_h = 1e-14 * max(1.0, abs(t))
-        if h_abs < min_h:
+        if h < min_h:
             truncated = True
             break
-        h_abs = min(h_abs, abs(t1 - t))
-        h = h_abs * direction
+        h = min(h, t1 - t)
 
         k1 = f
         y_s = tuple([v + h * (0.0 + _A21 * a) for v, a in zip(y, k1)])
@@ -247,9 +238,9 @@ def integrate(
             ts.append(t)
             ys.append(y)
             factor = _MAX_FACTOR if norm == 0.0 else min(_MAX_FACTOR, _SAFETY * norm**-0.2)
-            h_abs *= max(_MIN_FACTOR, factor)
+            h *= max(_MIN_FACTOR, factor)
         else:
-            h_abs *= max(_MIN_FACTOR, _SAFETY * norm**-0.2)
+            h *= max(_MIN_FACTOR, _SAFETY * norm**-0.2)
 
     return IntegrationResult(ts=ts, ys=ys, truncated=truncated, nfev=nfev, _segments=segments)
 

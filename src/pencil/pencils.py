@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .linalg import rational_kernel
+# not called here; perfbench/tracing.py wraps it under this name on this module
+from .linalg import rational_kernel  # noqa: F401
 from .polyring import DiffOpTerm, RatPoly, op_apply, poly_from_json, poly_to_json
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "ReconstructionReport",
     "quadratic_pencil",
     "quartic_pencil",
-    "characteristic_quadratic",
     "characteristic_quartic",
     "verify_quartic_factorization",
     "quadratic_spectrum",
@@ -44,7 +44,6 @@ __all__ = [
     "quadratic_recursion_poly",
     "quartic_recursion_report",
     "pencil_residual",
-    "quartic_polynomial_kernel_degrees",
     "reconstruct_xy",
     "xy_laplacian",
     "sturm_liouville_check",
@@ -125,11 +124,6 @@ def quartic_pencil(lam) -> tuple[DiffOpTerm, ...]:
         DiffOpTerm(RatPoly([0, c1]), 1),
         DiffOpTerm(RatPoly([c0]), 0),
     )
-
-
-def characteristic_quadratic(l: int) -> RatPoly:
-    """Leading-order characteristic polynomial in lam for degree l."""
-    return RatPoly([l * (l + 1), 2 * l + 1, 1])
 
 
 def characteristic_quartic(l: int) -> RatPoly:
@@ -275,25 +269,6 @@ def pencil_residual(pair: Eigenpair) -> RatPoly:
     The zero polynomial certifies the eigenpair; a nonzero result is data.
     """
     return PencilSpec(pair.order, pair.eigenvalue).apply(pair.poly)
-
-
-def quartic_polynomial_kernel_degrees(lam: int, max_degree: int) -> tuple[int, ...]:
-    """Exact degrees realized by the quartic pencil kernel within degree<=max_degree."""
-    op = quartic_pencil(lam)
-    degrees = list(range(0, max_degree + 1))
-    columns = [op_apply(op, RatPoly.monomial(d)) for d in degrees]
-    max_row = max((c.degree for c in columns if not c.is_zero()), default=0)
-    rows = [[col.coefficient(r) for col in columns] for r in range(max(max_row, max_degree) + 1)]
-    kernel = rational_kernel(rows, ncols=len(degrees))
-    echelon: dict[int, RatPoly] = {}
-    for vec in kernel:
-        p = RatPoly(vec)
-        while not p.is_zero() and p.degree in echelon:
-            q = echelon[p.degree]
-            p = p - q * (p.leading_coefficient / q.leading_coefficient)
-        if not p.is_zero():
-            echelon[p.degree] = p
-    return tuple(sorted(echelon))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,6 @@ from typing import Iterable, Sequence
 __all__ = [
     "RatPoly",
     "DiffOpTerm",
-    "poly_add",
-    "poly_mul",
-    "poly_diff",
     "op_apply",
     "poly_to_text",
     "poly_from_text",
@@ -269,21 +266,6 @@ class DiffOpTerm:
     def __post_init__(self):
         if self.derivative_order < 0:
             raise ValueError("derivative order must be >= 0")
-
-
-def poly_add(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Exact coefficient-wise sum."""
-    return a + b
-
-
-def poly_mul(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Exact product."""
-    return a * b
-
-
-def poly_diff(p: RatPoly, order: int = 1) -> RatPoly:
-    """Exact order-th derivative."""
-    return p.diff(order)
 
 
 def op_apply(op: Sequence[DiffOpTerm], p: RatPoly) -> RatPoly:

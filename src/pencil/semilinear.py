@@ -19,6 +19,7 @@ sign(f) |f|^p, exact for non-integer p as well.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
@@ -31,7 +32,6 @@ from .ode import find_zeros  # noqa: F401
 
 __all__ = [
     "NoProfileFoundError",
-    "ODEProblem",
     "ProfileSolution",
     "CrackCurve",
     "linearized_exponents",
@@ -48,6 +48,9 @@ DEFAULT_Z_END = 50.0
 DEFAULT_XI_FAR = 100.0
 DEFAULT_XI_MIN = 1e-4
 DEFAULT_TOL = 1e-10
+# initial values scanned over s_range, and rows of the uniform output grid in z
+N_SCAN = 25
+N_OUTPUT = 1201
 # self-similar grid rows kept (about 150 B each at peak); the default xi_min = 1e-4 gives 436,155
 MAX_STEPS = 1_000_000
 
@@ -56,33 +59,6 @@ FAR_FIELD_ROOT = {"decay_inverse": -1, "plateau_one": 0}
 
 class NoProfileFoundError(RuntimeError):
     """The bisection bracket search found no sign change in the scanned range."""
-
-
-@dataclass(frozen=True)
-class ODEProblem:
-    """Profile equation in its original variable (z or s) with its far-field and
-    symmetry conditions; the tests integrate `rhs` against scipy, the solvers
-    integrate the oscillator form instead."""
-
-    kind: str
-    p: float
-    symmetry: str = "none"
-    far_condition: str = "decay_inverse"
-
-    def __post_init__(self):
-        if self.kind not in (STATIONARY, SELFSIMILAR):
-            raise ValueError("kind must be 'stationary' or 'selfsimilar'")
-        if self.p <= 1:
-            raise ValueError("the exponent p must exceed 1")
-
-    def rhs(self, t: float, y: tuple[float, ...]) -> tuple[float, float]:
-        f, df = y
-        nonlinear = math.copysign(abs(f) ** self.p, f) if f != 0.0 else 0.0
-        if self.kind == STATIONARY:
-            w = 1.0 + t * t
-            return (df, -(2.0 * t * df + nonlinear / w) / w)
-        t2 = t * t
-        return (df, -(2.0 * t * df + nonlinear / t2) / t2)
 
 
 @dataclass(frozen=True)
@@ -127,8 +103,10 @@ def _check_exponent_and_tol(p: float, tol: float) -> None:
     # NaN fails both comparisons: unchecked, it walks the integrator's step budget
     if not 1 < p < math.inf:
         raise ValueError(f"the exponent p must be finite and exceed 1, got p={p!r}")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got tol={tol!r}")
+    # below the float resolution the step count grows without bound (a DP5
+    # quarter orbit takes about 1,000 steps at eps and over a million at 1e-23)
+    if not sys.float_info.epsilon <= tol < math.inf:
+        raise ValueError(f"tol must be finite and at least the float epsilon {sys.float_info.epsilon!r}, got {tol!r}")
 
 
 def _unit_orbit(p: float, symmetric: bool, tol: float):
@@ -188,11 +166,11 @@ def _start_phase(p: float, quarter, value: float, slope: float) -> float:
     return x
 
 
-def _scan_bracket(above, s_lo: float, s_hi: float, n_scan: int) -> tuple[float, float, bool]:
+def _scan_bracket(above, s_lo: float, s_hi: float) -> tuple[float, float, bool]:
     """First sign change of `above` on a log grid from s_lo, as (lo, hi, above(lo))."""
     lo, lo_above = s_lo, above(s_lo)
-    for i in range(1, n_scan):
-        s = s_lo * (s_hi / s_lo) ** (i / (n_scan - 1))
+    for i in range(1, N_SCAN):
+        s = s_lo * (s_hi / s_lo) ** (i / (N_SCAN - 1))
         if above(s) != lo_above:
             return lo, s, lo_above
         lo = s
@@ -206,8 +184,6 @@ def solve_stationary(
     tol: float = DEFAULT_TOL,
     z_end: float = DEFAULT_Z_END,
     s_range: tuple[float, float] = (1e-3, 1e3),
-    n_scan: int = 25,
-    n_output: int = 1201,
 ) -> ProfileSolution:
     """Shooting/bisection solution of the stationary profile equation, with one
     unit orbit per solve and every shot by scaling.
@@ -238,10 +214,6 @@ def solve_stationary(
     # the scan is geometric, so both ends share a sign; a negative range scans -|s|
     if not (0 < s_lo < s_hi < math.inf or -math.inf < s_lo < s_hi < 0):
         raise ValueError(f"s_range must be finite, of one sign and increasing, got {s_range!r}")
-    if n_scan < 2:
-        raise ValueError(f"n_scan must be at least 2, got {n_scan!r}")
-    if n_output < 2:
-        raise ValueError(f"n_output must be at least 2, got {n_output!r}")
     symmetric = symmetry == "symmetric"
     decay = far == "decay_inverse"
     theta_end = math.pi / 2 if decay else math.atan(z_end)
@@ -259,7 +231,7 @@ def solve_stationary(
             return a > 0 and omega * theta_end < first_zero
         return a * orbit(omega * theta_end)[0] > 1
 
-    lo, hi, lo_above = _scan_bracket(above, s_lo, s_hi, n_scan)
+    lo, hi, lo_above = _scan_bracket(above, s_lo, s_hi)
     shot_tol = max(tol, 1e-12) * max(1.0, min(lo, hi))
     while abs(hi - lo) > shot_tol:
         mid = 0.5 * (lo + hi)
@@ -267,7 +239,7 @@ def solve_stationary(
 
     shot = lo if decay else 0.5 * (lo + hi)
     a, omega = scaling(shot)
-    grid = tuple(z_end * i / (n_output - 1) for i in range(n_output))
+    grid = tuple(z_end * i / (N_OUTPUT - 1) for i in range(N_OUTPUT))
     states = [orbit(omega * math.atan(z)) for z in grid]
     w_end, dw_end = orbit(omega * theta_end)
     n_zeros = max(0, math.ceil((omega * theta_end - first) / (2 * k)))

@@ -227,10 +227,10 @@ class TestVerify:
         assert code == 0
         assert "failed=0" in out
 
-    def test_parallel_agrees_with_serial(self, capsys, monkeypatch):
-        code1, out1, _ = run_cli(capsys, "verify", "--suite", "residuals", "--lmax", "6", "--json")
-        monkeypatch.setenv("PENCIL_PARALLELISM", "2")
-        code2, out2, _ = run_cli(capsys, "verify", "--suite", "residuals", "--lmax", "6", "--json")
+    def test_parallel_agrees_with_serial(self, capsys):
+        argv = ("verify", "--suite", "residuals", "--lmax", "6", "--json")
+        code1, out1, _ = run_cli(capsys, *argv)
+        code2, out2, _ = run_cli(capsys, *argv, "--parallelism", "2")
         assert code1 == code2 == 0
         body1 = {k: v for k, v in json.loads(out1).items() if k != "config"}
         body2 = {k: v for k, v in json.loads(out2).items() if k != "config"}
@@ -248,11 +248,7 @@ class TestVerify:
             code, _, err = run_cli(capsys, *argv, "--parallelism", str(bad))
             assert code == 1
             assert json.loads(err)["error"] == "ValueError"
-            monkeypatch.setenv("PENCIL_PARALLELISM", str(bad))
-            code, _, err = run_cli(capsys, *argv)
-            assert code == 1
             assert "parallelism" in json.loads(err)["message"]
-            monkeypatch.delenv("PENCIL_PARALLELISM")
 
 
 class TestOde:
@@ -299,6 +295,24 @@ class TestOde:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["stationary", "--p", "3", "--tol", "1e-23"],
+            ["selfsimilar", "--p", "3", "--A", "1", "--tol", "1e-23"],
+            ["stationary", "--p", "3", "--tol", "1e-170"],
+        ],
+    )
+    def test_tolerance_below_epsilon_exit_1(self, argv):
+        # in a child with a timeout: below the float epsilon the step count grows
+        # without bound (1e-23 took over a million steps and 1 GB), and 1e-170
+        # overflowed the initial step's scaled norm
+        code = f"import sys\nfrom pencil.cli import main\nsys.exit(main({['ode'] + argv!r}))\n"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 1 and out.stdout == ""
+        err = json.loads(out.stderr)
+        assert err["error"] == "ValueError" and "tol" in err["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["selfsimilar", "--p", "3", "--A", "nan"],
             ["selfsimilar", "--p", "nan"],
             ["stationary", "--p", "nan"],
@@ -320,12 +334,10 @@ class TestOde:
         [
             ["stationary", "--p", "1e12"],
             ["selfsimilar", "--p", "1e20"],
-            ["stationary", "--p", "3", "--tol", "1e-170"],
         ],
     )
     def test_overflow_exit_1(self, argv):
-        # in a child with a timeout: a huge finite exponent overflows |f|^p, and
-        # a tiny tolerance overflows the initial step's scaled norm
+        # in a child with a timeout: a huge finite exponent overflows |f|^p
         code = f"import sys\nfrom pencil.cli import main\nsys.exit(main({['ode'] + argv!r}))\n"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert out.returncode == 1 and out.stdout == ""

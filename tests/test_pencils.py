@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pencil.linalg import rational_kernel, rational_rank
+from pencil.linalg import rational_kernel, rational_rref
 from pencil.pencils import (
     KernelDimensionError,
     PencilSpec,
@@ -21,7 +21,6 @@ from pencil.pencils import (
     quadratic_spectrum,
     quartic_eigenfunction,
     quartic_pencil,
-    quartic_polynomial_kernel_degrees,
     quartic_recursion_report,
     quartic_spectrum,
     reconstruct_xy,
@@ -59,6 +58,26 @@ def dense_kernel_in_class(op, l: int) -> RatPoly | None:
     for d, v in zip(degrees, kernel[0]):
         coeffs[d] = v
     return RatPoly(coeffs).monic()
+
+
+def quartic_kernel_degrees(lam: int, max_degree: int) -> tuple[int, ...]:
+    """Independent oracle: the exact degrees realized by the quartic pencil's
+    kernel within degree <= max_degree, from its dense nullspace brought to
+    echelon form by leading degree."""
+    op = quartic_pencil(lam)
+    degrees = list(range(0, max_degree + 1))
+    columns = [op_apply(op, RatPoly.monomial(d)) for d in degrees]
+    max_row = max((c.degree for c in columns if not c.is_zero()), default=0)
+    rows = [[col.coefficient(r) for col in columns] for r in range(max(max_row, max_degree) + 1)]
+    echelon: dict[int, RatPoly] = {}
+    for vec in rational_kernel(rows, ncols=len(degrees)):
+        p = RatPoly(vec)
+        while not p.is_zero() and p.degree in echelon:
+            q = echelon[p.degree]
+            p = p - q * (p.leading_coefficient / q.leading_coefficient)
+        if not p.is_zero():
+            echelon[p.degree] = p
+    return tuple(sorted(echelon))
 
 
 class TestSpectra:
@@ -233,7 +252,7 @@ class TestQuarticEigenfunctions:
 
     def test_kernel_degrees(self):
         for n in range(3, 12):
-            assert quartic_polynomial_kernel_degrees(-n, n) == (n - 3, n - 2, n - 1, n)
+            assert quartic_kernel_degrees(-n, n) == (n - 3, n - 2, n - 1, n)
 
     def test_family3_is_ring_times_harmonic_correction(self):
         # independent reconstruction: (1+z^2) psi_{6,1} - psi_{8,1}, monic
@@ -361,7 +380,8 @@ class TestLinalg:
 
     def test_rank(self):
         m = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-        assert rational_rank(m) == 2
+        assert rational_rref(m)[1] == [0, 1]
+        assert rational_rref([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])[1] == [0]
 
 
 class TestDenseOracle:

@@ -10,12 +10,9 @@ from pencil.polyring import (
     DiffOpTerm,
     RatPoly,
     op_apply,
-    poly_add,
-    poly_diff,
     poly_from_json,
     poly_from_text,
     poly_gcd,
-    poly_mul,
     poly_to_json,
     poly_to_text,
     square_free_decomposition,
@@ -43,21 +40,21 @@ polys = st.lists(rationals, min_size=0, max_size=13).map(RatPoly)
 
 class TestArithmetic:
     def test_add_examples(self):
-        assert poly_add(RatPoly([-1, 0, 1]), Z) == RatPoly([-1, 1, 1])
+        assert RatPoly([-1, 0, 1]) + Z == RatPoly([-1, 1, 1])
         p = RatPoly([2, 0, 5])
-        assert poly_add(p, RatPoly.zero()) == p
-        assert poly_add(RatPoly([-1, 0, 1]), RatPoly([1, 0, -1])).is_zero()
+        assert p + RatPoly.zero() == p
+        assert (RatPoly([-1, 0, 1]) + RatPoly([1, 0, -1])).is_zero()
 
     def test_mul_examples(self):
-        assert poly_mul(RatPoly([1, 0, 1]), Z) == RatPoly([0, 1, 0, 1])
+        assert RatPoly([1, 0, 1]) * Z == RatPoly([0, 1, 0, 1])
         p = RatPoly([3, 1])
-        assert poly_mul(p, RatPoly.one()) == p
-        assert poly_mul(RatPoly([-1, 1]), RatPoly([1, 1])) == RatPoly([-1, 0, 1])
+        assert p * RatPoly.one() == p
+        assert RatPoly([-1, 1]) * RatPoly([1, 1]) == RatPoly([-1, 0, 1])
 
     def test_diff_examples(self):
-        assert poly_diff(RatPoly([1, 0, -6, 0, 1])) == RatPoly([0, -12, 0, 4])
-        assert poly_diff(RatPoly([0, 0, 0, 1]), 3) == RatPoly([6])
-        assert poly_diff(RatPoly([7])).is_zero()
+        assert RatPoly([1, 0, -6, 0, 1]).diff() == RatPoly([0, -12, 0, 4])
+        assert RatPoly([0, 0, 0, 1]).diff(3) == RatPoly([6])
+        assert RatPoly([7]).diff().is_zero()
 
     def test_degree_sentinel(self):
         assert RatPoly.zero().degree == -1
@@ -66,7 +63,7 @@ class TestArithmetic:
 
     def test_product_degree(self):
         a, b = RatPoly([1, 2, 3]), RatPoly([0, 0, 5])
-        assert poly_mul(a, b).degree == a.degree + b.degree
+        assert (a * b).degree == a.degree + b.degree
 
     def test_exact_division(self):
         num = RatPoly([-1, 0, 0, 0, 1])
@@ -141,8 +138,8 @@ class TestProperties:
     @given(polys, polys)
     @settings(max_examples=80, deadline=None)
     def test_leibniz(self, p, q):
-        lhs = poly_diff(poly_mul(p, q))
-        rhs = poly_add(poly_mul(poly_diff(p), q), poly_mul(p, poly_diff(q)))
+        lhs = (p * q).diff()
+        rhs = p.diff() * q + p * q.diff()
         assert lhs == rhs
 
     @given(polys, polys, polys)
