@@ -38,8 +38,6 @@ from .nodal import (
 from .pencils import (
     AnalyticityVerdict,
     Eigenpair,
-    InternalConsistencyError,
-    KernelDimensionError,
     PencilSpec,
     ReconstructionReport,
     SLReduction,
@@ -50,11 +48,9 @@ from .pencils import (
     pencil_residual,
     quadratic_eigenfunction,
     quadratic_pencil,
-    quadratic_recursion_poly,
     quadratic_spectrum,
     quartic_eigenfunction,
     quartic_pencil,
-    quartic_recursion_report,
     quartic_spectrum,
     reconstruct_xy,
     sturm_liouville_check,
@@ -78,7 +74,6 @@ from .semilinear import (
     NoProfileFoundError,
     ProfileSolution,
     crack_curves,
-    linearized_exponents,
     solve_selfsimilar,
     solve_stationary,
 )

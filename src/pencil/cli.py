@@ -614,7 +614,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(_fuse_flag_values(argv))
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, semilinear.NoProfileFoundError, pencils.InternalConsistencyError) as exc:
+    except (ValueError, ArithmeticError, semilinear.NoProfileFoundError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True) + "\n"
         )

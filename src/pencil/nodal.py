@@ -462,10 +462,8 @@ def _phase_seeds(l: int, coeffs: Sequence) -> list[float]:
     """Float guesses of the real roots of c_1 psi_{l,1} + c_2 psi_{l-1,2} + c_3 psi_{l-2,3} + c_4 psi_{l-3,4}.
 
     coeffs holds c_1, c_2 and, for bi-Laplace, c_3 and c_4; the psi are the
-    monic family eigenfunctions.  With z = cot(phi) the closed forms
-    psi_{l,1} = Re (z+i)^l, psi_{l-1,2} = Im (z+i)^l / l,
-    psi_{l-2,3} = Im (z+i)^(l-1) / (l-1) and
-    psi_{l-3,4} = 3 (Im (z+i)^l - l Re (z+i)^(l-1)) / (l(l-1)(l-2)) give
+    monic family eigenfunctions.  With z = cot(phi), the closed forms in
+    z + i that `pencil.pencils` builds them from give
     sin^l(phi) p(cot phi) = A cos(l phi) + B sin(l phi)
                             + sin(phi) (C sin((l-1) phi) + D cos((l-1) phi)),
     a sum well conditioned in phi for every l, whose zeros in (0, pi) are
@@ -726,9 +724,7 @@ class EnumeratedConfig:
     ratio: float | None
 
 
-def enumerate_admissible(
-    m: int, l: int, ratios: Sequence, include_endpoint: bool = True
-) -> list[EnumeratedConfig]:
+def enumerate_admissible(m: int, l: int, ratios: Sequence) -> list[EnumeratedConfig]:
     """Emit every m-subset of consecutive roots of the sampled combinations.
 
     The combination at ratio r is psi_{l,1} + r * psi_{l-1,2}; the endpoint
@@ -745,8 +741,7 @@ def enumerate_admissible(
     for r in ratios:
         frac = r if isinstance(r, (int, Fraction)) else Fraction(float(r))
         jobs.append((float(r), base + second * frac, (1, frac)))
-    if include_endpoint:
-        jobs.append((None, second, (0, 1)))
+    jobs.append((None, second, (0, 1)))
     out = []
     for ratio, combo, family_coeffs in jobs:
         if combo.is_zero() or combo.degree < 1:

@@ -7,15 +7,15 @@ operators obtained by blow-up scaling of the Laplacian,
 
 and the quartic pencil is the fourth-order analogue for the bi-Laplacian.
 Both admit integer eigenvalue families with monic polynomial eigenfunctions.
-Each eigenfunction has one construction: exact back-substitution over the
-banded pencil matrix on the monomial basis.  The closed-form coefficient
-recursions are independent public closed forms that tests compare against.
+Each eigenfunction is built from its closed form in z + i, the real or
+imaginary part of a power (z+i)^n with integer binomial coefficients, and is
+certified by its exact pencil residual.  The dense nullspace of the pencil
+matrix and the coefficient recursions are test oracles (tests/pencil_oracles.py).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,8 +26,6 @@ from .linalg import rational_kernel  # noqa: F401
 from .polyring import DiffOpTerm, RatPoly, op_apply, poly_from_json, poly_to_json
 
 __all__ = [
-    "InternalConsistencyError",
-    "KernelDimensionError",
     "Eigenpair",
     "PencilSpec",
     "SLReduction",
@@ -41,8 +39,6 @@ __all__ = [
     "quartic_spectrum",
     "quadratic_eigenfunction",
     "quartic_eigenfunction",
-    "quadratic_recursion_poly",
-    "quartic_recursion_report",
     "pencil_residual",
     "reconstruct_xy",
     "xy_laplacian",
@@ -54,14 +50,6 @@ __all__ = [
 
 QUADRATIC = "quadratic"
 QUARTIC = "quartic"
-
-
-class InternalConsistencyError(RuntimeError):
-    """Two independent computations that must agree did not."""
-
-
-class KernelDimensionError(InternalConsistencyError):
-    """The pencil kernel in the constrained degree/parity class is not 1-dimensional."""
 
 
 @dataclass(frozen=True)
@@ -179,40 +167,23 @@ def quartic_spectrum(l_max: int) -> tuple[tuple[int, int, int], ...]:
 
 
 # ---------------------------------------------------------------------------
-# eigenfunctions by back-substitution over the band
+# eigenfunctions from their closed forms in z + i
 
 
-def _kernel_in_class(op: tuple[DiffOpTerm, ...], l: int, context: str) -> RatPoly:
-    """Unique monic kernel element of exact degree l and parity of l.
+def _z_plus_i_power(n: int) -> tuple[list[int], list[int]]:
+    """Integer coefficients of Re (z+i)^n and Im (z+i)^n, lowest degree first.
 
-    The pencils map z^d into span{z^d, z^(d-2), z^(d-4), ...}, so on the
-    degree<=l, parity-of-l monomials their matrix is square and upper
-    triangular.  The class holds exactly one kernel element of exact degree
-    l iff the diagonal vanishes at d = l and at no lower d; its coefficients
-    then follow by back-substitution from the monic top coefficient.
+    The term C(n, k) z^(n-k) i^k is real for even k and imaginary for odd k,
+    with sign (-1)^(k//2); the binomials follow exactly from
+    C(n, k+1) = C(n, k) (n-k) / (k+1).
     """
-    # band[s]: (j, c) for each term c*z^(j-s) * D^j, which maps z^d to z^(d-s)
-    band: dict[int, list[tuple[int, Fraction]]] = {}
-    for term in op:
-        j = term.derivative_order
-        for m, c in enumerate(term.coefficient_poly.coeffs):
-            if c:
-                band.setdefault(j - m, []).append((j, c))
-
-    def entry(d: int, s: int) -> Fraction:
-        """Coefficient of z^(d-s) in op(z^d)."""
-        return sum(c * math.perm(d, j) for j, c in band.get(s, ()))
-
-    if entry(l, 0) != 0:
-        raise KernelDimensionError(f"{context}: the diagonal does not vanish at degree {l}")
-    coeffs = [Fraction(0)] * (l + 1)
-    coeffs[l] = Fraction(1)
-    for k in range(l - 2, -1, -2):
-        pivot = entry(k, 0)
-        if pivot == 0:
-            raise KernelDimensionError(f"{context}: the diagonal also vanishes at degree {k} < {l}")
-        coeffs[k] = -sum(entry(k + s, s) * coeffs[k + s] for s in band if 0 < s <= l - k) / pivot
-    return RatPoly(coeffs)
+    re = [0] * (n + 1)
+    im = [0] * (n + 1)
+    c = 1
+    for k in range(n + 1):
+        (im if k % 2 else re)[n - k] = -c if k % 4 >= 2 else c
+        c = c * (n - k) // (k + 1)
+    return re, im
 
 
 def quadratic_eigenvalue(l: int, family: int) -> int:
@@ -236,12 +207,16 @@ def _check_family_l(order: str, l: int, family: int) -> None:
 def quadratic_eigenfunction(l: int, family: int) -> Eigenpair:
     """Monic degree-l eigenfunction of the quadratic pencil.
 
-    Built by back-substitution over the banded pencil matrix; tests compare
-    it against the independent closed form `quadratic_recursion_poly`.
+    Family 1 is Re (z+i)^l and family 2 is Im (z+i)^(l+1) / (l+1).  The
+    residual `pencil_residual` certifies them; the tests also compare them
+    with the dense nullspace and the coefficient recursion.
     """
     _check_family_l(QUADRATIC, l, family)
     lam = quadratic_eigenvalue(l, family)
-    poly = _kernel_in_class(quadratic_pencil(lam), l, f"quadratic l={l} family={family}")
+    if family == 1:
+        poly = RatPoly(_z_plus_i_power(l)[0])
+    else:
+        poly = RatPoly(Fraction(c, l + 1) for c in _z_plus_i_power(l + 1)[1])
     return Eigenpair(QUADRATIC, family, l, lam, poly)
 
 
@@ -249,17 +224,21 @@ def quadratic_eigenfunction(l: int, family: int) -> Eigenpair:
 def quartic_eigenfunction(l: int, family: int) -> Eigenpair:
     """Monic degree-l eigenfunction of the quartic pencil.
 
-    Families 1 and 2 are the harmonic eigenfunctions carried over from the
-    quadratic pencil (the constrained quartic kernel is 2-dimensional there,
-    so harmonicity is the tie-break); families 3 and 4 come from the
-    1-dimensional constrained quartic kernel.
+    Families 1 and 2 are the harmonic eigenfunctions of the quadratic pencil,
+    and family 3 shares family 2's polynomial, Im (z+i)^(l+1) / (l+1).
+    Family 4 is 3 (Im (z+i)^n - n Re (z+i)^(n-1)) / (n(n-1)(n-2)) with
+    n = l + 3, whose terms above z^l cancel.
     """
     _check_family_l(QUARTIC, l, family)
     lam = quartic_eigenvalue(l, family)
-    if family in (1, 2):
-        poly = quadratic_eigenfunction(l, family).poly
+    if family < 4:
+        poly = quadratic_eigenfunction(l, min(family, 2)).poly
     else:
-        poly = _kernel_in_class(quartic_pencil(lam), l, f"quartic l={l} family={family}")
+        n = l + 3
+        im = _z_plus_i_power(n)[1]
+        re = _z_plus_i_power(n - 1)[0]
+        den = n * (n - 1) * (n - 2)
+        poly = RatPoly(Fraction(3 * (im[k] - n * re[k]), den) for k in range(l + 1))
     return Eigenpair(QUARTIC, family, l, lam, poly)
 
 
@@ -269,92 +248,6 @@ def pencil_residual(pair: Eigenpair) -> RatPoly:
     The zero polynomial certifies the eigenpair; a nonzero result is data.
     """
     return PencilSpec(pair.order, pair.eigenvalue).apply(pair.poly)
-
-
-# ---------------------------------------------------------------------------
-# closed-form coefficient recursions (independent oracles for the tests)
-
-
-def quadratic_recursion_poly(l: int, family: int) -> RatPoly:
-    """Monic eigenfunction generated by the two-term coefficient recursion.
-
-    Reading the recursion downward from the monic top coefficient, each lower
-    coefficient is determined by a_k = -(k+2)(k+1) a_{k+2} / B(k) where
-    B(k) = k(k-1) + 2(lam+1)k + lam(lam+1) is nonzero for k < l.
-    """
-    _check_family_l(QUADRATIC, l, family)
-    lam = quadratic_eigenvalue(l, family)
-    coeffs = {l: Fraction(1)}
-    for k in range(l - 2, -1, -2):
-        bracket = Fraction(k * (k - 1) + 2 * (lam + 1) * k + lam * (lam + 1))
-        if bracket == 0:
-            raise InternalConsistencyError(f"recursion bracket vanished at k={k}, l={l}, family={family}")
-        coeffs[k] = -Fraction((k + 2) * (k + 1)) * coeffs[k + 2] / bracket
-    dense = [coeffs.get(i, Fraction(0)) for i in range(l + 1)]
-    return RatPoly(dense)
-
-
-def _reference_quartic_relation(k: int, lam: int) -> tuple[int, int, int]:
-    """Coefficients (A4, A2, A0) of the reference four-term relation
-    A4*b_{k+4} + A2*b_{k+2} + A0*b_k = 0, transcribed as-is, low-order
-    special lines included."""
-    if k == 0:
-        return (
-            24,
-            4 * (lam**2 + 5 * lam) + 24,
-            lam * (lam**3 + 6 * lam**2 + 11 * lam + 6),
-        )
-    if k == 1:
-        return (120, 12 * (lam**2 + 7 * lam + 12), lam**4 + 10 * lam**3 + 17 * lam**2 + 17 * lam + 24)
-    if k == 2:
-        return (360, 24 * (lam**2 + 9 * lam + 20), lam**4 + 10 * lam**3 + 47 * lam**2 + 110 * lam + 120)
-    if k == 3:
-        return (840, 240 * (lam + 5), lam**4 + 10 * lam**3 + 71 * lam**2 + 254 * lam + 460)
-    n2 = 2 * lam * (lam + 5) + 4 * lam * k + 2 * k * (k - 1) + 12 * k + 12
-    n0 = (
-        lam * (lam**3 + 6 * lam**2 + 11 * lam + 6)
-        + 4 * lam * (lam**2 + 6 * lam + 11)
-        + 6 * lam * (lam + 5) * k * (k - 1)
-        + 4 * lam * k * (k - 1) * (k - 2)
-        + k * (k - 1) * (k - 2) * (k - 3)
-        + 12 * k * (k - 1) * (k - 2)
-        + 36 * k * (k - 1)
-        + 24 * k
-    )
-    return ((k + 4) * (k + 3) * (k + 2) * (k + 1), (k + 2) * (k + 1) * n2, n0)
-
-
-def quartic_recursion_report(l: int, family: int) -> list[dict]:
-    """Compare oracle-built quartic coefficients against the reference recursion.
-
-    Returns one record per determined coefficient with both values; callers
-    log mismatches (the exact operator residual stays authoritative).
-    Families 1 and 2 are covered by the quadratic recursion instead.
-    """
-    if family not in (3, 4):
-        raise ValueError("the quartic recursion report applies to families 3 and 4")
-    pair = quartic_eigenfunction(l, family)
-    lam = pair.eigenvalue
-    oracle = {k: pair.poly.coefficient(k) for k in range(l % 2, l + 1, 2)}
-    reference: dict[int, Fraction] = {l: Fraction(1), l + 2: Fraction(0), l + 4: Fraction(0)}
-    report = []
-    for k in range(l - 2, -1, -2):
-        a4, a2, a0 = _reference_quartic_relation(k, lam)
-        if a0 == 0:
-            value = None
-        else:
-            value = -(Fraction(a4) * reference[k + 4] + Fraction(a2) * reference[k + 2]) / a0
-        # continue the chain from the oracle so one bad line is reported once
-        reference[k] = oracle[k] if value is None else value
-        report.append(
-            {
-                "k": k,
-                "oracle": oracle[k],
-                "reference": value,
-                "match": value is not None and value == oracle[k],
-            }
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------

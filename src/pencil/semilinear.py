@@ -34,7 +34,6 @@ __all__ = [
     "NoProfileFoundError",
     "ProfileSolution",
     "CrackCurve",
-    "linearized_exponents",
     "FAR_FIELD_ROOT",
     "solve_stationary",
     "solve_selfsimilar",
@@ -76,14 +75,6 @@ class ProfileSolution:
     zeros: tuple[float, ...]
     asymptotic_constant: float
     truncated: bool = False
-
-
-def linearized_exponents(kind: str) -> tuple[int, int]:
-    """Characteristic roots of the far-field linearization (both equations
-    share the indicial equation m^2 + m = 0)."""
-    if kind not in (STATIONARY, SELFSIMILAR):
-        raise ValueError("kind must be 'stationary' or 'selfsimilar'")
-    return (-1, 0)
 
 
 def _oscillator(p: float, t: float, y: tuple[float, ...]) -> tuple[float, float]:

@@ -22,15 +22,15 @@ from pencil.nodal import (
 from pencil.pencils import (
     pencil_residual,
     quadratic_eigenfunction,
-    quadratic_recursion_poly,
     quartic_eigenfunction,
-    quartic_recursion_report,
     reconstruct_xy,
     sturm_liouville_check,
     verify_quartic_factorization,
 )
 from pencil.polyring import RatPoly, poly_gcd
 from pencil.semilinear import solve_selfsimilar, solve_stationary
+
+from pencil_oracles import quadratic_recursion_poly, quartic_recursion_report
 
 
 def _criterion(number: int, description: str, ok: bool, note: str = "") -> None:

@@ -481,17 +481,18 @@ class TestNullspaceCertificate:
 
 class TestEnumeration:
     def test_ratio_zero_gives_symmetric_pair(self):
-        configs = enumerate_admissible(2, 2, [Fraction(0)], include_endpoint=False)
+        configs = [c for c in enumerate_admissible(2, 2, [Fraction(0)]) if c.ratio is not None]
         assert len(configs) == 1
         assert configs[0].config.alphas == pytest.approx((-1.0, 1.0), abs=1e-10)
 
     def test_single_crack_linear(self):
         for r in (Fraction(-2), Fraction(1, 3), Fraction(5)):
-            configs = enumerate_admissible(1, 1, [r], include_endpoint=False)
+            configs = [c for c in enumerate_admissible(1, 1, [r]) if c.ratio is not None]
             assert configs[0].config.alphas[0] == pytest.approx(float(-r), abs=1e-10)
 
     def test_ratio_grid_quadratics(self):
-        configs = enumerate_admissible(2, 2, [Fraction(-1), Fraction(0), Fraction(1)], include_endpoint=False)
+        ratios = [Fraction(-1), Fraction(0), Fraction(1)]
+        configs = [c for c in enumerate_admissible(2, 2, ratios) if c.ratio is not None]
         assert len(configs) == 3
         for cfg in configs:
             r = cfg.ratio

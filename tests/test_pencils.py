@@ -8,7 +8,6 @@ import pytest
 
 from pencil.linalg import rational_kernel, rational_rref
 from pencil.pencils import (
-    KernelDimensionError,
     PencilSpec,
     analyticity_filter,
     characteristic_quartic,
@@ -17,11 +16,9 @@ from pencil.pencils import (
     pencil_residual,
     quadratic_eigenfunction,
     quadratic_pencil,
-    quadratic_recursion_poly,
     quadratic_spectrum,
     quartic_eigenfunction,
     quartic_pencil,
-    quartic_recursion_report,
     quartic_spectrum,
     reconstruct_xy,
     sturm_liouville_check,
@@ -29,6 +26,8 @@ from pencil.pencils import (
     xy_laplacian,
 )
 from pencil.polyring import RatPoly, op_apply
+
+from pencil_oracles import dense_kernel_in_class, quadratic_recursion_poly, quartic_recursion_report
 
 
 def binomial_harmonic(l: int, kind: str) -> RatPoly:
@@ -42,22 +41,6 @@ def binomial_harmonic(l: int, kind: str) -> RatPoly:
         elif kind == "im" and j % 2 == 1:
             coeffs[l - j] += -(c * (-1) ** ((j - 1) // 2))
     return RatPoly(coeffs)
-
-
-def dense_kernel_in_class(op, l: int) -> RatPoly | None:
-    """Independent oracle: exact dense nullspace of the operator matrix on the
-    degree<=l, parity-of-l monomials; None unless it is one element of exact
-    degree l."""
-    degrees = list(range(l % 2, l + 1, 2))
-    columns = [op_apply(op, RatPoly.monomial(d)) for d in degrees]
-    rows = [[col.coefficient(r) for col in columns] for r in range(l + 1)]
-    kernel = rational_kernel(rows, ncols=len(degrees))
-    if len(kernel) != 1 or kernel[0][-1] == 0:
-        return None
-    coeffs = [Fraction(0)] * (l + 1)
-    for d, v in zip(degrees, kernel[0]):
-        coeffs[d] = v
-    return RatPoly(coeffs).monic()
 
 
 def quartic_kernel_degrees(lam: int, max_degree: int) -> tuple[int, ...]:
@@ -226,6 +209,27 @@ class TestClosedForms:
             assert quartic_eigenfunction(l - 3, 4).poly == form * Fraction(3, l * (l - 1) * (l - 2))
 
 
+class TestClosedFormCertificates:
+    """Exact certificates beyond the degrees the dense oracle reaches."""
+
+    @pytest.mark.parametrize("l", [100, 200, 300])
+    @pytest.mark.parametrize(
+        "order, family",
+        [("quadratic", 1), ("quadratic", 2), ("quartic", 1), ("quartic", 2), ("quartic", 3), ("quartic", 4)],
+    )
+    def test_residual_degree_and_reconstruction(self, order, family, l):
+        build = quadratic_eigenfunction if order == "quadratic" else quartic_eigenfunction
+        pair = build(l, family)
+        assert pencil_residual(pair).is_zero()
+        assert pair.poly.degree == l
+        assert pair.poly.leading_coefficient == 1
+        rep = reconstruct_xy(pair)
+        if family <= 2:
+            assert rep.laplacian_zero
+        else:
+            assert rep.bilaplacian_zero and not rep.laplacian_zero
+
+
 class TestQuarticEigenfunctions:
     def test_spec_examples(self):
         assert quartic_eigenfunction(2, 3).poly == RatPoly([Fraction(-1, 3), 0, 1])
@@ -273,17 +277,11 @@ class TestQuarticEigenfunctions:
         # at lam=-6 the even-degree class holds both the degree-6 harmonic
         # and the degree-4 third-family element, so the constrained kernel
         # alone cannot define a family-1 eigenfunction
-        from pencil.pencils import _kernel_in_class
-
-        with pytest.raises(KernelDimensionError):
-            _kernel_in_class(quartic_pencil(-6), 6, "test")
+        assert dense_kernel_in_class(quartic_pencil(-6), 6) is None
 
     def test_wrong_eigenvalue_has_no_kernel_element(self):
         # at lam=-5 the quadratic diagonal at degree 2 is 6, not 0
-        from pencil.pencils import _kernel_in_class
-
-        with pytest.raises(KernelDimensionError):
-            _kernel_in_class(quadratic_pencil(-5), 2, "test")
+        assert dense_kernel_in_class(quadratic_pencil(-5), 2) is None
 
     def test_pencil_spec_apply(self):
         spec = PencilSpec("quartic", -4)
@@ -396,19 +394,6 @@ class TestDenseOracle:
             for fam in (3, 4):
                 pair = quartic_eigenfunction(l, fam)
                 assert dense_kernel_in_class(quartic_pencil(pair.eigenvalue), l) == pair.poly
-
-    def test_back_substitution_raises_exactly_where_dense_is_ambiguous(self):
-        from pencil.pencils import _kernel_in_class
-
-        for pencil in (quadratic_pencil, quartic_pencil):
-            for lam in (Fraction(k, 2) for k in range(-30, 5)):
-                for l in range(0, 12):
-                    expected = dense_kernel_in_class(pencil(lam), l)
-                    try:
-                        got = _kernel_in_class(pencil(lam), l, "test")
-                    except KernelDimensionError:
-                        got = None
-                    assert got == expected, (pencil.__name__, lam, l)
 
 
 def test_random_pairs_recursion_agreement():

@@ -22,7 +22,6 @@ from pencil.semilinear import (
     FAR_FIELD_ROOT,
     NoProfileFoundError,
     crack_curves,
-    linearized_exponents,
     solve_selfsimilar,
     solve_stationary,
 )
@@ -217,12 +216,6 @@ def _generic_dp5(rhs, t0, t1, y0, rtol, atol):
 
 
 class TestProblemSetup:
-    def test_linearized_exponents(self):
-        assert linearized_exponents("stationary") == (-1, 0)
-        assert linearized_exponents("selfsimilar") == (-1, 0)
-        with pytest.raises(ValueError):
-            linearized_exponents("other")
-
     def test_far_condition_root_map(self):
         assert FAR_FIELD_ROOT["decay_inverse"] == -1
         assert FAR_FIELD_ROOT["plateau_one"] == 0
