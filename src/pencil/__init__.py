@@ -25,6 +25,7 @@ from .expansion import (
 )
 from .nodal import (
     AdmissibilityVerdict,
+    Combination,
     CrackConfig,
     EnumeratedConfig,
     RootSet,
@@ -38,12 +39,10 @@ from .nodal import (
 from .pencils import (
     AnalyticityVerdict,
     Eigenpair,
-    PencilSpec,
     ReconstructionReport,
     SLReduction,
     analyticity_filter,
     characteristic_quartic,
-    eigenpair_from_json,
     eigenpair_to_json,
     pencil_residual,
     quadratic_eigenfunction,
@@ -60,11 +59,8 @@ from .polyring import (
     DiffOpTerm,
     RatPoly,
     op_apply,
-    poly_from_json,
-    poly_from_text,
     poly_gcd,
     poly_to_json,
-    poly_to_text,
     square_free_decomposition,
     square_free_part,
 )

@@ -343,6 +343,8 @@ def _cmd_ode_selfsimilar(args) -> int:
 
 
 def _cmd_ode_crackcurves(args) -> int:
+    if args.maxcurves < 0:
+        raise ValueError(f"maxcurves must be >= 0, got {args.maxcurves}")
     sol = semilinear.solve_selfsimilar(args.p, args.A, xi_far=args.Xi, xi_min=args.ximin, tol=args.tol)
     ys = _parse_ygrid(args.ygrid)
     curves = semilinear.crack_curves(sol, args.alpha, args.p, ys)
@@ -381,13 +383,8 @@ def _residual_task(job: tuple[str, int, int]) -> tuple[str, bool]:
 
 
 def _suite_residuals(lmax: int, parallelism: int) -> list[tuple[str, bool]]:
-    lmax_quartic = min(lmax, 30)
-    jobs: list[tuple[str, int, int]] = []
-    jobs += [("quadratic", l, 1) for l in range(1, lmax + 1)]
-    jobs += [("quadratic", l, 2) for l in range(0, lmax + 1)]
-    for family in (1, 2, 3, 4):
-        start = 1 if family == 1 else 0
-        jobs += [("quartic", l, family) for l in range(start, lmax_quartic + 1)]
+    jobs = [("quadratic", l, family) for family, l, _ in pencils.quadratic_spectrum(lmax)]
+    jobs += [("quartic", l, family) for family, l, _ in pencils.quartic_spectrum(min(lmax, 30))]
     if parallelism > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -404,18 +401,15 @@ def _suite_roots(lmax: int, parallelism: int) -> list[tuple[str, bool]]:
 
 
 def _suite_reconstruction(lmax: int, parallelism: int) -> list[tuple[str, bool]]:
-    lmax_quartic = min(lmax, 15)
     checks = []
     for l in range(1, lmax + 1):
         for family in (1, 2):
             rep = pencils.reconstruct_xy(pencils.quadratic_eigenfunction(l, family))
             checks.append((f"quadratic l={l} family={family}: Laplacian not zero", rep.laplacian_zero))
-    for family in (1, 2, 3, 4):
-        start = 1 if family == 1 else 0
-        for l in range(start, lmax_quartic + 1):
-            rep = pencils.reconstruct_xy(pencils.quartic_eigenfunction(l, family))
-            ok = rep.bilaplacian_zero and (family in (1, 2) or not rep.laplacian_zero)
-            checks.append((f"quartic l={l} family={family}: reconstruction check failed", ok))
+    for family, l, _ in pencils.quartic_spectrum(min(lmax, 15)):
+        rep = pencils.reconstruct_xy(pencils.quartic_eigenfunction(l, family))
+        ok = rep.bilaplacian_zero and (family in (1, 2) or not rep.laplacian_zero)
+        checks.append((f"quartic l={l} family={family}: reconstruction check failed", ok))
     return checks
 
 
@@ -436,13 +430,8 @@ def _laplace_combo_carries(cfg: "nodal.CrackConfig", l: int) -> bool:
     bil = nodal.check_admissibility_bilaplace(cfg, (l, l))[0]
     if not (lap.admissible and bil.admissible):
         return False
-    c, d = lap.combo_coefficients
-    polys = [p for _, p in nodal._eigenfunctions_for_order("bilaplace", l)]
-    padded = [c, d] + [Fraction(0)] * (len(polys) - 2)
-    return all(
-        sum(v * p.eval(Fraction(a)) for v, p in zip(padded, polys)) == 0
-        for a in cfg.alphas
-    )
+    padded = nodal.Combination("bilaplace", l, lap.combo_coefficients).poly
+    return all(padded.eval(Fraction(a)) == 0 for a in cfg.alphas)
 
 
 def _suite_admissibility_examples(lmax: int | None, parallelism: int) -> list[tuple[str, bool]]:
@@ -486,13 +475,15 @@ def _cmd_verify(args) -> int:
     names = list(_SUITES) if args.all else [args.suite]
     if names == [None]:
         raise ValueError("choose --suite NAME or --all")
+    if args.lmax is not None and args.lmax < 1:
+        raise ValueError(f"lmax must be >= 1, got {args.lmax}")
     cpus = os.cpu_count() or 1
     if not 1 <= args.parallelism <= cpus:
         raise ValueError(f"parallelism must lie in 1..{cpus}, got {args.parallelism}")
     reports, text = [], []
     for name in names:
         suite, default_lmax = _SUITES[name]
-        checks = suite(args.lmax or default_lmax, args.parallelism)
+        checks = suite(default_lmax if args.lmax is None else args.lmax, args.parallelism)
         failures = [message for message, ok in checks if not ok]
         reports.append(VerifyReport(name, len(checks) - len(failures), len(failures), failures))
         text += [f"suite={name} passed={reports[-1].passed} failed={len(failures)}", *(f"  FAIL {d}" for d in failures)]

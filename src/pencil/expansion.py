@@ -11,12 +11,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pencils import quadratic_eigenfunction, quartic_eigenfunction
+from .nodal import Combination
+# not called here; perfbench/tracing.py wraps them under these names on this module
+from .pencils import quadratic_eigenfunction, quartic_eigenfunction  # noqa: F401
 from .polyring import RatPoly
 
 __all__ = [
@@ -33,9 +34,6 @@ __all__ = [
     "synthesize_boundary_trace",
     "perturbation_negligibility",
 ]
-
-LAPLACE = "laplace"
-BILAPLACE = "bilaplace"
 
 
 @dataclass(frozen=True)
@@ -57,14 +55,6 @@ def from_blowup(coords: BlowupCoords) -> tuple[float, float]:
     return coords.z * e, -e
 
 
-def _family_count(equation: str) -> int:
-    if equation == LAPLACE:
-        return 2
-    if equation == BILAPLACE:
-        return 4
-    raise ValueError("equation must be 'laplace' or 'bilaplace'")
-
-
 @dataclass(frozen=True)
 class Expansion:
     """Truncated expansion: decay rate k -> coefficient tuple per family.
@@ -78,10 +68,10 @@ class Expansion:
     terms: Mapping[int, tuple]
 
     def __post_init__(self):
-        nf = _family_count(self.equation)
+        nf = Combination.family_count(self.equation)
         if not self.terms:
             raise ValueError("an expansion needs at least one term")
-        clean = {}
+        combos = {}
         for k, tup in self.terms.items():
             k = int(k)
             if k < 1:
@@ -89,14 +79,11 @@ class Expansion:
             tup = tuple(float(v) for v in tup)
             if len(tup) != nf:
                 raise ValueError(f"each {self.equation} term needs {nf} coefficients")
-            for family, value in enumerate(tup, start=1):
-                degree = k - (family - 1)
-                if degree < (1 if family == 1 else 0) and value != 0.0:
-                    raise ValueError(
-                        f"family {family} has no degree-{degree} eigenfunction at k={k}"
-                    )
-            clean[k] = tup
-        object.__setattr__(self, "terms", dict(sorted(clean.items())))
+            combos[k] = Combination(self.equation, k, tup)
+        combos = dict(sorted(combos.items()))
+        object.__setattr__(self, "terms", {k: c.coeffs for k, c in combos.items()})
+        # the order-k combinations, built here so that a bad term raises now
+        object.__setattr__(self, "_combinations", combos)
         lead = self.terms[self.l_start]
         if all(v == 0.0 for v in lead):
             raise ValueError("the leading coefficient tuple must be nontrivial")
@@ -111,25 +98,7 @@ class Expansion:
 
     def combination(self, k: int) -> RatPoly:
         """The exact order-k combination: terms[k] weighting the eigenfunctions."""
-        return self._combinations[k]
-
-    @functools.cached_property
-    def _combinations(self) -> dict[int, RatPoly]:
-        """combination(k) for each k, built once per expansion."""
-        out = {}
-        for k, tup in self.terms.items():
-            combo = RatPoly.zero()
-            for family, value in enumerate(tup, start=1):
-                if value == 0.0:
-                    continue
-                degree = k - (family - 1)
-                if self.equation == LAPLACE:
-                    poly = quadratic_eigenfunction(degree, family).poly
-                else:
-                    poly = quartic_eigenfunction(degree, family).poly
-                combo = combo + poly * Fraction(value)
-            out[k] = combo
-        return out
+        return self._combinations[k].poly
 
     @functools.cached_property
     def _float_terms(self) -> tuple[tuple[int, tuple[float, ...]], ...]:
@@ -227,14 +196,8 @@ def synthesize_boundary_trace(exp: Expansion, n_samples: int) -> BoundaryTrace:
         theta = -math.pi + math.pi * (j + 0.5) / n_samples
         value = eval_expansion_xy(exp, math.cos(theta), math.sin(theta))
         samples.append((theta, value))
-    from .nodal import _phase_seeds, isolate_real_roots  # local import avoids a cycle
-
-    combo = exp.combination(exp.l_start)
-    if combo.degree >= 1:
-        seeds = _phase_seeds(exp.l_start, exp.terms[exp.l_start])
-        roots = isolate_real_roots(combo, seeds=seeds).refined_roots
-    else:
-        roots = ()
+    lead = exp._combinations[exp.l_start]
+    roots = lead.roots().refined_roots if lead.poly.degree >= 1 else ()
     crack_angles = tuple(math.atan2(-1.0, a) for a in roots)
     return BoundaryTrace(samples=tuple(samples), crack_angles=crack_angles)
 

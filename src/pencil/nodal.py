@@ -1,17 +1,17 @@
 """Real-root isolation and crack-admissibility decisions.
 
-Callers that know their polynomial as a combination of the family
-eigenfunctions pass seeds, one float guess per root, from its phase form
-(`_phase_seeds`: closed-form cotangents for Laplace, a float scan in the
-angle for bi-Laplace).  Exact signs at one short dyadic separator between
-consecutive seeds then certify, when they alternate degree-many times,
-that every root is real and simple and isolated by its gap; no Sturm chain
-is built.  Otherwise, and without seeds, isolation uses exact Sturm
-sequences over the integers (primitive pseudo-remainders, so only positive
-rescalings ever touch the chain signs).  The chain of p itself shows
-whether p is square-free; if so it bisects p's roots from a power-of-two
-Fujiwara bound, carrying the sign-variation count at every interval
-endpoint.  Otherwise the chain of the square-free part does, and
+A `Combination`, the order-l weighted sum of the family eigenfunctions,
+owns its polynomial and isolates its roots from seeds, one float guess per
+root, taken from the phase form of its own weights (closed-form cotangents
+for Laplace, a float scan in the angle for bi-Laplace).  Exact signs at
+one short dyadic separator between consecutive seeds then certify, when
+they alternate degree-many times, that every root is real and simple and
+isolated by its gap; no Sturm chain is built.  Otherwise, and without
+seeds, isolation uses exact Sturm sequences over the integers (primitive
+pseudo-remainders, so only positive rescalings ever touch the chain
+signs).  The chain of p itself shows whether p is square-free; if so it
+bisects p's roots from a power-of-two Fujiwara bound, carrying the
+sign-variation count at every interval endpoint.  Otherwise the chain of the square-free part does, and
 multiplicities come from the signs of the Yun factors.  Each isolated root
 is refined by certified Newton: a seed or safeguarded float Newton, exact
 Newton steps, and exact opposite signs on either side of the result, with
@@ -23,6 +23,7 @@ exact over the rationals, SVD-thresholded for floating input.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +46,7 @@ from .polyring import poly_gcd, square_free_part  # noqa: F401
 
 __all__ = [
     "RootSet",
+    "Combination",
     "CrackConfig",
     "AdmissibilityVerdict",
     "EnumeratedConfig",
@@ -524,6 +526,69 @@ def _phase_seeds(l: int, coeffs: Sequence) -> list[float]:
     return (np.cos(phi) / np.sin(phi)).tolist()
 
 
+# ---------------------------------------------------------------------------
+# the order-l eigenfunction combination
+
+
+@dataclass(frozen=True)
+class Combination:
+    """c_1 psi_{l,1} + c_2 psi_{l-1,2} (+ c_3 psi_{l-2,3} + c_4 psi_{l-3,4} for bi-Laplace).
+
+    The psi are the monic eigenfunctions of the quadratic pencil for
+    "laplace" and of the quartic pencil for "bilaplace".  Family f enters
+    with degree l - f + 1 and is absent where that degree is below 1 (f = 1)
+    or below 0 (f > 1).  coeffs holds c_1, c_2, ...; weights left off are
+    zero.  A nonzero weight on an absent family, or more weights than
+    families, raises ValueError.  The combination's nodal set is the crack
+    it admits, and `roots` isolates it with seeds from the phase form of
+    these same weights.
+    """
+
+    equation: str
+    l: int
+    coeffs: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        n = self.family_count(self.equation)
+        if len(self.coeffs) > n:
+            raise ValueError(f"a {self.equation} combination has at most {n} coefficients, got {len(self.coeffs)}")
+        for family, c in enumerate(self.coeffs, start=1):
+            if c != 0 and family not in self.families:
+                raise ValueError(f"family {family} has no degree-{self.l - family + 1} eigenfunction at k={self.l}")
+
+    @staticmethod
+    def family_count(equation: str) -> int:
+        """2 eigenfunction families for "laplace", 4 for "bilaplace"."""
+        if equation not in ("laplace", "bilaplace"):
+            raise ValueError("equation must be 'laplace' or 'bilaplace'")
+        return 2 if equation == "laplace" else 4
+
+    @property
+    def families(self) -> tuple[int, ...]:
+        """The families present at order l, always 1, 2, ... in order."""
+        n = self.family_count(self.equation)
+        return tuple(f for f in range(1, n + 1) if self.l - f + 1 >= (1 if f == 1 else 0))
+
+    def eigenfunction(self, family: int) -> RatPoly:
+        """psi_{l-family+1,family}, the polynomial that c_family weights."""
+        build = quadratic_eigenfunction if self.equation == "laplace" else quartic_eigenfunction
+        return build(self.l - family + 1, family).poly
+
+    @functools.cached_property
+    def poly(self) -> RatPoly:
+        """The combination, exactly: a float weight is taken as its exact binary value."""
+        out = RatPoly.zero()
+        for family, c in enumerate(self.coeffs, start=1):
+            if c != 0:
+                out = out + self.eigenfunction(family) * (c if _is_exact(c) else Fraction(float(c)))
+        return out
+
+    def roots(self, tol: float = 1e-12) -> RootSet:
+        """Every real root of poly, seeded from the phase form of coeffs."""
+        return isolate_real_roots(self.poly, tol, seeds=_phase_seeds(self.l, self.coeffs))
+
+
 def transversality_check(pair: Eigenpair) -> bool:
     """True iff the eigenfunction has deg-many distinct real roots, hence all simple."""
     if pair.order != "quadratic":
@@ -581,40 +646,9 @@ class AdmissibilityVerdict:
     families: tuple[int, ...]
 
 
-def _eigenfunctions_for_order(equation: str, l: int) -> list[tuple[int, RatPoly]]:
-    """Family-tagged eigenfunction polynomials entering the order-l combination.
-
-    Degrees follow the shifted convention: families 1..4 contribute degrees
-    l, l-1, l-2, l-3; families whose degree would be negative are absent.
-    """
-    if equation == "laplace":
-        fams = [(1, l), (2, l - 1)]
-    elif equation == "bilaplace":
-        fams = [(1, l), (2, l - 1), (3, l - 2), (4, l - 3)]
-    else:
-        raise ValueError("equation must be 'laplace' or 'bilaplace'")
-    out = []
-    for family, degree in fams:
-        if degree < (1 if family == 1 else 0):
-            continue
-        if equation == "laplace":
-            out.append((family, quadratic_eigenfunction(degree, family).poly))
-        else:
-            out.append((family, quartic_eigenfunction(degree, family).poly))
-    return out
-
-
 def _normalize_max_entry(vec: Sequence) -> tuple:
     biggest = max(vec, key=abs)
     return tuple(v / biggest for v in vec)
-
-
-def _combination(polys: Sequence[RatPoly], coeffs: Sequence) -> RatPoly:
-    combo = RatPoly.zero()
-    for c, p in zip(coeffs, polys):
-        frac = c if isinstance(c, (int, Fraction)) else Fraction(float(c))
-        combo = combo + p * frac
-    return combo
 
 
 def _match_consecutive(alphas: Sequence, roots: Sequence[float], tol: float) -> bool | None:
@@ -630,13 +664,10 @@ def _match_consecutive(alphas: Sequence, roots: Sequence[float], tol: float) -> 
     return all(b - a == 1 for a, b in zip(indices, indices[1:]))
 
 
-def _verdict_for_matrix(
-    config: CrackConfig,
-    l: int,
-    families: tuple[int, ...],
-    polys: list[RatPoly],
-    tol: float,
-) -> AdmissibilityVerdict:
+def _verdict_at(equation: str, config: CrackConfig, l: int, tol: float) -> AdmissibilityVerdict:
+    """The order-l verdict: the kernel of the matrix of eigenfunction values at the slopes."""
+    order = Combination(equation, l)
+    polys = [order.eigenfunction(f) for f in order.families]
     if config.exact:
         matrix = [[p.eval(Fraction(a)) for p in polys] for a in config.alphas]
         kernel = rational_kernel(matrix, ncols=len(polys))
@@ -656,13 +687,11 @@ def _verdict_for_matrix(
     zero_set = None
     consecutive = None
     if combo is not None:
-        combo_poly = _combination(polys, combo)
-        if not combo_poly.is_zero() and combo_poly.degree > 0:
-            # families are always 1..len(polys), so combo is c_1, c_2, ... in order
-            zero_set = isolate_real_roots(combo_poly, seeds=_phase_seeds(l, combo))
-            consecutive = _match_consecutive(
-                config.alphas, zero_set.refined_roots, max(tol, 1e-9)
-            )
+        # the families present are always 1..len(polys), so combo is c_1, c_2, ... in order
+        lead = Combination(equation, l, combo)
+        if lead.poly.degree > 0:
+            zero_set = lead.roots()
+            consecutive = _match_consecutive(config.alphas, zero_set.refined_roots, max(tol, 1e-9))
     return AdmissibilityVerdict(
         l=l,
         admissible=admissible,
@@ -672,7 +701,7 @@ def _verdict_for_matrix(
         consecutive_flag=consecutive,
         exact=config.exact,
         rank=rank,
-        families=families,
+        families=order.families,
     )
 
 
@@ -684,13 +713,7 @@ def _check_admissibility(
         raise ValueError("empty l range")
     if lo < max(config.m, 1):
         raise ValueError(f"l range must start at or above max(m, 1) = {max(config.m, 1)}")
-    out = []
-    for l in range(lo, hi + 1):
-        tagged = _eigenfunctions_for_order(equation, l)
-        families = tuple(f for f, _ in tagged)
-        polys = [p for _, p in tagged]
-        out.append(_verdict_for_matrix(config, l, families, polys, tol))
-    return out
+    return [_verdict_at(equation, config, l, tol) for l in range(lo, hi + 1)]
 
 
 def check_admissibility_laplace(
@@ -735,18 +758,13 @@ def enumerate_admissible(m: int, l: int, ratios: Sequence) -> list[EnumeratedCon
         raise ValueError("m must be >= 1")
     if l < m:
         raise ValueError("need l >= m so the combination can have m zeros")
-    base = quadratic_eigenfunction(l, 1).poly
-    second = quadratic_eigenfunction(l - 1, 2).poly
-    jobs: list[tuple[float | None, RatPoly, tuple]] = []
-    for r in ratios:
-        frac = r if isinstance(r, (int, Fraction)) else Fraction(float(r))
-        jobs.append((float(r), base + second * frac, (1, frac)))
-    jobs.append((None, second, (0, 1)))
+    jobs = [(float(r), Combination("laplace", l, (1, r))) for r in ratios]
+    jobs.append((None, Combination("laplace", l, (0, 1))))
     out = []
-    for ratio, combo, family_coeffs in jobs:
-        if combo.is_zero() or combo.degree < 1:
+    for ratio, combo in jobs:
+        if combo.poly.degree < 1:
             continue
-        roots = isolate_real_roots(combo, seeds=_phase_seeds(l, family_coeffs)).refined_roots
+        roots = combo.roots().refined_roots
         for start in range(0, len(roots) - m + 1):
             window = roots[start : start + m]
             out.append(EnumeratedConfig(CrackConfig(tuple(window)), l, ratio))

@@ -23,11 +23,10 @@ import mpmath as mp
 
 # not called here; perfbench/tracing.py wraps it under this name on this module
 from .linalg import rational_kernel  # noqa: F401
-from .polyring import DiffOpTerm, RatPoly, op_apply, poly_from_json, poly_to_json
+from .polyring import DiffOpTerm, RatPoly, op_apply, poly_to_json
 
 __all__ = [
     "Eigenpair",
-    "PencilSpec",
     "SLReduction",
     "AnalyticityVerdict",
     "ReconstructionReport",
@@ -45,7 +44,6 @@ __all__ = [
     "sturm_liouville_check",
     "analyticity_filter",
     "eigenpair_to_json",
-    "eigenpair_from_json",
 ]
 
 QUADRATIC = "quadratic"
@@ -61,27 +59,6 @@ class Eigenpair:
     l: int
     eigenvalue: int
     poly: RatPoly
-
-
-@dataclass(frozen=True)
-class PencilSpec:
-    """A pencil order together with a value of the spectral parameter."""
-
-    order: str
-    eigenvalue: Fraction
-
-    def __post_init__(self):
-        if self.order not in (QUADRATIC, QUARTIC):
-            raise ValueError("order must be 'quadratic' or 'quartic'")
-        object.__setattr__(self, "eigenvalue", Fraction(self.eigenvalue))
-
-    def terms(self) -> tuple[DiffOpTerm, ...]:
-        if self.order == QUADRATIC:
-            return quadratic_pencil(self.eigenvalue)
-        return quartic_pencil(self.eigenvalue)
-
-    def apply(self, p: RatPoly) -> RatPoly:
-        return op_apply(self.terms(), p)
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +120,19 @@ def verify_quartic_factorization(l: int) -> bool:
 # spectra
 
 
-def quadratic_spectrum(l_max: int) -> tuple[tuple[int, int, int], ...]:
-    """(family, l, eigenvalue) entries for both quadratic families up to l_max."""
+def _spectrum(n_families: int, l_max: int) -> tuple[tuple[int, int, int], ...]:
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    out = [(1, l, -l) for l in range(1, l_max + 1)]
-    out += [(2, l, -l - 1) for l in range(0, l_max + 1)]
-    return tuple(out)
+    return tuple(
+        (family, l, _eigenvalue(l, family))
+        for family in range(1, n_families + 1)
+        for l in range(1 if family == 1 else 0, l_max + 1)
+    )
+
+
+def quadratic_spectrum(l_max: int) -> tuple[tuple[int, int, int], ...]:
+    """(family, l, eigenvalue) entries for both quadratic families up to l_max."""
+    return _spectrum(2, l_max)
 
 
 def quartic_spectrum(l_max: int) -> tuple[tuple[int, int, int], ...]:
@@ -158,12 +141,7 @@ def quartic_spectrum(l_max: int) -> tuple[tuple[int, int, int], ...]:
     The eigenvalues are the roots {-l, ..., -l-3} of the characteristic
     quartic; `verify_quartic_factorization` proves that factorization.
     """
-    if l_max < 1:
-        raise ValueError("l_max must be >= 1")
-    out = [(1, l, -l) for l in range(1, l_max + 1)]
-    for family in (2, 3, 4):
-        out += [(family, l, -l - (family - 1)) for l in range(0, l_max + 1)]
-    return tuple(out)
+    return _spectrum(4, l_max)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +164,8 @@ def _z_plus_i_power(n: int) -> tuple[list[int], list[int]]:
     return re, im
 
 
-def quadratic_eigenvalue(l: int, family: int) -> int:
-    return -l if family == 1 else -l - 1
-
-
-def quartic_eigenvalue(l: int, family: int) -> int:
+def _eigenvalue(l: int, family: int) -> int:
+    """The eigenvalue of family f at degree l, in either pencil: -l - (f - 1)."""
     return -l - (family - 1)
 
 
@@ -212,7 +187,7 @@ def quadratic_eigenfunction(l: int, family: int) -> Eigenpair:
     with the dense nullspace and the coefficient recursion.
     """
     _check_family_l(QUADRATIC, l, family)
-    lam = quadratic_eigenvalue(l, family)
+    lam = _eigenvalue(l, family)
     if family == 1:
         poly = RatPoly(_z_plus_i_power(l)[0])
     else:
@@ -230,7 +205,7 @@ def quartic_eigenfunction(l: int, family: int) -> Eigenpair:
     n = l + 3, whose terms above z^l cancel.
     """
     _check_family_l(QUARTIC, l, family)
-    lam = quartic_eigenvalue(l, family)
+    lam = _eigenvalue(l, family)
     if family < 4:
         poly = quadratic_eigenfunction(l, min(family, 2)).poly
     else:
@@ -247,7 +222,8 @@ def pencil_residual(pair: Eigenpair) -> RatPoly:
 
     The zero polynomial certifies the eigenpair; a nonzero result is data.
     """
-    return PencilSpec(pair.order, pair.eigenvalue).apply(pair.poly)
+    pencil = quadratic_pencil if pair.order == QUADRATIC else quartic_pencil
+    return op_apply(pencil(pair.eigenvalue), pair.poly)
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +380,3 @@ def eigenpair_to_json(pair: Eigenpair) -> dict:
         "lambda": pair.eigenvalue,
         "coefficients": poly_to_json(pair.poly),
     }
-
-
-def eigenpair_from_json(data: dict) -> Eigenpair:
-    return Eigenpair(
-        order=data["order"],
-        family=int(data["family"]),
-        l=int(data["l"]),
-        eigenvalue=int(data["lambda"]),
-        poly=poly_from_json(data["coefficients"]),
-    )

@@ -10,7 +10,6 @@ All values are immutable after construction; operations are pure.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -20,10 +19,7 @@ __all__ = [
     "RatPoly",
     "DiffOpTerm",
     "op_apply",
-    "poly_to_text",
-    "poly_from_text",
     "poly_to_json",
-    "poly_from_json",
     "poly_gcd",
     "square_free_part",
     "square_free_decomposition",
@@ -277,64 +273,12 @@ def op_apply(op: Sequence[DiffOpTerm], p: RatPoly) -> RatPoly:
 
 
 # ---------------------------------------------------------------------------
-# canonical serialization
-
-
-def _fraction_text(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
-def poly_to_text(p: RatPoly, var: str = "z") -> str:
-    """Canonical dense text form "c0 + c1*z + c2*z^2 + ..." (round-trips)."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i, c in enumerate(p.coeffs):
-        if i == 0:
-            parts.append(_fraction_text(c))
-        elif i == 1:
-            parts.append(f"{_fraction_text(c)}*{var}")
-        else:
-            parts.append(f"{_fraction_text(c)}*{var}^{i}")
-    return " + ".join(parts)
-
-
-_TERM_RE = re.compile(
-    r"^\s*(?P<coeff>[+-]?\d+(?:/\d+)?)\s*(?:\*\s*(?P<var>[A-Za-z]\w*)(?:\^(?P<pow>\d+))?)?\s*$"
-)
-
-
-def poly_from_text(text: str) -> RatPoly:
-    """Parse the canonical text form produced by :func:`poly_to_text`."""
-    stripped = text.strip()
-    if stripped == "0":
-        return RatPoly.zero()
-    coeffs: dict[int, Fraction] = {}
-    for chunk in stripped.split(" + "):
-        m = _TERM_RE.match(chunk)
-        if m is None:
-            raise ValueError(f"cannot parse polynomial term {chunk!r}")
-        c = Fraction(m.group("coeff"))
-        if m.group("var") is None:
-            deg = 0
-        elif m.group("pow") is None:
-            deg = 1
-        else:
-            deg = int(m.group("pow"))
-        coeffs[deg] = coeffs.get(deg, Fraction(0)) + c
-    n = max(coeffs) + 1
-    return RatPoly([coeffs.get(i, Fraction(0)) for i in range(n)])
+# JSON form
 
 
 def poly_to_json(p: RatPoly) -> list[list[str]]:
     """JSON form: [numerator-string, denominator-string] pairs indexed by degree."""
     return [[str(c.numerator), str(c.denominator)] for c in p.coeffs]
-
-
-def poly_from_json(pairs: Sequence[Sequence[str]]) -> RatPoly:
-    return RatPoly([Fraction(int(num), int(den)) for num, den in pairs])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 
 from pencil.expansion import Expansion, decay_order, perturbation_negligibility
 from pencil.nodal import (
+    Combination,
     CrackConfig,
     check_admissibility_bilaplace,
     check_admissibility_laplace,
@@ -145,19 +146,15 @@ def test_criterion_07_admissibility_examples():
     vs = check_admissibility_laplace(CrackConfig((Fraction(-2), Fraction(0), Fraction(1))), (3, 10))
     ok = ok and all(not x.admissible and x.rank == 2 for x in vs)
 
-    from pencil.nodal import _eigenfunctions_for_order
-
     for alphas, l in (((Fraction(-1), Fraction(1)), 2), ((Fraction(0), Fraction(1)), 4)):
         cfg = CrackConfig(alphas)
         lap = check_admissibility_laplace(cfg, (l, l))[0]
         bil = check_admissibility_bilaplace(cfg, (l, l))[0]
         ok = ok and bil.admissible
         # zero-padding the two-family combination must annihilate every slope
-        c, d = lap.combo_coefficients
-        polys = [p for _, p in _eigenfunctions_for_order("bilaplace", l)]
-        padded = [c, d] + [Fraction(0)] * (len(polys) - 2)
+        padded = Combination("bilaplace", l, lap.combo_coefficients).poly
         for a in cfg.alphas:
-            ok = ok and sum(v * p.eval(Fraction(a)) for v, p in zip(padded, polys)) == 0
+            ok = ok and padded.eval(Fraction(a)) == 0
     _criterion(7, "worked admissibility examples with exact ranks and carried combos", ok)
 
 

@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from pencil import cli
 from pencil.cli import main
-from pencil.pencils import eigenpair_from_json, pencil_residual
+from pencil.pencils import Eigenpair, pencil_residual
+from pencil.polyring import RatPoly
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -32,7 +34,9 @@ class TestEig:
 
     def test_json_round_trip_residual(self, capsys):
         code, out, _ = run_cli(capsys, "eig", "--order", "quartic", "--l", "5", "--family", "3", "--json")
-        pair = eigenpair_from_json(json.loads(out)["eigenpair"])
+        eig = json.loads(out)["eigenpair"]
+        poly = RatPoly(Fraction(int(num), int(den)) for num, den in eig["coefficients"])
+        pair = Eigenpair(eig["order"], eig["family"], eig["l"], eig["lambda"], poly)
         assert pencil_residual(pair).is_zero()
 
     def test_text_mode(self, capsys):
@@ -250,6 +254,23 @@ class TestVerify:
             assert json.loads(err)["error"] == "ValueError"
             assert "parallelism" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("lmax", ["0", "-3"])
+    def test_lmax_below_1_exit_1(self, capsys, lmax):
+        # --lmax 0 used to run at the default 50, and --lmax -3 passed with no checks
+        code, out, err = run_cli(capsys, "verify", "--suite", "residuals", "--lmax", lmax)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert f"got {lmax}" in payload["message"]
+
+    def test_lmax_runs_as_given(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "residuals", "--lmax", "1", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["lmax"] == 1
+        # quadratic family 1 at l = 1 and family 2 at l = 0, 1; quartic family 1 at l = 1, families 2-4 at l = 0, 1
+        assert payload["suites"][0]["passed"] == 3 + 7
+
 
 class TestOde:
     def test_stationary_json_and_csv(self, tmp_path, capsys):
@@ -388,6 +409,17 @@ class TestOde:
         payload = json.loads(err)
         assert payload["error"] == "ValueError"
         assert f"got {count}" in payload["message"]
+
+    def test_crackcurves_negative_maxcurves_exit_1(self, capsys):
+        # a negative count used to slice from the end and print all but the last curves
+        code, out, err = run_cli(
+            capsys, "ode", "crackcurves", "--p", "3", "--alpha", "1",
+            "--ygrid", "-0.5:-1e-2:log:5", "--Xi", "30", "--ximin", "0.05", "--maxcurves", "-1", "--json",
+        )
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "maxcurves" in payload["message"]
 
 
 def _config_of(form: str, data: str) -> dict:

@@ -200,16 +200,16 @@ class TestBoundaryTrace:
 
     def test_each_combination_built_once(self, monkeypatch):
         # the trace reads combination(2) twice: for the float terms and for the crack angles
-        from pencil import expansion
+        from pencil import nodal
 
         calls = collections.Counter()
-        original = expansion.quadratic_eigenfunction
+        original = nodal.quadratic_eigenfunction
 
         def counting(degree, family):
             calls[degree, family] += 1
             return original(degree, family)
 
-        monkeypatch.setattr(expansion, "quadratic_eigenfunction", counting)
+        monkeypatch.setattr(nodal, "quadratic_eigenfunction", counting)
         e = Expansion("laplace", {2: (1, 0), 3: (0.5, 0.25)})
         synthesize_boundary_trace(e, 16)
         # k = 2 weights psi_{2,1}; k = 3 weights psi_{3,1} and psi_{2,2}

@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 
 from pencil import nodal
 from pencil.nodal import (
+    Combination,
     CrackConfig,
     _certified_gaps,
-    _combination,
-    _eigenfunctions_for_order,
     _isolate_square_free,
     _phase_seeds,
     _refine_root,
     _sturm_chain,
-    _verdict_for_matrix,
     check_admissibility_bilaplace,
     check_admissibility_laplace,
     count_real_roots,
@@ -201,30 +199,28 @@ class TestSeededIsolation:
         # every Laplace combination has l (or l - 1) real simple roots, so its
         # closed-form seeds always certify
         rng = random.Random(l)
-        polys = [p for _, p in _eigenfunctions_for_order("laplace", l)]
         rational = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)), Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
         combos = [rational, (0, 1) if l % 2 else (rng.uniform(-2, 2), rng.uniform(-2, 2))]
-        for combo in combos:
-            p = _combination(polys, combo)
+        for coeffs in combos:
+            combo = Combination("laplace", l, coeffs)
+            p = combo.poly
             if p.is_zero() or p.degree < 1:
                 continue
-            seeds = _phase_seeds(l, combo)
-            assert certified(p, seeds)
-            assert_same_roots(isolate_real_roots(p, seeds=seeds), isolate_real_roots(p))
+            assert certified(p, _phase_seeds(l, coeffs))
+            assert_same_roots(combo.roots(), isolate_real_roots(p))
 
     @pytest.mark.parametrize("l", range(2, 61, 2))
     def test_bilaplace_combinations(self, l):
         rng = random.Random(1000 + l)
-        polys = [p for _, p in _eigenfunctions_for_order("bilaplace", l)]
-        combo = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in polys]
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in Combination("bilaplace", l).families]
         if l % 6 == 0:
-            combo[0] = Fraction(0)  # degree below l: the phase form vanishes at phi = 0 and pi
-        p = _combination(polys, combo)
-        seeds = _phase_seeds(l, combo)
+            coeffs[0] = Fraction(0)  # degree below l: the phase form vanishes at phi = 0 and pi
+        combo = Combination("bilaplace", l, coeffs)
+        p = combo.poly
         plain = isolate_real_roots(p)
         if plain.count == p.degree and count_real_roots(p) == p.degree:
-            assert certified(p, seeds)
-        assert_same_roots(isolate_real_roots(p, seeds=seeds), plain)
+            assert certified(p, _phase_seeds(l, coeffs))
+        assert_same_roots(combo.roots(), plain)
 
     @pytest.mark.parametrize("equation", ["laplace", "bilaplace"])
     @pytest.mark.parametrize("pool", ADM_POOL, ids=["m1", "m2", "m3"])
@@ -255,7 +251,7 @@ class TestSeededIsolation:
         ],
     )
     def test_bad_seeds_fall_back(self, spoil):
-        p = _combination([quadratic_eigenfunction(12, 1).poly, quadratic_eigenfunction(11, 2).poly], (1, 3))
+        p = Combination("laplace", 12, (1, 3)).poly
         seeds = spoil(sorted(_phase_seeds(12, (1, 3))))
         assert not certified(p, seeds)
         assert isolate_real_roots(p, seeds=seeds) == isolate_real_roots(p)
@@ -442,17 +438,6 @@ class TestAdmissibility:
         v = check_admissibility_laplace(cfg, (2, 2), tol=1e-9)[0]
         assert not v.admissible and v.rank == 2
 
-    def test_scale_invariance_of_matrix_verdict(self):
-        cfg = CrackConfig((Fraction(0), Fraction(1)))
-        polys = [quadratic_eigenfunction(4, 1).poly, quadratic_eigenfunction(3, 2).poly]
-        base = _verdict_for_matrix(cfg, 4, (1, 2), polys, 1e-9)
-        scaled = _verdict_for_matrix(cfg, 4, (1, 2), [polys[0] * Fraction(7, 3), polys[1] * -5], 1e-9)
-        assert base.admissible == scaled.admissible
-        assert base.rank == scaled.rank
-        got = sorted(scaled.full_zero_set.refined_roots)
-        want = sorted(base.full_zero_set.refined_roots)
-        assert got == pytest.approx(want, abs=1e-10)
-
 
 class TestNullspaceCertificate:
     @given(
@@ -468,15 +453,92 @@ class TestNullspaceCertificate:
     def test_admissible_combos_vanish_exactly(self, alphas, l):
         cfg = CrackConfig(tuple(sorted(alphas)))
         v = check_admissibility_laplace(cfg, (l, l))[0]
-        from pencil.nodal import _combination, _eigenfunctions_for_order
-
-        polys = [p for _, p in _eigenfunctions_for_order("laplace", l)]
         if v.admissible:
-            combo = _combination(polys, v.combo_coefficients)
+            combo = Combination("laplace", l, v.combo_coefficients).poly
             for a in cfg.alphas:
                 assert combo.eval(Fraction(a)) == 0
         else:
-            assert v.rank == min(cfg.m, len(polys))
+            assert v.rank == min(cfg.m, 2)
+
+
+class TestCombination:
+    @pytest.mark.parametrize(
+        "equation, l, coeffs, message",
+        [
+            ("laplace", 0, (1, 0), "family 1 has no degree-0 eigenfunction at k=0"),
+            ("laplace", 0, (0, 2), "family 2 has no degree--1 eigenfunction at k=0"),
+            ("bilaplace", 1, (1, 0, 3), "family 3 has no degree--1 eigenfunction at k=1"),
+            ("bilaplace", 2, (0, 0, 0, 0.5), "family 4 has no degree--1 eigenfunction at k=2"),
+        ],
+    )
+    def test_absent_family_weight_raises(self, equation, l, coeffs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Combination(equation, l, coeffs)
+
+    def test_zero_weight_on_absent_family_is_accepted(self):
+        assert Combination("bilaplace", 2, (1, 0, 0, 0)).poly == quartic_eigenfunction(2, 1).poly
+        assert Combination("laplace", 1, (0, 1)).poly == RatPoly.one()
+
+    @pytest.mark.parametrize("equation, coeffs", [("laplace", (1, 0, 0)), ("bilaplace", (1, 0, 0, 0, 0))])
+    def test_too_many_coefficients_raise(self, equation, coeffs):
+        with pytest.raises(ValueError, match="at most"):
+            Combination(equation, 5, coeffs)
+
+    def test_unknown_equation_raises(self):
+        with pytest.raises(ValueError, match="equation must be"):
+            Combination("heat", 3, (1,))
+
+    @pytest.mark.parametrize("equation", ["laplace", "bilaplace"])
+    @pytest.mark.parametrize("l", range(1, 9))
+    def test_poly_is_the_weighted_sum_of_eigenfunctions(self, equation, l):
+        build = quadratic_eigenfunction if equation == "laplace" else quartic_eigenfunction
+        rng = random.Random(l)
+        families = Combination(equation, l).families
+        # family f has degree l - f + 1: at least 1 for f = 1 and at least 0 otherwise
+        assert families == tuple(range(1, (2 if equation == "laplace" else min(4, l + 1)) + 1))
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in families]
+        coeffs[-1] = rng.uniform(-2, 2)  # a float weight enters as its exact binary value
+        want = RatPoly.zero()
+        for family, c in enumerate(coeffs, start=1):
+            want = want + build(l - family + 1, family).poly * Fraction(c)
+        assert Combination(equation, l, coeffs).poly == want
+
+
+class TestSeedsMatchTheirPolynomial:
+    """With the Sturm chain disabled, every seeded isolation must certify."""
+
+    @pytest.fixture(autouse=True)
+    def no_sturm(self, monkeypatch):
+        def refuse(coeffs):
+            raise AssertionError("seeds failed to certify; Sturm fallback reached")
+
+        monkeypatch.setattr(nodal, "_sturm_chain", refuse)
+
+    def test_laplace_verdicts(self):
+        configs = [CrackConfig(tuple(Fraction(a) for a in alphas)) for pool in ADM_POOL for alphas in pool]
+        isolated = 0
+        for cfg in configs:
+            for v in check_admissibility_laplace(cfg, (cfg.m, 30)):
+                isolated += v.full_zero_set is not None
+        assert isolated > 0
+
+    def test_enumeration(self):
+        ratios = [-1.5, -0.3, 0.0, 0.45, Fraction(2, 3), 2]
+        for m in (1, 2, 3):
+            for l in range(m, 13):
+                configs = enumerate_admissible(m, l, ratios)
+                assert len(configs) == len(ratios) * (l - m + 1) + max(l - m, 0)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [{2: (1, 0)}, {3: (0.5, -1.25), 5: (0, 1)}, {4: (0, 1)}, {7: (1e-3, 4.0)}, {12: (-2.0, 0.3)}],
+    )
+    def test_laplace_boundary_traces(self, terms):
+        from pencil.expansion import Expansion, synthesize_boundary_trace
+
+        l = min(terms)
+        trace = synthesize_boundary_trace(Expansion("laplace", terms), 8)
+        assert len(trace.crack_angles) == (l if terms[l][0] else l - 1)
 
 
 class TestEnumeration:

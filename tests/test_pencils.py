@@ -8,10 +8,9 @@ import pytest
 
 from pencil.linalg import rational_kernel, rational_rref
 from pencil.pencils import (
-    PencilSpec,
+    Eigenpair,
     analyticity_filter,
     characteristic_quartic,
-    eigenpair_from_json,
     eigenpair_to_json,
     pencil_residual,
     quadratic_eigenfunction,
@@ -283,13 +282,6 @@ class TestQuarticEigenfunctions:
         # at lam=-5 the quadratic diagonal at degree 2 is 6, not 0
         assert dense_kernel_in_class(quadratic_pencil(-5), 2) is None
 
-    def test_pencil_spec_apply(self):
-        spec = PencilSpec("quartic", -4)
-        pair = quartic_eigenfunction(2, 3)
-        assert spec.apply(pair.poly).is_zero()
-        with pytest.raises(ValueError):
-            PencilSpec("cubic", -1)
-
 
 class TestReconstruction:
     def test_quartic_family1_even(self):
@@ -358,7 +350,9 @@ class TestAnalyticityFilter:
 class TestSerialization:
     def test_round_trip_residual(self):
         pair = quartic_eigenfunction(5, 4)
-        back = eigenpair_from_json(eigenpair_to_json(pair))
+        data = eigenpair_to_json(pair)
+        poly = RatPoly(Fraction(int(num), int(den)) for num, den in data["coefficients"])
+        back = Eigenpair(data["order"], data["family"], data["l"], data["lambda"], poly)
         assert back == pair
         assert pencil_residual(back).is_zero()
 
