@@ -25,7 +25,6 @@ from .expansion import (
 )
 from .nodal import (
     AdmissibilityVerdict,
-    Combination,
     CrackConfig,
     EnumeratedConfig,
     RootSet,

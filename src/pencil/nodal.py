@@ -546,7 +546,7 @@ class Combination:
 
     equation: str
     l: int
-    coeffs: tuple = ()
+    coeffs: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
@@ -584,9 +584,9 @@ class Combination:
                 out = out + self.eigenfunction(family) * (c if _is_exact(c) else Fraction(float(c)))
         return out
 
-    def roots(self, tol: float = 1e-12) -> RootSet:
+    def roots(self) -> RootSet:
         """Every real root of poly, seeded from the phase form of coeffs."""
-        return isolate_real_roots(self.poly, tol, seeds=_phase_seeds(self.l, self.coeffs))
+        return isolate_real_roots(self.poly, seeds=_phase_seeds(self.l, self.coeffs))
 
 
 def transversality_check(pair: Eigenpair) -> bool:
@@ -666,7 +666,7 @@ def _match_consecutive(alphas: Sequence, roots: Sequence[float], tol: float) -> 
 
 def _verdict_at(equation: str, config: CrackConfig, l: int, tol: float) -> AdmissibilityVerdict:
     """The order-l verdict: the kernel of the matrix of eigenfunction values at the slopes."""
-    order = Combination(equation, l)
+    order = Combination(equation, l, (0,) * Combination.family_count(equation))
     polys = [order.eigenfunction(f) for f in order.families]
     if config.exact:
         matrix = [[p.eval(Fraction(a)) for p in polys] for a in config.alphas]

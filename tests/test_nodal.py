@@ -212,7 +212,7 @@ class TestSeededIsolation:
     @pytest.mark.parametrize("l", range(2, 61, 2))
     def test_bilaplace_combinations(self, l):
         rng = random.Random(1000 + l)
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in Combination("bilaplace", l).families]
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in Combination("bilaplace", l, (0, 0, 0, 0)).families]
         if l % 6 == 0:
             coeffs[0] = Fraction(0)  # degree below l: the phase form vanishes at phi = 0 and pi
         combo = Combination("bilaplace", l, coeffs)
@@ -493,7 +493,7 @@ class TestCombination:
     def test_poly_is_the_weighted_sum_of_eigenfunctions(self, equation, l):
         build = quadratic_eigenfunction if equation == "laplace" else quartic_eigenfunction
         rng = random.Random(l)
-        families = Combination(equation, l).families
+        families = Combination(equation, l, (0,) * Combination.family_count(equation)).families
         # family f has degree l - f + 1: at least 1 for f = 1 and at least 0 otherwise
         assert families == tuple(range(1, (2 if equation == "laplace" else min(4, l + 1)) + 1))
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in families]
