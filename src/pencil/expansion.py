@@ -4,6 +4,9 @@ The scaling z = x/(-y), tau = -ln(-y) (valid for y < 0) turns the origin
 into the limit tau -> +infinity.  A truncated expansion assigns each decay
 rate k a coefficient tuple over the eigenfunction families; its evaluation
 is a germ of a solution near the crack tip.
+
+numpy is imported only inside the two least-squares fits, `decay_order` and
+`perturbation_negligibility`; evaluation runs on plain floats.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .nodal import Combination
 # not called here; perfbench/tracing.py wraps them under these names on this module
@@ -153,6 +154,8 @@ def decay_order(exp: Expansion, radii: Sequence[float], angles: Sequence[float] 
     The max is over a fixed fan of directions in the lower half-plane, which
     keeps the measurement off any single nodal ray.
     """
+    import numpy as np
+
     radii = list(radii)
     if len(radii) < 2:
         raise ValueError("need at least two radii")
@@ -219,6 +222,8 @@ def perturbation_negligibility(
     The log-ratio decays linearly in tau with slope -(2 + l(p-1)) for an
     expansion of leading order l.
     """
+    import numpy as np
+
     if p <= 1:
         raise ValueError("the exponent p must exceed 1")
     taus = [float(t) for t in tau_grid]

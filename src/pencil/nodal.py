@@ -19,6 +19,10 @@ exact bisection only where that certificate fails.  Root counts use the
 chain of p.  Admissibility of a slope tuple at expansion order l is a
 nullspace question for the matrix of eigenfunction values at the slopes:
 exact over the rationals, SVD-thresholded for floating input.
+
+numpy is imported only inside `_phase_seeds` and the SVD branch of
+`_verdict_at`, so importing this module, and the exact commands that never
+isolate a root, do not load it.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .linalg import rational_kernel
 from .pencils import Eigenpair, quadratic_eigenfunction, quartic_eigenfunction
@@ -477,6 +479,8 @@ def _phase_seeds(l: int, coeffs: Sequence) -> list[float]:
     and the endpoint zeros at phi = 0 and pi are not roots.  The guesses
     carry no guarantee: `isolate_real_roots` certifies them or falls back.
     """
+    import numpy as np
+
     c1, c2, c3, c4 = (list(coeffs) + [0, 0, 0])[:4]
     if c3 == 0 and c4 == 0:
         if c1 == 0:
@@ -675,6 +679,8 @@ def _verdict_at(equation: str, config: CrackConfig, l: int, tol: float) -> Admis
         admissible = bool(kernel)
         basis = tuple(_normalize_max_entry(v) for v in kernel) if kernel else None
     else:
+        import numpy as np
+
         matrix = np.array([[p.eval_float(float(a)) for p in polys] for a in config.alphas])
         u, sing, vt = np.linalg.svd(matrix)
         cutoff = tol * (sing[0] if sing.size and sing[0] > 0 else 1.0)
@@ -708,6 +714,8 @@ def _verdict_at(equation: str, config: CrackConfig, l: int, tol: float) -> Admis
 def _check_admissibility(
     equation: str, config: CrackConfig, l_range: tuple[int, int], tol: float
 ) -> list[AdmissibilityVerdict]:
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     lo, hi = l_range
     if lo > hi:
         raise ValueError("empty l range")

@@ -61,6 +61,8 @@ _D41, _D42, _D43, _D44, _D45, _D46, _D47 = (
     69997945 / 29380423,
 )
 
+# steps below this fraction of max(1, |t|) end the integration as truncated
+_MIN_REL_STEP = 1e-14
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _SAFETY = 0.9
@@ -97,15 +99,30 @@ class IntegrationResult:
         return tuple(out)
 
 
+def _rms(values: list[float]) -> float:
+    """Root mean square that does not overflow.
+
+    The plain sum of squares is used unless a square or the sum overflows;
+    then math.hypot, which rescales, gives the norm.
+    """
+    try:
+        total = sum([v**2 for v in values])
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        return math.hypot(*values) / math.sqrt(len(values))
+    return math.sqrt(total / len(values))
+
+
 def _initial_step(rhs, t0, y0, f0, rtol, atol, span) -> float:
     scale = [atol + rtol * abs(v) for v in y0]
-    d0 = math.sqrt(sum((v / s) ** 2 for v, s in zip(y0, scale)) / len(y0))
-    d1 = math.sqrt(sum((v / s) ** 2 for v, s in zip(f0, scale)) / len(y0))
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = tuple(y + h0 * f for y, f in zip(y0, f0))
     f1 = rhs(t0 + h0, y1)
-    d2 = math.sqrt(sum(((a - b) / s) ** 2 for a, b, s in zip(f1, f0, scale)) / len(y0)) / h0
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -137,7 +154,8 @@ def integrate(
     t = float(t0)
     f = tuple(rhs(t, y))
     nfev = 1
-    h = _initial_step(rhs, t, y, f, rtol, atol, t1 - t0)
+    # the initial guess starts at the step floor at least; error control takes it from there
+    h = max(_initial_step(rhs, t, y, f, rtol, atol, t1 - t0), _MIN_REL_STEP * max(1.0, abs(t)))
 
     ts = [t]
     ys = [y]
@@ -151,7 +169,7 @@ def integrate(
         if steps > MAX_STEPS:
             truncated = True
             break
-        min_h = 1e-14 * max(1.0, abs(t))
+        min_h = _MIN_REL_STEP * max(1.0, abs(t))
         if h < min_h:
             truncated = True
             break
@@ -189,19 +207,23 @@ def integrate(
         k7 = tuple(rhs(t + h, y_new))
         nfev += 6
         # RMS of the error estimate, each component scaled by its own tolerance
-        norm = math.sqrt(
-            sum(
-                [
-                    (
-                        h * (0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * r)
-                        / (atol + rtol * max(abs(v), abs(w)))
-                    )
-                    ** 2
-                    for v, w, a, b, c, d, e, g, r in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7)
-                ]
+        try:
+            norm = math.sqrt(
+                sum(
+                    [
+                        (
+                            h * (0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * r)
+                            / (atol + rtol * max(abs(v), abs(w)))
+                        )
+                        ** 2
+                        for v, w, a, b, c, d, e, g, r in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7)
+                    ]
+                )
+                / n
             )
-            / n
-        )
+        except OverflowError:
+            # a scaled error above 1e154: rejected with the smallest factor, as any norm that large
+            norm = math.inf
 
         if norm <= 1.0:
             ks = tuple(zip(k1, k2, k3, k4, k5, k6, k7))

@@ -11,6 +11,8 @@ Each eigenfunction is built from its closed form in z + i, the real or
 imaginary part of a power (z+i)^n with integer binomial coefficients, and is
 certified by its exact pencil residual.  The dense nullspace of the pencil
 matrix and the coefficient recursions are test oracles (tests/pencil_oracles.py).
+mpmath is imported only inside `sturm_liouville_check`, the one
+high-precision float computation here.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath as mp
 
 # not called here; perfbench/tracing.py wraps it under this name on this module
 from .linalg import rational_kernel  # noqa: F401
@@ -310,6 +310,8 @@ def sturm_liouville_check(pair: Eigenpair, sample_points=None, dps: int = 60) ->
     The transform carries a half-integer power of (1+z^2), so phi'' is taken
     numerically (high-precision central differences) rather than symbolically.
     """
+    import mpmath as mp
+
     if pair.order != QUADRATIC:
         raise ValueError("the Sturm-Liouville reduction applies to quadratic eigenpairs")
     lam = pair.eigenvalue

@@ -85,6 +85,18 @@ class TestCracks:
         assert payload["error"] == "ValueError"
         assert payload["message"] == f"crack slope {float(alpha)!r} is not finite"
 
+    @pytest.mark.parametrize("equation", ["laplace", "bilaplace"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_tol_not_positive_finite_exit_1(self, capsys, equation, tol):
+        code, out, err = run_cli(
+            capsys, "cracks", "check", "--alphas", "-1,1", "--equation", equation,
+            "--lmin", "2", "--lmax", "2", "--json", "--tol", tol,
+        )
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"] == f"tol must be positive and finite, got {float(tol)!r}"
+
     def test_enum(self, capsys):
         # the endpoint combination is linear here, so it admits no 2-crack window
         code, out, _ = run_cli(capsys, "cracks", "enum", "--m", "2", "--l", "2", "--ratios", "-1:1:1", "--json")

@@ -438,6 +438,70 @@ class TestAdmissibility:
         v = check_admissibility_laplace(cfg, (2, 2), tol=1e-9)[0]
         assert not v.admissible and v.rank == 2
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    @pytest.mark.parametrize("check", [check_admissibility_laplace, check_admissibility_bilaplace])
+    @pytest.mark.parametrize("alphas", [(Fraction(-1), Fraction(1)), (-1.0, 1.0)])
+    def test_tol_not_positive_finite_rejected(self, check, alphas, tol):
+        # a NaN or non-positive tol would match no root and, on the SVD path,
+        # make every verdict inadmissible
+        with pytest.raises(ValueError, match="tol"):
+            check(CrackConfig(alphas), (2, 2), tol=tol)
+
+
+def _gaussian_power(re, im, l):
+    """(re + i im)^l over the Gaussian rationals."""
+    out_re, out_im = Fraction(1), Fraction(0)
+    for _ in range(l):
+        out_re, out_im = out_re * re - out_im * im, out_re * im + out_im * re
+    return out_re, out_im
+
+
+def _angle_rule_admissible(alphas, l) -> bool:
+    """Whether l (phi_i - phi_j) lies in pi Z for every pair, phi = arg(alpha + i).
+
+    (a + i)(b - i) = ab + 1 + i (b - a) has the argument phi_a - phi_b, so the
+    rule asks that its l-th power be real; no eigenfunction is built.
+    """
+    for i, a in enumerate(alphas):
+        for b in alphas[i + 1 :]:
+            if _gaussian_power(a * b + 1, b - a, l)[1] != 0:
+                return False
+    return True
+
+
+class TestAngleRuleOracle:
+    """Exact Laplace verdicts against the angle rule over the Gaussian rationals."""
+
+    SLOPE_SETS = [
+        (0, 1),
+        (-1, 1),
+        (Fraction(-1, 2), Fraction(2, 3)),
+        (0, Fraction(1, 3)),
+        (-2, 0, 1),
+        (-1, 0, 1),
+        (Fraction(1, 3),),
+        # six random rational pairs
+        (-3, Fraction(7, 6)),
+        (-4, -2),
+        (Fraction(-8, 7), Fraction(-5, 7)),
+        (-2, 1),
+        (Fraction(2, 3), Fraction(5, 6)),
+        (Fraction(-3, 7), Fraction(2, 7)),
+    ]
+
+    @pytest.mark.parametrize("alphas", SLOPE_SETS, ids=str)
+    def test_verdicts_match_angle_rule(self, alphas):
+        alphas = tuple(Fraction(a) for a in alphas)
+        verdicts = check_admissibility_laplace(CrackConfig(alphas), (len(alphas), 30))
+        assert [v.l for v in verdicts] == list(range(len(alphas), 31))
+        assert [v.admissible for v in verdicts] == [_angle_rule_admissible(alphas, v.l) for v in verdicts]
+
+    def test_rule_admits_known_orders(self):
+        # the oracle itself: -1, 0, 1 sit at 3pi/4, pi/2, pi/4, so l must be a multiple of 4
+        alphas = (Fraction(-1), Fraction(0), Fraction(1))
+        assert [l for l in range(3, 31) if _angle_rule_admissible(alphas, l)] == [4, 8, 12, 16, 20, 24, 28]
+        assert all(_angle_rule_admissible((Fraction(1, 3),), l) for l in range(1, 31))
+
 
 class TestNullspaceCertificate:
     @given(

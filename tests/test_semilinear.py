@@ -6,6 +6,7 @@ as oracles for the Dormand-Prince solvers.
 """
 
 import math
+import random
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -17,7 +18,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import beta, betainc
 
 from pencil import semilinear
-from pencil.ode import _initial_step, find_zeros, integrate
+from pencil.ode import _initial_step, _rms, find_zeros, integrate
 from pencil.semilinear import (
     FAR_FIELD_ROOT,
     NoProfileFoundError,
@@ -92,6 +93,34 @@ class TestIntegrator:
         ours = integrate(lambda t, y: (y[1], -y[0]), 0.0, 10.0, (0.0, 1.0), rtol=1e-11, atol=1e-13)
         zs = find_zeros(ours)
         assert zs == pytest.approx([0.0, math.pi, 2 * math.pi, 3 * math.pi], abs=1e-9)
+
+    def test_tiny_atol_against_cosine(self):
+        # f/atol = 1e200 at the start, whose square overflows a plain sum of
+        # squares, and the initial step guess (about 1e-190) lies below the step floor
+        ours = integrate(lambda t, y: (y[1], -y[0]), 0.0, 10.0, (1.0, 0.0), atol=1e-200)
+        assert not ours.truncated and ours.ts[-1] == 10.0
+        for t, (f, df) in zip(ours.ts, ours.ys):
+            assert f == pytest.approx(math.cos(t), abs=1e-9)
+            assert df == pytest.approx(-math.sin(t), abs=1e-9)
+        for t in np.linspace(0.05, 9.95, 25):
+            assert ours.interpolate(float(t))[0] == pytest.approx(math.cos(t), abs=1e-9)
+
+    def test_overflowing_step_error_rejects_step(self):
+        # the first step's scaled error is about 1e240, so its square overflows;
+        # the step is rejected, and the step below the floor ends the run
+        ours = integrate(lambda t, y: (1e10 * t**4,), 0.0, 1.0, (0.0,), rtol=1e-300, atol=1e-300)
+        assert ours.truncated and ours.ts == [0.0] and ours.nfev == 7
+
+    def test_rms_rescales_only_on_overflow(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-150, 150) for _ in range(rng.randint(1, 4))]
+            # bit-identical to the plain formula wherever it does not overflow
+            assert _rms(values) == math.sqrt(sum(v**2 for v in values) / len(values))
+        assert _rms([1e200, 0.0]) == pytest.approx(1e200 / math.sqrt(2), rel=1e-15)
+        # each square is finite (1e308), their sum is not
+        assert _rms([1e154, -1e154]) == pytest.approx(1e154, rel=1e-15)
+        assert _rms([math.inf, 1.0]) == math.inf
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("which", ["rtol", "atol"])
