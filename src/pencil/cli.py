@@ -27,7 +27,8 @@ from . import nodal, pencils, semilinear
 from .svg import render_line_chart
 
 SCHEMA_VERSION = "1"
-# most points a range spec, a log y grid or the product of the grid axes may have
+# most points a range spec, a log y grid, the product of the grid axes or a
+# boundary trace may have
 MAX_POINTS = 1_000_000
 
 __all__ = ["main", "entrypoint", "VerifyReport"]
@@ -305,6 +306,7 @@ def _cmd_expand_eval(args) -> int:
 
 def _cmd_expand_trace(args) -> int:
     exp = _parse_terms(args.terms, args.equation)
+    _check_points("--samples", args.samples)
     trace = expmod.synthesize_boundary_trace(exp, args.samples)
     body = {"samples": [[t, v] for t, v in trace.samples], "crack_angles": list(trace.crack_angles)}
     chart = ([("u on lower unit circle", list(trace.samples))], "boundary trace", "theta", "u")

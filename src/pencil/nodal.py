@@ -20,9 +20,9 @@ chain of p.  Admissibility of a slope tuple at expansion order l is a
 nullspace question for the matrix of eigenfunction values at the slopes:
 exact over the rationals, SVD-thresholded for floating input.
 
-numpy is imported only inside `_phase_seeds` and the SVD branch of
-`_verdict_at`, so importing this module, and the exact commands that never
-isolate a root, do not load it.
+numpy is imported only inside the SVD branch of `_verdict_at`, which only
+float slopes reach; seeding, isolation and every exact decision run on
+the standard library alone.
 """
 
 from __future__ import annotations
@@ -311,44 +311,82 @@ def _exact_newton(coeffs: list[int], x: float) -> tuple[int, Fraction | None]:
     return sign, (Fraction(a * d_acc - n_acc, b * d_acc) if d_acc else None)
 
 
-def _sign_certificate(coeffs: list[int], r: float, left: Fraction, right: Fraction) -> float | None:
-    """r if p has opposite exact signs at left < r < right, a zero there, or None."""
-    s_left, s_right = _int_eval_sign(coeffs, left), _int_eval_sign(coeffs, right)
+def _dyadic_sign(coeffs: list[int], num: int, shift: int) -> int:
+    """Sign of p(num / 2^shift), shift >= 0: integer Horner on 2^(shift n) p(num / 2^shift)."""
+    acc = 0
+    bits = 0
+    for c in reversed(coeffs):
+        acc = acc * num + (c << bits)
+        bits += shift
+    return (acc > 0) - (acc < 0)
+
+
+def _certificate_points(r: float, k: int, lo: Fraction, hi: Fraction) -> tuple[int, int, int] | None:
+    """r - 2^k and r + 2^k as (left, right, shift), integers over 2^shift.
+
+    None unless both points lie strictly inside (lo, hi).  No Fraction is
+    built: r is its float mantissa over a power of two.
+    """
+    num, den = r.as_integer_ratio()
+    shift = max(den.bit_length() - 1, -k)
+    x, h = num << (shift - den.bit_length() + 1), 1 << (shift + k)
+    left, right = x - h, x + h
+    if lo.numerator << shift < left * lo.denominator and right * hi.denominator < hi.numerator << shift:
+        return left, right, shift
+    return None
+
+
+def _sign_certificate(coeffs: list[int], r: float, left: int, right: int, shift: int) -> float | None:
+    """r if p has opposite exact signs at left / 2^shift and right / 2^shift, a zero there, or None."""
+    s_left, s_right = _dyadic_sign(coeffs, left, shift), _dyadic_sign(coeffs, right, shift)
     if s_left * s_right < 0:
         return r
     if s_left == 0:
-        return float(left)
+        return left / (1 << shift)
     if s_right == 0:
-        return float(right)
+        return right / (1 << shift)
     return None
+
+
+def _certificate_exponent(lo: Fraction, hi: Fraction, tol: float) -> int:
+    """k with 2^k in (goal/8, goal/2] for goal = tol/8 * max(|lo|, |hi|, 1).
+
+    k is the difference of the bit lengths of goal's reduced numerator and
+    denominator, less 2, computed on integers.
+    """
+    top = max(abs(lo.numerator) * hi.denominator, abs(hi.numerator) * lo.denominator)
+    scale = lo.denominator * hi.denominator
+    if top < scale:
+        top = scale = 1
+    tn, td = (tol if tol > 0 else 1e-12).as_integer_ratio()
+    num, den = tn * top, 8 * td * scale
+    g = math.gcd(num, den)
+    return (num // g).bit_length() - (den // g).bit_length() - 2
 
 
 def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, start: float | None = None) -> float:
     """Refine the one root in an isolating interval to a float within goal/2 of it.
 
-    goal = tol/8 * max(|lo|, |hi|, 1).  A start inside (lo, hi) is tried
-    first by the sign certificate below and then proposes the root; without
-    one, float Newton proposes it.  Exact Newton steps polish it, each
-    rounded to a float r, narrowing the bracket by the exact sign at its
-    start and bisecting the bracket instead when it would leave it.  With h
-    a power of two in (goal/8, goal/2], exact opposite signs at r - h and
+    goal = tol/8 * max(|lo|, |hi|, 1).  A start is tried first by the sign
+    certificate below and, if it lies inside (lo, hi), then proposes the
+    root; without one, float Newton proposes it.  Exact Newton steps polish
+    it, each rounded to a float r, narrowing the bracket by the exact sign
+    at its start and bisecting the bracket instead when it would leave it.
+    With h = 2^k in (goal/8, goal/2], exact opposite signs at r - h and
     r + h, both strictly inside (lo, hi), certify r (a zero sign there is
     the root itself).  Without a certificate the bracket is bisected exactly
     down to width goal.
     """
     if lo == hi:
         return float(lo)
+    k = _certificate_exponent(lo, hi, tol)
+    points = None if start is None else _certificate_points(start, k, lo, hi)
+    if points is not None:
+        found = _sign_certificate(coeffs, start, *points)
+        if found is not None:
+            return found
     goal = Fraction(tol if tol > 0 else 1e-12) / 8 * max(abs(lo), abs(hi), Fraction(1))
-    half = Fraction(2) ** (goal.numerator.bit_length() - goal.denominator.bit_length() - 2)
-    r = None
-    x = None if start is None else Fraction(start)
-    if x is not None and lo < x < hi:
-        r = start
-        left, right = x - half, x + half
-        if lo < left and right < hi:
-            found = _sign_certificate(coeffs, r, left, right)
-            if found is not None:
-                return found
+    r = start if start is not None and lo < Fraction(start) < hi else None
     slo = _int_eval_sign(coeffs, lo)
     if r is None:
         r = _float_newton(coeffs, lo, hi, slo)
@@ -368,11 +406,10 @@ def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, star
                 break
             if abs(r - last) > _CERTIFY_STEP * max(abs(r), 1.0):
                 continue
-            x = Fraction(r)
-            left, right = x - half, x + half
-            if not (lo < left and right < hi):
+            points = _certificate_points(r, k, lo, hi)
+            if points is None:
                 break
-            found = _sign_certificate(coeffs, r, left, right)
+            found = _sign_certificate(coeffs, r, *points)
             if found is not None:
                 return found
             if r == last:
@@ -473,61 +510,76 @@ def _phase_seeds(l: int, coeffs: Sequence) -> list[float]:
     a sum well conditioned in phi for every l, whose zeros in (0, pi) are
     the roots' angles.  For Laplace (C = D = 0) it is
     |w| cos(l phi - theta) with w = c_1 - i c_2 / l = |w| e^(-i theta), so the
-    roots are cot((theta + pi/2 + k pi) / l).  Otherwise the sum is sampled
-    on [0, pi], and Newton steps in phi, safeguarded by bisection, refine
-    every sign-change bracket at once.  When c_1 = 0 the degree is below l
-    and the endpoint zeros at phi = 0 and pi are not roots.  The guesses
-    carry no guarantee: `isolate_real_roots` certifies them or falls back.
+    roots are the l closed-form cot((theta + pi/2 + k pi) / l).  Otherwise
+    the sum is sampled at 32 l + 1 evenly spaced angles in [0, pi], and
+    Newton steps in phi, safeguarded by bisection, refine every sign-change
+    bracket together until all have converged.  When c_1 = 0 the degree is
+    below l and the endpoint zeros at phi = 0 and pi are not roots.  Plain
+    float loops do all of it; a guess whose cotangent is not a finite float
+    is dropped.  The guesses carry no guarantee: `isolate_real_roots`
+    certifies them or falls back.
     """
-    import numpy as np
-
     c1, c2, c3, c4 = (list(coeffs) + [0, 0, 0])[:4]
     if c3 == 0 and c4 == 0:
         if c1 == 0:
-            phi = np.arange(1, l) * (math.pi / l)
-        else:
-            # t = theta + pi/2 = arg(i (c_1 + i c_2 / l)), taken in (0, pi)
-            s = 1 if c1 > 0 else -1
-            t = math.atan2(s * float(c1), -s * float(c2) / l)
-            phi = (t + np.arange(l) * math.pi) / l
-        return (np.cos(phi) / np.sin(phi)).tolist()
+            return _cotangents([k * (math.pi / l) for k in range(1, l)])
+        # t = theta + pi/2 = arg(i (c_1 + i c_2 / l)), taken in (0, pi)
+        s = 1 if c1 > 0 else -1
+        t = math.atan2(s * float(c1), -s * float(c2) / l)
+        return _cotangents([(t + k * math.pi) / l for k in range(l)])
     a = float(c1)
     b = float(c2) / l + (3 * float(c4) / (l * (l - 1) * (l - 2)) if c4 else 0.0)
     c = float(c3) / (l - 1) if c3 else 0.0
     d = -3 * float(c4) / ((l - 1) * (l - 2)) if c4 else 0.0
+    m = l - 1
+    cos, sin = math.cos, math.sin
 
-    def form(phi):
-        """The phase form and its derivative in phi."""
-        cos_l, sin_l = np.cos(l * phi), np.sin(l * phi)
-        cos_m, sin_m = np.cos((l - 1) * phi), np.sin((l - 1) * phi)
-        cos_1, sin_1 = np.cos(phi), np.sin(phi)
-        inner = c * sin_m + d * cos_m
-        value = a * cos_l + b * sin_l + sin_1 * inner
-        slope = l * (b * cos_l - a * sin_l) + cos_1 * inner + (l - 1) * sin_1 * (c * cos_m - d * sin_m)
-        return value, slope
-
-    phi = np.linspace(0.0, math.pi, _PHASE_SAMPLES * l + 1)
-    values = form(phi)[0]
+    n = _PHASE_SAMPLES * l
+    width = math.pi / n
+    phi = [k * width for k in range(n)] + [math.pi]
     # the exact endpoint values; with c_1 = 0 both are zeros that are not roots
-    values[0], values[-1] = a, a * (-1) ** l
-    sign = np.sign(values)
-    exact = phi[1:-1][sign[1:-1] == 0]
-    j = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-    lo, hi, s_lo = phi[j], phi[j + 1], sign[j]
-    x = 0.5 * (lo + hi)
+    values = [a] + [a * cos(l * x) + b * sin(l * x) + sin(x) * (c * sin(m * x) + d * cos(m * x)) for x in phi[1:-1]]
+    values.append(a * (-1) ** l)
+    signs = [(v > 0) - (v < 0) for v in values]
+    roots = [x for x, v in zip(phi[1:-1], values[1:-1]) if v == 0]
+    # [lo, hi, sign at lo, iterate] for each sign-change bracket
+    brackets = [
+        [phi[j], phi[j + 1], signs[j], 0.5 * (phi[j] + phi[j + 1])] for j in range(n) if signs[j] * signs[j + 1] < 0
+    ]
     for _ in range(_PHASE_STEPS):
-        value, slope = form(x)
-        below = np.sign(value) == s_lo
-        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = x - value / slope
-        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-        done = np.all(np.abs(step - x) <= 2 * np.spacing(x))
-        x = step
+        done = True
+        for bracket in brackets:
+            lo, hi, s_lo, x = bracket
+            cos_l, sin_l, cos_m, sin_m = cos(l * x), sin(l * x), cos(m * x), sin(m * x)
+            cos_1, sin_1 = cos(x), sin(x)
+            inner = c * sin_m + d * cos_m
+            value = a * cos_l + b * sin_l + sin_1 * inner
+            slope = l * (b * cos_l - a * sin_l) + cos_1 * inner + m * sin_1 * (c * cos_m - d * sin_m)
+            if (value > 0) - (value < 0) == s_lo:
+                lo = x
+            else:
+                hi = x
+            # a zero slope, or an infinite or NaN quotient, bisects
+            step = x - value / slope if slope else math.nan
+            if not lo <= step <= hi:
+                step = 0.5 * (lo + hi)
+            done = done and abs(step - x) <= 2 * math.ulp(x)
+            bracket[:] = lo, hi, s_lo, step
         if done:
             break
-    phi = np.concatenate((exact, x))
-    return (np.cos(phi) / np.sin(phi)).tolist()
+    return _cotangents(roots + [x for *_, x in brackets])
+
+
+def _cotangents(angles: Iterable[float]) -> list[float]:
+    """cot(phi) for each angle whose cotangent is a finite float."""
+    out = []
+    for phi in angles:
+        s = math.sin(phi)
+        if s:
+            z = math.cos(phi) / s
+            if math.isfinite(z):
+                out.append(z)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,17 @@
 The program builds every eigenfunction from its closed form in z + i.  These
 constructions share none of that code: the exact dense nullspace of the
 pencil matrix, the two-term quadratic coefficient recursion and the
-reference four-term quartic relation.
+reference four-term quartic relation.  `phase_seeds` is the numpy array
+form of the phase-form root seeds, which `pencil.nodal._phase_seeds`
+computes in plain float loops with the same operations in the same order.
 """
 
+import math
 from fractions import Fraction
+from typing import Sequence
 
 from pencil.linalg import rational_kernel
+from pencil.nodal import _PHASE_SAMPLES, _PHASE_STEPS
 from pencil.pencils import quartic_eigenfunction
 from pencil.polyring import RatPoly, op_apply
 
@@ -106,3 +111,62 @@ def quartic_recursion_report(l: int, family: int) -> list[dict]:
             }
         )
     return report
+
+
+def phase_seeds(l: int, coeffs: Sequence) -> list[float]:
+    """`pencil.nodal._phase_seeds` computed on numpy arrays.
+
+    The same phase form on the same samples, with every sign-change bracket
+    stepped by one vectorised safeguarded Newton iteration; see the
+    program's docstring for the mathematics.  A zero sine gives an infinite
+    or NaN guess here, where the program drops the guess.
+    """
+    import numpy as np
+
+    c1, c2, c3, c4 = (list(coeffs) + [0, 0, 0])[:4]
+    if c3 == 0 and c4 == 0:
+        if c1 == 0:
+            phi = np.arange(1, l) * (math.pi / l)
+        else:
+            # t = theta + pi/2 = arg(i (c_1 + i c_2 / l)), taken in (0, pi)
+            s = 1 if c1 > 0 else -1
+            t = math.atan2(s * float(c1), -s * float(c2) / l)
+            phi = (t + np.arange(l) * math.pi) / l
+        return (np.cos(phi) / np.sin(phi)).tolist()
+    a = float(c1)
+    b = float(c2) / l + (3 * float(c4) / (l * (l - 1) * (l - 2)) if c4 else 0.0)
+    c = float(c3) / (l - 1) if c3 else 0.0
+    d = -3 * float(c4) / ((l - 1) * (l - 2)) if c4 else 0.0
+
+    def form(phi):
+        """The phase form and its derivative in phi."""
+        cos_l, sin_l = np.cos(l * phi), np.sin(l * phi)
+        cos_m, sin_m = np.cos((l - 1) * phi), np.sin((l - 1) * phi)
+        cos_1, sin_1 = np.cos(phi), np.sin(phi)
+        inner = c * sin_m + d * cos_m
+        value = a * cos_l + b * sin_l + sin_1 * inner
+        slope = l * (b * cos_l - a * sin_l) + cos_1 * inner + (l - 1) * sin_1 * (c * cos_m - d * sin_m)
+        return value, slope
+
+    phi = np.linspace(0.0, math.pi, _PHASE_SAMPLES * l + 1)
+    values = form(phi)[0]
+    # the exact endpoint values; with c_1 = 0 both are zeros that are not roots
+    values[0], values[-1] = a, a * (-1) ** l
+    sign = np.sign(values)
+    exact = phi[1:-1][sign[1:-1] == 0]
+    j = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    lo, hi, s_lo = phi[j], phi[j + 1], sign[j]
+    x = 0.5 * (lo + hi)
+    for _ in range(_PHASE_STEPS):
+        value, slope = form(x)
+        below = np.sign(value) == s_lo
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - value / slope
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        done = np.all(np.abs(step - x) <= 2 * np.spacing(x))
+        x = step
+        if done:
+            break
+    phi = np.concatenate((exact, x))
+    return (np.cos(phi) / np.sin(phi)).tolist()

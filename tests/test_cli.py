@@ -189,6 +189,17 @@ class TestExpand:
         assert body.startswith("<?xml")
         assert "<polyline" in body and "</svg>" in body
 
+    def test_trace_samples_bound_exit_1(self, capsys, monkeypatch):
+        def synthesized(*args):
+            raise AssertionError("the trace was sampled")
+
+        monkeypatch.setattr("pencil.expansion.synthesize_boundary_trace", synthesized)
+        code, out, err = run_cli(capsys, "expand", "trace", "--terms", '{"2":[1,0]}', "--samples", "1000001")
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "1000001 points" in payload["message"]
+
 
 class TestDeterminism:
     def test_json_byte_identical(self, capsys):

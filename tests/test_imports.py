@@ -1,9 +1,12 @@
 """numpy and mpmath load only in the functions that use them.
 
 Each case runs in a fresh interpreter, since this test process has imported
-both long before.  The exact commands never touch a float array, so they
-must leave both out of sys.modules; the commands that do use them must still
-run when the import happens inside the call.
+both long before.  No CLI command loads numpy: every slope the CLI reads is
+exact, and root seeds are plain float loops, so numpy is left to the float
+SVD of `_verdict_at` and the least-squares fits of `pencil.expansion`,
+which only the library API reaches.  mpmath loads only for the
+`sturm-liouville` verify suite.  The API paths must still run when the
+import happens inside the call.
 """
 
 import json
@@ -43,7 +46,18 @@ def test_import_loads_neither():
         ["eig", "--order", "quartic", "--l", "6", "--family", "3", "--json"],
         ["spectrum", "--order", "quadratic", "--lmax", "8"],
         ["ode", "stationary", "--p", "3"],
-        ["expand", "eval", "--terms", '{"2":[1,0],"3":[0,1]}', "--grid", "z=-1:1:0.5,tau=0:1:0.5"],
+        ["expand", "eval", "--terms", '{"2":[1,0]}', "--grid", "z=-1:1:0.5,tau=0:1:0.5"],
+        ["cracks", "check", "--alphas", "-1,1", "--equation", "laplace", "--lmin", "2", "--lmax", "6"],
+        pytest.param(
+            ["cracks", "check", "--alphas", "-1,0,1", "--equation", "bilaplace", "--lmin", "3", "--lmax", "5"],
+            id="cracks check bilaplace",
+        ),
+        ["cracks", "enum", "--m", "2", "--l", "5", "--ratios", "-1:1:0.5"],
+        ["expand", "trace", "--terms", '{"3":[1,0.5]}', "--samples", "16"],
+        pytest.param(
+            ["expand", "trace", "--terms", '{"4":[1,0,0.5,-1]}', "--equation", "bilaplace", "--samples", "16"],
+            id="expand trace bilaplace",
+        ),
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )
@@ -51,13 +65,29 @@ def test_exact_commands_load_neither(argv):
     assert _fresh(argv) == {"code": 0, "loaded": []}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["cracks", "check", "--alphas", "-1,0,1", "--equation", "bilaplace", "--lmin", "3", "--lmax", "5"],
-        ["verify", "--suite", "sturm-liouville"],
-    ],
-    ids=lambda argv: " ".join(argv[:2]),
+def test_verify_all_loads_no_numpy():
+    # the sturm-liouville suite is mpmath's one caller
+    assert _fresh(["verify", "--all"]) == {"code": 0, "loaded": ["mpmath"]}
+
+
+_API = (
+    "import json, sys\n"
+    "from pencil.expansion import Expansion, decay_order\n"
+    "from pencil.nodal import CrackConfig, check_admissibility_laplace\n"
+    "before = 'numpy' in sys.modules\n"
+    "verdicts = check_admissibility_laplace(CrackConfig((-1.5, 0.3)), (2, 3))\n"
+    "after_svd = 'numpy' in sys.modules\n"
+    "fit = decay_order(Expansion('laplace', {2: (1, 0)}), [0.01, 0.005, 0.0025])\n"
+    "report = {'before': before, 'after_svd': after_svd, 'verdicts': len(verdicts), 'slope': round(fit.slope)}\n"
+    "print(json.dumps(report))\n"
 )
-def test_float_commands_import_on_call(argv):
-    assert _fresh(argv)["code"] == 0
+
+
+def test_api_float_paths_import_numpy_on_call():
+    out = subprocess.run([sys.executable, "-c", _API], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"before": False, "after_svd": True, "verdicts": 2, "slope": 2}
+
+
+def test_sturm_liouville_imports_mpmath_on_call():
+    assert _fresh(["verify", "--suite", "sturm-liouville"]) == {"code": 0, "loaded": ["mpmath"]}

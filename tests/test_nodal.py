@@ -5,14 +5,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pencil import nodal
 from pencil.nodal import (
     Combination,
     CrackConfig,
+    _certificate_exponent,
     _certified_gaps,
+    _dyadic_sign,
+    _int_eval_sign,
     _isolate_square_free,
     _phase_seeds,
     _refine_root,
@@ -26,6 +29,7 @@ from pencil.nodal import (
 )
 from pencil.pencils import Eigenpair, quadratic_eigenfunction, quartic_eigenfunction
 from pencil.polyring import RatPoly, integer_coefficients, square_free_decomposition
+from pencil_oracles import phase_seeds
 
 
 def poly_from_roots(roots) -> RatPoly:
@@ -603,6 +607,94 @@ class TestSeedsMatchTheirPolynomial:
         l = min(terms)
         trace = synthesize_boundary_trace(Expansion("laplace", terms), 8)
         assert len(trace.crack_angles) == (l if terms[l][0] else l - 1)
+
+
+def _seed_weights(equation: str, l: int, rng: random.Random) -> list[list]:
+    """Exact and float weights for every family present at order l, each with c_1 != 0 and c_1 = 0."""
+    families = Combination(equation, l, (0,) * Combination.family_count(equation)).families
+    cases = []
+    for first in (True, False):
+        exact = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in families]
+        floats = [rng.uniform(-3, 3) for _ in families]
+        exact[0] = (exact[0] or Fraction(1)) if first else Fraction(0)
+        floats[0] = floats[0] if first else 0.0
+        cases += [exact, floats]
+    return cases
+
+
+_SEED_WEIGHTS = st.one_of(
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestPhaseSeeds:
+    """The float-loop seeds against the numpy array form they replaced."""
+
+    @pytest.mark.parametrize("equation", ["laplace", "bilaplace"])
+    @pytest.mark.parametrize("ls", [range(k, k + 40) for k in range(1, 161, 40)], ids=lambda ls: f"l{ls[0]}-{ls[-1]}")
+    def test_equal_to_numpy_oracle(self, equation, ls):
+        for l in ls:
+            rng = random.Random(f"{equation}-{l}")
+            for coeffs in _seed_weights(equation, l, rng):
+                assert _phase_seeds(l, coeffs) == phase_seeds(l, coeffs), (l, coeffs)
+
+    @given(
+        st.sampled_from(["laplace", "bilaplace"]), st.integers(1, 40), st.lists(_SEED_WEIGHTS, min_size=4, max_size=4)
+    )
+    @example("laplace", 3, [5e-324, -1.0, 0, 0])  # phi underflows: the cotangent is infinite and dropped
+    @example("bilaplace", 5, [1e308, 1e308, -1e308, 1e308])  # the phase form overflows to NaN
+    @settings(max_examples=80, deadline=None)
+    def test_only_finite_floats(self, equation, l, weights):
+        n = len(Combination(equation, l, (0,) * Combination.family_count(equation)).families)
+        seeds = _phase_seeds(l, weights[:n])
+        assert all(type(s) is float and math.isfinite(s) for s in seeds)
+        assert len(seeds) <= l
+
+    def test_roots_equal_with_oracle_seeds(self, monkeypatch):
+        rng = random.Random(16)
+        combos = [
+            ("laplace", l, coeffs) for l in (1, 2, 5, 12, 29, 40, 70) for coeffs in _seed_weights("laplace", l, rng)
+        ]
+        combos += [
+            ("bilaplace", l, coeffs) for l in (3, 4, 9, 20, 33) for coeffs in _seed_weights("bilaplace", l, rng)
+        ]
+        combos = [(e, l, c) for e, l, c in combos if Combination(e, l, c).poly.degree > 0]
+        program = [Combination(*combo).roots() for combo in combos]
+        monkeypatch.setattr(nodal, "_phase_seeds", phase_seeds)
+        assert [Combination(*combo).roots() for combo in combos] == program
+
+
+class TestCertificateArithmetic:
+    """The integer forms of the refinement certificate against their Fraction definitions."""
+
+    @given(
+        st.lists(st.integers(-(2**80), 2**80), min_size=1, max_size=12),
+        st.integers(-(2**70), 2**70),
+        st.integers(0, 90),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_dyadic_sign(self, cofactor, num, shift, finer):
+        # p has the root num / 2^shift; the signs there and one step of
+        # 2^-(shift + finer) to either side are the ones a certificate needs
+        coeffs = integer_coefficients(RatPoly([-num, 1 << shift]) * RatPoly(cofactor))
+        near = [(num, shift), ((num << finer) - 1, shift + finer), ((num << finer) + 1, shift + finer)]
+        for point, point_shift in near:
+            assert _dyadic_sign(coeffs, point, point_shift) == _int_eval_sign(coeffs, Fraction(point, 1 << point_shift))
+
+    @given(
+        st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=2**70),
+        st.fractions(min_value=0, max_value=10**9, max_denominator=2**70).filter(lambda w: w > 0),
+        st.one_of(st.floats(min_value=1e-300, max_value=1e3), st.just(0.0), st.just(-1.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exponent(self, lo, width, tol):
+        hi = lo + width
+        goal = Fraction(tol if tol > 0 else 1e-12) / 8 * max(abs(lo), abs(hi), Fraction(1))
+        k = _certificate_exponent(lo, hi, tol)
+        assert k == goal.numerator.bit_length() - goal.denominator.bit_length() - 2
+        assert goal / 8 < Fraction(2) ** k <= goal / 2
 
 
 class TestEnumeration:
