@@ -66,13 +66,30 @@ __all__ = [
 
 
 def _int_eval_sign(coeffs: Sequence[int], point: Fraction) -> int:
-    """Sign of p(point) for integer coefficients: integer Horner on b^n p(a/b)."""
+    """Sign of p(point) for integer coefficients: integer Horner on b^n p(a/b).
+
+    Every point the program evaluates is dyadic (root bounds, bisection
+    midpoints, separators and floats), and then `_dyadic_sign` scales by
+    shifts instead of powers of b.
+    """
     a, b = point.numerator, point.denominator
+    if not b & (b - 1):
+        return _dyadic_sign(coeffs, a, b.bit_length() - 1)
     acc = 0
     bp = 1
     for c in reversed(coeffs):
         acc = acc * a + c * bp
         bp *= b
+    return (acc > 0) - (acc < 0)
+
+
+def _dyadic_sign(coeffs: Sequence[int], num: int, shift: int) -> int:
+    """Sign of p(num / 2^shift), shift >= 0: integer Horner on 2^(shift n) p(num / 2^shift)."""
+    acc = 0
+    bits = 0
+    for c in reversed(coeffs):
+        acc = acc * num + (c << bits)
+        bits += shift
     return (acc > 0) - (acc < 0)
 
 
@@ -311,16 +328,6 @@ def _exact_newton(coeffs: list[int], x: float) -> tuple[int, Fraction | None]:
     return sign, (Fraction(a * d_acc - n_acc, b * d_acc) if d_acc else None)
 
 
-def _dyadic_sign(coeffs: list[int], num: int, shift: int) -> int:
-    """Sign of p(num / 2^shift), shift >= 0: integer Horner on 2^(shift n) p(num / 2^shift)."""
-    acc = 0
-    bits = 0
-    for c in reversed(coeffs):
-        acc = acc * num + (c << bits)
-        bits += shift
-    return (acc > 0) - (acc < 0)
-
-
 def _certificate_points(r: float, k: int, lo: Fraction, hi: Fraction) -> tuple[int, int, int] | None:
     """r - 2^k and r + 2^k as (left, right, shift), integers over 2^shift.
 
@@ -348,12 +355,8 @@ def _sign_certificate(coeffs: list[int], r: float, left: int, right: int, shift:
     return None
 
 
-def _certificate_exponent(lo: Fraction, hi: Fraction, tol: float) -> int:
-    """k with 2^k in (goal/8, goal/2] for goal = tol/8 * max(|lo|, |hi|, 1).
-
-    k is the difference of the bit lengths of goal's reduced numerator and
-    denominator, less 2, computed on integers.
-    """
+def _goal(lo: Fraction, hi: Fraction, tol: float) -> tuple[int, int]:
+    """goal = tol/8 * max(|lo|, |hi|, 1) as its reduced numerator and denominator."""
     top = max(abs(lo.numerator) * hi.denominator, abs(hi.numerator) * lo.denominator)
     scale = lo.denominator * hi.denominator
     if top < scale:
@@ -361,7 +364,7 @@ def _certificate_exponent(lo: Fraction, hi: Fraction, tol: float) -> int:
     tn, td = (tol if tol > 0 else 1e-12).as_integer_ratio()
     num, den = tn * top, 8 * td * scale
     g = math.gcd(num, den)
-    return (num // g).bit_length() - (den // g).bit_length() - 2
+    return num // g, den // g
 
 
 def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, start: float | None = None) -> float:
@@ -379,13 +382,14 @@ def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, star
     """
     if lo == hi:
         return float(lo)
-    k = _certificate_exponent(lo, hi, tol)
+    goal_num, goal_den = _goal(lo, hi, tol)
+    k = goal_num.bit_length() - goal_den.bit_length() - 2
     points = None if start is None else _certificate_points(start, k, lo, hi)
     if points is not None:
         found = _sign_certificate(coeffs, start, *points)
         if found is not None:
             return found
-    goal = Fraction(tol if tol > 0 else 1e-12) / 8 * max(abs(lo), abs(hi), Fraction(1))
+    goal = Fraction(goal_num, goal_den)
     r = start if start is not None and lo < Fraction(start) < hi else None
     slo = _int_eval_sign(coeffs, lo)
     if r is None:

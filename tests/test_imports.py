@@ -46,7 +46,7 @@ def test_import_loads_neither():
         ["eig", "--order", "quartic", "--l", "6", "--family", "3", "--json"],
         ["spectrum", "--order", "quadratic", "--lmax", "8"],
         ["ode", "stationary", "--p", "3"],
-        ["expand", "eval", "--terms", '{"2":[1,0]}', "--grid", "z=-1:1:0.5,tau=0:1:0.5"],
+        ["expand", "eval", "--terms", '{"2":[1,0],"3":[0,1]}', "--grid", "z=-1:1:0.5,tau=0:1:0.5"],
         ["cracks", "check", "--alphas", "-1,1", "--equation", "laplace", "--lmin", "2", "--lmax", "6"],
         pytest.param(
             ["cracks", "check", "--alphas", "-1,0,1", "--equation", "bilaplace", "--lmin", "3", "--lmax", "5"],

@@ -12,9 +12,9 @@ from pencil import nodal
 from pencil.nodal import (
     Combination,
     CrackConfig,
-    _certificate_exponent,
     _certified_gaps,
     _dyadic_sign,
+    _goal,
     _int_eval_sign,
     _isolate_square_free,
     _phase_seeds,
@@ -629,7 +629,15 @@ _SEED_WEIGHTS = st.one_of(
 
 
 class TestPhaseSeeds:
-    """The float-loop seeds against the numpy array form they replaced."""
+    """The float-loop seeds against the numpy array form they replaced.
+
+    Both forms do the same IEEE operations in the same order, so the seeds
+    and the roots refined from them are equal bit for bit as long as numpy's
+    float64 sin and cos round as the platform libm behind `math` does.  A
+    numpy build that dispatches to other (SIMD) routines can move a seed by
+    a few ulps and fail the equalities below while the program is correct:
+    seeds are only guesses, certified exactly by `_certified_gaps`.
+    """
 
     @pytest.mark.parametrize("equation", ["laplace", "bilaplace"])
     @pytest.mark.parametrize("ls", [range(k, k + 40) for k in range(1, 161, 40)], ids=lambda ls: f"l{ls[0]}-{ls[-1]}")
@@ -666,7 +674,7 @@ class TestPhaseSeeds:
 
 
 class TestCertificateArithmetic:
-    """The integer forms of the refinement certificate against their Fraction definitions."""
+    """The integer sign and goal arithmetic against their Fraction definitions."""
 
     @given(
         st.lists(st.integers(-(2**80), 2**80), min_size=1, max_size=12),
@@ -678,10 +686,28 @@ class TestCertificateArithmetic:
     def test_dyadic_sign(self, cofactor, num, shift, finer):
         # p has the root num / 2^shift; the signs there and one step of
         # 2^-(shift + finer) to either side are the ones a certificate needs
-        coeffs = integer_coefficients(RatPoly([-num, 1 << shift]) * RatPoly(cofactor))
+        p = RatPoly([-num, 1 << shift]) * RatPoly(cofactor)
+        coeffs = integer_coefficients(p)
         near = [(num, shift), ((num << finer) - 1, shift + finer), ((num << finer) + 1, shift + finer)]
         for point, point_shift in near:
-            assert _dyadic_sign(coeffs, point, point_shift) == _int_eval_sign(coeffs, Fraction(point, 1 << point_shift))
+            x = Fraction(point, 1 << point_shift)
+            expected = (p.eval(x) > 0) - (p.eval(x) < 0)
+            assert _dyadic_sign(coeffs, point, point_shift) == expected
+            assert _int_eval_sign(coeffs, x) == expected
+
+    @given(
+        st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=10),
+        st.fractions(max_denominator=10**6),
+        st.integers(1, 10**6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_int_eval_sign_any_rational(self, cofactor, root, step):
+        # p has the root x, which need not be dyadic; signs at it and next to it
+        p = RatPoly([-root, 1]) * RatPoly(cofactor)
+        coeffs = integer_coefficients(p)
+        for x in (root, root - Fraction(1, 3 * step), root + Fraction(1, 3 * step)):
+            value = p.eval(x)
+            assert _int_eval_sign(coeffs, x) == (value > 0) - (value < 0)
 
     @given(
         st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=2**70),
@@ -689,11 +715,13 @@ class TestCertificateArithmetic:
         st.one_of(st.floats(min_value=1e-300, max_value=1e3), st.just(0.0), st.just(-1.0)),
     )
     @settings(max_examples=200, deadline=None)
-    def test_exponent(self, lo, width, tol):
+    def test_goal(self, lo, width, tol):
         hi = lo + width
         goal = Fraction(tol if tol > 0 else 1e-12) / 8 * max(abs(lo), abs(hi), Fraction(1))
-        k = _certificate_exponent(lo, hi, tol)
-        assert k == goal.numerator.bit_length() - goal.denominator.bit_length() - 2
+        num, den = _goal(lo, hi, tol)
+        assert (num, den) == (goal.numerator, goal.denominator)
+        # the certificate's h = 2^k
+        k = num.bit_length() - den.bit_length() - 2
         assert goal / 8 < Fraction(2) ** k <= goal / 2
 
 
