@@ -21,6 +21,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import expansion as expmod
 from . import nodal, pencils, semilinear
@@ -83,12 +84,16 @@ def _csv_text(header: str, columns: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def _emit(args: argparse.Namespace, command: str, body: dict, text="json", table=None, chart=None) -> None:
+def _emit(
+    args: argparse.Namespace, command: str, body: dict | Callable[[], dict], text="json", table=None, chart=None
+) -> None:
     """Write a command's output by the rule in the module docstring.
 
-    `text` is the text lines, or "json" or "csv" when the text form is the
-    payload or the table; `table` is (columns, rows) and `chart` is the
-    (series, title, x label, y label) that render_line_chart takes.
+    `body` is the payload's dict, or a callable that builds it only if the
+    payload is written.  `text` is the text lines, or "json" or "csv" when
+    the text form is the payload or the table; `table` is (columns, rows)
+    and `chart` is the (series, title, x label, y label) that
+    render_line_chart takes.
     """
     config = _config_dict(args)
     header = "config: " + json.dumps(config, sort_keys=True)
@@ -98,6 +103,7 @@ def _emit(args: argparse.Namespace, command: str, body: dict, text="json", table
     if csv_path:
         _atomic_write(csv_path, _csv_text(header, *table))
     if args.json or args.out or (text == "json" and not (svg or csv_path)):
+        body = body() if callable(body) else body
         payload = {"schema_version": SCHEMA_VERSION, "command": command, "config": config, **body}
         data = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
         if args.out:
@@ -264,8 +270,9 @@ def _cmd_cracks_check(args) -> int:
         + ("" if v.combo_coefficients is None else " combo=" + ",".join(str(c) for c in v.combo_coefficients))
         for v in verdicts
     ]
-    body = {"alphas": [str(a) for a in config.alphas], "verdicts": [_verdict_json(v) for v in verdicts]}
-    _emit(args, "cracks-check", body, text=text)
+    alphas = [str(a) for a in config.alphas]
+    # text mode never builds the JSON body
+    _emit(args, "cracks-check", lambda: {"alphas": alphas, "verdicts": [_verdict_json(v) for v in verdicts]}, text=text)
     return 0
 
 

@@ -11,14 +11,20 @@ seeds, isolation uses exact Sturm sequences over the integers (primitive
 pseudo-remainders, so only positive rescalings ever touch the chain
 signs).  The chain of p itself shows whether p is square-free; if so it
 bisects p's roots from a power-of-two Fujiwara bound, carrying the
-sign-variation count at every interval endpoint.  Otherwise the chain of the square-free part does, and
-multiplicities come from the signs of the Yun factors.  Each isolated root
-is refined by certified Newton: a seed or safeguarded float Newton, exact
-Newton steps, and exact opposite signs on either side of the result, with
-exact bisection only where that certificate fails.  Root counts use the
-chain of p.  Admissibility of a slope tuple at expansion order l is a
-nullspace question for the matrix of eigenfunction values at the slopes:
-exact over the rationals, SVD-thresholded for floating input.
+sign-variation count at every interval endpoint.  Otherwise the chain of
+the square-free part does, and multiplicities come from the signs of the
+Yun factors.  The chain keeps the pseudo-division identity
+e P_j = Q P_{j+1} + kappa P_{j+2} that made each element, so at a bisection
+point each element's value follows from the two below it by a few integer
+products and one exact division, where a Horner sum would cost one
+multiply-add per degree; elements whose multipliers are too large for
+that to pay keep Horner.  Each isolated root is refined by certified
+Newton: a seed or safeguarded float Newton, exact Newton steps, and exact
+opposite signs on either side of the result, with exact bisection only
+where that certificate fails.  Root counts use the chain of p.
+Admissibility of a slope tuple at expansion order l is a nullspace
+question for the matrix of eigenfunction values at the slopes: exact over
+the rationals, SVD-thresholded for floating input.
 
 numpy is imported only inside the SVD branch of `_verdict_at`, which only
 float slopes reach; seeding, isolation and every exact decision run on
@@ -37,9 +43,10 @@ from .linalg import rational_kernel
 from .pencils import Eigenpair, quadratic_eigenfunction, quartic_eigenfunction
 from .polyring import (
     RatPoly,
+    _int_content,
     _int_diff,
     _int_primitive,
-    _signed_prem,
+    _pseudo_divide,
     integer_coefficients,
     square_free_decomposition,
 )
@@ -84,30 +91,73 @@ def _int_eval_sign(coeffs: Sequence[int], point: Fraction) -> int:
 
 
 def _dyadic_sign(coeffs: Sequence[int], num: int, shift: int) -> int:
-    """Sign of p(num / 2^shift), shift >= 0: integer Horner on 2^(shift n) p(num / 2^shift)."""
+    """Sign of p(num / 2^shift), shift >= 0."""
+    acc = _dyadic_value(coeffs, num, shift)
+    return (acc > 0) - (acc < 0)
+
+
+def _dyadic_value(coeffs: Sequence[int], num: int, shift: int) -> int:
+    """2^(shift n) p(num / 2^shift), n = len(coeffs) - 1 and shift >= 0, by Horner with shifts."""
     acc = 0
     bits = 0
     for c in reversed(coeffs):
         acc = acc * num + (c << bits)
         bits += shift
-    return (acc > 0) - (acc < 0)
+    return acc
 
 
-def _sturm_chain(coeffs: list[int]) -> list[list[int]]:
-    """Sturm chain of an integer polynomial, primitive at each step.
+# A link replaces the Horner sum of chain element j (degree d_j) by two
+# products, a shift and one exact division, whose operands are the chain
+# values at the point (integers about as long as the Horner accumulator)
+# and the link's multipliers e, Q and kappa.  Schoolbook multiplication and
+# division cost about (multiplier digits) x (accumulator digits) digit steps
+# each, where Horner costs d_j passes of a few-digit multiply-add over the
+# accumulator.  So a link pays while its multipliers have at most a few
+# 30-bit digits per degree of P_j; past that (the bi-Laplace chains reach
+# coefficients of 14k bits) Horner is cheaper.  Any bound from 8 to 128 bits
+# per degree timed the same on psi_{l,f} and the bi-Laplace chains.
+_LINK_BITS_PER_DEGREE = 32
 
-    With repeated roots it ends at gcd(p, p') and still counts distinct roots.
+
+@dataclass(frozen=True)
+class _SturmChain:
+    """The Sturm chain of p and its remainder-sequence identities.
+
+    polys are P_0 = p, P_1 = p' and P_{j+2} = -prem(P_j, P_{j+1}), each
+    primitive.  links[j] is (e, Q, kappa) with
+    e P_j = Q P_{j+1} + kappa P_{j+2}, the pseudo-division that made
+    P_{j+2}; it is None for the last two elements and where Horner on P_j
+    is cheaper (`_LINK_BITS_PER_DEGREE`).
     """
-    chain = [_int_primitive(list(coeffs))]
-    d = _int_primitive(_int_diff(chain[0]))
+
+    polys: list[list[int]]
+    links: list[tuple[int, list[int], int] | None]
+
+
+def _sturm_chain(coeffs: list[int], linked: bool = True) -> _SturmChain:
+    """Sturm chain of an integer polynomial, primitive at each step, with its links.
+
+    With repeated roots it ends at gcd(p, p') and still counts distinct
+    roots.  linked=False leaves every link None, for a chain that is only
+    read at infinity.
+    """
+    polys = [_int_primitive(list(coeffs))]
+    d = _int_primitive(_int_diff(polys[0]))
     if d:
-        chain.append(d)
-    while len(chain[-1]) > 1:
-        rem = _signed_prem(chain[-2], chain[-1])
+        polys.append(d)
+    links: list[tuple[int, list[int], int] | None] = []
+    while len(polys[-1]) > 1:
+        scale, quot, rem = _pseudo_divide(polys[-2], polys[-1])
         if not rem:
             break
-        chain.append([-c for c in rem])
-    return chain
+        # P_{j+2} = rem / kappa is primitive and a positive multiple of -rem(P_j, P_{j+1}) over Q
+        kappa = -_int_content(rem) if scale > 0 else _int_content(rem)
+        if linked:
+            bits = max(map(int.bit_length, (scale, kappa, *quot)))
+            links.append((scale, quot, kappa) if bits <= _LINK_BITS_PER_DEGREE * (len(polys[-2]) - 1) else None)
+        polys.append([c // kappa for c in rem])
+    links += [None] * (len(polys) - len(links))
+    return _SturmChain(polys, links)
 
 
 def _sign_variations(signs: Iterable[int]) -> int:
@@ -122,9 +172,28 @@ def _sign_variations(signs: Iterable[int]) -> int:
     return out
 
 
-def _variations_at(chain: list[list[int]], point: Fraction) -> tuple[int, int]:
-    """Sign of chain[0] at point and the chain's sign-variation count there."""
-    signs = [_int_eval_sign(p, point) for p in chain]
+def _variations_at(chain: _SturmChain, point: Fraction) -> tuple[int, int]:
+    """Sign of P_0 at the dyadic point and the chain's sign-variation count there.
+
+    With point = a / 2^s the values V_j = 2^(s d_j) P_j(a / 2^s), d_j = deg P_j,
+    are integers with the signs of P_j.  They are found bottom-up: Horner
+    (`_dyadic_value`) gives the last two and every element without a link,
+    and a link e P_j = Q P_{j+1} + kappa P_{j+2} gives
+    V_j = (Q~ V_{j+1} + kappa V_{j+2} 2^(s (d_j - d_{j+2}))) / e, an exact
+    division, with Q~ = 2^(s deg Q) Q(a / 2^s).  Both give the same integer.
+    """
+    num, shift = point.numerator, point.denominator.bit_length() - 1
+    polys, links = chain.polys, chain.links
+    values = [0] * len(polys)
+    for j in range(len(polys) - 1, -1, -1):
+        link = links[j]
+        if link is None:
+            values[j] = _dyadic_value(polys[j], num, shift)
+        else:
+            scale, quot, kappa = link
+            lifted = kappa * values[j + 2] << shift * (len(polys[j]) - len(polys[j + 2]))
+            values[j] = (_dyadic_value(quot, num, shift) * values[j + 1] + lifted) // scale
+    signs = [(v > 0) - (v < 0) for v in values]
     return signs[0], _sign_variations(signs)
 
 
@@ -144,8 +213,8 @@ def count_real_roots(p: RatPoly) -> int:
         raise ValueError("the zero polynomial has no root count")
     if p.degree == 0:
         return 0
-    chain = _sturm_chain(integer_coefficients(p))
-    return _variations_at_infinity(chain, True) - _variations_at_infinity(chain, False)
+    polys = _sturm_chain(integer_coefficients(p), linked=False).polys
+    return _variations_at_infinity(polys, True) - _variations_at_infinity(polys, False)
 
 
 def _root_bound(coeffs: Sequence[int]) -> Fraction:
@@ -160,16 +229,18 @@ def _root_bound(coeffs: Sequence[int]) -> Fraction:
     return Fraction(2) ** (1 + max(exponents, default=0))
 
 
-def _isolate_square_free(chain: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational intervals each holding exactly one real root of chain[0].
+def _isolate_square_free(chain: _SturmChain) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint rational intervals each holding exactly one real root of chain.polys[0].
 
     chain is the Sturm chain of a square-free polynomial.  Each stack entry
     (lo, V(lo), hi, V(hi)) carries the sign-variation counts of its
     endpoints, which are never roots, so V(lo) - V(hi) roots lie in (lo, hi)
-    and every bisection point costs one chain evaluation.  Exact rational
+    and every bisection point costs one evaluation of the chain, bottom-up
+    through its links (`_variations_at`).  Every point is dyadic: the bound
+    is a power of two, and midpoints and margins halve.  Exact rational
     roots are returned as degenerate [r, r] intervals.
     """
-    bound = _root_bound(chain[0])
+    bound = _root_bound(chain.polys[0])
     out: list[tuple[Fraction, Fraction]] = []
     stack = [(-bound, _variations_at(chain, -bound)[1], bound, _variations_at(chain, bound)[1])]
     while stack:
@@ -477,7 +548,7 @@ def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | 
         roots = tuple(_refine_root(coeffs, lo, hi, tol, s) for (lo, hi), s in zip(gaps, sorted(seeds)))
         return RootSet(p, tuple(gaps), roots, (1,) * len(gaps))
     chain = _sturm_chain(coeffs)
-    if len(chain[-1]) == 1:
+    if len(chain.polys[-1]) == 1:
         intervals = _isolate_square_free(chain)
         mults = (1,) * len(intervals)
     else:

@@ -299,19 +299,54 @@ def integer_coefficients(p: RatPoly) -> list[int]:
     return [v // content for v in ints]
 
 
+def _int_content(cs: Sequence[int]) -> int:
+    """gcd of the coefficients, 0 for the zero polynomial."""
+    content = 0
+    for v in cs:
+        content = gcd(content, abs(v))
+    return content
+
+
 def _int_primitive(cs: list[int]) -> list[int]:
     while cs and cs[-1] == 0:
         cs.pop()
     if not cs:
         return []
-    content = 0
-    for v in cs:
-        content = gcd(content, abs(v))
+    content = _int_content(cs)
     return [v // content for v in cs]
 
 
 def _int_diff(cs: list[int]) -> list[int]:
     return [cs[i] * i for i in range(1, len(cs))]
+
+
+def _pseudo_divide(f: list[int], g: list[int]) -> tuple[int, list[int], list[int]]:
+    """Integer pseudo-division: (scale, quotient, remainder) with scale f = quotient g + remainder.
+
+    Each step cancels the leading term of the running remainder against
+    lc(g) times a shift of g, so scale = lc(g)^steps, one factor per nonzero
+    leading term cancelled.  The remainder has degree below g's and no
+    trailing zeros; g must be nonzero.
+    """
+    r = list(f)
+    while r and r[-1] == 0:
+        r.pop()
+    lg = g[-1]
+    scale = 1
+    quot: list[int] = []
+    while len(r) >= len(g):
+        lr = r[-1]
+        shift = len(r) - len(g)
+        # quotient terms so far sit above x^shift: quot <- lg quot + lr x^shift
+        quot = [lg * c for c in quot] if quot else [0] * (shift + 1)
+        quot[shift] = lr
+        r = [lg * c for c in r]
+        for j, b in enumerate(g):
+            r[shift + j] -= lr * b
+        scale *= lg
+        while r and r[-1] == 0:
+            r.pop()
+    return scale, quot, r
 
 
 def _signed_prem(f: list[int], g: list[int]) -> list[int]:
@@ -320,26 +355,9 @@ def _signed_prem(f: list[int], g: list[int]) -> list[int]:
     Sign fidelity matters: the result differs from the true remainder
     rem(f, g) over Q only by a positive factor.
     """
-    r = list(f)
-    lg = g[-1]
-    flips = 0
-    while len(r) >= len(g) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(g):
-            break
-        lr = r[-1]
-        shift = len(r) - len(g)
-        r = [lg * c for c in r]
-        for j, b in enumerate(g):
-            r[shift + j] -= lr * b
-        if lg < 0:
-            flips += 1
-        while r and r[-1] == 0:
-            r.pop()
-    if flips % 2:
-        r = [-c for c in r]
-    return _int_primitive(r)
+    scale, _, r = _pseudo_divide(f, g)
+    r = _int_primitive(r)
+    return r if scale > 0 else [-c for c in r]
 
 
 def _int_gcd_poly(a: list[int], b: list[int]) -> list[int]:

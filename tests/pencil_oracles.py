@@ -6,6 +6,9 @@ pencil matrix, the two-term quadratic coefficient recursion and the
 reference four-term quartic relation.  `phase_seeds` is the numpy array
 form of the phase-form root seeds, which `pencil.nodal._phase_seeds`
 computes in plain float loops with the same operations in the same order.
+`variations_at` counts a Sturm chain's sign variations with one Horner sum
+per element, where `pencil.nodal._variations_at` runs the chain's own
+pseudo-division identities.
 """
 
 import math
@@ -170,3 +173,21 @@ def phase_seeds(l: int, coeffs: Sequence) -> list[float]:
             break
     phi = np.concatenate((exact, x))
     return (np.cos(phi) / np.sin(phi)).tolist()
+
+
+def variations_at(chain, point: Fraction) -> tuple[int, int]:
+    """Sign of chain.polys[0] at point and the sign-variation count of chain.polys there.
+
+    Each element's sign is that of b^n p(a/b), an integer Horner sum at the
+    point a/b; zero signs are skipped in the count.
+    """
+    a, b = point.numerator, point.denominator
+    signs = []
+    for coeffs in chain.polys:
+        acc, b_pow = 0, 1
+        for c in reversed(coeffs):
+            acc = acc * a + c * b_pow
+            b_pow *= b
+        signs.append((acc > 0) - (acc < 0))
+    nonzero = [s for s in signs if s]
+    return signs[0], sum(s != t for s, t in zip(nonzero, nonzero[1:]))

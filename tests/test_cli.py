@@ -77,6 +77,15 @@ class TestCracks:
         assert code == 0
         assert all(not v["admissible"] for v in json.loads(out)["verdicts"])
 
+    def test_text_mode_builds_no_json_body(self, capsys, monkeypatch):
+        def refuse(v):
+            raise AssertionError("text mode built the JSON verdict body")
+
+        monkeypatch.setattr(cli, "_verdict_json", refuse)
+        code, out, _ = run_cli(capsys, "cracks", "check", "--alphas", "-1,1", "--lmin", "2", "--lmax", "3")
+        assert code == 0
+        assert out.splitlines()[1:] == ["l=2 admissible=True rank=1 combo=1,0", "l=3 admissible=False rank=2"]
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
     def test_non_finite_alpha_exit_1(self, capsys, alpha):
         code, out, err = run_cli(capsys, "cracks", "check", "--alphas", alpha, "--lmin", "1", "--lmax", "3")

@@ -1,5 +1,6 @@
 """Root isolation, transversality, and admissibility decisions."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from pencil.nodal import (
     _phase_seeds,
     _refine_root,
     _sturm_chain,
+    _variations_at,
     check_admissibility_bilaplace,
     check_admissibility_laplace,
     count_real_roots,
@@ -28,8 +30,8 @@ from pencil.nodal import (
     transversality_check,
 )
 from pencil.pencils import Eigenpair, quadratic_eigenfunction, quartic_eigenfunction
-from pencil.polyring import RatPoly, integer_coefficients, square_free_decomposition
-from pencil_oracles import phase_seeds
+from pencil.polyring import RatPoly, _pseudo_divide, integer_coefficients, square_free_decomposition
+from pencil_oracles import phase_seeds, variations_at
 
 
 def poly_from_roots(roots) -> RatPoly:
@@ -296,7 +298,7 @@ class TestSeededIsolation:
             expected.append((tuple(intervals), roots))
 
         def only_repeated(p):
-            if len(_sturm_chain(integer_coefficients(p))[-1]) == 1:
+            if len(_sturm_chain(integer_coefficients(p)).polys[-1]) == 1:
                 raise AssertionError("square_free_decomposition called on square-free input")
             return square_free_decomposition(p)
 
@@ -723,6 +725,128 @@ class TestCertificateArithmetic:
         # the certificate's h = 2^k
         k = num.bit_length() - den.bit_length() - 2
         assert goal / 8 < Fraction(2) ** k <= goal / 2
+
+
+@st.composite
+def sturm_inputs(draw):
+    """An integer polynomial with the exact dyadic root a / 2^k, and points to evaluate its chain at.
+
+    The cofactor is dense with coefficients up to 2^bits (bits 8 or 200) or
+    sparse (a few terms at scattered degrees, so the remainder sequence
+    skips degrees), times an optional square, so roots repeat.  Either
+    leading sign occurs.  The points are the root, its two neighbours at
+    2^-(k + finer) and random dyadics.
+    """
+    bits = draw(st.sampled_from([8, 200]))
+    coeff = st.integers(-(2**bits), 2**bits)
+    if draw(st.booleans()):
+        cofactor = draw(st.lists(coeff, min_size=1, max_size=9))
+    else:
+        terms = draw(st.dictionaries(st.integers(0, 14), coeff.filter(bool), min_size=1, max_size=4))
+        cofactor = [terms.get(i, 0) for i in range(max(terms) + 1)]
+    p = RatPoly(cofactor)
+    if p.is_zero():
+        p = RatPoly.one()
+    square = draw(st.lists(st.integers(-9, 9), min_size=0, max_size=3))
+    if RatPoly(square).degree > 0:
+        p = p * RatPoly(square) ** 2
+    num, k, power = draw(st.integers(-(2**12), 2**12)), draw(st.integers(0, 12)), draw(st.integers(1, 3))
+    p = p * RatPoly([-num, 1 << k]) ** power
+    if draw(st.booleans()):
+        p = -p
+    finer = draw(st.integers(1, 30))
+    points = [Fraction(num, 1 << k)] + [Fraction((num << finer) + d, 1 << (k + finer)) for d in (-1, 1)]
+    dyadics = st.tuples(st.integers(-(2**40), 2**40), st.integers(0, 40))
+    points += [Fraction(a, 1 << s) for a, s in draw(st.lists(dyadics, max_size=4))]
+    return integer_coefficients(p), points
+
+
+def _multiplier_bits(link) -> int:
+    scale, quot, kappa = link
+    return max(abs(x).bit_length() for x in (scale, kappa, *quot))
+
+
+def _fully_linked(coeffs):
+    """The Sturm chain with a link at every element that has two below it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nodal, "_LINK_BITS_PER_DEGREE", math.inf)
+        return _sturm_chain(coeffs)
+
+
+@functools.lru_cache(maxsize=None)
+def _bilaplace_crack_combination(l: int) -> RatPoly:
+    """The order-l bi-Laplace combination that admits the cracks at slopes -1/2 and 2/3."""
+    verdict = check_admissibility_bilaplace(CrackConfig((Fraction(-1, 2), Fraction(2, 3))), (l, l))[0]
+    return Combination("bilaplace", l, verdict.combo_coefficients).poly
+
+
+class TestSturmLinks:
+    """The chain's pseudo-division links against per-element Horner (`pencil_oracles.variations_at`)."""
+
+    @given(
+        st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=12),
+        st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=8).filter(lambda g: g[-1] != 0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pseudo_divide(self, f, g):
+        scale, quot, rem = _pseudo_divide(f, g)
+        assert RatPoly(f) * scale == RatPoly(quot) * RatPoly(g) + RatPoly(rem)
+        assert len(rem) < len(g) and (not rem or rem[-1] != 0)
+        # one factor lc(g) per step, at most deg f - deg g + 1 steps
+        steps = max(RatPoly(f).degree - len(g) + 2, 0)
+        assert any(scale == g[-1] ** n for n in range(steps + 1))
+
+    @given(sturm_inputs())
+    @example(([-1, 1, 0, 0, 0, 1], [Fraction(0), Fraction(1, 2), Fraction(-3)]))  # z^5 + z - 1: degrees skip
+    @settings(max_examples=150, deadline=None)
+    def test_links_and_signs_match_horner(self, case):
+        coeffs, points = case
+        chain, linked = _sturm_chain(coeffs), _fully_linked(coeffs)
+        assert linked.polys == chain.polys
+        polys = [RatPoly(q) for q in chain.polys]
+        assert all(link is not None for link in linked.links[:-2]) and linked.links[-2:] == [None, None]
+        for j, link in enumerate(linked.links[:-2]):
+            scale, quot, kappa = link
+            assert polys[j] * scale == RatPoly(quot) * polys[j + 1] + polys[j + 2] * kappa
+            assert scale * kappa < 0  # P_{j+2} is a negative multiple of the remainder
+            assert chain.links[j] in (None, link)
+        for x in points:
+            expected = variations_at(chain, x)
+            assert _variations_at(chain, x) == expected
+            assert _variations_at(linked, x) == expected
+
+    @pytest.mark.parametrize("family", [1, 2])
+    @pytest.mark.parametrize("ls", [range(k, k + 14) for k in range(1, 71, 14)], ids=lambda ls: f"l{ls[0]}-{ls[-1]}")
+    def test_eigenfunction_rootsets_equal_oracle_path(self, family, ls, monkeypatch):
+        polys = [quadratic_eigenfunction(l, family).poly for l in ls]
+        program = [isolate_real_roots(p) for p in polys]
+        monkeypatch.setattr(nodal, "_variations_at", variations_at)
+        assert [isolate_real_roots(p) for p in polys] == program
+
+    @pytest.mark.parametrize("l", [30, 40])
+    def test_bilaplace_rootsets_equal_oracle_path(self, l, monkeypatch):
+        p = _bilaplace_crack_combination(l)
+        program = isolate_real_roots(p)
+        monkeypatch.setattr(nodal, "_variations_at", variations_at)
+        assert isolate_real_roots(p) == program
+
+    def test_link_rule(self):
+        # psi_{70,1}'s multipliers stay near 4 bits per degree: every link pays
+        psi = _sturm_chain(integer_coefficients(quadratic_eigenfunction(70, 1).poly))
+        assert len(psi.polys) == 71 and all(link is not None for link in psi.links[:-2])
+        # the bi-Laplace chain's multipliers grow to thousands of bits per
+        # degree, where linking every element was 2.5 to 3.5 times slower
+        coeffs = integer_coefficients(_bilaplace_crack_combination(40))
+        chain, linked = _sturm_chain(coeffs), _fully_linked(coeffs)
+        horner = 0
+        for q, link, full in zip(chain.polys, chain.links[:-2], linked.links):
+            per_degree = _multiplier_bits(full) / (len(q) - 1)
+            if per_degree > 128:
+                assert link is None
+            if per_degree <= 8:
+                assert link is not None
+            horner += link is None
+        assert horner >= 30
 
 
 class TestEnumeration:
