@@ -36,12 +36,9 @@ from .nodal import (
     transversality_check,
 )
 from .pencils import (
-    AnalyticityVerdict,
     Eigenpair,
     ReconstructionReport,
     SLReduction,
-    analyticity_filter,
-    characteristic_quartic,
     eigenpair_to_json,
     pencil_residual,
     quadratic_eigenfunction,
@@ -52,7 +49,6 @@ from .pencils import (
     quartic_spectrum,
     reconstruct_xy,
     sturm_liouville_check,
-    verify_quartic_factorization,
 )
 from .polyring import (
     DiffOpTerm,

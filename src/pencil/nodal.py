@@ -21,7 +21,11 @@ multiply-add per degree; elements whose multipliers are too large for
 that to pay keep Horner.  Each isolated root is refined by certified
 Newton: a seed or safeguarded float Newton, exact Newton steps, and exact
 opposite signs on either side of the result, with exact bisection only
-where that certificate fails.  Root counts use the chain of p.
+where that certificate fails.  Every point p is evaluated at is dyadic,
+num / 2^shift (a point that is not raises), so one Horner with shifts
+gives every exact sign, and exact Newton is that same loop with a slope
+accumulator, its iterate one correctly rounded integer division.  Root
+counts use the chain of p.
 Admissibility of a slope tuple at expansion order l is a nullspace
 question for the matrix of eigenfunction values at the slopes: exact over
 the rationals, SVD-thresholded for floating input.
@@ -72,22 +76,12 @@ __all__ = [
 # Sturm sequences over the integers
 
 
-def _int_eval_sign(coeffs: Sequence[int], point: Fraction) -> int:
-    """Sign of p(point) for integer coefficients: integer Horner on b^n p(a/b).
-
-    Every point the program evaluates is dyadic (root bounds, bisection
-    midpoints, separators and floats), and then `_dyadic_sign` scales by
-    shifts instead of powers of b.
-    """
-    a, b = point.numerator, point.denominator
-    if not b & (b - 1):
-        return _dyadic_sign(coeffs, a, b.bit_length() - 1)
-    acc = 0
-    bp = 1
-    for c in reversed(coeffs):
-        acc = acc * a + c * bp
-        bp *= b
-    return (acc > 0) - (acc < 0)
+def _dyadic(x: Fraction | float) -> tuple[int, int]:
+    """x = num / 2^shift as (num, shift); ValueError unless x is dyadic."""
+    num, den = x.as_integer_ratio()
+    if den & (den - 1):
+        raise ValueError(f"{x!r} is not a dyadic rational")
+    return num, den.bit_length() - 1
 
 
 def _dyadic_sign(coeffs: Sequence[int], num: int, shift: int) -> int:
@@ -182,7 +176,7 @@ def _variations_at(chain: _SturmChain, point: Fraction) -> tuple[int, int]:
     V_j = (Q~ V_{j+1} + kappa V_{j+2} 2^(s (d_j - d_{j+2}))) / e, an exact
     division, with Q~ = 2^(s deg Q) Q(a / 2^s).  Both give the same integer.
     """
-    num, shift = point.numerator, point.denominator.bit_length() - 1
+    num, shift = _dyadic(point)
     polys, links = chain.polys, chain.links
     values = [0] * len(polys)
     for j in range(len(polys) - 1, -1, -1):
@@ -313,9 +307,9 @@ def _certified_gaps(coeffs: list[int], seeds: Sequence[float]) -> list[tuple[Fra
     seps.append(bound)
     if not all(x < y for x, y in zip(seps, seps[1:])):
         return None
-    sign = _int_eval_sign(coeffs, seps[0])
+    sign = _dyadic_sign(coeffs, *_dyadic(seps[0]))
     for x in seps[1:]:
-        nxt = _int_eval_sign(coeffs, x)
+        nxt = _dyadic_sign(coeffs, *_dyadic(x))
         if sign == 0 or nxt != -sign:
             return None
         sign = nxt
@@ -382,21 +376,27 @@ def _float_newton(coeffs: list[int], lo: Fraction, hi: Fraction, slo: int) -> fl
     return x
 
 
-def _exact_newton(coeffs: list[int], x: float) -> tuple[int, Fraction | None]:
-    """Exact sign of p(x) and the Newton iterate from the dyadic x = a/b.
+def _exact_newton(coeffs: list[int], x: float) -> tuple[int, float | None]:
+    """Exact sign of p(x) and the Newton iterate from x, correctly rounded to a float.
 
-    The Horner sums give N = b^n p(x) and D = b^(n-1) p'(x), so the iterate
-    is x - N / (b D); it is None when p'(x) = 0.
+    With x = num / 2^s, the Horner with shifts of `_dyadic_value` and a
+    slope accumulator give V = 2^(s n) p(x) and D = 2^(s (n-1)) p'(x), so
+    the iterate x - V / (2^s D) is the one integer division
+    (num D - V) / (2^s D), which rounds correctly.  It is None when
+    p'(x) = 0 or when it lies beyond the float range.
     """
-    a, b = x.as_integer_ratio()
-    n_acc = d_acc = 0
-    bp = 1
+    num, shift = _dyadic(x)
+    value = slope = 0
+    bits = 0
     for c in reversed(coeffs):
-        d_acc = d_acc * a + n_acc
-        n_acc = n_acc * a + c * bp
-        bp *= b
-    sign = (n_acc > 0) - (n_acc < 0)
-    return sign, (Fraction(a * d_acc - n_acc, b * d_acc) if d_acc else None)
+        slope = slope * num + value
+        value = value * num + (c << bits)
+        bits += shift
+    sign = (value > 0) - (value < 0)
+    try:
+        return sign, ((num * slope - value) / (slope << shift) if slope else None)
+    except OverflowError:
+        return sign, None
 
 
 def _certificate_points(r: float, k: int, lo: Fraction, hi: Fraction) -> tuple[int, int, int] | None:
@@ -405,9 +405,9 @@ def _certificate_points(r: float, k: int, lo: Fraction, hi: Fraction) -> tuple[i
     None unless both points lie strictly inside (lo, hi).  No Fraction is
     built: r is its float mantissa over a power of two.
     """
-    num, den = r.as_integer_ratio()
-    shift = max(den.bit_length() - 1, -k)
-    x, h = num << (shift - den.bit_length() + 1), 1 << (shift + k)
+    num, r_shift = _dyadic(r)
+    shift = max(r_shift, -k)
+    x, h = num << (shift - r_shift), 1 << (shift + k)
     left, right = x - h, x + h
     if lo.numerator << shift < left * lo.denominator and right * hi.denominator < hi.numerator << shift:
         return left, right, shift
@@ -432,7 +432,7 @@ def _goal(lo: Fraction, hi: Fraction, tol: float) -> tuple[int, int]:
     scale = lo.denominator * hi.denominator
     if top < scale:
         top = scale = 1
-    tn, td = (tol if tol > 0 else 1e-12).as_integer_ratio()
+    tn, td = tol.as_integer_ratio()
     num, den = tn * top, 8 * td * scale
     g = math.gcd(num, den)
     return num // g, den // g
@@ -444,8 +444,9 @@ def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, star
     goal = tol/8 * max(|lo|, |hi|, 1).  A start is tried first by the sign
     certificate below and, if it lies inside (lo, hi), then proposes the
     root; without one, float Newton proposes it.  Exact Newton steps polish
-    it, each rounded to a float r, narrowing the bracket by the exact sign
-    at its start and bisecting the bracket instead when it would leave it.
+    it, each correctly rounded to a float r, narrowing the bracket by the
+    exact sign at its start and bisecting the bracket instead when r would
+    leave it (an r rounded onto an edge stays).
     With h = 2^k in (goal/8, goal/2], exact opposite signs at r - h and
     r + h, both strictly inside (lo, hi), certify r (a zero sign there is
     the root itself).  Without a certificate the bracket is bisected exactly
@@ -462,7 +463,7 @@ def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, star
             return found
     goal = Fraction(goal_num, goal_den)
     r = start if start is not None and lo < Fraction(start) < hi else None
-    slo = _int_eval_sign(coeffs, lo)
+    slo = _dyadic_sign(coeffs, *_dyadic(lo))
     if r is None:
         r = _float_newton(coeffs, lo, hi, slo)
     if r is not None:
@@ -474,9 +475,9 @@ def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, star
                 if sign == 0:
                     return r
                 a, b = (x, b) if sign == slo else (a, x)
-            if step is None or not a < step < b:
-                step = (a + b) / 2
-            r, last = float(step), r
+            if step is None or not a <= step <= b:
+                step = float((a + b) / 2)
+            r, last = step, r
             if b - a <= goal:
                 break
             if abs(r - last) > _CERTIFY_STEP * max(abs(r), 1.0):
@@ -492,7 +493,7 @@ def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, star
         lo, hi = a, b
     while hi - lo > goal:
         mid = (lo + hi) / 2
-        smid = _int_eval_sign(coeffs, mid)
+        smid = _dyadic_sign(coeffs, *_dyadic(mid))
         if smid == 0:
             return float(mid)
         if smid == slo:
@@ -525,6 +526,11 @@ class RootSet:
         return len(self.refined_roots)
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | None = None) -> RootSet:
     """Isolate and refine every real root of p with exact multiplicities.
 
@@ -537,7 +543,9 @@ def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | 
     p = lc * prod f_i^i; these are coprime and square-free, so the one
     factor that changes sign across an isolating interval, or vanishes at a
     degenerate [r, r], owns its root, and i is the root's multiplicity.
+    A tol outside (0, inf) raises ValueError.
     """
+    _check_tol(tol)
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     if p.degree == 0:
@@ -556,9 +564,9 @@ def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | 
         coeffs = integer_coefficients(math.prod((f for f, _ in factors), start=RatPoly.one()))
         intervals = _isolate_square_free(_sturm_chain(coeffs))
         factor_ints = [(integer_coefficients(f), mult) for f, mult in factors]
+        ends = [(_dyadic(lo), _dyadic(hi)) for lo, hi in intervals]
         mults = tuple(
-            next(mult for f, mult in factor_ints if _int_eval_sign(f, lo) * _int_eval_sign(f, hi) <= 0)
-            for lo, hi in intervals
+            next(mult for f, mult in factor_ints if _dyadic_sign(f, *lo) * _dyadic_sign(f, *hi) <= 0) for lo, hi in ends
         )
     roots = tuple(_refine_root(coeffs, lo, hi, tol) for lo, hi in intervals)
     return RootSet(p, tuple(intervals), roots, mults)
@@ -841,8 +849,7 @@ def _verdict_at(equation: str, config: CrackConfig, l: int, tol: float) -> Admis
 def _check_admissibility(
     equation: str, config: CrackConfig, l_range: tuple[int, int], tol: float
 ) -> list[AdmissibilityVerdict]:
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_tol(tol)
     lo, hi = l_range
     if lo > hi:
         raise ValueError("empty l range")

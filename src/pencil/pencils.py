@@ -28,12 +28,9 @@ from .polyring import DiffOpTerm, RatPoly, op_apply, poly_to_json
 __all__ = [
     "Eigenpair",
     "SLReduction",
-    "AnalyticityVerdict",
     "ReconstructionReport",
     "quadratic_pencil",
     "quartic_pencil",
-    "characteristic_quartic",
-    "verify_quartic_factorization",
     "quadratic_spectrum",
     "quartic_spectrum",
     "quadratic_eigenfunction",
@@ -42,7 +39,6 @@ __all__ = [
     "reconstruct_xy",
     "xy_laplacian",
     "sturm_liouville_check",
-    "analyticity_filter",
     "eigenpair_to_json",
 ]
 
@@ -91,31 +87,6 @@ def quartic_pencil(lam) -> tuple[DiffOpTerm, ...]:
     )
 
 
-def characteristic_quartic(l: int) -> RatPoly:
-    """Quartic characteristic polynomial in lam for degree l, expanded form."""
-    return RatPoly(
-        [
-            l**4 + 6 * l**3 + 11 * l**2 + 6 * l,
-            4 * l**3 + 18 * l**2 + 22 * l + 6,
-            6 * l**2 + 18 * l + 11,
-            2 * (2 * l + 3),
-            1,
-        ]
-    )
-
-
-def verify_quartic_factorization(l: int) -> bool:
-    """Exact division check: the quartic characteristic polynomial for degree l
-    has root set {-l, -l-1, -l-2, -l-3} and nothing else."""
-    poly = characteristic_quartic(l)
-    for root in (-l, -l - 1, -l - 2, -l - 3):
-        quot, rem = divmod(poly, RatPoly([-root, 1]))
-        if not rem.is_zero():
-            return False
-        poly = quot
-    return poly == RatPoly.one()
-
-
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -139,7 +110,8 @@ def quartic_spectrum(l_max: int) -> tuple[tuple[int, int, int], ...]:
     """(family, l, eigenvalue) entries for the four quartic families up to l_max.
 
     The eigenvalues are the roots {-l, ..., -l-3} of the characteristic
-    quartic; `verify_quartic_factorization` proves that factorization.
+    quartic; the tests prove that factorization by exact division
+    (`verify_quartic_factorization` in tests/pencil_oracles.py).
     """
     return _spectrum(4, l_max)
 
@@ -335,39 +307,6 @@ def sturm_liouville_check(pair: Eigenpair, sample_points=None, dps: int = 60) ->
             res = -((1 + zm * zm) ** 2) * second - mu * phi(zm)
             residuals.append((z, float(res)))
     return SLReduction(eigenvalue=lam, exponent=exponent, sl_eigenvalue=mu, residuals=tuple(residuals))
-
-
-# ---------------------------------------------------------------------------
-# admissible-candidate filter
-
-
-@dataclass(frozen=True)
-class AnalyticityVerdict:
-    accepted: bool
-    reason: str
-    crack_relevant: bool
-
-
-def analyticity_filter(candidate) -> AnalyticityVerdict:
-    """Accept polynomial modes, reject the bounded inverse-tangent mode.
-
-    The eigenvalue-zero bounded solution arctan(z) is rejected because its
-    blow-up limit is the discontinuous trace sign(x), impossible for an
-    analytic solution; polynomial modes are accepted, with degree-0 modes
-    flagged as having no zeros and therefore no crack content.
-    """
-    if isinstance(candidate, str):
-        if candidate == "arctan":
-            return AnalyticityVerdict(False, "limit trace is the discontinuous sign(x)", False)
-        if candidate == "polynomial":
-            return AnalyticityVerdict(True, "finite polynomial mode", True)
-        raise ValueError(f"unknown candidate kind {candidate!r}")
-    poly = candidate.poly if isinstance(candidate, Eigenpair) else candidate
-    if not isinstance(poly, RatPoly):
-        raise TypeError("candidate must be 'polynomial', 'arctan', a RatPoly, or an Eigenpair")
-    if poly.degree <= 0:
-        return AnalyticityVerdict(True, "constant mode: no zeros, not crack-relevant", False)
-    return AnalyticityVerdict(True, "finite polynomial mode", True)
 
 
 # ---------------------------------------------------------------------------

@@ -287,16 +287,8 @@ def poly_to_json(p: RatPoly) -> list[list[str]]:
 
 def integer_coefficients(p: RatPoly) -> list[int]:
     """Primitive integer coefficient list with the same sign and roots as p."""
-    if p.is_zero():
-        return []
-    scale = 1
-    for c in p.coeffs:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in p.coeffs]
-    content = 0
-    for v in ints:
-        content = gcd(content, abs(v))
-    return [v // content for v in ints]
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    return _int_primitive([c.numerator * (scale // c.denominator) for c in p.coeffs])
 
 
 def _int_content(cs: Sequence[int]) -> int:

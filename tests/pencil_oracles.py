@@ -8,7 +8,11 @@ form of the phase-form root seeds, which `pencil.nodal._phase_seeds`
 computes in plain float loops with the same operations in the same order.
 `variations_at` counts a Sturm chain's sign variations with one Horner sum
 per element, where `pencil.nodal._variations_at` runs the chain's own
-pseudo-division identities.
+pseudo-division identities.  `exact_newton` is the exact Newton step as a
+reduced Fraction from powers of the denominator, where
+`pencil.nodal._exact_newton` shifts and divides once.
+`characteristic_quartic` and `verify_quartic_factorization` prove the
+quartic eigenvalue rule {-l, ..., -l-3} by exact division.
 """
 
 import math
@@ -191,3 +195,44 @@ def variations_at(chain, point: Fraction) -> tuple[int, int]:
         signs.append((acc > 0) - (acc < 0))
     nonzero = [s for s in signs if s]
     return signs[0], sum(s != t for s, t in zip(nonzero, nonzero[1:]))
+
+
+def exact_newton(coeffs: Sequence[int], x: float) -> tuple[int, Fraction | None]:
+    """Exact sign of p(x) and the Newton iterate x - p(x) / p'(x) as a Fraction, None where p'(x) = 0.
+
+    With x = a/b the Horner sums are N = b^n p(x) and D = b^(n-1) p'(x), so
+    the iterate is x - N / (b D).
+    """
+    a, b = Fraction(x).as_integer_ratio()
+    n_acc = d_acc = 0
+    b_pow = 1
+    for c in reversed(coeffs):
+        d_acc = d_acc * a + n_acc
+        n_acc = n_acc * a + c * b_pow
+        b_pow *= b
+    return (n_acc > 0) - (n_acc < 0), (Fraction(a * d_acc - n_acc, b * d_acc) if d_acc else None)
+
+
+def characteristic_quartic(l: int) -> RatPoly:
+    """Quartic characteristic polynomial in lam for degree l, expanded form."""
+    return RatPoly(
+        [
+            l**4 + 6 * l**3 + 11 * l**2 + 6 * l,
+            4 * l**3 + 18 * l**2 + 22 * l + 6,
+            6 * l**2 + 18 * l + 11,
+            2 * (2 * l + 3),
+            1,
+        ]
+    )
+
+
+def verify_quartic_factorization(l: int) -> bool:
+    """Exact division check: the quartic characteristic polynomial for degree l
+    has root set {-l, -l-1, -l-2, -l-3} and nothing else."""
+    poly = characteristic_quartic(l)
+    for root in (-l, -l - 1, -l - 2, -l - 3):
+        quot, rem = divmod(poly, RatPoly([-root, 1]))
+        if not rem.is_zero():
+            return False
+        poly = quot
+    return poly == RatPoly.one()

@@ -26,12 +26,11 @@ from pencil.pencils import (
     quartic_eigenfunction,
     reconstruct_xy,
     sturm_liouville_check,
-    verify_quartic_factorization,
 )
 from pencil.polyring import RatPoly, poly_gcd
 from pencil.semilinear import solve_selfsimilar, solve_stationary
 
-from pencil_oracles import quadratic_recursion_poly, quartic_recursion_report
+from pencil_oracles import quadratic_recursion_poly, quartic_recursion_report, verify_quartic_factorization
 
 
 def _criterion(number: int, description: str, ok: bool, note: str = "") -> None:

@@ -14,9 +14,10 @@ from pencil.nodal import (
     Combination,
     CrackConfig,
     _certified_gaps,
+    _dyadic,
     _dyadic_sign,
+    _exact_newton,
     _goal,
-    _int_eval_sign,
     _isolate_square_free,
     _phase_seeds,
     _refine_root,
@@ -31,7 +32,7 @@ from pencil.nodal import (
 )
 from pencil.pencils import Eigenpair, quadratic_eigenfunction, quartic_eigenfunction
 from pencil.polyring import RatPoly, _pseudo_divide, integer_coefficients, square_free_decomposition
-from pencil_oracles import phase_seeds, variations_at
+from pencil_oracles import exact_newton, phase_seeds, variations_at
 
 
 def poly_from_roots(roots) -> RatPoly:
@@ -67,6 +68,12 @@ class TestIsolation:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             isolate_real_roots(RatPoly.zero())
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+    def test_tol_not_positive_finite_rejected(self, tol):
+        # worded as in check_admissibility_*; no tol is replaced by a default
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            isolate_real_roots(RatPoly([-1, 0, 1]), tol=tol)
 
     def test_rational_roots_found_exactly(self):
         p = poly_from_roots([Fraction(1, 2), Fraction(-3, 4), 2])
@@ -694,32 +701,55 @@ class TestCertificateArithmetic:
         for point, point_shift in near:
             x = Fraction(point, 1 << point_shift)
             expected = (p.eval(x) > 0) - (p.eval(x) < 0)
-            assert _dyadic_sign(coeffs, point, point_shift) == expected
-            assert _int_eval_sign(coeffs, x) == expected
+            # unreduced, and reduced by the conversion every caller makes
+            assert _dyadic_sign(coeffs, point, point_shift) == _dyadic_sign(coeffs, *_dyadic(x)) == expected
+
+    @given(st.fractions(max_denominator=10**6).filter(lambda x: x.denominator & (x.denominator - 1)))
+    @settings(max_examples=50, deadline=None)
+    def test_non_dyadic_point_raises(self, x):
+        # no exact sign is ever taken at a point that is not num / 2^shift
+        with pytest.raises(ValueError, match="not a dyadic rational"):
+            _dyadic(x)
+        with pytest.raises(ValueError, match="not a dyadic rational"):
+            _refine_root([-1, 0, 3], x - 2, x + 2, 1e-12)
 
     @given(
-        st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=10),
-        st.fractions(max_denominator=10**6),
-        st.integers(1, 10**6),
+        st.lists(st.integers(-(2**60), 2**60), min_size=1, max_size=10),
+        st.floats(min_value=-1e6, max_value=1e6),
+        st.sampled_from(["any", "root", "critical"]),
     )
-    @settings(max_examples=100, deadline=None)
-    def test_int_eval_sign_any_rational(self, cofactor, root, step):
-        # p has the root x, which need not be dyadic; signs at it and next to it
-        p = RatPoly([-root, 1]) * RatPoly(cofactor)
+    @example([1, 0, 1], 5e-324, "any")  # p'(x) = 2^-1073: the iterate overflows a float
+    @settings(max_examples=200, deadline=None)
+    def test_exact_newton(self, cofactor, x, where):
+        # x is a root of p, or p'(x) = 0 with p(x) = 1, or neither
+        p = RatPoly(cofactor) if any(cofactor) else RatPoly.one()
+        if where == "root":
+            p = p * RatPoly([-Fraction(x), 1])
+        elif where == "critical":
+            p = p * RatPoly([-Fraction(x), 1]) ** 2 + RatPoly.one()
         coeffs = integer_coefficients(p)
-        for x in (root, root - Fraction(1, 3 * step), root + Fraction(1, 3 * step)):
-            value = p.eval(x)
-            assert _int_eval_sign(coeffs, x) == (value > 0) - (value < 0)
+        sign, step = _exact_newton(coeffs, x)
+        want_sign, want = exact_newton(coeffs, x)
+        assert sign == want_sign
+        try:
+            want = None if want is None else float(want)
+        except OverflowError:
+            want = None
+        assert step == want
+        if where == "root":
+            assert sign == 0
+        if where == "critical":
+            assert step is None
 
     @given(
         st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=2**70),
         st.fractions(min_value=0, max_value=10**9, max_denominator=2**70).filter(lambda w: w > 0),
-        st.one_of(st.floats(min_value=1e-300, max_value=1e3), st.just(0.0), st.just(-1.0)),
+        st.floats(min_value=1e-300, max_value=1e3),
     )
     @settings(max_examples=200, deadline=None)
     def test_goal(self, lo, width, tol):
         hi = lo + width
-        goal = Fraction(tol if tol > 0 else 1e-12) / 8 * max(abs(lo), abs(hi), Fraction(1))
+        goal = Fraction(tol) / 8 * max(abs(lo), abs(hi), Fraction(1))
         num, den = _goal(lo, hi, tol)
         assert (num, den) == (goal.numerator, goal.denominator)
         # the certificate's h = 2^k

@@ -9,8 +9,6 @@ import pytest
 from pencil.linalg import rational_kernel, rational_rref
 from pencil.pencils import (
     Eigenpair,
-    analyticity_filter,
-    characteristic_quartic,
     eigenpair_to_json,
     pencil_residual,
     quadratic_eigenfunction,
@@ -21,12 +19,17 @@ from pencil.pencils import (
     quartic_spectrum,
     reconstruct_xy,
     sturm_liouville_check,
-    verify_quartic_factorization,
     xy_laplacian,
 )
 from pencil.polyring import RatPoly, op_apply
 
-from pencil_oracles import dense_kernel_in_class, quadratic_recursion_poly, quartic_recursion_report
+from pencil_oracles import (
+    characteristic_quartic,
+    dense_kernel_in_class,
+    quadratic_recursion_poly,
+    quartic_recursion_report,
+    verify_quartic_factorization,
+)
 
 
 def binomial_harmonic(l: int, kind: str) -> RatPoly:
@@ -330,21 +333,6 @@ class TestSturmLiouville:
     def test_quartic_rejected(self):
         with pytest.raises(ValueError):
             sturm_liouville_check(quartic_eigenfunction(0, 3))
-
-
-class TestAnalyticityFilter:
-    def test_arctan_rejected(self):
-        verdict = analyticity_filter("arctan")
-        assert not verdict.accepted
-        assert "sign(x)" in verdict.reason
-
-    def test_constant_flagged(self):
-        verdict = analyticity_filter(RatPoly([1]))
-        assert verdict.accepted and not verdict.crack_relevant
-
-    def test_eigenpairs_accepted(self):
-        for l in range(1, 6):
-            assert analyticity_filter(quadratic_eigenfunction(l, 1)).accepted
 
 
 class TestSerialization:
