@@ -7,25 +7,24 @@ for Laplace, a float scan in the angle for bi-Laplace).  Exact signs at
 one short dyadic separator between consecutive seeds then certify, when
 they alternate degree-many times, that every root is real and simple and
 isolated by its gap; no Sturm chain is built.  Otherwise, and without
-seeds, isolation uses exact Sturm sequences over the integers (primitive
-pseudo-remainders, so only positive rescalings ever touch the chain
-signs).  The chain of p itself shows whether p is square-free; if so it
-bisects p's roots from a power-of-two Fujiwara bound, carrying the
-sign-variation count at every interval endpoint.  Otherwise the chain of
-the square-free part does, and multiplicities come from the signs of the
-Yun factors.  The chain keeps the pseudo-division identity
-e P_j = Q P_{j+1} + kappa P_{j+2} that made each element, so at a bisection
-point each element's value follows from the two below it by a few integer
-products and one exact division, where a Horner sum would cost one
-multiply-add per degree; elements whose multipliers are too large for
-that to pay keep Horner.  Each isolated root is refined by certified
-Newton: a seed or safeguarded float Newton, exact Newton steps, and exact
-opposite signs on either side of the result, with exact bisection only
-where that certificate fails.  Every point p is evaluated at is dyadic,
-num / 2^shift (a point that is not raises), so one Horner with shifts
-gives every exact sign, and exact Newton is that same loop with a slope
-accumulator, its iterate one correctly rounded integer division.  Root
-counts use the chain of p.
+seeds, p's own Sturm chain over the integers (the remainder sequence of p
+and p', `polyring._remainder_sequence`, scaled only by positive factors)
+bisects p's distinct roots from a power-of-two Fujiwara bound, carrying the
+sign-variation count at every interval endpoint; with repeated roots it
+ends at gcd(p, p'), whose own chains give the multiplicities.  The chain
+keeps the pseudo-division identity e P_j = Q P_{j+1} + kappa P_{j+2} that
+made each element, so at a bisection point each element's value follows
+from the two below it by a few integer products and one exact division,
+where a Horner sum would cost one multiply-add per degree; elements whose
+multipliers are too large for that to pay keep Horner.  Each isolated
+root is refined by certified Newton: a seed or safeguarded float Newton,
+exact Newton steps, and exact opposite signs on either side of the
+result, with exact bisection only where that certificate fails.  Every
+point p is evaluated at is dyadic, num / 2^shift (a point that is not
+raises), so one Horner with shifts gives every exact sign, and exact
+Newton is that same loop with a slope accumulator, its iterate one
+correctly rounded integer division.  Root counts read the remainder
+sequence of p at infinity.
 Admissibility of a slope tuple at expansion order l is a nullspace
 question for the matrix of eigenfunction values at the slopes: exact over
 the rationals, SVD-thresholded for floating input.
@@ -47,15 +46,14 @@ from .linalg import rational_kernel
 from .pencils import Eigenpair, quadratic_eigenfunction, quartic_eigenfunction
 from .polyring import (
     RatPoly,
-    _int_content,
     _int_diff,
     _int_primitive,
     _pseudo_divide,
+    _remainder_sequence,
     integer_coefficients,
-    square_free_decomposition,
 )
 # not called here; perfbench/tracing.py wraps them under these names on this module
-from .polyring import poly_gcd, square_free_part  # noqa: F401
+from .polyring import poly_gcd, square_free_decomposition, square_free_part  # noqa: F401
 
 __all__ = [
     "RootSet",
@@ -117,8 +115,9 @@ _LINK_BITS_PER_DEGREE = 32
 class _SturmChain:
     """The Sturm chain of p and its remainder-sequence identities.
 
-    polys are P_0 = p, P_1 = p' and P_{j+2} = -prem(P_j, P_{j+1}), each
-    primitive.  links[j] is (e, Q, kappa) with
+    polys are the remainder sequence of p and p' (`_remainder_sequence`):
+    P_0 = p, P_1 = p' and P_{j+2} a positive multiple of -rem(P_j, P_{j+1}),
+    each primitive, down to gcd(p, p').  links[j] is (e, Q, kappa) with
     e P_j = Q P_{j+1} + kappa P_{j+2}, the pseudo-division that made
     P_{j+2}; it is None for the last two elements and where Horner on P_j
     is cheaper (`_LINK_BITS_PER_DEGREE`).
@@ -128,42 +127,23 @@ class _SturmChain:
     links: list[tuple[int, list[int], int] | None]
 
 
-def _sturm_chain(coeffs: list[int], linked: bool = True) -> _SturmChain:
-    """Sturm chain of an integer polynomial, primitive at each step, with its links.
+def _sturm_chain(coeffs: list[int]) -> _SturmChain:
+    """Sturm chain of an integer polynomial with the links worth keeping.
 
     With repeated roots it ends at gcd(p, p') and still counts distinct
-    roots.  linked=False leaves every link None, for a chain that is only
-    read at infinity.
+    roots at points that are not roots of p.
     """
-    polys = [_int_primitive(list(coeffs))]
-    d = _int_primitive(_int_diff(polys[0]))
-    if d:
-        polys.append(d)
+    polys, identities = _remainder_sequence(coeffs, _int_diff(coeffs))
     links: list[tuple[int, list[int], int] | None] = []
-    while len(polys[-1]) > 1:
-        scale, quot, rem = _pseudo_divide(polys[-2], polys[-1])
-        if not rem:
-            break
-        # P_{j+2} = rem / kappa is primitive and a positive multiple of -rem(P_j, P_{j+1}) over Q
-        kappa = -_int_content(rem) if scale > 0 else _int_content(rem)
-        if linked:
-            bits = max(map(int.bit_length, (scale, kappa, *quot)))
-            links.append((scale, quot, kappa) if bits <= _LINK_BITS_PER_DEGREE * (len(polys[-2]) - 1) else None)
-        polys.append([c // kappa for c in rem])
-    links += [None] * (len(polys) - len(links))
-    return _SturmChain(polys, links)
+    for p, (scale, quot, kappa) in zip(polys, identities):
+        bits = max(map(int.bit_length, (scale, kappa, *quot)))
+        links.append((scale, quot, kappa) if bits <= _LINK_BITS_PER_DEGREE * (len(p) - 1) else None)
+    return _SturmChain(polys, links + [None] * (len(polys) - len(links)))
 
 
 def _sign_variations(signs: Iterable[int]) -> int:
-    out = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            out += 1
-        prev = s
-    return out
+    nonzero = [s for s in signs if s]
+    return sum(a != b for a, b in zip(nonzero, nonzero[1:]))
 
 
 def _variations_at(chain: _SturmChain, point: Fraction) -> tuple[int, int]:
@@ -191,24 +171,17 @@ def _variations_at(chain: _SturmChain, point: Fraction) -> tuple[int, int]:
     return signs[0], _sign_variations(signs)
 
 
-def _variations_at_infinity(chain: list[list[int]], negative: bool) -> int:
-    signs = []
-    for p in chain:
-        lead = (p[-1] > 0) - (p[-1] < 0)
-        if negative and (len(p) - 1) % 2:
-            lead = -lead
-        signs.append(lead)
-    return _sign_variations(signs)
-
-
 def count_real_roots(p: RatPoly) -> int:
     """Exact number of distinct real roots of p (Sturm's theorem on p's own chain)."""
     if p.is_zero():
         raise ValueError("the zero polynomial has no root count")
     if p.degree == 0:
         return 0
-    polys = _sturm_chain(integer_coefficients(p), linked=False).polys
-    return _variations_at_infinity(polys, True) - _variations_at_infinity(polys, False)
+    coeffs = integer_coefficients(p)
+    polys = _remainder_sequence(coeffs, _int_diff(coeffs))[0]
+    at_plus = [1 if q[-1] > 0 else -1 for q in polys]
+    at_minus = [s * (-1) ** (len(q) - 1) for s, q in zip(at_plus, polys)]
+    return _sign_variations(at_minus) - _sign_variations(at_plus)
 
 
 def _root_bound(coeffs: Sequence[int]) -> Fraction:
@@ -223,16 +196,16 @@ def _root_bound(coeffs: Sequence[int]) -> Fraction:
     return Fraction(2) ** (1 + max(exponents, default=0))
 
 
-def _isolate_square_free(chain: _SturmChain) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational intervals each holding exactly one real root of chain.polys[0].
+def _isolate(chain: _SturmChain) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint rational intervals each holding exactly one distinct real root of chain.polys[0].
 
-    chain is the Sturm chain of a square-free polynomial.  Each stack entry
+    chain is the Sturm chain of p, square-free or not.  Each stack entry
     (lo, V(lo), hi, V(hi)) carries the sign-variation counts of its
-    endpoints, which are never roots, so V(lo) - V(hi) roots lie in (lo, hi)
-    and every bisection point costs one evaluation of the chain, bottom-up
-    through its links (`_variations_at`).  Every point is dyadic: the bound
-    is a power of two, and midpoints and margins halve.  Exact rational
-    roots are returned as degenerate [r, r] intervals.
+    endpoints, which are never roots of p, so V(lo) - V(hi) distinct roots
+    lie in (lo, hi) and every bisection point costs one evaluation of the
+    chain, bottom-up through its links (`_variations_at`).  Every point is
+    dyadic: the bound is a power of two, and midpoints and margins halve.
+    Exact rational roots are returned as degenerate [r, r] intervals.
     """
     bound = _root_bound(chain.polys[0])
     out: list[tuple[Fraction, Fraction]] = []
@@ -261,6 +234,13 @@ def _isolate_square_free(chain: _SturmChain) -> list[tuple[Fraction, Fraction]]:
             stack.append((lo, v_lo, mid, v_mid))
             stack.append((mid, v_mid, hi, v_hi))
     return sorted(out)
+
+
+def _root_in(chain: _SturmChain, lo: Fraction, hi: Fraction) -> bool:
+    """Whether chain.polys[0] has a root in [lo, hi], for lo = hi or for ends that are not roots."""
+    if lo == hi:
+        return _dyadic_sign(chain.polys[0], *_dyadic(lo)) == 0
+    return _variations_at(chain, lo)[1] > _variations_at(chain, hi)[1]
 
 
 def _short_dyadic(lo: float, hi: float) -> Fraction:
@@ -438,11 +418,24 @@ def _goal(lo: Fraction, hi: Fraction, tol: float) -> tuple[int, int]:
     return num // g, den // g
 
 
+def _float(x: Fraction) -> float:
+    """float(x) of a point of `_refine_root`; ValueError where it overflows, for a root past 2^1020."""
+    try:
+        return float(x)
+    except OverflowError:
+        e = abs(x.numerator).bit_length() - x.denominator.bit_length()
+        raise ValueError(f"a real root near 2^{e} lies beyond the float range (|x| < 2^1024)") from None
+
+
 def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, start: float | None = None) -> float:
     """Refine the one root in an isolating interval to a float within goal/2 of it.
 
-    goal = tol/8 * max(|lo|, |hi|, 1).  A start is tried first by the sign
-    certificate below and, if it lies inside (lo, hi), then proposes the
+    First the end of (lo, hi) farther from 0 is cut to a sixteenth, by
+    exact signs, while the root lies within that sixteenth, so that
+    goal = tol/8 * max(|lo|, |hi|, 1) <= 2 tol max(|root|, 1) however wide
+    the isolating interval (one in [-16, 16], or not containing a
+    sixteenth of its far end, costs no sign).  A start is tried first by
+    the sign certificate below and, if it lies inside (lo, hi), proposes the
     root; without one, float Newton proposes it.  Exact Newton steps polish
     it, each correctly rounded to a float r, narrowing the bracket by the
     exact sign at its start and bisecting the bracket instead when r would
@@ -453,7 +446,18 @@ def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, star
     down to width goal.
     """
     if lo == hi:
-        return float(lo)
+        return _float(lo)
+    while hi > 16 or lo < -16:
+        far = hi if hi > -lo else lo
+        cut = far / 16
+        if not lo < cut < hi:
+            break
+        s_cut, s_far = (_dyadic_sign(coeffs, *_dyadic(x)) for x in (cut, far))
+        if s_cut == 0:
+            return _float(cut)
+        if s_cut != s_far:
+            break
+        lo, hi = (lo, cut) if far == hi else (cut, hi)
     goal_num, goal_den = _goal(lo, hi, tol)
     k = goal_num.bit_length() - goal_den.bit_length() - 2
     points = None if start is None else _certificate_points(start, k, lo, hi)
@@ -476,7 +480,7 @@ def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, star
                     return r
                 a, b = (x, b) if sign == slo else (a, x)
             if step is None or not a <= step <= b:
-                step = float((a + b) / 2)
+                step = _float((a + b) / 2)
             r, last = step, r
             if b - a <= goal:
                 break
@@ -495,12 +499,12 @@ def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, star
         mid = (lo + hi) / 2
         smid = _dyadic_sign(coeffs, *_dyadic(mid))
         if smid == 0:
-            return float(mid)
+            return _float(mid)
         if smid == slo:
             lo = mid
         else:
             hi = mid
-    return float((lo + hi) / 2)
+    return _float((lo + hi) / 2)
 
 
 @dataclass(frozen=True)
@@ -510,8 +514,8 @@ class RootSet:
     Each isolating interval [lo, hi] holds exactly one distinct real root:
     the square-free part of p has exact opposite signs at lo and hi, or
     lo = hi is the root.  Each refined root lies within
-    tol/16 * max(|lo|, |hi|, 1), up to the rounding to a float, of that
-    root.  Seeded and unseeded isolation of one polynomial give the same
+    tol * max(|root|, 1), and within tol/16 * max(|lo|, |hi|, 1), up to
+    the rounding to a float, of that root.  Seeded and unseeded isolation of one polynomial give the same
     counts and multiplicities and roots within that bound, but different
     intervals.
     """
@@ -537,13 +541,13 @@ def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | 
     seeds, one float guess per root of p, let one exact sign per separator
     between them certify that all roots are real and simple
     (`_certified_gaps`); each root is then refined from its seed.  When the
-    certificate fails, or without seeds, p's Sturm chain decides: if it
-    ends in a constant, p is square-free and the chain isolates its roots.
-    Otherwise the square-free part is the product of the Yun factors f_i of
-    p = lc * prod f_i^i; these are coprime and square-free, so the one
-    factor that changes sign across an isolating interval, or vanishes at a
-    degenerate [r, r], owns its root, and i is the root's multiplicity.
-    A tol outside (0, inf) raises ValueError.
+    certificate fails, or without seeds, p's own Sturm chain isolates its
+    distinct roots and ends at g_1 = gcd(p, p').  If g_1 is not constant,
+    roots are refined on the primitive part of p / g_1, and the tower
+    g_{i+1} = gcd(g_i, g_i'), each the last element of g_i's chain, counts
+    multiplicities: a root of multiplicity m is a root of exactly
+    g_1 ... g_{m-1} (`_root_in`).  A tol outside (0, inf), or a real root
+    beyond the float range, raises ValueError.
     """
     _check_tol(tol)
     if p.is_zero():
@@ -555,19 +559,14 @@ def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | 
     if gaps is not None:
         roots = tuple(_refine_root(coeffs, lo, hi, tol, s) for (lo, hi), s in zip(gaps, sorted(seeds)))
         return RootSet(p, tuple(gaps), roots, (1,) * len(gaps))
-    chain = _sturm_chain(coeffs)
-    if len(chain.polys[-1]) == 1:
-        intervals = _isolate_square_free(chain)
-        mults = (1,) * len(intervals)
-    else:
-        factors = square_free_decomposition(p)
-        coeffs = integer_coefficients(math.prod((f for f, _ in factors), start=RatPoly.one()))
-        intervals = _isolate_square_free(_sturm_chain(coeffs))
-        factor_ints = [(integer_coefficients(f), mult) for f, mult in factors]
-        ends = [(_dyadic(lo), _dyadic(hi)) for lo, hi in intervals]
-        mults = tuple(
-            next(mult for f, mult in factor_ints if _dyadic_sign(f, *lo) * _dyadic_sign(f, *hi) <= 0) for lo, hi in ends
-        )
+    chains = [_sturm_chain(coeffs)]
+    while len(chains[-1].polys[-1]) > 1:
+        chains.append(_sturm_chain(chains[-1].polys[-1]))
+    chain, *tower = chains
+    intervals = _isolate(chain)
+    mults = tuple(1 + sum(_root_in(c, lo, hi) for c in tower) for lo, hi in intervals)
+    if tower:
+        coeffs = _int_primitive(_pseudo_divide(coeffs, chain.polys[-1])[1])
     roots = tuple(_refine_root(coeffs, lo, hi, tol) for lo, hi in intervals)
     return RootSet(p, tuple(intervals), roots, mults)
 

@@ -4,6 +4,8 @@ A polynomial in the scaling variable z is stored as a dense tuple of
 `fractions.Fraction` coefficients indexed by degree, so every ring operation
 here is exact.  Linear differential operators with polynomial coefficients
 are finite sums of :class:`DiffOpTerm` and are applied symbolically.
+Over the integers, one signed remainder sequence (`_remainder_sequence`)
+gives the gcds here and the Sturm chains of `pencil.nodal`.
 
 All values are immutable after construction; operations are pure.
 """
@@ -291,20 +293,10 @@ def integer_coefficients(p: RatPoly) -> list[int]:
     return _int_primitive([c.numerator * (scale // c.denominator) for c in p.coeffs])
 
 
-def _int_content(cs: Sequence[int]) -> int:
-    """gcd of the coefficients, 0 for the zero polynomial."""
-    content = 0
-    for v in cs:
-        content = gcd(content, abs(v))
-    return content
-
-
 def _int_primitive(cs: list[int]) -> list[int]:
     while cs and cs[-1] == 0:
         cs.pop()
-    if not cs:
-        return []
-    content = _int_content(cs)
+    content = gcd(*cs)
     return [v // content for v in cs]
 
 
@@ -341,33 +333,37 @@ def _pseudo_divide(f: list[int], g: list[int]) -> tuple[int, list[int], list[int
     return scale, quot, r
 
 
-def _signed_prem(f: list[int], g: list[int]) -> list[int]:
-    """Primitive pseudo-remainder of f by g, scaled by a positive constant.
+def _remainder_sequence(f: Sequence[int], g: Sequence[int]) -> tuple[list[list[int]], list[tuple[int, list[int], int]]]:
+    """The signed remainder sequence of f and g over the integers, with its links.
 
-    Sign fidelity matters: the result differs from the true remainder
-    rem(f, g) over Q only by a positive factor.
+    P_0 and P_1 are the primitive parts of f and g (a zero g is left out),
+    and each P_{j+2} is the primitive pseudo-remainder of P_j by P_{j+1},
+    scaled to a positive multiple of -rem(P_j, P_{j+1}) over Q, so only
+    positive rescalings touch the signs.  links[j] is (e, Q, kappa) with
+    e P_j = Q P_{j+1} + kappa P_{j+2}, e kappa < 0.  The sequence stops at
+    a constant or at an exact division; its last element is gcd(f, g) up
+    to a constant, and for g = f' it is the Sturm chain of f.
     """
-    scale, _, r = _pseudo_divide(f, g)
-    r = _int_primitive(r)
-    return r if scale > 0 else [-c for c in r]
+    polys = [_int_primitive(list(f)), _int_primitive(list(g))]
+    links: list[tuple[int, list[int], int]] = []
+    while len(polys[-1]) > 1:
+        scale, quot, rem = _pseudo_divide(polys[-2], polys[-1])
+        if not rem:
+            break
+        kappa = -gcd(*rem) if scale > 0 else gcd(*rem)
+        links.append((scale, quot, kappa))
+        polys.append([c // kappa for c in rem])
+    if not polys[-1]:
+        polys.pop()
+    return polys, links
 
 
 def _int_gcd_poly(a: list[int], b: list[int]) -> list[int]:
-    a = _int_primitive(list(a))
-    b = _int_primitive(list(b))
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _signed_prem(a, b)
-    return a
+    return _remainder_sequence(a, b)[0][-1]
 
 
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic gcd over Q (primitive pseudo-remainder sequence internally)."""
+    """Monic gcd over Q: the last element of the integer remainder sequence."""
     if a.is_zero():
         return b.monic() if not b.is_zero() else RatPoly.zero()
     if b.is_zero():

@@ -391,10 +391,10 @@ def crack_curves(
     """Zero curves x_k(y) = xi_k (-y) |ln(-y)|^beta with beta = alpha (p-1)/2."""
     if sol.kind != SELFSIMILAR:
         raise ValueError("crack curves are built from a self-similar profile")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if p <= 1:
-        raise ValueError("the exponent p must exceed 1")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got alpha={alpha!r}")
+    if not 1 < p < math.inf:
+        raise ValueError(f"the exponent p must be finite and exceed 1, got p={p!r}")
     ys = [float(y) for y in y_grid]
     if any(y >= 0 for y in ys):
         raise ValueError("y grid must be negative")

@@ -106,6 +106,14 @@ class TestCracks:
         assert payload["error"] == "ValueError"
         assert payload["message"] == f"tol must be positive and finite, got {float(tol)!r}"
 
+    def test_root_beyond_float_range_exit_1(self, capsys):
+        # the l = 1 combination's root is the slope 1e400 itself
+        code, out, err = run_cli(capsys, "cracks", "check", "--alphas", "1e400", "--lmin", "1", "--lmax", "2")
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "beyond the float range" in payload["message"]
+
     def test_enum(self, capsys):
         # the endpoint combination is linear here, so it admits no 2-crack window
         code, out, _ = run_cli(capsys, "cracks", "enum", "--m", "2", "--l", "2", "--ratios", "-1:1:1", "--json")
@@ -441,6 +449,17 @@ class TestOde:
         payload = json.loads(err)
         assert payload["error"] == "ValueError"
         assert f"got {count}" in payload["message"]
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_crackcurves_non_finite_alpha_exit_1(self, capsys, alpha):
+        # exit 0 with NaN or Infinity in the JSON before
+        code, out, err = run_cli(
+            capsys, "ode", "crackcurves", "--p", "3", "--alpha", alpha, "--ygrid", "-0.5:-1e-4:log:5", "--json",
+        )
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"] == f"alpha must be positive and finite, got alpha={float(alpha)!r}"
 
     def test_crackcurves_negative_maxcurves_exit_1(self, capsys):
         # a negative count used to slice from the end and print all but the last curves

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pencil import nodal
+from pencil import nodal, polyring
 from pencil.nodal import (
     Combination,
     CrackConfig,
@@ -18,7 +18,7 @@ from pencil.nodal import (
     _dyadic_sign,
     _exact_newton,
     _goal,
-    _isolate_square_free,
+    _isolate,
     _phase_seeds,
     _refine_root,
     _sturm_chain,
@@ -40,6 +40,37 @@ def poly_from_roots(roots) -> RatPoly:
     for r in roots:
         p = p * RatPoly([-Fraction(r), 1])
     return p
+
+
+def _psi_roots(l: int, family: int) -> list[float]:
+    """The roots of psi_{l,family}: cot((k + 1/2) pi / l) for family 1 and cot(k pi / (l + 1)) for family 2."""
+    if family == 1:
+        return [1 / math.tan((k + 0.5) * math.pi / l) for k in range(l)]
+    return [1 / math.tan(k * math.pi / (l + 1)) for k in range(1, l + 1)]
+
+
+@st.composite
+def coprime_products(draw):
+    """Coprime factors (f, real roots of f, multiplicity) and a nonzero scale.
+
+    Linear factors d z - n have rational roots other than 0 and -1, 1, the
+    only rational cotangents of rational multiples of pi, so none shares a
+    root with z^2 - 2, z^2 + c (c > 0) or the one psi_{l,f}.
+    """
+    mult = st.integers(1, 4)
+    ratios = st.tuples(st.integers(-30, 30), st.integers(1, 9)).map(lambda t: Fraction(*t))
+    roots = draw(st.lists(ratios.filter(lambda r: r not in (-1, 0, 1)), max_size=3, unique=True))
+    factors = [(RatPoly([-r.numerator, r.denominator]), [r], draw(mult)) for r in roots]
+    if draw(st.booleans()):
+        factors.append((RatPoly([-2, 0, 1]), [-math.sqrt(2), math.sqrt(2)], draw(mult)))
+    if draw(st.booleans()):
+        factors.append((RatPoly([draw(st.fractions(min_value=Fraction(1, 7), max_value=50)), 0, 1]), [], draw(mult)))
+    if draw(st.booleans()):
+        l, family = draw(st.integers(2, 7)), draw(st.integers(1, 2))
+        factors.append((quadratic_eigenfunction(l, family).poly, _psi_roots(l, family), draw(mult)))
+    if not factors:
+        factors.append((RatPoly([-7, 2]), [Fraction(7, 2)], draw(mult)))
+    return factors, draw(st.sampled_from([1, -1, Fraction(3, 5), -12]))
 
 
 class TestIsolation:
@@ -172,6 +203,42 @@ class TestIsolation:
             goal = tol / 8 * float(max(abs(lo), abs(hi), 1))
             assert abs(got - float(want)) <= goal
 
+    @pytest.mark.parametrize("p", [RatPoly([-(2**1100), 1]), RatPoly([-(2**2201), 0, 1])])
+    def test_root_beyond_float_range_raises(self, p):
+        # a bare OverflowError from the final float conversion before
+        with pytest.raises(ValueError, match="beyond the float range"):
+            isolate_real_roots(p)
+
+    @pytest.mark.parametrize("k", [40, 200, 2200])
+    def test_goal_relative_to_the_root(self, k):
+        # z^2 + 2^k widens the isolating intervals to about 2^(k/2), far beyond the real roots
+        z, wide = RatPoly([0, 1]), RatPoly([2**k, 0, 1])
+        assert isolate_real_roots((z - 1) * wide).refined_roots == (1.0,)
+        rs = isolate_real_roots((z**2 - 2) * wide)
+        assert rs.refined_roots == pytest.approx((-math.sqrt(2), math.sqrt(2)), rel=1e-12)
+        assert all(hi - lo > 2 ** (k // 2 - 2) for lo, hi in rs.isolating_intervals)
+
+    def test_roots_near_the_float_range_ends(self):
+        assert isolate_real_roots(RatPoly([-(2**1000), 1])).refined_roots == (2.0**1000,)
+        # 2^-1100 underflows to 0.0, which is within the goal of the root
+        assert isolate_real_roots(RatPoly([-1, 2**1100])).refined_roots == (0.0,)
+
+    @given(coprime_products())
+    @example(([(RatPoly([-5, 3]), [Fraction(5, 3)], 4), (RatPoly([-2, 0, 1]), [-math.sqrt(2), math.sqrt(2)], 3),
+               (RatPoly([3, 0, 1]), [], 2), (quadratic_eigenfunction(5, 1).poly, _psi_roots(5, 1), 2)], -1))
+    @settings(max_examples=40, deadline=None)
+    def test_products_of_coprime_factors(self, case):
+        # the roots and multiplicities are those of the construction, not of a Yun decomposition
+        factors, scale = case
+        p = math.prod((f ** m for f, _, m in factors), start=RatPoly([scale]))
+        expected = sorted((float(r), m) for _, roots, m in factors for r in roots)
+        rs = isolate_real_roots(p)
+        assert rs.multiplicities == tuple(m for _, m in expected)
+        assert count_real_roots(p) == len(expected)
+        for (lo, hi), got, (want, _) in zip(rs.isolating_intervals, rs.refined_roots, expected, strict=True):
+            assert float(lo) <= got <= float(hi)
+            assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
 
 # nodal-warm's crack slopes of one, two and three cracks, checked at l <= 30
 ADM_POOL = (
@@ -285,9 +352,9 @@ class TestSeededIsolation:
         seeds = [s * (1 + 1e-6) for s in _phase_seeds(20, (1, 0))]
         assert_same_roots(isolate_real_roots(p, seeds=seeds), isolate_real_roots(p))
 
-    def test_square_free_input_skips_yun(self, monkeypatch):
-        # the Sturm chain of p decides square-freeness; Yun runs only when it
-        # ends above a constant, and the RootSet is what the Yun path gives
+    def test_isolation_never_runs_yun(self, monkeypatch):
+        # p's own Sturm chain isolates every p, and gcds of chains give the
+        # multiplicities; for square-free p the RootSet is what the Yun path gave
         z = RatPoly([0, 1])
         square_free = [
             quadratic_eigenfunction(25, 1).poly,
@@ -300,22 +367,27 @@ class TestSeededIsolation:
             factors = square_free_decomposition(p)
             assert [m for _, m in factors] == [1]
             coeffs = integer_coefficients(factors[0][0])
-            intervals = _isolate_square_free(_sturm_chain(coeffs))
+            intervals = _isolate(_sturm_chain(coeffs))
             roots = tuple(_refine_root(coeffs, lo, hi, 1e-12) for lo, hi in intervals)
             expected.append((tuple(intervals), roots))
 
-        def only_repeated(p):
-            if len(_sturm_chain(integer_coefficients(p)).polys[-1]) == 1:
-                raise AssertionError("square_free_decomposition called on square-free input")
-            return square_free_decomposition(p)
+        def refuse(p):
+            raise AssertionError("square_free_decomposition called by isolation")
 
-        monkeypatch.setattr(nodal, "square_free_decomposition", only_repeated)
+        monkeypatch.setattr(nodal, "square_free_decomposition", refuse)
+        monkeypatch.setattr(polyring, "square_free_decomposition", refuse)
         for p, (intervals, roots) in zip(square_free, expected):
             rs = isolate_real_roots(p)
             assert (rs.isolating_intervals, rs.refined_roots) == (intervals, roots)
             assert rs.multiplicities == (1,) * len(roots)
-        rs = isolate_real_roots((z - 1) ** 2 * (z + 2))
-        assert rs.multiplicities == (1, 2)
+        repeated = [
+            ((z - 1) ** 2 * (z + 2), (-2.0, 1.0), (1, 2)),
+            ((z - Fraction(1, 3)) ** 4 * (z ** 2 + 1) ** 2 * z ** 3, (0.0, 1 / 3), (3, 4)),
+            (-((z ** 2 - 2) ** 3) * (z + 5), (-5.0, -math.sqrt(2), math.sqrt(2)), (1, 3, 3)),
+        ]
+        for p, roots, mults in repeated:
+            rs = isolate_real_roots(p)
+            assert rs.refined_roots == pytest.approx(roots, abs=1e-12) and rs.multiplicities == mults
 
 
 class TestTransversality:

@@ -1,5 +1,6 @@
 """Exact polynomial ring and differential operator application."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from pencil.polyring import (
     DiffOpTerm,
     RatPoly,
+    _remainder_sequence,
     op_apply,
     poly_gcd,
     poly_to_json,
@@ -176,3 +178,38 @@ class TestGcdSquareFree:
         for r in roots:
             p = p * RatPoly([-r, 1])
         assert square_free_part(p) == p.monic()
+
+
+def euclid_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
+    """gcd over Q by Euclid's algorithm on RatPoly divmod, up to a constant."""
+    while not b.is_zero():
+        a, b = b, divmod(a, b)[1]
+    return a
+
+
+int_polys = st.lists(st.integers(-40, 40), max_size=5).map(RatPoly)
+
+
+class TestRemainderSequence:
+    @given(int_polys, int_polys, int_polys, st.lists(st.integers(-(2**70), 2**70), max_size=4))
+    @example(RatPoly([1, 1]), RatPoly([2]), RatPoly([-1, 0, 1]), [])  # deg f < deg g
+    @example(RatPoly([0, 0, 1]), RatPoly([]), RatPoly([1]), [])  # g = 0
+    @settings(max_examples=150, deadline=None)
+    def test_gcd_and_links(self, a, b, common, extra):
+        # f and g share the factor common; extra makes g arbitrary, not only a multiple of it
+        f, g = a * common, b * common + RatPoly(extra)
+        polys, links = _remainder_sequence([int(c) for c in f.coeffs], [int(c) for c in g.coeffs])
+        want = euclid_gcd(f, g)
+        if want.is_zero():
+            assert polys == [[]]
+        else:
+            assert RatPoly(polys[-1]).monic() == want.monic()
+        assert len(links) == max(len(polys) - 2, 0)
+        for q in polys:
+            assert not q or (q[-1] != 0 and math.gcd(*q) == 1)
+        for q, r in zip(polys[1:], polys[2:]):
+            assert len(r) < len(q)
+        for j, (scale, quot, kappa) in enumerate(links):
+            p0, p1, p2 = (RatPoly(q) for q in polys[j : j + 3])
+            assert p0 * scale == RatPoly(quot) * p1 + p2 * kappa
+            assert scale * kappa < 0  # P_{j+2} is a positive multiple of -rem(P_j, P_{j+1})

@@ -634,3 +634,11 @@ class TestCrackCurves:
             crack_curves(oscillatory, 0.0, 3.0, [-0.5])
         with pytest.raises(ValueError):
             crack_curves(oscillatory, 1.0, 1.0, [-0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_alpha_or_p(self, oscillatory, bad):
+        # NaN passed the old alpha <= 0 and p <= 1 tests and gave NaN curves
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            crack_curves(oscillatory, bad, 3.0, [-0.5])
+        with pytest.raises(ValueError, match="p must be finite and exceed 1"):
+            crack_curves(oscillatory, 1.0, bad, [-0.5])
