@@ -328,7 +328,9 @@ def _profile_outputs(args, sol: semilinear.ProfileSolution, command: str) -> Non
         "zero_count": len(sol.zeros),
         "asymptotic_constant": sol.asymptotic_constant,
         "truncated": sol.truncated,
-        "f_at_cut": sol.values[-1],
+        # the cut is the inner end xi_min of a self-similar grid, which ascends
+        # from it (or from the last xi reached, when truncated), and z_end of a stationary one
+        "f_at_cut": sol.values[0] if sol.kind == semilinear.SELFSIMILAR else sol.values[-1],
     }
     text = [f"{key}={value}" for key, value in body.items() if key != "zeros"]
     # a deep self-similar solve has ~436k points: the table stays a lazy zip and the chart keeps ~4000

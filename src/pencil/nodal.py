@@ -597,22 +597,34 @@ def _phase_seeds(l: int, coeffs: Sequence) -> list[float]:
     Newton steps in phi, safeguarded by bisection, refine every sign-change
     bracket together until all have converged.  When c_1 = 0 the degree is
     below l and the endpoint zeros at phi = 0 and pi are not roots.  Plain
-    float loops do all of it; a guess whose cotangent is not a finite float
-    is dropped.  The guesses carry no guarantee: `isolate_real_roots`
-    certifies them or falls back.
+    float loops do all of it, on the weights scaled exactly by the one power
+    of two that brings the largest below 2 and above 1/2: the roots do not
+    change, and tiny or huge weights neither underflow nor overflow the
+    form.  A guess whose cotangent is not a finite float is dropped.  The
+    guesses carry no guarantee: `isolate_real_roots` certifies them or falls
+    back.
     """
-    c1, c2, c3, c4 = (list(coeffs) + [0, 0, 0])[:4]
+    # |n/d| in lowest terms lies in (2^(e-1), 2^(e+1)) with e = len(n) - len(d)
+    # in bits; the largest e sets the scale, and one integer true division,
+    # correctly rounded, gives each scaled weight as a float
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    shift = max([n.bit_length() - d.bit_length() for n, d in ratios if n], default=0)
+    if shift >= 0:
+        scaled = [n / (d << shift) for n, d in ratios]
+    else:
+        scaled = [(n << -shift) / d for n, d in ratios]
+    c1, c2, c3, c4 = (scaled + [0.0, 0.0, 0.0])[:4]
     if c3 == 0 and c4 == 0:
         if c1 == 0:
             return _cotangents([k * (math.pi / l) for k in range(1, l)])
         # t = theta + pi/2 = arg(i (c_1 + i c_2 / l)), taken in (0, pi)
         s = 1 if c1 > 0 else -1
-        t = math.atan2(s * float(c1), -s * float(c2) / l)
+        t = math.atan2(s * c1, -s * c2 / l)
         return _cotangents([(t + k * math.pi) / l for k in range(l)])
-    a = float(c1)
-    b = float(c2) / l + (3 * float(c4) / (l * (l - 1) * (l - 2)) if c4 else 0.0)
-    c = float(c3) / (l - 1) if c3 else 0.0
-    d = -3 * float(c4) / ((l - 1) * (l - 2)) if c4 else 0.0
+    a = c1
+    b = c2 / l + (3 * c4 / (l * (l - 1) * (l - 2)) if c4 else 0.0)
+    c = c3 / (l - 1) if c3 else 0.0
+    d = -3 * c4 / ((l - 1) * (l - 2)) if c4 else 0.0
     m = l - 1
     cos, sin = math.cos, math.sin
 

@@ -1,8 +1,14 @@
-"""Adaptive Dormand-Prince 5(4) integrator with dense output.
+"""Adaptive Dormand-Prince 5(4) integrator of the oscillator f'' + |f|^(p-1) f = 0.
 
-Small, dependency-free and forward-only (t1 > t0).  The dense output uses
-the standard quartic interpolant of the pair, so interpolated values carry
-the same accuracy order as the step error control.
+Both profile equations reduce to this one autonomous oscillator (see
+`pencil.semilinear`), so the integrator is written for it alone: the state
+(f, f') runs forward from t = 0, each stage is two scalar expressions with the
+right-hand side (f', -sign(f) |f|^p) inline, and the dense output is the
+standard quartic interpolant of the pair, unrolled over the two components,
+so interpolated values carry the same accuracy order as the step error
+control.  The tableau and the dense output are those of Dormand & Prince
+(J. Comput. Appl. Math. 6, 1980) and of Hairer, Norsett & Wanner, Solving
+Ordinary Differential Equations I, section II.6.
 """
 
 from __future__ import annotations
@@ -10,19 +16,20 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 __all__ = ["IntegrationResult", "integrate", "find_zeros", "MAX_STEPS"]
 
 # step budget of one integration; an integration that reaches it is truncated
 MAX_STEPS = 5_000_000
 
-# Dormand-Prince 5(4) tableau: nodes _Cs, stage weights _Asj, solution
-# weights _Bj, error weights _Ej and the dense-output rows _Dj, whose entry s
-# multiplies stage s in the coefficient of theta^j.  Zero entries stay in the
-# sums below, and each sum starts at 0.0 as sum() does, so every stage adds
-# the same terms in the same order as a generic sum over the tableau.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+# Dormand-Prince 5(4) tableau: stage weights _Asj, solution weights _Bj,
+# error weights _Ej and the dense-output rows _Dj, whose entry s multiplies
+# stage s in the coefficient of theta^j; the oscillator is autonomous, so the
+# stage nodes do not enter.  Zero entries stay in the sums below, and each sum
+# starts at 0.0 as sum() does, so every stage adds the same terms in the same
+# order as a generic n-component loop over the tableau (`generic_dp5` in
+# tests/pencil_oracles.py), and every step, value and coefficient is
+# bit-identical to it.
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
 _A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
@@ -70,59 +77,63 @@ _SAFETY = 0.9
 
 @dataclass
 class IntegrationResult:
+    """The accepted steps of one integration: their starts and end in ts, the
+    states (f, f') there in ys, and per step (t, h, (f, f'), q), with q the
+    dense-output coefficients of theta, ..., theta^4, one (f, f') pair each."""
+
     ts: list[float]
-    ys: list[tuple[float, ...]]
+    ys: list[tuple[float, float]]
     truncated: bool
     nfev: int
-    _segments: list[tuple[float, float, tuple[float, ...], list[tuple[float, ...]]]]
+    _segments: list[tuple[float, float, tuple[float, float], list[tuple[float, float]]]]
 
     @property
-    def y_end(self) -> tuple[float, ...]:
+    def y_end(self) -> tuple[float, float]:
         return self.ys[-1]
 
-    def interpolate(self, t: float) -> tuple[float, ...]:
-        """Dense-output evaluation anywhere inside the covered span."""
-        if not self._segments:
+    def interpolate(self, t: float) -> tuple[float, float]:
+        """Dense-output state (f, f') anywhere inside the covered span."""
+        segments = self._segments
+        if not segments:
             return self.ys[0]
         # ts holds each accepted segment's start, then the end of the last one
-        idx = bisect_right(self.ts, t) - 1
-        idx = min(max(idx, 0), len(self._segments) - 1)
-        t0, h, y0, q = self._segments[idx]
+        idx = min(max(bisect_right(self.ts, t) - 1, 0), len(segments) - 1)
+        t0, h, (f, df), (q1, q2, q3, q4) = segments[idx]
         theta = (t - t0) / h
-        n = len(y0)
-        out = []
-        for i in range(n):
-            acc = 0.0
-            for j in (3, 2, 1, 0):
-                acc = acc * theta + q[j][i]
-            out.append(y0[i] + h * theta * acc)
-        return tuple(out)
+        step = h * theta
+        # Horner from 0.0, highest power first
+        return (
+            f + step * ((((0.0 * theta + q4[0]) * theta + q3[0]) * theta + q2[0]) * theta + q1[0]),
+            df + step * ((((0.0 * theta + q4[1]) * theta + q3[1]) * theta + q2[1]) * theta + q1[1]),
+        )
 
 
-def _rms(values: list[float]) -> float:
-    """Root mean square that does not overflow.
+def _rms(a: float, b: float) -> float:
+    """Root mean square of a and b that does not overflow.
 
     The plain sum of squares is used unless a square or the sum overflows;
     then math.hypot, which rescales, gives the norm.
     """
     try:
-        total = sum([v**2 for v in values])
+        total = a**2 + b**2
     except OverflowError:
         total = math.inf
     if total == math.inf:
-        return math.hypot(*values) / math.sqrt(len(values))
-    return math.sqrt(total / len(values))
+        return math.hypot(a, b) / math.sqrt(2)
+    return math.sqrt(total / 2)
 
 
-def _initial_step(rhs, t0, y0, f0, rtol, atol, span) -> float:
-    scale = [atol + rtol * abs(v) for v in y0]
-    d0 = _rms([v / s for v, s in zip(y0, scale)])
-    d1 = _rms([v / s for v, s in zip(f0, scale)])
+def _initial_step(p: float, f: float, df: float, k: float, l: float, rtol: float, atol: float, span: float) -> float:
+    """First step guess from the state (f, f') and its slope (k, l) = (f', -sign(f) |f|^p),
+    after Hairer, Norsett & Wanner, section II.4; the probe slope is not counted in nfev."""
+    s_f, s_df = atol + rtol * abs(f), atol + rtol * abs(df)
+    d0 = _rms(f / s_f, df / s_df)
+    d1 = _rms(k / s_f, l / s_df)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
-    y1 = tuple(y + h0 * f for y, f in zip(y0, f0))
-    f1 = rhs(t0 + h0, y1)
-    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
+    # the slope at the Euler step (f + h0 k, f' + h0 l)
+    u = f + h0 * k
+    d2 = _rms((df + h0 * l - k) / s_f, (-math.copysign(abs(u) ** p, u) - l) / s_df) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -131,132 +142,111 @@ def _initial_step(rhs, t0, y0, f0, rtol, atol, span) -> float:
 
 
 def integrate(
-    rhs: Callable[[float, tuple[float, ...]], tuple[float, ...]],
-    t0: float,
-    t1: float,
-    y0: Sequence[float],
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    p: float, t1: float, y0: tuple[float, float], rtol: float = 1e-10, atol: float = 1e-12
 ) -> IntegrationResult:
-    """Integrate y' = rhs(t, y) forward from t0 to t1 > t0.
+    """Integrate f'' + |f|^(p-1) f = 0 for the state (f, f') from y0 at t = 0
+    forward to t1 > 0.
 
     Stops early with `truncated=True` when the step size underflows or the
     MAX_STEPS budget runs out; everything integrated up to that point is kept.
     Tolerances must be positive and finite: a NaN step never trips the step
-    floor, so a NaN tolerance would walk the whole step budget.
+    floor, so a NaN tolerance would walk the whole step budget.  nfev counts
+    the slope at the start and six slopes per attempted step.
     """
     # NaN fails the comparison too
-    if not t1 > t0:
-        raise ValueError(f"integration runs forward only: need t1 > t0, got t0={t0!r}, t1={t1!r}")
+    if not t1 > 0:
+        raise ValueError(f"integration runs forward from t = 0: need t1 > 0, got t1={t1!r}")
     if not (0 < rtol < math.inf and 0 < atol < math.inf):
         raise ValueError(f"tolerances must be positive and finite, got rtol={rtol!r}, atol={atol!r}")
-    y = tuple(float(v) for v in y0)
-    t = float(t0)
-    f = tuple(rhs(t, y))
+    copysign = math.copysign
+    f, df = (float(v) for v in y0)
+    y = (f, df)
+    # stage s has the slope (k_s, l_s): k_s is the f' of its stage state, l_s
+    # the oscillator's -sign(u) |u|^p at that state's f = u; stage 1 of a step
+    # is the slope at its start, the last stage of the step before
+    k1, l1 = df, -copysign(abs(f) ** p, f)
     nfev = 1
     # the initial guess starts at the step floor at least; error control takes it from there
-    h = max(_initial_step(rhs, t, y, f, rtol, atol, t1 - t0), _MIN_REL_STEP * max(1.0, abs(t)))
+    h = max(_initial_step(p, f, df, k1, l1, rtol, atol, t1), _MIN_REL_STEP)
 
+    t = 0.0
     ts = [t]
     ys = [y]
-    segments: list[tuple[float, float, tuple[float, ...], list[tuple[float, ...]]]] = []
+    segments: list[tuple[float, float, tuple[float, float], list[tuple[float, float]]]] = []
     truncated = False
-    n = len(y)
     steps = 0
 
     while t < t1:
         steps += 1
-        if steps > MAX_STEPS:
-            truncated = True
-            break
-        min_h = _MIN_REL_STEP * max(1.0, abs(t))
-        if h < min_h:
+        if steps > MAX_STEPS or h < _MIN_REL_STEP * max(1.0, t):
             truncated = True
             break
         h = min(h, t1 - t)
 
-        k1 = f
-        y_s = tuple([v + h * (0.0 + _A21 * a) for v, a in zip(y, k1)])
-        k2 = tuple(rhs(t + _C2 * h, y_s))
-        y_s = tuple([v + h * (0.0 + _A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)])
-        k3 = tuple(rhs(t + _C3 * h, y_s))
-        y_s = tuple(
-            [v + h * (0.0 + _A41 * a + _A42 * b + _A43 * c) for v, a, b, c in zip(y, k1, k2, k3)]
-        )
-        k4 = tuple(rhs(t + _C4 * h, y_s))
-        y_s = tuple(
-            [
-                v + h * (0.0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                for v, a, b, c, d in zip(y, k1, k2, k3, k4)
-            ]
-        )
-        k5 = tuple(rhs(t + _C5 * h, y_s))
-        y_s = tuple(
-            [
-                v + h * (0.0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-            ]
-        )
-        k6 = tuple(rhs(t + h, y_s))
-        y_new = tuple(
-            [
-                v + h * (0.0 + _B1 * a + _B2 * b + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-                for v, a, b, c, d, e, g in zip(y, k1, k2, k3, k4, k5, k6)
-            ]
-        )
-        k7 = tuple(rhs(t + h, y_new))
+        u = f + h * (0.0 + _A21 * k1)
+        k2 = df + h * (0.0 + _A21 * l1)
+        l2 = -copysign(abs(u) ** p, u)
+        u = f + h * (0.0 + _A31 * k1 + _A32 * k2)
+        k3 = df + h * (0.0 + _A31 * l1 + _A32 * l2)
+        l3 = -copysign(abs(u) ** p, u)
+        u = f + h * (0.0 + _A41 * k1 + _A42 * k2 + _A43 * k3)
+        k4 = df + h * (0.0 + _A41 * l1 + _A42 * l2 + _A43 * l3)
+        l4 = -copysign(abs(u) ** p, u)
+        u = f + h * (0.0 + _A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
+        k5 = df + h * (0.0 + _A51 * l1 + _A52 * l2 + _A53 * l3 + _A54 * l4)
+        l5 = -copysign(abs(u) ** p, u)
+        u = f + h * (0.0 + _A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+        k6 = df + h * (0.0 + _A61 * l1 + _A62 * l2 + _A63 * l3 + _A64 * l4 + _A65 * l5)
+        l6 = -copysign(abs(u) ** p, u)
+        # the new state is (f_new, k7): the f' of the last stage state is its slope k7
+        f_new = f + h * (0.0 + _B1 * k1 + _B2 * k2 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+        k7 = df + h * (0.0 + _B1 * l1 + _B2 * l2 + _B3 * l3 + _B4 * l4 + _B5 * l5 + _B6 * l6)
+        l7 = -copysign(abs(f_new) ** p, f_new)
         nfev += 6
         # RMS of the error estimate, each component scaled by its own tolerance
         try:
             norm = math.sqrt(
-                sum(
-                    [
-                        (
-                            h * (0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * r)
-                            / (atol + rtol * max(abs(v), abs(w)))
-                        )
-                        ** 2
-                        for v, w, a, b, c, d, e, g, r in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7)
-                    ]
+                (
+                    (
+                        h * (0.0 + _E1 * k1 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+                        / (atol + rtol * max(abs(f), abs(f_new)))
+                    )
+                    ** 2
+                    + (
+                        h * (0.0 + _E1 * l1 + _E2 * l2 + _E3 * l3 + _E4 * l4 + _E5 * l5 + _E6 * l6 + _E7 * l7)
+                        / (atol + rtol * max(abs(df), abs(k7)))
+                    )
+                    ** 2
                 )
-                / n
+                / 2
             )
         except OverflowError:
             # a scaled error above 1e154: rejected with the smallest factor, as any norm that large
             norm = math.inf
 
         if norm <= 1.0:
-            ks = tuple(zip(k1, k2, k3, k4, k5, k6, k7))
             q = [
-                tuple(
-                    [
-                        0.0 + a * _D11 + b * _D12 + c * _D13 + d * _D14 + e * _D15 + g * _D16 + r * _D17
-                        for a, b, c, d, e, g, r in ks
-                    ]
+                (
+                    0.0 + k1 * _D11 + k2 * _D12 + k3 * _D13 + k4 * _D14 + k5 * _D15 + k6 * _D16 + k7 * _D17,
+                    0.0 + l1 * _D11 + l2 * _D12 + l3 * _D13 + l4 * _D14 + l5 * _D15 + l6 * _D16 + l7 * _D17,
                 ),
-                tuple(
-                    [
-                        0.0 + a * _D21 + b * _D22 + c * _D23 + d * _D24 + e * _D25 + g * _D26 + r * _D27
-                        for a, b, c, d, e, g, r in ks
-                    ]
+                (
+                    0.0 + k1 * _D21 + k2 * _D22 + k3 * _D23 + k4 * _D24 + k5 * _D25 + k6 * _D26 + k7 * _D27,
+                    0.0 + l1 * _D21 + l2 * _D22 + l3 * _D23 + l4 * _D24 + l5 * _D25 + l6 * _D26 + l7 * _D27,
                 ),
-                tuple(
-                    [
-                        0.0 + a * _D31 + b * _D32 + c * _D33 + d * _D34 + e * _D35 + g * _D36 + r * _D37
-                        for a, b, c, d, e, g, r in ks
-                    ]
+                (
+                    0.0 + k1 * _D31 + k2 * _D32 + k3 * _D33 + k4 * _D34 + k5 * _D35 + k6 * _D36 + k7 * _D37,
+                    0.0 + l1 * _D31 + l2 * _D32 + l3 * _D33 + l4 * _D34 + l5 * _D35 + l6 * _D36 + l7 * _D37,
                 ),
-                tuple(
-                    [
-                        0.0 + a * _D41 + b * _D42 + c * _D43 + d * _D44 + e * _D45 + g * _D46 + r * _D47
-                        for a, b, c, d, e, g, r in ks
-                    ]
+                (
+                    0.0 + k1 * _D41 + k2 * _D42 + k3 * _D43 + k4 * _D44 + k5 * _D45 + k6 * _D46 + k7 * _D47,
+                    0.0 + l1 * _D41 + l2 * _D42 + l3 * _D43 + l4 * _D44 + l5 * _D45 + l6 * _D46 + l7 * _D47,
                 ),
             ]
             segments.append((t, h, y, q))
             t += h
-            y = y_new
-            f = k7
+            f, df, k1, l1 = f_new, k7, k7, l7
+            y = (f, df)
             ts.append(t)
             ys.append(y)
             factor = _MAX_FACTOR if norm == 0.0 else min(_MAX_FACTOR, _SAFETY * norm**-0.2)

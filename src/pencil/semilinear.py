@@ -12,8 +12,9 @@ the period fixed by the energy E = f'^2/2 + |f|^(p+1)/(p+1).  Its scaling
 symmetry makes a W(a^((p-1)/2) x) a solution for every unit orbit W, so each
 solver integrates one unit orbit per solve, over a quarter period, and takes
 the profile from it by scaling: every stationary shot, and the self-similar
-profile with its zeros and grid.  The odd nonlinearity is evaluated as
-sign(f) |f|^p, exact for non-integer p as well.
+profile with its zeros and grid.  That integration is `pencil.ode.integrate`,
+the Dormand-Prince pair written for this oscillator alone, which evaluates
+the odd nonlinearity as sign(f) |f|^p, exact for non-integer p as well.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 from .ode import integrate
@@ -77,12 +77,6 @@ class ProfileSolution:
     truncated: bool = False
 
 
-def _oscillator(p: float, t: float, y: tuple[float, ...]) -> tuple[float, float]:
-    """Right-hand side of f'' + |f|^(p-1) f = 0 as a first-order system."""
-    f, df = y
-    return (df, -math.copysign(abs(f) ** p, f))
-
-
 def _quarter_period(p: float) -> float:
     """Quarter period K_p = sqrt((p+1)/2) B(1/(p+1), 1/2) / (p+1) of the
     unit-amplitude orbit; the orbit of amplitude a takes K_p a^((1-p)/2)."""
@@ -113,7 +107,7 @@ def _unit_orbit(p: float, symmetric: bool, tol: float):
     """
     k = _quarter_period(p)
     y0 = (1.0, 0.0) if symmetric else (0.0, math.sqrt(2 / (p + 1)))
-    quarter = integrate(partial(_oscillator, p), 0.0, k, y0, rtol=tol, atol=tol * 1e-2)
+    quarter = integrate(p, k, y0, rtol=tol, atol=tol * 1e-2)
 
     def orbit(x: float) -> tuple[float, float]:
         q, u = divmod(x % (4 * k), k)
@@ -401,7 +395,22 @@ def crack_curves(
     if any(y == -1.0 for y in ys):
         raise ValueError("y = -1 makes the logarithm vanish; exclude it")
     beta = alpha * (p - 1) / 2.0
-    weights = [abs(math.log(-y)) ** beta for y in ys]
+    if not math.isfinite(beta):
+        raise ValueError(f"beta = alpha (p-1)/2 is not finite for alpha={alpha!r}, p={p!r}")
+    top = max(sol.zeros, default=0.0)
+    weights = []
+    for y in ys:
+        try:
+            w = abs(math.log(-y)) ** beta
+        except OverflowError:
+            w = math.inf
+        # rounding is monotone, so the largest zero gives each y its largest
+        # point; with no zeros, an infinite weight makes 0 * inf = NaN
+        if not math.isfinite(top * (-y) * w):
+            raise ValueError(
+                f"the crack-curve weight |ln(-y)|^beta or its point is not a finite float at y={y!r}, beta={beta!r}"
+            )
+        weights.append(w)
     return [
         CrackCurve(xi=xi, points=tuple((y, xi * (-y) * w) for y, w in zip(ys, weights)))
         for xi in sol.zeros

@@ -12,7 +12,12 @@ pseudo-division identities.  `exact_newton` is the exact Newton step as a
 reduced Fraction from powers of the denominator, where
 `pencil.nodal._exact_newton` shifts and divides once.
 `characteristic_quartic` and `verify_quartic_factorization` prove the
-quartic eigenvalue rule {-l, ..., -l-3} by exact division.
+quartic eigenvalue rule {-l, ..., -l-3} by exact division.  `generic_dp5`
+is the adaptive Dormand-Prince 5(4) pair for any right-hand side and any
+number of components, one stage at a time in loops over the tableau, where
+`pencil.ode.integrate` writes out the two scalar components of the
+oscillator f'' + |f|^(p-1) f = 0; `dense_value` evaluates one of its
+dense-output segments.
 """
 
 import math
@@ -236,3 +241,129 @@ def verify_quartic_factorization(l: int) -> bool:
             return False
         poly = quot
     return poly == RatPoly.one()
+
+
+# Dormand-Prince 5(4) tableau, for the generic stage loop below
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# dense output: row j holds the theta^(j+1) weight of each of the 7 stages
+_DP_P = (
+    (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (
+        -8048581381 / 2820520608, 0.0, 131558114200 / 32700410799, -1754552775 / 470086768,
+        127303824393 / 49829197408, -282668133 / 205662961, 40617522 / 29380423,
+    ),
+    (
+        8663915743 / 2820520608, 0.0, -68118460800 / 10900136933, 14199869525 / 1410260304,
+        -318862633887 / 49829197408, 2019193451 / 616988883, -110615467 / 29380423,
+    ),
+    (
+        -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+        701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
+    ),
+)
+_MIN_REL_STEP = 1e-14
+
+
+def _rms(values: list[float]) -> float:
+    """Root mean square that does not overflow: the plain sum of squares,
+    unless a square or the sum overflows; then math.hypot, which rescales."""
+    try:
+        total = sum([v**2 for v in values])
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        return math.hypot(*values) / math.sqrt(len(values))
+    return math.sqrt(total / len(values))
+
+
+def _initial_step(rhs, t0, y0, f0, rtol, atol, span) -> float:
+    """First step guess of Hairer, Norsett & Wanner, section II.4."""
+    scale = [atol + rtol * abs(v) for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    y1 = tuple(y + h0 * f for y, f in zip(y0, f0))
+    f1 = rhs(t0 + h0, y1)
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, span)
+
+
+def _weighted(weights, ks, i):
+    acc = 0.0
+    for w, k in zip(weights, ks):
+        acc += w * k[i]
+    return acc
+
+
+def generic_dp5(rhs, t0, t1, y0, rtol, atol):
+    """Step history (ts, ys, nfev, segments, truncated) of the adaptive
+    Dormand-Prince 5(4) pair for y' = rhs(t, y), one stage at a time, every
+    weighted sum accumulated left to right from 0.0.
+
+    It has no step budget; a step below 1e-14 max(1, |t|) ends it as
+    truncated, and an error norm that overflows rejects the step.
+    """
+    t, y = float(t0), tuple(float(v) for v in y0)
+    f = tuple(rhs(t, y))
+    nfev, n = 1, len(y)
+    h = max(_initial_step(rhs, t, y, f, rtol, atol, t1 - t0), _MIN_REL_STEP * max(1.0, abs(t)))
+    ts, ys, segments, truncated = [t], [y], [], False
+    while t < t1:
+        if h < _MIN_REL_STEP * max(1.0, abs(t)):
+            truncated = True
+            break
+        h = min(h, t1 - t)
+        k = [f]
+        for s in range(1, 6):
+            y_s = tuple(y[i] + h * _weighted(_DP_A[s], k, i) for i in range(n))
+            k.append(tuple(rhs(t + _DP_C[s] * h, y_s)))
+        y_new = tuple(y[i] + h * _weighted(_DP_B, k, i) for i in range(n))
+        k.append(tuple(rhs(t + h, y_new)))
+        nfev += 6
+        try:
+            total = 0.0
+            for i in range(n):
+                err = h * _weighted(_DP_E, k, i)
+                total += (err / (atol + rtol * max(abs(y[i]), abs(y_new[i])))) ** 2
+            norm = math.sqrt(total / n)
+        except OverflowError:
+            norm = math.inf
+        if norm <= 1.0:
+            q = [tuple(_weighted(row, k, i) for i in range(n)) for row in _DP_P]
+            segments.append((t, h, y, q))
+            t, y, f = t + h, y_new, k[6]
+            ts.append(t)
+            ys.append(y)
+            h *= max(0.2, 10.0 if norm == 0.0 else min(10.0, 0.9 * norm**-0.2))
+        else:
+            h *= max(0.2, 0.9 * norm**-0.2)
+    return ts, ys, nfev, segments, truncated
+
+
+def dense_value(segment, t: float) -> tuple[float, ...]:
+    """The quartic dense output of one `generic_dp5` segment at t, by
+    Horner's rule from 0.0 in each component."""
+    t0, h, y, q = segment
+    theta = (t - t0) / h
+    out = []
+    for i, v in enumerate(y):
+        acc = 0.0
+        for row in reversed(q):
+            acc = acc * theta + row[i]
+        out.append(v + h * theta * acc)
+    return tuple(out)

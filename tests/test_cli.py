@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from pencil import cli
+from pencil import cli, semilinear
 from pencil.cli import main
 from pencil.pencils import Eigenpair, pencil_residual
 from pencil.polyring import RatPoly
@@ -19,6 +19,12 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _text_field(out: str, key: str) -> str:
+    """The value of the text-mode line `key=value`."""
+    (value,) = [line.split("=", 1)[1] for line in out.splitlines() if line.startswith(f"{key}=")]
+    return value
 
 
 class TestEig:
@@ -416,6 +422,31 @@ class TestOde:
         assert not payload["truncated"]
         assert path.read_text().startswith("<?xml")
 
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_f_at_cut_is_the_inner_end(self, monkeypatch, capsys, as_json):
+        # a self-similar grid ascends from xi_min: f at the cut is its first row,
+        # not f(xi_far) = A / xi_far, the input; a truncated grid stops at the last xi reached
+        argv = ["ode", "selfsimilar", "--p", "3", "--A", "1", "--Xi", "1", "--ximin", "1e-2"]
+        for budget in (semilinear.MAX_STEPS, 40):
+            monkeypatch.setattr(semilinear, "MAX_STEPS", budget)
+            sol = semilinear.solve_selfsimilar(3.0, 1.0, xi_far=1.0, xi_min=1e-2)
+            assert sol.truncated == (budget == 40)
+            assert (sol.grid[0] == 1e-2) != sol.truncated and sol.grid[-1] == 1.0
+            code, out, _ = run_cli(capsys, *argv, *(["--json"] if as_json else []))
+            assert code == 0
+            value = json.loads(out)["f_at_cut"] if as_json else float(_text_field(out, "f_at_cut"))
+            assert value == sol.values[0] != sol.values[-1]
+
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_f_at_cut_stationary_is_at_z_end(self, capsys, as_json):
+        argv = ["ode", "stationary", "--p", "3", "--far", "plateau", "--zend", "25"]
+        code, out, _ = run_cli(capsys, *argv, *(["--json"] if as_json else []))
+        assert code == 0
+        value = json.loads(out)["f_at_cut"] if as_json else float(_text_field(out, "f_at_cut"))
+        sol = semilinear.solve_stationary(3.0, far="plateau_one", z_end=25.0)
+        assert sol.grid[-1] == 25.0
+        assert value == sol.values[-1] == pytest.approx(1.0, abs=1e-6)
+
     def test_bilaplace_check(self, capsys):
         code, out, _ = run_cli(
             capsys, "cracks", "check", "--alphas", "-1,0,1", "--equation", "bilaplace",
@@ -460,6 +491,17 @@ class TestOde:
         payload = json.loads(err)
         assert payload["error"] == "ValueError"
         assert payload["message"] == f"alpha must be positive and finite, got alpha={float(alpha)!r}"
+
+    def test_crackcurves_non_finite_weight_exit_1(self, capsys):
+        # a bare OverflowError from |ln(-y)|^beta before
+        code, out, err = run_cli(
+            capsys, "ode", "crackcurves", "--p", "3", "--A", "1", "--alpha", "1e300",
+            "--ygrid", "-0.5:-1e-4:log:3", "--json",
+        )
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "not a finite float" in payload["message"] and "beta=1e+300" in payload["message"]
 
     def test_crackcurves_negative_maxcurves_exit_1(self, capsys):
         # a negative count used to slice from the end and print all but the last curves

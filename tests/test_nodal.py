@@ -732,13 +732,36 @@ class TestPhaseSeeds:
         st.sampled_from(["laplace", "bilaplace"]), st.integers(1, 40), st.lists(_SEED_WEIGHTS, min_size=4, max_size=4)
     )
     @example("laplace", 3, [5e-324, -1.0, 0, 0])  # phi underflows: the cotangent is infinite and dropped
-    @example("bilaplace", 5, [1e308, 1e308, -1e308, 1e308])  # the phase form overflows to NaN
+    @example("bilaplace", 5, [1e308, 1e308, -1e308, 1e308])  # scaled first, the phase form does not overflow
     @settings(max_examples=80, deadline=None)
     def test_only_finite_floats(self, equation, l, weights):
         n = len(Combination(equation, l, (0,) * Combination.family_count(equation)).families)
         seeds = _phase_seeds(l, weights[:n])
         assert all(type(s) is float and math.isfinite(s) for s in seeds)
         assert len(seeds) <= l
+
+    @given(
+        st.sampled_from(["laplace", "bilaplace"]),
+        st.integers(1, 40),
+        st.lists(_SEED_WEIGHTS, min_size=4, max_size=4),
+        st.integers(-1100, 1100),
+    )
+    @example("bilaplace", 3, [0, 0, 0, 5e-324], 1100)
+    @example("laplace", 3, [5e-324, -1.0, 0, 0], 1)
+    @settings(max_examples=80, deadline=None)
+    def test_unchanged_by_power_of_two(self, equation, l, weights, k):
+        # the roots of the combination do not depend on a common factor, and
+        # an exact factor 2^k leaves the scaled weights and so every seed as they were
+        n = len(Combination(equation, l, (0,) * Combination.family_count(equation)).families)
+        scaled = [Fraction(w) * Fraction(2) ** k for w in weights[:n]]
+        assert _phase_seeds(l, scaled) == _phase_seeds(l, weights[:n])
+
+    @pytest.mark.parametrize("c4", [5e-324, Fraction(1, 2**1100), 1, 1e308])
+    def test_constant_combination_has_no_seeds(self, c4):
+        # at l = 3 only psi_{0,4} = 1 is weighted: the phase form is c_4 sin^3,
+        # which 5e-324 used to underflow into 37 sign changes
+        assert Combination("bilaplace", 3, (0, 0, 0, c4)).poly.degree == 0
+        assert _phase_seeds(3, [0, 0, 0, c4]) == []
 
     def test_roots_equal_with_oracle_seeds(self, monkeypatch):
         rng = random.Random(16)

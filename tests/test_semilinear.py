@@ -2,23 +2,27 @@
 
 scipy's independently implemented integrators, run on the original-variable
 equations, and the closed forms of the oscillator f'' + |f|^(p-1) f = 0 serve
-as oracles for the Dormand-Prince solvers.
+as oracles for the Dormand-Prince solvers.  The scalar integrator of that
+oscillator matches the generic stage loop `pencil_oracles.generic_dp5` bit
+for bit, and that loop is checked against scipy on the original equations.
 """
 
 import math
 import random
+import re
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.special import beta, betainc
 
-from pencil import semilinear
-from pencil.ode import _initial_step, _rms, find_zeros, integrate
+from pencil import ode, semilinear
+from pencil.ode import _rms, find_zeros, integrate
 from pencil.semilinear import (
     FAR_FIELD_ROOT,
     NoProfileFoundError,
@@ -26,6 +30,7 @@ from pencil.semilinear import (
     solve_selfsimilar,
     solve_stationary,
 )
+from pencil_oracles import dense_value, generic_dp5
 
 
 @dataclass(frozen=True)
@@ -56,23 +61,37 @@ def oscillatory():
     return solve_selfsimilar(3.0, 1.0, xi_far=50.0, xi_min=1e-3, tol=1e-9)
 
 
+def _oscillator(p: float):
+    """The oscillator f'' + |f|^(p-1) f = 0 as a right-hand side for the generic oracle."""
+    return lambda t, y: (y[1], -math.copysign(abs(y[0]) ** p, y[0]))
+
+
+class _Unevaluated:
+    """An exponent p whose power raises: the oscillator must never be evaluated."""
+
+    def __rpow__(self, base):
+        raise AssertionError("the right-hand side was evaluated")
+
+
 class TestIntegrator:
-    def test_against_scipy_linear(self):
-        rhs = lambda t, y: (-0.7 * y[0] + math.sin(t),)
-        ours = integrate(rhs, 0.0, 12.0, (1.0,), rtol=1e-11, atol=1e-13)
+    def test_against_scipy_oscillator(self):
+        # p = 3 from a start that is no unit orbit, over about four periods
+        ours = integrate(3.0, 30.0, (1.1, 0.3), rtol=1e-11, atol=1e-13)
         ref = solve_ivp(
-            lambda t, y: [-0.7 * y[0] + math.sin(t)],
-            (0.0, 12.0),
-            [1.0],
+            _oscillator(3.0),
+            (0.0, 30.0),
+            [1.1, 0.3],
             method="DOP853",
             rtol=1e-12,
             atol=1e-14,
         )
-        assert ours.y_end[0] == pytest.approx(ref.y[0, -1], rel=1e-9)
+        assert ours.y_end[0] == pytest.approx(ref.y[0, -1], rel=1e-8, abs=1e-12)
+        assert ours.y_end[1] == pytest.approx(ref.y[1, -1], rel=1e-8, abs=1e-12)
 
     def test_against_scipy_stationary_shot(self):
+        # the generic oracle, on the stationary equation in its original variable z
         problem = ODEProblem("stationary", 3.0)
-        ours = integrate(problem.rhs, 0.0, 30.0, (1.1, 0.0), rtol=1e-11, atol=1e-13)
+        ts, ys, *_ = generic_dp5(problem.rhs, 0.0, 30.0, (1.1, 0.0), rtol=1e-11, atol=1e-13)
         ref = solve_ivp(
             lambda t, y: list(problem.rhs(t, tuple(y))),
             (0.0, 30.0),
@@ -81,23 +100,27 @@ class TestIntegrator:
             rtol=1e-12,
             atol=1e-14,
         )
-        assert ours.y_end[0] == pytest.approx(ref.y[0, -1], rel=1e-8, abs=1e-12)
-        assert ours.y_end[1] == pytest.approx(ref.y[1, -1], rel=1e-8, abs=1e-12)
+        assert ts[-1] == 30.0
+        assert ys[-1][0] == pytest.approx(ref.y[0, -1], rel=1e-8, abs=1e-12)
+        assert ys[-1][1] == pytest.approx(ref.y[1, -1], rel=1e-8, abs=1e-12)
 
     def test_dense_output_accuracy(self):
-        ours = integrate(lambda t, y: (math.cos(t),), 0.0, 6.0, (0.0,), rtol=1e-10, atol=1e-12)
+        # p = 1 is f'' + f = 0: from (0, 1) the state is (sin t, cos t)
+        ours = integrate(1.0, 6.0, (0.0, 1.0), rtol=1e-10, atol=1e-12)
         for t in np.linspace(0.3, 5.7, 25):
-            assert ours.interpolate(float(t))[0] == pytest.approx(math.sin(t), abs=1e-9)
+            f, df = ours.interpolate(float(t))
+            assert f == pytest.approx(math.sin(t), abs=1e-9)
+            assert df == pytest.approx(math.cos(t), abs=1e-9)
 
     def test_find_zeros_of_sine(self):
-        ours = integrate(lambda t, y: (y[1], -y[0]), 0.0, 10.0, (0.0, 1.0), rtol=1e-11, atol=1e-13)
+        ours = integrate(1.0, 10.0, (0.0, 1.0), rtol=1e-11, atol=1e-13)
         zs = find_zeros(ours)
         assert zs == pytest.approx([0.0, math.pi, 2 * math.pi, 3 * math.pi], abs=1e-9)
 
     def test_tiny_atol_against_cosine(self):
         # f/atol = 1e200 at the start, whose square overflows a plain sum of
         # squares, and the initial step guess (about 1e-190) lies below the step floor
-        ours = integrate(lambda t, y: (y[1], -y[0]), 0.0, 10.0, (1.0, 0.0), atol=1e-200)
+        ours = integrate(1.0, 10.0, (1.0, 0.0), atol=1e-200)
         assert not ours.truncated and ours.ts[-1] == 10.0
         for t, (f, df) in zip(ours.ts, ours.ys):
             assert f == pytest.approx(math.cos(t), abs=1e-9)
@@ -106,142 +129,117 @@ class TestIntegrator:
             assert ours.interpolate(float(t))[0] == pytest.approx(math.cos(t), abs=1e-9)
 
     def test_overflowing_step_error_rejects_step(self):
-        # the first step's scaled error is about 1e240, so its square overflows;
-        # the step is rejected, and the step below the floor ends the run
-        ours = integrate(lambda t, y: (1e10 * t**4,), 0.0, 1.0, (0.0,), rtol=1e-300, atol=1e-300)
+        # at tolerances of 1e-300 the first step sits at the floor, 1e-14, and
+        # its scaled error is above 1e154, so its square overflows; the step is
+        # rejected, and the step below the floor ends the run
+        ours = integrate(1.0, 1.0, (1.0, 0.0), rtol=1e-300, atol=1e-300)
         assert ours.truncated and ours.ts == [0.0] and ours.nfev == 7
 
     def test_rms_rescales_only_on_overflow(self):
         rng = random.Random(3)
         for _ in range(200):
-            values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-150, 150) for _ in range(rng.randint(1, 4))]
+            a, b = (rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-150, 150) for _ in range(2))
             # bit-identical to the plain formula wherever it does not overflow
-            assert _rms(values) == math.sqrt(sum(v**2 for v in values) / len(values))
-        assert _rms([1e200, 0.0]) == pytest.approx(1e200 / math.sqrt(2), rel=1e-15)
+            assert _rms(a, b) == math.sqrt((a**2 + b**2) / 2)
+        assert _rms(1e200, 0.0) == pytest.approx(1e200 / math.sqrt(2), rel=1e-15)
         # each square is finite (1e308), their sum is not
-        assert _rms([1e154, -1e154]) == pytest.approx(1e154, rel=1e-15)
-        assert _rms([math.inf, 1.0]) == math.inf
+        assert _rms(1e154, -1e154) == pytest.approx(1e154, rel=1e-15)
+        assert _rms(math.inf, 1.0) == math.inf
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("which", ["rtol", "atol"])
     def test_rejects_tolerance_not_positive_finite(self, which, bad):
         # rejected before the first step: an unchecked NaN tolerance walks the
-        # whole step budget, so the right-hand side must never run
-        def rhs(t, y):
-            raise AssertionError("the right-hand side was evaluated")
-
+        # whole step budget, so the oscillator must never be evaluated
         with pytest.raises(ValueError, match="tolerances"):
-            integrate(rhs, 0.0, 1.0, (1.0,), **{which: bad})
+            integrate(_Unevaluated(), 1.0, (1.0, 0.0), **{which: bad})
 
     @pytest.mark.parametrize("t1", [-1.0, 0.0, math.nan])
     def test_rejects_span_not_forward(self, t1):
-        # integration runs forward only; a NaN end fails t1 > t0 as well
-        def rhs(t, y):
-            raise AssertionError("the right-hand side was evaluated")
-
+        # integration runs forward from t = 0 only; a NaN end fails t1 > 0 as well
         with pytest.raises(ValueError, match="forward"):
-            integrate(rhs, 0.0, t1, (1.0,))
+            integrate(_Unevaluated(), t1, (1.0, 0.0))
 
     @pytest.mark.parametrize(
-        "rhs, t0, t1, y0",
+        "p, t1, y0",
         [
             *[
-                (partial(semilinear._oscillator, p), 0.0, semilinear._quarter_period(p), y0)
+                (p, semilinear._quarter_period(p), y0)
                 for p in (2.0, 2.5, 3.0, 5.0, 7.0)
                 for y0 in ((1.0, 0.0), (0.0, math.sqrt(2 / (p + 1))))
             ],
-            (lambda t, y: (y[1], -y[0]), 0.0, 10.0, (1.0, 0.0)),
+            (1.0, 10.0, (1.0, 0.0)),
         ],
     )
-    def test_matches_generic_stage_loop(self, rhs, t0, t1, y0):
-        # the unrolled stages add the same terms in the same order as a loop
+    def test_matches_generic_stage_loop(self, p, t1, y0):
+        # the scalar stages add the same terms in the same order as a loop
         # over the tableau, so the steps, values and dense output are identical
-        ours = integrate(rhs, t0, t1, y0, rtol=1e-10, atol=1e-12)
-        ts, ys, nfev, segments = _generic_dp5(rhs, t0, t1, y0, rtol=1e-10, atol=1e-12)
-        assert (ours.ts, ours.ys, ours.nfev) == (ts, ys, nfev)
+        ours = integrate(p, t1, y0, rtol=1e-10, atol=1e-12)
+        ts, ys, nfev, segments, truncated = generic_dp5(_oscillator(p), 0.0, t1, y0, rtol=1e-10, atol=1e-12)
+        assert (ours.ts, ours.ys, ours.nfev, ours.truncated) == (ts, ys, nfev, truncated)
         assert ours._segments == segments
-        for t, h, y, q in segments:
-            mid = t + h / 2
-            theta = (mid - t) / h
-            expected = []
-            for i, v in enumerate(y):
-                acc = 0.0
-                for row in reversed(q):
-                    acc = acc * theta + row[i]
-                expected.append(v + h * theta * acc)
-            assert ours.interpolate(mid) == tuple(expected)
+        for segment in segments:
+            t, h, *_ = segment
+            assert ours.interpolate(t + h / 2) == dense_value(segment, t + h / 2)
 
-
-# Dormand-Prince 5(4) tableau, for the generic stage loop below
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# dense output: row j holds the theta^(j+1) weight of each of the 7 stages
-_DP_P = (
-    (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (
-        -8048581381 / 2820520608, 0.0, 131558114200 / 32700410799, -1754552775 / 470086768,
-        127303824393 / 49829197408, -282668133 / 205662961, 40617522 / 29380423,
-    ),
-    (
-        8663915743 / 2820520608, 0.0, -68118460800 / 10900136933, 14199869525 / 1410260304,
-        -318862633887 / 49829197408, 2019193451 / 616988883, -110615467 / 29380423,
-    ),
-    (
-        -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
-        701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
-    ),
-)
-
-
-def _weighted(weights, ks, i):
-    acc = 0.0
-    for w, k in zip(weights, ks):
-        acc += w * k[i]
-    return acc
-
-
-def _generic_dp5(rhs, t0, t1, y0, rtol, atol):
-    """Step history of the adaptive Dormand-Prince 5(4) pair, one stage at a
-    time, every weighted sum accumulated left to right from 0.0."""
-    t, y = float(t0), tuple(float(v) for v in y0)
-    f = tuple(rhs(t, y))
-    nfev, n = 1, len(y)
-    h = _initial_step(rhs, t, y, f, rtol, atol, t1 - t0)
-    ts, ys, segments = [t], [y], []
-    while t < t1:
-        assert h >= 1e-14 * max(1.0, abs(t))
-        h = min(h, t1 - t)
-        k = [f]
-        for s in range(1, 6):
-            y_s = tuple(y[i] + h * _weighted(_DP_A[s], k, i) for i in range(n))
-            k.append(tuple(rhs(t + _DP_C[s] * h, y_s)))
-        y_new = tuple(y[i] + h * _weighted(_DP_B, k, i) for i in range(n))
-        k.append(tuple(rhs(t + h, y_new)))
-        nfev += 6
-        total = 0.0
-        for i in range(n):
-            err = h * _weighted(_DP_E, k, i)
-            total += (err / (atol + rtol * max(abs(y[i]), abs(y_new[i])))) ** 2
-        norm = math.sqrt(total / n)
-        if norm <= 1.0:
-            q = [tuple(_weighted(row, k, i) for i in range(n)) for row in _DP_P]
-            segments.append((t, h, y, q))
-            t, y, f = t + h, y_new, k[6]
-            ts.append(t)
-            ys.append(y)
-            h *= max(0.2, 10.0 if norm == 0.0 else min(10.0, 0.9 * norm**-0.2))
+    @given(
+        p=st.floats(1.0, 12.0),
+        start=st.one_of(
+            st.sampled_from(["symmetric", "antisymmetric"]),
+            st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).filter(lambda y: max(map(abs, y)) > 1e-3),
+        ),
+        quarters=st.floats(0.05, 4.0),
+        digits=st.floats(3.0, -math.log10(sys.float_info.epsilon)),
+        tiny_atol=st.booleans(),
+        where=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_generic_stage_loop(self, p, start, quarters, digits, tiny_atol, where):
+        rtol = max(10.0**-digits, sys.float_info.epsilon)
+        if start == "symmetric":
+            y0 = (1.0, 0.0)
+        elif start == "antisymmetric":
+            y0 = (0.0, math.sqrt(2 / (p + 1)))
         else:
-            h *= max(0.2, 0.9 * norm**-0.2)
-    return ts, ys, nfev, segments
+            y0 = start
+        # the orbit's amplitude a fixes its quarter period K_p a^((1-p)/2)
+        f, df = y0
+        a = ((p + 1) * df * df / 2 + abs(f) ** (p + 1)) ** (1 / (p + 1))
+        t1 = quarters * semilinear._quarter_period(p) * a ** ((1 - p) / 2)
+        atol = 1e-200 if tiny_atol else rtol * 1e-2
+        ours = integrate(p, t1, y0, rtol=rtol, atol=atol)
+        ts, ys, nfev, segments, truncated = generic_dp5(_oscillator(p), 0.0, t1, y0, rtol=rtol, atol=atol)
+        assert (ours.ts, ours.ys, ours.nfev, ours.truncated) == (ts, ys, nfev, truncated)
+        assert ours._segments == segments
+        for segment in segments:
+            t, h, *_ = segment
+            x = t + h * where.random()
+            if x == t + h:  # rounded up to the next segment's start
+                x = t
+            assert ours.interpolate(x) == dense_value(segment, x)
+
+    @pytest.mark.parametrize("budget", [1, 2, 7, 50])
+    def test_step_budget_truncates_to_a_prefix(self, monkeypatch, budget):
+        # the budget counts attempted steps; what was accepted before it ran
+        # out is the start of the unbounded run
+        p, t1, y0 = 3.0, 4 * semilinear._quarter_period(3.0), (1.0, 0.0)
+        monkeypatch.setattr(ode, "MAX_STEPS", budget)
+        ours = integrate(p, t1, y0, rtol=1e-10, atol=1e-12)
+        ts, ys, nfev, segments, _ = generic_dp5(_oscillator(p), 0.0, t1, y0, rtol=1e-10, atol=1e-12)
+        assert ours.truncated and ours.nfev == 1 + 6 * budget
+        n = len(ours.ts)
+        assert 1 < n <= budget + 1 < len(ts)
+        assert (ours.ts, ours.ys, ours._segments) == (ts[:n], ys[:n], segments[: n - 1])
+
+    def test_quarter_period_ends(self):
+        # over K_p the orbit through (1, 0) reaches (0, -sqrt(2/(p+1))), and the
+        # one through (0, sqrt(2/(p+1))) reaches (1, 0)
+        p = 3.0
+        k, v = semilinear._quarter_period(p), math.sqrt(2 / (p + 1))
+        down = integrate(p, k, (1.0, 0.0)).y_end
+        up = integrate(p, k, (0.0, v)).y_end
+        assert abs(down[0]) < 1e-9 and abs(down[1] + v) < 1e-9
+        assert abs(up[0] - 1.0) < 1e-9 and abs(up[1]) < 1e-9
 
 
 class TestProblemSetup:
@@ -278,34 +276,30 @@ class TestStationary:
         assert sol.asymptotic_constant != 0.0
 
     def test_reflection_symmetry(self):
-        problem = ODEProblem("stationary", 3.0)
-        a = integrate(problem.rhs, 0.0, 20.0, (0.9, 0.0), rtol=1e-10, atol=1e-12)
-        b = integrate(problem.rhs, 0.0, 20.0, (-0.9, 0.0), rtol=1e-10, atol=1e-12)
+        # f -> -f maps the oscillator to itself, and every rounding of the
+        # negated orbit is the negated rounding: the same steps, negated states
+        a = integrate(3.0, 20.0, (0.9, 0.0), rtol=1e-10, atol=1e-12)
+        b = integrate(3.0, 20.0, (-0.9, 0.0), rtol=1e-10, atol=1e-12)
+        assert b.ts == a.ts and b.nfev == a.nfev
+        assert b.ys == [(-f, -df) for f, df in a.ys]
         for t in np.linspace(1.0, 19.0, 13):
-            fa = a.interpolate(float(t))[0]
-            fb = b.interpolate(float(t))[0]
-            assert fb == pytest.approx(-fa, rel=1e-9, abs=1e-12)
+            fa, dfa = a.interpolate(float(t))
+            assert b.interpolate(float(t)) == (-fa, -dfa)
 
     def test_ode_residual_on_refined_grid(self, symmetric_decay):
-        # second-difference residual of the dense output against the equation
+        # second-difference residual of the dense output against the equation:
+        # in theta = arctan z the returned shot is the oscillator from (s, 0)
         sol = symmetric_decay
         p = sol.p
         h = 1e-3
+        final = integrate(p, math.pi / 2, (sol.shot_parameter, 0.0), rtol=1e-9, atol=1e-11)
         worst = 0.0
-        problem = ODEProblem("stationary", p)
-        zs = np.linspace(1.0, 30.0, 200)
-        from pencil.ode import integrate as _integrate
-
-        final = _integrate(
-            problem.rhs, 0.0, sol.grid[-1], (sol.shot_parameter, 0.0), rtol=1e-9, atol=1e-11
-        )
-        for z in zs:
-            fm = final.interpolate(float(z - h))[0]
-            f0 = final.interpolate(float(z))[0]
-            fp = final.interpolate(float(z + h))[0]
+        for theta in np.linspace(0.01, math.pi / 2 - 0.01, 200):
+            fm = final.interpolate(float(theta - h))[0]
+            f0 = final.interpolate(float(theta))[0]
+            fp = final.interpolate(float(theta + h))[0]
             second = (fp - 2 * f0 + fm) / h**2
-            rhs_val = problem.rhs(float(z), (f0, (fp - fm) / (2 * h)))[1]
-            worst = max(worst, abs(second - rhs_val))
+            worst = max(worst, abs(second + math.copysign(abs(f0) ** p, f0)))
         assert worst < 1e-5
 
     def test_shooting_robustness(self):
@@ -364,16 +358,16 @@ class TestStationary:
     def test_one_stationary_integration(self, monkeypatch, symmetry, far):
         calls = []
 
-        def recording(rhs, t0, t1, y0, **kwargs):
-            calls.append((t0, t1, tuple(y0)))
-            return integrate(rhs, t0, t1, y0, **kwargs)
+        def recording(p, t1, y0, **kwargs):
+            calls.append((p, t1, tuple(y0)))
+            return integrate(p, t1, y0, **kwargs)
 
         monkeypatch.setattr(semilinear, "integrate", recording)
         p = 3.0
         solve_stationary(p, symmetry, far)
         quarter_period = math.sqrt((p + 1) / 2) * beta(1 / (p + 1), 0.5) / (p + 1)
-        (t0, t1, y0), = calls
-        assert t0 == 0.0
+        (exponent, t1, y0), = calls
+        assert exponent == p
         assert t1 == pytest.approx(quarter_period, rel=1e-12)
         assert y0 == ((1.0, 0.0) if symmetry == "symmetric" else (0.0, math.sqrt(2 / (p + 1))))
 
@@ -518,16 +512,16 @@ class TestSelfSimilar:
     def test_one_integration_over_one_quarter(self, monkeypatch):
         calls = []
 
-        def recording(rhs, t0, t1, y0, **kwargs):
-            calls.append((t0, t1, tuple(y0)))
-            return integrate(rhs, t0, t1, y0, **kwargs)
+        def recording(p, t1, y0, **kwargs):
+            calls.append((p, t1, tuple(y0)))
+            return integrate(p, t1, y0, **kwargs)
 
         monkeypatch.setattr(semilinear, "integrate", recording)
         p = 3.0
         solve_selfsimilar(p, 1.0, xi_far=100.0, xi_min=1e-3)
         quarter_period = math.sqrt((p + 1) / 2) * beta(1 / (p + 1), 0.5) / (p + 1)
-        (t0, t1, y0), = calls
-        assert t0 == 0.0
+        (exponent, t1, y0), = calls
+        assert exponent == p
         assert t1 == pytest.approx(quarter_period, rel=1e-12)
         assert y0 == (0.0, math.sqrt(2 / (p + 1)))
 
@@ -597,10 +591,11 @@ class TestSelfSimilar:
             solve_selfsimilar(**args)
 
     def test_oracle_spot_check(self):
-        # the equation is invariant under s -> -s, so f(s) is integrated forward
-        # as g(u) = f(-u) from u = -20 to -0.5, starting at g' = -f'
+        # the generic oracle on the equation in s: it is invariant under s -> -s,
+        # so f(s) is integrated forward as g(u) = f(-u) from u = -20 to -0.5,
+        # starting at g' = -f'
         problem = ODEProblem("selfsimilar", 3.0)
-        ours = integrate(problem.rhs, -20.0, -0.5, (0.05, 0.0025), rtol=1e-11, atol=1e-13)
+        ts, ys, *_ = generic_dp5(problem.rhs, -20.0, -0.5, (0.05, 0.0025), rtol=1e-11, atol=1e-13)
         ref = solve_ivp(
             lambda t, y: list(problem.rhs(t, tuple(y))),
             (20.0, 0.5),
@@ -609,7 +604,8 @@ class TestSelfSimilar:
             rtol=1e-12,
             atol=1e-14,
         )
-        assert ours.y_end[0] == pytest.approx(ref.y[0, -1], rel=1e-7, abs=1e-12)
+        assert ts[-1] == -0.5
+        assert ys[-1][0] == pytest.approx(ref.y[0, -1], rel=1e-7, abs=1e-12)
 
 
 class TestCrackCurves:
@@ -642,3 +638,20 @@ class TestCrackCurves:
             crack_curves(oscillatory, bad, 3.0, [-0.5])
         with pytest.raises(ValueError, match="p must be finite and exceed 1"):
             crack_curves(oscillatory, 1.0, bad, [-0.5])
+
+    @pytest.mark.parametrize(
+        "alpha, y",
+        [
+            (1e300, -1e-4),  # |ln(-y)|^beta overflows the float range
+            (100.0, -1e300),  # a finite weight, 1e284, whose point xi (-y) w is infinite
+        ],
+    )
+    def test_non_finite_weight_or_point(self, oscillatory, alpha, y):
+        # beta = alpha (p-1)/2 = alpha at p = 3
+        with pytest.raises(ValueError, match=re.escape(f"not a finite float at y={y!r}, beta={alpha!r}")):
+            crack_curves(oscillatory, alpha, 3.0, [-0.5, y])
+
+    def test_non_finite_beta(self, oscillatory):
+        # alpha (p-1) overflows; |ln(-y)| < 1 would turn every weight into 0
+        with pytest.raises(ValueError, match="beta = alpha"):
+            crack_curves(oscillatory, 1e308, 5.0, [-0.5])
