@@ -9,9 +9,16 @@ they alternate degree-many times, that every root is real and simple and
 isolated by its gap; no Sturm chain is built.  Otherwise, and without
 seeds, p's own Sturm chain over the integers (the remainder sequence of p
 and p', `polyring._remainder_sequence`, scaled only by positive factors)
-bisects p's distinct roots from a power-of-two Fujiwara bound, carrying the
-sign-variation count at every interval endpoint; with repeated roots it
-ends at gcd(p, p'), whose own chains give the multiplicities.  The chain
+is built once.  When its counts at infinity give deg p distinct real
+roots, its links read as a continued fraction of float ratios seed the
+roots themselves (float bisection on the count of negative ratios, then
+Newton on p / p'), and the same certificate of exact signs accepts or
+rejects those seeds.  Any other outcome (complex or repeated roots, a
+float overflow, a spent evaluation budget, a failed certificate) falls
+back to exact bisection of p's distinct roots on the chain from a
+power-of-two Fujiwara bound, carrying the sign-variation count at every
+interval endpoint; with repeated roots the chain ends at gcd(p, p'),
+whose own chains give the multiplicities.  The chain
 keeps the pseudo-division identity e P_j = Q P_{j+1} + kappa P_{j+2} that
 made each element, so at a bisection point each element's value follows
 from the two below it by a few integer products and one exact division,
@@ -117,13 +124,15 @@ class _SturmChain:
 
     polys are the remainder sequence of p and p' (`_remainder_sequence`):
     P_0 = p, P_1 = p' and P_{j+2} a positive multiple of -rem(P_j, P_{j+1}),
-    each primitive, down to gcd(p, p').  links[j] is (e, Q, kappa) with
-    e P_j = Q P_{j+1} + kappa P_{j+2}, the pseudo-division that made
-    P_{j+2}; it is None for the last two elements and where Horner on P_j
-    is cheaper (`_LINK_BITS_PER_DEGREE`).
+    each primitive, down to gcd(p, p').  identities[j] is (e, Q, kappa)
+    with e P_j = Q P_{j+1} + kappa P_{j+2}, the pseudo-division that made
+    P_{j+2}.  links[j] is identities[j] where evaluating through it pays:
+    it is None for the last two elements and where Horner on P_j is
+    cheaper (`_LINK_BITS_PER_DEGREE`).
     """
 
     polys: list[list[int]]
+    identities: list[tuple[int, list[int], int]]
     links: list[tuple[int, list[int], int] | None]
 
 
@@ -138,7 +147,7 @@ def _sturm_chain(coeffs: list[int]) -> _SturmChain:
     for p, (scale, quot, kappa) in zip(polys, identities):
         bits = max(map(int.bit_length, (scale, kappa, *quot)))
         links.append((scale, quot, kappa) if bits <= _LINK_BITS_PER_DEGREE * (len(p) - 1) else None)
-    return _SturmChain(polys, links + [None] * (len(polys) - len(links)))
+    return _SturmChain(polys, identities, links + [None] * (len(polys) - len(links)))
 
 
 def _sign_variations(signs: Iterable[int]) -> int:
@@ -178,7 +187,11 @@ def count_real_roots(p: RatPoly) -> int:
     if p.degree == 0:
         return 0
     coeffs = integer_coefficients(p)
-    polys = _remainder_sequence(coeffs, _int_diff(coeffs))[0]
+    return _distinct_real_roots(_remainder_sequence(coeffs, _int_diff(coeffs))[0])
+
+
+def _distinct_real_roots(polys: list[list[int]]) -> int:
+    """The Sturm count over the whole line: sign variations of the chain at -inf minus those at +inf."""
     at_plus = [1 if q[-1] > 0 else -1 for q in polys]
     at_minus = [s * (-1) ** (len(q) - 1) for s, q in zip(at_plus, polys)]
     return _sign_variations(at_minus) - _sign_variations(at_plus)
@@ -260,6 +273,14 @@ def _short_dyadic(lo: float, hi: float) -> Fraction:
     return Fraction(m, 1 << k) if k >= 0 else Fraction(m << -k)
 
 
+def _float_seeds(seeds: Iterable) -> list[float] | None:
+    """float(s) of every seed, sorted; None, a failed certificate, if one has no float value."""
+    try:
+        return sorted(float(s) for s in seeds)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def _certified_gaps(coeffs: list[int], seeds: Sequence[float]) -> list[tuple[Fraction, Fraction]] | None:
     """Isolating intervals of every root of p from one seed per root, or None.
 
@@ -294,6 +315,113 @@ def _certified_gaps(coeffs: list[int], seeds: Sequence[float]) -> list[tuple[Fra
             return None
         sign = nxt
     return list(zip(seps, seps[1:]))
+
+
+# continued-fraction evaluations per root before `_chain_seeds` gives up;
+# psi_{l,f} takes about 8 (bisection to isolation, then Newton)
+_CF_EVALS = 64
+# the float bisection splits (lo, hi) at lo + _CF_SPLIT (hi - lo), a point
+# with a long mantissa, so that a short dyadic root (0, 1, -1/2, ...) does
+# not end up on a bracket end: Newton steps toward such an end overshoot it
+# by rounding and bisect instead, leaving the guess short of float
+# resolution (psi_{70,1}'s root 1 came out 14.7 digits accurate, not 15.7)
+_CF_SPLIT = 0.4711
+# stands in for a zero ratio r_{j+1} as a divisor: P_{j+1}(x) = 0, so P_j and
+# P_{j+2} have opposite signs, r_j = ... + gamma / _TINY is negative (gamma < 0),
+# and the three elements count the one variation they have
+_TINY = 2.0**-1022
+
+
+def _float_ratio(a: int, b: int, shift: int) -> float:
+    """a / (b 2^shift), correctly rounded; OverflowError beyond the float range."""
+    return (a << -shift) / b if shift < 0 else a / (b << shift)
+
+
+def _chain_seeds(chain: _SturmChain) -> list[float] | None:
+    """One float guess per root of p from its own Sturm chain, if p has deg p distinct real roots.
+
+    Then the chain has an element of every degree n, ..., 0, every
+    quotient is linear, and the identities e P_j = Q P_{j+1} + kappa P_{j+2}
+    make the ratios r_j = P_j / P_{j+1} a continued fraction,
+    r_j = (Q(x) + kappa / r_{j+1}) / e down to r_{n-1} = P_{n-1} / P_n.  Each
+    r_j is kept over a power of two near lc(P_j) / lc(P_{j+1}), so that the
+    one float triple per link stays in range however large the integers,
+    and the fraction is evaluated bottom-up in floats (Gautschi, SIAM Rev.
+    9, 1967).  r_j < 0 exactly where P_j and P_{j+1} differ in sign, so the
+    number of negative ratios is the Sturm count (Barth, Martin & Wilkinson,
+    Numer. Math. 9, 1967): float bisection from the root bound isolates
+    each root, and Newton x - c r_0(x), with c r_0 = p / p' (P_1 is p' over
+    its content), safeguarded by the count as in rtsafe, refines it.  None
+    when p has complex or repeated roots, a link overflows a float, a ratio
+    is NaN, the counts contradict each other, or the evaluations exceed
+    _CF_EVALS per root.  The guesses carry no guarantee: `_certified_gaps`
+    certifies them.
+    """
+    polys = chain.polys
+    n = len(polys[0]) - 1
+    if _distinct_real_roots(polys) != n:
+        return None
+    lead = [abs(q[-1]).bit_length() for q in polys]
+    m = [a - b for a, b in zip(lead, lead[1:])]
+    (b0, b1), (last,) = polys[-2:]
+    try:
+        steps = [(_float_ratio(b1, last, m[-1]), _float_ratio(b0, last, m[-1]), 0.0)]
+        for j in range(n - 2, -1, -1):
+            e, (q0, q1), kappa = chain.identities[j]
+            steps.append((_float_ratio(q1, e, m[j]), _float_ratio(q0, e, m[j]), _float_ratio(kappa, e, m[j] + m[j + 1])))
+        c = _float_ratio(polys[1][-1], n * polys[0][-1], -m[0])
+        bound = float(_root_bound(polys[0]))
+    except OverflowError:
+        return None
+    budget = _CF_EVALS * n
+
+    def ratio(x: float) -> tuple[float, int]:
+        """r_0(x) over its power of two and the number of negative ratios at x."""
+        nonlocal budget
+        budget -= 1
+        r, negative = math.inf, 0
+        for a, b, g in steps:
+            r = a * x + b + g / (r or _TINY)
+            negative += r < 0
+        return r, negative
+
+    v_lo, v_hi = ratio(-bound)[1], ratio(bound)[1]
+    if v_lo - v_hi != n:
+        return None
+    seeds: list[float] = []
+    stack = [(-bound, v_lo, bound, v_hi)]
+    while stack:
+        lo, v_lo, hi, v_hi = stack.pop()
+        if v_lo - v_hi > 1:
+            x = lo * (1 - _CF_SPLIT) + hi * _CF_SPLIT
+            r, v = ratio(x)
+            if r != r or not (lo < x < hi and v_hi <= v <= v_lo) or budget < 0:
+                return None
+            stack += [(lo, v_lo, x, v), (x, v, hi, v_hi)]
+        elif v_lo - v_hi == 1:
+            x = lo / 2 + hi / 2
+            dx = dx_old = hi - lo
+            polish = False
+            while True:
+                r, v = ratio(x)
+                if r != r or budget < 0:
+                    return None
+                # the one root lies in (lo, hi]: in (x, hi] if none lies in (lo, x]
+                lo, hi = (x, hi) if v == v_lo else (lo, x)
+                # a step out of [lo, hi], or longer than half the step before
+                # last, bisects instead
+                nx = x - c * r
+                if not (lo <= nx <= hi and abs(nx - x) <= dx_old / 2):
+                    nx = lo / 2 + hi / 2
+                dx_old, dx = dx, abs(nx - x)
+                x = nx
+                if polish:
+                    break
+                # one more step after a short one, measured against
+                # max(|x|, 1) as the refinement goal is, reaches float resolution
+                polish = dx <= _FLOAT_STEP * max(abs(x), 1.0)
+            seeds.append(x)
+    return sorted(seeds)
 
 
 # float Newton iterations per root; bisection alone takes about 45 to narrow
@@ -513,11 +641,14 @@ class RootSet:
 
     Each isolating interval [lo, hi] holds exactly one distinct real root:
     the square-free part of p has exact opposite signs at lo and hi, or
-    lo = hi is the root.  Each refined root lies within
-    tol * max(|root|, 1), and within tol/16 * max(|lo|, |hi|, 1), up to
-    the rounding to a float, of that root.  Seeded and unseeded isolation of one polynomial give the same
-    counts and multiplicities and roots within that bound, but different
-    intervals.
+    lo = hi is the root (only the exact Sturm bisection returns such an
+    interval).  Each refined root lies within tol * max(|root|, 1), and
+    within tol/16 * max(|lo|, |hi|, 1), up to the rounding to a float, of
+    that root.  Seeded and unseeded isolation of one polynomial give the
+    same counts and multiplicities and roots within that bound.  For a p
+    with deg p distinct real roots both usually isolate on seed gaps, but
+    the gaps depend on the seeds, so the intervals may differ; otherwise
+    both take the Sturm path and agree exactly.
     """
 
     poly: RatPoly
@@ -538,11 +669,15 @@ def _check_tol(tol: float) -> None:
 def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | None = None) -> RootSet:
     """Isolate and refine every real root of p with exact multiplicities.
 
-    seeds, one float guess per root of p, let one exact sign per separator
-    between them certify that all roots are real and simple
-    (`_certified_gaps`); each root is then refined from its seed.  When the
-    certificate fails, or without seeds, p's own Sturm chain isolates its
-    distinct roots and ends at g_1 = gcd(p, p').  If g_1 is not constant,
+    seeds, one guess per root of p, each taken as float(s), let one exact
+    sign per separator between them certify that all roots are real and
+    simple (`_certified_gaps`); each root is then refined from its seed.  A
+    seed with no finite float value fails the certificate.  When the
+    certificate fails, or without seeds, p's own Sturm chain is built; if it
+    counts deg p distinct real roots, it seeds them itself
+    (`_chain_seeds`) and those seeds go through the same certificate and
+    refinement.  Otherwise the chain isolates p's distinct roots by exact
+    bisection (`_isolate`) and ends at g_1 = gcd(p, p').  If g_1 is not constant,
     roots are refined on the primitive part of p / g_1, and the tower
     g_{i+1} = gcd(g_i, g_i'), each the last element of g_i's chain, counts
     multiplicities: a root of multiplicity m is a root of exactly
@@ -555,11 +690,15 @@ def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | 
     if p.degree == 0:
         return RootSet(p, (), (), ())
     coeffs = integer_coefficients(p)
+    seeds = None if seeds is None else _float_seeds(seeds)
     gaps = None if seeds is None else _certified_gaps(coeffs, seeds)
+    if gaps is None:
+        chains = [_sturm_chain(coeffs)]
+        seeds = _chain_seeds(chains[0])
+        gaps = None if seeds is None else _certified_gaps(coeffs, seeds)
     if gaps is not None:
-        roots = tuple(_refine_root(coeffs, lo, hi, tol, s) for (lo, hi), s in zip(gaps, sorted(seeds)))
+        roots = tuple(_refine_root(coeffs, lo, hi, tol, s) for (lo, hi), s in zip(gaps, seeds))
         return RootSet(p, tuple(gaps), roots, (1,) * len(gaps))
-    chains = [_sturm_chain(coeffs)]
     while len(chains[-1].polys[-1]) > 1:
         chains.append(_sturm_chain(chains[-1].polys[-1]))
     chain, *tower = chains

@@ -42,6 +42,13 @@ def poly_from_roots(roots) -> RatPoly:
     return p
 
 
+def sturm_isolation(p: RatPoly, **kwargs) -> nodal.RootSet:
+    """isolate_real_roots(p) on the exact Sturm path alone: no chain seeds, so `_isolate` bisects every root."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nodal, "_chain_seeds", lambda chain: None)
+        return isolate_real_roots(p, **kwargs)
+
+
 def _psi_roots(l: int, family: int) -> list[float]:
     """The roots of psi_{l,family}: cot((k + 1/2) pi / l) for family 1 and cot(k pi / (l + 1)) for family 2."""
     if family == 1:
@@ -143,10 +150,13 @@ class TestIsolation:
         assert romap[target] == power
 
     def test_exact_root_margin_excludes_neighbouring_root(self):
-        # the first margin carved around the root 0 would end on the root -1
-        rs = isolate_real_roots(poly_from_roots([-1, 0]))
+        # the first margin carved around the root 0 would end on the root -1;
+        # only the Sturm bisection returns an exact root as [r, r]
+        rs = sturm_isolation(poly_from_roots([-1, 0]))
         (lo, hi), zero = rs.isolating_intervals
         assert lo < -1 < hi and zero == (0, 0)
+        (lo, hi), (a, b) = isolate_real_roots(poly_from_roots([-1, 0])).isolating_intervals
+        assert lo < -1 < hi and a < 0 < b
 
     def test_multiplicities_with_exact_root_at_bisection_point(self):
         # 0 is the first bisection point; the cube factor z owns it
@@ -159,17 +169,18 @@ class TestIsolation:
     def test_eigenfunction_roots_match_closed_forms(self, l, family):
         # cot((2k-1)pi/(2l)) for family 1 and cot(k pi/(l+1)) for family 2, written
         # as tan(j pi/(2n)) so that the root 0 of odd l is exact; odd l puts it on
-        # the first bisection point
+        # the first bisection point of the Sturm path
         n = l if family == 1 else l + 1
         expect = [math.tan(j * math.pi / (2 * n)) for j in range(1 - l, l, 2)]
-        rs = isolate_real_roots(quadratic_eigenfunction(l, family).poly)
-        assert rs.multiplicities == (1,) * l
-        for got, want in zip(rs.refined_roots, expect, strict=True):
-            assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
-        for (lo, hi), want in zip(rs.isolating_intervals, expect):
-            assert lo <= want <= hi
-        for (_, hi), (lo, _) in zip(rs.isolating_intervals, rs.isolating_intervals[1:]):
-            assert hi <= lo
+        p = quadratic_eigenfunction(l, family).poly
+        for rs in (isolate_real_roots(p), sturm_isolation(p)):
+            assert rs.multiplicities == (1,) * l
+            for got, want in zip(rs.refined_roots, expect, strict=True):
+                assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+            for (lo, hi), want in zip(rs.isolating_intervals, expect):
+                assert lo <= want <= hi
+            for (_, hi), (lo, _) in zip(rs.isolating_intervals, rs.isolating_intervals[1:]):
+                assert hi <= lo
 
     @pytest.mark.parametrize("l, family", [(51, 1), (70, 1), (70, 2)])
     def test_refined_roots_carry_sign_certificates(self, l, family):
@@ -287,7 +298,7 @@ class TestSeededIsolation:
             if p.is_zero() or p.degree < 1:
                 continue
             assert certified(p, _phase_seeds(l, coeffs))
-            assert_same_roots(combo.roots(), isolate_real_roots(p))
+            assert_same_roots(combo.roots(), sturm_isolation(p))
 
     @pytest.mark.parametrize("l", range(2, 61, 2))
     def test_bilaplace_combinations(self, l):
@@ -297,7 +308,7 @@ class TestSeededIsolation:
             coeffs[0] = Fraction(0)  # degree below l: the phase form vanishes at phi = 0 and pi
         combo = Combination("bilaplace", l, coeffs)
         p = combo.poly
-        plain = isolate_real_roots(p)
+        plain = sturm_isolation(p)
         if plain.count == p.degree and count_real_roots(p) == p.degree:
             assert certified(p, _phase_seeds(l, coeffs))
         assert_same_roots(combo.roots(), plain)
@@ -311,6 +322,7 @@ class TestSeededIsolation:
         orders = [range(max(cfg.m, 2) + i % 2, 31, 2) for i, cfg in enumerate(configs)]
         seeded = [[check(cfg, (l, l))[0] for l in ls] for cfg, ls in zip(configs, orders)]
         monkeypatch.setattr(nodal, "_phase_seeds", lambda l, coeffs: None)
+        monkeypatch.setattr(nodal, "_chain_seeds", lambda chain: None)
         for cfg, ls, verdicts in zip(configs, orders, seeded):
             for a, b in zip(verdicts, [check(cfg, (l, l))[0] for l in ls], strict=True):
                 assert (a.admissible, a.rank, a.combo_coefficients, a.consecutive_flag) == (
@@ -350,7 +362,7 @@ class TestSeededIsolation:
         # seeds off by 1e-6 fail the direct certificate; exact Newton steps finish
         p = quadratic_eigenfunction(20, 1).poly
         seeds = [s * (1 + 1e-6) for s in _phase_seeds(20, (1, 0))]
-        assert_same_roots(isolate_real_roots(p, seeds=seeds), isolate_real_roots(p))
+        assert_same_roots(isolate_real_roots(p, seeds=seeds), sturm_isolation(p))
 
     def test_isolation_never_runs_yun(self, monkeypatch):
         # p's own Sturm chain isolates every p, and gcds of chains give the
@@ -377,9 +389,10 @@ class TestSeededIsolation:
         monkeypatch.setattr(nodal, "square_free_decomposition", refuse)
         monkeypatch.setattr(polyring, "square_free_decomposition", refuse)
         for p, (intervals, roots) in zip(square_free, expected):
-            rs = isolate_real_roots(p)
+            rs = sturm_isolation(p)
             assert (rs.isolating_intervals, rs.refined_roots) == (intervals, roots)
             assert rs.multiplicities == (1,) * len(roots)
+            assert_same_roots(isolate_real_roots(p), rs)
         repeated = [
             ((z - 1) ** 2 * (z + 2), (-2.0, 1.0), (1, 2)),
             ((z - Fraction(1, 3)) ** 4 * (z ** 2 + 1) ** 2 * z ** 3, (0.0, 1 / 3), (3, 4)),
@@ -388,6 +401,104 @@ class TestSeededIsolation:
         for p, roots, mults in repeated:
             rs = isolate_real_roots(p)
             assert rs.refined_roots == pytest.approx(roots, abs=1e-12) and rs.multiplicities == mults
+
+
+@st.composite
+def real_rooted_products(draw):
+    """Distinct rational roots, some in clusters r + 1/k (k up to 10^6) about another root r, and a scale."""
+    roots = draw(st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=12), min_size=1, max_size=8, unique=True))
+    for r, k in draw(st.lists(st.tuples(st.sampled_from(roots), st.integers(-(10**6), 10**6).filter(bool)), max_size=3)):
+        roots.append(r + Fraction(1, k))
+    return sorted(set(roots)), draw(st.sampled_from([1, -1, Fraction(3, 5), -12]))
+
+
+def chain_seeds(p: RatPoly):
+    return nodal._chain_seeds(_sturm_chain(integer_coefficients(p)))
+
+
+class TestChainSeeds:
+    """Unseeded isolation seeds itself from p's Sturm chain read as a float continued fraction."""
+
+    @given(real_rooted_products())
+    @example(([Fraction(-1), Fraction(0)], 1))  # the exact root 0 on the Sturm path's first bisection point
+    @example(([Fraction(0), Fraction(1, 39), Fraction(1), Fraction(2)], 1))  # the exact root 0 on a bracket end
+    @example(
+        (
+            [Fraction(r) for r in ("-18", "-1000745/55597", "-133/8", "-13/6", "0", "1/17535", "2", "17/6", "83/11", "8311/1100", "57/4")],
+            1,
+        )
+    )  # links whose unscaled float triples overflow
+    @example(([Fraction(1) - Fraction(1, 999_999), Fraction(1), Fraction(1) + Fraction(1, 10**6)], -12))
+    @settings(max_examples=60, deadline=None)
+    def test_real_rooted_products_isolate_on_seed_gaps(self, case):
+        roots, scale = case
+        tol = 1e-12
+        p = poly_from_roots(roots) * scale
+        assert chain_seeds(p) is not None
+        rs = isolate_real_roots(p, tol=tol)
+        assert rs.multiplicities == (1,) * len(roots)
+        for (lo, hi), got, want in zip(rs.isolating_intervals, rs.refined_roots, roots, strict=True):
+            # every interval, an exact root's too, rests on exact opposite signs
+            assert lo < want < hi and p.eval(lo) * p.eval(hi) < 0
+            assert abs(got - float(want)) <= tol * max(abs(float(want)), 1.0)
+        assert_same_roots(rs, sturm_isolation(p))
+
+    @pytest.mark.parametrize(
+        "p, roots, mults",
+        [
+            (quadratic_eigenfunction(10, 1).poly * RatPoly([1, 0, 1]), _psi_roots(10, 1), (1,) * 10),
+            (poly_from_roots([-2, 1, 1]), [-2.0, 1.0], (1, 2)),
+            (poly_from_roots([Fraction(1, 3)] * 3 + [5]) * RatPoly([2, 0, 1]), [1 / 3, 5.0], (3, 1)),
+            (quadratic_eigenfunction(12, 2).poly ** 2, _psi_roots(12, 2), (2,) * 12),
+        ],
+    )
+    def test_complex_or_repeated_roots_take_the_sturm_path(self, p, roots, mults):
+        assert chain_seeds(p) is None
+        rs = isolate_real_roots(p)
+        assert rs == sturm_isolation(p)
+        assert rs.multiplicities == mults and count_real_roots(p) == len(roots)
+        assert rs.refined_roots == pytest.approx(sorted(roots), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("l, family", [(2, 1), (9, 2), (30, 1), (45, 1), (70, 2), (120, 1)])
+    def test_eigenfunction_seeds_certify(self, l, family):
+        coeffs = integer_coefficients(quadratic_eigenfunction(l, family).poly)
+        seeds = chain_seeds(quadratic_eigenfunction(l, family).poly)
+        assert len(seeds) == l and _certified_gaps(coeffs, seeds) is not None
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda s: [s[0] - 1.0, *s[1:-1], s[1] - 0.1],  # two seeds in one gap, none in the last
+            lambda s: [*s[:-1], (s[-3] + s[-2]) / 2],  # the last seed moved into a gap with no root
+            lambda s: [s[0], *s[:-1]],  # one seed duplicated, one dropped
+        ],
+    )
+    def test_wrong_chain_seeds_are_caught_by_the_certificate(self, spoil, monkeypatch):
+        # the float guesses carry no guarantee: only exact signs at the separators accept them
+        p = poly_from_roots([-3, Fraction(-1, 2), Fraction(1, 3), 2, Fraction(9, 4)])
+        want = sturm_isolation(p)
+        seeds = chain_seeds(p)
+        monkeypatch.setattr(nodal, "_chain_seeds", lambda chain: spoil(seeds))
+        assert isolate_real_roots(p) == want
+
+    def test_seeds_are_taken_as_floats(self):
+        import numpy as np
+
+        z = RatPoly([0, 1])
+        p = z**2 - 2
+        want = isolate_real_roots(p, seeds=[-1.4, 1.4])
+        for seeds in ([Fraction(-7, 5), Fraction(7, 5)], np.array([-1.4, 1.4]), [np.float64(-1.4), Fraction(7, 5)]):
+            assert isolate_real_roots(p, seeds=seeds) == want
+        q = (z - 1) * (z + 2)
+        want = isolate_real_roots(q, seeds=[1.0, -2.0])
+        assert want.refined_roots == (-2.0, 1.0)
+        for seeds in ([1, -2], [np.int64(1), Fraction(-2)], np.array([1, -2])):
+            assert isolate_real_roots(q, seeds=seeds) == want
+
+    @pytest.mark.parametrize("bad", [Fraction(10**400), 1j, "x", None, math.nan])
+    def test_seed_without_a_finite_float_fails_the_certificate(self, bad):
+        p = RatPoly([-2, 0, 1])
+        assert isolate_real_roots(p, seeds=[-1.4, bad]) == isolate_real_roots(p)
 
 
 class TestTransversality:
@@ -943,10 +1054,11 @@ class TestSturmLinks:
     @pytest.mark.parametrize("family", [1, 2])
     @pytest.mark.parametrize("ls", [range(k, k + 14) for k in range(1, 71, 14)], ids=lambda ls: f"l{ls[0]}-{ls[-1]}")
     def test_eigenfunction_rootsets_equal_oracle_path(self, family, ls, monkeypatch):
+        # psi_{l,f} is real-rooted, so only the Sturm path evaluates its chain exactly
         polys = [quadratic_eigenfunction(l, family).poly for l in ls]
-        program = [isolate_real_roots(p) for p in polys]
+        program = [sturm_isolation(p) for p in polys]
         monkeypatch.setattr(nodal, "_variations_at", variations_at)
-        assert [isolate_real_roots(p) for p in polys] == program
+        assert [sturm_isolation(p) for p in polys] == program
 
     @pytest.mark.parametrize("l", [30, 40])
     def test_bilaplace_rootsets_equal_oracle_path(self, l, monkeypatch):
