@@ -9,24 +9,27 @@ they alternate degree-many times, that every root is real and simple and
 isolated by its gap; no Sturm chain is built.  Otherwise, and without
 seeds, p's own Sturm chain over the integers (the remainder sequence of p
 and p', `polyring._remainder_sequence`, scaled only by positive factors)
-is built once.  When its counts at infinity give deg p distinct real
-roots, its links read as a continued fraction of float ratios seed the
-roots themselves (float bisection on the count of negative ratios, then
-Newton on p / p'), and the same certificate of exact signs accepts or
-rejects those seeds.  Any other outcome (complex or repeated roots, a
-float overflow, a spent evaluation budget, a failed certificate) falls
-back to exact bisection of p's distinct roots on the chain from a
-power-of-two Fujiwara bound, carrying the sign-variation count at every
-interval endpoint; with repeated roots the chain ends at gcd(p, p'),
-whose own chains give the multiplicities.  The chain
+is built once.  When the chain is normal (an element of every degree), its
+links read as a continued fraction of float ratios seed p's real roots
+themselves (float bisection on the count of negative ratios, then Newton
+on p / p'); when those are deg p seeds, the same certificate of exact
+signs accepts or rejects them.  Any other outcome (complex or repeated
+roots, an abnormal chain, a float overflow, a spent evaluation budget, a
+failed certificate) falls back to exact bisection of p's distinct roots
+on the chain from a power-of-two Fujiwara bound, carrying the
+sign-variation count at every interval endpoint, into open intervals
+with nonzero exact signs at both ends; with repeated roots the chain ends
+at gcd(p, p'), whose own chains give the multiplicities.  The chain
 keeps the pseudo-division identity e P_j = Q P_{j+1} + kappa P_{j+2} that
 made each element, so at a bisection point each element's value follows
 from the two below it by a few integer products and one exact division,
 where a Horner sum would cost one multiply-add per degree; elements whose
-multipliers are too large for that to pay keep Horner.  Each isolated
-root is refined by certified Newton: a seed or safeguarded float Newton,
-exact Newton steps, and exact opposite signs on either side of the
-result, with exact bisection only where that certificate fails.  Every
+multipliers are too large for that to pay keep Horner.  Every root is
+refined by one seeded exact Newton: from its seed (the caller's, the
+chain's, or those of the square-free part's chain), or from its
+interval's midpoint when there is none, safeguarded by the bracket, and
+certified by exact opposite signs on either side of the result, with
+exact bisection only where that certificate fails.  Every
 point p is evaluated at is dyadic, num / 2^shift (a point that is not
 raises), so one Horner with shifts gives every exact sign, and exact
 Newton is that same loop with a slope accumulator, its iterate one
@@ -210,15 +213,16 @@ def _root_bound(coeffs: Sequence[int]) -> Fraction:
 
 
 def _isolate(chain: _SturmChain) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational intervals each holding exactly one distinct real root of chain.polys[0].
+    """Disjoint open intervals each holding exactly one distinct real root of chain.polys[0].
 
     chain is the Sturm chain of p, square-free or not.  Each stack entry
     (lo, V(lo), hi, V(hi)) carries the sign-variation counts of its
     endpoints, which are never roots of p, so V(lo) - V(hi) distinct roots
     lie in (lo, hi) and every bisection point costs one evaluation of the
-    chain, bottom-up through its links (`_variations_at`).  Every point is
-    dyadic: the bound is a power of two, and midpoints and margins halve.
-    Exact rational roots are returned as degenerate [r, r] intervals.
+    chain, bottom-up through its links (`_variations_at`).  A bisection
+    point that is a root of p moves halfway toward lo until it is not, so
+    p has a nonzero exact sign at both ends of every interval.  Every point
+    is dyadic: the bound is a power of two, and midpoints halve.
     """
     bound = _root_bound(chain.polys[0])
     out: list[tuple[Fraction, Fraction]] = []
@@ -232,27 +236,16 @@ def _isolate(chain: _SturmChain) -> list[tuple[Fraction, Fraction]]:
             continue
         mid = (lo + hi) / 2
         sign, v_mid = _variations_at(chain, mid)
-        if sign == 0:
-            # exact rational root at mid; carve out a root-free margin around it
-            delta = (hi - lo) / 4
-            while True:
-                (s_a, v_a), (s_b, v_b) = _variations_at(chain, mid - delta), _variations_at(chain, mid + delta)
-                if s_a and s_b and v_a - v_b == 1:
-                    break
-                delta /= 2
-            out.append((mid, mid))
-            stack.append((lo, v_lo, mid - delta, v_a))
-            stack.append((mid + delta, v_b, hi, v_hi))
-        else:
-            stack.append((lo, v_lo, mid, v_mid))
-            stack.append((mid, v_mid, hi, v_hi))
+        while sign == 0:
+            mid = (lo + mid) / 2
+            sign, v_mid = _variations_at(chain, mid)
+        stack.append((lo, v_lo, mid, v_mid))
+        stack.append((mid, v_mid, hi, v_hi))
     return sorted(out)
 
 
 def _root_in(chain: _SturmChain, lo: Fraction, hi: Fraction) -> bool:
-    """Whether chain.polys[0] has a root in [lo, hi], for lo = hi or for ends that are not roots."""
-    if lo == hi:
-        return _dyadic_sign(chain.polys[0], *_dyadic(lo)) == 0
+    """Whether chain.polys[0] has a root in (lo, hi), for ends that are not roots."""
     return _variations_at(chain, lo)[1] > _variations_at(chain, hi)[1]
 
 
@@ -338,11 +331,12 @@ def _float_ratio(a: int, b: int, shift: int) -> float:
 
 
 def _chain_seeds(chain: _SturmChain) -> list[float] | None:
-    """One float guess per root of p from its own Sturm chain, if p has deg p distinct real roots.
+    """One float guess per distinct real root of p from its own Sturm chain, if the chain is normal.
 
-    Then the chain has an element of every degree n, ..., 0, every
-    quotient is linear, and the identities e P_j = Q P_{j+1} + kappa P_{j+2}
-    make the ratios r_j = P_j / P_{j+1} a continued fraction,
+    A normal chain has an element of every degree n, ..., 0: every
+    quotient is linear, the chain ends in a constant, and p is square-free.
+    The identities e P_j = Q P_{j+1} + kappa P_{j+2} then make the ratios
+    r_j = P_j / P_{j+1} a continued fraction,
     r_j = (Q(x) + kappa / r_{j+1}) / e down to r_{n-1} = P_{n-1} / P_n.  Each
     r_j is kept over a power of two near lc(P_j) / lc(P_{j+1}), so that the
     one float triple per link stays in range however large the integers,
@@ -350,17 +344,21 @@ def _chain_seeds(chain: _SturmChain) -> list[float] | None:
     9, 1967).  r_j < 0 exactly where P_j and P_{j+1} differ in sign, so the
     number of negative ratios is the Sturm count (Barth, Martin & Wilkinson,
     Numer. Math. 9, 1967): float bisection from the root bound isolates
-    each root, and Newton x - c r_0(x), with c r_0 = p / p' (P_1 is p' over
-    its content), safeguarded by the count as in rtsafe, refines it.  None
-    when p has complex or repeated roots, a link overflows a float, a ratio
-    is NaN, the counts contradict each other, or the evaluations exceed
-    _CF_EVALS per root.  The guesses carry no guarantee: `_certified_gaps`
-    certifies them.
+    each of the chain's own count of real roots (deg p of them when all are
+    real, fewer past a complex pair), and Newton x - c r_0(x), with
+    c r_0 = p / p' (P_1 is p' over its content), safeguarded by the count as
+    in rtsafe, refines it.  None when the chain is not normal (p has
+    repeated roots, or a remainder drops more than one degree), a link
+    overflows a float, a ratio is NaN, the counts contradict each other, or
+    the evaluations exceed _CF_EVALS per degree.  The guesses carry no
+    guarantee: `_certified_gaps` certifies them, or exact Sturm bisection
+    isolates the roots they start refinement from.
     """
     polys = chain.polys
     n = len(polys[0]) - 1
-    if _distinct_real_roots(polys) != n:
+    if len(polys) != n + 1:
         return None
+    count = _distinct_real_roots(polys)
     lead = [abs(q[-1]).bit_length() for q in polys]
     m = [a - b for a, b in zip(lead, lead[1:])]
     (b0, b1), (last,) = polys[-2:]
@@ -386,7 +384,7 @@ def _chain_seeds(chain: _SturmChain) -> list[float] | None:
         return r, negative
 
     v_lo, v_hi = ratio(-bound)[1], ratio(bound)[1]
-    if v_lo - v_hi != n:
+    if v_lo - v_hi != count:
         return None
     seeds: list[float] = []
     stack = [(-bound, v_lo, bound, v_hi)]
@@ -424,64 +422,10 @@ def _chain_seeds(chain: _SturmChain) -> list[float] | None:
     return sorted(seeds)
 
 
-# float Newton iterations per root; bisection alone takes about 45 to narrow
-# a float bracket of width 2^8 to _FLOAT_STEP relative at a root near 1e-3
-_NEWTON_STEPS = 100
-# float Newton stops at a step this short relative to the iterate: one more
-# float step reaches float resolution or the rounding noise of p near its root
+# a Newton step this short relative to max(|x|, 1) leaves an error near float
+# resolution: `_chain_seeds` takes one more step, and `_refine_root` tries the
+# r +- h certificate of its iterate
 _FLOAT_STEP = 2.0**-26
-# coefficients are shifted below 2^960 so that the Horner sums of p and p'
-# (at most (n + 1)^2 times the largest coefficient at |x| <= 1) stay finite;
-# further out an overflowing p(x) keeps its sign and the step bisects
-_FLOAT_COEFF_BITS = 960
-# exact Newton steps from the float iterate before exact bisection takes
-# over; one certifies every root of psi_{l,1} and psi_{l,2} for l <= 70, and
-# the noisier float iterates of psi_{200,1} mostly need 2 to 7
-_EXACT_STEPS = 8
-# a Newton step at most this long, relative to max(|r|, 1), leaves an error
-# near float resolution, so r is worth the two signs of a certificate
-_CERTIFY_STEP = 2.0**-20
-
-
-def _float_newton(coeffs: list[int], lo: Fraction, hi: Fraction, slo: int) -> float | None:
-    """Safeguarded float Newton for the one root in (lo, hi); None if lo or hi overflows.
-
-    slo is the sign of p at lo.  A Newton step that leaves the current float
-    bracket, or is longer than half the step before last (the rule of
-    rtsafe in Numerical Recipes), is replaced by bisection of the bracket.
-    Coefficients are divided by a power of two, correctly rounded, only when
-    they are too large for the float Horner sums.
-    """
-    try:
-        a, b = float(lo), float(hi)
-    except OverflowError:
-        return None
-    shift = max(0, max(abs(c).bit_length() for c in coeffs) - _FLOAT_COEFF_BITS)
-    desc = [c / (1 << shift) for c in reversed(coeffs)]
-    x = a / 2 + b / 2
-    dx = dx_old = b - a
-    for _ in range(_NEWTON_STEPS):
-        p = dp = 0.0
-        for c in desc:
-            dp = dp * x + p
-            p = p * x + c
-        if p == 0.0:
-            return x
-        if (p > 0) == (slo > 0):
-            a = x
-        else:
-            b = x
-        step = p / dp if dp else math.inf
-        nx = x - step
-        if not (a < nx < b and abs(step) <= dx_old / 2):
-            nx = a / 2 + b / 2
-            if not a < nx < b:
-                return x
-        dx_old, dx = dx, abs(nx - x)
-        if dx <= _FLOAT_STEP * abs(nx):
-            return nx
-        x = nx
-    return x
 
 
 def _exact_newton(coeffs: list[int], x: float) -> tuple[int, float | None]:
@@ -556,25 +500,27 @@ def _float(x: Fraction) -> float:
 
 
 def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, start: float | None = None) -> float:
-    """Refine the one root in an isolating interval to a float within goal/2 of it.
+    """Refine the one root in an open isolating interval to a float within goal/2 of it.
 
-    First the end of (lo, hi) farther from 0 is cut to a sixteenth, by
-    exact signs, while the root lies within that sixteenth, so that
+    p has nonzero exact signs at lo and hi.  First the end of (lo, hi)
+    farther from 0 is cut to a sixteenth, by exact signs, while the root
+    lies within that sixteenth, so that
     goal = tol/8 * max(|lo|, |hi|, 1) <= 2 tol max(|root|, 1) however wide
     the isolating interval (one in [-16, 16], or not containing a
-    sixteenth of its far end, costs no sign).  A start is tried first by
-    the sign certificate below and, if it lies inside (lo, hi), proposes the
-    root; without one, float Newton proposes it.  Exact Newton steps polish
-    it, each correctly rounded to a float r, narrowing the bracket by the
-    exact sign at its start and bisecting the bracket instead when r would
-    leave it (an r rounded onto an edge stays).
-    With h = 2^k in (goal/8, goal/2], exact opposite signs at r - h and
-    r + h, both strictly inside (lo, hi), certify r (a zero sign there is
-    the root itself).  Without a certificate the bracket is bisected exactly
-    down to width goal.
+    sixteenth of its far end, costs no sign).  With h = 2^k in
+    (goal/8, goal/2], exact opposite signs at r - h and r + h, both strictly
+    inside (lo, hi), certify r (a zero sign there is the root itself); a
+    start is tried by that certificate first.  Then one exact Newton runs
+    from the start, if it lies inside (lo, hi), or from the midpoint.  Each
+    iterate is correctly rounded to a float, and its exact sign narrows the
+    bracket.  A step that leaves the bracket, or is longer than half the
+    step before last (the rule of rtsafe, as in `_chain_seeds`), bisects the
+    bracket instead.  After a step shorter than _FLOAT_STEP relative to
+    max(|r|, 1) the iterate is tried by the certificate.  Newton ends on a
+    certificate, on an iterate that is not strictly inside the bracket (it
+    has stalled at float resolution) or on a bracket narrower than goal;
+    then the bracket is bisected exactly down to width goal.
     """
-    if lo == hi:
-        return _float(lo)
     while hi > 16 or lo < -16:
         far = hi if hi > -lo else lo
         cut = far / 16
@@ -594,61 +540,56 @@ def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, star
         if found is not None:
             return found
     goal = Fraction(goal_num, goal_den)
-    r = start if start is not None and lo < Fraction(start) < hi else None
     slo = _dyadic_sign(coeffs, *_dyadic(lo))
-    if r is None:
-        r = _float_newton(coeffs, lo, hi, slo)
-    if r is not None:
-        a, b = lo, hi
-        for _ in range(_EXACT_STEPS):
-            x = Fraction(r)
-            sign, step = _exact_newton(coeffs, r)
-            if a < x < b:
-                if sign == 0:
-                    return r
-                a, b = (x, b) if sign == slo else (a, x)
-            if step is None or not a <= step <= b:
-                step = _float((a + b) / 2)
-            r, last = step, r
-            if b - a <= goal:
-                break
-            if abs(r - last) > _CERTIFY_STEP * max(abs(r), 1.0):
-                continue
+    r = start if start is not None and lo < Fraction(start) < hi else _float((lo + hi) / 2)
+    a, b = lo, hi
+    dx = dx_old = math.inf
+    while True:
+        x = Fraction(r)
+        if not a < x < b:
+            break
+        sign, step = _exact_newton(coeffs, r)
+        if sign == 0:
+            return r
+        a, b = (x, b) if sign == slo else (a, x)
+        if step is None or not (a <= step <= b and abs(step - r) <= dx_old / 2):
+            step = _float((a + b) / 2)
+        dx_old, dx = dx, abs(step - r)
+        r = step
+        if b - a <= goal:
+            break
+        if dx <= _FLOAT_STEP * max(abs(r), 1.0):
             points = _certificate_points(r, k, lo, hi)
-            if points is None:
-                break
-            found = _sign_certificate(coeffs, r, *points)
+            found = None if points is None else _sign_certificate(coeffs, r, *points)
             if found is not None:
                 return found
-            if r == last:
-                break
-        lo, hi = a, b
-    while hi - lo > goal:
-        mid = (lo + hi) / 2
+    while b - a > goal:
+        mid = (a + b) / 2
         smid = _dyadic_sign(coeffs, *_dyadic(mid))
         if smid == 0:
             return _float(mid)
         if smid == slo:
-            lo = mid
+            a = mid
         else:
-            hi = mid
-    return _float((lo + hi) / 2)
+            b = mid
+    return _float((a + b) / 2)
 
 
 @dataclass(frozen=True)
 class RootSet:
     """All real roots of a polynomial: exact isolation and multiplicities, certified floats.
 
-    Each isolating interval [lo, hi] holds exactly one distinct real root:
-    the square-free part of p has exact opposite signs at lo and hi, or
-    lo = hi is the root (only the exact Sturm bisection returns such an
-    interval).  Each refined root lies within tol * max(|root|, 1), and
-    within tol/16 * max(|lo|, |hi|, 1), up to the rounding to a float, of
-    that root.  Seeded and unseeded isolation of one polynomial give the
-    same counts and multiplicities and roots within that bound.  For a p
-    with deg p distinct real roots both usually isolate on seed gaps, but
-    the gaps depend on the seeds, so the intervals may differ; otherwise
-    both take the Sturm path and agree exactly.
+    Each isolating interval (lo, hi) is open and holds exactly one distinct
+    real root: lo < hi, and the square-free part of p has nonzero, opposite
+    exact signs at lo and hi.  Each refined root lies within
+    tol * max(|root|, 1), and within tol/16 * max(|lo|, |hi|, 1), up to the
+    rounding to a float, of that root.  Seeded and unseeded isolation of one
+    polynomial give the same counts and multiplicities and roots within that
+    bound.  For a p with deg p distinct real roots both usually isolate on
+    seed gaps, but the gaps depend on the seeds, so the intervals may
+    differ; otherwise both take the Sturm path and give the same intervals,
+    and roots that differ only where the caller's seeds, not the chain's,
+    start the refinement.
     """
 
     poly: RatPoly
@@ -674,15 +615,19 @@ def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | 
     simple (`_certified_gaps`); each root is then refined from its seed.  A
     seed with no finite float value fails the certificate.  When the
     certificate fails, or without seeds, p's own Sturm chain is built; if it
-    counts deg p distinct real roots, it seeds them itself
-    (`_chain_seeds`) and those seeds go through the same certificate and
-    refinement.  Otherwise the chain isolates p's distinct roots by exact
-    bisection (`_isolate`) and ends at g_1 = gcd(p, p').  If g_1 is not constant,
-    roots are refined on the primitive part of p / g_1, and the tower
-    g_{i+1} = gcd(g_i, g_i'), each the last element of g_i's chain, counts
-    multiplicities: a root of multiplicity m is a root of exactly
-    g_1 ... g_{m-1} (`_root_in`).  A tol outside (0, inf), or a real root
-    beyond the float range, raises ValueError.
+    is normal, it seeds p's real roots itself (`_chain_seeds`), and deg p
+    of them go through the same certificate and refinement.  Otherwise the
+    chain isolates p's distinct roots by exact bisection (`_isolate`) and
+    ends at g_1 = gcd(p, p').  If g_1 is not constant, roots are refined on
+    the primitive part of p / g_1, and the tower g_{i+1} = gcd(g_i, g_i'),
+    each the last element of g_i's chain, counts multiplicities: a root of
+    multiplicity m is a root of exactly g_1 ... g_{m-1} (`_root_in`).  Each
+    interval's refinement starts from the first of p's chain seeds, the
+    caller's seeds and the chain seeds of p / g_1 to hold as many seeds as
+    there are intervals, zipped in order; without one, or from a seed
+    outside its interval, it starts at the midpoint (`_refine_root`).  A
+    tol outside (0, inf), or a real root beyond the float range, raises
+    ValueError.
     """
     _check_tol(tol)
     if p.is_zero():
@@ -692,21 +637,28 @@ def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | 
     coeffs = integer_coefficients(p)
     seeds = None if seeds is None else _float_seeds(seeds)
     gaps = None if seeds is None else _certified_gaps(coeffs, seeds)
+    own = None
     if gaps is None:
         chains = [_sturm_chain(coeffs)]
-        seeds = _chain_seeds(chains[0])
-        gaps = None if seeds is None else _certified_gaps(coeffs, seeds)
+        own = _chain_seeds(chains[0])
+        gaps = None if own is None else _certified_gaps(coeffs, own)
     if gaps is not None:
-        roots = tuple(_refine_root(coeffs, lo, hi, tol, s) for (lo, hi), s in zip(gaps, seeds))
+        starts = seeds if own is None else own
+        roots = tuple(_refine_root(coeffs, lo, hi, tol, s) for (lo, hi), s in zip(gaps, starts))
         return RootSet(p, tuple(gaps), roots, (1,) * len(gaps))
     while len(chains[-1].polys[-1]) > 1:
         chains.append(_sturm_chain(chains[-1].polys[-1]))
     chain, *tower = chains
     intervals = _isolate(chain)
     mults = tuple(1 + sum(_root_in(c, lo, hi) for c in tower) for lo, hi in intervals)
+    starts = next((s for s in (own, seeds) if s is not None and len(s) == len(intervals)), None)
     if tower:
         coeffs = _int_primitive(_pseudo_divide(coeffs, chain.polys[-1])[1])
-    roots = tuple(_refine_root(coeffs, lo, hi, tol) for lo, hi in intervals)
+        if starts is None:
+            starts = _chain_seeds(_sturm_chain(coeffs))
+    if starts is None or len(starts) != len(intervals):
+        starts = [None] * len(intervals)
+    roots = tuple(_refine_root(coeffs, lo, hi, tol, s) for (lo, hi), s in zip(intervals, starts))
     return RootSet(p, tuple(intervals), roots, mults)
 
 

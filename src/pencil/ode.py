@@ -145,7 +145,7 @@ def integrate(
     p: float, t1: float, y0: tuple[float, float], rtol: float = 1e-10, atol: float = 1e-12
 ) -> IntegrationResult:
     """Integrate f'' + |f|^(p-1) f = 0 for the state (f, f') from y0 at t = 0
-    forward to t1 > 0.
+    forward to a finite t1 > 0.
 
     Stops early with `truncated=True` when the step size underflows or the
     MAX_STEPS budget runs out; everything integrated up to that point is kept.
@@ -153,9 +153,9 @@ def integrate(
     floor, so a NaN tolerance would walk the whole step budget.  nfev counts
     the slope at the start and six slopes per attempted step.
     """
-    # NaN fails the comparison too
-    if not t1 > 0:
-        raise ValueError(f"integration runs forward from t = 0: need t1 > 0, got t1={t1!r}")
+    # NaN fails the comparison too; an infinite t1 would walk the whole step budget
+    if not 0 < t1 < math.inf:
+        raise ValueError(f"integration runs forward from t = 0 to a finite t1 > 0, got t1={t1!r}")
     if not (0 < rtol < math.inf and 0 < atol < math.inf):
         raise ValueError(f"tolerances must be positive and finite, got rtol={rtol!r}, atol={atol!r}")
     copysign = math.copysign

@@ -220,6 +220,10 @@ def solve_stationary(
     shot_tol = max(tol, 1e-12) * max(1.0, min(lo, hi))
     while abs(hi - lo) > shot_tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            # float resolution: a negative bracket's tolerance is absolute, and
+            # past |s| ~ 5e5 it lies below the spacing of s
+            break
         lo, hi = (mid, hi) if above(mid) == lo_above else (lo, mid)
 
     shot = lo if decay else 0.5 * (lo + hi)

@@ -1,6 +1,7 @@
 """Root isolation, transversality, and admissibility decisions."""
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -31,7 +32,13 @@ from pencil.nodal import (
     transversality_check,
 )
 from pencil.pencils import Eigenpair, quadratic_eigenfunction, quartic_eigenfunction
-from pencil.polyring import RatPoly, _pseudo_divide, integer_coefficients, square_free_decomposition
+from pencil.polyring import (
+    RatPoly,
+    _pseudo_divide,
+    integer_coefficients,
+    square_free_decomposition,
+    square_free_part,
+)
 from pencil_oracles import exact_newton, phase_seeds, variations_at
 
 
@@ -149,14 +156,14 @@ class TestIsolation:
         target = min(romap, key=lambda r: abs(r - roots[0]))
         assert romap[target] == power
 
-    def test_exact_root_margin_excludes_neighbouring_root(self):
-        # the first margin carved around the root 0 would end on the root -1;
-        # only the Sturm bisection returns an exact root as [r, r]
-        rs = sturm_isolation(poly_from_roots([-1, 0]))
-        (lo, hi), zero = rs.isolating_intervals
-        assert lo < -1 < hi and zero == (0, 0)
-        (lo, hi), (a, b) = isolate_real_roots(poly_from_roots([-1, 0])).isolating_intervals
-        assert lo < -1 < hi and a < 0 < b
+    def test_exact_root_on_a_bisection_point_moves_toward_lo(self):
+        # 0, the first bisection point of the Sturm path, moves halfway toward
+        # lo; no interval is degenerate and p is nonzero at every end
+        p = poly_from_roots([-1, 0])
+        for rs in (sturm_isolation(p), isolate_real_roots(p)):
+            (lo, hi), (a, b) = rs.isolating_intervals
+            assert lo < -1 < hi <= a < 0 < b
+            assert p.eval(lo) * p.eval(hi) < 0 and p.eval(a) * p.eval(b) < 0
 
     def test_multiplicities_with_exact_root_at_bisection_point(self):
         # 0 is the first bisection point; the cube factor z owns it
@@ -229,6 +236,29 @@ class TestIsolation:
         assert rs.refined_roots == pytest.approx((-math.sqrt(2), math.sqrt(2)), rel=1e-12)
         assert all(hi - lo > 2 ** (k // 2 - 2) for lo, hi in rs.isolating_intervals)
 
+    @pytest.mark.parametrize(
+        "p, seeds",
+        [
+            (RatPoly([-2, 0, 1]), [-1.4, 1.4]),
+            (quadratic_eigenfunction(10, 1).poly * RatPoly([1, 0, 1]), _psi_roots(10, 1)),
+            (quadratic_eigenfunction(7, 2).poly ** 2, _psi_roots(7, 2)),
+        ],
+        ids=["z2-2", "psi10_1-complex-pair", "psi7_2-squared"],
+    )
+    def test_newton_ends_at_the_smallest_tol(self, p, seeds):
+        # the goal lies far below float resolution: every certificate fails,
+        # Newton stalls on a float and exact bisection finishes the root
+        tol = 5e-324
+        square_free = square_free_part(p)
+        want = isolate_real_roots(p)
+        for rs in (isolate_real_roots(p, tol=tol), isolate_real_roots(p, tol=tol, seeds=seeds), sturm_isolation(p, tol=tol)):
+            assert rs.multiplicities == want.multiplicities
+            assert rs.refined_roots == pytest.approx(want.refined_roots, rel=1e-12)
+            for r in rs.refined_roots:
+                # r is the root, or the root lies strictly between r's float neighbours
+                below, above = (Fraction(math.nextafter(r, side)) for side in (-math.inf, math.inf))
+                assert square_free.eval(Fraction(r)) == 0 or square_free.eval(below) * square_free.eval(above) < 0
+
     def test_roots_near_the_float_range_ends(self):
         assert isolate_real_roots(RatPoly([-(2**1000), 1])).refined_roots == (2.0**1000,)
         # 2^-1100 underflows to 0.0, which is within the goal of the root
@@ -246,7 +276,10 @@ class TestIsolation:
         rs = isolate_real_roots(p)
         assert rs.multiplicities == tuple(m for _, m in expected)
         assert count_real_roots(p) == len(expected)
+        square_free = math.prod((f for f, _, _ in factors), start=RatPoly.one())
         for (lo, hi), got, (want, _) in zip(rs.isolating_intervals, rs.refined_roots, expected, strict=True):
+            # no interval is degenerate: both ends carry nonzero exact signs, and they differ
+            assert lo < hi and square_free.eval(lo) * square_free.eval(hi) < 0
             assert float(lo) <= got <= float(hi)
             assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
@@ -271,11 +304,8 @@ def assert_same_roots(seeded, plain, tol=1e-12):
     for a, b, s_a, s_b in zip(seeded.refined_roots, plain.refined_roots, *scales):
         assert abs(a - b) <= tol / 16 * (s_a + s_b)
     for (lo, hi), m in zip(seeded.isolating_intervals, seeded.multiplicities):
-        # a fallback may return an exact rational root as [r, r] and roots of any multiplicity
-        if lo == hi:
-            assert p.eval(lo) == 0
-        else:
-            assert p.eval(lo) * p.eval(hi) * (-1) ** m > 0
+        # every interval is open, with a root of any multiplicity inside and none at either end
+        assert lo < hi and p.eval(lo) * p.eval(hi) * (-1) ** m > 0
     for (_, hi), (lo, _) in zip(seeded.isolating_intervals, seeded.isolating_intervals[1:]):
         assert hi <= lo
 
@@ -416,6 +446,19 @@ def chain_seeds(p: RatPoly):
     return nodal._chain_seeds(_sturm_chain(integer_coefficients(p)))
 
 
+def refinement_starts(monkeypatch) -> list:
+    """The start of every `_refine_root` call from here on, in call order."""
+    starts = []
+    refine = nodal._refine_root
+
+    def spy(coeffs, lo, hi, tol, start=None):
+        starts.append(start)
+        return refine(coeffs, lo, hi, tol, start)
+
+    monkeypatch.setattr(nodal, "_refine_root", spy)
+    return starts
+
+
 class TestChainSeeds:
     """Unseeded isolation seeds itself from p's Sturm chain read as a float continued fraction."""
 
@@ -452,12 +495,45 @@ class TestChainSeeds:
             (quadratic_eigenfunction(12, 2).poly ** 2, _psi_roots(12, 2), (2,) * 12),
         ],
     )
-    def test_complex_or_repeated_roots_take_the_sturm_path(self, p, roots, mults):
-        assert chain_seeds(p) is None
+    def test_complex_or_repeated_roots_take_the_sturm_path(self, p, roots, mults, monkeypatch):
+        # a complex pair leaves p's chain normal, and it seeds p's real roots;
+        # a repeated root ends the chain early, and the chain of the
+        # square-free part seeds them instead
+        seeds = chain_seeds(p)
+        square_free = mults == (1,) * len(mults)
+        assert (seeds is not None) == square_free
+        plain = sturm_isolation(p)
+        starts = refinement_starts(monkeypatch)
         rs = isolate_real_roots(p)
-        assert rs == sturm_isolation(p)
+        # the same exact bisection, and every refinement starts from a seed
+        assert rs.isolating_intervals == plain.isolating_intervals
+        assert starts == chain_seeds(p if square_free else square_free_part(p)) and len(starts) == len(roots)
+        assert_same_roots(rs, plain)
         assert rs.multiplicities == mults and count_real_roots(p) == len(roots)
         assert rs.refined_roots == pytest.approx(sorted(roots), rel=1e-12, abs=1e-12)
+
+    def test_abnormal_chain_refines_from_the_midpoint(self, monkeypatch):
+        # the first square-free z^5 + a z^2 + b z + c with three real roots
+        # whose remainder sequence skips a degree: no chain seeds, so exact
+        # Newton starts each root at its interval's midpoint
+        tol = 1e-12
+        z = RatPoly([0, 1])
+        p = next(
+            q
+            for a, b, c in itertools.product(range(-3, 4), repeat=3)
+            for q in [z**5 + RatPoly([c, b, a])]
+            for chain in [_sturm_chain(integer_coefficients(q))]
+            if len(chain.polys[-1]) == 1 and len(chain.polys) < 6 and count_real_roots(q) == 3
+        )
+        assert chain_seeds(p) is None
+        starts = refinement_starts(monkeypatch)
+        rs = isolate_real_roots(p, tol=tol)
+        assert starts == [None] * 3 and rs.multiplicities == (1,) * 3
+        for (lo, hi), r in zip(rs.isolating_intervals, rs.refined_roots, strict=True):
+            x, h = Fraction(r), Fraction(tol) * max(abs(Fraction(r)), 1)
+            assert lo < x < hi and p.eval(lo) * p.eval(hi) < 0
+            # a root lies within tol * max(|r|, 1) of r
+            assert p.eval(x) == 0 or p.eval(x - h) * p.eval(x + h) < 0
 
     @pytest.mark.parametrize("l, family", [(2, 1), (9, 2), (30, 1), (45, 1), (70, 2), (120, 1)])
     def test_eigenfunction_seeds_certify(self, l, family):

@@ -154,9 +154,10 @@ class TestIntegrator:
         with pytest.raises(ValueError, match="tolerances"):
             integrate(_Unevaluated(), 1.0, (1.0, 0.0), **{which: bad})
 
-    @pytest.mark.parametrize("t1", [-1.0, 0.0, math.nan])
+    @pytest.mark.parametrize("t1", [-1.0, 0.0, math.nan, math.inf])
     def test_rejects_span_not_forward(self, t1):
-        # integration runs forward from t = 0 only; a NaN end fails t1 > 0 as well
+        # integration runs forward from t = 0 to a finite end only; a NaN end
+        # fails t1 > 0 as well, and an infinite one would walk the step budget
         with pytest.raises(ValueError, match="forward"):
             integrate(_Unevaluated(), t1, (1.0, 0.0))
 
@@ -385,6 +386,17 @@ class TestStationary:
         start = sol.values[0] if symmetry == "symmetric" else sol.derivative_values[0]
         assert start == pytest.approx(s, rel=1e-12)
         assert sol.values[-1] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "symmetry, s_range", [("symmetric", (-1e6, -1e5)), ("antisymmetric", (-1e8, -1e7))]
+    )
+    def test_far_negative_bracket_ends(self, symmetry, s_range):
+        # on a negative bracket the shot tolerance is 1e-10 absolute, below the
+        # float spacing of these shots: the bisection stops at float resolution
+        # instead of halving a bracket that no longer shrinks
+        sol = solve_stationary(3.0, symmetry, "plateau_one", s_range=s_range)
+        assert s_range[0] < sol.shot_parameter < s_range[1]
+        assert abs(sol.values[-1] - 1.0) < 1e-3
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
     @pytest.mark.parametrize("symmetric", [True, False])
