@@ -7,14 +7,17 @@ text lines, the CSV table for `expand eval`, the JSON for `expand trace` and
 `ode crackcurves`. Every form opens with the same config JSON; output is
 byte-identical for identical inputs, files are written atomically, and exit
 codes are 0 (success), 1 (domain error, structured JSON on stderr), 2 (usage).
+
+Byte contract: the JSON payload is the json.dumps(indent=2, sort_keys=True)
+layout plus a newline, every CSV data cell is %.17g, and every SVG polyline
+coordinate is %.6g.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
+import itertools
 import json
 import math
 import os
@@ -26,6 +29,9 @@ from typing import Callable
 from . import expansion as expmod
 from . import nodal, pencils, semilinear
 from .svg import render_line_chart
+
+# the C string encoder that json.dumps uses with ensure_ascii
+_encode_str = json.encoder.encode_basestring_ascii
 
 SCHEMA_VERSION = "1"
 # most points a range spec, a log y grid, the product of the grid axes or a
@@ -39,11 +45,12 @@ __all__ = ["main", "entrypoint", "VerifyReport"]
 # output
 
 
-def _atomic_write(path: str, data: str) -> None:
+def _atomic_write(path: str, parts) -> None:
+    """Write the strings of `parts` to `path` through a temporary file."""
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(data)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -74,14 +81,56 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return out
 
 
-def _csv_text(header: str, columns: list[str], rows) -> str:
-    buf = io.StringIO()
-    buf.write(f"# {header}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+def _json_text(value, pad: str) -> str:
+    """`value` as json.dumps(value, indent=2, sort_keys=True, default=str)
+    writes it when nested at indent `pad`, in one call per container.
+
+    The stdlib encoder runs in pure Python once `indent` is set, with several
+    generator frames per value; here a finite float in a list is written
+    inline, and only containers and other scalars recurse.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value - value == 0:
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [float.__repr__(x) if type(x) is float and x - x == 0 else _json_text(x, inner) for x in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_encode_str(_json_key(k)) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    return _encode_str(str(value))
+
+
+def _json_key(key) -> str:
+    # json writes a float, int, bool or None key as the text of its value
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _json_text(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _csv_lines(header: str, columns: list[str], rows):
+    """The table's lines, made as they are written: the header comment, the
+    column names, then each row tuple with every cell, a float, as %.17g."""
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    return itertools.chain((f"# {header}\n", ",".join(columns) + "\n"), map(row_format.__mod__, rows))
 
 
 def _emit(
@@ -91,27 +140,30 @@ def _emit(
 
     `body` is the payload's dict, or a callable that builds it only if the
     payload is written.  `text` is the text lines, or "json" or "csv" when
-    the text form is the payload or the table; `table` is (columns, rows)
-    and `chart` is the (series, title, x label, y label) that
+    the text form is the payload or the table; `table` is (columns, rows),
+    the rows tuples of floats read once, and `chart` is the (series, title, x label, y label) that
     render_line_chart takes.
     """
     config = _config_dict(args)
     header = "config: " + json.dumps(config, sort_keys=True)
     svg, csv_path = getattr(args, "svg", None), getattr(args, "csv", None)
     if svg:
-        _atomic_write(svg, render_line_chart(*chart, header_comment=header))
+        _atomic_write(svg, [render_line_chart(*chart, header_comment=header)])
     if csv_path:
-        _atomic_write(csv_path, _csv_text(header, *table))
+        _atomic_write(csv_path, _csv_lines(header, *table))
     if args.json or args.out or (text == "json" and not (svg or csv_path)):
         body = body() if callable(body) else body
         payload = {"schema_version": SCHEMA_VERSION, "command": command, "config": config, **body}
-        data = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+        data = [_json_text(payload, ""), "\n"]
         if args.out:
             _atomic_write(args.out, data)
         else:
-            sys.stdout.write(data)
+            sys.stdout.writelines(data)
     elif not (svg or csv_path):
-        sys.stdout.write(_csv_text(header, *table) if text == "csv" else "\n".join([f"# {header}", *text]) + "\n")
+        if text == "csv":
+            sys.stdout.writelines(_csv_lines(header, *table))
+        else:
+            sys.stdout.write("\n".join([f"# {header}", *text]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +412,12 @@ def _cmd_ode_crackcurves(args) -> int:
     ys = _parse_ygrid(args.ygrid)
     curves = semilinear.crack_curves(sol, args.alpha, args.p, ys)
     shown = curves[: args.maxcurves]
+    if args.svg and not shown:
+        # the chart needs a curve; say why there is none
+        cause = (
+            "--maxcurves is 0" if curves else f"the profile has no zero in [ximin, Xi] = [{args.ximin:g}, {args.Xi:g}]"
+        )
+        raise ValueError(f"no crack curve to draw in the --svg chart: {cause}")
     body = {
         "beta": args.alpha * (args.p - 1) / 2.0,
         "curves": [{"xi": c.xi, "points": [[y, x] for y, x in c.points]} for c in shown],

@@ -54,10 +54,13 @@ N_OUTPUT = 1201
 MAX_STEPS = 1_000_000
 
 FAR_FIELD_ROOT = {"decay_inverse": -1, "plateau_one": 0}
+# a plateau shot must meet |f(z_end) - 1| < PLATEAU_TOL
+PLATEAU_TOL = 1e-3
 
 
 class NoProfileFoundError(RuntimeError):
-    """The bisection bracket search found no sign change in the scanned range."""
+    """The bracket search found no sign change in the scanned range, or no
+    float shot in it meets the plateau."""
 
 
 @dataclass(frozen=True)
@@ -183,7 +186,9 @@ def solve_stationary(
     class first changes, then bisected: f(theta_end) > 1 for a plateau, one
     lookup of W; f > 0 on all of (0, pi/2] for decay, which holds exactly when
     the phase omega pi/2 lies below the first zero of W after 0 (monotone in s,
-    as the first zero moves inward when s grows).  A decay profile is taken on
+    as the first zero moves inward when s grows).  A plateau bracket is bisected
+    to float resolution, and a shot with |f(z_end) - 1| >= PLATEAU_TOL raises
+    NoProfileFoundError before the grid is built.  A decay profile is taken on
     the positive side and its constant c in f ~ c/z is -f_theta(pi/2).  The
     zeros are the zero phases of W below omega theta_end.  The output grid is
     uniform in z over [0, z_end], with f_z = f_theta / (1 + z^2).
@@ -217,7 +222,11 @@ def solve_stationary(
         return a * orbit(omega * theta_end)[0] > 1
 
     lo, hi, lo_above = _scan_bracket(above, s_lo, s_hi)
-    shot_tol = max(tol, 1e-12) * max(1.0, min(lo, hi))
+    # f(z_end) = a W(omega theta_end) moves by about a omega theta_end per unit
+    # relative change of s (s^2 theta_end for symmetric p = 3), so a plateau
+    # shot bisects to float resolution: no tolerance in s holds its contract
+    # once |s| is large
+    shot_tol = max(tol, 1e-12) * max(1.0, min(lo, hi)) if decay else 0.0
     while abs(hi - lo) > shot_tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
@@ -228,9 +237,15 @@ def solve_stationary(
 
     shot = lo if decay else 0.5 * (lo + hi)
     a, omega = scaling(shot)
+    w_end, dw_end = orbit(omega * theta_end)
+    if not decay and not abs(a * w_end - 1) < PLATEAU_TOL:
+        # checked before the grid and the zeros, whose count grows like omega
+        raise NoProfileFoundError(
+            f"no float shot in [{s_lo:g}, {s_hi:g}] meets the plateau: the nearest, s={shot!r},"
+            f" gives f(z_end)={a * w_end!r}, not within {PLATEAU_TOL:g} of 1"
+        )
     grid = tuple(z_end * i / (N_OUTPUT - 1) for i in range(N_OUTPUT))
     states = [orbit(omega * math.atan(z)) for z in grid]
-    w_end, dw_end = orbit(omega * theta_end)
     n_zeros = max(0, math.ceil((omega * theta_end - first) / (2 * k)))
     return ProfileSolution(
         kind=STATIONARY,

@@ -31,7 +31,9 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         hi = lo + 1.0
     span = hi - lo
     raw = span / target
-    mag = 10.0 ** math.floor(math.log10(raw))
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 0.0
+    if mag == 0.0:  # a span of a few subnormals has no float step: one tick
+        return [lo]
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
@@ -125,11 +127,20 @@ def render_line_chart(
             f'font-size="13" transform="rotate(-90 18 {cy})">{y_label}</text>'
         )
 
+    # sx and sy written out per point, with no call per value: 72 + t and
+    # 504 - u are never -0.0, so only the tick labels need _fmt's "-0" rule
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
     for idx, (label, pts) in enumerate(series):
         if not pts:
             continue
         color = _PALETTE[idx % len(_PALETTE)]
-        coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
+        coords = " ".join(
+            [
+                "%.6g,%.6g"
+                % (_MARGIN_L + (x - x_lo) / x_span * plot_w, _MARGIN_T + plot_h - (y - y_lo) / y_span * plot_h)
+                for x, y in pts
+            ]
+        )
         lines.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
 
     legend_y = _MARGIN_T + 14

@@ -17,13 +17,21 @@ is the adaptive Dormand-Prince 5(4) pair for any right-hand side and any
 number of components, one stage at a time in loops over the tableau, where
 `pencil.ode.integrate` writes out the two scalar components of the
 oscillator f'' + |f|^(p-1) f = 0; `dense_value` evaluates one of its
-dense-output segments.
+dense-output segments.  `json_text`, `csv_text` and `render_line_chart`
+write CLI output with the stdlib JSON encoder, one csv.writer row per data
+row and one `svg._fmt` call per polyline coordinate, where `pencil.cli` and
+`pencil.svg` format whole containers, rows and points at once.
 """
 
+import csv
+import io
+import json
 import math
+import re
 from fractions import Fraction
 from typing import Sequence
 
+from pencil import svg
 from pencil.linalg import rational_kernel
 from pencil.nodal import _PHASE_SAMPLES, _PHASE_STEPS
 from pencil.pencils import quartic_eigenfunction
@@ -367,3 +375,55 @@ def dense_value(segment, t: float) -> tuple[float, ...]:
             acc = acc * theta + row[i]
         out.append(v + h * theta * acc)
     return tuple(out)
+
+
+def json_text(value) -> str:
+    """`value` as the stdlib encoder writes a CLI JSON document, before its
+    final newline."""
+    return json.dumps(value, indent=2, sort_keys=True, default=str)
+
+
+def csv_text(header: str, columns: list[str], rows) -> str:
+    """A CLI table with one csv.writer row per data row, each float cell as
+    f"{v:.17g}"."""
+    buf = io.StringIO()
+    buf.write(f"# {header}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+def polyline_points(series) -> list[str]:
+    """The points attribute of each nonempty series' polyline, from the padded
+    data bounds with one `svg._fmt` call per coordinate."""
+    xs = [p[0] for _, pts in series for p in pts]
+    ys = [p[1] for _, pts in series for p in pts]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    x_pad, y_pad = 0.05 * (x_hi - x_lo), 0.05 * (y_hi - y_lo)
+    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
+    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    plot_w = svg._WIDTH - svg._MARGIN_L - svg._MARGIN_R
+    plot_h = svg._HEIGHT - svg._MARGIN_T - svg._MARGIN_B
+
+    def sx(x: float) -> float:
+        return svg._MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def sy(y: float) -> float:
+        return svg._MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+
+    return [" ".join(f"{svg._fmt(sx(x))},{svg._fmt(sy(y))}" for x, y in pts) for _, pts in series if pts]
+
+
+def render_line_chart(series, *args, **kwargs) -> str:
+    """`svg.render_line_chart`'s document with every polyline's points
+    replaced by `polyline_points`."""
+    points = iter(polyline_points(series))
+    doc = svg.render_line_chart(series, *args, **kwargs)
+    return re.sub(r'<polyline points="[^"]*"', lambda _: f'<polyline points="{next(points)}"', doc)

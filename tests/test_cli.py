@@ -514,6 +514,27 @@ class TestOde:
         assert payload["error"] == "ValueError"
         assert "maxcurves" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "extra, cause",
+        [
+            (["--A", "1e-9"], "the profile has no zero in [ximin, Xi] = [0.01, 100]"),
+            (["--maxcurves", "0"], "--maxcurves is 0"),
+        ],
+    )
+    def test_crackcurves_svg_with_no_curve_exit_1(self, tmp_path, capsys, extra, cause):
+        # the renderer's "cannot render an empty series list" before
+        argv = ["ode", "crackcurves", "--p", "3", "--alpha", "1", "--ygrid", "-0.5:-1e-2:log:5", *extra]
+        code, out, err = run_cli(capsys, *argv, "--svg", str(tmp_path / "c.svg"))
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"] == f"no crack curve to draw in the --svg chart: {cause}"
+        assert os.listdir(tmp_path) == []
+        # the table of no curves is its header alone
+        code, _, _ = run_cli(capsys, *argv, "--csv", str(tmp_path / "c.csv"))
+        assert code == 0
+        assert (tmp_path / "c.csv").read_text().splitlines()[1:] == ["xi,y,x"]
+
 
 def _config_of(form: str, data: str) -> dict:
     """The config JSON that opens one emitted form."""

@@ -11,6 +11,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 from dataclasses import dataclass
 
 import mpmath
@@ -397,6 +398,28 @@ class TestStationary:
         sol = solve_stationary(3.0, symmetry, "plateau_one", s_range=s_range)
         assert s_range[0] < sol.shot_parameter < s_range[1]
         assert abs(sol.values[-1] - 1.0) < 1e-3
+
+    @pytest.mark.parametrize("s_range", [(1e5, 1e6), (1e6, 1e7)])
+    def test_large_plateau_shot_meets_contract(self, s_range):
+        # f(z_end) was 1.567 and 17.7: a positive bracket stopped at 1e-10 |s|,
+        # where f moves by about s^2 theta_end per unit relative change of s
+        sol = solve_stationary(3.0, "symmetric", "plateau_one", s_range=s_range)
+        assert s_range[0] < sol.shot_parameter < s_range[1]
+        assert abs(sol.values[-1] - 1.0) < semilinear.PLATEAU_TOL
+
+    @pytest.mark.parametrize("s_range", [(1e7, 1e8), (-1e8, -1e7)])
+    def test_plateau_out_of_float_reach_raises(self, s_range):
+        # no float shot meets the plateau here (f(z_end) = 3932 and 2.37 were
+        # returned before); the check runs before the grid and the millions of
+        # zeros are built
+        tracemalloc.start()
+        try:
+            with pytest.raises(NoProfileFoundError, match="meets the plateau"):
+                solve_stationary(3.0, "symmetric", "plateau_one", s_range=s_range)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
     @pytest.mark.parametrize("symmetric", [True, False])

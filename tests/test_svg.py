@@ -43,3 +43,10 @@ def test_byte_identical_for_identical_input():
 def test_header_comment_embedded():
     doc = render_line_chart([("s", [(0.0, 0.0), (1.0, 1.0)])], header_comment="config: {}")
     assert "<!-- config: {} -->" in doc
+
+
+@pytest.mark.parametrize("top", [5e-324, 1e-323, 3e-323, 1e-320])
+def test_subnormal_span_renders(top):
+    # the tick step underflowed: log10(0) or an unbound step raised before
+    doc = render_line_chart([("tiny", [(0.0, 0.0), (1.0, top)])])
+    assert len(_polylines(doc)) == 1
