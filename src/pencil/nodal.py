@@ -10,7 +10,7 @@ isolated by its gap; no Sturm chain is built.  Otherwise, and without
 seeds, p's own Sturm chain over the integers (the remainder sequence of p
 and p', `polyring._remainder_sequence`, scaled only by positive factors)
 is built once.  When the chain is normal (an element of every degree), its
-links read as a continued fraction of float ratios seed p's real roots
+identities read as a continued fraction of float ratios seed p's real roots
 themselves (float bisection on the count of negative ratios, then Newton
 on p / p'); when those are deg p seeds, the same certificate of exact
 signs accepts or rejects them.  Any other outcome (complex or repeated
@@ -19,12 +19,7 @@ failed certificate) falls back to exact bisection of p's distinct roots
 on the chain from a power-of-two Fujiwara bound, carrying the
 sign-variation count at every interval endpoint, into open intervals
 with nonzero exact signs at both ends; with repeated roots the chain ends
-at gcd(p, p'), whose own chains give the multiplicities.  The chain
-keeps the pseudo-division identity e P_j = Q P_{j+1} + kappa P_{j+2} that
-made each element, so at a bisection point each element's value follows
-from the two below it by a few integer products and one exact division,
-where a Horner sum would cost one multiply-add per degree; elements whose
-multipliers are too large for that to pay keep Horner.  Every root is
+at gcd(p, p'), whose own chains give the multiplicities.  Every root is
 refined by one seeded exact Newton: from its seed (the caller's, the
 chain's, or those of the square-free part's chain), or from its
 interval's midpoint when there is none, safeguarded by the bracket, and
@@ -93,32 +88,13 @@ def _dyadic(x: Fraction | float) -> tuple[int, int]:
 
 
 def _dyadic_sign(coeffs: Sequence[int], num: int, shift: int) -> int:
-    """Sign of p(num / 2^shift), shift >= 0."""
-    acc = _dyadic_value(coeffs, num, shift)
-    return (acc > 0) - (acc < 0)
-
-
-def _dyadic_value(coeffs: Sequence[int], num: int, shift: int) -> int:
-    """2^(shift n) p(num / 2^shift), n = len(coeffs) - 1 and shift >= 0, by Horner with shifts."""
+    """Sign of p(num / 2^shift), shift >= 0, as that of 2^(shift deg p) p(num / 2^shift) by Horner with shifts."""
     acc = 0
     bits = 0
     for c in reversed(coeffs):
         acc = acc * num + (c << bits)
         bits += shift
-    return acc
-
-
-# A link replaces the Horner sum of chain element j (degree d_j) by two
-# products, a shift and one exact division, whose operands are the chain
-# values at the point (integers about as long as the Horner accumulator)
-# and the link's multipliers e, Q and kappa.  Schoolbook multiplication and
-# division cost about (multiplier digits) x (accumulator digits) digit steps
-# each, where Horner costs d_j passes of a few-digit multiply-add over the
-# accumulator.  So a link pays while its multipliers have at most a few
-# 30-bit digits per degree of P_j; past that (the bi-Laplace chains reach
-# coefficients of 14k bits) Horner is cheaper.  Any bound from 8 to 128 bits
-# per degree timed the same on psi_{l,f} and the bi-Laplace chains.
-_LINK_BITS_PER_DEGREE = 32
+    return (acc > 0) - (acc < 0)
 
 
 @dataclass(frozen=True)
@@ -129,28 +105,22 @@ class _SturmChain:
     P_0 = p, P_1 = p' and P_{j+2} a positive multiple of -rem(P_j, P_{j+1}),
     each primitive, down to gcd(p, p').  identities[j] is (e, Q, kappa)
     with e P_j = Q P_{j+1} + kappa P_{j+2}, the pseudo-division that made
-    P_{j+2}.  links[j] is identities[j] where evaluating through it pays:
-    it is None for the last two elements and where Horner on P_j is
-    cheaper (`_LINK_BITS_PER_DEGREE`).
+    P_{j+2}; `_chain_seeds` reads them as a float continued fraction.
+    Exact signs of the elements come from Horner with shifts
+    (`_variations_at`), as every other exact sign does.
     """
 
     polys: list[list[int]]
     identities: list[tuple[int, list[int], int]]
-    links: list[tuple[int, list[int], int] | None]
 
 
 def _sturm_chain(coeffs: list[int]) -> _SturmChain:
-    """Sturm chain of an integer polynomial with the links worth keeping.
+    """Sturm chain of an integer polynomial.
 
     With repeated roots it ends at gcd(p, p') and still counts distinct
     roots at points that are not roots of p.
     """
-    polys, identities = _remainder_sequence(coeffs, _int_diff(coeffs))
-    links: list[tuple[int, list[int], int] | None] = []
-    for p, (scale, quot, kappa) in zip(polys, identities):
-        bits = max(map(int.bit_length, (scale, kappa, *quot)))
-        links.append((scale, quot, kappa) if bits <= _LINK_BITS_PER_DEGREE * (len(p) - 1) else None)
-    return _SturmChain(polys, identities, links + [None] * (len(polys) - len(links)))
+    return _SturmChain(*_remainder_sequence(coeffs, _int_diff(coeffs)))
 
 
 def _sign_variations(signs: Iterable[int]) -> int:
@@ -159,27 +129,9 @@ def _sign_variations(signs: Iterable[int]) -> int:
 
 
 def _variations_at(chain: _SturmChain, point: Fraction) -> tuple[int, int]:
-    """Sign of P_0 at the dyadic point and the chain's sign-variation count there.
-
-    With point = a / 2^s the values V_j = 2^(s d_j) P_j(a / 2^s), d_j = deg P_j,
-    are integers with the signs of P_j.  They are found bottom-up: Horner
-    (`_dyadic_value`) gives the last two and every element without a link,
-    and a link e P_j = Q P_{j+1} + kappa P_{j+2} gives
-    V_j = (Q~ V_{j+1} + kappa V_{j+2} 2^(s (d_j - d_{j+2}))) / e, an exact
-    division, with Q~ = 2^(s deg Q) Q(a / 2^s).  Both give the same integer.
-    """
+    """Sign of P_0 at the dyadic point and the chain's sign-variation count there, one `_dyadic_sign` per element."""
     num, shift = _dyadic(point)
-    polys, links = chain.polys, chain.links
-    values = [0] * len(polys)
-    for j in range(len(polys) - 1, -1, -1):
-        link = links[j]
-        if link is None:
-            values[j] = _dyadic_value(polys[j], num, shift)
-        else:
-            scale, quot, kappa = link
-            lifted = kappa * values[j + 2] << shift * (len(polys[j]) - len(polys[j + 2]))
-            values[j] = (_dyadic_value(quot, num, shift) * values[j + 1] + lifted) // scale
-    signs = [(v > 0) - (v < 0) for v in values]
+    signs = [_dyadic_sign(q, num, shift) for q in chain.polys]
     return signs[0], _sign_variations(signs)
 
 
@@ -190,7 +142,7 @@ def count_real_roots(p: RatPoly) -> int:
     if p.degree == 0:
         return 0
     coeffs = integer_coefficients(p)
-    return _distinct_real_roots(_remainder_sequence(coeffs, _int_diff(coeffs))[0])
+    return _distinct_real_roots(_sturm_chain(coeffs).polys)
 
 
 def _distinct_real_roots(polys: list[list[int]]) -> int:
@@ -218,11 +170,11 @@ def _isolate(chain: _SturmChain) -> list[tuple[Fraction, Fraction]]:
     chain is the Sturm chain of p, square-free or not.  Each stack entry
     (lo, V(lo), hi, V(hi)) carries the sign-variation counts of its
     endpoints, which are never roots of p, so V(lo) - V(hi) distinct roots
-    lie in (lo, hi) and every bisection point costs one evaluation of the
-    chain, bottom-up through its links (`_variations_at`).  A bisection
-    point that is a root of p moves halfway toward lo until it is not, so
-    p has a nonzero exact sign at both ends of every interval.  Every point
-    is dyadic: the bound is a power of two, and midpoints halve.
+    lie in (lo, hi) and every bisection point costs one exact sign per
+    chain element (`_variations_at`).  A bisection point that is a root of
+    p moves halfway toward lo until it is not, so p has a nonzero exact
+    sign at both ends of every interval.  Every point is dyadic: the bound
+    is a power of two, and midpoints halve.
     """
     bound = _root_bound(chain.polys[0])
     out: list[tuple[Fraction, Fraction]] = []
@@ -339,7 +291,7 @@ def _chain_seeds(chain: _SturmChain) -> list[float] | None:
     r_j = P_j / P_{j+1} a continued fraction,
     r_j = (Q(x) + kappa / r_{j+1}) / e down to r_{n-1} = P_{n-1} / P_n.  Each
     r_j is kept over a power of two near lc(P_j) / lc(P_{j+1}), so that the
-    one float triple per link stays in range however large the integers,
+    one float triple per identity stays in range however large the integers,
     and the fraction is evaluated bottom-up in floats (Gautschi, SIAM Rev.
     9, 1967).  r_j < 0 exactly where P_j and P_{j+1} differ in sign, so the
     number of negative ratios is the Sturm count (Barth, Martin & Wilkinson,
@@ -348,7 +300,7 @@ def _chain_seeds(chain: _SturmChain) -> list[float] | None:
     real, fewer past a complex pair), and Newton x - c r_0(x), with
     c r_0 = p / p' (P_1 is p' over its content), safeguarded by the count as
     in rtsafe, refines it.  None when the chain is not normal (p has
-    repeated roots, or a remainder drops more than one degree), a link
+    repeated roots, or a remainder drops more than one degree), an identity
     overflows a float, a ratio is NaN, the counts contradict each other, or
     the evaluations exceed _CF_EVALS per degree.  The guesses carry no
     guarantee: `_certified_gaps` certifies them, or exact Sturm bisection
@@ -431,7 +383,7 @@ _FLOAT_STEP = 2.0**-26
 def _exact_newton(coeffs: list[int], x: float) -> tuple[int, float | None]:
     """Exact sign of p(x) and the Newton iterate from x, correctly rounded to a float.
 
-    With x = num / 2^s, the Horner with shifts of `_dyadic_value` and a
+    With x = num / 2^s, the Horner with shifts of `_dyadic_sign` and a
     slope accumulator give V = 2^(s n) p(x) and D = 2^(s (n-1)) p'(x), so
     the iterate x - V / (2^s D) is the one integer division
     (num D - V) / (2^s D), which rounds correctly.  It is None when
@@ -779,10 +731,10 @@ class Combination:
     "laplace" and of the quartic pencil for "bilaplace".  Family f enters
     with degree l - f + 1 and is absent where that degree is below 1 (f = 1)
     or below 0 (f > 1).  coeffs holds c_1, c_2, ...; weights left off are
-    zero.  A nonzero weight on an absent family, or more weights than
-    families, raises ValueError.  The combination's nodal set is the crack
-    it admits, and `roots` isolates it with seeds from the phase form of
-    these same weights.
+    zero.  A nonzero weight on an absent family, a float weight that is not
+    finite, or more weights than families, raises ValueError.  The
+    combination's nodal set is the crack it admits, and `roots` isolates it
+    with seeds from the phase form of these same weights.
     """
 
     equation: str
@@ -795,6 +747,8 @@ class Combination:
         if len(self.coeffs) > n:
             raise ValueError(f"a {self.equation} combination has at most {n} coefficients, got {len(self.coeffs)}")
         for family, c in enumerate(self.coeffs, start=1):
+            if not _is_exact(c) and not math.isfinite(c):
+                raise ValueError(f"the family {family} weight {c!r} is not finite")
             if c != 0 and family not in self.families:
                 raise ValueError(f"family {family} has no degree-{self.l - family + 1} eigenfunction at k={self.l}")
 

@@ -334,28 +334,28 @@ def _pseudo_divide(f: list[int], g: list[int]) -> tuple[int, list[int], list[int
 
 
 def _remainder_sequence(f: Sequence[int], g: Sequence[int]) -> tuple[list[list[int]], list[tuple[int, list[int], int]]]:
-    """The signed remainder sequence of f and g over the integers, with its links.
+    """The signed remainder sequence of f and g over the integers, with its identities.
 
     P_0 and P_1 are the primitive parts of f and g (a zero g is left out),
     and each P_{j+2} is the primitive pseudo-remainder of P_j by P_{j+1},
     scaled to a positive multiple of -rem(P_j, P_{j+1}) over Q, so only
-    positive rescalings touch the signs.  links[j] is (e, Q, kappa) with
+    positive rescalings touch the signs.  identities[j] is (e, Q, kappa) with
     e P_j = Q P_{j+1} + kappa P_{j+2}, e kappa < 0.  The sequence stops at
     a constant or at an exact division; its last element is gcd(f, g) up
     to a constant, and for g = f' it is the Sturm chain of f.
     """
     polys = [_int_primitive(list(f)), _int_primitive(list(g))]
-    links: list[tuple[int, list[int], int]] = []
+    identities: list[tuple[int, list[int], int]] = []
     while len(polys[-1]) > 1:
         scale, quot, rem = _pseudo_divide(polys[-2], polys[-1])
         if not rem:
             break
         kappa = -gcd(*rem) if scale > 0 else gcd(*rem)
-        links.append((scale, quot, kappa))
+        identities.append((scale, quot, kappa))
         polys.append([c // kappa for c in rem])
     if not polys[-1]:
         polys.pop()
-    return polys, links
+    return polys, identities
 
 
 def _int_gcd_poly(a: list[int], b: list[int]) -> list[int]:

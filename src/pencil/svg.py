@@ -47,6 +47,25 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
+def _axis_range(axis: str, values: list[float]) -> tuple[float, float]:
+    """The data range of one axis (a unit span for constant data), padded by 5% at each end.
+
+    ValueError, naming the axis and its data range, where the padded span
+    is not a positive finite float: it overflows the float range, or a unit
+    span is below the resolution of the data.
+    """
+    lo, hi = min(values), max(values)
+    top = lo + 1.0 if hi == lo else hi
+    pad = 0.05 * (top - lo)
+    start, stop = lo - pad, top + pad
+    if not 0 < stop - start < math.inf:
+        raise ValueError(
+            f"cannot chart the {axis} data range [{lo!r}, {hi!r}]: "
+            f"its padded span {stop - start!r} is not a positive finite float"
+        )
+    return start, stop
+
+
 def render_line_chart(
     series: Sequence[tuple[str, Sequence[tuple[float, float]]]],
     title: str = "",
@@ -54,21 +73,16 @@ def render_line_chart(
     y_label: str = "",
     header_comment: str = "",
 ) -> str:
-    """Render labelled (x, y) polylines into a self-contained SVG document."""
+    """Render labelled (x, y) polylines into a self-contained SVG document.
+
+    An empty series list, or an axis whose padded data range is not a
+    positive finite float span (`_axis_range`), raises ValueError before
+    anything is rendered.
+    """
     if not series or all(not pts for _, pts in series):
         raise ValueError("cannot render an empty series list")
-    xs = [p[0] for _, pts in series for p in pts]
-    ys = [p[1] for _, pts in series for p in pts]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    x_pad = 0.05 * (x_hi - x_lo)
-    y_pad = 0.05 * (y_hi - y_lo)
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    x_lo, x_hi = _axis_range("x", [p[0] for _, pts in series for p in pts])
+    y_lo, y_hi = _axis_range("y", [p[1] for _, pts in series for p in pts])
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B

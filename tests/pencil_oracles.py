@@ -7,8 +7,9 @@ reference four-term quartic relation.  `phase_seeds` is the numpy array
 form of the phase-form root seeds, which `pencil.nodal._phase_seeds`
 computes in plain float loops with the same operations in the same order.
 `variations_at` counts a Sturm chain's sign variations with one Horner sum
-per element, where `pencil.nodal._variations_at` runs the chain's own
-pseudo-division identities.  `exact_newton` is the exact Newton step as a
+in a and b per element at the point a/b, where
+`pencil.nodal._variations_at` runs the Horner with shifts of
+`pencil.nodal._dyadic_sign` at a dyadic point.  `exact_newton` is the exact Newton step as a
 reduced Fraction from powers of the denominator, where
 `pencil.nodal._exact_newton` shifts and divides once.
 `characteristic_quartic` and `verify_quartic_factorization` prove the

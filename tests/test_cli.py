@@ -201,6 +201,24 @@ class TestExpand:
         assert payload["error"] == "ValueError"
         assert "lists of numbers" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cracks", "enum", "--m", "1", "--l", "3", "--ratios", "nan"], "the family 2 weight nan is not finite"),
+            (["cracks", "enum", "--m", "1", "--l", "3", "--ratios", "inf"], "the family 2 weight inf is not finite"),
+            (
+                ["expand", "eval", "--terms", '{"2":[NaN,0]}', "--grid", "z=0:1:0.5,tau=0:1:1"],
+                "the family 1 weight nan is not finite",
+            ),
+            (["expand", "trace", "--terms", '{"2":[1,0],"3":[Infinity,0]}'], "the family 1 weight inf is not finite"),
+        ],
+    )
+    def test_non_finite_weight_exit_1(self, capsys, argv, message):
+        # json.loads and float() accept NaN and Infinity, which no exact polynomial can weight
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
     def test_trace_svg(self, tmp_path, capsys):
         path = tmp_path / "trace.svg"
         code, _, _ = run_cli(
@@ -534,6 +552,17 @@ class TestOde:
         code, _, _ = run_cli(capsys, *argv, "--csv", str(tmp_path / "c.csv"))
         assert code == 0
         assert (tmp_path / "c.csv").read_text().splitlines()[1:] == ["xi,y,x"]
+
+    def test_crackcurves_svg_past_float_range_exit_1(self, tmp_path, capsys):
+        # the x range reaches 1.75e308, past which the chart's padded span overflows; no output is written
+        argv = ["ode", "crackcurves", "--p", "3", "--alpha", "316.0267795602176", "--ygrid=-2,-1e4", "--maxcurves", "100"]
+        outputs = ["--svg", str(tmp_path / "c.svg"), "--csv", str(tmp_path / "c.csv"), "--out", str(tmp_path / "c.json")]
+        code, out, err = run_cli(capsys, *argv, *outputs)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith("cannot chart the x data range [9.966974906159579e-53, 1.7500000000001407e+308]")
+        assert os.listdir(tmp_path) == []
 
 
 def _config_of(form: str, data: str) -> dict:

@@ -65,6 +65,18 @@ class TestExpansionType:
             Expansion("bilaplace", {2: (0, 0, 0, 1)})
         Expansion("bilaplace", {3: (0, 0, 0, 1)})  # degree-0 fourth family exists at k=3
 
+    @pytest.mark.parametrize(
+        "equation, terms, message",
+        [
+            ("laplace", {2: (math.nan, 0)}, "the family 1 weight nan is not finite"),
+            ("laplace", {2: (1, 0), 3: (math.inf, 0)}, "the family 1 weight inf is not finite"),
+            ("bilaplace", {3: (1, 0, 0, -math.inf)}, "the family 4 weight -inf is not finite"),
+        ],
+    )
+    def test_non_finite_weight_raises(self, equation, terms, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Expansion(equation, terms)
+
     def test_bounds(self):
         e = Expansion("laplace", {2: (1, 0), 5: (0, 1)})
         assert e.l_start == 2

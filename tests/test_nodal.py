@@ -651,6 +651,24 @@ class TestAdmissibility:
         assert all(not v.admissible for v in vs)
         assert all(v.rank == 2 for v in vs)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_codimension_grows_with_crack_count(self, seed):
+        # the paper's claim: the codimension of the generating data, the rank of
+        # the slope-value matrix at leading order, grows with the number of cracks
+        # until it fills the families; generic slopes meet no coincidence
+        rng = random.Random(seed)
+        for m in range(1, 6):
+            alphas = set()
+            while len(alphas) < m:
+                alphas.add(Fraction(rng.randint(-300, 300), rng.randint(1, 97)))
+            config = CrackConfig(tuple(sorted(alphas)))
+            for v in check_admissibility_bilaplace(config, (max(m, 3), 12)):
+                assert v.exact and v.rank == min(m, 4)
+                assert v.admissible == (m <= 3)
+                assert len(v.nullspace_basis or ()) == 4 - v.rank
+            if m >= 2:
+                assert all(v.rank == 2 for v in check_admissibility_laplace(config, (m, 12)))
+
     def test_single_crack_on_axis(self):
         v = check_admissibility_laplace(CrackConfig((Fraction(0),)), (1, 1))[0]
         assert v.admissible and v.combo_coefficients == (1, 0)
@@ -810,6 +828,15 @@ class TestCombination:
     def test_absent_family_weight_raises(self, equation, l, coeffs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Combination(equation, l, coeffs)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("family", [1, 2, 4])
+    def test_non_finite_weight_raises(self, family, weight):
+        # .poly takes each float weight as its exact binary value, which NaN and inf lack
+        coeffs = [1, 0, 0, 0]
+        coeffs[family - 1] = weight
+        with pytest.raises(ValueError, match=rf"^the family {family} weight {weight!r} is not finite$"):
+            Combination("bilaplace", 6, coeffs)
 
     def test_zero_weight_on_absent_family_is_accepted(self):
         assert Combination("bilaplace", 2, (1, 0, 0, 0)).poly == quartic_eigenfunction(2, 1).poly
@@ -1073,18 +1100,6 @@ def sturm_inputs(draw):
     return integer_coefficients(p), points
 
 
-def _multiplier_bits(link) -> int:
-    scale, quot, kappa = link
-    return max(abs(x).bit_length() for x in (scale, kappa, *quot))
-
-
-def _fully_linked(coeffs):
-    """The Sturm chain with a link at every element that has two below it."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nodal, "_LINK_BITS_PER_DEGREE", math.inf)
-        return _sturm_chain(coeffs)
-
-
 @functools.lru_cache(maxsize=None)
 def _bilaplace_crack_combination(l: int) -> RatPoly:
     """The order-l bi-Laplace combination that admits the cracks at slopes -1/2 and 2/3."""
@@ -1093,7 +1108,7 @@ def _bilaplace_crack_combination(l: int) -> RatPoly:
 
 
 class TestSturmLinks:
-    """The chain's pseudo-division links against per-element Horner (`pencil_oracles.variations_at`)."""
+    """The Sturm chain: its pseudo-division links, and its exact signs against an a/b Horner (`pencil_oracles.variations_at`)."""
 
     @given(
         st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=12),
@@ -1113,19 +1128,15 @@ class TestSturmLinks:
     @settings(max_examples=150, deadline=None)
     def test_links_and_signs_match_horner(self, case):
         coeffs, points = case
-        chain, linked = _sturm_chain(coeffs), _fully_linked(coeffs)
-        assert linked.polys == chain.polys
+        chain = _sturm_chain(coeffs)
         polys = [RatPoly(q) for q in chain.polys]
-        assert all(link is not None for link in linked.links[:-2]) and linked.links[-2:] == [None, None]
-        for j, link in enumerate(linked.links[:-2]):
-            scale, quot, kappa = link
+        # the identities `_chain_seeds` reads as its continued fraction
+        assert len(chain.identities) == max(len(polys) - 2, 0)
+        for j, (scale, quot, kappa) in enumerate(chain.identities):
             assert polys[j] * scale == RatPoly(quot) * polys[j + 1] + polys[j + 2] * kappa
             assert scale * kappa < 0  # P_{j+2} is a negative multiple of the remainder
-            assert chain.links[j] in (None, link)
         for x in points:
-            expected = variations_at(chain, x)
-            assert _variations_at(chain, x) == expected
-            assert _variations_at(linked, x) == expected
+            assert _variations_at(chain, x) == variations_at(chain, x)
 
     @pytest.mark.parametrize("family", [1, 2])
     @pytest.mark.parametrize("ls", [range(k, k + 14) for k in range(1, 71, 14)], ids=lambda ls: f"l{ls[0]}-{ls[-1]}")
@@ -1143,30 +1154,17 @@ class TestSturmLinks:
         monkeypatch.setattr(nodal, "_variations_at", variations_at)
         assert isolate_real_roots(p) == program
 
-    def test_link_rule(self):
-        # psi_{70,1}'s multipliers stay near 4 bits per degree: every link pays
-        psi = _sturm_chain(integer_coefficients(quadratic_eigenfunction(70, 1).poly))
-        assert len(psi.polys) == 71 and all(link is not None for link in psi.links[:-2])
-        # the bi-Laplace chain's multipliers grow to thousands of bits per
-        # degree, where linking every element was 2.5 to 3.5 times slower
-        coeffs = integer_coefficients(_bilaplace_crack_combination(40))
-        chain, linked = _sturm_chain(coeffs), _fully_linked(coeffs)
-        horner = 0
-        for q, link, full in zip(chain.polys, chain.links[:-2], linked.links):
-            per_degree = _multiplier_bits(full) / (len(q) - 1)
-            if per_degree > 128:
-                assert link is None
-            if per_degree <= 8:
-                assert link is not None
-            horner += link is None
-        assert horner >= 30
-
 
 class TestEnumeration:
     def test_ratio_zero_gives_symmetric_pair(self):
         configs = [c for c in enumerate_admissible(2, 2, [Fraction(0)]) if c.ratio is not None]
         assert len(configs) == 1
         assert configs[0].config.alphas == pytest.approx((-1.0, 1.0), abs=1e-10)
+
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf])
+    def test_non_finite_ratio_raises(self, ratio):
+        with pytest.raises(ValueError, match=rf"^the family 2 weight {ratio!r} is not finite$"):
+            enumerate_admissible(1, 3, [Fraction(1), ratio])
 
     def test_single_crack_linear(self):
         for r in (Fraction(-2), Fraction(1, 3), Fraction(5)):

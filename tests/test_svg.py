@@ -50,3 +50,24 @@ def test_subnormal_span_renders(top):
     # the tick step underflowed: log10(0) or an unbound step raised before
     doc = render_line_chart([("tiny", [(0.0, 0.0), (1.0, top)])])
     assert len(_polylines(doc)) == 1
+
+
+@pytest.mark.parametrize(
+    "pts, axis, data",
+    [
+        ([(0.0, 0.0), (1.7e308, 1.0)], "x", "[0.0, 1.7e+308]"),
+        ([(-1e308, 0.0), (1e308, 1.0)], "x", "[-1e+308, 1e+308]"),
+        ([(0.0, -1e308), (1.0, 1e308)], "y", "[-1e+308, 1e+308]"),
+    ],
+)
+def test_span_past_float_range_rejected(pts, axis, data):
+    # the 5% padding, or the span itself, overflows the float range
+    with pytest.raises(ValueError) as err:
+        render_line_chart([("huge", pts)])
+    assert str(err.value) == f"cannot chart the {axis} data range {data}: its padded span inf is not a positive finite float"
+
+
+def test_constant_axis_below_unit_resolution_rejected():
+    # 1e20 + 1.0 == 1e20: a constant axis there has no unit span to scale by
+    with pytest.raises(ValueError, match=r"the x data range \[1e\+20, 1e\+20\]: its padded span 0.0"):
+        render_line_chart([("flat", [(1e20, 0.0), (1e20, 1.0)])])
