@@ -410,12 +410,11 @@ def _cmd_ode_crackcurves(args) -> int:
         raise ValueError(f"maxcurves must be >= 0, got {args.maxcurves}")
     sol = semilinear.solve_selfsimilar(args.p, args.A, xi_far=args.Xi, xi_min=args.ximin, tol=args.tol)
     ys = _parse_ygrid(args.ygrid)
-    curves = semilinear.crack_curves(sol, args.alpha, args.p, ys)
-    shown = curves[: args.maxcurves]
+    shown = semilinear.crack_curves(sol, args.alpha, args.p, ys, max_curves=args.maxcurves)
     if args.svg and not shown:
         # the chart needs a curve; say why there is none
         cause = (
-            "--maxcurves is 0" if curves else f"the profile has no zero in [ximin, Xi] = [{args.ximin:g}, {args.Xi:g}]"
+            "--maxcurves is 0" if sol.zeros else f"the profile has no zero in [ximin, Xi] = [{args.ximin:g}, {args.Xi:g}]"
         )
         raise ValueError(f"no crack curve to draw in the --svg chart: {cause}")
     body = {

@@ -7,9 +7,16 @@ for Laplace, a float scan in the angle for bi-Laplace).  Exact signs at
 one short dyadic separator between consecutive seeds then certify, when
 they alternate degree-many times, that every root is real and simple and
 isolated by its gap; no Sturm chain is built.  Otherwise, and without
-seeds, p's own Sturm chain over the integers (the remainder sequence of p
+seeds, an even or odd p is split once into p(z) = z^k q(z^2) with
+q(0) != 0; for k <= 1 the Sturm chain of q, of half p's degree, seeds q's
+roots w as p's own chain would seed p's, each w takes one exact Newton
+step on q, and when all deg q of them are positive, +-sqrt(w) (and 0 for
+k = 1) go through the same certificate and refinement on p, whose every
+exact sign is sign(x)^k times that of q at x^2, a Horner of half the
+steps.  Any other p, and any parity p that this does not isolate, builds
+p's own Sturm chain over the integers (the remainder sequence of p
 and p', `polyring._remainder_sequence`, scaled only by positive factors)
-is built once.  When the chain is normal (an element of every degree), its
+once.  When the chain is normal (an element of every degree), its
 identities read as a continued fraction of float ratios seed p's real roots
 themselves (float bisection on the count of negative ratios, then Newton
 on p / p'); when those are deg p seeds, the same certificate of exact
@@ -29,7 +36,8 @@ point p is evaluated at is dyadic, num / 2^shift (a point that is not
 raises), so one Horner with shifts gives every exact sign, and exact
 Newton is that same loop with a slope accumulator, its iterate one
 correctly rounded integer division.  Root counts read the remainder
-sequence of p at infinity.
+sequence at infinity: of q, at 0 and +inf, for an even or odd p, and of p
+otherwise.
 Admissibility of a slope tuple at expansion order l is a nullspace
 question for the matrix of eigenfunction values at the slopes: exact over
 the rationals, SVD-thresholded for floating input.
@@ -45,7 +53,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .linalg import rational_kernel
 from .pencils import Eigenpair, quadratic_eigenfunction, quartic_eigenfunction
@@ -97,6 +105,24 @@ def _dyadic_sign(coeffs: Sequence[int], num: int, shift: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _parity_split(coeffs: list[int]) -> tuple[int, list[int]] | None:
+    """(k, q) with p(z) = z^k q(z^2) and q(0) != 0, or None unless p's nonzero coefficients all sit at degrees of one parity."""
+    k = next(i for i, c in enumerate(coeffs) if c)
+    if any(coeffs[k + 1 :: 2]):
+        return None
+    return k, coeffs[k::2]
+
+
+def _parity_sign(k: int, q: list[int]) -> Callable[[int, int], int]:
+    """Exact signs of p(x) = x^k q(x^2), k <= 1, at x = num / 2^shift: sign(x)^k times that of q at num^2 / 2^(2 shift).
+
+    The Horner with shifts of `_dyadic_sign` on q takes half the steps of one on p.
+    """
+    if k == 0:
+        return lambda num, shift: _dyadic_sign(q, num * num, 2 * shift)
+    return lambda num, shift: _dyadic_sign(q, num * num, 2 * shift) * ((num > 0) - (num < 0))
+
+
 @dataclass(frozen=True)
 class _SturmChain:
     """The Sturm chain of p and its remainder-sequence identities.
@@ -136,13 +162,27 @@ def _variations_at(chain: _SturmChain, point: Fraction) -> tuple[int, int]:
 
 
 def count_real_roots(p: RatPoly) -> int:
-    """Exact number of distinct real roots of p (Sturm's theorem on p's own chain)."""
+    """Exact number of distinct real roots of p, by Sturm's theorem.
+
+    An even or odd p, z^k q(z^2) with q(0) != 0 (`_parity_split`), counts on
+    the chain of q, of half p's degree: its roots are the square roots
+    +-sqrt(w) of q's positive roots w, and 0 when k > 0, so it has
+    2 (V_q(0) - V_q(+inf)) + [k > 0] distinct real roots.  Any other p
+    counts on its own chain over the whole line.
+    """
     if p.is_zero():
         raise ValueError("the zero polynomial has no root count")
     if p.degree == 0:
         return 0
     coeffs = integer_coefficients(p)
-    return _distinct_real_roots(_sturm_chain(coeffs).polys)
+    split = _parity_split(coeffs)
+    if split is None:
+        return _distinct_real_roots(_sturm_chain(coeffs).polys)
+    k, q = split
+    polys = _sturm_chain(q).polys
+    at_zero = _sign_variations((c[0] > 0) - (c[0] < 0) for c in polys)
+    at_plus = _sign_variations(1 if c[-1] > 0 else -1 for c in polys)
+    return 2 * (at_zero - at_plus) + (k > 0)
 
 
 def _distinct_real_roots(polys: list[list[int]]) -> int:
@@ -226,7 +266,9 @@ def _float_seeds(seeds: Iterable) -> list[float] | None:
         return None
 
 
-def _certified_gaps(coeffs: list[int], seeds: Sequence[float]) -> list[tuple[Fraction, Fraction]] | None:
+def _certified_gaps(
+    coeffs: list[int], seeds: Sequence[float], sign: Callable[[int, int], int] | None = None
+) -> list[tuple[Fraction, Fraction]] | None:
     """Isolating intervals of every root of p from one seed per root, or None.
 
     One separator lies in the middle half of each gap between sorted seeds,
@@ -235,8 +277,12 @@ def _certified_gaps(coeffs: list[int], seeds: Sequence[float]) -> list[tuple[Fra
     number of roots; a degree-n p has n roots in all, so each gap holds
     exactly one and it is simple: p is square-free and all its roots are
     real.  Any other outcome (a wrong count, a non-finite seed, separators
-    out of order, a sign that fails to alternate) returns None.
+    out of order, a sign that fails to alternate) returns None.  sign(num,
+    shift) is p's exact sign at num / 2^shift, `_dyadic_sign` on coeffs
+    unless given (`_parity_sign`).
     """
+    if sign is None:
+        sign = functools.partial(_dyadic_sign, coeffs)
     n = len(coeffs) - 1
     if len(seeds) != n or not all(math.isfinite(s) for s in seeds):
         return None
@@ -253,12 +299,12 @@ def _certified_gaps(coeffs: list[int], seeds: Sequence[float]) -> list[tuple[Fra
     seps.append(bound)
     if not all(x < y for x, y in zip(seps, seps[1:])):
         return None
-    sign = _dyadic_sign(coeffs, *_dyadic(seps[0]))
+    last = sign(*_dyadic(seps[0]))
     for x in seps[1:]:
-        nxt = _dyadic_sign(coeffs, *_dyadic(x))
-        if sign == 0 or nxt != -sign:
+        nxt = sign(*_dyadic(x))
+        if last == 0 or nxt != -last:
             return None
-        sign = nxt
+        last = nxt
     return list(zip(seps, seps[1:]))
 
 
@@ -418,9 +464,9 @@ def _certificate_points(r: float, k: int, lo: Fraction, hi: Fraction) -> tuple[i
     return None
 
 
-def _sign_certificate(coeffs: list[int], r: float, left: int, right: int, shift: int) -> float | None:
+def _sign_certificate(sign: Callable[[int, int], int], r: float, left: int, right: int, shift: int) -> float | None:
     """r if p has opposite exact signs at left / 2^shift and right / 2^shift, a zero there, or None."""
-    s_left, s_right = _dyadic_sign(coeffs, left, shift), _dyadic_sign(coeffs, right, shift)
+    s_left, s_right = sign(left, shift), sign(right, shift)
     if s_left * s_right < 0:
         return r
     if s_left == 0:
@@ -451,7 +497,14 @@ def _float(x: Fraction) -> float:
         raise ValueError(f"a real root near 2^{e} lies beyond the float range (|x| < 2^1024)") from None
 
 
-def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, start: float | None = None) -> float:
+def _refine_root(
+    coeffs: list[int],
+    lo: Fraction,
+    hi: Fraction,
+    tol: float,
+    start: float | None = None,
+    sign: Callable[[int, int], int] | None = None,
+) -> float:
     """Refine the one root in an open isolating interval to a float within goal/2 of it.
 
     p has nonzero exact signs at lo and hi.  First the end of (lo, hi)
@@ -471,14 +524,17 @@ def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, star
     max(|r|, 1) the iterate is tried by the certificate.  Newton ends on a
     certificate, on an iterate that is not strictly inside the bracket (it
     has stalled at float resolution) or on a bracket narrower than goal;
-    then the bracket is bisected exactly down to width goal.
+    then the bracket is bisected exactly down to width goal.  Exact signs
+    come from sign, as in `_certified_gaps`; Newton runs on coeffs.
     """
+    if sign is None:
+        sign = functools.partial(_dyadic_sign, coeffs)
     while hi > 16 or lo < -16:
         far = hi if hi > -lo else lo
         cut = far / 16
         if not lo < cut < hi:
             break
-        s_cut, s_far = (_dyadic_sign(coeffs, *_dyadic(x)) for x in (cut, far))
+        s_cut, s_far = (sign(*_dyadic(x)) for x in (cut, far))
         if s_cut == 0:
             return _float(cut)
         if s_cut != s_far:
@@ -488,11 +544,11 @@ def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, star
     k = goal_num.bit_length() - goal_den.bit_length() - 2
     points = None if start is None else _certificate_points(start, k, lo, hi)
     if points is not None:
-        found = _sign_certificate(coeffs, start, *points)
+        found = _sign_certificate(sign, start, *points)
         if found is not None:
             return found
     goal = Fraction(goal_num, goal_den)
-    slo = _dyadic_sign(coeffs, *_dyadic(lo))
+    slo = sign(*_dyadic(lo))
     r = start if start is not None and lo < Fraction(start) < hi else _float((lo + hi) / 2)
     a, b = lo, hi
     dx = dx_old = math.inf
@@ -500,10 +556,10 @@ def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, star
         x = Fraction(r)
         if not a < x < b:
             break
-        sign, step = _exact_newton(coeffs, r)
-        if sign == 0:
+        sx, step = _exact_newton(coeffs, r)
+        if sx == 0:
             return r
-        a, b = (x, b) if sign == slo else (a, x)
+        a, b = (x, b) if sx == slo else (a, x)
         if step is None or not (a <= step <= b and abs(step - r) <= dx_old / 2):
             step = _float((a + b) / 2)
         dx_old, dx = dx, abs(step - r)
@@ -512,12 +568,12 @@ def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, star
             break
         if dx <= _FLOAT_STEP * max(abs(r), 1.0):
             points = _certificate_points(r, k, lo, hi)
-            found = None if points is None else _sign_certificate(coeffs, r, *points)
+            found = None if points is None else _sign_certificate(sign, r, *points)
             if found is not None:
                 return found
     while b - a > goal:
         mid = (a + b) / 2
-        smid = _dyadic_sign(coeffs, *_dyadic(mid))
+        smid = sign(*_dyadic(mid))
         if smid == 0:
             return _float(mid)
         if smid == slo:
@@ -525,6 +581,30 @@ def _refine_root(coeffs: list[int], lo: Fraction, hi: Fraction, tol: float, star
         else:
             b = mid
     return _float((a + b) / 2)
+
+
+def _parity_seeds(k: int, q: list[int]) -> list[float] | None:
+    """One float guess per root of p(z) = z^k q(z^2), deg q >= 1, from the Sturm chain of q, or None.
+
+    q's chain seeds (`_chain_seeds`), at a quarter of the float work of
+    p's, guess its roots w.  When there are deg q of them, each takes one
+    exact Newton step on q, which brings a small w to full relative
+    accuracy; when all are then positive, -sqrt(w) and sqrt(w) guess p's
+    roots, with 0 when k = 1.  None otherwise: a complex or nonpositive w
+    leaves p fewer than deg p real roots.  The guesses carry no guarantee:
+    `_certified_gaps` certifies them on p.
+    """
+    ws = _chain_seeds(_sturm_chain(q))
+    if ws is None or len(ws) != len(q) - 1:
+        return None
+    polished = []
+    for w in ws:
+        step = _exact_newton(q, w)[1]
+        polished.append(w if step is None else step)
+    if min(polished) <= 0:
+        return None
+    roots = [math.sqrt(w) for w in polished]
+    return sorted([-r for r in roots] + [0.0] * k + roots)
 
 
 @dataclass(frozen=True)
@@ -566,9 +646,13 @@ def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | 
     sign per separator between them certify that all roots are real and
     simple (`_certified_gaps`); each root is then refined from its seed.  A
     seed with no finite float value fails the certificate.  When the
-    certificate fails, or without seeds, p's own Sturm chain is built; if it
-    is normal, it seeds p's real roots itself (`_chain_seeds`), and deg p
-    of them go through the same certificate and refinement.  Otherwise the
+    certificate fails, or without seeds, an even or odd p = z^k q(z^2),
+    k <= 1 (`_parity_split`), is seeded from q's chain (`_parity_seeds`),
+    and those seeds go through the same certificate and refinement with
+    p's exact signs taken on q (`_parity_sign`).  Failing that, p's own
+    Sturm chain is built; if it is normal, it seeds p's real roots itself
+    (`_chain_seeds`), and deg p of them go through the same certificate and
+    refinement.  Otherwise the
     chain isolates p's distinct roots by exact bisection (`_isolate`) and
     ends at g_1 = gcd(p, p').  If g_1 is not constant, roots are refined on
     the primitive part of p / g_1, and the tower g_{i+1} = gcd(g_i, g_i'),
@@ -589,6 +673,15 @@ def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | 
     coeffs = integer_coefficients(p)
     seeds = None if seeds is None else _float_seeds(seeds)
     gaps = None if seeds is None else _certified_gaps(coeffs, seeds)
+    split = None if gaps is not None else _parity_split(coeffs)
+    # k >= 2 makes 0 a repeated root, and a constant q a linear p
+    if split is not None and split[0] <= 1 and len(split[1]) > 1:
+        own = _parity_seeds(*split)
+        sign = _parity_sign(*split)
+        gaps = None if own is None else _certified_gaps(coeffs, own, sign)
+        if gaps is not None:
+            roots = tuple(_refine_root(coeffs, lo, hi, tol, s, sign) for (lo, hi), s in zip(gaps, own))
+            return RootSet(p, tuple(gaps), roots, (1,) * len(gaps))
     own = None
     if gaps is None:
         chains = [_sturm_chain(coeffs)]

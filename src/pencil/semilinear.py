@@ -399,15 +399,21 @@ class CrackCurve:
 
 
 def crack_curves(
-    sol: ProfileSolution, alpha: float, p: float, y_grid: Sequence[float]
+    sol: ProfileSolution, alpha: float, p: float, y_grid: Sequence[float], max_curves: int | None = None
 ) -> list[CrackCurve]:
-    """Zero curves x_k(y) = xi_k (-y) |ln(-y)|^beta with beta = alpha (p-1)/2."""
+    """Zero curves x_k(y) = xi_k (-y) |ln(-y)|^beta with beta = alpha (p-1)/2.
+
+    One curve for each of the first max_curves zeros xi_k, or for every
+    zero without it; only those curves' points must be finite floats.
+    """
     if sol.kind != SELFSIMILAR:
         raise ValueError("crack curves are built from a self-similar profile")
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got alpha={alpha!r}")
     if not 1 < p < math.inf:
         raise ValueError(f"the exponent p must be finite and exceed 1, got p={p!r}")
+    if max_curves is not None and max_curves < 0:
+        raise ValueError(f"max_curves must be >= 0, got {max_curves}")
     ys = [float(y) for y in y_grid]
     if any(y >= 0 for y in ys):
         raise ValueError("y grid must be negative")
@@ -416,7 +422,8 @@ def crack_curves(
     beta = alpha * (p - 1) / 2.0
     if not math.isfinite(beta):
         raise ValueError(f"beta = alpha (p-1)/2 is not finite for alpha={alpha!r}, p={p!r}")
-    top = max(sol.zeros, default=0.0)
+    zeros = sol.zeros if max_curves is None else sol.zeros[:max_curves]
+    top = max(zeros, default=0.0)
     weights = []
     for y in ys:
         try:
@@ -432,5 +439,5 @@ def crack_curves(
         weights.append(w)
     return [
         CrackCurve(xi=xi, points=tuple((y, xi * (-y) * w) for y, w in zip(ys, weights)))
-        for xi in sol.zeros
+        for xi in zeros
     ]

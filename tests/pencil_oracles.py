@@ -11,7 +11,10 @@ in a and b per element at the point a/b, where
 `pencil.nodal._variations_at` runs the Horner with shifts of
 `pencil.nodal._dyadic_sign` at a dyadic point.  `exact_newton` is the exact Newton step as a
 reduced Fraction from powers of the denominator, where
-`pencil.nodal._exact_newton` shifts and divides once.
+`pencil.nodal._exact_newton` shifts and divides once.  `sturm_count` is
+the distinct real root count of the classical Sturm sequence of p and p'
+over the rationals on the whole line, where `pencil.nodal.count_real_roots`
+counts an even or odd p on the integer chain of its half-degree part.
 `characteristic_quartic` and `verify_quartic_factorization` prove the
 quartic eigenvalue rule {-l, ..., -l-3} by exact division.  `generic_dp5`
 is the adaptive Dormand-Prince 5(4) pair for any right-hand side and any
@@ -225,6 +228,39 @@ def exact_newton(coeffs: Sequence[int], x: float) -> tuple[int, Fraction | None]
         n_acc = n_acc * a + c * b_pow
         b_pow *= b
     return (n_acc > 0) - (n_acc < 0), (Fraction(a * d_acc - n_acc, b * d_acc) if d_acc else None)
+
+
+def sturm_count(coeffs: Sequence) -> int:
+    """Distinct real roots of the polynomial with these coefficients (lowest first, rational, top nonzero).
+
+    The Sturm sequence p_0 = p, p_1 = p', p_{j+1} = -rem(p_{j-1}, p_j) by
+    Fraction long division, down to the last nonzero remainder; the count is
+    its sign variations at -inf minus those at +inf.
+    """
+    chain = [[Fraction(c) for c in coeffs]]
+    derivative = [k * c for k, c in enumerate(chain[0])][1:]
+    if derivative:
+        chain.append(derivative)
+    while len(chain[-1]) > 1:
+        rem, div = list(chain[-2]), chain[-1]
+        while len(rem) >= len(div):
+            factor = rem[-1] / div[-1]
+            shift = len(rem) - len(div)
+            for j, c in enumerate(div):
+                rem[shift + j] -= factor * c
+            rem.pop()
+            while rem and rem[-1] == 0:
+                rem.pop()
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+
+    def variations(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_plus = [1 if q[-1] > 0 else -1 for q in chain]
+    at_minus = [s if len(q) % 2 else -s for s, q in zip(at_plus, chain)]
+    return variations(at_minus) - variations(at_plus)
 
 
 def characteristic_quartic(l: int) -> RatPoly:

@@ -553,6 +553,19 @@ class TestOde:
         assert code == 0
         assert (tmp_path / "c.csv").read_text().splitlines()[1:] == ["xi,y,x"]
 
+    def test_crackcurves_curve_not_shown_is_not_built(self, capsys):
+        # the 32nd zero's point at y = -1e300 is past the float range and the
+        # first's is not; with every curve built, --maxcurves 1 exited 1 too
+        argv = ["ode", "crackcurves", "--p", "3", "--alpha", "3.3", "--ygrid=-0.5,-1e300", "--json"]
+        code, out, _ = run_cli(capsys, *argv, "--maxcurves", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["total_zero_count"] == 32 and len(payload["curves"]) == 1
+        assert payload["curves"][0]["points"][-1] == [-1e300, 2.3483467088238674e307]
+        code, out, err = run_cli(capsys, *argv, "--maxcurves", "32")
+        assert code == 1 and out == ""
+        assert "not a finite float at y=-1e+300, beta=3.3" in json.loads(err)["message"]
+
     def test_crackcurves_svg_past_float_range_exit_1(self, tmp_path, capsys):
         # the x range reaches 1.75e308, past which the chart's padded span overflows; no output is written
         argv = ["ode", "crackcurves", "--p", "3", "--alpha", "316.0267795602176", "--ygrid=-2,-1e4", "--maxcurves", "100"]

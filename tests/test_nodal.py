@@ -20,6 +20,8 @@ from pencil.nodal import (
     _exact_newton,
     _goal,
     _isolate,
+    _parity_sign,
+    _parity_split,
     _phase_seeds,
     _refine_root,
     _sturm_chain,
@@ -39,7 +41,7 @@ from pencil.polyring import (
     square_free_decomposition,
     square_free_part,
 )
-from pencil_oracles import exact_newton, phase_seeds, variations_at
+from pencil_oracles import exact_newton, phase_seeds, sturm_count, variations_at
 
 
 def poly_from_roots(roots) -> RatPoly:
@@ -577,6 +579,82 @@ class TestChainSeeds:
         assert isolate_real_roots(p, seeds=[-1.4, bad]) == isolate_real_roots(p)
 
 
+@st.composite
+def parity_products(draw):
+    """An even or odd p from pairs of roots +-r and the roots and multiplicities it was built from.
+
+    Each distinct rational r > 0 gives the factor z^2 - r^2.  Optional
+    extras: a root 0 (z, so p is odd), a double root 0 (z^2), a complex
+    pair (z^2 + d, d > 0) and the square of one pair's factor; then a
+    nonzero scale.
+    """
+    pairs = draw(st.lists(st.fractions(min_value=Fraction(1, 9), max_value=30, max_denominator=9), max_size=5, unique=True))
+    zero = draw(st.sampled_from([0, 1, 2, 3]))
+    squared = draw(st.sampled_from([None, *pairs]))
+    complex_pair = draw(st.one_of(st.none(), st.fractions(min_value=Fraction(1, 7), max_value=50, max_denominator=7)))
+    if not pairs and not zero:
+        pairs = [Fraction(1, 2)]
+    p = RatPoly([draw(st.sampled_from([1, -1, Fraction(3, 5), -12]))])
+    roots = {}
+    for r in pairs:
+        m = 2 if r == squared else 1
+        p = p * RatPoly([-r * r, 0, 1]) ** m
+        roots[r] = roots[-r] = m
+    if zero:
+        p = p * RatPoly([0, 1]) ** zero
+        roots[Fraction(0)] = zero
+    if complex_pair is not None:
+        p = p * RatPoly([complex_pair, 0, 1])
+    return p, sorted(roots.items())
+
+
+class TestParitySplit:
+    """An even or odd p = z^k q(z^2) is seeded and counted on its half-degree part q."""
+
+    @given(parity_products())
+    @example((poly_from_roots([-1, 1]), [(-1, 1), (1, 1)]))
+    @example((poly_from_roots([-2, 0, 2]), [(-2, 1), (0, 1), (2, 1)]))
+    @example((poly_from_roots([-1, 1, 0, 0]), [(-1, 1), (0, 2), (1, 1)]))  # k = 2 falls back
+    @example((poly_from_roots([-3, 3]) * RatPoly([2, 0, 1]), [(-3, 1), (3, 1)]))  # a negative w falls back
+    @example((poly_from_roots([Fraction(-1, 2), 0, Fraction(1, 2)]) * RatPoly([-1, 0, 1]) ** 2, [(-1, 2), (Fraction(-1, 2), 1), (0, 1), (Fraction(1, 2), 1), (1, 2)]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_sturm_path(self, case):
+        p, roots = case
+        assert _parity_split(integer_coefficients(p)) is not None
+        rs = isolate_real_roots(p)
+        assert_same_roots(rs, sturm_isolation(p))
+        assert rs.multiplicities == tuple(m for _, m in roots)
+        for got, (want, _) in zip(rs.refined_roots, roots, strict=True):
+            assert abs(got - float(want)) <= 1e-12 * max(abs(float(want)), 1.0)
+        assert count_real_roots(p) == sturm_count(p.coeffs) == len(roots)
+
+    @pytest.mark.parametrize("l", [45, 51, 56, 62, 66, 70])
+    @pytest.mark.parametrize("family", [1, 2])
+    def test_eigenfunctions_build_only_the_half_degree_chain(self, l, family, monkeypatch):
+        # the hot path of unseeded isolation: q's chain seeds, p's never built
+        built = []
+        chain = nodal._sturm_chain
+
+        def spy(coeffs):
+            built.append(len(coeffs) - 1)
+            return chain(coeffs)
+
+        monkeypatch.setattr(nodal, "_sturm_chain", spy)
+        rs = isolate_real_roots(quadratic_eigenfunction(l, family).poly)
+        assert built == [l // 2]
+        assert rs.count == l and rs.multiplicities == (1,) * l
+
+    @pytest.mark.parametrize("l", [20, 45, 70])
+    def test_fallbacks_are_the_generic_path(self, l, monkeypatch):
+        # a complex pair, a square, or both: q seeds no deg p real simple
+        # roots, and the RootSet is the one of p's own chain, bit for bit
+        psi_1, psi_2 = (quadratic_eigenfunction(l, f).poly for f in (1, 2))
+        cases = [psi_1 * RatPoly([1, 0, 1]), psi_1 * psi_1, psi_2 * psi_2 * RatPoly([2, 0, 1])]
+        got = [isolate_real_roots(p) for p in cases]
+        monkeypatch.setattr(nodal, "_parity_split", lambda coeffs: None)
+        assert got == [isolate_real_roots(p) for p in cases]
+
+
 class TestTransversality:
     def test_quartic_harmonic(self):
         pair = quadratic_eigenfunction(4, 1)
@@ -592,8 +670,11 @@ class TestTransversality:
         assert transversality_check(quadratic_eigenfunction(1, 1))
 
     def test_count_matches_degree(self):
+        # psi_{l,f} is even or odd: counted on the chain of its half-degree part
         for l in range(1, 26):
-            assert count_real_roots(quadratic_eigenfunction(l, 1).poly) == l
+            for family in (1, 2):
+                p = quadratic_eigenfunction(l, family).poly
+                assert count_real_roots(p) == sturm_count(p.coeffs) == l
 
     def test_repeated_and_complex_roots_counted_once(self):
         z = RatPoly([0, 1])
@@ -1012,6 +1093,26 @@ class TestCertificateArithmetic:
             expected = (p.eval(x) > 0) - (p.eval(x) < 0)
             # unreduced, and reduced by the conversion every caller makes
             assert _dyadic_sign(coeffs, point, point_shift) == _dyadic_sign(coeffs, *_dyadic(x)) == expected
+
+    @given(
+        st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=8).filter(lambda q: q[0] and q[-1]),
+        st.integers(0, 1),
+        st.integers(-(2**80), 2**80),
+        st.integers(0, 100),
+    )
+    @example([3, -1], 1, -7, 2)  # odd p at a negative point
+    @example([-1, 0, 2], 1, 0, 0)  # odd p at 0: p(0) = 0 although q(0) != 0
+    @example([-1, 0, 2], 0, 0, 5)  # even p at 0
+    @example([5, -(2**40), 1], 1, -(2**80) + 1, 100)  # a long mantissa at a negative point
+    @settings(max_examples=200, deadline=None)
+    def test_parity_sign(self, q, k, num, shift):
+        # p(x) = x^k q(x^2): sign(x)^k times the sign of q at x^2, against p's exact value
+        p = RatPoly([0] * k + [c for a in q for c in (a, 0)][:-1])
+        split = _parity_split(integer_coefficients(p))
+        assert split is not None and split[0] == k
+        x = Fraction(num, 1 << shift)
+        value = p.eval(x)
+        assert _parity_sign(*split)(num, shift) == (value > 0) - (value < 0)
 
     @given(st.fractions(max_denominator=10**6).filter(lambda x: x.denominator & (x.denominator - 1)))
     @settings(max_examples=50, deadline=None)

@@ -688,6 +688,25 @@ class TestCrackCurves:
         with pytest.raises(ValueError, match=re.escape(f"not a finite float at y={y!r}, beta={alpha!r}")):
             crack_curves(oscillatory, alpha, 3.0, [-0.5, y])
 
+    def test_max_curves_builds_the_first_curves(self, oscillatory):
+        ys = [-0.5, -0.1]
+        curves = crack_curves(oscillatory, 1.0, 3.0, ys)
+        assert len(curves) == len(oscillatory.zeros) > 2
+        for n in (0, 2, len(curves), len(curves) + 5):
+            assert crack_curves(oscillatory, 1.0, 3.0, ys, max_curves=n) == curves[:n]
+        # a negative count would slice from the end
+        with pytest.raises(ValueError, match="max_curves must be >= 0, got -1"):
+            crack_curves(oscillatory, 1.0, 3.0, ys, max_curves=-1)
+
+    def test_only_built_points_must_be_finite(self, oscillatory):
+        # at beta = 3.5 the last zero's point at y = -1e300 is past the float
+        # range and the first zero's is not; a curve that is not built cannot fail
+        ys = [-0.5, -1e300]
+        (first,) = crack_curves(oscillatory, 3.5, 3.0, ys, max_curves=1)
+        assert first.xi == oscillatory.zeros[0] and math.isfinite(first.points[-1][1])
+        with pytest.raises(ValueError, match=re.escape("not a finite float at y=-1e+300, beta=3.5")):
+            crack_curves(oscillatory, 3.5, 3.0, ys)
+
     def test_non_finite_beta(self, oscillatory):
         # alpha (p-1) overflows; |ln(-y)| < 1 would turn every weight into 0
         with pytest.raises(ValueError, match="beta = alpha"):
