@@ -2,39 +2,49 @@
 
 A `Combination`, the order-l weighted sum of the family eigenfunctions,
 owns its polynomial and isolates its roots from seeds, one float guess per
-root, taken from the phase form of its own weights (closed-form cotangents
-for Laplace, a float scan in the angle for bi-Laplace).  Exact signs at
-one short dyadic separator between consecutive seeds then certify, when
-they alternate degree-many times, that every root is real and simple and
-isolated by its gap; no Sturm chain is built.  Otherwise, and without
-seeds, an even or odd p is split once into p(z) = z^k q(z^2) with
-q(0) != 0; for k <= 1 the Sturm chain of q, of half p's degree, seeds q's
-roots w as p's own chain would seed p's, each w takes one exact Newton
-step on q, and when all deg q of them are positive, +-sqrt(w) (and 0 for
-k = 1) go through the same certificate and refinement on p, whose every
-exact sign is sign(x)^k times that of q at x^2, a Horner of half the
-steps.  Any other p, and any parity p that this does not isolate, builds
-p's own Sturm chain over the integers (the remainder sequence of p
-and p', `polyring._remainder_sequence`, scaled only by positive factors)
-once.  When the chain is normal (an element of every degree), its
-identities read as a continued fraction of float ratios seed p's real roots
-themselves (float bisection on the count of negative ratios, then Newton
-on p / p'); when those are deg p seeds, the same certificate of exact
-signs accepts or rejects them.  Any other outcome (complex or repeated
-roots, an abnormal chain, a float overflow, a spent evaluation budget, a
-failed certificate) falls back to exact bisection of p's distinct roots
-on the chain from a power-of-two Fujiwara bound, carrying the
-sign-variation count at every interval endpoint, into open intervals
-with nonzero exact signs at both ends; with repeated roots the chain ends
-at gcd(p, p'), whose own chains give the multiplicities.  Every root is
-refined by one seeded exact Newton: from its seed (the caller's, the
-chain's, or those of the square-free part's chain), or from its
-interval's midpoint when there is none, safeguarded by the bracket, and
-certified by exact opposite signs on either side of the result, with
-exact bisection only where that certificate fails.  Every
-point p is evaluated at is dyadic, num / 2^shift (a point that is not
-raises), so one Horner with shifts gives every exact sign, and exact
-Newton is that same loop with a slope accumulator, its iterate one
+real root, taken from the phase form of its own weights (closed-form
+cotangents for Laplace, a float scan in the angle for bi-Laplace).  One
+short dyadic separator between consecutive seeds, and the root bound at
+either end, cut the line into gaps.  One certificate (`_certified_gaps`)
+takes the separators, p's exact sign and an upper bound N on p's real
+roots between the outer separators: alternating nonzero signs put an odd
+number of roots in each gap, so with N gaps each holds exactly one simple
+root, and no Sturm chain is built.  Seeds for every root give N = deg p.
+Seeds that miss a complex pair leave fewer gaps: then the number of sign
+variations V after the Moebius map of a run of consecutive gaps onto
+(0, +inf) bounds the roots in the run from above, with their parity
+(Descartes' rule of signs), and V equal to the run's number of gaps is its
+N; a run that fails splits at its middle separator, and a single gap is
+bisected until every piece has V <= 1.  An even or odd p = z^k q(z^2),
+k <= 1, q(0) != 0 (split once), takes every exact sign as sign(x)^k times
+that of q at x^2, a Horner of half the steps.  Without seeds, or when they
+fail, such a p seeds itself from the Sturm chain of q, of half its degree:
+the chain seeds q's roots w as p's own chain would seed p's, each w takes
+one exact Newton step on q, and the positive ones give +-sqrt(w) (and 0
+for k = 1); when q is square-free, that chain also gives N =
+2 (V_q(0) - V_q(+inf)) + k, p's exact number of real roots, so a pair
++-iy on the imaginary axis (a root -y^2 of q) costs nothing more.  Any
+other p, and any p that this does not isolate, builds p's own Sturm chain
+over the integers (the remainder sequence of p and p',
+`polyring._remainder_sequence`, scaled only by positive factors) once.
+When the chain is normal (an element of every degree), its identities read
+as a continued fraction of float ratios seed p's real roots themselves
+(float bisection on the count of negative ratios, then Newton on p / p');
+when those are deg p seeds, the same certificate with N = deg p accepts or
+rejects them.  Any other outcome (complex or repeated roots, an abnormal
+chain, a float overflow, a spent evaluation budget, a failed certificate)
+falls back to exact bisection of p's distinct roots on the chain from a
+power-of-two Fujiwara bound, carrying the sign-variation count at every
+interval endpoint, into open intervals with nonzero exact signs at both
+ends; with repeated roots the chain ends at gcd(p, p'), whose own chains
+give the multiplicities.  Every root is refined by one seeded exact Newton:
+from its seed (the caller's, q's, the chain's, or those of the square-free
+part's chain), or from its interval's midpoint when there is none,
+safeguarded by the bracket, and certified by exact opposite signs on either
+side of the result, with exact bisection only where that certificate
+fails.  Every point p is evaluated at is dyadic, num / 2^shift (a point
+that is not raises), so one Horner with shifts gives every exact sign, and
+exact Newton is that same loop with a slope accumulator, its iterate one
 correctly rounded integer division.  Root counts read the remainder
 sequence at infinity: of q, at 0 and +inf, for an even or odd p, and of p
 otherwise.
@@ -179,10 +189,14 @@ def count_real_roots(p: RatPoly) -> int:
     if split is None:
         return _distinct_real_roots(_sturm_chain(coeffs).polys)
     k, q = split
-    polys = _sturm_chain(q).polys
+    return 2 * _positive_roots(_sturm_chain(q).polys) + (k > 0)
+
+
+def _positive_roots(polys: list[list[int]]) -> int:
+    """The Sturm count over (0, +inf), V(0) - V(+inf), for a chain whose first element is nonzero at 0."""
     at_zero = _sign_variations((c[0] > 0) - (c[0] < 0) for c in polys)
     at_plus = _sign_variations(1 if c[-1] > 0 else -1 for c in polys)
-    return 2 * (at_zero - at_plus) + (k > 0)
+    return at_zero - at_plus
 
 
 def _distinct_real_roots(polys: list[list[int]]) -> int:
@@ -266,28 +280,15 @@ def _float_seeds(seeds: Iterable) -> list[float] | None:
         return None
 
 
-def _certified_gaps(
-    coeffs: list[int], seeds: Sequence[float], sign: Callable[[int, int], int] | None = None
-) -> list[tuple[Fraction, Fraction]] | None:
-    """Isolating intervals of every root of p from one seed per root, or None.
+def _separators(seeds: Sequence[float], bound: Fraction) -> list[Fraction] | None:
+    """-bound, one short dyadic in the middle half of each gap between sorted seeds, and bound.
 
-    One separator lies in the middle half of each gap between sorted seeds,
-    and -B, B (B the root bound) close the ends.  If p is nonzero at every
-    separator with alternating signs, each of the n gaps holds an odd
-    number of roots; a degree-n p has n roots in all, so each gap holds
-    exactly one and it is simple: p is square-free and all its roots are
-    real.  Any other outcome (a wrong count, a non-finite seed, separators
-    out of order, a sign that fails to alternate) returns None.  sign(num,
-    shift) is p's exact sign at num / 2^shift, `_dyadic_sign` on coeffs
-    unless given (`_parity_sign`).
+    None unless there is a seed, every seed is finite, and the separators
+    are strictly increasing (seeds out of order, or outside (-bound, bound)).
     """
-    if sign is None:
-        sign = functools.partial(_dyadic_sign, coeffs)
-    n = len(coeffs) - 1
-    if len(seeds) != n or not all(math.isfinite(s) for s in seeds):
+    if not seeds or not all(math.isfinite(s) for s in seeds):
         return None
     seeds = sorted(seeds)
-    bound = _root_bound(coeffs)
     seps = [-bound]
     for a, b in zip(seeds, seeds[1:]):
         if not a < b:
@@ -299,6 +300,26 @@ def _certified_gaps(
     seps.append(bound)
     if not all(x < y for x, y in zip(seps, seps[1:])):
         return None
+    return seps
+
+
+def _certified_gaps(
+    seps: Sequence[Fraction], sign: Callable[[int, int], int], count: int
+) -> list[tuple[Fraction, Fraction]] | None:
+    """The gaps between consecutive separators, each certified to hold exactly one simple root of p, or None.
+
+    count is an upper bound on the real roots of p, with multiplicity, in
+    (seps[0], seps[-1]).  If p is nonzero at every separator with
+    alternating signs, each gap holds an odd number of roots, so at least
+    one; when there are count gaps, each holds exactly one and it is
+    simple.  Any other outcome (another number of gaps, a zero or a sign
+    that fails to alternate) returns None.  sign(num, shift) is p's exact
+    sign at num / 2^shift: `_dyadic_sign` on p's coefficients, or
+    `_parity_sign` on its half-degree part.  The count is checked first, so
+    a wrong one costs no sign.
+    """
+    if len(seps) - 1 != count:
+        return None
     last = sign(*_dyadic(seps[0]))
     for x in seps[1:]:
         nxt = sign(*_dyadic(x))
@@ -306,6 +327,89 @@ def _certified_gaps(
             return None
         last = nxt
     return list(zip(seps, seps[1:]))
+
+
+def _descartes_bound(coeffs: list[int], lo: Fraction, hi: Fraction) -> int:
+    """Sign variations of (1 + x)^n p((lo + hi x) / (1 + x)), n = deg p, for dyadic lo < hi.
+
+    The Moebius map takes (0, +inf) onto (lo, hi), so by Descartes' rule of
+    signs the count is at least the number of roots of p in (lo, hi),
+    counted with multiplicity, and of the same parity when neither end is
+    a root (Collins & Akritas, SYMSAC 1976).  In integers over 2^shift:
+    2^(shift n) p((a + y) / 2^shift) by a Taylor shift at a = lo 2^shift,
+    y scaled by d = (hi - lo) 2^shift, the coefficients reversed, and a
+    Taylor shift at 1.
+    """
+    a, s = _dyadic(lo)
+    b, t = _dyadic(hi)
+    shift = max(s, t)
+    a, d = a << (shift - s), (b << (shift - t)) - (a << (shift - s))
+    n = len(coeffs) - 1
+    c = [ck << (shift * (n - k)) for k, ck in enumerate(coeffs)]
+    if a:
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                c[j] += a * c[j + 1]
+    power = 1
+    for k in range(1, n + 1):
+        power *= d
+        c[k] *= power
+    c.reverse()
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += c[j + 1]
+    return _sign_variations((x > 0) - (x < 0) for x in c)
+
+
+# Descartes tests in one seeded isolation past a complex pair before it
+# gives up and the Sturm path isolates instead; the bi-Laplace combinations
+# of the crack sweeps take 3 to 13
+_DESCARTES_TESTS = 64
+
+
+def _descartes_gaps(
+    coeffs: list[int], seps: list[Fraction], sign: Callable[[int, int], int]
+) -> list[tuple[int, Fraction, Fraction]] | None:
+    """(i, lo, hi) for every real root of p, (lo, hi) isolating it within gap i of seps; or None.
+
+    seps separate seeds that miss some of p's roots, most often the two of
+    a complex pair.  A run of consecutive gaps, the whole line first, takes
+    the Descartes bound V of its ends (`_descartes_bound`).  V equal to the
+    run's number of gaps is the count of `_certified_gaps`: alternating
+    signs then leave one simple root in each gap.  Otherwise the run splits
+    at its middle separator.  A single gap goes on only if p has opposite
+    nonzero signs at its ends, so that it holds an odd number of roots and
+    none on its ends; otherwise the separators fail to alternate and the
+    answer is None, as after _DESCARTES_TESTS tests.  The gap, and each
+    piece of it, with V = 0 holds no root and with V = 1 exactly one; with
+    V >= 2 it is bisected, a midpoint that is a root of p moving halfway
+    toward lo as in `_isolate`.
+    """
+    out: list[tuple[int, Fraction, Fraction]] = []
+    # (i, run, piece): the run's first gap is gap i of seps; a piece lies within gap i
+    stack: list[tuple[int, list[Fraction], bool]] = [(0, seps, False)]
+    for _ in range(_DESCARTES_TESTS):
+        if not stack:
+            return out
+        i, run, piece = stack.pop()
+        v = _descartes_bound(coeffs, run[0], run[-1])
+        if v == 0 and piece:
+            continue
+        gaps = _certified_gaps(run, sign, v)
+        if gaps is not None:
+            out += [(i + j, lo, hi) for j, (lo, hi) in enumerate(gaps)]
+        elif len(run) > 2:
+            mid = len(run) // 2
+            stack += [(i + mid, run[mid:], False), (i, run[: mid + 1], False)]
+        elif not piece and sign(*_dyadic(run[0])) * sign(*_dyadic(run[1])) >= 0:
+            return None
+        else:
+            lo, hi = run
+            mid = (lo + hi) / 2
+            while sign(*_dyadic(mid)) == 0:
+                mid = (lo + mid) / 2
+            stack += [(i, [mid, hi], True), (i, [lo, mid], True)]
+    return None if stack else out
 
 
 # continued-fraction evaluations per root before `_chain_seeds` gives up;
@@ -583,28 +687,33 @@ def _refine_root(
     return _float((a + b) / 2)
 
 
-def _parity_seeds(k: int, q: list[int]) -> list[float] | None:
-    """One float guess per root of p(z) = z^k q(z^2), deg q >= 1, from the Sturm chain of q, or None.
+def _parity_seeds(k: int, q: list[int]) -> tuple[list[float], int] | None:
+    """Float guesses of the real roots of p(z) = z^k q(z^2), k <= 1, deg q >= 1, and their exact number, or None.
 
-    q's chain seeds (`_chain_seeds`), at a quarter of the float work of
-    p's, guess its roots w.  When there are deg q of them, each takes one
-    exact Newton step on q, which brings a small w to full relative
-    accuracy; when all are then positive, -sqrt(w) and sqrt(w) guess p's
-    roots, with 0 when k = 1.  None otherwise: a complex or nonpositive w
-    leaves p fewer than deg p real roots.  The guesses carry no guarantee:
-    `_certified_gaps` certifies them on p.
+    Both come from the Sturm chain of q, of half p's degree.  When it ends
+    in a nonzero constant, q is square-free, and with q(0) != 0 so is p:
+    its real roots are the square roots +-sqrt(w) of q's positive roots w,
+    and 0 when k = 1, 2 (V_q(0) - V_q(+inf)) + k of them, all simple.  q's
+    chain seeds (`_chain_seeds`), at a quarter of the float work of p's,
+    guess the w; each takes one exact Newton step on q, which brings a small
+    w to full relative accuracy, and the positive ones give -sqrt(w) and
+    sqrt(w).  A nonpositive w is a pair of roots of p off the real line.
+    None when q has a repeated root or its chain seeds none.  The guesses
+    carry no guarantee: `_certified_gaps` certifies them on p against the
+    count.
     """
-    ws = _chain_seeds(_sturm_chain(q))
-    if ws is None or len(ws) != len(q) - 1:
+    chain = _sturm_chain(q)
+    if len(chain.polys[-1]) != 1:
+        return None
+    ws = _chain_seeds(chain)
+    if ws is None:
         return None
     polished = []
     for w in ws:
         step = _exact_newton(q, w)[1]
         polished.append(w if step is None else step)
-    if min(polished) <= 0:
-        return None
-    roots = [math.sqrt(w) for w in polished]
-    return sorted([-r for r in roots] + [0.0] * k + roots)
+    roots = [math.sqrt(w) for w in polished if w > 0]
+    return sorted([-r for r in roots] + [0.0] * k + roots), 2 * _positive_roots(chain.polys) + k
 
 
 @dataclass(frozen=True)
@@ -617,11 +726,11 @@ class RootSet:
     tol * max(|root|, 1), and within tol/16 * max(|lo|, |hi|, 1), up to the
     rounding to a float, of that root.  Seeded and unseeded isolation of one
     polynomial give the same counts and multiplicities and roots within that
-    bound.  For a p with deg p distinct real roots both usually isolate on
-    seed gaps, but the gaps depend on the seeds, so the intervals may
-    differ; otherwise both take the Sturm path and give the same intervals,
-    and roots that differ only where the caller's seeds, not the chain's,
-    start the refinement.
+    bound, but not always the same intervals: seeds that certify give their
+    own gaps, or pieces of them past a complex pair; an even or odd p
+    without seeds gives the gaps of q's seeds; and the Sturm path gives the
+    intervals of its bisection, with roots that differ only where the
+    caller's seeds, not the chain's, start the refinement.
     """
 
     poly: RatPoly
@@ -642,21 +751,25 @@ def _check_tol(tol: float) -> None:
 def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | None = None) -> RootSet:
     """Isolate and refine every real root of p with exact multiplicities.
 
-    seeds, one guess per root of p, each taken as float(s), let one exact
-    sign per separator between them certify that all roots are real and
-    simple (`_certified_gaps`); each root is then refined from its seed.  A
-    seed with no finite float value fails the certificate.  When the
-    certificate fails, or without seeds, an even or odd p = z^k q(z^2),
-    k <= 1 (`_parity_split`), is seeded from q's chain (`_parity_seeds`),
-    and those seeds go through the same certificate and refinement with
-    p's exact signs taken on q (`_parity_sign`).  Failing that, p's own
-    Sturm chain is built; if it is normal, it seeds p's real roots itself
-    (`_chain_seeds`), and deg p of them go through the same certificate and
-    refinement.  Otherwise the
-    chain isolates p's distinct roots by exact bisection (`_isolate`) and
-    ends at g_1 = gcd(p, p').  If g_1 is not constant, roots are refined on
-    the primitive part of p / g_1, and the tower g_{i+1} = gcd(g_i, g_i'),
-    each the last element of g_i's chain, counts multiplicities: a root of
+    p is split once: an even or odd p = z^k q(z^2), k <= 1 (`_parity_split`),
+    takes every exact sign on q (`_parity_sign`).  seeds, guesses of p's real
+    roots, each taken as float(s), are cut apart by separators
+    (`_separators`).  With deg p of them, one exact sign per separator
+    certifies that all roots are real and simple (`_certified_gaps` with
+    N = deg p).  With deg p - 2j of them, the missing roots being a complex
+    pair or more, Descartes bounds on runs of their gaps certify them
+    instead (`_descartes_gaps`).  Each root is then refined from its seed.
+    A seed with no finite float value fails.  When the seeds fail, or
+    without seeds, an even or odd p with deg q >= 1 is seeded from q's chain
+    (`_parity_seeds`), and those seeds go through the same certificate,
+    with N the real-root count of that chain, and the same refinement.
+    Failing that, p's own Sturm chain is built; if it is normal, it seeds
+    p's real roots itself (`_chain_seeds`), and deg p of them go through
+    the same certificate and refinement.  Otherwise the chain isolates p's
+    distinct roots by exact bisection (`_isolate`) and ends at
+    g_1 = gcd(p, p').  If g_1 is not constant, roots are refined on the
+    primitive part of p / g_1, and the tower g_{i+1} = gcd(g_i, g_i'), each
+    the last element of g_i's chain, counts multiplicities: a root of
     multiplicity m is a root of exactly g_1 ... g_{m-1} (`_root_in`).  Each
     interval's refinement starts from the first of p's chain seeds, the
     caller's seeds and the chain seeds of p / g_1 to hold as many seeds as
@@ -671,26 +784,40 @@ def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | 
     if p.degree == 0:
         return RootSet(p, (), (), ())
     coeffs = integer_coefficients(p)
+    n = len(coeffs) - 1
+    split = _parity_split(coeffs)
+    # k >= 2 makes 0 a repeated root
+    parity = split is not None and split[0] <= 1
+    sign = _parity_sign(*split) if parity else functools.partial(_dyadic_sign, coeffs)
+    bound = _root_bound(coeffs)
     seeds = None if seeds is None else _float_seeds(seeds)
-    gaps = None if seeds is None else _certified_gaps(coeffs, seeds)
-    split = None if gaps is not None else _parity_split(coeffs)
-    # k >= 2 makes 0 a repeated root, and a constant q a linear p
-    if split is not None and split[0] <= 1 and len(split[1]) > 1:
-        own = _parity_seeds(*split)
-        sign = _parity_sign(*split)
-        gaps = None if own is None else _certified_gaps(coeffs, own, sign)
+    seps = None if seeds is None else _separators(seeds, bound)
+    if seps is not None:
+        gaps = _certified_gaps(seps, sign, n)
         if gaps is not None:
-            roots = tuple(_refine_root(coeffs, lo, hi, tol, s, sign) for (lo, hi), s in zip(gaps, own))
-            return RootSet(p, tuple(gaps), roots, (1,) * len(gaps))
-    own = None
-    if gaps is None:
-        chains = [_sturm_chain(coeffs)]
-        own = _chain_seeds(chains[0])
-        gaps = None if own is None else _certified_gaps(coeffs, own)
+            return _refined(p, coeffs, gaps, seeds, tol, sign)
+        if len(seeds) < n and (n - len(seeds)) % 2 == 0:
+            found = _descartes_gaps(coeffs, seps, sign)
+            if found is not None:
+                gaps = [(lo, hi) for _, lo, hi in found]
+                return _refined(p, coeffs, gaps, [seeds[i] for i, _, _ in found], tol, sign)
+    # a constant q makes p linear
+    if parity and len(split[1]) > 1:
+        own = _parity_seeds(*split)
+        if own is not None:
+            own, count = own
+            if count == 0:
+                return RootSet(p, (), (), ())
+            seps = _separators(own, bound)
+            gaps = None if seps is None else _certified_gaps(seps, sign, count)
+            if gaps is not None:
+                return _refined(p, coeffs, gaps, own, tol, sign)
+    chains = [_sturm_chain(coeffs)]
+    own = _chain_seeds(chains[0])
+    seps = None if own is None else _separators(own, bound)
+    gaps = None if seps is None else _certified_gaps(seps, sign, n)
     if gaps is not None:
-        starts = seeds if own is None else own
-        roots = tuple(_refine_root(coeffs, lo, hi, tol, s) for (lo, hi), s in zip(gaps, starts))
-        return RootSet(p, tuple(gaps), roots, (1,) * len(gaps))
+        return _refined(p, coeffs, gaps, own, tol, sign)
     while len(chains[-1].polys[-1]) > 1:
         chains.append(_sturm_chain(chains[-1].polys[-1]))
     chain, *tower = chains
@@ -707,9 +834,23 @@ def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | 
     return RootSet(p, tuple(intervals), roots, mults)
 
 
+def _refined(
+    p: RatPoly,
+    coeffs: list[int],
+    gaps: list[tuple[Fraction, Fraction]],
+    starts: Sequence[float],
+    tol: float,
+    sign: Callable[[int, int], int],
+) -> RootSet:
+    """The RootSet of simple roots isolated by gaps, each refined from its start (`_refine_root`)."""
+    roots = tuple(_refine_root(coeffs, lo, hi, tol, s, sign) for (lo, hi), s in zip(gaps, starts))
+    return RootSet(p, tuple(gaps), roots, (1,) * len(gaps))
+
+
 # phase-scan samples per unit of l: two roots of a bi-Laplace combination
-# closer than pi / (_PHASE_SAMPLES * l) in angle share a bracket, the scan
-# finds fewer seeds than roots, and isolation falls back to the Sturm path
+# closer than pi / (_PHASE_SAMPLES * l) in angle can share a sample interval
+# with no sign change; the scan misses both, and `_descartes_gaps` bisects
+# their seed gap until it finds them, or isolation falls back to the Sturm path
 _PHASE_SAMPLES = 32
 # safeguarded Newton steps per scan bracket, at most: from the bracket's
 # midpoint the error falls about as e -> l e^2 / 2, so four or five steps

@@ -50,7 +50,8 @@ DEFAULT_TOL = 1e-10
 # initial values scanned over s_range, and rows of the uniform output grid in z
 N_SCAN = 25
 N_OUTPUT = 1201
-# self-similar grid rows kept (about 150 B each at peak); the default xi_min = 1e-4 gives 436,155
+# self-similar grid rows and stationary zeros kept (about 150 B a row at
+# peak); the default xi_min = 1e-4 gives 436,155 rows
 MAX_STEPS = 1_000_000
 
 FAR_FIELD_ROOT = {"decay_inverse": -1, "plateau_one": 0}
@@ -190,8 +191,9 @@ def solve_stationary(
     to float resolution, and a shot with |f(z_end) - 1| >= PLATEAU_TOL raises
     NoProfileFoundError before the grid is built.  A decay profile is taken on
     the positive side and its constant c in f ~ c/z is -f_theta(pi/2).  The
-    zeros are the zero phases of W below omega theta_end.  The output grid is
-    uniform in z over [0, z_end], with f_z = f_theta / (1 + z^2).
+    zeros are the zero phases of W below omega theta_end, whose count grows
+    like omega: past MAX_STEPS of them they stop, with `truncated` set.  The
+    output grid is uniform in z over [0, z_end], with f_z = f_theta / (1 + z^2).
     """
     _check_exponent_and_tol(p, tol)
     if symmetry not in ("symmetric", "antisymmetric"):
@@ -247,6 +249,7 @@ def solve_stationary(
     grid = tuple(z_end * i / (N_OUTPUT - 1) for i in range(N_OUTPUT))
     states = [orbit(omega * math.atan(z)) for z in grid]
     n_zeros = max(0, math.ceil((omega * theta_end - first) / (2 * k)))
+    truncated = truncated or n_zeros > MAX_STEPS
     return ProfileSolution(
         kind=STATIONARY,
         p=p,
@@ -256,7 +259,7 @@ def solve_stationary(
         values=tuple(a * w for w, _ in states),
         derivative_values=tuple(a * omega * dw / (1 + z * z) for z, (_, dw) in zip(grid, states)),
         shot_parameter=shot,
-        zeros=tuple(math.tan((first + 2 * k * j) / omega) for j in range(n_zeros)),
+        zeros=tuple(math.tan((first + 2 * k * j) / omega) for j in range(min(n_zeros, MAX_STEPS))),
         asymptotic_constant=-a * omega * dw_end if decay else a * w_end,
         truncated=truncated,
     )

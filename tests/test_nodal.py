@@ -24,6 +24,7 @@ from pencil.nodal import (
     _parity_split,
     _phase_seeds,
     _refine_root,
+    _separators,
     _sturm_chain,
     _variations_at,
     check_admissibility_bilaplace,
@@ -313,7 +314,10 @@ def assert_same_roots(seeded, plain, tol=1e-12):
 
 
 def certified(p, seeds) -> bool:
-    return _certified_gaps(integer_coefficients(p), seeds) is not None
+    """Whether seeds certify p's whole line: one simple root in each of deg p seed gaps."""
+    coeffs = integer_coefficients(p)
+    seps = _separators(seeds, nodal._root_bound(coeffs))
+    return seps is not None and _certified_gaps(seps, functools.partial(_dyadic_sign, coeffs), p.degree) is not None
 
 
 class TestSeededIsolation:
@@ -448,14 +452,27 @@ def chain_seeds(p: RatPoly):
     return nodal._chain_seeds(_sturm_chain(integer_coefficients(p)))
 
 
+def chain_degrees(monkeypatch) -> list:
+    """The degree of every Sturm chain built from here on, in build order."""
+    built = []
+    chain = nodal._sturm_chain
+
+    def spy(coeffs):
+        built.append(len(coeffs) - 1)
+        return chain(coeffs)
+
+    monkeypatch.setattr(nodal, "_sturm_chain", spy)
+    return built
+
+
 def refinement_starts(monkeypatch) -> list:
     """The start of every `_refine_root` call from here on, in call order."""
     starts = []
     refine = nodal._refine_root
 
-    def spy(coeffs, lo, hi, tol, start=None):
+    def spy(coeffs, lo, hi, tol, start=None, sign=None):
         starts.append(start)
-        return refine(coeffs, lo, hi, tol, start)
+        return refine(coeffs, lo, hi, tol, start, sign)
 
     monkeypatch.setattr(nodal, "_refine_root", spy)
     return starts
@@ -491,7 +508,8 @@ class TestChainSeeds:
     @pytest.mark.parametrize(
         "p, roots, mults",
         [
-            (quadratic_eigenfunction(10, 1).poly * RatPoly([1, 0, 1]), _psi_roots(10, 1), (1,) * 10),
+            # z^2 + z + 1 keeps p from being even, which `_parity_seeds` would isolate on q's chain
+            (quadratic_eigenfunction(10, 1).poly * RatPoly([1, 1, 1]), _psi_roots(10, 1), (1,) * 10),
             (poly_from_roots([-2, 1, 1]), [-2.0, 1.0], (1, 2)),
             (poly_from_roots([Fraction(1, 3)] * 3 + [5]) * RatPoly([2, 0, 1]), [1 / 3, 5.0], (3, 1)),
             (quadratic_eigenfunction(12, 2).poly ** 2, _psi_roots(12, 2), (2,) * 12),
@@ -539,9 +557,8 @@ class TestChainSeeds:
 
     @pytest.mark.parametrize("l, family", [(2, 1), (9, 2), (30, 1), (45, 1), (70, 2), (120, 1)])
     def test_eigenfunction_seeds_certify(self, l, family):
-        coeffs = integer_coefficients(quadratic_eigenfunction(l, family).poly)
         seeds = chain_seeds(quadratic_eigenfunction(l, family).poly)
-        assert len(seeds) == l and _certified_gaps(coeffs, seeds) is not None
+        assert len(seeds) == l and certified(quadratic_eigenfunction(l, family).poly, seeds)
 
     @pytest.mark.parametrize(
         "spoil",
@@ -632,27 +649,159 @@ class TestParitySplit:
     @pytest.mark.parametrize("family", [1, 2])
     def test_eigenfunctions_build_only_the_half_degree_chain(self, l, family, monkeypatch):
         # the hot path of unseeded isolation: q's chain seeds, p's never built
-        built = []
-        chain = nodal._sturm_chain
-
-        def spy(coeffs):
-            built.append(len(coeffs) - 1)
-            return chain(coeffs)
-
-        monkeypatch.setattr(nodal, "_sturm_chain", spy)
+        built = chain_degrees(monkeypatch)
         rs = isolate_real_roots(quadratic_eigenfunction(l, family).poly)
         assert built == [l // 2]
         assert rs.count == l and rs.multiplicities == (1,) * l
 
     @pytest.mark.parametrize("l", [20, 45, 70])
     def test_fallbacks_are_the_generic_path(self, l, monkeypatch):
-        # a complex pair, a square, or both: q seeds no deg p real simple
-        # roots, and the RootSet is the one of p's own chain, bit for bit
+        # a square, alone or with a complex pair: q has a repeated root, and
+        # the RootSet is the one of p's own chain, bit for bit
         psi_1, psi_2 = (quadratic_eigenfunction(l, f).poly for f in (1, 2))
-        cases = [psi_1 * RatPoly([1, 0, 1]), psi_1 * psi_1, psi_2 * psi_2 * RatPoly([2, 0, 1])]
+        cases = [psi_1 * psi_1, psi_2 * psi_2 * RatPoly([2, 0, 1])]
         got = [isolate_real_roots(p) for p in cases]
         monkeypatch.setattr(nodal, "_parity_split", lambda coeffs: None)
         assert got == [isolate_real_roots(p) for p in cases]
+
+    @pytest.mark.parametrize("l", [20, 45, 70])
+    def test_complex_pair_on_the_imaginary_axis_counts_on_q(self, l, monkeypatch):
+        # z^2 + 1 is the root w = -1 of q: q's chain counts p's real roots,
+        # and p's own chain of twice the degree is never built
+        p = quadratic_eigenfunction(l, 1).poly * RatPoly([1, 0, 1])
+        if l <= 40:
+            assert_same_roots(isolate_real_roots(p), sturm_isolation(p))
+        built = chain_degrees(monkeypatch)
+        rs = isolate_real_roots(p)
+        assert built == [l // 2 + 1]
+        assert rs.multiplicities == (1,) * l
+        assert rs.refined_roots == pytest.approx(sorted(_psi_roots(l, 1)), rel=1e-12, abs=1e-12)
+        for lo, hi in rs.isolating_intervals:
+            assert lo < hi and p.eval(lo) * p.eval(hi) < 0
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_every_w_negative(self, k, monkeypatch):
+        # q counts no positive root: p's real root is 0 (k = 1) or none, and p's chain is never built
+        p = RatPoly([0] * k + [1]) * RatPoly([1, 0, 1]) * RatPoly([3, 0, 1])
+        built = chain_degrees(monkeypatch)
+        rs = isolate_real_roots(p)
+        assert built == [2] and rs.count == k and rs.refined_roots == (0.0,) * k
+
+
+def descartes_oracle(coeffs, lo: Fraction, hi: Fraction) -> int:
+    """Sign variations of (1 + x)^n p((lo + hi x) / (1 + x)) as the rational sum of c_k (lo + hi x)^k (1 + x)^(n - k)."""
+    n = len(coeffs) - 1
+    total = RatPoly.zero()
+    for k, c in enumerate(coeffs):
+        total = total + RatPoly([lo, hi]) ** k * RatPoly([1, 1]) ** (n - k) * c
+    signs = [(c > 0) - (c < 0) for c in total.coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@st.composite
+def complex_pair_cases(draw):
+    """Distinct rational roots, the seeds of a real-rooted polynomial, and a quadratic (z - c)^2 + e next to them.
+
+    c lies inside a gap between two roots, next to a root, or at one; e = d^2
+    (a complex pair c +- i d) or -d^2 (two more real roots c +- d, which the
+    seeds miss), with d from 1 down to 10^-4.
+    """
+    roots = draw(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=9), min_size=2, max_size=7, unique=True))
+    roots.sort()
+    j = draw(st.integers(0, len(roots) - 2))
+    where = draw(st.sampled_from(["gap", "next", "at"]))
+    if where == "gap":
+        c = roots[j] + (roots[j + 1] - roots[j]) * draw(st.fractions(min_value=Fraction(1, 9), max_value=Fraction(8, 9), max_denominator=9))
+    else:
+        c = roots[j] + (Fraction(1, draw(st.integers(2, 10**4))) if where == "next" else 0)
+    d = Fraction(1, draw(st.integers(1, 10**4)))
+    e = d * d * draw(st.sampled_from([1, -1]))
+    return roots, c, e, draw(st.sampled_from([1, -1, Fraction(3, 5), -12]))
+
+
+class TestDescartesGaps:
+    """Seeds that miss a complex pair: Descartes bounds on runs of seed gaps certify the real roots, or the Sturm path isolates them."""
+
+    @given(
+        st.lists(st.integers(-50, 50), min_size=2, max_size=9).filter(lambda c: c[-1] != 0),
+        st.fractions(min_value=-8, max_value=8, max_denominator=8),
+        st.fractions(min_value=Fraction(1, 8), max_value=16, max_denominator=8),
+    )
+    @example([0, 0, 1], Fraction(0), Fraction(1))  # a double root at an end: only the oracle applies
+    @settings(max_examples=100, deadline=None)
+    def test_descartes_bound(self, coeffs, lo, width):
+        # dyadic ends, in eighths
+        lo = Fraction(math.floor(lo * 8), 8)
+        hi = lo + Fraction(math.ceil(width * 8), 8)
+        v = nodal._descartes_bound(coeffs, lo, hi)
+        assert v == descartes_oracle(coeffs, lo, hi)
+        p = RatPoly(coeffs)
+        if p.eval(lo) and p.eval(hi):
+            # at least the roots inside, with multiplicity, and of their parity
+            plain = sturm_isolation(p)
+            inside = sum(m for r, m in zip(plain.refined_roots, plain.multiplicities) if lo < r < hi)
+            assert v >= inside and (v - inside) % 2 == 0
+
+    @given(complex_pair_cases())
+    @example(([Fraction(-2), Fraction(0), Fraction(1), Fraction(3)], Fraction(-1, 2), Fraction(-1, 64), 1))  # three roots in one gap
+    @example(([Fraction(-2), Fraction(0), Fraction(1), Fraction(3)], Fraction(1, 2), Fraction(1, 10**8), 1))  # a pair close to the line
+    @example(([Fraction(-1), Fraction(1)], Fraction(1), Fraction(-1, 4), 1))  # three roots about a seed
+    @example(([Fraction(-1), Fraction(1)], Fraction(1, 2), Fraction(-1, 4), 1))  # a double root at a seed
+    @example(([Fraction(-3), Fraction(-1), Fraction(1), Fraction(3)], Fraction(0), Fraction(-4), 1))  # roots -2 and 2 on separators
+    @settings(max_examples=80, deadline=None)
+    def test_right_count_or_fallback(self, case):
+        roots, c, e, scale = case
+        p = poly_from_roots(roots) * RatPoly([c * c + e, -2 * c, 1]) * scale
+        seeds = [float(r) for r in roots]
+        coeffs = integer_coefficients(p)
+        sign = functools.partial(_dyadic_sign, coeffs)
+        found = nodal._descartes_gaps(coeffs, _separators(seeds, nodal._root_bound(coeffs)), sign)
+        plain = sturm_isolation(p)
+        if found is not None:
+            # never a wrong count: one simple root in each open interval with opposite exact signs
+            assert len(found) == plain.count == sturm_count(p.coeffs) and plain.multiplicities == (1,) * plain.count
+            for (i, lo, hi), r in zip(found, plain.refined_roots):
+                assert lo < r < hi and p.eval(lo) * p.eval(hi) < 0
+        assert_same_roots(isolate_real_roots(p, seeds=seeds), plain)
+
+    def test_roots_on_separators_fail(self):
+        # seeds -3, -1, 1 and 3 miss the roots -2 and 2, which are separators:
+        # each gap beside them has one root inside and a Descartes bound of 1,
+        # and the two roots on the separators keep the count's parity, so only
+        # their zero signs show that the separators do not alternate
+        p = poly_from_roots([-3, -2, -1, 1, 2, 3])
+        coeffs = integer_coefficients(p)
+        seps = _separators([-3.0, -1.0, 1.0, 3.0], nodal._root_bound(coeffs))
+        assert seps[1:-1] == [-2, 0, 2]
+        assert nodal._descartes_gaps(coeffs, seps, functools.partial(_dyadic_sign, coeffs)) is None
+        assert isolate_real_roots(p, seeds=[-3.0, -1.0, 1.0, 3.0]).refined_roots == (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)
+
+    def test_run_with_two_roots_in_one_gap_and_none_in_the_next(self):
+        # seeds -3, -1, 1 and 3 put separators at -2, 0 and 2; the real roots
+        # -3, -5/2, 1 and 3 leave two in the first gap and none in the second.
+        # Far from the pair 10 +- i the run of these two gaps has Descartes
+        # bound 2, its number of gaps, but its separators fail to alternate
+        roots = [Fraction(-3), Fraction(-5, 2), Fraction(1), Fraction(3)]
+        p = poly_from_roots(roots) * RatPoly([101, -20, 1])
+        coeffs = integer_coefficients(p)
+        seps = _separators([-3.0, -1.0, 1.0, 3.0], nodal._root_bound(coeffs))
+        assert seps[1:-1] == [-2, 0, 2] and nodal._descartes_bound(coeffs, seps[0], seps[2]) == 2
+        assert nodal._descartes_gaps(coeffs, seps, functools.partial(_dyadic_sign, coeffs)) is None
+        rs = isolate_real_roots(p, seeds=[-3.0, -1.0, 1.0, 3.0])
+        assert rs.count == 4 and rs.multiplicities == (1,) * 4
+        assert_same_roots(rs, sturm_isolation(p))
+
+    @pytest.mark.parametrize("alphas", ["-1/2,2/3", "0,1/3", "-2,1"])
+    def test_bilaplace_complex_pairs_match_the_sturm_oracle(self, alphas, monkeypatch):
+        # every combination with a complex pair up to l = 40: the seed gaps
+        # certify past the pair, and count, multiplicities and roots are the
+        # Sturm path's
+        cfg = CrackConfig(tuple(Fraction(a) for a in alphas.split(",")))
+        combos = [Combination("bilaplace", l, v.combo_coefficients) for v in check_admissibility_bilaplace(cfg, (3, 40)) for l in [v.l]]
+        paired = [combo for combo in combos if 0 < count_real_roots(combo.poly) < combo.poly.degree]
+        assert len(paired) >= 5
+        for combo in paired:
+            assert_same_roots(combo.roots(), sturm_isolation(combo.poly), tol=1e-12)
 
 
 class TestTransversality:
@@ -965,6 +1114,21 @@ class TestSeedsMatchTheirPolynomial:
             for v in check_admissibility_laplace(cfg, (cfg.m, 30)):
                 isolated += v.full_zero_set is not None
         assert isolated > 0
+
+    def test_bilaplace_verdicts(self):
+        # past a complex pair the seed gaps certify by Descartes bounds; only
+        # a combination with a repeated root still reaches the Sturm chain
+        repeated = {(("-2", "0", "1"), 4)}  # (z + 2) z (z - 1)^2
+        isolated = 0
+        for alphas in (alphas for pool in ADM_POOL for alphas in pool):
+            cfg = CrackConfig(tuple(Fraction(a) for a in alphas))
+            for l in range(cfg.m, 31):
+                if (alphas, l) in repeated:
+                    with pytest.raises(AssertionError, match="Sturm fallback"):
+                        check_admissibility_bilaplace(cfg, (l, l))
+                else:
+                    isolated += check_admissibility_bilaplace(cfg, (l, l))[0].full_zero_set is not None
+        assert isolated > 300
 
     def test_enumeration(self):
         ratios = [-1.5, -0.3, 0.0, 0.45, Fraction(2, 3), 2]

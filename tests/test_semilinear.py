@@ -421,6 +421,19 @@ class TestStationary:
             tracemalloc.stop()
         assert peak < 5_000_000
 
+    @pytest.mark.parametrize("symmetry", ["symmetric", "antisymmetric"])
+    def test_zeros_stop_at_max_steps(self, symmetry, monkeypatch):
+        # the zeros' count grows like the shot's frequency: past the cap they
+        # stop, the first ones kept, and the solution says it was truncated
+        full = solve_stationary(3.0, symmetry, "plateau_one", s_range=(1e3, 1e4))
+        assert not full.truncated and len(full.zeros) > 8
+        monkeypatch.setattr(semilinear, "MAX_STEPS", len(full.zeros))
+        assert solve_stationary(3.0, symmetry, "plateau_one", s_range=(1e3, 1e4)) == full
+        monkeypatch.setattr(semilinear, "MAX_STEPS", 8)
+        capped = solve_stationary(3.0, symmetry, "plateau_one", s_range=(1e3, 1e4))
+        assert capped.truncated and capped.zeros == full.zeros[:8]
+        assert (capped.grid, capped.values, capped.shot_parameter) == (full.grid, full.values, full.shot_parameter)
+
     @pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_unit_orbit_against_incomplete_beta(self, p, symmetric):
