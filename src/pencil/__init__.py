@@ -65,6 +65,8 @@ from .semilinear import (
     NoProfileFoundError,
     ProfileSolution,
     crack_curves,
+    curves_from_zeros,
+    selfsimilar_zeros,
     solve_selfsimilar,
     solve_stationary,
 )

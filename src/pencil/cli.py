@@ -81,13 +81,18 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return out
 
 
+_SEQUENCES = (list, tuple)
+_FLOAT = {float}
+
+
 def _json_text(value, pad: str) -> str:
     """`value` as json.dumps(value, indent=2, sort_keys=True, default=str)
     writes it when nested at indent `pad`, in one call per container.
 
     The stdlib encoder runs in pure Python once `indent` is set, with several
-    generator frames per value; here a finite float in a list is written
-    inline, and only containers and other scalars recurse.
+    generator frames per value; here a finite float in a list, and a nonempty
+    list or tuple of finite floats in a list (a curve's [y, x] point), are
+    written inline, and only other containers and scalars recurse.
     """
     if isinstance(value, str):
         return _encode_str(value)
@@ -107,7 +112,15 @@ def _json_text(value, pad: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [float.__repr__(x) if type(x) is float and x - x == 0 else _json_text(x, inner) for x in value]
+        open_, sep, close = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
+        items = [
+            float.__repr__(x)
+            if type(x) is float and x - x == 0
+            else open_ + sep.join(map(float.__repr__, x)) + close
+            if type(x) in _SEQUENCES and x and {*map(type, x)} == _FLOAT and all(map(math.isfinite, x))
+            else _json_text(x, inner)
+            for x in value
+        ]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(value, dict):
         if not value:
@@ -408,19 +421,21 @@ def _cmd_ode_selfsimilar(args) -> int:
 def _cmd_ode_crackcurves(args) -> int:
     if args.maxcurves < 0:
         raise ValueError(f"maxcurves must be >= 0, got {args.maxcurves}")
-    sol = semilinear.solve_selfsimilar(args.p, args.A, xi_far=args.Xi, xi_min=args.ximin, tol=args.tol)
+    count, zeros = semilinear.selfsimilar_zeros(
+        args.p, args.A, args.maxcurves, xi_far=args.Xi, xi_min=args.ximin, tol=args.tol
+    )
     ys = _parse_ygrid(args.ygrid)
-    shown = semilinear.crack_curves(sol, args.alpha, args.p, ys, max_curves=args.maxcurves)
+    shown = semilinear.curves_from_zeros(zeros, args.alpha, args.p, ys)
     if args.svg and not shown:
         # the chart needs a curve; say why there is none
         cause = (
-            "--maxcurves is 0" if sol.zeros else f"the profile has no zero in [ximin, Xi] = [{args.ximin:g}, {args.Xi:g}]"
+            "--maxcurves is 0" if count else f"the profile has no zero in [ximin, Xi] = [{args.ximin:g}, {args.Xi:g}]"
         )
         raise ValueError(f"no crack curve to draw in the --svg chart: {cause}")
     body = {
         "beta": args.alpha * (args.p - 1) / 2.0,
-        "curves": [{"xi": c.xi, "points": [[y, x] for y, x in c.points]} for c in shown],
-        "total_zero_count": len(sol.zeros),
+        "curves": [{"xi": c.xi, "points": c.points} for c in shown],
+        "total_zero_count": count,
     }
     chart = ([(f"xi={c.xi:.4g}", [(x, y) for y, x in c.points]) for c in shown], "crack curves", "x", "y")
     table = (["xi", "y", "x"], ((c.xi, y, x) for c in shown for y, x in c.points))

@@ -29,17 +29,18 @@ over the integers (the remainder sequence of p and p',
 `polyring._remainder_sequence`, scaled only by positive factors) once.
 When the chain is normal (an element of every degree), its identities read
 as a continued fraction of float ratios seed p's real roots themselves
-(float bisection on the count of negative ratios, then Newton on p / p');
-when those are deg p seeds, the same certificate with N = deg p accepts or
-rejects them.  Any other outcome (complex or repeated roots, an abnormal
-chain, a float overflow, a spent evaluation budget, a failed certificate)
-falls back to exact bisection of p's distinct roots on the chain from a
-power-of-two Fujiwara bound, carrying the sign-variation count at every
-interval endpoint, into open intervals with nonzero exact signs at both
-ends; with repeated roots the chain ends at gcd(p, p'), whose own chains
-give the multiplicities.  Every root is refined by one seeded exact Newton:
-from its seed (the caller's, q's, the chain's, or those of the square-free
-part's chain), or from its interval's midpoint when there is none,
+(float bisection on the count of negative ratios, then Newton on p / p'),
+and the same certificate, with N the chain's exact count of p's real roots
+(V(-inf) - V(+inf)), accepts or rejects them, past complex pairs too.  Any
+other outcome (repeated roots, an abnormal chain, a float overflow, a spent
+evaluation budget, a failed certificate) falls back to exact bisection of
+p's distinct roots on the chain from a power-of-two Fujiwara bound,
+carrying the sign-variation count at every interval endpoint, into open
+intervals with nonzero exact signs at both ends; with repeated roots the
+chain ends at gcd(p, p'), whose own chains give the multiplicities.
+Every root is refined by one seeded exact Newton: from its seed (the
+caller's, q's, the chain's, or those of the square-free part's chain), or
+from its interval's midpoint when there is none,
 safeguarded by the bracket, and certified by exact opposite signs on either
 side of the result, with exact bisection only where that certificate
 fails.  Every point p is evaluated at is dyadic, num / 2^shift (a point
@@ -727,10 +728,11 @@ class RootSet:
     rounding to a float, of that root.  Seeded and unseeded isolation of one
     polynomial give the same counts and multiplicities and roots within that
     bound, but not always the same intervals: seeds that certify give their
-    own gaps, or pieces of them past a complex pair; an even or odd p
-    without seeds gives the gaps of q's seeds; and the Sturm path gives the
-    intervals of its bisection, with roots that differ only where the
-    caller's seeds, not the chain's, start the refinement.
+    own gaps, or pieces of them past a complex pair; without seeds, an even
+    or odd p gives the gaps of q's seeds, and another p with a normal chain
+    the gaps of its chain's seeds, complex pairs or not; and the Sturm path
+    gives the intervals of its bisection, with roots that differ only where
+    the caller's seeds, not the chain's, start the refinement.
     """
 
     poly: RatPoly
@@ -764,9 +766,10 @@ def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | 
     (`_parity_seeds`), and those seeds go through the same certificate,
     with N the real-root count of that chain, and the same refinement.
     Failing that, p's own Sturm chain is built; if it is normal, it seeds
-    p's real roots itself (`_chain_seeds`), and deg p of them go through
-    the same certificate and refinement.  Otherwise the chain isolates p's
-    distinct roots by exact bisection (`_isolate`) and ends at
+    p's real roots itself (`_chain_seeds`), and they go through the same
+    certificate, with N the chain's real-root count, and the same
+    refinement.  Otherwise the chain isolates p's distinct roots by exact
+    bisection (`_isolate`) and ends at
     g_1 = gcd(p, p').  If g_1 is not constant, roots are refined on the
     primitive part of p / g_1, and the tower g_{i+1} = gcd(g_i, g_i'), each
     the last element of g_i's chain, counts multiplicities: a root of
@@ -815,7 +818,8 @@ def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | 
     chains = [_sturm_chain(coeffs)]
     own = _chain_seeds(chains[0])
     seps = None if own is None else _separators(own, bound)
-    gaps = None if seps is None else _certified_gaps(seps, sign, n)
+    # a normal chain makes p square-free, so its count of distinct real roots is N
+    gaps = None if seps is None else _certified_gaps(seps, sign, _distinct_real_roots(chains[0].polys))
     if gaps is not None:
         return _refined(p, coeffs, gaps, own, tol, sign)
     while len(chains[-1].polys[-1]) > 1:

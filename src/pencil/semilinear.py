@@ -23,7 +23,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .ode import integrate
 
@@ -37,7 +37,9 @@ __all__ = [
     "FAR_FIELD_ROOT",
     "solve_stationary",
     "solve_selfsimilar",
+    "selfsimilar_zeros",
     "crack_curves",
+    "curves_from_zeros",
 ]
 
 STATIONARY = "stationary"
@@ -265,25 +267,27 @@ def solve_stationary(
     )
 
 
-def solve_selfsimilar(
-    p: float,
-    amplitude: float,
-    xi_far: float = DEFAULT_XI_FAR,
-    xi_min: float = DEFAULT_XI_MIN,
-    tol: float = DEFAULT_TOL,
-) -> ProfileSolution:
-    """Self-similar profile on [xi_min, xi_far] from its far-field decay, with
-    one unit orbit per solve.
+class _SelfSimilarOrbit(NamedTuple):
+    """A nonzero self-similar profile g(t) = a V(phi0 + omega (t - t0)) in t = 1/xi."""
 
-    In t = 1/xi the profile is an orbit of the oscillator, started on the 1/xi
-    branch at t0 = 1/xi_far with g = A t0, g' = A.  So it is a scaled,
-    phase-shifted copy of the antisymmetric unit orbit V (see `_unit_orbit`):
-    g(t) = a V(phi0 + omega (t - t0)) with omega = |a|^((p-1)/2), the signed
-    amplitude a fixed by the energy, |a|^(p+1) = (p+1) A^2/2 + |A t0|^(p+1),
-    and the start phase phi0 in [0, K) by V(phi0) = A t0 / a.  The zeros are
-    t0 + (2 j K - phi0) / omega, j >= 1, in closed form, and the grid is the
-    quarter's nodes reflected onto every quarter out to t = 1/xi_min.  Past
-    MAX_STEPS grid rows the grid and the zeros stop, with `truncated` set.
+    k: float
+    orbit: Callable[[float], tuple[float, float]]
+    truncated: bool
+    a: float
+    omega: float
+    phi0: float
+    t0: float
+    t_stop: float
+
+
+def _selfsimilar_orbit(
+    p: float, amplitude: float, xi_far: float, xi_min: float, tol: float
+) -> _SelfSimilarOrbit | None:
+    """The head of every self-similar solve: the inputs checked, then the
+    profile's orbit, or None for A = 0.
+
+    t_stop is 1/xi_min, clipped to the part of the quarter integrated when
+    the unit orbit's quarter is `truncated`.
     """
     _check_exponent_and_tol(p, tol)
     if not math.isfinite(amplitude):
@@ -291,20 +295,7 @@ def solve_selfsimilar(
     if not (math.inf > xi_far > xi_min > 0):
         raise ValueError("need xi_far > xi_min > 0, both finite")
     if amplitude == 0.0:
-        grid = (xi_min, xi_far)
-        return ProfileSolution(
-            kind=SELFSIMILAR,
-            p=p,
-            symmetry="none",
-            far_condition="decay_inverse",
-            grid=grid,
-            values=(0.0, 0.0),
-            derivative_values=(0.0, 0.0),
-            shot_parameter=0.0,
-            zeros=(),
-            asymptotic_constant=0.0,
-            truncated=False,
-        )
+        return None
     t0, t_stop = 1.0 / xi_far, 1.0 / xi_min
     k, orbit, truncated = _unit_orbit(p, False, tol)
     try:
@@ -324,9 +315,59 @@ def solve_selfsimilar(
         )
     ratio = amplitude / a
     phi0 = _start_phase(p, orbit.quarter, min(ratio * t0, 1.0), ratio / omega)
-    us, ws = orbit.quarter.ts, orbit.quarter.ys
     if truncated:  # the quarter stops short of K: keep to the part integrated
-        t_stop = min(t_stop, t0 + (us[-1] - phi0) / omega)
+        t_stop = min(t_stop, t0 + (orbit.quarter.ts[-1] - phi0) / omega)
+    return _SelfSimilarOrbit(k, orbit, truncated, a, omega, phi0, t0, t_stop)
+
+
+def _zeros(o: _SelfSimilarOrbit, t_last: float, first: int | None) -> tuple[int, tuple[float, ...]]:
+    """The number of zeros t0 + (2 j K - phi0) / omega, j >= 1, up to t_last,
+    and xi of the first `first` of them in ascending xi (all without it),
+    j = count, count - 1, ...; OverflowError when the count is not finite."""
+    count = math.floor((o.omega * (t_last - o.t0) + o.phi0) / (2 * o.k))
+    last = 0 if first is None else max(count - first, 0)
+    return count, tuple(1.0 / (o.t0 + (2 * o.k * j - o.phi0) / o.omega) for j in range(count, last, -1))
+
+
+def solve_selfsimilar(
+    p: float,
+    amplitude: float,
+    xi_far: float = DEFAULT_XI_FAR,
+    xi_min: float = DEFAULT_XI_MIN,
+    tol: float = DEFAULT_TOL,
+) -> ProfileSolution:
+    """Self-similar profile on [xi_min, xi_far] from its far-field decay, with
+    one unit orbit per solve.
+
+    In t = 1/xi the profile is an orbit of the oscillator, started on the 1/xi
+    branch at t0 = 1/xi_far with g = A t0, g' = A.  So it is a scaled,
+    phase-shifted copy of the antisymmetric unit orbit V (see `_unit_orbit`):
+    g(t) = a V(phi0 + omega (t - t0)) with omega = |a|^((p-1)/2), the signed
+    amplitude a fixed by the energy, |a|^(p+1) = (p+1) A^2/2 + |A t0|^(p+1),
+    and the start phase phi0 in [0, K) by V(phi0) = A t0 / a.  The zeros are
+    t0 + (2 j K - phi0) / omega, j >= 1, in closed form, and the grid is the
+    quarter's nodes reflected onto every quarter out to t = 1/xi_min.  Past
+    MAX_STEPS grid rows the grid and the zeros stop, with `truncated` set;
+    `selfsimilar_zeros` counts the zeros without the rows.
+    """
+    o = _selfsimilar_orbit(p, amplitude, xi_far, xi_min, tol)
+    if o is None:
+        grid = (xi_min, xi_far)
+        return ProfileSolution(
+            kind=SELFSIMILAR,
+            p=p,
+            symmetry="none",
+            far_condition="decay_inverse",
+            grid=grid,
+            values=(0.0, 0.0),
+            derivative_values=(0.0, 0.0),
+            shot_parameter=0.0,
+            zeros=(),
+            asymptotic_constant=0.0,
+            truncated=False,
+        )
+    k, orbit, truncated, a, omega, phi0, t0, t_stop = o
+    us, ws = orbit.quarter.ts, orbit.quarter.ys
 
     # each quarter runs over n nodes, excluding its end, the next one's start
     n = len(us) - 1
@@ -371,13 +412,13 @@ def solve_selfsimilar(
         values.append(a * w)
         derivatives.append(-t_stop * t_stop * a * omega * dw)
         t_last = t_stop
-    n_zeros = math.floor((omega * (t_last - t0) + phi0) / (2 * k))
-    zeros = tuple(1.0 / (t0 + (2 * k * j - phi0) / omega) for j in range(n_zeros, 0, -1))
 
     grid.reverse()
     values.reverse()
     derivatives.reverse()
-    tail = [x * f for x, f in zip(grid, values) if x >= xi_far / 2]
+    # the grid ascends, so the rows with xi >= xi_far / 2 are a suffix
+    far = bisect_left(grid, xi_far / 2)
+    tail = [x * f for x, f in zip(grid[far:], values[far:])]
     return ProfileSolution(
         kind=SELFSIMILAR,
         p=p,
@@ -387,10 +428,46 @@ def solve_selfsimilar(
         values=tuple(values),
         derivative_values=tuple(derivatives),
         shot_parameter=amplitude,
-        zeros=zeros,
+        zeros=_zeros(o, t_last, None)[1],
         asymptotic_constant=sum(tail) / len(tail),
         truncated=truncated,
     )
+
+
+def selfsimilar_zeros(
+    p: float,
+    amplitude: float,
+    first: int,
+    xi_far: float = DEFAULT_XI_FAR,
+    xi_min: float = DEFAULT_XI_MIN,
+    tol: float = DEFAULT_TOL,
+) -> tuple[int, tuple[float, ...]]:
+    """The number of zeros of the self-similar profile on [xi_min, xi_far],
+    and the first `first` of them in ascending xi, with no grid row built.
+
+    The zeros are bit for bit those of `solve_selfsimilar` wherever its grid
+    is not truncated; the count is the closed form's at any xi_min, and the
+    work is O(first).  The inputs are checked as `solve_selfsimilar` checks
+    them.  A negative `first` raises ValueError, and so does an xi_min
+    so small that the zeros returned are not distinct floats: near t = 1/xi_min
+    the half period 2 K / omega falls below the float resolution of t.
+    """
+    if first < 0:
+        raise ValueError(f"first must be >= 0, got {first}")
+    o = _selfsimilar_orbit(p, amplitude, xi_far, xi_min, tol)
+    if o is None:
+        return 0, ()
+    too_small = (
+        f"xi_min={xi_min!r} is too small for p={p!r}, A={amplitude!r}: the profile's zeros near it"
+        " are not distinct floats"
+    )
+    try:
+        count, zeros = _zeros(o, o.t_stop, first)
+    except OverflowError:  # t = 1/xi_min, or the phase there, is infinite
+        raise ValueError(too_small) from None
+    if len(set(zeros)) < len(zeros):
+        raise ValueError(too_small)
+    return count, zeros
 
 
 @dataclass(frozen=True)
@@ -404,19 +481,22 @@ class CrackCurve:
 def crack_curves(
     sol: ProfileSolution, alpha: float, p: float, y_grid: Sequence[float], max_curves: int | None = None
 ) -> list[CrackCurve]:
-    """Zero curves x_k(y) = xi_k (-y) |ln(-y)|^beta with beta = alpha (p-1)/2.
-
-    One curve for each of the first max_curves zeros xi_k, or for every
-    zero without it; only those curves' points must be finite floats.
-    """
+    """Zero curves of a self-similar profile: `curves_from_zeros` on its
+    first max_curves zeros, or on every zero without it."""
     if sol.kind != SELFSIMILAR:
         raise ValueError("crack curves are built from a self-similar profile")
+    if max_curves is not None and max_curves < 0:
+        raise ValueError(f"max_curves must be >= 0, got {max_curves}")
+    return curves_from_zeros(sol.zeros if max_curves is None else sol.zeros[:max_curves], alpha, p, y_grid)
+
+
+def curves_from_zeros(zeros: Sequence[float], alpha: float, p: float, y_grid: Sequence[float]) -> list[CrackCurve]:
+    """Zero curves x_k(y) = xi_k (-y) |ln(-y)|^beta with beta = alpha (p-1)/2,
+    one for each profile zero xi_k; their points must be finite floats."""
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got alpha={alpha!r}")
     if not 1 < p < math.inf:
         raise ValueError(f"the exponent p must be finite and exceed 1, got p={p!r}")
-    if max_curves is not None and max_curves < 0:
-        raise ValueError(f"max_curves must be >= 0, got {max_curves}")
     ys = [float(y) for y in y_grid]
     if any(y >= 0 for y in ys):
         raise ValueError("y grid must be negative")
@@ -425,7 +505,6 @@ def crack_curves(
     beta = alpha * (p - 1) / 2.0
     if not math.isfinite(beta):
         raise ValueError(f"beta = alpha (p-1)/2 is not finite for alpha={alpha!r}, p={p!r}")
-    zeros = sol.zeros if max_curves is None else sol.zeros[:max_curves]
     top = max(zeros, default=0.0)
     weights = []
     for y in ys:

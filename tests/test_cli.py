@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -565,6 +566,36 @@ class TestOde:
         code, out, err = run_cli(capsys, *argv, "--maxcurves", "32")
         assert code == 1 and out == ""
         assert "not a finite float at y=-1e+300, beta=3.3" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("ximin, count", [("1e-5", 32_070), ("1e-6", 320_700)])
+    def test_crackcurves_count_every_zero_past_the_grid_budget(self, capsys, ximin, count):
+        # the profile's grid stops at MAX_STEPS rows near xi = 4.4e-5, and the
+        # command counted 7,352 zeros and drew its curves from there; only the
+        # zeros shown are built now, and only those take memory
+        argv = ["ode", "crackcurves", "--p", "3", "--A", "1", "--alpha", "1", "--ximin", ximin]
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, *argv, "--ygrid=-0.5:-1e-4:log:40", "--json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 2_000_000
+        payload = json.loads(out)
+        assert payload["total_zero_count"] == count and len(payload["curves"]) == 12
+        assert payload["curves"][0]["xi"] == pytest.approx(1.000003 * float(ximin), rel=1e-7)
+
+    def test_crackcurves_zeros_that_are_not_distinct_floats_exit_1(self, capsys):
+        # near xi = 1e-17 the half period in t = 1/xi is below the float
+        # spacing of t: the shown curves would coincide
+        code, out, err = run_cli(
+            capsys, "ode", "crackcurves", "--p", "3", "--alpha", "1", "--ygrid", "-0.5:-1e-4:log:5", "--ximin", "1e-17",
+        )
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"] == (
+            "xi_min=1e-17 is too small for p=3.0, A=1.0: the profile's zeros near it are not distinct floats"
+        )
 
     def test_crackcurves_svg_past_float_range_exit_1(self, tmp_path, capsys):
         # the x range reaches 1.75e308, past which the chart's padded span overflows; no output is written

@@ -478,6 +478,22 @@ def refinement_starts(monkeypatch) -> list:
     return starts
 
 
+def assert_certified_on_chain_seeds(p: RatPoly, count: int) -> nodal.RootSet:
+    """Unseeded isolation of a square-free p with count real roots takes its chain seeds' gaps and matches the Sturm path."""
+    seeds = chain_seeds(p)
+    assert seeds is not None and len(seeds) == count < p.degree
+    coeffs = integer_coefficients(p)
+    seps = _separators(seeds, nodal._root_bound(coeffs))
+    with pytest.MonkeyPatch.context() as mp:
+        starts = refinement_starts(mp)
+        mp.setattr(nodal, "_isolate", lambda chain: pytest.fail("bisected on the Sturm path"))
+        rs = isolate_real_roots(p)
+    assert rs.isolating_intervals == tuple(zip(seps, seps[1:]))
+    assert starts == seeds and rs.multiplicities == (1,) * count
+    assert_same_roots(rs, sturm_isolation(p))
+    return rs
+
+
 class TestChainSeeds:
     """Unseeded isolation seeds itself from p's Sturm chain read as a float continued fraction."""
 
@@ -509,16 +525,15 @@ class TestChainSeeds:
         "p, roots, mults",
         [
             # z^2 + z + 1 keeps p from being even, which `_parity_seeds` would isolate on q's chain
-            (quadratic_eigenfunction(10, 1).poly * RatPoly([1, 1, 1]), _psi_roots(10, 1), (1,) * 10),
+            (quadratic_eigenfunction(10, 1).poly ** 2 * RatPoly([1, 1, 1]), _psi_roots(10, 1), (2,) * 10),
             (poly_from_roots([-2, 1, 1]), [-2.0, 1.0], (1, 2)),
             (poly_from_roots([Fraction(1, 3)] * 3 + [5]) * RatPoly([2, 0, 1]), [1 / 3, 5.0], (3, 1)),
             (quadratic_eigenfunction(12, 2).poly ** 2, _psi_roots(12, 2), (2,) * 12),
         ],
     )
     def test_complex_or_repeated_roots_take_the_sturm_path(self, p, roots, mults, monkeypatch):
-        # a complex pair leaves p's chain normal, and it seeds p's real roots;
-        # a repeated root ends the chain early, and the chain of the
-        # square-free part seeds them instead
+        # a repeated root ends the chain early, with a complex pair or not,
+        # and the chain of the square-free part seeds the real roots
         seeds = chain_seeds(p)
         square_free = mults == (1,) * len(mults)
         assert (seeds is not None) == square_free
@@ -531,6 +546,29 @@ class TestChainSeeds:
         assert_same_roots(rs, plain)
         assert rs.multiplicities == mults and count_real_roots(p) == len(roots)
         assert rs.refined_roots == pytest.approx(sorted(roots), rel=1e-12, abs=1e-12)
+
+    # c != 0 keeps p from being even or odd
+    @given(
+        real_rooted_products(),
+        st.fractions(-40, 40, max_denominator=12).filter(bool),
+        st.fractions(Fraction(1, 10**4), 9),
+    )
+    # a pair close to the line
+    @example(([Fraction(-2), Fraction(0), Fraction(1), Fraction(3)], 1), Fraction(1, 2), Fraction(1, 10**4))
+    @settings(max_examples=40, deadline=None)
+    def test_complex_pair_certifies_on_the_chain_count(self, case, c, d):
+        # (z - c)^2 + d^2 keeps p's chain normal; its seeds, one per real root,
+        # certify against the chain's own count of real roots, not deg p
+        roots, scale = case
+        p = poly_from_roots(roots) * RatPoly([c * c + d * d, -2 * c, 1]) * scale
+        assert_certified_on_chain_seeds(p, len(roots))
+
+    @pytest.mark.parametrize("l", [10, 20, 45])
+    def test_eigenfunction_times_a_complex_pair_certifies(self, l):
+        # the case the Sturm path bisected before: psi_{l,1} (z^2 + z + 1)
+        p = quadratic_eigenfunction(l, 1).poly * RatPoly([1, 1, 1])
+        rs = assert_certified_on_chain_seeds(p, l)
+        assert rs.refined_roots == pytest.approx(sorted(_psi_roots(l, 1)), rel=1e-12, abs=1e-12)
 
     def test_abnormal_chain_refines_from_the_midpoint(self, monkeypatch):
         # the first square-free z^5 + a z^2 + b z + c with three real roots

@@ -73,6 +73,8 @@ class TestJson:
             {True: 1, False: 0},
             {None: [1.0, -0.0]},
             {"nested": [[1.0, [2.5, {"k": [math.nan]}]], (3, 4.0)]},
+            # float pairs inside a list are written inline unless an item is not a finite float
+            [[1.0, -0.0], (2.5, 1e308), [math.nan, 1.0], [1.0, 1], [True, 1.0], [[]], [5e-324], ((0.5, 0.25),)],
             5e-324,
             "top-level string",
             Fraction(3, 4),
@@ -131,6 +133,11 @@ _GOLDEN = [
             id=f"crackcurves-p{p}-A{a}-alpha{alpha}",
         )
         for p, a, alpha in _CURVES
+    ),
+    pytest.param(
+        ["ode", "crackcurves", "--p", "3", "--A", "1", "--alpha", "1", "--ximin", "1e-4", "--ygrid", "-0.5:-1e-4:log:40"],
+        ("out", "csv", "svg"),
+        id="crackcurves-ximin-1e-4",
     ),
     pytest.param(["ode", "stationary", "--p", "3"], ("out", "csv", "svg"), id="stationary"),
     pytest.param(

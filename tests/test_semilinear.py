@@ -28,6 +28,7 @@ from pencil.semilinear import (
     FAR_FIELD_ROOT,
     NoProfileFoundError,
     crack_curves,
+    selfsimilar_zeros,
     solve_selfsimilar,
     solve_stationary,
 )
@@ -503,6 +504,27 @@ class TestStationary:
         assert sol.shot_parameter == pytest.approx(1.1803405990, rel=1e-9)
 
 
+def _beta_phase_zeros(p: float, amplitude: float, xi_far: float, xi_min: float, first: int | None = None) -> list[float]:
+    """The profile's zeros on [xi_min, xi_far] in ascending xi, the first `first` of them or all, from its phase.
+
+    In t = 1/xi the profile is an orbit of amplitude a, with
+    a^(p+1) = (p+1) A^2/2 + |A t0|^(p+1); it rises from 0 to y a in
+    K I_{y^(p+1)}(1/(p+1), 1/2) / omega, omega = a^((p-1)/2), so its last zero
+    before t0 = 1/xi_far lies that long before t0, and zeros follow every
+    half period 2 K / omega.
+    """
+    with mpmath.workdps(30):
+        q, amp, t0 = 1 / (mpmath.mpf(p) + 1), mpmath.mpf(amplitude), 1 / mpmath.mpf(xi_far)
+        a = (amp**2 / (2 * q) + abs(amp * t0) ** (p + 1)) ** q
+        omega = a ** ((p - 1) / 2)
+        k = mpmath.sqrt(1 / (2 * q)) * mpmath.beta(q, 0.5) * q
+        rise = k * mpmath.betainc(q, 0.5, 0, (abs(amp * t0) / a) ** (p + 1), regularized=True) / omega
+        t_zero, half = t0 - rise, 2 * k / omega
+        count = int(mpmath.floor((1 / mpmath.mpf(xi_min) - t_zero) / half))
+        last = 0 if first is None else max(count - first, 0)
+        return [float(1 / (t_zero + j * half)) for j in range(count, last, -1)]
+
+
 class TestSelfSimilar:
     def test_oscillation_and_zero_count(self, oscillatory):
         sol = oscillatory
@@ -521,6 +543,7 @@ class TestSelfSimilar:
         sol = solve_selfsimilar(3.0, 0.0)
         assert sol.zeros == ()
         assert all(v == 0.0 for v in sol.values)
+        assert selfsimilar_zeros(3.0, 0.0, 5) == (0, ())
 
     def test_underflowing_amplitude(self):
         # |A|^(2/(p+1)) is taken out of the orbit energy, so it does not underflow;
@@ -593,25 +616,51 @@ class TestSelfSimilar:
         + [(3.0, 1e6, 50.0, 27)],
     )
     def test_zeros_against_incomplete_beta_phase(self, p, amplitude, xi_min, count):
-        # in t = 1/xi the profile is an orbit of amplitude a, with
-        # a^(p+1) = (p+1) A^2/2 + |A t0|^(p+1); it rises from 0 to y a in
-        # K I_{y^(p+1)}(1/(p+1), 1/2) / omega, omega = a^((p-1)/2), so its last zero
-        # before t0 = 1/xi_far lies that long before t0, and zeros follow every
-        # half period 2 K / omega
-        xi_far = 100.0
-        with mpmath.workdps(30):
-            q, amp, t0 = 1 / (mpmath.mpf(p) + 1), mpmath.mpf(amplitude), 1 / mpmath.mpf(xi_far)
-            a = (amp**2 / (2 * q) + abs(amp * t0) ** (p + 1)) ** q
-            omega = a ** ((p - 1) / 2)
-            k = mpmath.sqrt(1 / (2 * q)) * mpmath.beta(q, 0.5) * q
-            rise = k * mpmath.betainc(q, 0.5, 0, (abs(amp * t0) / a) ** (p + 1), regularized=True) / omega
-            t_zero, half = t0 - rise, 2 * k / omega
-            count = int(mpmath.floor((1 / mpmath.mpf(xi_min) - t_zero) / half))
-            expected = [float(1 / (t_zero + j * half)) for j in range(count, 0, -1)]
-        sol = solve_selfsimilar(p, amplitude, xi_far=xi_far, xi_min=xi_min)
+        expected = _beta_phase_zeros(p, amplitude, 100.0, xi_min)
+        sol = solve_selfsimilar(p, amplitude, xi_far=100.0, xi_min=xi_min)
         assert not sol.truncated
         assert len(sol.zeros) == len(expected) == (count or len(expected))
         assert sol.zeros == pytest.approx(expected, rel=1e-11)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(1.2, 5.0),
+        st.floats(-10.0, 10.0),
+        st.floats(10.0, 200.0),
+        st.floats(1e-2, 9.0),
+        st.integers(0, 40),
+    )
+    def test_zeros_alone_are_the_solve_zeros(self, p, amplitude, xi_far, xi_min, first):
+        # bit for bit, without a grid row; the grid ascends, and the far-field
+        # constant is the mean of xi f over every row with xi >= xi_far / 2.
+        # with omega below 7 and t = 1/xi below 100, the grid keeps below 10^5 rows
+        sol = solve_selfsimilar(p, amplitude, xi_far=xi_far, xi_min=xi_min)
+        assert not sol.truncated
+        count, zeros = selfsimilar_zeros(p, amplitude, first, xi_far=xi_far, xi_min=xi_min)
+        assert count == len(sol.zeros) and zeros == sol.zeros[:first]
+        assert all(a <= b for a, b in zip(sol.grid, sol.grid[1:]))
+        tail = [x * f for x, f in zip(sol.grid, sol.values) if x >= xi_far / 2]
+        assert sol.asymptotic_constant == sum(tail) / len(tail)
+
+    @pytest.mark.parametrize("xi_min, count", [(1e-5, 32_070), (1e-6, 320_700)])
+    def test_zero_count_past_the_grid_budget(self, xi_min, count):
+        # the grid stops at MAX_STEPS rows near xi = 4.4e-5 and its zeros with
+        # it; the zeros alone are counted to xi_min, and only the first are built
+        assert solve_selfsimilar(3.0, 1.0, xi_min=xi_min).truncated
+        expected = _beta_phase_zeros(3.0, 1.0, 100.0, xi_min, first=12)
+        got_count, zeros = selfsimilar_zeros(3.0, 1.0, 12, xi_min=xi_min)
+        assert got_count == count and len(zeros) == 12
+        assert zeros == pytest.approx(expected, rel=1e-11)
+        assert zeros[0] == pytest.approx(1.000003 * xi_min, rel=1e-7)
+
+    @pytest.mark.parametrize("xi_min", [1e-17, 5e-324])
+    def test_zeros_that_are_not_distinct_floats_raise(self, xi_min):
+        # near t = 1/xi_min the half period falls below the float spacing of t
+        # (at 5e-324, t is infinite): the zeros would coincide
+        with pytest.raises(ValueError, match=re.escape(f"xi_min={xi_min!r} is too small for p=3.0, A=1.0")):
+            selfsimilar_zeros(3.0, 1.0, 12, xi_min=xi_min)
+        # with no zero built, the count is still the closed form's
+        assert selfsimilar_zeros(3.0, 1.0, 0, xi_min=1e-17)[0] == pytest.approx(3.207009758151e16, rel=1e-12)
 
     @pytest.mark.parametrize("p, amplitude", [(2.5, 1.0), (3.0, 30.0)])
     def test_negated_amplitude_negates_profile(self, p, amplitude):
@@ -637,8 +686,12 @@ class TestSelfSimilar:
     )
     def test_rejects_non_finite_input(self, kwargs, name):
         args = {"p": 3.0, "amplitude": 1.0, **kwargs}
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=name) as solved:
             solve_selfsimilar(**args)
+        # the zeros alone are checked by the same head, with the same message
+        with pytest.raises(ValueError) as counted:
+            selfsimilar_zeros(first=3, **args)
+        assert str(counted.value) == str(solved.value)
 
     def test_oracle_spot_check(self):
         # the generic oracle on the equation in s: it is invariant under s -> -s,
