@@ -71,6 +71,8 @@ from .pencils import Eigenpair, quadratic_eigenfunction, quartic_eigenfunction
 from .polyring import (
     RatPoly,
     _int_diff,
+    _int_form,
+    _int_horner,
     _int_primitive,
     _pseudo_divide,
     _remainder_sequence,
@@ -1010,12 +1012,28 @@ class Combination:
 
     @functools.cached_property
     def poly(self) -> RatPoly:
-        """The combination, exactly: a float weight is taken as its exact binary value."""
-        out = RatPoly.zero()
+        """The combination, exactly: a float weight is taken as its exact binary value.
+
+        Each nonzero weight enters as its integer ratio and each eigenfunction
+        as its integer numerators over their common denominator, so the sum
+        runs over the integers, over one common denominator, and only the
+        coefficients of the result are `Fraction`s.
+        """
+        terms = []
         for family, c in enumerate(self.coeffs, start=1):
             if c != 0:
-                out = out + self.eigenfunction(family) * (c if _is_exact(c) else Fraction(float(c)))
-        return out
+                num, den = (c if _is_exact(c) else float(c)).as_integer_ratio()
+                nums, d = _int_form(self.eigenfunction(family))
+                terms.append((num, den * d, nums))
+        common = math.lcm(*(den for _, den, _ in terms))
+        total: list[int] = []
+        for num, den, nums in terms:
+            scale = num * (common // den)
+            total += [0] * (len(nums) - len(total))
+            for k, v in enumerate(nums):
+                if v:
+                    total[k] += scale * v
+        return RatPoly(Fraction(v, common) for v in total)
 
     def roots(self) -> RootSet:
         """Every real root of poly, seeded from the phase form of coeffs."""
@@ -1102,7 +1120,16 @@ def _verdict_at(equation: str, config: CrackConfig, l: int, tol: float) -> Admis
     order = Combination(equation, l, (0,) * Combination.family_count(equation))
     polys = [order.eigenfunction(f) for f in order.families]
     if config.exact:
-        matrix = [[p.eval(Fraction(a)) for p in polys] for a in config.alphas]
+        # row j holds psi_f(a/b) = H_f / (d_f b^n_f), with H_f the integer Horner
+        # sum of psi_f's numerators; scaled by the positive lcm(d_f) b^max(n_f),
+        # which leaves the kernel as it is, every entry is an integer
+        forms = [_int_form(p) for p in polys]
+        common = math.lcm(*(d for _, d in forms))
+        top = max(len(nums) for nums, _ in forms)
+        matrix = []
+        for alpha in config.alphas:
+            a, b = alpha.as_integer_ratio()
+            matrix.append([_int_horner(nums, a, b) * (common // d) * b ** (top - len(nums)) for nums, d in forms])
         kernel = rational_kernel(matrix, ncols=len(polys))
         rank = len(polys) - len(kernel)
         admissible = bool(kernel)

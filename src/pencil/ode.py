@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Iterable
 
 __all__ = ["IntegrationResult", "integrate", "find_zeros", "MAX_STEPS"]
 
@@ -93,19 +94,29 @@ class IntegrationResult:
 
     def interpolate(self, t: float) -> tuple[float, float]:
         """Dense-output state (f, f') anywhere inside the covered span."""
+        return self.interpolate_all((t,))[0]
+
+    def interpolate_all(self, points: Iterable[float]) -> list[tuple[float, float]]:
+        """The dense-output state (f, f') at each of the points, in one loop."""
         segments = self._segments
         if not segments:
-            return self.ys[0]
-        # ts holds each accepted segment's start, then the end of the last one
-        idx = min(max(bisect_right(self.ts, t) - 1, 0), len(segments) - 1)
-        t0, h, (f, df), (q1, q2, q3, q4) = segments[idx]
-        theta = (t - t0) / h
-        step = h * theta
-        # Horner from 0.0, highest power first
-        return (
-            f + step * ((((0.0 * theta + q4[0]) * theta + q3[0]) * theta + q2[0]) * theta + q1[0]),
-            df + step * ((((0.0 * theta + q4[1]) * theta + q3[1]) * theta + q2[1]) * theta + q1[1]),
-        )
+            return [self.ys[0] for _ in points]
+        ts, last = self.ts, len(segments) - 1
+        out = []
+        for t in points:
+            # ts holds each accepted segment's start, then the end of the last one
+            i = bisect_right(ts, t) - 1
+            t0, h, (f, df), (q1, q2, q3, q4) = segments[0 if i < 0 else last if i > last else i]
+            theta = (t - t0) / h
+            step = h * theta
+            # Horner from 0.0, highest power first
+            out.append(
+                (
+                    f + step * ((((0.0 * theta + q4[0]) * theta + q3[0]) * theta + q2[0]) * theta + q1[0]),
+                    df + step * ((((0.0 * theta + q4[1]) * theta + q3[1]) * theta + q2[1]) * theta + q1[1]),
+                )
+            )
+        return out
 
 
 def _rms(a: float, b: float) -> float:

@@ -206,12 +206,8 @@ class RatPoly:
         if not self.coeffs:
             return Fraction(0)
         a, b = x.numerator, x.denominator
-        d = lcm(*(c.denominator for c in self.coeffs))
-        num, b_pow = 0, 1
-        for c in reversed(self.coeffs):
-            num = num * a + c.numerator * (d // c.denominator) * b_pow
-            b_pow *= b
-        return Fraction(num, d * (b_pow // b))
+        nums, d = _int_form(self)
+        return Fraction(_int_horner(nums, a, b), d * b ** (len(nums) - 1))
 
     __call__ = eval
 
@@ -287,10 +283,24 @@ def poly_to_json(p: RatPoly) -> list[list[str]]:
 # gcd and square-free structure
 
 
+def _int_form(p: RatPoly) -> tuple[list[int], int]:
+    """(nums, d) with p = sum_k nums[k] z^k / d and d > 0 the lcm of p's denominators."""
+    d = lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (d // c.denominator) for c in p.coeffs], d
+
+
+def _int_horner(nums: Sequence[int], a: int, b: int) -> int:
+    """sum_k nums[k] a^k b^(n-k), n = len(nums) - 1: b^n times the polynomial at a/b, by integer Horner."""
+    acc, b_pow = 0, 1
+    for c in reversed(nums):
+        acc = acc * a + c * b_pow
+        b_pow *= b
+    return acc
+
+
 def integer_coefficients(p: RatPoly) -> list[int]:
     """Primitive integer coefficient list with the same sign and roots as p."""
-    scale = lcm(*(c.denominator for c in p.coeffs))
-    return _int_primitive([c.numerator * (scale // c.denominator) for c in p.coeffs])
+    return _int_primitive(_int_form(p)[0])
 
 
 def _int_primitive(cs: list[int]) -> list[int]:

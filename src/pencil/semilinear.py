@@ -126,6 +126,29 @@ def _unit_orbit(p: float, symmetric: bool, tol: float):
     return k, orbit, quarter.truncated
 
 
+def _stationary_rows(
+    k: float, quarter, symmetric: bool, a: float, omega: float, grid: Sequence[float]
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """f = a W(omega atan z) and f_z = a omega W'(omega atan z) / (1 + z^2) at
+    every z of the grid, with W and W' bit for bit those of `_unit_orbit`'s
+    phase function: every phase is folded onto the quarter as there, the
+    quarter's dense output is evaluated at all of them in one call, and each
+    row's value and derivative are scaled in one more loop."""
+    period = 4 * k
+    points, quarters = [], []
+    for z in grid:
+        q, u = divmod(omega * math.atan(z) % period, k)
+        q = int(q) % 4
+        points.append(k - u if q & 1 else u)
+        quarters.append(q)
+    values, derivatives = [], []
+    for z, q, (w, dw) in zip(grid, quarters, quarter.interpolate_all(points)):
+        sign = -1.0 if (q + symmetric) & 2 else 1.0
+        values.append(a * (sign * w))
+        derivatives.append(a * omega * ((-sign if q & 1 else sign) * dw) / (1 + z * z))
+    return tuple(values), tuple(derivatives)
+
+
 def _start_phase(p: float, quarter, value: float, slope: float) -> float:
     """The phase x of the antisymmetric unit orbit V, on its rising quarter,
     where (V, V') = (value, slope), by safeguarded Newton on the dense output.
@@ -249,7 +272,7 @@ def solve_stationary(
             f" gives f(z_end)={a * w_end!r}, not within {PLATEAU_TOL:g} of 1"
         )
     grid = tuple(z_end * i / (N_OUTPUT - 1) for i in range(N_OUTPUT))
-    states = [orbit(omega * math.atan(z)) for z in grid]
+    values, derivatives = _stationary_rows(k, orbit.quarter, symmetric, a, omega, grid)
     n_zeros = max(0, math.ceil((omega * theta_end - first) / (2 * k)))
     truncated = truncated or n_zeros > MAX_STEPS
     return ProfileSolution(
@@ -258,8 +281,8 @@ def solve_stationary(
         symmetry=symmetry,
         far_condition=far,
         grid=grid,
-        values=tuple(a * w for w, _ in states),
-        derivative_values=tuple(a * omega * dw / (1 + z * z) for z, (_, dw) in zip(grid, states)),
+        values=values,
+        derivative_values=derivatives,
         shot_parameter=shot,
         zeros=tuple(math.tan((first + 2 * k * j) / omega) for j in range(min(n_zeros, MAX_STEPS))),
         asymptotic_constant=-a * omega * dw_end if decay else a * w_end,
@@ -449,8 +472,10 @@ def selfsimilar_zeros(
     is not truncated; the count is the closed form's at any xi_min, and the
     work is O(first).  The inputs are checked as `solve_selfsimilar` checks
     them.  A negative `first` raises ValueError, and so does an xi_min
-    so small that the zeros returned are not distinct floats: near t = 1/xi_min
-    the half period 2 K / omega falls below the float resolution of t.
+    so small that the innermost two zeros are not distinct floats, whatever
+    `first` is (near t = 1/xi_min the half period 2 K / omega falls below the
+    float resolution of t), or that the count reaches 2^53, past which the
+    floor of the float phase is no exact count.
     """
     if first < 0:
         raise ValueError(f"first must be >= 0, got {first}")
@@ -462,12 +487,13 @@ def selfsimilar_zeros(
         " are not distinct floats"
     )
     try:
-        count, zeros = _zeros(o, o.t_stop, first)
+        count, zeros = _zeros(o, o.t_stop, max(first, 2))
     except OverflowError:  # t = 1/xi_min, or the phase there, is infinite
         raise ValueError(too_small) from None
-    if len(set(zeros)) < len(zeros):
+    # the zeros ascend in xi, so the innermost pair comes first and is the closest
+    if len(set(zeros)) < len(zeros) or count >= 2**53:
         raise ValueError(too_small)
-    return count, zeros
+    return count, zeros[:first]
 
 
 @dataclass(frozen=True)

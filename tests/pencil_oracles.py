@@ -15,6 +15,14 @@ reduced Fraction from powers of the denominator, where
 the distinct real root count of the classical Sturm sequence of p and p'
 over the rationals on the whole line, where `pencil.nodal.count_real_roots`
 counts an even or odd p on the integer chain of its half-degree part.
+`fraction_rref` and `fraction_kernel` are Gauss-Jordan elimination over
+`Fraction`s, each pivot row divided by its pivot, where `pencil.linalg`
+clears each row's denominators and eliminates fraction-free over the
+integers.  `combination_poly` sums a `Combination`'s weighted
+eigenfunctions in `RatPoly` arithmetic, where `Combination.poly` sums
+integer numerators over one common denominator, and `exact_admissibility`
+is an exact verdict's rank and kernel basis from a matrix of `Fraction`
+power sums, where `pencil.nodal` scales each row to integers.
 `characteristic_quartic` and `verify_quartic_factorization` prove the
 quartic eigenvalue rule {-l, ..., -l-3} by exact division.  `generic_dp5`
 is the adaptive Dormand-Prince 5(4) pair for any right-hand side and any
@@ -38,8 +46,75 @@ from typing import Sequence
 from pencil import svg
 from pencil.linalg import rational_kernel
 from pencil.nodal import _PHASE_SAMPLES, _PHASE_STEPS
-from pencil.pencils import quartic_eigenfunction
+from pencil.pencils import quadratic_eigenfunction, quartic_eigenfunction
 from pencil.polyring import RatPoly, op_apply
+
+
+def fraction_rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row-echelon form and pivot columns by Gauss-Jordan elimination
+    over `Fraction`s, each pivot row divided by its pivot."""
+    m = [list(map(Fraction, row)) for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def fraction_kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Right nullspace basis from `fraction_rref`, one free coordinate set to 1 in each vector."""
+    if not rows:
+        return [tuple(Fraction(int(i == j)) for i in range(ncols)) for j in range(ncols)]
+    rref, pivots = fraction_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rref[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def combination_poly(combo) -> RatPoly:
+    """sum_f psi_f Fraction(c_f) over `Combination` combo's nonzero weights, in
+    `RatPoly` arithmetic, with a float weight as Fraction(float(c))."""
+    out = RatPoly.zero()
+    for family, c in enumerate(combo.coeffs, start=1):
+        if c != 0:
+            weight = c if isinstance(c, (int, Fraction)) and not isinstance(c, bool) else Fraction(float(c))
+            out = out + combo.eigenfunction(family) * weight
+    return out
+
+
+def exact_admissibility(equation: str, alphas: Sequence[Fraction], l: int) -> tuple[int, tuple | None]:
+    """(rank, kernel basis) of the order-l matrix [psi_{l-f+1,f}(alpha_j)], each
+    entry a `Fraction` sum of c_k alpha^k, reduced by `fraction_kernel`; each
+    basis vector divided by its entry of largest magnitude, and None for a
+    trivial kernel."""
+    build = quadratic_eigenfunction if equation == "laplace" else quartic_eigenfunction
+    families = [f for f in range(1, (2 if equation == "laplace" else 4) + 1) if l - f + 1 >= (1 if f == 1 else 0)]
+    polys = [build(l - f + 1, f).poly for f in families]
+    matrix = [[sum((c * a**k for k, c in enumerate(p.coeffs)), Fraction(0)) for p in polys] for a in alphas]
+    kernel = fraction_kernel(matrix, len(polys))
+    basis = tuple(tuple(v / max(vec, key=abs) for v in vec) for vec in kernel)
+    return len(polys) - len(kernel), basis or None
 
 
 def dense_kernel_in_class(op, l: int) -> RatPoly | None:

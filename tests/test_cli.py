@@ -586,16 +586,19 @@ class TestOde:
 
     def test_crackcurves_zeros_that_are_not_distinct_floats_exit_1(self, capsys):
         # near xi = 1e-17 the half period in t = 1/xi is below the float
-        # spacing of t: the shown curves would coincide
-        code, out, err = run_cli(
-            capsys, "ode", "crackcurves", "--p", "3", "--alpha", "1", "--ygrid", "-0.5:-1e-4:log:5", "--ximin", "1e-17",
-        )
-        assert code == 1 and out == ""
-        payload = json.loads(err)
-        assert payload["error"] == "ValueError"
-        assert payload["message"] == (
-            "xi_min=1e-17 is too small for p=3.0, A=1.0: the profile's zeros near it are not distinct floats"
-        )
+        # spacing of t: the shown curves would coincide, and with none shown
+        # the count (about 3.2e16, past 2^53) would be no exact count
+        for maxcurves in ([], ["--maxcurves", "1"], ["--maxcurves", "0"]):
+            code, out, err = run_cli(
+                capsys, "ode", "crackcurves", "--p", "3", "--alpha", "1", "--ygrid", "-0.5:-1e-4:log:5", "--ximin", "1e-17",
+                *maxcurves,
+            )
+            assert code == 1 and out == ""
+            payload = json.loads(err)
+            assert payload["error"] == "ValueError"
+            assert payload["message"] == (
+                "xi_min=1e-17 is too small for p=3.0, A=1.0: the profile's zeros near it are not distinct floats"
+            )
 
     def test_crackcurves_svg_past_float_range_exit_1(self, tmp_path, capsys):
         # the x range reaches 1.75e308, past which the chart's padded span overflows; no output is written

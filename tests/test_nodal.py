@@ -42,7 +42,14 @@ from pencil.polyring import (
     square_free_decomposition,
     square_free_part,
 )
-from pencil_oracles import exact_newton, phase_seeds, sturm_count, variations_at
+from pencil_oracles import (
+    combination_poly,
+    exact_admissibility,
+    exact_newton,
+    phase_seeds,
+    sturm_count,
+    variations_at,
+)
 
 
 def poly_from_roots(roots) -> RatPoly:
@@ -1133,6 +1140,50 @@ class TestCombination:
         for family, c in enumerate(coeffs, start=1):
             want = want + build(l - family + 1, family).poly * Fraction(c)
         assert Combination(equation, l, coeffs).poly == want
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(equation=st.sampled_from(["laplace", "bilaplace"]), l=st.integers(1, 40), data=st.data())
+    @example(equation="bilaplace", l=40, data=None)
+    def test_poly_matches_the_ratpoly_sum(self, equation, l, data):
+        # the integer sum over one common denominator equals the RatPoly sum of
+        # psi_f Fraction(c_f), with a float weight as its exact binary value
+        families = Combination(equation, l, (0,) * Combination.family_count(equation)).families
+        weight = st.one_of(
+            st.integers(-(10**30), 10**30),
+            st.fractions(max_denominator=10**12),
+            st.sampled_from([1e-300, 1e300, -0.0, 5e-324, -1.5]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+        if data is None:
+            coeffs = [Fraction(-7, 3), 1e-300, -0.0, 10**30][: len(families)]
+        else:
+            coeffs = data.draw(st.lists(weight, min_size=len(families), max_size=len(families)))
+        combo = Combination(equation, l, coeffs)
+        assert combo.poly == combination_poly(combo)
+        assert all(type(c) is Fraction for c in combo.poly.coeffs)
+
+
+class TestExactVerdictOracle:
+    @pytest.mark.parametrize("equation", ["laplace", "bilaplace"])
+    @pytest.mark.parametrize("pool", ADM_POOL, ids=["m1", "m2", "m3"])
+    def test_verdicts_match_the_fraction_path(self, equation, pool):
+        # every exact verdict up to l = 30: rank, basis and zero set as the
+        # Fraction matrix, the Fraction kernel and the RatPoly combination give them
+        check = check_admissibility_laplace if equation == "laplace" else check_admissibility_bilaplace
+        for alphas in pool:
+            cfg = CrackConfig(tuple(Fraction(a) for a in alphas))
+            for v in check(cfg, (cfg.m, 30)):
+                rank, basis = exact_admissibility(equation, cfg.alphas, v.l)
+                assert (v.rank, v.nullspace_basis, v.admissible) == (rank, basis, basis is not None)
+                if basis is None:
+                    continue
+                assert v.combo_coefficients == basis[0]
+                want = combination_poly(Combination(equation, v.l, basis[0]))
+                if want.degree > 0:
+                    assert v.full_zero_set == isolate_real_roots(want, seeds=_phase_seeds(v.l, basis[0]))
+                else:
+                    assert v.full_zero_set is None
 
 
 class TestSeedsMatchTheirPolynomial:

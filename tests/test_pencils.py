@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pencil.linalg import rational_kernel, rational_rref
 from pencil.pencils import (
@@ -26,6 +28,8 @@ from pencil.polyring import RatPoly, op_apply
 from pencil_oracles import (
     characteristic_quartic,
     dense_kernel_in_class,
+    fraction_kernel,
+    fraction_rref,
     quadratic_recursion_poly,
     quartic_recursion_report,
     verify_quartic_factorization,
@@ -350,7 +354,70 @@ class TestSerialization:
         assert data["coefficients"] == [["1", "1"], ["0", "1"], ["-6", "1"], ["0", "1"], ["1", "1"]]
 
 
+@st.composite
+def rational_matrices(draw):
+    """Matrices of up to 6 x 6 rationals with entries up to 2^200 over denominators
+    up to b^60, made rank deficient by duplicate rows, rational combinations of
+    rows and zero rows and columns; entries are ints where they are integers."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.builds(
+        lambda n, scale, den: Fraction(n * scale, den),
+        st.integers(-9, 9),
+        st.sampled_from([1, 2**200, -(3**127)]),
+        st.sampled_from([1, 2, 3, 12, 2**60, 3**60, 7**60]),
+    )
+    basis = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=nrows))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["basis", "copy", "combination", "zero"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "combination":
+            u, v = draw(st.sampled_from(basis)), draw(st.sampled_from(basis))
+            c = draw(st.fractions(max_denominator=2**64).filter(lambda x: abs(x) < 2**64))
+            rows.append([x + c * y for x, y in zip(u, v)])
+        else:
+            rows.append(list(draw(st.sampled_from(basis))))
+    for col in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[col] = Fraction(0)
+    return [[int(x) if x.denominator == 1 and draw(st.booleans()) else x for x in row] for row in rows]
+
+
 class TestLinalg:
+    @settings(max_examples=300, deadline=None)
+    @given(rational_matrices())
+    @example([[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), Fraction(1)]])  # denominators cleared per row
+    @example([[0, 2, 4], [3, 1, 0], [6, 2, 1]])  # a swap, then a negative pivot
+    @example([[0, 0], [0, 0]])
+    def test_fraction_free_matches_the_fraction_oracle(self, rows):
+        rref, pivots = rational_rref(rows)
+        assert (rref, pivots) == fraction_rref(rows)
+        assert all(type(v) is Fraction for row in rref for v in row)
+        ncols = len(rows[0])
+        basis = rational_kernel(rows, ncols=ncols)
+        assert basis == fraction_kernel(rows, ncols)
+        assert len(basis) + len(pivots) == ncols
+        for v in basis:
+            assert all(sum((a * x for a, x in zip(row, v)), Fraction(0)) == 0 for row in rows)
+
+    @pytest.mark.parametrize("l", [12, 25])
+    def test_dense_pencil_matrices_match_the_fraction_oracle(self, l):
+        # the oracle's dense quartic-pencil matrix at its eigenvalue: large, sparse and rank deficient
+        op = quartic_pencil(-l)
+        columns = [op_apply(op, RatPoly.monomial(d)) for d in range(l + 1)]
+        rows = [[col.coefficient(r) for col in columns] for r in range(l + 4)]
+        assert rational_rref(rows) == fraction_rref(rows)
+        assert rational_kernel(rows, ncols=l + 1) == fraction_kernel(rows, l + 1)
+
+    def test_edge_shapes(self):
+        assert rational_rref([]) == ([], [])
+        assert rational_rref([[], []]) == ([[], []], [])
+        assert rational_kernel([], ncols=2) == [(1, 0), (0, 1)]
+        assert rational_kernel([[0, 0]]) == [(1, 0), (0, 1)]
+        # anything Fraction accepts is an entry, as before
+        assert rational_rref([["1/2", 0.25], [True, 3]]) == fraction_rref([["1/2", 0.25], [True, 3]])
+
     def test_kernel_of_rank_deficient(self):
         m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
         basis = rational_kernel(m)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.special import beta, betainc
@@ -216,12 +216,19 @@ class TestIntegrator:
         ts, ys, nfev, segments, truncated = generic_dp5(_oscillator(p), 0.0, t1, y0, rtol=rtol, atol=atol)
         assert (ours.ts, ours.ys, ours.nfev, ours.truncated) == (ts, ys, nfev, truncated)
         assert ours._segments == segments
+        points, states = [], []
         for segment in segments:
             t, h, *_ = segment
             x = t + h * where.random()
             if x == t + h:  # rounded up to the next segment's start
                 x = t
             assert ours.interpolate(x) == dense_value(segment, x)
+            points.append(x)
+            states.append(dense_value(segment, x))
+        # all points in one call, in shuffled order
+        order = list(range(len(points)))
+        where.shuffle(order)
+        assert ours.interpolate_all([points[i] for i in order]) == [states[i] for i in order]
 
     @pytest.mark.parametrize("budget", [1, 2, 7, 50])
     def test_step_budget_truncates_to_a_prefix(self, monkeypatch, budget):
@@ -357,6 +364,33 @@ class TestStationary:
     def test_z_end_must_be_finite(self, z_end):
         with pytest.raises(ValueError, match="finite"):
             solve_stationary(3.0, "symmetric", "decay_inverse", z_end=z_end)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.floats(1.05, 9.0),
+        symmetry=st.sampled_from(["symmetric", "antisymmetric"]),
+        far=st.sampled_from(["decay_inverse", "plateau_one"]),
+        z_end=st.floats(0.05, 1e4),
+        s_range=st.sampled_from([(1e-3, 1e3), (1e3, 1e5), (-1e3, -1e-3)]),
+    )
+    @example(p=3.0, symmetry="symmetric", far="plateau_one", z_end=50.0, s_range=(1e3, 1e5))
+    @example(p=2.0, symmetry="antisymmetric", far="decay_inverse", z_end=50.0, s_range=(1e-3, 1e3))
+    def test_grid_rows_are_the_phase_function_per_row(self, p, symmetry, far, z_end, s_range):
+        # the rows are evaluated in one pass; each one must be, bit for bit,
+        # a W(omega atan z) and a omega W'(omega atan z) / (1 + z^2) from one
+        # call of the unit orbit's phase function, many periods deep at large shots
+        try:
+            sol = solve_stationary(p, symmetry, far, z_end=z_end, s_range=s_range)
+        except NoProfileFoundError:
+            return
+        symmetric = symmetry == "symmetric"
+        s = sol.shot_parameter
+        a = s if symmetric else math.copysign(((p + 1) * s * s / 2) ** (1 / (p + 1)), s)
+        omega = abs(a) ** ((p - 1) / 2)
+        _, orbit, _ = semilinear._unit_orbit(p, symmetric, semilinear.DEFAULT_TOL)
+        states = [orbit(omega * math.atan(z)) for z in sol.grid]
+        assert sol.values == tuple(a * w for w, _ in states)
+        assert sol.derivative_values == tuple(a * omega * dw / (1 + z * z) for z, (_, dw) in zip(sol.grid, states))
 
     @pytest.mark.parametrize("symmetry", ["symmetric", "antisymmetric"])
     @pytest.mark.parametrize("far", ["decay_inverse", "plateau_one"])
@@ -657,10 +691,24 @@ class TestSelfSimilar:
     def test_zeros_that_are_not_distinct_floats_raise(self, xi_min):
         # near t = 1/xi_min the half period falls below the float spacing of t
         # (at 5e-324, t is infinite): the zeros would coincide
-        with pytest.raises(ValueError, match=re.escape(f"xi_min={xi_min!r} is too small for p=3.0, A=1.0")):
-            selfsimilar_zeros(3.0, 1.0, 12, xi_min=xi_min)
-        # with no zero built, the count is still the closed form's
-        assert selfsimilar_zeros(3.0, 1.0, 0, xi_min=1e-17)[0] == pytest.approx(3.207009758151e16, rel=1e-12)
+        # with fewer than two zeros asked for, the innermost pair is still checked:
+        # past 2^53 zeros the float phase no longer gives an exact count
+        for first in (12, 1, 0):
+            with pytest.raises(ValueError, match=re.escape(f"xi_min={xi_min!r} is too small for p=3.0, A=1.0")):
+                selfsimilar_zeros(3.0, 1.0, first, xi_min=xi_min)
+
+    def test_count_at_and_below_two_to_the_53(self, monkeypatch):
+        # a count that reaches 2^53 is refused even where the innermost pair is distinct
+        real_zeros = semilinear._zeros
+        monkeypatch.setattr(semilinear, "_zeros", lambda o, t, first: (2**53, real_zeros(o, t, first)[1]))
+        with pytest.raises(ValueError, match="not distinct floats"):
+            selfsimilar_zeros(3.0, 1.0, 0, xi_min=1e-6)
+        monkeypatch.setattr(semilinear, "_zeros", lambda o, t, first: (2**53 - 1, real_zeros(o, t, first)[1]))
+        assert selfsimilar_zeros(3.0, 1.0, 0, xi_min=1e-6) == (2**53 - 1, ())
+        monkeypatch.undo()
+        for first in (0, 1, 2):
+            count, zeros = selfsimilar_zeros(3.0, 1.0, first, xi_min=1e-6)
+            assert count == 320_700 and len(zeros) == first
 
     @pytest.mark.parametrize("p, amplitude", [(2.5, 1.0), (3.0, 30.0)])
     def test_negated_amplitude_negates_profile(self, p, amplitude):
