@@ -23,7 +23,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .ode import integrate
 
@@ -108,45 +108,34 @@ def _unit_orbit(p: float, symmetric: bool, tol: float):
     energy 1/(p+1).  Every real x is reduced modulo the period 4K, and the
     other three quarters are the first one reflected: W(x + 2K) = -W(x), and
     the symmetric orbit is even about 0 and odd about K, the antisymmetric one
-    odd about 0 and even about K.  The phase function carries the quarter's
-    integration as `orbit.quarter`, for callers that map its nodes themselves.
+    odd about 0 and even about K.  `orbit.states(xs)` gives the states at many
+    phases from one dense-output pass over the quarter, and orbit(x) is that
+    at one phase.  The phase function carries the quarter's integration as
+    `orbit.quarter`, for callers that map its nodes themselves.
     """
     k = _quarter_period(p)
     y0 = (1.0, 0.0) if symmetric else (0.0, math.sqrt(2 / (p + 1)))
     quarter = integrate(p, k, y0, rtol=tol, atol=tol * 1e-2)
 
-    def orbit(x: float) -> tuple[float, float]:
-        q, u = divmod(x % (4 * k), k)
-        q = int(q) % 4  # x % (4 k) rounds up to 4 k only for tiny negative x
-        f, df = quarter.interpolate(k - u if q & 1 else u)  # odd quarters run backward
-        sign = -1.0 if (q + symmetric) & 2 else 1.0
-        return sign * f, (-sign if q & 1 else sign) * df
+    def states(xs: Iterable[float]) -> list[tuple[float, float]]:
+        quarters, points = [], []
+        for x in xs:
+            q, u = divmod(x % (4 * k), k)
+            q = int(q) % 4  # x % (4 k) rounds up to 4 k only for tiny negative x
+            quarters.append(q)
+            points.append(k - u if q & 1 else u)  # odd quarters run backward
+        out = []
+        for q, (f, df) in zip(quarters, quarter.interpolate_all(points)):
+            sign = -1.0 if (q + symmetric) & 2 else 1.0
+            out.append((sign * f, (-sign if q & 1 else sign) * df))
+        return out
 
+    def orbit(x: float) -> tuple[float, float]:
+        return states((x,))[0]
+
+    orbit.states = states
     orbit.quarter = quarter
     return k, orbit, quarter.truncated
-
-
-def _stationary_rows(
-    k: float, quarter, symmetric: bool, a: float, omega: float, grid: Sequence[float]
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """f = a W(omega atan z) and f_z = a omega W'(omega atan z) / (1 + z^2) at
-    every z of the grid, with W and W' bit for bit those of `_unit_orbit`'s
-    phase function: every phase is folded onto the quarter as there, the
-    quarter's dense output is evaluated at all of them in one call, and each
-    row's value and derivative are scaled in one more loop."""
-    period = 4 * k
-    points, quarters = [], []
-    for z in grid:
-        q, u = divmod(omega * math.atan(z) % period, k)
-        q = int(q) % 4
-        points.append(k - u if q & 1 else u)
-        quarters.append(q)
-    values, derivatives = [], []
-    for z, q, (w, dw) in zip(grid, quarters, quarter.interpolate_all(points)):
-        sign = -1.0 if (q + symmetric) & 2 else 1.0
-        values.append(a * (sign * w))
-        derivatives.append(a * omega * ((-sign if q & 1 else sign) * dw) / (1 + z * z))
-    return tuple(values), tuple(derivatives)
 
 
 def _start_phase(p: float, quarter, value: float, slope: float) -> float:
@@ -272,7 +261,7 @@ def solve_stationary(
             f" gives f(z_end)={a * w_end!r}, not within {PLATEAU_TOL:g} of 1"
         )
     grid = tuple(z_end * i / (N_OUTPUT - 1) for i in range(N_OUTPUT))
-    values, derivatives = _stationary_rows(k, orbit.quarter, symmetric, a, omega, grid)
+    states = orbit.states(omega * math.atan(z) for z in grid)
     n_zeros = max(0, math.ceil((omega * theta_end - first) / (2 * k)))
     truncated = truncated or n_zeros > MAX_STEPS
     return ProfileSolution(
@@ -281,8 +270,8 @@ def solve_stationary(
         symmetry=symmetry,
         far_condition=far,
         grid=grid,
-        values=values,
-        derivative_values=derivatives,
+        values=tuple(a * w for w, _ in states),
+        derivative_values=tuple(a * omega * dw / (1 + z * z) for z, (_, dw) in zip(grid, states)),
         shot_parameter=shot,
         zeros=tuple(math.tan((first + 2 * k * j) / omega) for j in range(min(n_zeros, MAX_STEPS))),
         asymptotic_constant=-a * omega * dw_end if decay else a * w_end,
@@ -346,8 +335,18 @@ def _selfsimilar_orbit(
 def _zeros(o: _SelfSimilarOrbit, t_last: float, first: int | None) -> tuple[int, tuple[float, ...]]:
     """The number of zeros t0 + (2 j K - phi0) / omega, j >= 1, up to t_last,
     and xi of the first `first` of them in ascending xi (all without it),
-    j = count, count - 1, ...; OverflowError when the count is not finite."""
-    count = math.floor((o.omega * (t_last - o.t0) + o.phi0) / (2 * o.k))
+    j = count, count - 1, ...; OverflowError when the count is not finite.
+
+    The count is the floor of the phase taken exactly from its float
+    parameters, over the integers: the float phase rounds by more than its
+    distance to the next multiple of 2 K from about 1e15 zeros on
+    (3207009758150990 for the exact 3207009758150989 at p = 3, A = 1,
+    xi_min = 1e-16)."""
+    # each float is n / d exactly: phase / (2 K) over one common denominator
+    (nw, dw), (nt, dt), (n0, d0), (nf, df), (nk, dk) = (
+        x.as_integer_ratio() for x in (o.omega, t_last, o.t0, o.phi0, o.k)
+    )
+    count = (nw * (nt * d0 - n0 * dt) * df + nf * dw * dt * d0) * dk // (2 * nk * dw * dt * d0 * df)
     last = 0 if first is None else max(count - first, 0)
     return count, tuple(1.0 / (o.t0 + (2 * o.k * j - o.phi0) / o.omega) for j in range(count, last, -1))
 
@@ -473,9 +472,8 @@ def selfsimilar_zeros(
     work is O(first).  The inputs are checked as `solve_selfsimilar` checks
     them.  A negative `first` raises ValueError, and so does an xi_min
     so small that the innermost two zeros are not distinct floats, whatever
-    `first` is (near t = 1/xi_min the half period 2 K / omega falls below the
-    float resolution of t), or that the count reaches 2^53, past which the
-    floor of the float phase is no exact count.
+    `first` is: near t = 1/xi_min the half period 2 K / omega falls below the
+    float resolution of t.
     """
     if first < 0:
         raise ValueError(f"first must be >= 0, got {first}")
@@ -488,10 +486,10 @@ def selfsimilar_zeros(
     )
     try:
         count, zeros = _zeros(o, o.t_stop, max(first, 2))
-    except OverflowError:  # t = 1/xi_min, or the phase there, is infinite
+    except OverflowError:  # t = 1/xi_min is infinite, or a zero's index is past the float range
         raise ValueError(too_small) from None
     # the zeros ascend in xi, so the innermost pair comes first and is the closest
-    if len(set(zeros)) < len(zeros) or count >= 2**53:
+    if len(set(zeros)) < len(zeros):
         raise ValueError(too_small)
     return count, zeros[:first]
 

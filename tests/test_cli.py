@@ -584,10 +584,18 @@ class TestOde:
         assert payload["total_zero_count"] == count and len(payload["curves"]) == 12
         assert payload["curves"][0]["xi"] == pytest.approx(1.000003 * float(ximin), rel=1e-7)
 
+    def test_crackcurves_count_is_exact_past_the_float_phase(self, capsys):
+        # near xi = 1e-16 the zeros are still distinct floats, and the floor of
+        # the float phase, 3207009758150990, is one more than the exact count
+        argv = ["ode", "crackcurves", "--p", "3", "--A", "1", "--alpha", "1", "--ximin", "1e-16", "--maxcurves", "0"]
+        code, out, _ = run_cli(capsys, *argv, "--ygrid=-0.5:-1e-4:log:5", "--json")
+        assert code == 0
+        assert json.loads(out)["total_zero_count"] == 3_207_009_758_150_989
+
     def test_crackcurves_zeros_that_are_not_distinct_floats_exit_1(self, capsys):
         # near xi = 1e-17 the half period in t = 1/xi is below the float
-        # spacing of t: the shown curves would coincide, and with none shown
-        # the count (about 3.2e16, past 2^53) would be no exact count
+        # spacing of t: the shown curves would coincide, and the innermost
+        # pair is checked even with none shown
         for maxcurves in ([], ["--maxcurves", "1"], ["--maxcurves", "0"]):
             code, out, err = run_cli(
                 capsys, "ode", "crackcurves", "--p", "3", "--alpha", "1", "--ygrid", "-0.5:-1e-4:log:5", "--ximin", "1e-17",

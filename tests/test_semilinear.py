@@ -376,9 +376,9 @@ class TestStationary:
     @example(p=3.0, symmetry="symmetric", far="plateau_one", z_end=50.0, s_range=(1e3, 1e5))
     @example(p=2.0, symmetry="antisymmetric", far="decay_inverse", z_end=50.0, s_range=(1e-3, 1e3))
     def test_grid_rows_are_the_phase_function_per_row(self, p, symmetry, far, z_end, s_range):
-        # the rows are evaluated in one pass; each one must be, bit for bit,
-        # a W(omega atan z) and a omega W'(omega atan z) / (1 + z^2) from one
-        # call of the unit orbit's phase function, many periods deep at large shots
+        # the rows come from one `orbit.states` pass; each one must be, bit for
+        # bit, a W(omega atan z) and a omega W'(omega atan z) / (1 + z^2) from
+        # the phase function at that phase alone, many periods deep at large shots
         try:
             sol = solve_stationary(p, symmetry, far, z_end=z_end, s_range=s_range)
         except NoProfileFoundError:
@@ -690,25 +690,25 @@ class TestSelfSimilar:
     @pytest.mark.parametrize("xi_min", [1e-17, 5e-324])
     def test_zeros_that_are_not_distinct_floats_raise(self, xi_min):
         # near t = 1/xi_min the half period falls below the float spacing of t
-        # (at 5e-324, t is infinite): the zeros would coincide
-        # with fewer than two zeros asked for, the innermost pair is still checked:
-        # past 2^53 zeros the float phase no longer gives an exact count
+        # (at 5e-324, t is infinite): the zeros would coincide; with fewer than
+        # two zeros asked for, the innermost pair is still checked
         for first in (12, 1, 0):
             with pytest.raises(ValueError, match=re.escape(f"xi_min={xi_min!r} is too small for p=3.0, A=1.0")):
                 selfsimilar_zeros(3.0, 1.0, first, xi_min=xi_min)
 
-    def test_count_at_and_below_two_to_the_53(self, monkeypatch):
-        # a count that reaches 2^53 is refused even where the innermost pair is distinct
-        real_zeros = semilinear._zeros
-        monkeypatch.setattr(semilinear, "_zeros", lambda o, t, first: (2**53, real_zeros(o, t, first)[1]))
-        with pytest.raises(ValueError, match="not distinct floats"):
-            selfsimilar_zeros(3.0, 1.0, 0, xi_min=1e-6)
-        monkeypatch.setattr(semilinear, "_zeros", lambda o, t, first: (2**53 - 1, real_zeros(o, t, first)[1]))
-        assert selfsimilar_zeros(3.0, 1.0, 0, xi_min=1e-6) == (2**53 - 1, ())
-        monkeypatch.undo()
+    @pytest.mark.parametrize("xi_min", [1e-16, 2.7731209715193655e-16, 1e-15, 1e-6])
+    def test_count_is_the_exact_floor_of_the_phase(self, xi_min):
+        # past about 1e15 zeros the float phase rounds across a multiple of 2 K
+        # (the first two xi_min here): the count is the floor of the phase of
+        # the float parameters, here to 60 digits
+        o = semilinear._selfsimilar_orbit(3.0, 1.0, 100.0, xi_min, semilinear.DEFAULT_TOL)
+        with mpmath.workdps(60):
+            phase = mpmath.mpf(o.omega) * (mpmath.mpf(o.t_stop) - mpmath.mpf(o.t0)) + mpmath.mpf(o.phi0)
+            expected = int(mpmath.floor(phase / (2 * mpmath.mpf(o.k))))
         for first in (0, 1, 2):
-            count, zeros = selfsimilar_zeros(3.0, 1.0, first, xi_min=1e-6)
-            assert count == 320_700 and len(zeros) == first
+            count, zeros = selfsimilar_zeros(3.0, 1.0, first, xi_min=xi_min)
+            assert count == expected and len(zeros) == first
+        assert {1e-16: 3_207_009_758_150_989, 1e-6: 320_700}.get(xi_min, count) == count
 
     @pytest.mark.parametrize("p, amplitude", [(2.5, 1.0), (3.0, 30.0)])
     def test_negated_amplitude_negates_profile(self, p, amplitude):
