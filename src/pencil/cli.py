@@ -476,14 +476,14 @@ def _suite_residuals(lmax: int, parallelism: int) -> list[tuple[str, bool]]:
     return [_residual_task(j) for j in jobs]
 
 
-def _suite_roots(lmax: int, parallelism: int) -> list[tuple[str, bool]]:
+def _suite_roots(lmax: int) -> list[tuple[str, bool]]:
     return [
         (f"family-1 l={l} is not transversal", nodal.transversality_check(pencils.quadratic_eigenfunction(l, 1)))
         for l in range(1, lmax + 1)
     ]
 
 
-def _suite_reconstruction(lmax: int, parallelism: int) -> list[tuple[str, bool]]:
+def _suite_reconstruction(lmax: int) -> list[tuple[str, bool]]:
     checks = []
     for l in range(1, lmax + 1):
         for family in (1, 2):
@@ -496,7 +496,7 @@ def _suite_reconstruction(lmax: int, parallelism: int) -> list[tuple[str, bool]]
     return checks
 
 
-def _suite_sturm_liouville(lmax: int, parallelism: int, tol: float = 1e-10) -> list[tuple[str, bool]]:
+def _suite_sturm_liouville(lmax: int, tol: float = 1e-10) -> list[tuple[str, bool]]:
     checks = []
     for l in range(1, lmax + 1):
         for family in (1, 2):
@@ -517,7 +517,7 @@ def _laplace_combo_carries(cfg: "nodal.CrackConfig", l: int) -> bool:
     return all(padded.eval(Fraction(a)) == 0 for a in cfg.alphas)
 
 
-def _suite_admissibility_examples(lmax: int | None, parallelism: int) -> list[tuple[str, bool]]:
+def _suite_admissibility_examples(lmax: int | None) -> list[tuple[str, bool]]:
     checks: list[tuple[str, bool]] = []
     cfg = nodal.CrackConfig((Fraction(-1), Fraction(1)))
     v = nodal.check_admissibility_laplace(cfg, (2, 2))[0]
@@ -566,7 +566,9 @@ def _cmd_verify(args) -> int:
     reports, text = [], []
     for name in names:
         suite, default_lmax = _SUITES[name]
-        checks = suite(default_lmax if args.lmax is None else args.lmax, args.parallelism)
+        lmax = default_lmax if args.lmax is None else args.lmax
+        # only the residual suite runs jobs in worker processes
+        checks = suite(lmax, args.parallelism) if suite is _suite_residuals else suite(lmax)
         failures = [message for message, ok in checks if not ok]
         reports.append(VerifyReport(name, len(checks) - len(failures), len(failures), failures))
         text += [f"suite={name} passed={reports[-1].passed} failed={len(failures)}", *(f"  FAIL {d}" for d in failures)]

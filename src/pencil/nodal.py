@@ -27,28 +27,31 @@ for k = 1); when q is square-free, that chain also gives N =
 other p, and any p that this does not isolate, builds p's own Sturm chain
 over the integers (the remainder sequence of p and p',
 `polyring._remainder_sequence`, scaled only by positive factors) once.
-When the chain is normal (an element of every degree), its identities read
-as a continued fraction of float ratios seed p's real roots themselves
-(float bisection on the count of negative ratios, then Newton on p / p'),
-and the same certificate, with N the chain's exact count of p's real roots
-(V(-inf) - V(+inf)), accepts or rejects them, past complex pairs too.  Any
-other outcome (repeated roots, an abnormal chain, a float overflow, a spent
-evaluation budget, a failed certificate) falls back to exact bisection of
-p's distinct roots on the chain from a power-of-two Fujiwara bound,
-carrying the sign-variation count at every interval endpoint, into open
-intervals with nonzero exact signs at both ends; with repeated roots the
-chain ends at gcd(p, p'), whose own chains give the multiplicities.
-Every root is refined by one seeded exact Newton: from its seed (the
-caller's, q's, the chain's, or those of the square-free part's chain), or
-from its interval's midpoint when there is none,
-safeguarded by the bracket, and certified by exact opposite signs on either
-side of the result, with exact bisection only where that certificate
-fails.  Every point p is evaluated at is dyadic, num / 2^shift (a point
-that is not raises), so one Horner with shifts gives every exact sign, and
-exact Newton is that same loop with a slope accumulator, its iterate one
-correctly rounded integer division.  Root counts read the remainder
-sequence at infinity: of q, at 0 and +inf, for an even or odd p, and of p
-otherwise.
+When the chain ends at a non-constant g = gcd(p, p'), p has a repeated
+root: its square-free part s = p / g goes through this same pipeline as
+an unseeded call (q's chain for an even or odd s, s's own chain), so p
+gets the intervals and roots of s, and a root's multiplicity is 1 plus the
+number of chains in the gcd tower g_{i+1} = gcd(g_i, g_i') with a root in
+its interval.  When the chain is
+normal (an element of every degree), its identities read as a continued
+fraction of float ratios seed p's real roots themselves (float bisection
+on the count of negative ratios, then Newton on p / p'), and the same
+certificate, with N the chain's exact count of p's real roots
+(V(-inf) - V(+inf)), accepts or rejects them, past complex pairs too.  A
+square-free p whose seeds all fail (an abnormal chain, a float overflow, a
+spent evaluation budget, a failed certificate) is isolated by the same
+Descartes bisection as past a complex pair, started from the whole line
+(-bound, bound) as one gap and with no cap on its tests: for a
+square-free p it ends.  Every root is refined by one seeded exact Newton:
+from its seed (the caller's, q's or the chain's), or from its interval's
+midpoint after the whole-line bisection, safeguarded by the bracket, and
+certified by exact opposite signs on either side of the result, with exact
+bisection only where that certificate fails.  Every point p is evaluated
+at is dyadic, num / 2^shift (a point that is not raises), so one Horner
+with shifts gives every exact sign, and exact Newton is that same loop
+with a slope accumulator, its iterate one correctly rounded integer
+division.  Root counts read the remainder sequence at infinity: of q, at
+0 and +inf, for an even or odd p, and of p otherwise.
 Admissibility of a slope tuple at expansion order l is a nullspace
 question for the matrix of eigenfunction values at the slopes: exact over
 the rationals, SVD-thresholded for floating input.
@@ -221,38 +224,6 @@ def _root_bound(coeffs: Sequence[int]) -> Fraction:
     return Fraction(2) ** (1 + max(exponents, default=0))
 
 
-def _isolate(chain: _SturmChain) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open intervals each holding exactly one distinct real root of chain.polys[0].
-
-    chain is the Sturm chain of p, square-free or not.  Each stack entry
-    (lo, V(lo), hi, V(hi)) carries the sign-variation counts of its
-    endpoints, which are never roots of p, so V(lo) - V(hi) distinct roots
-    lie in (lo, hi) and every bisection point costs one exact sign per
-    chain element (`_variations_at`).  A bisection point that is a root of
-    p moves halfway toward lo until it is not, so p has a nonzero exact
-    sign at both ends of every interval.  Every point is dyadic: the bound
-    is a power of two, and midpoints halve.
-    """
-    bound = _root_bound(chain.polys[0])
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(-bound, _variations_at(chain, -bound)[1], bound, _variations_at(chain, bound)[1])]
-    while stack:
-        lo, v_lo, hi, v_hi = stack.pop()
-        if v_lo - v_hi == 0:
-            continue
-        if v_lo - v_hi == 1:
-            out.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        sign, v_mid = _variations_at(chain, mid)
-        while sign == 0:
-            mid = (lo + mid) / 2
-            sign, v_mid = _variations_at(chain, mid)
-        stack.append((lo, v_lo, mid, v_mid))
-        stack.append((mid, v_mid, hi, v_hi))
-    return sorted(out)
-
-
 def _root_in(chain: _SturmChain, lo: Fraction, hi: Fraction) -> bool:
     """Whether chain.polys[0] has a root in (lo, hi), for ends that are not roots."""
     return _variations_at(chain, lo)[1] > _variations_at(chain, hi)[1]
@@ -364,55 +335,55 @@ def _descartes_bound(coeffs: list[int], lo: Fraction, hi: Fraction) -> int:
     return _sign_variations((x > 0) - (x < 0) for x in c)
 
 
-# Descartes tests in one seeded isolation past a complex pair before it
-# gives up and the Sturm path isolates instead; the bi-Laplace combinations
-# of the crack sweeps take 3 to 13
+# Descartes tests in one seeded isolation before it gives up: p may have a
+# repeated root there, where bisection never ends; the bi-Laplace
+# combinations of the crack sweeps take 3 to 13
 _DESCARTES_TESTS = 64
 
 
 def _descartes_gaps(
-    coeffs: list[int], seps: list[Fraction], sign: Callable[[int, int], int]
+    coeffs: list[int], seps: list[Fraction], sign: Callable[[int, int], int], tests: float
 ) -> list[tuple[int, Fraction, Fraction]] | None:
     """(i, lo, hi) for every real root of p, (lo, hi) isolating it within gap i of seps; or None.
 
     seps separate seeds that miss some of p's roots, most often the two of
-    a complex pair.  A run of consecutive gaps, the whole line first, takes
-    the Descartes bound V of its ends (`_descartes_bound`).  V equal to the
-    run's number of gaps is the count of `_certified_gaps`: alternating
-    signs then leave one simple root in each gap.  Otherwise the run splits
-    at its middle separator.  A single gap goes on only if p has opposite
-    nonzero signs at its ends, so that it holds an odd number of roots and
-    none on its ends; otherwise the separators fail to alternate and the
-    answer is None, as after _DESCARTES_TESTS tests.  The gap, and each
-    piece of it, with V = 0 holds no root and with V = 1 exactly one; with
-    V >= 2 it is bisected, a midpoint that is a root of p moving halfway
-    toward lo as in `_isolate`.
+    a complex pair, or they are the whole line (-bound, bound).  A run of
+    consecutive gaps, all of seps first, takes the Descartes bound V of its
+    ends (`_descartes_bound`).  V equal to the run's number of gaps is the
+    count of `_certified_gaps`: alternating signs then leave one simple root
+    in each gap.  Otherwise a run of several gaps splits at its middle
+    separator.  A single gap with a zero sign at an end gives None; else it
+    holds no root if V = 0 and one if V = 1 (its signs then alternate), and
+    with V >= 2 it is bisected, a midpoint that is a root of p moving
+    halfway toward lo until it is not.  More than tests Descartes tests
+    also give None; with tests = inf, bisection ends when p is square-free
+    (Collins & Akritas, SYMSAC 1976).
     """
     out: list[tuple[int, Fraction, Fraction]] = []
-    # (i, run, piece): the run's first gap is gap i of seps; a piece lies within gap i
-    stack: list[tuple[int, list[Fraction], bool]] = [(0, seps, False)]
-    for _ in range(_DESCARTES_TESTS):
-        if not stack:
-            return out
-        i, run, piece = stack.pop()
+    # (i, run): the run's first gap is gap i of seps
+    stack: list[tuple[int, list[Fraction]]] = [(0, seps)]
+    while stack:
+        if tests <= 0:
+            return None
+        tests -= 1
+        i, run = stack.pop()
         v = _descartes_bound(coeffs, run[0], run[-1])
-        if v == 0 and piece:
-            continue
         gaps = _certified_gaps(run, sign, v)
         if gaps is not None:
             out += [(i + j, lo, hi) for j, (lo, hi) in enumerate(gaps)]
         elif len(run) > 2:
             mid = len(run) // 2
-            stack += [(i + mid, run[mid:], False), (i, run[: mid + 1], False)]
-        elif not piece and sign(*_dyadic(run[0])) * sign(*_dyadic(run[1])) >= 0:
+            stack += [(i + mid, run[mid:]), (i, run[: mid + 1])]
+        elif not (sign(*_dyadic(run[0])) and sign(*_dyadic(run[1]))):
+            # a root on a separator: V counts only the roots inside a gap, so it would go unseen
             return None
-        else:
+        elif v:
             lo, hi = run
             mid = (lo + hi) / 2
             while sign(*_dyadic(mid)) == 0:
                 mid = (lo + mid) / 2
-            stack += [(i, [mid, hi], True), (i, [lo, mid], True)]
-    return None if stack else out
+            stack += [(i, [mid, hi]), (i, [lo, mid])]
+    return out
 
 
 # continued-fraction evaluations per root before `_chain_seeds` gives up;
@@ -456,8 +427,8 @@ def _chain_seeds(chain: _SturmChain) -> list[float] | None:
     repeated roots, or a remainder drops more than one degree), an identity
     overflows a float, a ratio is NaN, the counts contradict each other, or
     the evaluations exceed _CF_EVALS per degree.  The guesses carry no
-    guarantee: `_certified_gaps` certifies them, or exact Sturm bisection
-    isolates the roots they start refinement from.
+    guarantee: `_certified_gaps` certifies them, or isolation falls back to
+    Descartes bisection of the whole line.
     """
     polys = chain.polys
     n = len(polys[0]) - 1
@@ -609,8 +580,8 @@ def _refine_root(
     lo: Fraction,
     hi: Fraction,
     tol: float,
-    start: float | None = None,
-    sign: Callable[[int, int], int] | None = None,
+    start: float | None,
+    sign: Callable[[int, int], int],
 ) -> float:
     """Refine the one root in an open isolating interval to a float within goal/2 of it.
 
@@ -634,8 +605,6 @@ def _refine_root(
     then the bracket is bisected exactly down to width goal.  Exact signs
     come from sign, as in `_certified_gaps`; Newton runs on coeffs.
     """
-    if sign is None:
-        sign = functools.partial(_dyadic_sign, coeffs)
     while hi > 16 or lo < -16:
         far = hi if hi > -lo else lo
         cut = far / 16
@@ -701,13 +670,11 @@ def _parity_seeds(k: int, q: list[int]) -> tuple[list[float], int] | None:
     guess the w; each takes one exact Newton step on q, which brings a small
     w to full relative accuracy, and the positive ones give -sqrt(w) and
     sqrt(w).  A nonpositive w is a pair of roots of p off the real line.
-    None when q has a repeated root or its chain seeds none.  The guesses
-    carry no guarantee: `_certified_gaps` certifies them on p against the
-    count.
+    None when q's chain seeds none, as when q has a repeated root (its chain
+    is then not normal).  The guesses carry no guarantee: `_certified_gaps`
+    certifies them on p against the count.
     """
     chain = _sturm_chain(q)
-    if len(chain.polys[-1]) != 1:
-        return None
     ws = _chain_seeds(chain)
     if ws is None:
         return None
@@ -732,9 +699,10 @@ class RootSet:
     bound, but not always the same intervals: seeds that certify give their
     own gaps, or pieces of them past a complex pair; without seeds, an even
     or odd p gives the gaps of q's seeds, and another p with a normal chain
-    the gaps of its chain's seeds, complex pairs or not; and the Sturm path
-    gives the intervals of its bisection, with roots that differ only where
-    the caller's seeds, not the chain's, start the refinement.
+    the gaps of its chain's seeds, complex pairs or not; a square-free p
+    whose seeds all fail gives the pieces of the whole-line Descartes
+    bisection.  A p with a repeated root gives the intervals and roots of
+    its square-free part, bit for bit.
     """
 
     poly: RatPoly
@@ -762,101 +730,103 @@ def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | 
     certifies that all roots are real and simple (`_certified_gaps` with
     N = deg p).  With deg p - 2j of them, the missing roots being a complex
     pair or more, Descartes bounds on runs of their gaps certify them
-    instead (`_descartes_gaps`).  Each root is then refined from its seed.
-    A seed with no finite float value fails.  When the seeds fail, or
-    without seeds, an even or odd p with deg q >= 1 is seeded from q's chain
-    (`_parity_seeds`), and those seeds go through the same certificate,
-    with N the real-root count of that chain, and the same refinement.
-    Failing that, p's own Sturm chain is built; if it is normal, it seeds
-    p's real roots itself (`_chain_seeds`), and they go through the same
-    certificate, with N the chain's real-root count, and the same
-    refinement.  Otherwise the chain isolates p's distinct roots by exact
-    bisection (`_isolate`) and ends at
-    g_1 = gcd(p, p').  If g_1 is not constant, roots are refined on the
-    primitive part of p / g_1, and the tower g_{i+1} = gcd(g_i, g_i'), each
-    the last element of g_i's chain, counts multiplicities: a root of
-    multiplicity m is a root of exactly g_1 ... g_{m-1} (`_root_in`).  Each
-    interval's refinement starts from the first of p's chain seeds, the
-    caller's seeds and the chain seeds of p / g_1 to hold as many seeds as
-    there are intervals, zipped in order; without one, or from a seed
-    outside its interval, it starts at the midpoint (`_refine_root`).  A
-    tol outside (0, inf), or a real root beyond the float range, raises
-    ValueError.
+    instead (`_descartes_gaps`, within _DESCARTES_TESTS tests).  Each root
+    is then refined from its seed.  A seed with no finite float value fails.
+    When the seeds fail, or without seeds, an even or odd p with deg q >= 1
+    is seeded from q's chain (`_parity_seeds`), and those seeds go through
+    the same certificate, with N the real-root count of that chain, and the
+    same refinement.  Failing that, p's own Sturm chain is built.  If it
+    ends at a non-constant g_1 = gcd(p, p'), the square-free part, the
+    primitive part of p / g_1, is isolated as an unseeded call would
+    isolate it, and its intervals and roots are returned; the tower
+    g_{i+1} = gcd(g_i, g_i'), each the last element of g_i's chain, counts
+    multiplicities: a root of multiplicity m is a root of exactly
+    g_1 ... g_{m-1} (`_root_in`).
+    Otherwise p is square-free, and a normal chain seeds p's real roots
+    itself (`_chain_seeds`); they go through the same certificate, with N
+    the chain's real-root count, and the same refinement.  When those fail
+    too, Descartes bisection of the whole line isolates p's roots
+    (`_descartes_gaps` from (-bound, bound), with no cap), and each is
+    refined from its interval's midpoint (`_refine_root`).  A tol outside
+    (0, inf), or a real root beyond the float range, raises ValueError.
     """
     _check_tol(tol)
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     if p.degree == 0:
         return RootSet(p, (), (), ())
-    coeffs = integer_coefficients(p)
+    seeds = None if seeds is None else _float_seeds(seeds)
+    intervals, roots, mults = _real_roots(integer_coefficients(p), seeds, tol)
+    return RootSet(p, tuple(intervals), tuple(roots), tuple(mults))
+
+
+def _real_roots(
+    coeffs: list[int], seeds: list[float] | None, tol: float
+) -> tuple[list[tuple[Fraction, Fraction]], list[float], list[int]]:
+    """Isolating intervals, refined roots and multiplicities of p's real roots, as `isolate_real_roots` describes."""
     n = len(coeffs) - 1
     split = _parity_split(coeffs)
     # k >= 2 makes 0 a repeated root
     parity = split is not None and split[0] <= 1
     sign = _parity_sign(*split) if parity else functools.partial(_dyadic_sign, coeffs)
     bound = _root_bound(coeffs)
-    seeds = None if seeds is None else _float_seeds(seeds)
     seps = None if seeds is None else _separators(seeds, bound)
     if seps is not None:
         gaps = _certified_gaps(seps, sign, n)
         if gaps is not None:
-            return _refined(p, coeffs, gaps, seeds, tol, sign)
+            return _refined(coeffs, gaps, seeds, tol, sign)
         if len(seeds) < n and (n - len(seeds)) % 2 == 0:
-            found = _descartes_gaps(coeffs, seps, sign)
+            found = _descartes_gaps(coeffs, seps, sign, _DESCARTES_TESTS)
             if found is not None:
                 gaps = [(lo, hi) for _, lo, hi in found]
-                return _refined(p, coeffs, gaps, [seeds[i] for i, _, _ in found], tol, sign)
+                return _refined(coeffs, gaps, [seeds[i] for i, _, _ in found], tol, sign)
     # a constant q makes p linear
     if parity and len(split[1]) > 1:
         own = _parity_seeds(*split)
         if own is not None:
             own, count = own
             if count == 0:
-                return RootSet(p, (), (), ())
+                return [], [], []
             seps = _separators(own, bound)
             gaps = None if seps is None else _certified_gaps(seps, sign, count)
             if gaps is not None:
-                return _refined(p, coeffs, gaps, own, tol, sign)
-    chains = [_sturm_chain(coeffs)]
-    own = _chain_seeds(chains[0])
+                return _refined(coeffs, gaps, own, tol, sign)
+    chain = _sturm_chain(coeffs)
+    g = chain.polys[-1]
+    if len(g) > 1:
+        # the caller's seeds guess p's roots; without them p's RootSet is that of isolate_real_roots(s)
+        intervals, roots, _ = _real_roots(_int_primitive(_pseudo_divide(coeffs, g)[1]), None, tol)
+        tower = [_sturm_chain(g)]
+        while len(tower[-1].polys[-1]) > 1:
+            tower.append(_sturm_chain(tower[-1].polys[-1]))
+        return intervals, roots, [1 + sum(_root_in(c, lo, hi) for c in tower) for lo, hi in intervals]
+    own = _chain_seeds(chain)
     seps = None if own is None else _separators(own, bound)
-    # a normal chain makes p square-free, so its count of distinct real roots is N
-    gaps = None if seps is None else _certified_gaps(seps, sign, _distinct_real_roots(chains[0].polys))
+    # p is square-free, so the chain's count of distinct real roots is N
+    gaps = None if seps is None else _certified_gaps(seps, sign, _distinct_real_roots(chain.polys))
     if gaps is not None:
-        return _refined(p, coeffs, gaps, own, tol, sign)
-    while len(chains[-1].polys[-1]) > 1:
-        chains.append(_sturm_chain(chains[-1].polys[-1]))
-    chain, *tower = chains
-    intervals = _isolate(chain)
-    mults = tuple(1 + sum(_root_in(c, lo, hi) for c in tower) for lo, hi in intervals)
-    starts = next((s for s in (own, seeds) if s is not None and len(s) == len(intervals)), None)
-    if tower:
-        coeffs = _int_primitive(_pseudo_divide(coeffs, chain.polys[-1])[1])
-        if starts is None:
-            starts = _chain_seeds(_sturm_chain(coeffs))
-    if starts is None or len(starts) != len(intervals):
-        starts = [None] * len(intervals)
-    roots = tuple(_refine_root(coeffs, lo, hi, tol, s) for (lo, hi), s in zip(intervals, starts))
-    return RootSet(p, tuple(intervals), roots, mults)
+        return _refined(coeffs, gaps, own, tol, sign)
+    # a square-free p: bisection ends without a cap
+    gaps = [(lo, hi) for _, lo, hi in _descartes_gaps(coeffs, [-bound, bound], sign, math.inf)]
+    return _refined(coeffs, gaps, [None] * len(gaps), tol, sign)
 
 
 def _refined(
-    p: RatPoly,
     coeffs: list[int],
     gaps: list[tuple[Fraction, Fraction]],
-    starts: Sequence[float],
+    starts: Sequence[float | None],
     tol: float,
     sign: Callable[[int, int], int],
-) -> RootSet:
-    """The RootSet of simple roots isolated by gaps, each refined from its start (`_refine_root`)."""
-    roots = tuple(_refine_root(coeffs, lo, hi, tol, s, sign) for (lo, hi), s in zip(gaps, starts))
-    return RootSet(p, tuple(gaps), roots, (1,) * len(gaps))
+) -> tuple[list[tuple[Fraction, Fraction]], list[float], list[int]]:
+    """gaps, the simple root each isolates refined from its start (`_refine_root`), and multiplicities 1."""
+    roots = [_refine_root(coeffs, lo, hi, tol, s, sign) for (lo, hi), s in zip(gaps, starts)]
+    return gaps, roots, [1] * len(gaps)
 
 
 # phase-scan samples per unit of l: two roots of a bi-Laplace combination
 # closer than pi / (_PHASE_SAMPLES * l) in angle can share a sample interval
 # with no sign change; the scan misses both, and `_descartes_gaps` bisects
-# their seed gap until it finds them, or isolation falls back to the Sturm path
+# their seed gap until it finds them, or isolation falls back to p's own chain
 _PHASE_SAMPLES = 32
 # safeguarded Newton steps per scan bracket, at most: from the bracket's
 # midpoint the error falls about as e -> l e^2 / 2, so four or five steps

@@ -274,9 +274,11 @@ class SLReduction:
 
 
 DEFAULT_SL_SAMPLES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4))
+# mpmath working precision of `sturm_liouville_check`, in decimal digits
+_SL_DPS = 60
 
 
-def sturm_liouville_check(pair: Eigenpair, sample_points=None, dps: int = 60) -> SLReduction:
+def sturm_liouville_check(pair: Eigenpair, sample_points=None) -> SLReduction:
     """Evaluate the transformed-equation residual at rational sample points.
 
     The transform carries a half-integer power of (1+z^2), so phi'' is taken
@@ -291,7 +293,7 @@ def sturm_liouville_check(pair: Eigenpair, sample_points=None, dps: int = 60) ->
     mu = (lam + 1) * (lam - 1)
     samples = DEFAULT_SL_SAMPLES if sample_points is None else tuple(Fraction(z) for z in sample_points)
     residuals = []
-    with mp.workdps(dps):
+    with mp.workdps(_SL_DPS):
         power = mp.mpf(-exponent.numerator) / exponent.denominator
         poly_coeffs = [mp.mpf(c.numerator) / c.denominator for c in pair.poly.coeffs]
 

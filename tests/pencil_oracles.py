@@ -15,6 +15,11 @@ reduced Fraction from powers of the denominator, where
 the distinct real root count of the classical Sturm sequence of p and p'
 over the rationals on the whole line, where `pencil.nodal.count_real_roots`
 counts an even or odd p on the integer chain of its half-degree part.
+`sturm_isolation` bisects on that same rational sequence into isolating
+intervals, with multiplicities from the Sturm sequences of its gcd tower,
+where `pencil.nodal.isolate_real_roots` certifies seed gaps, isolates a
+repeated root through the square-free part and bisects only by Descartes
+bounds.
 `fraction_rref` and `fraction_kernel` are Gauss-Jordan elimination over
 `Fraction`s, each pivot row divided by its pivot, where `pencil.linalg`
 clears each row's denominators and eliminates fraction-free over the
@@ -305,12 +310,14 @@ def exact_newton(coeffs: Sequence[int], x: float) -> tuple[int, Fraction | None]
     return (n_acc > 0) - (n_acc < 0), (Fraction(a * d_acc - n_acc, b * d_acc) if d_acc else None)
 
 
-def sturm_count(coeffs: Sequence) -> int:
-    """Distinct real roots of the polynomial with these coefficients (lowest first, rational, top nonzero).
+def sturm_sequence(coeffs: Sequence) -> list[list[Fraction]]:
+    """The classical Sturm sequence of p and p' over the rationals (coefficients lowest first, rational, top nonzero).
 
-    The Sturm sequence p_0 = p, p_1 = p', p_{j+1} = -rem(p_{j-1}, p_j) by
-    Fraction long division, down to the last nonzero remainder; the count is
-    its sign variations at -inf minus those at +inf.
+    p_0 = p, p_1 = p', and p_{j+1} = -rem(p_{j-1}, p_j) by Fraction long
+    division, times the positive rational that makes its coefficients
+    coprime integers (a positive scale keeps every sign, and the next
+    division works on shorter numbers), down to the last nonzero remainder,
+    gcd(p, p') up to a constant.
     """
     chain = [[Fraction(c) for c in coeffs]]
     derivative = [k * c for k, c in enumerate(chain[0])][1:]
@@ -328,7 +335,18 @@ def sturm_count(coeffs: Sequence) -> int:
                 rem.pop()
         if not rem:
             break
-        chain.append([-c for c in rem])
+        scale = Fraction(math.lcm(*(c.denominator for c in rem)), math.gcd(*(c.numerator for c in rem)))
+        chain.append([-c * scale for c in rem])
+    return chain
+
+
+def sturm_count(coeffs: Sequence) -> int:
+    """Distinct real roots of the polynomial with these coefficients (lowest first, rational, top nonzero).
+
+    The count is the sign variations of `sturm_sequence` at -inf minus
+    those at +inf.
+    """
+    chain = sturm_sequence(coeffs)
 
     def variations(signs):
         return sum(a != b for a, b in zip(signs, signs[1:]))
@@ -336,6 +354,68 @@ def sturm_count(coeffs: Sequence) -> int:
     at_plus = [1 if q[-1] > 0 else -1 for q in chain]
     at_minus = [s if len(q) % 2 else -s for s, q in zip(at_plus, chain)]
     return variations(at_minus) - variations(at_plus)
+
+
+def _horner(coeffs: Sequence[int], x: Fraction) -> int:
+    """b^n p(a/b) for x = a/b, an integer Horner sum."""
+    a, b = x.numerator, x.denominator
+    acc, b_pow = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * a + c * b_pow
+        b_pow *= b
+    return acc
+
+
+def _sturm_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
+    """Sign variations of the chain's elements at x, zeros skipped."""
+    signs = [v > 0 for v in (_horner(q, x) for q in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _integers(sequence: list[list[Fraction]]) -> list[list[int]]:
+    """Each element of a Sturm sequence scaled by the positive lcm of its denominators to integers."""
+    return [[int(c * math.lcm(*(d.denominator for d in q))) for c in q] for q in sequence]
+
+
+def sturm_isolation(coeffs: Sequence, lo: Fraction | None = None, hi: Fraction | None = None) -> list[tuple[Fraction, Fraction, int]]:
+    """(a, b, m) for each distinct real root of p, sorted: the open interval (a, b) holds it alone, with multiplicity m.
+
+    Sturm bisection of p's `sturm_sequence`: V(a) - V(b) distinct roots lie
+    in (a, b) when neither end is a root, and a midpoint that is a root of
+    p moves halfway toward a until it is not.  Without lo and hi it starts
+    from the Cauchy bound 1 + max |a_k / a_n|, rounded up to a power of
+    two; lo < hi, neither a root of p, restrict it to the roots in (lo, hi).
+    The sequence ends at g_1 = gcd(p, p'), and a root of multiplicity m is a
+    root of exactly g_1, ..., g_{m-1}, each g_{i+1} the last element of the
+    Sturm sequence of g_i, so m is 1 plus the number of those sequences
+    that count a root in (a, b).
+    """
+    seq = sturm_sequence(coeffs)
+    chain = _integers(seq)
+    if lo is None:
+        bound, cauchy = Fraction(1), 1 + max((abs(c / seq[0][-1]) for c in seq[0][:-1]), default=0)
+        while bound <= cauchy:
+            bound *= 2
+        lo, hi = -bound, bound
+    found = []
+    stack = [(lo, _sturm_variations(chain, lo), hi, _sturm_variations(chain, hi))]
+    while stack:
+        a, v_a, b, v_b = stack.pop()
+        if v_a - v_b == 1:
+            found.append((a, b))
+        elif v_a - v_b > 1:
+            mid = (a + b) / 2
+            while _horner(chain[0], mid) == 0:
+                mid = (a + mid) / 2
+            v_mid = _sturm_variations(chain, mid)
+            stack += [(a, v_a, mid, v_mid), (mid, v_mid, b, v_b)]
+    tower = []
+    while len(seq[-1]) > 1:
+        seq = sturm_sequence(seq[-1])
+        tower.append(_integers(seq))
+    return [
+        (a, b, 1 + sum(_sturm_variations(t, a) > _sturm_variations(t, b) for t in tower)) for a, b in sorted(found)
+    ]
 
 
 def characteristic_quartic(l: int) -> RatPoly:

@@ -19,7 +19,6 @@ from pencil.nodal import (
     _dyadic_sign,
     _exact_newton,
     _goal,
-    _isolate,
     _parity_sign,
     _parity_split,
     _phase_seeds,
@@ -48,6 +47,7 @@ from pencil_oracles import (
     exact_newton,
     phase_seeds,
     sturm_count,
+    sturm_isolation,
     variations_at,
 )
 
@@ -59,11 +59,37 @@ def poly_from_roots(roots) -> RatPoly:
     return p
 
 
-def sturm_isolation(p: RatPoly, **kwargs) -> nodal.RootSet:
-    """isolate_real_roots(p) on the exact Sturm path alone: no chain seeds, so `_isolate` bisects every root."""
+def whole_line_isolation(p: RatPoly, **kwargs) -> nodal.RootSet:
+    """isolate_real_roots(p) with no chain seeds: Descartes bisection of the whole line isolates every root."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nodal, "_chain_seeds", lambda chain: None)
         return isolate_real_roots(p, **kwargs)
+
+
+def assert_matches_oracle(rs: nodal.RootSet, tol: float = 1e-12) -> list:
+    """rs holds the roots and multiplicities of Sturm bisection over the rationals (`pencil_oracles.sturm_isolation`), which it returns.
+
+    Each refined root r lies in its oracle interval (a, b), up to
+    h = tol max(|r|, 1).  A root of multiplicity m is a simple root of p's
+    (m-1)-th derivative, which has a zero at r or opposite exact signs at
+    the ends of (r - h, r + h) within (a, b), where p has no other root.
+    Each interval of rs is open, sorted after the one before, and holds a
+    root of any multiplicity with none at either end.
+    """
+    p = rs.poly
+    oracle = sturm_isolation(p.coeffs)
+    assert rs.multiplicities == tuple(m for *_, m in oracle)
+    assert len(rs.isolating_intervals) == len(rs.refined_roots) == len(oracle)
+    for (lo, hi), r, (a, b, m) in zip(rs.isolating_intervals, rs.refined_roots, oracle):
+        x = Fraction(r)
+        h = Fraction(tol) * max(abs(x), 1)
+        assert a - h < x < b + h
+        d = p.diff(m - 1)
+        assert d.eval(x) == 0 or d.eval(max(x - h, a)) * d.eval(min(x + h, b)) < 0
+        assert lo < hi and p.eval(lo) * p.eval(hi) * (-1) ** m > 0
+    for (_, hi), (lo, _) in zip(rs.isolating_intervals, rs.isolating_intervals[1:]):
+        assert hi <= lo
+    return oracle
 
 
 def _psi_roots(l: int, family: int) -> list[float]:
@@ -167,13 +193,16 @@ class TestIsolation:
         assert romap[target] == power
 
     def test_exact_root_on_a_bisection_point_moves_toward_lo(self):
-        # 0, the first bisection point of the Sturm path, moves halfway toward
+        # 0, the first bisection point of the whole line, moves halfway toward
         # lo; no interval is degenerate and p is nonzero at every end
         p = poly_from_roots([-1, 0])
-        for rs in (sturm_isolation(p), isolate_real_roots(p)):
+        for rs in (whole_line_isolation(p), isolate_real_roots(p)):
             (lo, hi), (a, b) = rs.isolating_intervals
             assert lo < -1 < hi <= a < 0 < b
             assert p.eval(lo) * p.eval(hi) < 0 and p.eval(a) * p.eval(b) < 0
+            assert_matches_oracle(rs)
+        (lo, hi, _), (a, b, _) = sturm_isolation(p.coeffs)
+        assert lo < -1 < hi <= a < 0 < b
 
     def test_multiplicities_with_exact_root_at_bisection_point(self):
         # 0 is the first bisection point; the cube factor z owns it
@@ -186,11 +215,11 @@ class TestIsolation:
     def test_eigenfunction_roots_match_closed_forms(self, l, family):
         # cot((2k-1)pi/(2l)) for family 1 and cot(k pi/(l+1)) for family 2, written
         # as tan(j pi/(2n)) so that the root 0 of odd l is exact; odd l puts it on
-        # the first bisection point of the Sturm path
+        # the first bisection point of the whole line
         n = l if family == 1 else l + 1
         expect = [math.tan(j * math.pi / (2 * n)) for j in range(1 - l, l, 2)]
         p = quadratic_eigenfunction(l, family).poly
-        for rs in (isolate_real_roots(p), sturm_isolation(p)):
+        for rs in (isolate_real_roots(p), whole_line_isolation(p)):
             assert rs.multiplicities == (1,) * l
             for got, want in zip(rs.refined_roots, expect, strict=True):
                 assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
@@ -231,11 +260,16 @@ class TestIsolation:
             goal = tol / 8 * float(max(abs(lo), abs(hi), 1))
             assert abs(got - float(want)) <= goal
 
-    @pytest.mark.parametrize("p", [RatPoly([-(2**1100), 1]), RatPoly([-(2**2201), 0, 1])])
-    def test_root_beyond_float_range_raises(self, p):
-        # a bare OverflowError from the final float conversion before
+    @pytest.mark.parametrize(
+        "p", [RatPoly([-(2**1100), 1]), RatPoly([-(2**2201), 0, 1]), RatPoly([-(2**1100), 1]) * RatPoly([1, 1, 1])]
+    )
+    def test_root_beyond_float_range_raises(self, p, monkeypatch):
+        # a bare OverflowError from the final float conversion before; the
+        # chain seeds overflow, so the whole line is bisected first
+        calls = whole_line_calls(monkeypatch)
         with pytest.raises(ValueError, match="beyond the float range"):
             isolate_real_roots(p)
+        assert calls == [(2, math.inf)]
 
     @pytest.mark.parametrize("k", [40, 200, 2200])
     def test_goal_relative_to_the_root(self, k):
@@ -261,7 +295,7 @@ class TestIsolation:
         tol = 5e-324
         square_free = square_free_part(p)
         want = isolate_real_roots(p)
-        for rs in (isolate_real_roots(p, tol=tol), isolate_real_roots(p, tol=tol, seeds=seeds), sturm_isolation(p, tol=tol)):
+        for rs in (isolate_real_roots(p, tol=tol), isolate_real_roots(p, tol=tol, seeds=seeds), whole_line_isolation(p, tol=tol)):
             assert rs.multiplicities == want.multiplicities
             assert rs.refined_roots == pytest.approx(want.refined_roots, rel=1e-12)
             for r in rs.refined_roots:
@@ -341,7 +375,7 @@ class TestSeededIsolation:
             if p.is_zero() or p.degree < 1:
                 continue
             assert certified(p, _phase_seeds(l, coeffs))
-            assert_same_roots(combo.roots(), sturm_isolation(p))
+            assert_matches_oracle(combo.roots())
 
     @pytest.mark.parametrize("l", range(2, 61, 2))
     def test_bilaplace_combinations(self, l):
@@ -351,28 +385,27 @@ class TestSeededIsolation:
             coeffs[0] = Fraction(0)  # degree below l: the phase form vanishes at phi = 0 and pi
         combo = Combination("bilaplace", l, coeffs)
         p = combo.poly
-        plain = sturm_isolation(p)
-        if plain.count == p.degree and count_real_roots(p) == p.degree:
+        if len(sturm_isolation(p.coeffs)) == p.degree and count_real_roots(p) == p.degree:
             assert certified(p, _phase_seeds(l, coeffs))
-        assert_same_roots(combo.roots(), plain)
+        assert_matches_oracle(combo.roots())
 
     @pytest.mark.parametrize("equation", ["laplace", "bilaplace"])
     @pytest.mark.parametrize("pool", ADM_POOL, ids=["m1", "m2", "m3"])
-    def test_admissibility_verdicts(self, equation, pool, monkeypatch):
-        # each configuration at every other l, alternating the parity between configurations
+    def test_admissibility_verdicts(self, equation, pool):
+        # each configuration at every other l, alternating the parity between
+        # configurations: the zero set and the consecutive flag against Sturm bisection
         check = check_admissibility_laplace if equation == "laplace" else check_admissibility_bilaplace
         configs = [CrackConfig(tuple(Fraction(a) for a in alphas)) for alphas in pool]
         orders = [range(max(cfg.m, 2) + i % 2, 31, 2) for i, cfg in enumerate(configs)]
-        seeded = [[check(cfg, (l, l))[0] for l in ls] for cfg, ls in zip(configs, orders)]
-        monkeypatch.setattr(nodal, "_phase_seeds", lambda l, coeffs: None)
-        monkeypatch.setattr(nodal, "_chain_seeds", lambda chain: None)
-        for cfg, ls, verdicts in zip(configs, orders, seeded):
-            for a, b in zip(verdicts, [check(cfg, (l, l))[0] for l in ls], strict=True):
-                assert (a.admissible, a.rank, a.combo_coefficients, a.consecutive_flag) == (
-                    b.admissible, b.rank, b.combo_coefficients, b.consecutive_flag
-                )
-                if a.full_zero_set is not None:
-                    assert_same_roots(a.full_zero_set, b.full_zero_set)
+        for cfg, ls in zip(configs, orders):
+            for l in ls:
+                v = check(cfg, (l, l))[0]
+                if v.full_zero_set is None:
+                    continue
+                oracle = assert_matches_oracle(v.full_zero_set)
+                # every slope is an exact root: the oracle interval that holds it is its position
+                at = sorted(next(i for i, (a, b, _) in enumerate(oracle) if a < alpha < b) for alpha in cfg.alphas)
+                assert v.consecutive_flag == all(j - i == 1 for i, j in zip(at, at[1:]))
 
     @pytest.mark.parametrize(
         "spoil",
@@ -405,11 +438,13 @@ class TestSeededIsolation:
         # seeds off by 1e-6 fail the direct certificate; exact Newton steps finish
         p = quadratic_eigenfunction(20, 1).poly
         seeds = [s * (1 + 1e-6) for s in _phase_seeds(20, (1, 0))]
-        assert_same_roots(isolate_real_roots(p, seeds=seeds), sturm_isolation(p))
+        assert_matches_oracle(isolate_real_roots(p, seeds=seeds))
 
     def test_isolation_never_runs_yun(self, monkeypatch):
         # p's own Sturm chain isolates every p, and gcds of chains give the
-        # multiplicities; for square-free p the RootSet is what the Yun path gave
+        # square-free part and the multiplicities: a square-free p bisected on
+        # the whole line gives what the whole-line bisection of its Yun factor
+        # gives, and a p with repeated roots the RootSet of its Yun square-free part
         z = RatPoly([0, 1])
         square_free = [
             quadratic_eigenfunction(25, 1).poly,
@@ -422,28 +457,35 @@ class TestSeededIsolation:
             factors = square_free_decomposition(p)
             assert [m for _, m in factors] == [1]
             coeffs = integer_coefficients(factors[0][0])
-            intervals = _isolate(_sturm_chain(coeffs))
-            roots = tuple(_refine_root(coeffs, lo, hi, 1e-12) for lo, hi in intervals)
+            sign = functools.partial(_dyadic_sign, coeffs)
+            bound = nodal._root_bound(coeffs)
+            intervals = [(lo, hi) for _, lo, hi in nodal._descartes_gaps(coeffs, [-bound, bound], sign, math.inf)]
+            roots = tuple(_refine_root(coeffs, lo, hi, 1e-12, None, sign) for lo, hi in intervals)
             expected.append((tuple(intervals), roots))
-
-        def refuse(p):
-            raise AssertionError("square_free_decomposition called by isolation")
-
-        monkeypatch.setattr(nodal, "square_free_decomposition", refuse)
-        monkeypatch.setattr(polyring, "square_free_decomposition", refuse)
-        for p, (intervals, roots) in zip(square_free, expected):
-            rs = sturm_isolation(p)
-            assert (rs.isolating_intervals, rs.refined_roots) == (intervals, roots)
-            assert rs.multiplicities == (1,) * len(roots)
-            assert_same_roots(isolate_real_roots(p), rs)
         repeated = [
             ((z - 1) ** 2 * (z + 2), (-2.0, 1.0), (1, 2)),
             ((z - Fraction(1, 3)) ** 4 * (z ** 2 + 1) ** 2 * z ** 3, (0.0, 1 / 3), (3, 4)),
             (-((z ** 2 - 2) ** 3) * (z + 5), (-5.0, -math.sqrt(2), math.sqrt(2)), (1, 3, 3)),
         ]
-        for p, roots, mults in repeated:
+        parts = [isolate_real_roots(square_free_part(p)) for p, _, _ in repeated]
+
+        def refuse(p):
+            raise AssertionError("Yun's decomposition called by isolation")
+
+        for name in ("square_free_decomposition", "square_free_part"):
+            monkeypatch.setattr(nodal, name, refuse)
+            monkeypatch.setattr(polyring, name, refuse)
+        for p, (intervals, roots) in zip(square_free, expected):
+            rs = whole_line_isolation(p)
+            assert (rs.isolating_intervals, rs.refined_roots) == (intervals, roots)
+            assert rs.multiplicities == (1,) * len(roots)
+            assert_matches_oracle(rs)
+            assert_same_roots(isolate_real_roots(p), rs)
+        for (p, roots, mults), part in zip(repeated, parts):
             rs = isolate_real_roots(p)
+            assert (rs.isolating_intervals, rs.refined_roots) == (part.isolating_intervals, part.refined_roots)
             assert rs.refined_roots == pytest.approx(roots, abs=1e-12) and rs.multiplicities == mults
+            assert_matches_oracle(rs)
 
 
 @st.composite
@@ -477,7 +519,7 @@ def refinement_starts(monkeypatch) -> list:
     starts = []
     refine = nodal._refine_root
 
-    def spy(coeffs, lo, hi, tol, start=None, sign=None):
+    def spy(coeffs, lo, hi, tol, start, sign):
         starts.append(start)
         return refine(coeffs, lo, hi, tol, start, sign)
 
@@ -486,18 +528,18 @@ def refinement_starts(monkeypatch) -> list:
 
 
 def assert_certified_on_chain_seeds(p: RatPoly, count: int) -> nodal.RootSet:
-    """Unseeded isolation of a square-free p with count real roots takes its chain seeds' gaps and matches the Sturm path."""
+    """Unseeded isolation of a square-free p with count real roots takes its chain seeds' gaps and matches the Sturm oracle."""
     seeds = chain_seeds(p)
     assert seeds is not None and len(seeds) == count < p.degree
     coeffs = integer_coefficients(p)
     seps = _separators(seeds, nodal._root_bound(coeffs))
     with pytest.MonkeyPatch.context() as mp:
         starts = refinement_starts(mp)
-        mp.setattr(nodal, "_isolate", lambda chain: pytest.fail("bisected on the Sturm path"))
+        mp.setattr(nodal, "_descartes_gaps", lambda *args: pytest.fail("bisected the whole line"))
         rs = isolate_real_roots(p)
     assert rs.isolating_intervals == tuple(zip(seps, seps[1:]))
     assert starts == seeds and rs.multiplicities == (1,) * count
-    assert_same_roots(rs, sturm_isolation(p))
+    assert_matches_oracle(rs)
     return rs
 
 
@@ -505,7 +547,7 @@ class TestChainSeeds:
     """Unseeded isolation seeds itself from p's Sturm chain read as a float continued fraction."""
 
     @given(real_rooted_products())
-    @example(([Fraction(-1), Fraction(0)], 1))  # the exact root 0 on the Sturm path's first bisection point
+    @example(([Fraction(-1), Fraction(0)], 1))  # the exact root 0 on the whole line's first bisection point
     @example(([Fraction(0), Fraction(1, 39), Fraction(1), Fraction(2)], 1))  # the exact root 0 on a bracket end
     @example(
         (
@@ -526,7 +568,7 @@ class TestChainSeeds:
             # every interval, an exact root's too, rests on exact opposite signs
             assert lo < want < hi and p.eval(lo) * p.eval(hi) < 0
             assert abs(got - float(want)) <= tol * max(abs(float(want)), 1.0)
-        assert_same_roots(rs, sturm_isolation(p))
+        assert_matches_oracle(rs, tol)
 
     @pytest.mark.parametrize(
         "p, roots, mults",
@@ -539,18 +581,19 @@ class TestChainSeeds:
         ],
     )
     def test_complex_or_repeated_roots_take_the_sturm_path(self, p, roots, mults, monkeypatch):
-        # a repeated root ends the chain early, with a complex pair or not,
-        # and the chain of the square-free part seeds the real roots
-        seeds = chain_seeds(p)
-        square_free = mults == (1,) * len(mults)
-        assert (seeds is not None) == square_free
-        plain = sturm_isolation(p)
+        # a repeated root ends p's Sturm chain at g = gcd(p, p'), with a complex
+        # pair or not; the square-free part p / g is isolated in p's place, seeded
+        # by its own chain or, when it is even or odd, by q's
+        assert chain_seeds(p) is None
         starts = refinement_starts(monkeypatch)
+        part = isolate_real_roots(square_free_part(p))
+        part_starts = list(starts)
+        starts.clear()
         rs = isolate_real_roots(p)
-        # the same exact bisection, and every refinement starts from a seed
-        assert rs.isolating_intervals == plain.isolating_intervals
-        assert starts == chain_seeds(p if square_free else square_free_part(p)) and len(starts) == len(roots)
-        assert_same_roots(rs, plain)
+        # the square-free part's RootSet bit for bit, every refinement from the same seed
+        assert (rs.isolating_intervals, rs.refined_roots) == (part.isolating_intervals, part.refined_roots)
+        assert starts == part_starts and None not in starts and len(starts) == len(roots)
+        assert_matches_oracle(rs)
         assert rs.multiplicities == mults and count_real_roots(p) == len(roots)
         assert rs.refined_roots == pytest.approx(sorted(roots), rel=1e-12, abs=1e-12)
 
@@ -616,7 +659,8 @@ class TestChainSeeds:
     def test_wrong_chain_seeds_are_caught_by_the_certificate(self, spoil, monkeypatch):
         # the float guesses carry no guarantee: only exact signs at the separators accept them
         p = poly_from_roots([-3, Fraction(-1, 2), Fraction(1, 3), 2, Fraction(9, 4)])
-        want = sturm_isolation(p)
+        want = whole_line_isolation(p)
+        assert_matches_oracle(want)
         seeds = chain_seeds(p)
         monkeypatch.setattr(nodal, "_chain_seeds", lambda chain: spoil(seeds))
         assert isolate_real_roots(p) == want
@@ -684,7 +728,7 @@ class TestParitySplit:
         p, roots = case
         assert _parity_split(integer_coefficients(p)) is not None
         rs = isolate_real_roots(p)
-        assert_same_roots(rs, sturm_isolation(p))
+        assert_matches_oracle(rs)
         assert rs.multiplicities == tuple(m for _, m in roots)
         for got, (want, _) in zip(rs.refined_roots, roots, strict=True):
             assert abs(got - float(want)) <= 1e-12 * max(abs(float(want)), 1.0)
@@ -701,21 +745,29 @@ class TestParitySplit:
 
     @pytest.mark.parametrize("l", [20, 45, 70])
     def test_fallbacks_are_the_generic_path(self, l, monkeypatch):
-        # a square, alone or with a complex pair: q has a repeated root, and
-        # the RootSet is the one of p's own chain, bit for bit
+        # a square, alone or with a complex pair: q has a repeated root (or
+        # p = z^2 q(z^2) for odd l), so p's own chain is built and ends at
+        # gcd(p, p'), and the RootSet is the one of the square-free part, even
+        # or odd again, bit for bit; without the parity split it agrees
         psi_1, psi_2 = (quadratic_eigenfunction(l, f).poly for f in (1, 2))
-        cases = [psi_1 * psi_1, psi_2 * psi_2 * RatPoly([2, 0, 1])]
-        got = [isolate_real_roots(p) for p in cases]
+        pair = RatPoly([2, 0, 1])
+        cases = [(psi_1 * psi_1, psi_1), (psi_2 * psi_2 * pair, psi_2 * pair)]
+        got = []
+        for p, part in cases:
+            rs, want = isolate_real_roots(p), isolate_real_roots(part)
+            assert (rs.isolating_intervals, rs.refined_roots) == (want.isolating_intervals, want.refined_roots)
+            assert rs.multiplicities == (2,) * l
+            got.append(rs)
         monkeypatch.setattr(nodal, "_parity_split", lambda coeffs: None)
-        assert got == [isolate_real_roots(p) for p in cases]
+        for (p, _), rs in zip(cases, got):
+            assert_same_roots(rs, isolate_real_roots(p))
 
     @pytest.mark.parametrize("l", [20, 45, 70])
     def test_complex_pair_on_the_imaginary_axis_counts_on_q(self, l, monkeypatch):
         # z^2 + 1 is the root w = -1 of q: q's chain counts p's real roots,
         # and p's own chain of twice the degree is never built
         p = quadratic_eigenfunction(l, 1).poly * RatPoly([1, 0, 1])
-        if l <= 40:
-            assert_same_roots(isolate_real_roots(p), sturm_isolation(p))
+        assert_matches_oracle(isolate_real_roots(p))
         built = chain_degrees(monkeypatch)
         rs = isolate_real_roots(p)
         assert built == [l // 2 + 1]
@@ -765,7 +817,7 @@ def complex_pair_cases(draw):
 
 
 class TestDescartesGaps:
-    """Seeds that miss a complex pair: Descartes bounds on runs of seed gaps certify the real roots, or the Sturm path isolates them."""
+    """Seeds that miss a complex pair: Descartes bounds on runs of seed gaps certify the real roots, or isolation falls back."""
 
     @given(
         st.lists(st.integers(-50, 50), min_size=2, max_size=9).filter(lambda c: c[-1] != 0),
@@ -783,8 +835,7 @@ class TestDescartesGaps:
         p = RatPoly(coeffs)
         if p.eval(lo) and p.eval(hi):
             # at least the roots inside, with multiplicity, and of their parity
-            plain = sturm_isolation(p)
-            inside = sum(m for r, m in zip(plain.refined_roots, plain.multiplicities) if lo < r < hi)
+            inside = sum(m for *_, m in sturm_isolation(coeffs, lo, hi))
             assert v >= inside and (v - inside) % 2 == 0
 
     @given(complex_pair_cases())
@@ -800,14 +851,16 @@ class TestDescartesGaps:
         seeds = [float(r) for r in roots]
         coeffs = integer_coefficients(p)
         sign = functools.partial(_dyadic_sign, coeffs)
-        found = nodal._descartes_gaps(coeffs, _separators(seeds, nodal._root_bound(coeffs)), sign)
-        plain = sturm_isolation(p)
+        found = nodal._descartes_gaps(coeffs, _separators(seeds, nodal._root_bound(coeffs)), sign, nodal._DESCARTES_TESTS)
+        oracle = sturm_isolation(p.coeffs)
         if found is not None:
             # never a wrong count: one simple root in each open interval with opposite exact signs
-            assert len(found) == plain.count == sturm_count(p.coeffs) and plain.multiplicities == (1,) * plain.count
-            for (i, lo, hi), r in zip(found, plain.refined_roots):
-                assert lo < r < hi and p.eval(lo) * p.eval(hi) < 0
-        assert_same_roots(isolate_real_roots(p, seeds=seeds), plain)
+            assert len(found) == len(oracle) == sturm_count(p.coeffs) and all(m == 1 for *_, m in oracle)
+            for i, lo, hi in found:
+                assert [m for *_, m in sturm_isolation(p.coeffs, lo, hi)] == [1] and p.eval(lo) * p.eval(hi) < 0
+            for (_, _, hi), (_, lo, _) in zip(found, found[1:]):
+                assert hi <= lo
+        assert_matches_oracle(isolate_real_roots(p, seeds=seeds))
 
     def test_roots_on_separators_fail(self):
         # seeds -3, -1, 1 and 3 miss the roots -2 and 2, which are separators:
@@ -818,23 +871,28 @@ class TestDescartesGaps:
         coeffs = integer_coefficients(p)
         seps = _separators([-3.0, -1.0, 1.0, 3.0], nodal._root_bound(coeffs))
         assert seps[1:-1] == [-2, 0, 2]
-        assert nodal._descartes_gaps(coeffs, seps, functools.partial(_dyadic_sign, coeffs)) is None
+        assert nodal._descartes_gaps(coeffs, seps, functools.partial(_dyadic_sign, coeffs), nodal._DESCARTES_TESTS) is None
         assert isolate_real_roots(p, seeds=[-3.0, -1.0, 1.0, 3.0]).refined_roots == (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)
 
     def test_run_with_two_roots_in_one_gap_and_none_in_the_next(self):
         # seeds -3, -1, 1 and 3 put separators at -2, 0 and 2; the real roots
         # -3, -5/2, 1 and 3 leave two in the first gap and none in the second.
         # Far from the pair 10 +- i the run of these two gaps has Descartes
-        # bound 2, its number of gaps, but its separators fail to alternate
+        # bound 2, its number of gaps, but its separators fail to alternate:
+        # it splits, the first gap is bisected and the second, with bound 0,
+        # holds no root
         roots = [Fraction(-3), Fraction(-5, 2), Fraction(1), Fraction(3)]
         p = poly_from_roots(roots) * RatPoly([101, -20, 1])
         coeffs = integer_coefficients(p)
         seps = _separators([-3.0, -1.0, 1.0, 3.0], nodal._root_bound(coeffs))
         assert seps[1:-1] == [-2, 0, 2] and nodal._descartes_bound(coeffs, seps[0], seps[2]) == 2
-        assert nodal._descartes_gaps(coeffs, seps, functools.partial(_dyadic_sign, coeffs)) is None
+        found = nodal._descartes_gaps(coeffs, seps, functools.partial(_dyadic_sign, coeffs), nodal._DESCARTES_TESTS)
+        assert [i for i, _, _ in found] == [0, 0, 2, 3]
+        for (_, lo, hi), r in zip(found, roots, strict=True):
+            assert lo < r < hi and p.eval(lo) * p.eval(hi) < 0
         rs = isolate_real_roots(p, seeds=[-3.0, -1.0, 1.0, 3.0])
-        assert rs.count == 4 and rs.multiplicities == (1,) * 4
-        assert_same_roots(rs, sturm_isolation(p))
+        assert rs.isolating_intervals == tuple((lo, hi) for _, lo, hi in found)
+        assert_matches_oracle(rs)
 
     @pytest.mark.parametrize("alphas", ["-1/2,2/3", "0,1/3", "-2,1"])
     def test_bilaplace_complex_pairs_match_the_sturm_oracle(self, alphas, monkeypatch):
@@ -846,7 +904,102 @@ class TestDescartesGaps:
         paired = [combo for combo in combos if 0 < count_real_roots(combo.poly) < combo.poly.degree]
         assert len(paired) >= 5
         for combo in paired:
-            assert_same_roots(combo.roots(), sturm_isolation(combo.poly), tol=1e-12)
+            assert_matches_oracle(combo.roots())
+
+
+@st.composite
+def square_free_powers(draw):
+    """A square-free s, even, odd, with a complex pair or none of these, a multiplicity m >= 2 and a nonzero scale c.
+
+    Even and odd s pair their distinct rational roots as +-r, an odd s has
+    the root 0 as well, and either may carry a pair z^2 + d, d > 0, on the
+    imaginary axis.  Otherwise the roots are distinct rationals of any sign,
+    with a pair (z - c)^2 + d, c != 0, or none.
+    """
+    shape = draw(st.sampled_from(["even", "odd", "complex pair", "none"]))
+    z = RatPoly([0, 1])
+    pair = st.fractions(min_value=Fraction(1, 9), max_value=30, max_denominator=9)
+    if shape in ("even", "odd"):
+        rs = draw(st.lists(st.fractions(min_value=Fraction(1, 9), max_value=20, max_denominator=9), max_size=4, unique=True))
+        s = math.prod((z**2 - r * r for r in rs), start=z if shape == "odd" else RatPoly.one())
+        if draw(st.booleans()) or s.degree == 0:
+            s = s * (z**2 + draw(pair))
+    else:
+        rs = draw(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=9), min_size=1, max_size=6, unique=True))
+        s = poly_from_roots(rs)
+        if shape == "complex pair":
+            c = draw(st.fractions(min_value=-20, max_value=20, max_denominator=9).filter(bool))
+            s = s * ((z - c) ** 2 + draw(pair))
+    return s, draw(st.integers(2, 3)), draw(st.sampled_from([1, -1, Fraction(3, 5), -12]))
+
+
+class TestSquareFreePart:
+    """A repeated root ends p's chain at g = gcd(p, p'), and p / g is isolated in p's place."""
+
+    @given(square_free_powers())
+    @example((quadratic_eigenfunction(7, 2).poly, 2, 1))  # odd: p = z^2 q(z^2) is not split
+    @example((quadratic_eigenfunction(8, 1).poly * RatPoly([1, 0, 1]), 3, -12))  # even, q^3 has no chain seeds
+    @example((poly_from_roots([-2, 0, 1]), 2, Fraction(1, 3)))  # the bi-Laplace (-2, 0, 1) zero set at l = 4
+    @settings(max_examples=40, deadline=None)
+    def test_power_has_the_rootset_of_its_base(self, case):
+        s, m, c = case
+        base = isolate_real_roots(s)
+        rs = isolate_real_roots(s**m * c)
+        assert base.multiplicities == (1,) * base.count
+        assert (rs.isolating_intervals, rs.refined_roots) == (base.isolating_intervals, base.refined_roots)
+        assert rs.multiplicities == (m,) * base.count
+
+    def test_seeds_of_p_do_not_refine_the_square_free_part(self):
+        # the bi-Laplace (-2, 0, 1) zero set at l = 4, z (z - 1)^2 (z + 2) / 3:
+        # its phase seeds certify on the square-free part, but only p's own
+        # chain path runs there, and the roots come out exact
+        combo = Combination("bilaplace", 4, (Fraction(1, 3), 0, 1, Fraction(2, 3)))
+        assert combo.poly == poly_from_roots([-2, 0, 1, 1]) * Fraction(1, 3)
+        rs = combo.roots()
+        assert rs.refined_roots == (-2.0, 0.0, 1.0) and rs.multiplicities == (1, 1, 2)
+        assert rs == isolate_real_roots(combo.poly)
+        assert_matches_oracle(rs)
+
+
+def whole_line_calls(monkeypatch) -> list:
+    """(len(seps), tests) of every `_descartes_gaps` call from here on."""
+    calls = []
+    gaps = nodal._descartes_gaps
+
+    def spy(coeffs, seps, sign, tests):
+        calls.append((len(seps), tests))
+        return gaps(coeffs, seps, sign, tests)
+
+    monkeypatch.setattr(nodal, "_descartes_gaps", spy)
+    return calls
+
+
+_Z = RatPoly([0, 1])
+
+
+class TestWholeLine:
+    """A square-free p whose seeds all fail is bisected on Descartes bounds from the whole line, with no cap."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            _Z**5 + _Z - 1,
+            _Z**30 + _Z - 1,
+            _Z**101 + _Z - 1,
+            _Z**51 - 2,
+            # Mignotte: two roots 1/64 +- 5.7e-14 apart
+            _Z**60 - 2 * (64 * _Z - 1) ** 2,
+            # three roots closer than a float ulp, and a complex pair
+            poly_from_roots([1 + Fraction(k, 10**20) for k in (1, 2, 3)]) * (_Z**2 + _Z + 1),
+        ],
+        ids=["z5+z-1", "z30+z-1", "z101+z-1", "z51-2", "mignotte60", "ulp-cluster"],
+    )
+    def test_matches_the_sturm_oracle(self, p, monkeypatch):
+        calls = whole_line_calls(monkeypatch)
+        rs = isolate_real_roots(p)
+        assert calls == [(2, math.inf)]
+        assert rs.multiplicities == (1,) * rs.count
+        assert_matches_oracle(rs)
 
 
 class TestTransversality:
@@ -1374,7 +1527,7 @@ class TestCertificateArithmetic:
         with pytest.raises(ValueError, match="not a dyadic rational"):
             _dyadic(x)
         with pytest.raises(ValueError, match="not a dyadic rational"):
-            _refine_root([-1, 0, 3], x - 2, x + 2, 1e-12)
+            _refine_root([-1, 0, 3], x - 2, x + 2, 1e-12, None, functools.partial(_dyadic_sign, [-1, 0, 3]))
 
     @given(
         st.lists(st.integers(-(2**60), 2**60), min_size=1, max_size=10),
@@ -1495,11 +1648,16 @@ class TestSturmLinks:
     @pytest.mark.parametrize("family", [1, 2])
     @pytest.mark.parametrize("ls", [range(k, k + 14) for k in range(1, 71, 14)], ids=lambda ls: f"l{ls[0]}-{ls[-1]}")
     def test_eigenfunction_rootsets_equal_oracle_path(self, family, ls, monkeypatch):
-        # psi_{l,f} is real-rooted, so only the Sturm path evaluates its chain exactly
+        # the multiplicities of psi_{l,f}^2 come from the chain of gcd(p, p'),
+        # the one chain isolation evaluates exactly (`_root_in`); its intervals
+        # and roots are those of psi_{l,f}
         polys = [quadratic_eigenfunction(l, family).poly for l in ls]
-        program = [sturm_isolation(p) for p in polys]
+        program = [isolate_real_roots(p) for p in polys]
         monkeypatch.setattr(nodal, "_variations_at", variations_at)
-        assert [sturm_isolation(p) for p in polys] == program
+        for p, rs in zip(polys, program):
+            square = isolate_real_roots(p**2)
+            assert (square.isolating_intervals, square.refined_roots) == (rs.isolating_intervals, rs.refined_roots)
+            assert square.multiplicities == (2,) * p.degree
 
     @pytest.mark.parametrize("l", [30, 40])
     def test_bilaplace_rootsets_equal_oracle_path(self, l, monkeypatch):
