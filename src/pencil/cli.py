@@ -544,13 +544,14 @@ def _suite_admissibility_examples(lmax: int | None) -> list[tuple[str, bool]]:
     return checks
 
 
-# name -> (suite, the lmax it runs at when --lmax is not given)
+# name -> (suite(lmax, parallelism), the lmax it runs at when --lmax is not
+# given); only the residual suite runs jobs in worker processes
 _SUITES = {
     "residuals": (_suite_residuals, 50),
-    "roots": (_suite_roots, 50),
-    "reconstruction": (_suite_reconstruction, 20),
-    "sturm-liouville": (_suite_sturm_liouville, 10),
-    "admissibility-examples": (_suite_admissibility_examples, None),
+    "roots": (lambda lmax, _: _suite_roots(lmax), 50),
+    "reconstruction": (lambda lmax, _: _suite_reconstruction(lmax), 20),
+    "sturm-liouville": (lambda lmax, _: _suite_sturm_liouville(lmax), 10),
+    "admissibility-examples": (lambda lmax, _: _suite_admissibility_examples(lmax), None),
 }
 
 
@@ -566,9 +567,7 @@ def _cmd_verify(args) -> int:
     reports, text = [], []
     for name in names:
         suite, default_lmax = _SUITES[name]
-        lmax = default_lmax if args.lmax is None else args.lmax
-        # only the residual suite runs jobs in worker processes
-        checks = suite(lmax, args.parallelism) if suite is _suite_residuals else suite(lmax)
+        checks = suite(default_lmax if args.lmax is None else args.lmax, args.parallelism)
         failures = [message for message, ok in checks if not ok]
         reports.append(VerifyReport(name, len(checks) - len(failures), len(failures), failures))
         text += [f"suite={name} passed={reports[-1].passed} failed={len(failures)}", *(f"  FAIL {d}" for d in failures)]

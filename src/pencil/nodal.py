@@ -148,8 +148,8 @@ class _SturmChain:
     each primitive, down to gcd(p, p').  identities[j] is (e, Q, kappa)
     with e P_j = Q P_{j+1} + kappa P_{j+2}, the pseudo-division that made
     P_{j+2}; `_chain_seeds` reads them as a float continued fraction.
-    Exact signs of the elements come from Horner with shifts
-    (`_variations_at`), as every other exact sign does.
+    `_variations_at` counts the chain's sign variations at a point from the
+    elements' exact signs, each a Horner with shifts (`_dyadic_sign`).
     """
 
     polys: list[list[int]]
@@ -170,11 +170,10 @@ def _sign_variations(signs: Iterable[int]) -> int:
     return sum(a != b for a, b in zip(nonzero, nonzero[1:]))
 
 
-def _variations_at(chain: _SturmChain, point: Fraction) -> tuple[int, int]:
-    """Sign of P_0 at the dyadic point and the chain's sign-variation count there, one `_dyadic_sign` per element."""
+def _variations_at(chain: _SturmChain, point: Fraction) -> int:
+    """The chain's sign-variation count at the dyadic point, one `_dyadic_sign` per element."""
     num, shift = _dyadic(point)
-    signs = [_dyadic_sign(q, num, shift) for q in chain.polys]
-    return signs[0], _sign_variations(signs)
+    return _sign_variations(_dyadic_sign(q, num, shift) for q in chain.polys)
 
 
 def count_real_roots(p: RatPoly) -> int:
@@ -226,7 +225,7 @@ def _root_bound(coeffs: Sequence[int]) -> Fraction:
 
 def _root_in(chain: _SturmChain, lo: Fraction, hi: Fraction) -> bool:
     """Whether chain.polys[0] has a root in (lo, hi), for ends that are not roots."""
-    return _variations_at(chain, lo)[1] > _variations_at(chain, hi)[1]
+    return _variations_at(chain, lo) > _variations_at(chain, hi)
 
 
 def _short_dyadic(lo: float, hi: float) -> Fraction:
@@ -342,23 +341,27 @@ _DESCARTES_TESTS = 64
 
 
 def _descartes_gaps(
-    coeffs: list[int], seps: list[Fraction], sign: Callable[[int, int], int], tests: float
+    coeffs: list[int], seps: list[Fraction], sign: Callable[[int, int], int], square_free: bool
 ) -> list[tuple[int, Fraction, Fraction]] | None:
     """(i, lo, hi) for every real root of p, (lo, hi) isolating it within gap i of seps; or None.
 
     seps separate seeds that miss some of p's roots, most often the two of
-    a complex pair, or they are the whole line (-bound, bound).  A run of
-    consecutive gaps, all of seps first, takes the Descartes bound V of its
-    ends (`_descartes_bound`).  V equal to the run's number of gaps is the
-    count of `_certified_gaps`: alternating signs then leave one simple root
-    in each gap.  Otherwise a run of several gaps splits at its middle
-    separator.  A single gap with a zero sign at an end gives None; else it
-    holds no root if V = 0 and one if V = 1 (its signs then alternate), and
-    with V >= 2 it is bisected, a midpoint that is a root of p moving
-    halfway toward lo until it is not.  More than tests Descartes tests
-    also give None; with tests = inf, bisection ends when p is square-free
-    (Collins & Akritas, SYMSAC 1976).
+    a complex pair, or they are the whole line (-bound, bound) of a
+    square-free p.  A run of consecutive gaps, all of seps first, takes the
+    Descartes bound V of its ends (`_descartes_bound`).  V equal to the
+    run's number of gaps is the count of `_certified_gaps`: alternating
+    signs then leave one simple root in each gap.  Otherwise a run of
+    several gaps splits at its middle separator.  A single gap with a zero
+    sign at an end gives None; else it holds no root if V = 0 and one if
+    V = 1 (its signs then alternate), and with V >= 2 it is bisected, a
+    midpoint that is a root of p moving halfway toward lo until it is not.
+    For a square-free p bisection ends (Collins & Akritas, SYMSAC 1976).
+    Otherwise p may have a repeated root, whose pieces keep V >= 2: then a
+    seed gap (not a piece of one) with equal signs and V >= 2, an even
+    number of roots about one seed, gives None at once, and so do more than
+    _DESCARTES_TESTS tests.
     """
+    tests = math.inf if square_free else _DESCARTES_TESTS
     out: list[tuple[int, Fraction, Fraction]] = []
     # (i, run): the run's first gap is gap i of seps
     stack: list[tuple[int, list[Fraction]]] = [(0, seps)]
@@ -374,11 +377,16 @@ def _descartes_gaps(
         elif len(run) > 2:
             mid = len(run) // 2
             stack += [(i + mid, run[mid:]), (i, run[: mid + 1])]
-        elif not (sign(*_dyadic(run[0])) and sign(*_dyadic(run[1]))):
-            # a root on a separator: V counts only the roots inside a gap, so it would go unseen
-            return None
-        elif v:
+        else:
             lo, hi = run
+            s_lo, s_hi = sign(*_dyadic(lo)), sign(*_dyadic(hi))
+            if not (s_lo and s_hi):
+                # a root on a separator: V counts only the roots inside a gap, so it would go unseen
+                return None
+            if not v:
+                continue
+            if s_lo == s_hi and not square_free and run == seps[i : i + 2]:
+                return None
             mid = (lo + hi) / 2
             while sign(*_dyadic(mid)) == 0:
                 mid = (lo + mid) / 2
@@ -730,7 +738,8 @@ def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | 
     certifies that all roots are real and simple (`_certified_gaps` with
     N = deg p).  With deg p - 2j of them, the missing roots being a complex
     pair or more, Descartes bounds on runs of their gaps certify them
-    instead (`_descartes_gaps`, within _DESCARTES_TESTS tests).  Each root
+    instead (`_descartes_gaps`, which gives up on a seed gap with an even
+    number of roots, or after _DESCARTES_TESTS tests).  Each root
     is then refined from its seed.  A seed with no finite float value fails.
     When the seeds fail, or without seeds, an even or odd p with deg q >= 1
     is seeded from q's chain (`_parity_seeds`), and those seeds go through
@@ -776,7 +785,7 @@ def _real_roots(
         if gaps is not None:
             return _refined(coeffs, gaps, seeds, tol, sign)
         if len(seeds) < n and (n - len(seeds)) % 2 == 0:
-            found = _descartes_gaps(coeffs, seps, sign, _DESCARTES_TESTS)
+            found = _descartes_gaps(coeffs, seps, sign, False)
             if found is not None:
                 gaps = [(lo, hi) for _, lo, hi in found]
                 return _refined(coeffs, gaps, [seeds[i] for i, _, _ in found], tol, sign)
@@ -807,7 +816,7 @@ def _real_roots(
     if gaps is not None:
         return _refined(coeffs, gaps, own, tol, sign)
     # a square-free p: bisection ends without a cap
-    gaps = [(lo, hi) for _, lo, hi in _descartes_gaps(coeffs, [-bound, bound], sign, math.inf)]
+    gaps = [(lo, hi) for _, lo, hi in _descartes_gaps(coeffs, [-bound, bound], sign, True)]
     return _refined(coeffs, gaps, [None] * len(gaps), tol, sign)
 
 

@@ -276,8 +276,8 @@ def phase_seeds(l: int, coeffs: Sequence) -> list[float]:
     return (np.cos(phi) / np.sin(phi)).tolist()
 
 
-def variations_at(chain, point: Fraction) -> tuple[int, int]:
-    """Sign of chain.polys[0] at point and the sign-variation count of chain.polys there.
+def variations_at(chain, point: Fraction) -> int:
+    """The sign-variation count of chain.polys at point.
 
     Each element's sign is that of b^n p(a/b), an integer Horner sum at the
     point a/b; zero signs are skipped in the count.
@@ -291,7 +291,7 @@ def variations_at(chain, point: Fraction) -> tuple[int, int]:
             b_pow *= b
         signs.append((acc > 0) - (acc < 0))
     nonzero = [s for s in signs if s]
-    return signs[0], sum(s != t for s, t in zip(nonzero, nonzero[1:]))
+    return sum(s != t for s, t in zip(nonzero, nonzero[1:]))
 
 
 def exact_newton(coeffs: Sequence[int], x: float) -> tuple[int, Fraction | None]:

@@ -269,7 +269,7 @@ class TestIsolation:
         calls = whole_line_calls(monkeypatch)
         with pytest.raises(ValueError, match="beyond the float range"):
             isolate_real_roots(p)
-        assert calls == [(2, math.inf)]
+        assert calls == [(2, True)]
 
     @pytest.mark.parametrize("k", [40, 200, 2200])
     def test_goal_relative_to_the_root(self, k):
@@ -459,7 +459,7 @@ class TestSeededIsolation:
             coeffs = integer_coefficients(factors[0][0])
             sign = functools.partial(_dyadic_sign, coeffs)
             bound = nodal._root_bound(coeffs)
-            intervals = [(lo, hi) for _, lo, hi in nodal._descartes_gaps(coeffs, [-bound, bound], sign, math.inf)]
+            intervals = [(lo, hi) for _, lo, hi in nodal._descartes_gaps(coeffs, [-bound, bound], sign, True)]
             roots = tuple(_refine_root(coeffs, lo, hi, 1e-12, None, sign) for lo, hi in intervals)
             expected.append((tuple(intervals), roots))
         repeated = [
@@ -851,7 +851,7 @@ class TestDescartesGaps:
         seeds = [float(r) for r in roots]
         coeffs = integer_coefficients(p)
         sign = functools.partial(_dyadic_sign, coeffs)
-        found = nodal._descartes_gaps(coeffs, _separators(seeds, nodal._root_bound(coeffs)), sign, nodal._DESCARTES_TESTS)
+        found = nodal._descartes_gaps(coeffs, _separators(seeds, nodal._root_bound(coeffs)), sign, False)
         oracle = sturm_isolation(p.coeffs)
         if found is not None:
             # never a wrong count: one simple root in each open interval with opposite exact signs
@@ -871,7 +871,7 @@ class TestDescartesGaps:
         coeffs = integer_coefficients(p)
         seps = _separators([-3.0, -1.0, 1.0, 3.0], nodal._root_bound(coeffs))
         assert seps[1:-1] == [-2, 0, 2]
-        assert nodal._descartes_gaps(coeffs, seps, functools.partial(_dyadic_sign, coeffs), nodal._DESCARTES_TESTS) is None
+        assert nodal._descartes_gaps(coeffs, seps, functools.partial(_dyadic_sign, coeffs), False) is None
         assert isolate_real_roots(p, seeds=[-3.0, -1.0, 1.0, 3.0]).refined_roots == (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)
 
     def test_run_with_two_roots_in_one_gap_and_none_in_the_next(self):
@@ -879,19 +879,42 @@ class TestDescartesGaps:
         # -3, -5/2, 1 and 3 leave two in the first gap and none in the second.
         # Far from the pair 10 +- i the run of these two gaps has Descartes
         # bound 2, its number of gaps, but its separators fail to alternate:
-        # it splits, the first gap is bisected and the second, with bound 0,
-        # holds no root
+        # it splits, and the first seed gap, with equal signs and bound 2,
+        # gives up, as a repeated root there would never be isolated
         roots = [Fraction(-3), Fraction(-5, 2), Fraction(1), Fraction(3)]
         p = poly_from_roots(roots) * RatPoly([101, -20, 1])
         coeffs = integer_coefficients(p)
         seps = _separators([-3.0, -1.0, 1.0, 3.0], nodal._root_bound(coeffs))
         assert seps[1:-1] == [-2, 0, 2] and nodal._descartes_bound(coeffs, seps[0], seps[2]) == 2
-        found = nodal._descartes_gaps(coeffs, seps, functools.partial(_dyadic_sign, coeffs), nodal._DESCARTES_TESTS)
+        sign = functools.partial(_dyadic_sign, coeffs)
+        assert nodal._descartes_gaps(coeffs, seps, sign, False) is None
+        # p is square-free: with that known, the seed gap is bisected, and the
+        # next, with bound 0, holds no root
+        found = nodal._descartes_gaps(coeffs, seps, sign, True)
         assert [i for i, _, _ in found] == [0, 0, 2, 3]
         for (_, lo, hi), r in zip(found, roots, strict=True):
             assert lo < r < hi and p.eval(lo) * p.eval(hi) < 0
-        rs = isolate_real_roots(p, seeds=[-3.0, -1.0, 1.0, 3.0])
-        assert rs.isolating_intervals == tuple((lo, hi) for _, lo, hi in found)
+        assert_matches_oracle(isolate_real_roots(p, seeds=[-3.0, -1.0, 1.0, 3.0]))
+
+    def test_seed_gap_about_a_repeated_root_gives_up_at_once(self, monkeypatch):
+        # psi_{20,1} (z - 1/3)^2 seeded at 1/3 and at every root of psi but
+        # the farthest from it: the gap about 1/3 holds the double root, with
+        # equal signs and Descartes bound 2, and its pieces would keep that
+        # bound; the seeded run gives up within a few tests, not at the cap
+        psi = quadratic_eigenfunction(20, 1).poly
+        roots = isolate_real_roots(psi).refined_roots
+        far = max(roots, key=lambda r: abs(r - 1 / 3))
+        seeds = sorted([r for r in roots if r != far] + [1 / 3])
+        p = psi * RatPoly([Fraction(-1, 3), 1]) ** 2
+        coeffs = integer_coefficients(p)
+        seps = _separators(seeds, nodal._root_bound(coeffs))
+        tests = []
+        descartes_bound = nodal._descartes_bound
+        monkeypatch.setattr(nodal, "_descartes_bound", lambda *args: tests.append(args) or descartes_bound(*args))
+        assert nodal._descartes_gaps(coeffs, seps, functools.partial(_dyadic_sign, coeffs), False) is None
+        assert len(tests) < 10
+        rs = isolate_real_roots(p, seeds=seeds)
+        assert rs.count == 21 and rs.multiplicities == tuple(1 + (abs(r - 1 / 3) < 1e-12) for r in rs.refined_roots)
         assert_matches_oracle(rs)
 
     @pytest.mark.parametrize("alphas", ["-1/2,2/3", "0,1/3", "-2,1"])
@@ -962,13 +985,13 @@ class TestSquareFreePart:
 
 
 def whole_line_calls(monkeypatch) -> list:
-    """(len(seps), tests) of every `_descartes_gaps` call from here on."""
+    """(len(seps), square_free) of every `_descartes_gaps` call from here on."""
     calls = []
     gaps = nodal._descartes_gaps
 
-    def spy(coeffs, seps, sign, tests):
-        calls.append((len(seps), tests))
-        return gaps(coeffs, seps, sign, tests)
+    def spy(coeffs, seps, sign, square_free):
+        calls.append((len(seps), square_free))
+        return gaps(coeffs, seps, sign, square_free)
 
     monkeypatch.setattr(nodal, "_descartes_gaps", spy)
     return calls
@@ -997,7 +1020,7 @@ class TestWholeLine:
     def test_matches_the_sturm_oracle(self, p, monkeypatch):
         calls = whole_line_calls(monkeypatch)
         rs = isolate_real_roots(p)
-        assert calls == [(2, math.inf)]
+        assert calls == [(2, True)]
         assert rs.multiplicities == (1,) * rs.count
         assert_matches_oracle(rs)
 
@@ -1615,7 +1638,7 @@ def _bilaplace_crack_combination(l: int) -> RatPoly:
 
 
 class TestSturmLinks:
-    """The Sturm chain: its pseudo-division links, and its exact signs against an a/b Horner (`pencil_oracles.variations_at`)."""
+    """The Sturm chain: its pseudo-division links, and its sign-variation counts against an a/b Horner (`pencil_oracles.variations_at`)."""
 
     @given(
         st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=12),
@@ -1649,22 +1672,26 @@ class TestSturmLinks:
     @pytest.mark.parametrize("ls", [range(k, k + 14) for k in range(1, 71, 14)], ids=lambda ls: f"l{ls[0]}-{ls[-1]}")
     def test_eigenfunction_rootsets_equal_oracle_path(self, family, ls, monkeypatch):
         # the multiplicities of psi_{l,f}^2 come from the chain of gcd(p, p'),
-        # the one chain isolation evaluates exactly (`_root_in`); its intervals
-        # and roots are those of psi_{l,f}
+        # the one chain isolation evaluates exactly (`_root_in`): they are
+        # the same with the oracle's counts, and every root is double; the
+        # intervals and roots are those of psi_{l,f}
         polys = [quadratic_eigenfunction(l, family).poly for l in ls]
-        program = [isolate_real_roots(p) for p in polys]
+        program = [isolate_real_roots(p**2) for p in polys]
         monkeypatch.setattr(nodal, "_variations_at", variations_at)
-        for p, rs in zip(polys, program):
-            square = isolate_real_roots(p**2)
-            assert (square.isolating_intervals, square.refined_roots) == (rs.isolating_intervals, rs.refined_roots)
+        for p, square in zip(polys, program):
+            assert isolate_real_roots(p**2) == square
             assert square.multiplicities == (2,) * p.degree
+            rs = isolate_real_roots(p)
+            assert (square.isolating_intervals, square.refined_roots) == (rs.isolating_intervals, rs.refined_roots)
 
     @pytest.mark.parametrize("l", [30, 40])
     def test_bilaplace_rootsets_equal_oracle_path(self, l, monkeypatch):
-        p = _bilaplace_crack_combination(l)
-        program = isolate_real_roots(p)
+        # the combination has a complex pair; its square goes through `_root_in`
+        square = _bilaplace_crack_combination(l) ** 2
+        program = isolate_real_roots(square)
+        assert set(program.multiplicities) == {2}
         monkeypatch.setattr(nodal, "_variations_at", variations_at)
-        assert isolate_real_roots(p) == program
+        assert isolate_real_roots(square) == program
 
 
 class TestEnumeration:
