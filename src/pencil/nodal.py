@@ -16,42 +16,54 @@ variations V after the Moebius map of a run of consecutive gaps onto
 (Descartes' rule of signs), and V equal to the run's number of gaps is its
 N; a run that fails splits at its middle separator, and a single gap is
 bisected until every piece has V <= 1.  An even or odd p = z^k q(z^2),
-k <= 1, q(0) != 0 (split once), takes every exact sign as sign(x)^k times
-that of q at x^2, a Horner of half the steps.  Without seeds, or when they
-fail, such a p seeds itself from the Sturm chain of q, of half its degree:
-the chain seeds q's roots w as p's own chain would seed p's, each w takes
-one exact Newton step on q, and the positive ones give +-sqrt(w) (and 0
-for k = 1); when q is square-free, that chain also gives N =
-2 (V_q(0) - V_q(+inf)) + k, p's exact number of real roots, so a pair
-+-iy on the imaginary axis (a root -y^2 of q) costs nothing more.  Any
-other p, and any p that this does not isolate, builds p's own Sturm chain
-over the integers (the remainder sequence of p and p',
-`polyring._remainder_sequence`, scaled only by positive factors) once.
-When the chain ends at a non-constant g = gcd(p, p'), p has a repeated
-root: its square-free part s = p / g goes through this same pipeline as
-an unseeded call (q's chain for an even or odd s, s's own chain), so p
-gets the intervals and roots of s, and a root's multiplicity is 1 plus the
-number of chains in the gcd tower g_{i+1} = gcd(g_i, g_i') with a root in
-its interval.  When the chain is
-normal (an element of every degree), its identities read as a continued
-fraction of float ratios seed p's real roots themselves (float bisection
-on the count of negative ratios, then Newton on p / p'), and the same
-certificate, with N the chain's exact count of p's real roots
+k <= 1, q(0) != 0 (split once), is isolated on the positive half line
+alone, where every exact sign of p is that of q at x^2, a Horner of half
+the steps: its positive seeds, less the seed nearest 0 for k = 1 (it
+stands for the exact root 0), are cut apart from s0 (0 for k = 0, else the
+short dyadic between 0 and the least of them) to the root bound, and
+certify with N = deg q, or past a complex pair by Descartes runs.  The
+negative roots are the mirror images of the positive ones, -r on
+(-hi, -lo), and for k = 1 the root 0 is exact, on (-s0, s0), so every
+isolation of such a p is symmetric bit for bit.  Without seeds, or when
+they fail, such a p seeds its positive roots from the Sturm chain of q, of
+half its degree: the chain seeds q's roots w as p's own chain would seed
+p's, each w takes one exact Newton step on q, and the positive ones give
+sqrt(w); the same chain gives N = V_q(0) - V_q(+inf), p's exact number of
+positive roots, so a pair +-iy on the imaginary axis (a root -y^2 of q)
+costs nothing more.  A chain of q that ends at a non-constant gcd shows a
+repeated root of q, and so of p.  Any other p, and an even or odd p with a
+repeated root, builds p's own Sturm chain over the integers (the remainder
+sequence of p and p', `polyring._remainder_sequence`, scaled only by
+positive factors) once.  When the chain ends at a non-constant
+g = gcd(p, p'), p has a repeated root: its square-free part s = p / g
+goes through this same pipeline as an unseeded call (the half line for an
+even or odd s, s's own chain otherwise), so p gets the intervals and roots
+of s, and a root's multiplicity is 1 plus the number of chains in the gcd
+tower g_{i+1} = gcd(g_i, g_i') with a root in its interval: a chain whose
+count over the whole line is 0 or the number of intervals says so at
+once, and any other is evaluated once at each distinct interval end.  When
+the chain is normal (an element of every degree), its identities read as
+a continued fraction of float ratios seed p's real roots themselves (float
+bisection on the count of negative ratios, then Newton on p / p'), and the
+same certificate, with N the chain's exact count of p's real roots
 (V(-inf) - V(+inf)), accepts or rejects them, past complex pairs too.  A
 square-free p whose seeds all fail (an abnormal chain, a float overflow, a
 spent evaluation budget, a failed certificate) is isolated by the same
 Descartes bisection as past a complex pair, started from the whole line
-(-bound, bound) as one gap and with no cap on its tests: for a
-square-free p it ends.  Every root is refined by one seeded exact Newton:
-from its seed (the caller's, q's or the chain's), or from its interval's
-midpoint after the whole-line bisection, safeguarded by the bracket, and
-certified by exact opposite signs on either side of the result, with exact
-bisection only where that certificate fails.  Every point p is evaluated
-at is dyadic, num / 2^shift (a point that is not raises), so one Horner
-with shifts gives every exact sign, and exact Newton is that same loop
-with a slope accumulator, its iterate one correctly rounded integer
-division.  Root counts read the remainder sequence at infinity: of q, at
-0 and +inf, for an even or odd p, and of p otherwise.
+(-bound, bound), or for an even or odd p from the half line (s0, bound),
+as one gap and with no cap on its tests: for a square-free p it ends.
+One Descartes bound on the part of that gap beyond 2^1024 comes first: an
+odd one is an odd number of roots no float can hold, and raises at once.
+Every root is refined by one seeded exact Newton: from its seed (the
+caller's, q's or the chain's), or from its interval's midpoint after the
+bisection, safeguarded by the bracket, and certified by exact opposite
+signs on either side of the result, with exact bisection only where that
+certificate fails.  Every point p is evaluated at is dyadic,
+num / 2^shift (a point that is not raises), so one Horner with shifts
+gives every exact sign, and exact Newton is that same loop with a slope
+accumulator, its iterate one correctly rounded integer division.  Root
+counts read the remainder sequence at infinity: of q, at 0 and +inf, for
+an even or odd p, and of p otherwise.
 Admissibility of a slope tuple at expansion order l is a nullspace
 question for the matrix of eigenfunction values at the slopes: exact over
 the rationals, SVD-thresholded for floating input.
@@ -221,11 +233,6 @@ def _root_bound(coeffs: Sequence[int]) -> Fraction:
     top = abs(coeffs[-1]).bit_length()
     exponents = [-((top - abs(c).bit_length() - 1) // (n - k)) for k, c in enumerate(coeffs[:-1]) if c]
     return Fraction(2) ** (1 + max(exponents, default=0))
-
-
-def _root_in(chain: _SturmChain, lo: Fraction, hi: Fraction) -> bool:
-    """Whether chain.polys[0] has a root in (lo, hi), for ends that are not roots."""
-    return _variations_at(chain, lo) > _variations_at(chain, hi)
 
 
 def _short_dyadic(lo: float, hi: float) -> Fraction:
@@ -667,22 +674,21 @@ def _refine_root(
     return _float((a + b) / 2)
 
 
-def _parity_seeds(k: int, q: list[int]) -> tuple[list[float], int] | None:
-    """Float guesses of the real roots of p(z) = z^k q(z^2), k <= 1, deg q >= 1, and their exact number, or None.
+def _parity_seeds(q: list[int], chain: _SturmChain) -> tuple[list[float], int] | None:
+    """Float guesses of the positive real roots of p(z) = z^k q(z^2), sorted, and their exact number, or None.
 
-    Both come from the Sturm chain of q, of half p's degree.  When it ends
-    in a nonzero constant, q is square-free, and with q(0) != 0 so is p:
-    its real roots are the square roots +-sqrt(w) of q's positive roots w,
-    and 0 when k = 1, 2 (V_q(0) - V_q(+inf)) + k of them, all simple.  q's
-    chain seeds (`_chain_seeds`), at a quarter of the float work of p's,
-    guess the w; each takes one exact Newton step on q, which brings a small
-    w to full relative accuracy, and the positive ones give -sqrt(w) and
-    sqrt(w).  A nonpositive w is a pair of roots of p off the real line.
-    None when q's chain seeds none, as when q has a repeated root (its chain
-    is then not normal).  The guesses carry no guarantee: `_certified_gaps`
-    certifies them on p against the count.
+    Both come from chain, the Sturm chain of q, of half p's degree, which
+    ends in a nonzero constant: q is square-free, and with q(0) != 0 so is
+    p.  Its positive roots are the square roots sqrt(w) of q's positive
+    roots w, V_q(0) - V_q(+inf) of them, all simple; the negative ones are
+    their mirror images, and 0 is the last root when k = 1.  q's chain
+    seeds (`_chain_seeds`), at a quarter of the float work of p's, guess
+    the w; each takes one exact Newton step on q, which brings a small w to
+    full relative accuracy, and the positive ones give sqrt(w).  A
+    nonpositive w is a pair of roots of p off the real line.  None when q's
+    chain seeds none.  The guesses carry no guarantee: `_certified_gaps`
+    certifies them on the positive half line against the count.
     """
-    chain = _sturm_chain(q)
     ws = _chain_seeds(chain)
     if ws is None:
         return None
@@ -690,8 +696,7 @@ def _parity_seeds(k: int, q: list[int]) -> tuple[list[float], int] | None:
     for w in ws:
         step = _exact_newton(q, w)[1]
         polished.append(w if step is None else step)
-    roots = [math.sqrt(w) for w in polished if w > 0]
-    return sorted([-r for r in roots] + [0.0] * k + roots), 2 * _positive_roots(chain.polys) + k
+    return sorted(math.sqrt(w) for w in polished if w > 0), _positive_roots(chain.polys)
 
 
 @dataclass(frozen=True)
@@ -702,15 +707,19 @@ class RootSet:
     real root: lo < hi, and the square-free part of p has nonzero, opposite
     exact signs at lo and hi.  Each refined root lies within
     tol * max(|root|, 1), and within tol/16 * max(|lo|, |hi|, 1), up to the
-    rounding to a float, of that root.  Seeded and unseeded isolation of one
-    polynomial give the same counts and multiplicities and roots within that
-    bound, but not always the same intervals: seeds that certify give their
-    own gaps, or pieces of them past a complex pair; without seeds, an even
-    or odd p gives the gaps of q's seeds, and another p with a normal chain
-    the gaps of its chain's seeds, complex pairs or not; a square-free p
-    whose seeds all fail gives the pieces of the whole-line Descartes
-    bisection.  A p with a repeated root gives the intervals and roots of
-    its square-free part, bit for bit.
+    rounding to a float, of that root.  For an even or odd p the negative
+    half is the exact mirror of the positive one: the interval (-hi, -lo)
+    and the root -r for each positive (lo, hi) and r, and for an odd p
+    (z^k q(z^2) with k = 1) the exact root 0.0 on (-s0, s0).  Seeded and
+    unseeded isolation of one polynomial give the same counts and
+    multiplicities and roots within that bound, but not always the same
+    intervals: seeds that certify give their own gaps, or pieces of them
+    past a complex pair; without seeds, an even or odd p gives the gaps of
+    q's seeds, and another p with a normal chain the gaps of its chain's
+    seeds, complex pairs or not; a square-free p whose seeds all fail gives
+    the pieces of the Descartes bisection of the whole line, or of the
+    positive half line for an even or odd p.  A p with a repeated root gives
+    the intervals and roots of its square-free part, bit for bit.
     """
 
     poly: RatPoly
@@ -731,33 +740,41 @@ def _check_tol(tol: float) -> None:
 def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | None = None) -> RootSet:
     """Isolate and refine every real root of p with exact multiplicities.
 
-    p is split once: an even or odd p = z^k q(z^2), k <= 1 (`_parity_split`),
-    takes every exact sign on q (`_parity_sign`).  seeds, guesses of p's real
-    roots, each taken as float(s), are cut apart by separators
-    (`_separators`).  With deg p of them, one exact sign per separator
-    certifies that all roots are real and simple (`_certified_gaps` with
-    N = deg p).  With deg p - 2j of them, the missing roots being a complex
-    pair or more, Descartes bounds on runs of their gaps certify them
-    instead (`_descartes_gaps`, which gives up on a seed gap with an even
-    number of roots, or after _DESCARTES_TESTS tests).  Each root
-    is then refined from its seed.  A seed with no finite float value fails.
-    When the seeds fail, or without seeds, an even or odd p with deg q >= 1
-    is seeded from q's chain (`_parity_seeds`), and those seeds go through
-    the same certificate, with N the real-root count of that chain, and the
-    same refinement.  Failing that, p's own Sturm chain is built.  If it
-    ends at a non-constant g_1 = gcd(p, p'), the square-free part, the
-    primitive part of p / g_1, is isolated as an unseeded call would
-    isolate it, and its intervals and roots are returned; the tower
+    p is split once (`_parity_split`).  An even or odd p = z^k q(z^2),
+    k <= 1, is isolated on the positive half line (`_half_line_roots`),
+    every exact sign taken on q (`_parity_sign`), and its negative roots
+    are the mirror images of the positive ones, with the exact root 0 for
+    k = 1 (`_mirrored`).  seeds, guesses of p's real roots, each taken as
+    float(s), are cut apart by separators (`_separators`, or
+    `_half_separators` from s0 for an even or odd p, whose seeds there are
+    the positive ones less the seed nearest 0 for k = 1).  With as many
+    seeds as the degree, deg p (or deg q on the half line), one exact sign
+    per separator certifies that all roots are real and simple
+    (`_certified_gaps` with N that degree).  With fewer of them, the
+    missing roots being a complex pair or more (an even number of them for
+    a p with no parity), Descartes bounds on runs of their gaps certify
+    them instead (`_descartes_gaps`, which gives up on a seed gap with an
+    even number of roots, or after _DESCARTES_TESTS tests).  Each root is
+    then refined from its seed.  A seed with no finite float value fails.
+    When the seeds fail, or without seeds, an even or odd p is seeded from
+    q's chain (`_parity_seeds`), and those positive seeds go through the
+    same certificate, with N that chain's count of positive roots, and the
+    same refinement; if they fail, the half line is bisected by Descartes
+    bounds with no cap (`_bisected`).  Failing that, which means that q
+    has a repeated root, and for every other p, p's own Sturm chain is
+    built.  If it ends at a non-constant g_1 = gcd(p, p'), the square-free
+    part, the primitive part of p / g_1, is isolated as an unseeded call
+    would isolate it, and its intervals and roots are returned; the tower
     g_{i+1} = gcd(g_i, g_i'), each the last element of g_i's chain, counts
     multiplicities: a root of multiplicity m is a root of exactly
-    g_1 ... g_{m-1} (`_root_in`).
-    Otherwise p is square-free, and a normal chain seeds p's real roots
-    itself (`_chain_seeds`); they go through the same certificate, with N
-    the chain's real-root count, and the same refinement.  When those fail
-    too, Descartes bisection of the whole line isolates p's roots
-    (`_descartes_gaps` from (-bound, bound), with no cap), and each is
-    refined from its interval's midpoint (`_refine_root`).  A tol outside
-    (0, inf), or a real root beyond the float range, raises ValueError.
+    g_1 ... g_{m-1} (`_multiplicities`).  Otherwise p is square-free, and a
+    normal chain seeds p's real roots itself (`_chain_seeds`); they go
+    through the same certificate, with N the chain's real-root count, and
+    the same refinement.  When those fail too, Descartes bisection of the
+    whole line isolates p's roots (`_bisected` from (-bound, bound), with
+    no cap), and each is refined from its interval's midpoint
+    (`_refine_root`).  A tol outside (0, inf), or a real root beyond the
+    float range, raises ValueError.
     """
     _check_tol(tol)
     if p.is_zero():
@@ -773,51 +790,169 @@ def _real_roots(
     coeffs: list[int], seeds: list[float] | None, tol: float
 ) -> tuple[list[tuple[Fraction, Fraction]], list[float], list[int]]:
     """Isolating intervals, refined roots and multiplicities of p's real roots, as `isolate_real_roots` describes."""
-    n = len(coeffs) - 1
     split = _parity_split(coeffs)
-    # k >= 2 makes 0 a repeated root
-    parity = split is not None and split[0] <= 1
-    sign = _parity_sign(*split) if parity else functools.partial(_dyadic_sign, coeffs)
     bound = _root_bound(coeffs)
-    seps = None if seeds is None else _separators(seeds, bound)
-    if seps is not None:
-        gaps = _certified_gaps(seps, sign, n)
-        if gaps is not None:
-            return _refined(coeffs, gaps, seeds, tol, sign)
-        if len(seeds) < n and (n - len(seeds)) % 2 == 0:
-            found = _descartes_gaps(coeffs, seps, sign, False)
-            if found is not None:
-                gaps = [(lo, hi) for _, lo, hi in found]
-                return _refined(coeffs, gaps, [seeds[i] for i, _, _ in found], tol, sign)
-    # a constant q makes p linear
-    if parity and len(split[1]) > 1:
-        own = _parity_seeds(*split)
-        if own is not None:
-            own, count = own
-            if count == 0:
-                return [], [], []
-            seps = _separators(own, bound)
-            gaps = None if seps is None else _certified_gaps(seps, sign, count)
+    # k >= 2 makes 0 a repeated root
+    if split is not None and split[0] <= 1:
+        found = _half_line_roots(coeffs, *split, seeds, tol, bound)
+        if found is not None:
+            return found
+        # q has a repeated root, and so has p: its chain below ends at gcd(p, p')
+    else:
+        n = len(coeffs) - 1
+        sign = functools.partial(_dyadic_sign, coeffs)
+        seps = None if seeds is None else _separators(seeds, bound)
+        if seps is not None:
+            gaps = _certified_gaps(seps, sign, n)
             if gaps is not None:
-                return _refined(coeffs, gaps, own, tol, sign)
+                return _refined(coeffs, gaps, seeds, tol, sign)
+            if len(seeds) < n and (n - len(seeds)) % 2 == 0:
+                found = _descartes_gaps(coeffs, seps, sign, False)
+                if found is not None:
+                    gaps = [(lo, hi) for _, lo, hi in found]
+                    return _refined(coeffs, gaps, [seeds[i] for i, _, _ in found], tol, sign)
     chain = _sturm_chain(coeffs)
     g = chain.polys[-1]
     if len(g) > 1:
         # the caller's seeds guess p's roots; without them p's RootSet is that of isolate_real_roots(s)
         intervals, roots, _ = _real_roots(_int_primitive(_pseudo_divide(coeffs, g)[1]), None, tol)
-        tower = [_sturm_chain(g)]
-        while len(tower[-1].polys[-1]) > 1:
-            tower.append(_sturm_chain(tower[-1].polys[-1]))
-        return intervals, roots, [1 + sum(_root_in(c, lo, hi) for c in tower) for lo, hi in intervals]
+        return intervals, roots, _multiplicities(g, intervals)
     own = _chain_seeds(chain)
     seps = None if own is None else _separators(own, bound)
-    # p is square-free, so the chain's count of distinct real roots is N
+    # p is square-free, so neither even nor odd (k <= 1 returned above, k >= 2 is a repeated root): N is the chain's count of distinct real roots
     gaps = None if seps is None else _certified_gaps(seps, sign, _distinct_real_roots(chain.polys))
     if gaps is not None:
         return _refined(coeffs, gaps, own, tol, sign)
-    # a square-free p: bisection ends without a cap
-    gaps = [(lo, hi) for _, lo, hi in _descartes_gaps(coeffs, [-bound, bound], sign, True)]
+    gaps = _bisected(coeffs, -bound, bound, sign)
     return _refined(coeffs, gaps, [None] * len(gaps), tol, sign)
+
+
+def _half_line_roots(
+    coeffs: list[int], k: int, q: list[int], seeds: list[float] | None, tol: float, bound: Fraction
+) -> tuple[list[tuple[Fraction, Fraction]], list[float], list[int]] | None:
+    """The real roots of p = z^k q(z^2), k <= 1, as `_real_roots` gives them, or None when q, and so p, has a repeated root.
+
+    Only the half line (s0, bound) is certified and refined, and the rest
+    is its mirror (`_mirrored`): the caller's positive seeds with N = deg q,
+    or past a complex pair by Descartes runs; then q's chain seeds
+    (`_parity_seeds`) with N its count of positive roots; then bisection.
+    """
+    sign = _parity_sign(k, q)
+    if seeds is not None:
+        positive = [s for s in seeds if s > 0]
+        if k and positive and positive[0] == min(seeds, key=abs):
+            del positive[0]
+        seps = _half_separators(k, positive, bound)
+        if seps is not None:
+            gaps = _certified_gaps(seps, sign, len(q) - 1)
+            if gaps is not None:
+                return _mirrored(coeffs, k, seps[0], gaps, positive, tol, sign)
+            # for k = 1 the runs start at s0, so (0, s0) must hold no root: q has none in (0, s0^2)
+            if len(positive) < len(q) - 1 and (k == 0 or _descartes_bound(q, Fraction(0), seps[0] ** 2) == 0):
+                found = _descartes_gaps(coeffs, seps, sign, False)
+                if found is not None:
+                    gaps = [(lo, hi) for _, lo, hi in found]
+                    return _mirrored(coeffs, k, seps[0], gaps, [positive[i] for i, _, _ in found], tol, sign)
+    # a constant q makes p = c z
+    if len(q) == 1:
+        return _mirrored(coeffs, k, bound, [], [], tol, sign)
+    chain = _sturm_chain(q)
+    if len(chain.polys[-1]) > 1:
+        return None
+    own = _parity_seeds(q, chain)
+    if own is not None:
+        positive, count = own
+        if count == 0:
+            return _mirrored(coeffs, k, bound, [], [], tol, sign)
+        seps = _half_separators(k, positive, bound)
+        gaps = None if seps is None else _certified_gaps(seps, sign, count)
+        if gaps is not None:
+            return _mirrored(coeffs, k, seps[0], gaps, positive, tol, sign)
+    # p is square-free; for k = 1, s0 lies below |r| for every root r != 0 of p (the root bound of p / z reversed)
+    s0 = Fraction(0) if k == 0 else 1 / _root_bound(coeffs[:0:-1])
+    gaps = _bisected(coeffs, s0, bound, sign)
+    return _mirrored(coeffs, k, s0, gaps, [None] * len(gaps), tol, sign)
+
+
+def _half_separators(k: int, seeds: list[float], bound: Fraction) -> list[Fraction] | None:
+    """The separators of the positive half line for sorted positive seeds, or None.
+
+    s0 first, then one short dyadic in the middle half of each gap between
+    seeds, and bound, as `_separators` places them on the whole line.  s0
+    is 0 for k = 0; for k = 1 it is the separator the whole line places
+    between the root 0 and the least seed a, in the middle half of (0, a).
+    None without seeds, as `_separators` gives it, or when s0 is not
+    positive for k = 1 (an a so small that the middle half of (0, a)
+    rounds to hold 0).
+    """
+    seps = _separators([0.0] * k + seeds, bound) if seeds else None
+    if seps is None or seps[1] <= 0:
+        return None
+    return seps[1:] if k else [Fraction(0), *seps[1:]]
+
+
+def _mirrored(
+    coeffs: list[int],
+    k: int,
+    s0: Fraction,
+    gaps: list[tuple[Fraction, Fraction]],
+    starts: Sequence[float | None],
+    tol: float,
+    sign: Callable[[int, int], int],
+) -> tuple[list[tuple[Fraction, Fraction]], list[float], list[int]]:
+    """All real roots of an even or odd p from the positive ones, each isolated by its gap in (s0, bound).
+
+    Each positive root is refined from its start (`_refine_root`); the
+    negative roots are their mirror images, -r on (-hi, -lo), and for
+    k = 1 the root 0, exact, lies on (-s0, s0).  Every root is simple.
+    """
+    roots = [_refine_root(coeffs, lo, hi, tol, s, sign) for (lo, hi), s in zip(gaps, starts)]
+    intervals = [(-hi, -lo) for lo, hi in reversed(gaps)] + [(-s0, s0)] * k + gaps
+    roots = [-r for r in reversed(roots)] + [0.0] * k + roots
+    return intervals, roots, [1] * len(roots)
+
+
+# 2^1024, the least power of two beyond the float range
+_FLOAT_END = Fraction(2**1024)
+
+
+def _bisected(coeffs: list[int], lo: Fraction, hi: Fraction, sign: Callable[[int, int], int]) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals of the roots of a square-free p in (lo, hi), by Descartes bisection with no cap (it ends).
+
+    First one Descartes bound on each part of (lo, hi) beyond the float
+    range: an odd bound there means an odd number of roots, so a real root
+    that no float can hold, and ValueError is raised at once, where the
+    bisection would first separate it from every complex root near 0.
+    """
+    for a, b in ((_FLOAT_END, hi), (lo, -_FLOAT_END)):
+        if lo <= a < b <= hi and _descartes_bound(coeffs, a, b) % 2:
+            raise ValueError("a real root beyond 2^1024 lies beyond the float range (|x| < 2^1024)")
+    return [(a, b) for _, a, b in _descartes_gaps(coeffs, [lo, hi], sign, True)]
+
+
+def _multiplicities(g: list[int], intervals: list[tuple[Fraction, Fraction]]) -> list[int]:
+    """The multiplicity of the one root of p in each isolating interval, for g = gcd(p, p') not constant.
+
+    A root of multiplicity m is a root of exactly g_1 ... g_{m-1} in the gcd
+    tower g_1 = g, g_{i+1} = gcd(g_i, g_i'), each the last element of the
+    chain of g_i.  A chain with no real root adds nothing, one with a root
+    in every interval adds 1 to each (its whole-line count tells both), and
+    any other adds 1 where its sign variations fall across the interval,
+    counted once at each distinct end.
+    """
+    mults = [1] * len(intervals)
+    ends = {x for gap in intervals for x in gap}
+    chain = _sturm_chain(g)
+    while True:
+        count = _distinct_real_roots(chain.polys)
+        if count == len(intervals):
+            mults = [m + 1 for m in mults]
+        elif count:
+            v = {x: _variations_at(chain, x) for x in ends}
+            mults = [m + (v[lo] > v[hi]) for m, (lo, hi) in zip(mults, intervals)]
+        if len(chain.polys[-1]) == 1:
+            return mults
+        chain = _sturm_chain(chain.polys[-1])
 
 
 def _refined(

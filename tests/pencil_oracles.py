@@ -17,8 +17,9 @@ over the rationals on the whole line, where `pencil.nodal.count_real_roots`
 counts an even or odd p on the integer chain of its half-degree part.
 `sturm_isolation` bisects on that same rational sequence into isolating
 intervals, with multiplicities from the Sturm sequences of its gcd tower,
-where `pencil.nodal.isolate_real_roots` certifies seed gaps, isolates a
-repeated root through the square-free part and bisects only by Descartes
+where `pencil.nodal.isolate_real_roots` certifies seed gaps (of the
+positive half line for an even or odd p, whose negative half is their
+mirror image), isolates a repeated root through the square-free part and bisects only by Descartes
 bounds.
 `fraction_rref` and `fraction_kernel` are Gauss-Jordan elimination over
 `Fraction`s, each pivot row divided by its pivot, where `pencil.linalg`

@@ -52,6 +52,9 @@ from pencil_oracles import (
 )
 
 
+_Z = RatPoly([0, 1])
+
+
 def poly_from_roots(roots) -> RatPoly:
     p = RatPoly.one()
     for r in roots:
@@ -264,12 +267,17 @@ class TestIsolation:
         "p", [RatPoly([-(2**1100), 1]), RatPoly([-(2**2201), 0, 1]), RatPoly([-(2**1100), 1]) * RatPoly([1, 1, 1])]
     )
     def test_root_beyond_float_range_raises(self, p, monkeypatch):
-        # a bare OverflowError from the final float conversion before; the
-        # chain seeds overflow, so the whole line is bisected first
+        # the chain seeds overflow, so the line (or for z^2 - 2^2201 the half
+        # line) would be bisected; one odd Descartes bound on (2^1024, B)
+        # raises first, where the bisection of (z - 2^1100)(z^2 + z + 1) took
+        # over 2,000 tests to separate the root from the complex pair
         calls = whole_line_calls(monkeypatch)
+        bounds = []
+        descartes_bound = nodal._descartes_bound
+        monkeypatch.setattr(nodal, "_descartes_bound", lambda *args: bounds.append(args[1:]) or descartes_bound(*args))
         with pytest.raises(ValueError, match="beyond the float range"):
             isolate_real_roots(p)
-        assert calls == [(2, True)]
+        assert calls == [] and bounds == [(Fraction(2**1024), nodal._root_bound(integer_coefficients(p)))]
 
     @pytest.mark.parametrize("k", [40, 200, 2200])
     def test_goal_relative_to_the_root(self, k):
@@ -443,8 +451,9 @@ class TestSeededIsolation:
     def test_isolation_never_runs_yun(self, monkeypatch):
         # p's own Sturm chain isolates every p, and gcds of chains give the
         # square-free part and the multiplicities: a square-free p bisected on
-        # the whole line gives what the whole-line bisection of its Yun factor
-        # gives, and a p with repeated roots the RootSet of its Yun square-free part
+        # the whole line (an even or odd one on the positive half line, then
+        # mirrored) gives what that bisection of its Yun factor gives, and a p
+        # with repeated roots the RootSet of its Yun square-free part
         z = RatPoly([0, 1])
         square_free = [
             quadratic_eigenfunction(25, 1).poly,
@@ -459,9 +468,19 @@ class TestSeededIsolation:
             coeffs = integer_coefficients(factors[0][0])
             sign = functools.partial(_dyadic_sign, coeffs)
             bound = nodal._root_bound(coeffs)
-            intervals = [(lo, hi) for _, lo, hi in nodal._descartes_gaps(coeffs, [-bound, bound], sign, True)]
-            roots = tuple(_refine_root(coeffs, lo, hi, 1e-12, None, sign) for lo, hi in intervals)
-            expected.append((tuple(intervals), roots))
+            split = _parity_split(coeffs)
+            if split is None:
+                intervals = [(lo, hi) for _, lo, hi in nodal._descartes_gaps(coeffs, [-bound, bound], sign, True)]
+                roots = [_refine_root(coeffs, lo, hi, 1e-12, None, sign) for lo, hi in intervals]
+            else:
+                # s0 = 0, or for an odd p the inverse root bound of p / z reversed
+                k = split[0]
+                s0 = Fraction(0) if k == 0 else 1 / nodal._root_bound(coeffs[:0:-1])
+                gaps = [(lo, hi) for _, lo, hi in nodal._descartes_gaps(coeffs, [s0, bound], sign, True)]
+                positive = [_refine_root(coeffs, lo, hi, 1e-12, None, sign) for lo, hi in gaps]
+                intervals = [(-hi, -lo) for lo, hi in reversed(gaps)] + [(-s0, s0)] * k + gaps
+                roots = [-r for r in reversed(positive)] + [0.0] * k + positive
+            expected.append((tuple(intervals), tuple(roots)))
         repeated = [
             ((z - 1) ** 2 * (z + 2), (-2.0, 1.0), (1, 2)),
             ((z - Fraction(1, 3)) ** 4 * (z ** 2 + 1) ** 2 * z ** 3, (0.0, 1 / 3), (3, 4)),
@@ -583,7 +602,7 @@ class TestChainSeeds:
     def test_complex_or_repeated_roots_take_the_sturm_path(self, p, roots, mults, monkeypatch):
         # a repeated root ends p's Sturm chain at g = gcd(p, p'), with a complex
         # pair or not; the square-free part p / g is isolated in p's place, seeded
-        # by its own chain or, when it is even or odd, by q's
+        # by its own chain or, when it is even or odd, by q's on the positive half line
         assert chain_seeds(p) is None
         starts = refinement_starts(monkeypatch)
         part = isolate_real_roots(square_free_part(p))
@@ -592,7 +611,9 @@ class TestChainSeeds:
         rs = isolate_real_roots(p)
         # the square-free part's RootSet bit for bit, every refinement from the same seed
         assert (rs.isolating_intervals, rs.refined_roots) == (part.isolating_intervals, part.refined_roots)
-        assert starts == part_starts and None not in starts and len(starts) == len(roots)
+        # one start per root, or for the even psi_{12,2}^2 one per positive root: the negative ones are their mirror images
+        refined = len(roots) if _parity_split(integer_coefficients(p)) is None else sum(r > 0 for r in roots)
+        assert starts == part_starts and None not in starts and len(starts) == refined
         assert_matches_oracle(rs)
         assert rs.multiplicities == mults and count_real_roots(p) == len(roots)
         assert rs.refined_roots == pytest.approx(sorted(roots), rel=1e-12, abs=1e-12)
@@ -714,6 +735,31 @@ def parity_products(draw):
     return p, sorted(roots.items())
 
 
+@st.composite
+def mirror_cases(draw):
+    """An even or odd p from pairs of roots +-r, with optional factors z and z^2 + d, its distinct real roots, and how it is seeded.
+
+    The seeds are None, the roots as floats ("exact"), or those floats
+    moved by up to 1e-6 max(|r|, 1) each ("perturbed"), so the seed of the
+    root 0 may be the least positive one.
+    """
+    z = RatPoly([0, 1])
+    pairs = draw(st.lists(st.fractions(min_value=Fraction(1, 9), max_value=30, max_denominator=9), max_size=5, unique=True))
+    odd = draw(st.booleans())
+    d = draw(st.one_of(st.none(), st.fractions(min_value=Fraction(1, 7), max_value=50, max_denominator=7)))
+    if not pairs and not odd and d is None:
+        pairs = [Fraction(1, 2)]
+    p = math.prod((z**2 - r * r for r in pairs), start=z if odd else RatPoly.one())
+    if d is not None:
+        p = p * (z**2 + d)
+    roots = sorted([*(-r for r in pairs), *pairs] + [Fraction(0)] * odd)
+    mode = draw(st.sampled_from(["none", "exact", "perturbed"]))
+    seeds = None if mode == "none" else [float(r) for r in roots]
+    if mode == "perturbed":
+        seeds = [s + draw(st.floats(-1e-6, 1e-6)) * max(abs(s), 1.0) for s in seeds]
+    return p * draw(st.sampled_from([1, -1, Fraction(3, 5), -12])), roots, d is not None, mode, seeds
+
+
 class TestParitySplit:
     """An even or odd p = z^k q(z^2) is seeded and counted on its half-degree part q."""
 
@@ -783,6 +829,44 @@ class TestParitySplit:
         built = chain_degrees(monkeypatch)
         rs = isolate_real_roots(p)
         assert built == [2] and rs.count == k and rs.refined_roots == (0.0,) * k
+
+    @given(mirror_cases())
+    @example((poly_from_roots([-2, 0, 2]) * RatPoly([3, 0, 1]), [-2, 0, 2], True, "exact", [-2.0, 0.0, 2.0]))
+    @example((poly_from_roots([-1, 0, 1]), [-1, 0, 1], False, "perturbed", [-1.0, 1e-7, 1.0]))  # the seed of 0 is positive
+    @settings(max_examples=80, deadline=None)
+    def test_negative_half_is_the_mirror(self, case):
+        p, roots, pair, mode, seeds = case
+        with pytest.MonkeyPatch.context() as mp:
+            starts = refinement_starts(mp)
+            calls = whole_line_calls(mp)
+            rs = isolate_real_roots(p, seeds=seeds)
+        intervals, refined = rs.isolating_intervals, rs.refined_roots
+        assert intervals == tuple((-hi, -lo) for lo, hi in reversed(intervals))
+        assert refined == tuple(-r for r in reversed(refined))
+        assert rs.count == sturm_count(p.coeffs) == len(roots) and rs.multiplicities == (1,) * len(roots)
+        assert_matches_oracle(rs)
+        # only the positive roots are refined, each from a seed
+        positive = [float(r) for r in roots if r > 0]
+        assert len(starts) == len(positive) and None not in starts
+        if mode == "exact":
+            # N = deg q certifies them at once; past the pair z^2 + d Descartes runs do, on the half line
+            assert calls == ([(len(positive) + 1, False)] if pair and positive else [])
+            if not pair:
+                assert starts == positive
+        elif mode == "none":
+            # q's chain seeds certify against its count of positive roots, with no bisection
+            assert calls == []
+
+    def test_seeds_that_miss_roots_next_to_0(self):
+        # seeds -2, 0 and 2 of z (z^2 - 1/100) (z^2 - 4) put s0 = 1 above the
+        # roots +-1/10: q has a root in (0, s0^2), so the Descartes runs from
+        # s0, which would not see them, do not run, and q's chain finds all five
+        z = RatPoly([0, 1])
+        p = z * (z**2 - Fraction(1, 100)) * (z**2 - 4)
+        assert _separators([0.0, 2.0], nodal._root_bound(integer_coefficients(p)))[1] == 1
+        rs = isolate_real_roots(p, seeds=[-2.0, 0.0, 2.0])
+        assert rs.refined_roots == pytest.approx([-2, -0.1, 0, 0.1, 2], rel=1e-12, abs=1e-12)
+        assert_matches_oracle(rs)
 
 
 def descartes_oracle(coeffs, lo: Fraction, hi: Fraction) -> int:
@@ -972,6 +1056,29 @@ class TestSquareFreePart:
         assert (rs.isolating_intervals, rs.refined_roots) == (base.isolating_intervals, base.refined_roots)
         assert rs.multiplicities == (m,) * base.count
 
+    @pytest.mark.parametrize(
+        "p, evaluated",
+        [
+            # the one chain of the tower, of psi, counts a root in every interval
+            (quadratic_eigenfunction(10, 1).poly ** 2, 0),
+            # ... and none for z^2 + 1
+            ((_Z**2 + 1) ** 2 * poly_from_roots([-2, 1]), 0),
+            (quadratic_eigenfunction(10, 1).poly ** 2 * (_Z - Fraction(1, 3)), 1),
+            # two chains, of (z - 1)^2 (z + 2) and of z - 1
+            (poly_from_roots([1, 1, 1, -2, -2, 5]), 2),
+        ],
+    )
+    def test_tower_counts_each_end_once(self, p, evaluated, monkeypatch):
+        # a chain whose whole-line count is 0 or the number of intervals
+        # evaluates no point; any other evaluates each distinct end once
+        points = []
+        variations = nodal._variations_at
+        monkeypatch.setattr(nodal, "_variations_at", lambda chain, x: points.append(x) or variations(chain, x))
+        rs = isolate_real_roots(p)
+        ends = {x for gap in rs.isolating_intervals for x in gap}
+        assert len(points) == evaluated * len(ends) and set(points) == (ends if evaluated else set())
+        assert_matches_oracle(rs)
+
     def test_seeds_of_p_do_not_refine_the_square_free_part(self):
         # the bi-Laplace (-2, 0, 1) zero set at l = 4, z (z - 1)^2 (z + 2) / 3:
         # its phase seeds certify on the square-free part, but only p's own
@@ -996,8 +1103,6 @@ def whole_line_calls(monkeypatch) -> list:
     monkeypatch.setattr(nodal, "_descartes_gaps", spy)
     return calls
 
-
-_Z = RatPoly([0, 1])
 
 
 class TestWholeLine:
@@ -1672,9 +1777,9 @@ class TestSturmLinks:
     @pytest.mark.parametrize("ls", [range(k, k + 14) for k in range(1, 71, 14)], ids=lambda ls: f"l{ls[0]}-{ls[-1]}")
     def test_eigenfunction_rootsets_equal_oracle_path(self, family, ls, monkeypatch):
         # the multiplicities of psi_{l,f}^2 come from the chain of gcd(p, p'),
-        # the one chain isolation evaluates exactly (`_root_in`): they are
-        # the same with the oracle's counts, and every root is double; the
-        # intervals and roots are those of psi_{l,f}
+        # whose whole-line count puts a root in every interval, so no point is
+        # evaluated (`_multiplicities`): they are the same with the oracle's
+        # counts, and every root is double; the intervals and roots are those of psi_{l,f}
         polys = [quadratic_eigenfunction(l, family).poly for l in ls]
         program = [isolate_real_roots(p**2) for p in polys]
         monkeypatch.setattr(nodal, "_variations_at", variations_at)
@@ -1686,7 +1791,7 @@ class TestSturmLinks:
 
     @pytest.mark.parametrize("l", [30, 40])
     def test_bilaplace_rootsets_equal_oracle_path(self, l, monkeypatch):
-        # the combination has a complex pair; its square goes through `_root_in`
+        # the combination has a complex pair; its square goes through `_multiplicities`
         square = _bilaplace_crack_combination(l) ** 2
         program = isolate_real_roots(square)
         assert set(program.multiplicities) == {2}
