@@ -59,9 +59,16 @@ caller's, q's or the chain's), or from its interval's midpoint after the
 bisection, safeguarded by the bracket, and certified by exact opposite
 signs on either side of the result, with exact bisection only where that
 certificate fails.  Every point p is evaluated at is dyadic,
-num / 2^shift (a point that is not raises), so one Horner with shifts
-gives every exact sign, and exact Newton is that same loop with a slope
-accumulator, its iterate one correctly rounded integer division.  Root
+num / 2^shift, and is held as that pair of integers (a `Fraction` point
+that is not dyadic raises); `Fraction`s are built only for the intervals
+of the result.  Every exact sign comes from one sign kernel per
+polynomial (`_sign_kernel`): a fixed-point Horner with shifts, with P
+fraction bits, decides the sign when its value exceeds the a-priori bound
+n 2^((n-1) g) on its floor errors, for |x| < 2^g.  P starts at 64, plus
+(n-1) g at |x| >= 1, and is doubled once when that cannot decide; the
+exact Horner with shifts decides the rest, a root of p among them.  Exact
+Newton is the exact Horner with a slope accumulator, its iterate one
+correctly rounded integer division.  Root
 counts read the remainder sequence at infinity: of q, at 0 and +inf, for
 an even or odd p, and of p otherwise.
 Admissibility of a slope tuple at expansion order l is a nullspace
@@ -123,14 +130,111 @@ def _dyadic(x: Fraction | float) -> tuple[int, int]:
     return num, den.bit_length() - 1
 
 
+def _reduced(num: int, shift: int) -> tuple[int, int]:
+    """num / 2^shift, shift >= 0, as (num', shift') with the least shift' >= 0."""
+    if not num:
+        return 0, 0
+    z = min((num & -num).bit_length() - 1, shift)
+    return num >> z, shift - z
+
+
+def _power_of_two(e: int) -> tuple[int, int]:
+    """2^e as a dyadic (num, shift)."""
+    return (1 << e, 0) if e >= 0 else (1, -e)
+
+
+def _less(x: tuple[int, int], y: tuple[int, int]) -> bool:
+    """x < y for dyadics (num, shift)."""
+    return x[0] << y[1] < y[0] << x[1]
+
+
+def _midpoint(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """(x + y) / 2 for dyadics (num, shift), reduced."""
+    (a, s), (b, t) = x, y
+    shift = max(s, t)
+    return _reduced((a << (shift - s)) + (b << (shift - t)), shift + 1)
+
+
+def _fraction(x: tuple[int, int]) -> Fraction:
+    return Fraction(x[0], 1 << x[1])
+
+
+def _intervals(gaps: Sequence[tuple[tuple[int, int], tuple[int, int]]]) -> list[tuple[Fraction, Fraction]]:
+    """Dyadic gaps as `Fraction` intervals, one `Fraction` per distinct end."""
+    ends = {x: _fraction(x) for x in dict.fromkeys(x for gap in gaps for x in gap)}
+    return [(ends[lo], ends[hi]) for lo, hi in gaps]
+
+
 def _dyadic_sign(coeffs: Sequence[int], num: int, shift: int) -> int:
-    """Sign of p(num / 2^shift), shift >= 0, as that of 2^(shift deg p) p(num / 2^shift) by Horner with shifts."""
+    """Sign of p(num / 2^shift), shift >= 0, as that of 2^(shift deg p) p(num / 2^shift) by exact Horner with shifts."""
     acc = 0
     bits = 0
     for c in reversed(coeffs):
         acc = acc * num + (c << bits)
         bits += shift
     return (acc > 0) - (acc < 0)
+
+
+# fixed-point fraction bits of the filter's first pass in `_sign_kernel`, at |x| < 1
+_FILTER_BITS = 64
+# `_sign_kernel` keeps its shifted coefficients for points with |x| < 2^_KEPT_GROWTH,
+# which holds for all but 18 of the 58,002 signs of nodal-warm and of the Laplace
+# (-1, 1) and bi-Laplace (-1/2, 2/3) sweeps; a larger point shifts each coefficient
+# as its Horner reaches it, so no kept list grows with the point's size
+_KEPT_GROWTH = 16
+
+
+def _filtered_sign(scaled: Iterable[int], n: int, num: int, shift: int) -> int:
+    """Sign of p(x), x = num / 2^shift, from a fixed-point Horner, or 0 when that cannot decide it.
+
+    scaled is c_n 2^P, ..., c_0 2^P for p = sum c_j z^j of degree at most n.
+    From A = c_n 2^P, each step A <- floor(A num / 2^shift) + c_j 2^P loses
+    less than 1 to its floor, and every later step multiplies that loss by
+    x, so |A - 2^P p(x)| < sum_{i<n} |x|^i <= n 2^((n-1) g), with
+    g = max(0, bitlen(num) - shift) and |x| < 2^g.  |A| above that bound
+    has the sign of p(x); a zero of p, or a value too small for P, is no
+    decision.
+    """
+    acc = 0
+    for c in scaled:
+        acc = (acc * num >> shift) + c
+    g = abs(num).bit_length() - shift
+    bound = n << ((n - 1) * g) if g > 0 and n > 1 else n
+    return 1 if acc > bound else -1 if acc < -bound else 0
+
+
+def _sign_kernel(coeffs: Sequence[int]) -> Callable[[int, int], int]:
+    """p's exact sign at num / 2^shift, shift >= 0: a fixed-point filter first, the exact Horner where it cannot decide.
+
+    The filter (`_filtered_sign`) keeps P fraction bits, where the exact
+    Horner of `_dyadic_sign` grows its accumulator by the point's whole bit
+    size at every step.  Its error bound n 2^((n-1) g) grows with
+    |x| < 2^g, so P starts at _FILTER_BITS + (n-1) g for |x| >= 1 and at
+    _FILTER_BITS below: either way the filter decides once |p(x)| exceeds
+    about n 2^-_FILTER_BITS.  Without a decision P is doubled once, and
+    then the exact Horner decides; a root of p always gets there.  The
+    coefficients shifted by P are kept once per P for g <= _KEPT_GROWTH.
+    """
+    n = len(coeffs) - 1
+    top = list(reversed(coeffs))
+    spread = max(n - 1, 0)
+    scaled: dict[int, list[int]] = {}
+
+    def sign(num: int, shift: int) -> int:
+        g = abs(num).bit_length() - shift
+        first = _FILTER_BITS + spread * g if g > 0 else _FILTER_BITS
+        for bits in (first, 2 * first):
+            cs = scaled.get(bits)
+            if cs is None:
+                cs = (c << bits for c in top)
+                if g <= _KEPT_GROWTH:
+                    cs = scaled[bits] = list(cs)
+            s = _filtered_sign(cs, n, num, shift)
+            if s:
+                return s
+        return _dyadic_sign(coeffs, num, shift)
+
+    return sign
 
 
 def _parity_split(coeffs: list[int]) -> tuple[int, list[int]] | None:
@@ -144,11 +248,12 @@ def _parity_split(coeffs: list[int]) -> tuple[int, list[int]] | None:
 def _parity_sign(k: int, q: list[int]) -> Callable[[int, int], int]:
     """Exact signs of p(x) = x^k q(x^2), k <= 1, at x = num / 2^shift: sign(x)^k times that of q at num^2 / 2^(2 shift).
 
-    The Horner with shifts of `_dyadic_sign` on q takes half the steps of one on p.
+    The sign kernel of q (`_sign_kernel`) takes half the steps of one of p.
     """
+    sign = _sign_kernel(q)
     if k == 0:
-        return lambda num, shift: _dyadic_sign(q, num * num, 2 * shift)
-    return lambda num, shift: _dyadic_sign(q, num * num, 2 * shift) * ((num > 0) - (num < 0))
+        return lambda num, shift: sign(num * num, 2 * shift)
+    return lambda num, shift: sign(num * num, 2 * shift) * ((num > 0) - (num < 0))
 
 
 @dataclass(frozen=True)
@@ -161,7 +266,7 @@ class _SturmChain:
     with e P_j = Q P_{j+1} + kappa P_{j+2}, the pseudo-division that made
     P_{j+2}; `_chain_seeds` reads them as a float continued fraction.
     `_variations_at` counts the chain's sign variations at a point from the
-    elements' exact signs, each a Horner with shifts (`_dyadic_sign`).
+    elements' exact signs (`_sign_kernel`).
     """
 
     polys: list[list[int]]
@@ -183,9 +288,9 @@ def _sign_variations(signs: Iterable[int]) -> int:
 
 
 def _variations_at(chain: _SturmChain, point: Fraction) -> int:
-    """The chain's sign-variation count at the dyadic point, one `_dyadic_sign` per element."""
+    """The chain's sign-variation count at the dyadic point, one exact sign (`_sign_kernel`) per element."""
     num, shift = _dyadic(point)
-    return _sign_variations(_dyadic_sign(q, num, shift) for q in chain.polys)
+    return _sign_variations(_sign_kernel(q)(num, shift) for q in chain.polys)
 
 
 def count_real_roots(p: RatPoly) -> int:
@@ -223,8 +328,8 @@ def _distinct_real_roots(polys: list[list[int]]) -> int:
     return _sign_variations(at_minus) - _sign_variations(at_plus)
 
 
-def _root_bound(coeffs: Sequence[int]) -> Fraction:
-    """Fujiwara bound rounded up to a power of two: above every |root|.
+def _root_bound(coeffs: Sequence[int]) -> int:
+    """e with 2^e the Fujiwara bound rounded up to a power of two: above every |root|.
 
     Every root has |z| <= 2 max_k |a_k/a_n|^(1/(n-k)), and
     |a_k/a_n| < 2^(bitlen a_k - bitlen a_n + 1).
@@ -232,24 +337,25 @@ def _root_bound(coeffs: Sequence[int]) -> Fraction:
     n = len(coeffs) - 1
     top = abs(coeffs[-1]).bit_length()
     exponents = [-((top - abs(c).bit_length() - 1) // (n - k)) for k, c in enumerate(coeffs[:-1]) if c]
-    return Fraction(2) ** (1 + max(exponents, default=0))
+    return 1 + max(exponents, default=0)
 
 
-def _short_dyadic(lo: float, hi: float) -> Fraction:
-    """The dyadic rational m / 2^k in [lo, hi] with the least k, for lo < hi.
+def _short_dyadic(lo: float, hi: float) -> tuple[int, int]:
+    """The dyadic rational m / 2^k in [lo, hi] with the least k, for lo < hi, as (num, shift) with shift >= 0.
 
     A separator's cost in an exact sign is its bit size, and this one has
     a few bits where the float midpoint of two seeds has 53.
     """
     if lo <= 0 <= hi:
-        return Fraction(0)
+        return 0, 0
     if hi < 0:
-        return -_short_dyadic(-hi, -lo)
+        m, k = _short_dyadic(-hi, -lo)
+        return -m, k
     k = 1 - math.frexp(hi - lo)[1]  # 2^-k <= hi - lo: some m / 2^k lies in [lo, hi]
     while math.ceil(math.ldexp(lo, k - 1)) <= math.floor(math.ldexp(hi, k - 1)):
         k -= 1
     m = math.ceil(math.ldexp(lo, k))
-    return Fraction(m, 1 << k) if k >= 0 else Fraction(m << -k)
+    return (m, k) if k >= 0 else (m << -k, 0)
 
 
 def _float_seeds(seeds: Iterable) -> list[float] | None:
@@ -260,8 +366,8 @@ def _float_seeds(seeds: Iterable) -> list[float] | None:
         return None
 
 
-def _separators(seeds: Sequence[float], bound: Fraction) -> list[Fraction] | None:
-    """-bound, one short dyadic in the middle half of each gap between sorted seeds, and bound.
+def _separators(seeds: Sequence[float], bound: tuple[int, int]) -> list[tuple[int, int]] | None:
+    """-bound, one short dyadic in the middle half of each gap between sorted seeds, and bound, each as (num, shift).
 
     None unless there is a seed, every seed is finite, and the separators
     are strictly increasing (seeds out of order, or outside (-bound, bound)).
@@ -269,7 +375,7 @@ def _separators(seeds: Sequence[float], bound: Fraction) -> list[Fraction] | Non
     if not seeds or not all(math.isfinite(s) for s in seeds):
         return None
     seeds = sorted(seeds)
-    seps = [-bound]
+    seps = [(-bound[0], bound[1])]
     for a, b in zip(seeds, seeds[1:]):
         if not a < b:
             return None
@@ -278,15 +384,15 @@ def _separators(seeds: Sequence[float], bound: Fraction) -> list[Fraction] | Non
             lo, hi = a, b
         seps.append(_short_dyadic(lo, hi))
     seps.append(bound)
-    if not all(x < y for x, y in zip(seps, seps[1:])):
+    if not all(_less(x, y) for x, y in zip(seps, seps[1:])):
         return None
     return seps
 
 
 def _certified_gaps(
-    seps: Sequence[Fraction], sign: Callable[[int, int], int], count: int
-) -> list[tuple[Fraction, Fraction]] | None:
-    """The gaps between consecutive separators, each certified to hold exactly one simple root of p, or None.
+    seps: Sequence[tuple[int, int]], sign: Callable[[int, int], int], count: int
+) -> list[tuple[tuple[int, int], tuple[int, int]]] | None:
+    """The gaps between consecutive separators (dyadics (num, shift)), each certified to hold exactly one simple root of p, or None.
 
     count is an upper bound on the real roots of p, with multiplicity, in
     (seps[0], seps[-1]).  If p is nonzero at every separator with
@@ -294,23 +400,23 @@ def _certified_gaps(
     one; when there are count gaps, each holds exactly one and it is
     simple.  Any other outcome (another number of gaps, a zero or a sign
     that fails to alternate) returns None.  sign(num, shift) is p's exact
-    sign at num / 2^shift: `_dyadic_sign` on p's coefficients, or
+    sign at num / 2^shift: `_sign_kernel` of p's coefficients, or
     `_parity_sign` on its half-degree part.  The count is checked first, so
     a wrong one costs no sign.
     """
     if len(seps) - 1 != count:
         return None
-    last = sign(*_dyadic(seps[0]))
+    last = sign(*seps[0])
     for x in seps[1:]:
-        nxt = sign(*_dyadic(x))
+        nxt = sign(*x)
         if last == 0 or nxt != -last:
             return None
         last = nxt
     return list(zip(seps, seps[1:]))
 
 
-def _descartes_bound(coeffs: list[int], lo: Fraction, hi: Fraction) -> int:
-    """Sign variations of (1 + x)^n p((lo + hi x) / (1 + x)), n = deg p, for dyadic lo < hi.
+def _descartes_bound(coeffs: list[int], lo: tuple[int, int], hi: tuple[int, int]) -> int:
+    """Sign variations of (1 + x)^n p((lo + hi x) / (1 + x)), n = deg p, for dyadics lo < hi as (num, shift).
 
     The Moebius map takes (0, +inf) onto (lo, hi), so by Descartes' rule of
     signs the count is at least the number of roots of p in (lo, hi),
@@ -320,8 +426,7 @@ def _descartes_bound(coeffs: list[int], lo: Fraction, hi: Fraction) -> int:
     y scaled by d = (hi - lo) 2^shift, the coefficients reversed, and a
     Taylor shift at 1.
     """
-    a, s = _dyadic(lo)
-    b, t = _dyadic(hi)
+    (a, s), (b, t) = lo, hi
     shift = max(s, t)
     a, d = a << (shift - s), (b << (shift - t)) - (a << (shift - s))
     n = len(coeffs) - 1
@@ -348,8 +453,8 @@ _DESCARTES_TESTS = 64
 
 
 def _descartes_gaps(
-    coeffs: list[int], seps: list[Fraction], sign: Callable[[int, int], int], square_free: bool
-) -> list[tuple[int, Fraction, Fraction]] | None:
+    coeffs: list[int], seps: list[tuple[int, int]], sign: Callable[[int, int], int], square_free: bool
+) -> list[tuple[int, tuple[int, int], tuple[int, int]]] | None:
     """(i, lo, hi) for every real root of p, (lo, hi) isolating it within gap i of seps; or None.
 
     seps separate seeds that miss some of p's roots, most often the two of
@@ -369,9 +474,9 @@ def _descartes_gaps(
     _DESCARTES_TESTS tests.
     """
     tests = math.inf if square_free else _DESCARTES_TESTS
-    out: list[tuple[int, Fraction, Fraction]] = []
+    out: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
     # (i, run): the run's first gap is gap i of seps
-    stack: list[tuple[int, list[Fraction]]] = [(0, seps)]
+    stack: list[tuple[int, list[tuple[int, int]]]] = [(0, seps)]
     while stack:
         if tests <= 0:
             return None
@@ -386,7 +491,7 @@ def _descartes_gaps(
             stack += [(i + mid, run[mid:]), (i, run[: mid + 1])]
         else:
             lo, hi = run
-            s_lo, s_hi = sign(*_dyadic(lo)), sign(*_dyadic(hi))
+            s_lo, s_hi = sign(*lo), sign(*hi)
             if not (s_lo and s_hi):
                 # a root on a separator: V counts only the roots inside a gap, so it would go unseen
                 return None
@@ -394,9 +499,9 @@ def _descartes_gaps(
                 continue
             if s_lo == s_hi and not square_free and run == seps[i : i + 2]:
                 return None
-            mid = (lo + hi) / 2
-            while sign(*_dyadic(mid)) == 0:
-                mid = (lo + mid) / 2
+            mid = _midpoint(lo, hi)
+            while sign(*mid) == 0:
+                mid = _midpoint(lo, mid)
             stack += [(i, [mid, hi]), (i, [lo, mid])]
     return out
 
@@ -459,7 +564,7 @@ def _chain_seeds(chain: _SturmChain) -> list[float] | None:
             e, (q0, q1), kappa = chain.identities[j]
             steps.append((_float_ratio(q1, e, m[j]), _float_ratio(q0, e, m[j]), _float_ratio(kappa, e, m[j] + m[j + 1])))
         c = _float_ratio(polys[1][-1], n * polys[0][-1], -m[0])
-        bound = float(_root_bound(polys[0]))
+        bound = 2.0 ** _root_bound(polys[0])
     except OverflowError:
         return None
     budget = _CF_EVALS * n
@@ -542,18 +647,18 @@ def _exact_newton(coeffs: list[int], x: float) -> tuple[int, float | None]:
         return sign, None
 
 
-def _certificate_points(r: float, k: int, lo: Fraction, hi: Fraction) -> tuple[int, int, int] | None:
-    """r - 2^k and r + 2^k as (left, right, shift), integers over 2^shift.
+def _certificate_points(r: float, k: int, lo: int, hi: int, shift: int) -> tuple[int, int, int] | None:
+    """r - 2^k and r + 2^k as (left, right, s), integers over 2^s.
 
-    None unless both points lie strictly inside (lo, hi).  No Fraction is
-    built: r is its float mantissa over a power of two.
+    None unless both points lie strictly inside (lo / 2^shift, hi / 2^shift).
+    r is its float mantissa over a power of two.
     """
     num, r_shift = _dyadic(r)
-    shift = max(r_shift, -k)
-    x, h = num << (shift - r_shift), 1 << (shift + k)
+    s = max(r_shift, -k)
+    x, h = num << (s - r_shift), 1 << (s + k)
     left, right = x - h, x + h
-    if lo.numerator << shift < left * lo.denominator and right * hi.denominator < hi.numerator << shift:
-        return left, right, shift
+    if lo << s < left << shift and right << shift < hi << s:
+        return left, right, s
     return None
 
 
@@ -569,43 +674,53 @@ def _sign_certificate(sign: Callable[[int, int], int], r: float, left: int, righ
     return None
 
 
-def _goal(lo: Fraction, hi: Fraction, tol: float) -> tuple[int, int]:
-    """goal = tol/8 * max(|lo|, |hi|, 1) as its reduced numerator and denominator."""
-    top = max(abs(lo.numerator) * hi.denominator, abs(hi.numerator) * lo.denominator)
-    scale = lo.denominator * hi.denominator
-    if top < scale:
-        top = scale = 1
+def _goal(lo: int, hi: int, shift: int, tol: float) -> tuple[int, int]:
+    """goal = tol/8 * max(|lo|, |hi|, 1) for the bracket (lo / 2^shift, hi / 2^shift), as (g, t) with goal = g / 2^t.
+
+    tol is a float, so its denominator is a power of two, and so is goal's.
+    """
     tn, td = tol.as_integer_ratio()
-    num, den = tn * top, 8 * td * scale
-    g = math.gcd(num, den)
-    return num // g, den // g
+    return tn * max(abs(lo), abs(hi), 1 << shift), td.bit_length() + 2 + shift
 
 
-def _float(x: Fraction) -> float:
-    """float(x) of a point of `_refine_root`; ValueError where it overflows, for a root past 2^1020."""
+def _float(num: int, shift: int) -> float:
+    """num / 2^shift correctly rounded, a point of `_refine_root`; ValueError where it overflows, for a root past 2^1020."""
     try:
-        return float(x)
+        return num / (1 << shift)
     except OverflowError:
-        e = abs(x.numerator).bit_length() - x.denominator.bit_length()
+        e = abs(num).bit_length() - shift - 1
         raise ValueError(f"a real root near 2^{e} lies beyond the float range (|x| < 2^1024)") from None
+
+
+def _one_float(lo: int, hi: int, shift: int) -> bool:
+    """Whether lo / 2^shift and hi / 2^shift round to the same float, the same zero included; False beyond the float range."""
+    try:
+        x, y = lo / (1 << shift), hi / (1 << shift)
+    except OverflowError:
+        return False
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
 def _refine_root(
     coeffs: list[int],
-    lo: Fraction,
-    hi: Fraction,
+    lo: tuple[int, int],
+    hi: tuple[int, int],
     tol: float,
     start: float | None,
     sign: Callable[[int, int], int],
 ) -> float:
     """Refine the one root in an open isolating interval to a float within goal/2 of it.
 
-    p has nonzero exact signs at lo and hi.  First the end of (lo, hi)
-    farther from 0 is cut to a sixteenth, by exact signs, while the root
-    lies within that sixteenth, so that
-    goal = tol/8 * max(|lo|, |hi|, 1) <= 2 tol max(|root|, 1) however wide
-    the isolating interval (one in [-16, 16], or not containing a
-    sixteenth of its far end, costs no sign).  With h = 2^k in
+    lo and hi are dyadics (num, shift), and p has nonzero exact signs at
+    both.  Every point here is an integer over one power of two 2^shift,
+    which grows when a finer point (a float iterate, a bisection midpoint)
+    needs it, and each exact sign is taken at the point in lowest terms, so
+    no `Fraction` is built.  First the end of (lo, hi) farther from 0 is cut
+    to a sixteenth, by exact signs, while the root lies within that
+    sixteenth, so that goal = tol/8 * max(|lo|, |hi|, 1) <= 2 tol max(|root|, 1)
+    however wide the isolating interval (one in [-16, 16], or not
+    containing a sixteenth of its far end, costs no sign).  goal's
+    denominator is a power of two (`_goal`).  With h = 2^k in
     (goal/8, goal/2], exact opposite signs at r - h and r + h, both strictly
     inside (lo, hi), certify r (a zero sign there is the root itself); a
     start is tried by that certificate first.  Then one exact Newton runs
@@ -617,61 +732,96 @@ def _refine_root(
     max(|r|, 1) the iterate is tried by the certificate.  Newton ends on a
     certificate, on an iterate that is not strictly inside the bracket (it
     has stalled at float resolution) or on a bracket narrower than goal;
-    then the bracket is bisected exactly down to width goal.  Exact signs
-    come from sign, as in `_certified_gaps`; Newton runs on coeffs.
+    then the bracket is bisected exactly down to width goal, or until both
+    of its ends round to one float: the root lies between them, so that
+    float is the answer further bisection would give.  Exact signs come
+    from sign, as in `_certified_gaps`: a fixed-point filter, with the exact
+    Horner where it cannot decide (`_sign_kernel`).  Newton runs on coeffs.
     """
-    while hi > 16 or lo < -16:
-        far = hi if hi > -lo else lo
-        cut = far / 16
-        if not lo < cut < hi:
+    (a, s), (b, t) = lo, hi
+    shift = max(s, t)
+    a, b = a << (shift - s), b << (shift - t)
+    while b > 16 << shift or a < -16 << shift:
+        far = b if b > -a else a
+        # the cut, far / 16, lies in (a, b) iff 16 a < far < 16 b
+        if not a << 4 < far < b << 4:
             break
-        s_cut, s_far = (sign(*_dyadic(x)) for x in (cut, far))
+        s_cut, s_far = sign(*_reduced(far, shift + 4)), sign(*_reduced(far, shift))
         if s_cut == 0:
-            return _float(cut)
+            return _float(far, shift + 4)
         if s_cut != s_far:
             break
-        lo, hi = (lo, cut) if far == hi else (cut, hi)
-    goal_num, goal_den = _goal(lo, hi, tol)
-    k = goal_num.bit_length() - goal_den.bit_length() - 2
-    points = None if start is None else _certificate_points(start, k, lo, hi)
+        at_hi = far == b
+        if far & 15:
+            a, b, shift = a << 4, b << 4, shift + 4
+        else:
+            far >>= 4
+        # far is now the cut, over 2^shift
+        if at_hi:
+            b = far
+        else:
+            a = far
+    goal, goal_shift = _goal(a, b, shift, tol)
+    k = goal.bit_length() - goal_shift - 3
+    # the certificate's points lie inside this (lo, hi)
+    inner = a, b, shift
+    points = None if start is None else _certificate_points(start, k, *inner)
     if points is not None:
         found = _sign_certificate(sign, start, *points)
         if found is not None:
             return found
-    goal = Fraction(goal_num, goal_den)
-    slo = sign(*_dyadic(lo))
-    r = start if start is not None and lo < Fraction(start) < hi else _float((lo + hi) / 2)
-    a, b = lo, hi
+    slo = sign(*_reduced(a, shift))
+    r = start
+    if start is not None:
+        num, s = _dyadic(start)
+        if not a << s < num << shift < b << s:
+            r = None
+    if r is None:
+        r = _float(a + b, shift + 1)
     dx = dx_old = math.inf
     while True:
-        x = Fraction(r)
+        num, s = _dyadic(r)
+        if s > shift:
+            a, b, shift = a << (s - shift), b << (s - shift), s
+        x = num << (shift - s)
         if not a < x < b:
             break
         sx, step = _exact_newton(coeffs, r)
         if sx == 0:
             return r
-        a, b = (x, b) if sx == slo else (a, x)
-        if step is None or not (a <= step <= b and abs(step - r) <= dx_old / 2):
-            step = _float((a + b) / 2)
+        if sx == slo:
+            a = x
+        else:
+            b = x
+        if step is not None:
+            num, s = _dyadic(step)
+            if not (a << s <= num << shift <= b << s and abs(step - r) <= dx_old / 2):
+                step = None
+        if step is None:
+            step = _float(a + b, shift + 1)
         dx_old, dx = dx, abs(step - r)
         r = step
-        if b - a <= goal:
+        if (b - a) << goal_shift <= goal << shift:
             break
         if dx <= _FLOAT_STEP * max(abs(r), 1.0):
-            points = _certificate_points(r, k, lo, hi)
+            points = _certificate_points(r, k, *inner)
             found = None if points is None else _sign_certificate(sign, r, *points)
             if found is not None:
                 return found
-    while b - a > goal:
-        mid = (a + b) / 2
-        smid = sign(*_dyadic(mid))
-        if smid == 0:
-            return _float(mid)
-        if smid == slo:
+    while (b - a) << goal_shift > goal << shift and not _one_float(a, b, shift):
+        mid = a + b
+        if mid & 1:
+            a, b, shift = a << 1, b << 1, shift + 1
+        else:
+            mid >>= 1
+        s_mid = sign(*_reduced(mid, shift))
+        if s_mid == 0:
+            return _float(mid, shift)
+        if s_mid == slo:
             a = mid
         else:
             b = mid
-    return _float((a + b) / 2)
+    return _float(a + b, shift + 1)
 
 
 def _parity_seeds(q: list[int], chain: _SturmChain) -> tuple[list[float], int] | None:
@@ -791,7 +941,7 @@ def _real_roots(
 ) -> tuple[list[tuple[Fraction, Fraction]], list[float], list[int]]:
     """Isolating intervals, refined roots and multiplicities of p's real roots, as `isolate_real_roots` describes."""
     split = _parity_split(coeffs)
-    bound = _root_bound(coeffs)
+    bound = _power_of_two(_root_bound(coeffs))
     # k >= 2 makes 0 a repeated root
     if split is not None and split[0] <= 1:
         found = _half_line_roots(coeffs, *split, seeds, tol, bound)
@@ -800,7 +950,7 @@ def _real_roots(
         # q has a repeated root, and so has p: its chain below ends at gcd(p, p')
     else:
         n = len(coeffs) - 1
-        sign = functools.partial(_dyadic_sign, coeffs)
+        sign = _sign_kernel(coeffs)
         seps = None if seeds is None else _separators(seeds, bound)
         if seps is not None:
             gaps = _certified_gaps(seps, sign, n)
@@ -823,12 +973,12 @@ def _real_roots(
     gaps = None if seps is None else _certified_gaps(seps, sign, _distinct_real_roots(chain.polys))
     if gaps is not None:
         return _refined(coeffs, gaps, own, tol, sign)
-    gaps = _bisected(coeffs, -bound, bound, sign)
+    gaps = _bisected(coeffs, (-bound[0], bound[1]), bound, sign)
     return _refined(coeffs, gaps, [None] * len(gaps), tol, sign)
 
 
 def _half_line_roots(
-    coeffs: list[int], k: int, q: list[int], seeds: list[float] | None, tol: float, bound: Fraction
+    coeffs: list[int], k: int, q: list[int], seeds: list[float] | None, tol: float, bound: tuple[int, int]
 ) -> tuple[list[tuple[Fraction, Fraction]], list[float], list[int]] | None:
     """The real roots of p = z^k q(z^2), k <= 1, as `_real_roots` gives them, or None when q, and so p, has a repeated root.
 
@@ -848,7 +998,7 @@ def _half_line_roots(
             if gaps is not None:
                 return _mirrored(coeffs, k, seps[0], gaps, positive, tol, sign)
             # for k = 1 the runs start at s0, so (0, s0) must hold no root: q has none in (0, s0^2)
-            if len(positive) < len(q) - 1 and (k == 0 or _descartes_bound(q, Fraction(0), seps[0] ** 2) == 0):
+            if len(positive) < len(q) - 1 and (k == 0 or _descartes_bound(q, (0, 0), (seps[0][0] ** 2, 2 * seps[0][1])) == 0):
                 found = _descartes_gaps(coeffs, seps, sign, False)
                 if found is not None:
                     gaps = [(lo, hi) for _, lo, hi in found]
@@ -869,12 +1019,12 @@ def _half_line_roots(
         if gaps is not None:
             return _mirrored(coeffs, k, seps[0], gaps, positive, tol, sign)
     # p is square-free; for k = 1, s0 lies below |r| for every root r != 0 of p (the root bound of p / z reversed)
-    s0 = Fraction(0) if k == 0 else 1 / _root_bound(coeffs[:0:-1])
+    s0 = (0, 0) if k == 0 else _power_of_two(-_root_bound(coeffs[:0:-1]))
     gaps = _bisected(coeffs, s0, bound, sign)
     return _mirrored(coeffs, k, s0, gaps, [None] * len(gaps), tol, sign)
 
 
-def _half_separators(k: int, seeds: list[float], bound: Fraction) -> list[Fraction] | None:
+def _half_separators(k: int, seeds: list[float], bound: tuple[int, int]) -> list[tuple[int, int]] | None:
     """The separators of the positive half line for sorted positive seeds, or None.
 
     s0 first, then one short dyadic in the middle half of each gap between
@@ -886,16 +1036,16 @@ def _half_separators(k: int, seeds: list[float], bound: Fraction) -> list[Fracti
     rounds to hold 0).
     """
     seps = _separators([0.0] * k + seeds, bound) if seeds else None
-    if seps is None or seps[1] <= 0:
+    if seps is None or seps[1][0] <= 0:
         return None
-    return seps[1:] if k else [Fraction(0), *seps[1:]]
+    return seps[1:] if k else [(0, 0), *seps[1:]]
 
 
 def _mirrored(
     coeffs: list[int],
     k: int,
-    s0: Fraction,
-    gaps: list[tuple[Fraction, Fraction]],
+    s0: tuple[int, int],
+    gaps: list[tuple[tuple[int, int], tuple[int, int]]],
     starts: Sequence[float | None],
     tol: float,
     sign: Callable[[int, int], int],
@@ -905,18 +1055,23 @@ def _mirrored(
     Each positive root is refined from its start (`_refine_root`); the
     negative roots are their mirror images, -r on (-hi, -lo), and for
     k = 1 the root 0, exact, lies on (-s0, s0).  Every root is simple.
+    The dyadic gaps become `Fraction` intervals here.
     """
     roots = [_refine_root(coeffs, lo, hi, tol, s, sign) for (lo, hi), s in zip(gaps, starts)]
-    intervals = [(-hi, -lo) for lo, hi in reversed(gaps)] + [(-s0, s0)] * k + gaps
+    positive = _intervals(gaps)
+    zero = _fraction(s0)
+    intervals = [(-hi, -lo) for lo, hi in reversed(positive)] + [(-zero, zero)] * k + positive
     roots = [-r for r in reversed(roots)] + [0.0] * k + roots
     return intervals, roots, [1] * len(roots)
 
 
 # 2^1024, the least power of two beyond the float range
-_FLOAT_END = Fraction(2**1024)
+_FLOAT_END = 1 << 1024
 
 
-def _bisected(coeffs: list[int], lo: Fraction, hi: Fraction, sign: Callable[[int, int], int]) -> list[tuple[Fraction, Fraction]]:
+def _bisected(
+    coeffs: list[int], lo: tuple[int, int], hi: tuple[int, int], sign: Callable[[int, int], int]
+) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """Isolating intervals of the roots of a square-free p in (lo, hi), by Descartes bisection with no cap (it ends).
 
     First one Descartes bound on each part of (lo, hi) beyond the float
@@ -924,8 +1079,8 @@ def _bisected(coeffs: list[int], lo: Fraction, hi: Fraction, sign: Callable[[int
     that no float can hold, and ValueError is raised at once, where the
     bisection would first separate it from every complex root near 0.
     """
-    for a, b in ((_FLOAT_END, hi), (lo, -_FLOAT_END)):
-        if lo <= a < b <= hi and _descartes_bound(coeffs, a, b) % 2:
+    for a, b in (((_FLOAT_END, 0), hi), (lo, (-_FLOAT_END, 0))):
+        if not _less(a, lo) and _less(a, b) and not _less(hi, b) and _descartes_bound(coeffs, a, b) % 2:
             raise ValueError("a real root beyond 2^1024 lies beyond the float range (|x| < 2^1024)")
     return [(a, b) for _, a, b in _descartes_gaps(coeffs, [lo, hi], sign, True)]
 
@@ -957,14 +1112,14 @@ def _multiplicities(g: list[int], intervals: list[tuple[Fraction, Fraction]]) ->
 
 def _refined(
     coeffs: list[int],
-    gaps: list[tuple[Fraction, Fraction]],
+    gaps: list[tuple[tuple[int, int], tuple[int, int]]],
     starts: Sequence[float | None],
     tol: float,
     sign: Callable[[int, int], int],
 ) -> tuple[list[tuple[Fraction, Fraction]], list[float], list[int]]:
-    """gaps, the simple root each isolates refined from its start (`_refine_root`), and multiplicities 1."""
+    """gaps as `Fraction` intervals, the simple root each isolates refined from its start (`_refine_root`), and multiplicities 1."""
     roots = [_refine_root(coeffs, lo, hi, tol, s, sign) for (lo, hi), s in zip(gaps, starts)]
-    return gaps, roots, [1] * len(gaps)
+    return _intervals(gaps), roots, [1] * len(gaps)
 
 
 # phase-scan samples per unit of l: two roots of a bi-Laplace combination

@@ -8,10 +8,13 @@ form of the phase-form root seeds, which `pencil.nodal._phase_seeds`
 computes in plain float loops with the same operations in the same order.
 `variations_at` counts a Sturm chain's sign variations with one Horner sum
 in a and b per element at the point a/b, where
-`pencil.nodal._variations_at` runs the Horner with shifts of
-`pencil.nodal._dyadic_sign` at a dyadic point.  `exact_newton` is the exact Newton step as a
-reduced Fraction from powers of the denominator, where
-`pencil.nodal._exact_newton` shifts and divides once.  `sturm_count` is
+`pencil.nodal._variations_at` takes each element's sign from its sign
+kernel (`pencil.nodal._sign_kernel`) at a dyadic point.  `exact_newton` is
+the exact Newton step as a reduced Fraction from powers of the denominator, where
+`pencil.nodal._exact_newton` shifts and divides once.  `refine_root`
+refines a root with every point a `Fraction` and every sign an a/b
+Horner sum, where `pencil.nodal._refine_root` keeps integers over a power
+of two and takes its signs through a fixed-point filter.  `sturm_count` is
 the distinct real root count of the classical Sturm sequence of p and p'
 over the rationals on the whole line, where `pencil.nodal.count_real_roots`
 counts an even or odd p on the integer chain of its half-degree part.
@@ -20,7 +23,7 @@ intervals, with multiplicities from the Sturm sequences of its gcd tower,
 where `pencil.nodal.isolate_real_roots` certifies seed gaps (of the
 positive half line for an even or odd p, whose negative half is their
 mirror image), isolates a repeated root through the square-free part and bisects only by Descartes
-bounds.
+bounds.  Both Sturm oracles are memoized on their arguments.
 `fraction_rref` and `fraction_kernel` are Gauss-Jordan elimination over
 `Fraction`s, each pivot row divided by its pivot, where `pencil.linalg`
 clears each row's denominators and eliminates fraction-free over the
@@ -42,6 +45,7 @@ row and one `svg._fmt` call per polyline coordinate, where `pencil.cli` and
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -51,7 +55,7 @@ from typing import Sequence
 
 from pencil import svg
 from pencil.linalg import rational_kernel
-from pencil.nodal import _PHASE_SAMPLES, _PHASE_STEPS
+from pencil.nodal import _FLOAT_STEP, _PHASE_SAMPLES, _PHASE_STEPS
 from pencil.pencils import quadratic_eigenfunction, quartic_eigenfunction
 from pencil.polyring import RatPoly, op_apply
 
@@ -311,15 +315,118 @@ def exact_newton(coeffs: Sequence[int], x: float) -> tuple[int, Fraction | None]
     return (n_acc > 0) - (n_acc < 0), (Fraction(a * d_acc - n_acc, b * d_acc) if d_acc else None)
 
 
-def sturm_sequence(coeffs: Sequence) -> list[list[Fraction]]:
+def refine_root(coeffs: Sequence[int], lo: Fraction, hi: Fraction, tol: float, start: float | None) -> float:
+    """The refinement of `pencil.nodal._refine_root` with every point a `Fraction`.
+
+    The one root of p in the open interval (lo, hi), with nonzero signs at
+    both ends, refined step for step as the program refines it: the far end
+    cut to sixteenths, the r +- 2^k certificate of the start, safeguarded
+    exact Newton, then exact bisection down to width goal, where the
+    program stops as soon as both bracket ends round to one float (the
+    answer is that float either way).  Every sign is that of a Horner sum
+    in a and b at a/b (`_horner`), and every Newton iterate is
+    `exact_newton` rounded to a float; the program keeps integers over one
+    power of two and takes its signs through a fixed-point filter.
+    ValueError where the answer overflows a float.
+    """
+
+    def sign(x: Fraction) -> int:
+        v = _horner(coeffs, x)
+        return (v > 0) - (v < 0)
+
+    def to_float(x: Fraction) -> float:
+        try:
+            return float(x)
+        except OverflowError:
+            e = abs(x.numerator).bit_length() - x.denominator.bit_length()
+            raise ValueError(f"a real root near 2^{e} lies beyond the float range (|x| < 2^1024)") from None
+
+    def newton(r: float) -> tuple[int, float | None]:
+        s, step = exact_newton(coeffs, r)
+        try:
+            return s, None if step is None else float(step)
+        except OverflowError:
+            return s, None
+
+    def certified(r: float) -> float | None:
+        x, h = Fraction(r), Fraction(2) ** k
+        if not (lo < x - h and x + h < hi):
+            return None
+        s_left, s_right = sign(x - h), sign(x + h)
+        if s_left * s_right < 0:
+            return r
+        if s_left == 0:
+            return float(x - h)
+        if s_right == 0:
+            return float(x + h)
+        return None
+
+    while hi > 16 or lo < -16:
+        far = hi if hi > -lo else lo
+        cut = far / 16
+        if not lo < cut < hi:
+            break
+        s_cut, s_far = sign(cut), sign(far)
+        if s_cut == 0:
+            return to_float(cut)
+        if s_cut != s_far:
+            break
+        lo, hi = (lo, cut) if far == hi else (cut, hi)
+    goal = Fraction(tol) / 8 * max(abs(lo), abs(hi), 1)
+    # the largest k with 2^k <= goal / 2
+    k = goal.numerator.bit_length() - goal.denominator.bit_length() - 2
+    found = None if start is None else certified(start)
+    if found is not None:
+        return found
+    slo = sign(lo)
+    r = start if start is not None and lo < Fraction(start) < hi else to_float((lo + hi) / 2)
+    a, b = lo, hi
+    dx = dx_old = math.inf
+    while True:
+        x = Fraction(r)
+        if not a < x < b:
+            break
+        sx, step = newton(r)
+        if sx == 0:
+            return r
+        a, b = (x, b) if sx == slo else (a, x)
+        if step is None or not (a <= step <= b and abs(step - r) <= dx_old / 2):
+            step = to_float((a + b) / 2)
+        dx_old, dx = dx, abs(step - r)
+        r = step
+        if b - a <= goal:
+            break
+        if dx <= _FLOAT_STEP * max(abs(r), 1.0):
+            found = certified(r)
+            if found is not None:
+                return found
+    while b - a > goal:
+        mid = (a + b) / 2
+        s_mid = sign(mid)
+        if s_mid == 0:
+            return to_float(mid)
+        if s_mid == slo:
+            a = mid
+        else:
+            b = mid
+    return to_float((a + b) / 2)
+
+
+def sturm_sequence(coeffs: Sequence) -> tuple[tuple[Fraction, ...], ...]:
     """The classical Sturm sequence of p and p' over the rationals (coefficients lowest first, rational, top nonzero).
 
     p_0 = p, p_1 = p', and p_{j+1} = -rem(p_{j-1}, p_j) by Fraction long
     division, times the positive rational that makes its coefficients
     coprime integers (a positive scale keeps every sign, and the next
     division works on shorter numbers), down to the last nonzero remainder,
-    gcd(p, p') up to a constant.
+    gcd(p, p') up to a constant.  Memoized on the coefficient tuple, so the
+    result is immutable.
     """
+    return _sturm_sequence(tuple(coeffs))
+
+
+@functools.lru_cache(maxsize=4096)
+def _sturm_sequence(coeffs: tuple) -> tuple[tuple[Fraction, ...], ...]:
     chain = [[Fraction(c) for c in coeffs]]
     derivative = [k * c for k, c in enumerate(chain[0])][1:]
     if derivative:
@@ -338,7 +445,7 @@ def sturm_sequence(coeffs: Sequence) -> list[list[Fraction]]:
             break
         scale = Fraction(math.lcm(*(c.denominator for c in rem)), math.gcd(*(c.numerator for c in rem)))
         chain.append([-c * scale for c in rem])
-    return chain
+    return tuple(map(tuple, chain))
 
 
 def sturm_count(coeffs: Sequence) -> int:
@@ -378,7 +485,9 @@ def _integers(sequence: list[list[Fraction]]) -> list[list[int]]:
     return [[int(c * math.lcm(*(d.denominator for d in q))) for c in q] for q in sequence]
 
 
-def sturm_isolation(coeffs: Sequence, lo: Fraction | None = None, hi: Fraction | None = None) -> list[tuple[Fraction, Fraction, int]]:
+def sturm_isolation(
+    coeffs: Sequence, lo: Fraction | None = None, hi: Fraction | None = None
+) -> tuple[tuple[Fraction, Fraction, int], ...]:
     """(a, b, m) for each distinct real root of p, sorted: the open interval (a, b) holds it alone, with multiplicity m.
 
     Sturm bisection of p's `sturm_sequence`: V(a) - V(b) distinct roots lie
@@ -389,8 +498,14 @@ def sturm_isolation(coeffs: Sequence, lo: Fraction | None = None, hi: Fraction |
     The sequence ends at g_1 = gcd(p, p'), and a root of multiplicity m is a
     root of exactly g_1, ..., g_{m-1}, each g_{i+1} the last element of the
     Sturm sequence of g_i, so m is 1 plus the number of those sequences
-    that count a root in (a, b).
+    that count a root in (a, b).  Memoized on the coefficient tuple and the
+    ends, so the result is immutable.
     """
+    return _sturm_isolation(tuple(coeffs), lo, hi)
+
+
+@functools.lru_cache(maxsize=4096)
+def _sturm_isolation(coeffs: tuple, lo: Fraction | None, hi: Fraction | None) -> tuple[tuple[Fraction, Fraction, int], ...]:
     seq = sturm_sequence(coeffs)
     chain = _integers(seq)
     if lo is None:
@@ -414,9 +529,9 @@ def sturm_isolation(coeffs: Sequence, lo: Fraction | None = None, hi: Fraction |
     while len(seq[-1]) > 1:
         seq = sturm_sequence(seq[-1])
         tower.append(_integers(seq))
-    return [
+    return tuple(
         (a, b, 1 + sum(_sturm_variations(t, a) > _sturm_variations(t, b) for t in tower)) for a, b in sorted(found)
-    ]
+    )
 
 
 def characteristic_quartic(l: int) -> RatPoly:

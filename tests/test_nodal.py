@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,12 +19,14 @@ from pencil.nodal import (
     _dyadic,
     _dyadic_sign,
     _exact_newton,
+    _filtered_sign,
     _goal,
     _parity_sign,
     _parity_split,
     _phase_seeds,
     _refine_root,
     _separators,
+    _sign_kernel,
     _sturm_chain,
     _variations_at,
     check_admissibility_bilaplace,
@@ -46,6 +49,7 @@ from pencil_oracles import (
     exact_admissibility,
     exact_newton,
     phase_seeds,
+    refine_root,
     sturm_count,
     sturm_isolation,
     variations_at,
@@ -60,6 +64,11 @@ def poly_from_roots(roots) -> RatPoly:
     for r in roots:
         p = p * RatPoly([-Fraction(r), 1])
     return p
+
+
+def root_bound(coeffs) -> tuple[int, int]:
+    """The program's root bound of p, a power of two, as the dyadic (num, shift) its separators use."""
+    return nodal._power_of_two(nodal._root_bound(coeffs))
 
 
 def whole_line_isolation(p: RatPoly, **kwargs) -> nodal.RootSet:
@@ -277,7 +286,7 @@ class TestIsolation:
         monkeypatch.setattr(nodal, "_descartes_bound", lambda *args: bounds.append(args[1:]) or descartes_bound(*args))
         with pytest.raises(ValueError, match="beyond the float range"):
             isolate_real_roots(p)
-        assert calls == [] and bounds == [(Fraction(2**1024), nodal._root_bound(integer_coefficients(p)))]
+        assert calls == [] and bounds == [((1 << 1024, 0), root_bound(integer_coefficients(p)))]
 
     @pytest.mark.parametrize("k", [40, 200, 2200])
     def test_goal_relative_to_the_root(self, k):
@@ -310,6 +319,32 @@ class TestIsolation:
                 # r is the root, or the root lies strictly between r's float neighbours
                 below, above = (Fraction(math.nextafter(r, side)) for side in (-math.inf, math.inf))
                 assert square_free.eval(Fraction(r)) == 0 or square_free.eval(below) * square_free.eval(above) < 0
+
+    @pytest.mark.parametrize("family", [1, 2])
+    def test_refinement_stops_at_float_resolution(self, family, monkeypatch):
+        # at tol = 1e-300 the goal lies far below float resolution: Newton
+        # stalls on a float, and the exact bisection stops once both bracket
+        # ends round to one float, the answer further halving would give;
+        # halving down to the goal took about 1,000 exact signs per root
+        p = quadratic_eigenfunction(20, family).poly
+        want = isolate_real_roots(p)
+        signs = []
+        kernel = nodal._sign_kernel
+
+        def counted(coeffs):
+            sign = kernel(coeffs)
+            return lambda num, shift: signs.append(1) or sign(num, shift)
+
+        monkeypatch.setattr(nodal, "_sign_kernel", counted)
+        rs = isolate_real_roots(p, tol=1e-300)
+        assert len(signs) < 64 * rs.count
+        assert rs.isolating_intervals == want.isolating_intervals
+        assert rs.refined_roots == pytest.approx(want.refined_roots, rel=1e-15)
+        assert_matches_oracle(rs)
+        for r in rs.refined_roots:
+            # the root lies strictly between r's float neighbours
+            below, above = (Fraction(math.nextafter(r, side)) for side in (-math.inf, math.inf))
+            assert p.eval(below) * p.eval(above) < 0
 
     def test_roots_near_the_float_range_ends(self):
         assert isolate_real_roots(RatPoly([-(2**1000), 1])).refined_roots == (2.0**1000,)
@@ -365,7 +400,7 @@ def assert_same_roots(seeded, plain, tol=1e-12):
 def certified(p, seeds) -> bool:
     """Whether seeds certify p's whole line: one simple root in each of deg p seed gaps."""
     coeffs = integer_coefficients(p)
-    seps = _separators(seeds, nodal._root_bound(coeffs))
+    seps = _separators(seeds, root_bound(coeffs))
     return seps is not None and _certified_gaps(seps, functools.partial(_dyadic_sign, coeffs), p.degree) is not None
 
 
@@ -467,18 +502,21 @@ class TestSeededIsolation:
             assert [m for _, m in factors] == [1]
             coeffs = integer_coefficients(factors[0][0])
             sign = functools.partial(_dyadic_sign, coeffs)
-            bound = nodal._root_bound(coeffs)
+            bound = root_bound(coeffs)
             split = _parity_split(coeffs)
             if split is None:
-                intervals = [(lo, hi) for _, lo, hi in nodal._descartes_gaps(coeffs, [-bound, bound], sign, True)]
-                roots = [_refine_root(coeffs, lo, hi, 1e-12, None, sign) for lo, hi in intervals]
+                gaps = [(lo, hi) for _, lo, hi in nodal._descartes_gaps(coeffs, [(-bound[0], bound[1]), bound], sign, True)]
+                roots = [_refine_root(coeffs, lo, hi, 1e-12, None, sign) for lo, hi in gaps]
+                intervals = nodal._intervals(gaps)
             else:
                 # s0 = 0, or for an odd p the inverse root bound of p / z reversed
                 k = split[0]
-                s0 = Fraction(0) if k == 0 else 1 / nodal._root_bound(coeffs[:0:-1])
+                s0 = (0, 0) if k == 0 else nodal._power_of_two(-nodal._root_bound(coeffs[:0:-1]))
                 gaps = [(lo, hi) for _, lo, hi in nodal._descartes_gaps(coeffs, [s0, bound], sign, True)]
                 positive = [_refine_root(coeffs, lo, hi, 1e-12, None, sign) for lo, hi in gaps]
-                intervals = [(-hi, -lo) for lo, hi in reversed(gaps)] + [(-s0, s0)] * k + gaps
+                gaps = nodal._intervals(gaps)
+                zero = nodal._fraction(s0)
+                intervals = [(-hi, -lo) for lo, hi in reversed(gaps)] + [(-zero, zero)] * k + gaps
                 roots = [-r for r in reversed(positive)] + [0.0] * k + positive
             expected.append((tuple(intervals), tuple(roots)))
         repeated = [
@@ -551,7 +589,7 @@ def assert_certified_on_chain_seeds(p: RatPoly, count: int) -> nodal.RootSet:
     seeds = chain_seeds(p)
     assert seeds is not None and len(seeds) == count < p.degree
     coeffs = integer_coefficients(p)
-    seps = _separators(seeds, nodal._root_bound(coeffs))
+    seps = [nodal._fraction(x) for x in _separators(seeds, root_bound(coeffs))]
     with pytest.MonkeyPatch.context() as mp:
         starts = refinement_starts(mp)
         mp.setattr(nodal, "_descartes_gaps", lambda *args: pytest.fail("bisected the whole line"))
@@ -863,7 +901,7 @@ class TestParitySplit:
         # s0, which would not see them, do not run, and q's chain finds all five
         z = RatPoly([0, 1])
         p = z * (z**2 - Fraction(1, 100)) * (z**2 - 4)
-        assert _separators([0.0, 2.0], nodal._root_bound(integer_coefficients(p)))[1] == 1
+        assert _separators([0.0, 2.0], root_bound(integer_coefficients(p)))[1] == (1, 0)
         rs = isolate_real_roots(p, seeds=[-2.0, 0.0, 2.0])
         assert rs.refined_roots == pytest.approx([-2, -0.1, 0, 0.1, 2], rel=1e-12, abs=1e-12)
         assert_matches_oracle(rs)
@@ -914,7 +952,7 @@ class TestDescartesGaps:
         # dyadic ends, in eighths
         lo = Fraction(math.floor(lo * 8), 8)
         hi = lo + Fraction(math.ceil(width * 8), 8)
-        v = nodal._descartes_bound(coeffs, lo, hi)
+        v = nodal._descartes_bound(coeffs, _dyadic(lo), _dyadic(hi))
         assert v == descartes_oracle(coeffs, lo, hi)
         p = RatPoly(coeffs)
         if p.eval(lo) and p.eval(hi):
@@ -935,14 +973,15 @@ class TestDescartesGaps:
         seeds = [float(r) for r in roots]
         coeffs = integer_coefficients(p)
         sign = functools.partial(_dyadic_sign, coeffs)
-        found = nodal._descartes_gaps(coeffs, _separators(seeds, nodal._root_bound(coeffs)), sign, False)
+        found = nodal._descartes_gaps(coeffs, _separators(seeds, root_bound(coeffs)), sign, False)
         oracle = sturm_isolation(p.coeffs)
         if found is not None:
             # never a wrong count: one simple root in each open interval with opposite exact signs
             assert len(found) == len(oracle) == sturm_count(p.coeffs) and all(m == 1 for *_, m in oracle)
-            for i, lo, hi in found:
+            intervals = nodal._intervals([gap for _, *gap in found])
+            for lo, hi in intervals:
                 assert [m for *_, m in sturm_isolation(p.coeffs, lo, hi)] == [1] and p.eval(lo) * p.eval(hi) < 0
-            for (_, _, hi), (_, lo, _) in zip(found, found[1:]):
+            for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
                 assert hi <= lo
         assert_matches_oracle(isolate_real_roots(p, seeds=seeds))
 
@@ -953,8 +992,8 @@ class TestDescartesGaps:
         # their zero signs show that the separators do not alternate
         p = poly_from_roots([-3, -2, -1, 1, 2, 3])
         coeffs = integer_coefficients(p)
-        seps = _separators([-3.0, -1.0, 1.0, 3.0], nodal._root_bound(coeffs))
-        assert seps[1:-1] == [-2, 0, 2]
+        seps = _separators([-3.0, -1.0, 1.0, 3.0], root_bound(coeffs))
+        assert seps[1:-1] == [(-2, 0), (0, 0), (2, 0)]
         assert nodal._descartes_gaps(coeffs, seps, functools.partial(_dyadic_sign, coeffs), False) is None
         assert isolate_real_roots(p, seeds=[-3.0, -1.0, 1.0, 3.0]).refined_roots == (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)
 
@@ -968,15 +1007,15 @@ class TestDescartesGaps:
         roots = [Fraction(-3), Fraction(-5, 2), Fraction(1), Fraction(3)]
         p = poly_from_roots(roots) * RatPoly([101, -20, 1])
         coeffs = integer_coefficients(p)
-        seps = _separators([-3.0, -1.0, 1.0, 3.0], nodal._root_bound(coeffs))
-        assert seps[1:-1] == [-2, 0, 2] and nodal._descartes_bound(coeffs, seps[0], seps[2]) == 2
+        seps = _separators([-3.0, -1.0, 1.0, 3.0], root_bound(coeffs))
+        assert seps[1:-1] == [(-2, 0), (0, 0), (2, 0)] and nodal._descartes_bound(coeffs, seps[0], seps[2]) == 2
         sign = functools.partial(_dyadic_sign, coeffs)
         assert nodal._descartes_gaps(coeffs, seps, sign, False) is None
         # p is square-free: with that known, the seed gap is bisected, and the
         # next, with bound 0, holds no root
         found = nodal._descartes_gaps(coeffs, seps, sign, True)
         assert [i for i, _, _ in found] == [0, 0, 2, 3]
-        for (_, lo, hi), r in zip(found, roots, strict=True):
+        for (lo, hi), r in zip(nodal._intervals([gap for _, *gap in found]), roots, strict=True):
             assert lo < r < hi and p.eval(lo) * p.eval(hi) < 0
         assert_matches_oracle(isolate_real_roots(p, seeds=[-3.0, -1.0, 1.0, 3.0]))
 
@@ -991,7 +1030,7 @@ class TestDescartesGaps:
         seeds = sorted([r for r in roots if r != far] + [1 / 3])
         p = psi * RatPoly([Fraction(-1, 3), 1]) ** 2
         coeffs = integer_coefficients(p)
-        seps = _separators(seeds, nodal._root_bound(coeffs))
+        seps = _separators(seeds, root_bound(coeffs))
         tests = []
         descartes_bound = nodal._descartes_bound
         monkeypatch.setattr(nodal, "_descartes_bound", lambda *args: tests.append(args) or descartes_bound(*args))
@@ -1651,11 +1690,13 @@ class TestCertificateArithmetic:
     @given(st.fractions(max_denominator=10**6).filter(lambda x: x.denominator & (x.denominator - 1)))
     @settings(max_examples=50, deadline=None)
     def test_non_dyadic_point_raises(self, x):
-        # no exact sign is ever taken at a point that is not num / 2^shift
+        # no exact sign is ever taken at a point that is not num / 2^shift:
+        # isolation and refinement hold every point as that pair, and the
+        # chain's sign variations, the one exact sign at a Fraction, refuse it
         with pytest.raises(ValueError, match="not a dyadic rational"):
             _dyadic(x)
         with pytest.raises(ValueError, match="not a dyadic rational"):
-            _refine_root([-1, 0, 3], x - 2, x + 2, 1e-12, None, functools.partial(_dyadic_sign, [-1, 0, 3]))
+            _variations_at(_sturm_chain([-1, 0, 3]), x)
 
     @given(
         st.lists(st.integers(-(2**60), 2**60), min_size=1, max_size=10),
@@ -1686,19 +1727,292 @@ class TestCertificateArithmetic:
             assert step is None
 
     @given(
-        st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=2**70),
-        st.fractions(min_value=0, max_value=10**9, max_denominator=2**70).filter(lambda w: w > 0),
+        st.integers(-(10**9) << 70, 10**9 << 70),
+        st.integers(1, 10**9 << 70),
+        st.integers(0, 70),
         st.floats(min_value=1e-300, max_value=1e3),
     )
     @settings(max_examples=200, deadline=None)
-    def test_goal(self, lo, width, tol):
+    def test_goal(self, lo, width, shift, tol):
+        # the bracket (lo / 2^shift, hi / 2^shift), in lowest terms or not
         hi = lo + width
-        goal = Fraction(tol) / 8 * max(abs(lo), abs(hi), Fraction(1))
-        num, den = _goal(lo, hi, tol)
-        assert (num, den) == (goal.numerator, goal.denominator)
+        goal = Fraction(tol) / 8 * max(abs(Fraction(lo, 1 << shift)), abs(Fraction(hi, 1 << shift)), Fraction(1))
+        num, goal_shift = _goal(lo, hi, shift, tol)
+        assert Fraction(num, 1 << goal_shift) == goal
         # the certificate's h = 2^k
-        k = num.bit_length() - den.bit_length() - 2
+        k = num.bit_length() - goal_shift - 3
         assert goal / 8 < Fraction(2) ** k <= goal / 2
+
+
+def exact_sign(coeffs, num: int, shift: int) -> int:
+    """The sign of p(num / 2^shift) from the exact `Fraction` value."""
+    value = RatPoly(coeffs).eval(Fraction(num, 1 << shift)) if any(coeffs) else 0
+    return (value > 0) - (value < 0)
+
+
+@st.composite
+def sign_cases(draw):
+    """Integer coefficients, up to 300 bits and degree 40, and a dyadic point num / 2^shift.
+
+    The point is random (either side of 1 in size), or p is given the exact
+    root a / 2^k and the point is that root or lies 2^-(k + finer) from it.
+    """
+    bits = draw(st.sampled_from([4, 60, 300]))
+    coeffs = draw(st.lists(st.integers(-(2**bits), 2**bits), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        return coeffs, draw(st.integers(-(2**80), 2**80)), draw(st.integers(0, 100))
+    a, k = draw(st.integers(-(2**20), 2**20)), draw(st.integers(0, 30))
+    cofactor = RatPoly(coeffs) if any(coeffs) else RatPoly.one()
+    coeffs = integer_coefficients(cofactor * RatPoly([-a, 1 << k]))
+    finer = draw(st.sampled_from([None, 1, 30, 64, 100, 200, 300]))
+    if finer is None:
+        return coeffs, a, k
+    return coeffs, (a << finer) + draw(st.sampled_from([-1, 1])), k + finer
+
+
+def fallbacks(monkeypatch) -> list:
+    """(num, shift) of every exact Horner the sign kernels fall back to from here on."""
+    calls = []
+    exact = nodal._dyadic_sign
+    monkeypatch.setattr(nodal, "_dyadic_sign", lambda coeffs, num, shift: calls.append((num, shift)) or exact(coeffs, num, shift))
+    return calls
+
+
+class TestSignKernel:
+    """The fixed-point filter decides a sign only when its error bound proves it, and the kernel is always exact."""
+
+    @given(sign_cases(), st.integers(0, 300))
+    @example(([-1, 3], 1, 2), 64)  # 3x - 1 at 1/4: the floor errors of one step
+    @example(([1] * 40, -(2**80) + 1, 79), 64)  # |x| < 1, close to -1, at degree 39
+    @example(([-(2**300), 0, 1], 2**150, 0), 0)  # an exact integer root, no fraction bits at all
+    @settings(max_examples=300, deadline=None)
+    def test_filter_gives_the_exact_sign_or_none(self, case, bits):
+        coeffs, num, shift = case
+        got = _filtered_sign([c << bits for c in reversed(coeffs)], len(coeffs) - 1, num, shift)
+        assert got in (0, exact_sign(coeffs, num, shift))
+
+    @given(sign_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_is_exact(self, case):
+        coeffs, num, shift = case
+        assert _sign_kernel(coeffs)(num, shift) == exact_sign(coeffs, num, shift)
+
+    @pytest.mark.parametrize("cofactor", [[1], [3, -1, 0, 2], [2**200 + 1, -(2**200)], [5] * 30])
+    @pytest.mark.parametrize("root", [(0, 0), (1, 0), (-3, 1), (5, 7), (2**40 + 1, 3)])
+    def test_exact_roots_fall_back(self, cofactor, root, monkeypatch):
+        # no floor error vanishes at a root: neither pass decides, and the
+        # exact Horner gives the zero
+        a, k = root
+        coeffs = integer_coefficients(RatPoly(cofactor) * RatPoly([-a, 1 << k]))
+        for bits in (nodal._FILTER_BITS, 2 * nodal._FILTER_BITS):
+            assert _filtered_sign([c << bits for c in reversed(coeffs)], len(coeffs) - 1, a, k) == 0
+        calls = fallbacks(monkeypatch)
+        assert _sign_kernel(coeffs)(a, k) == 0 and calls == [(a, k)]
+
+    @pytest.mark.parametrize("cofactor", [[1], [3, -1, 0, 2], [7, 1, 1, 1, 1, 1, 1, 1]])
+    @pytest.mark.parametrize("root", [(1, 1), (-5, 3), (7, 0)])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_points_near_a_root(self, cofactor, root, side, monkeypatch):
+        # 2^-100 from the root |p(x)| is far below 2^-64: the first pass, 64
+        # fraction bits beyond the growth of its bound, cannot decide, and the
+        # doubled one does; 2^-200 from it only the exact Horner can
+        a, k = root
+        coeffs = integer_coefficients(RatPoly(cofactor) * RatPoly([-a, 1 << k]))
+        sign = _sign_kernel(coeffs)
+        calls = fallbacks(monkeypatch)
+        for finer, exact in ((100, False), (200, True)):
+            num, shift = (a << finer) + side, k + finer
+            want = exact_sign(coeffs, num, shift)
+            assert want and _filtered_sign([c << nodal._FILTER_BITS for c in reversed(coeffs)], len(coeffs) - 1, num, shift) == 0
+            calls.clear()
+            assert sign(num, shift) == want
+            assert calls == ([(num, shift)] if exact else [])
+
+    @pytest.mark.parametrize(
+        "p, points",
+        [
+            # coefficients near 2^600, and the value about -1 at 1 and at 1 + 2^-400
+            (RatPoly([-(2**300), 2**300 + 1]) * RatPoly([-(2**300) - 2, 2**300 + 1]), [(1, 0), ((1 << 400) + 1, 400)]),
+            # coefficients near 2^400, and the value 1 at the double root 3/4 of the square
+            (RatPoly([-3, 4]) ** 2 * 2**400 + 1, [(3, 2), (5, 3), ((3 << 60) + 1, 62)]),
+            # coefficients near 2^300, and the value 2^-100 at 3/4 + 2^-202: the second pass decides
+            (RatPoly([-3, 4]) ** 2 * RatPoly([2**300 + 1, 1]), [((3 << 200) + 1, 202), ((3 << 200) - 1, 202)]),
+            # Wilkinson's product to 20: large coefficients, small values between its roots
+            (poly_from_roots(range(1, 21)), [((2 * k + 1) << 40, 41) for k in range(1, 20)] + [((k << 60) + 1, 60) for k in (3, 17)]),
+        ],
+        ids=["huge-product", "huge-plus-1", "huge-tiny", "wilkinson20"],
+    )
+    def test_huge_coefficients_with_small_values(self, p, points, monkeypatch):
+        # the filter's error is absolute, at most n 2^((n-1) g): coefficient size costs it nothing
+        coeffs = integer_coefficients(p)
+        sign = _sign_kernel(coeffs)
+        calls = fallbacks(monkeypatch)
+        for num, shift in points:
+            assert sign(num, shift) == exact_sign(coeffs, num, shift) != 0
+        assert calls == []
+
+    def test_large_points_keep_no_coefficient_lists(self):
+        # beyond |x| = 2^_KEPT_GROWTH each coefficient is shifted as the Horner
+        # reaches it: kept, the lists for the points 2^17 + 1 ... 2^200 + 1
+        # would hold 101 numbers of up to 20,000 bits for each point, about 25 MB
+        q = _parity_split(integer_coefficients(quadratic_eigenfunction(200, 1).poly))[1]
+        sign = _sign_kernel(q)
+        tracemalloc.start()
+        try:
+            for g in range(nodal._KEPT_GROWTH + 1, 201):
+                num = (1 << g) + 1
+                assert sign(num, 0) == _dyadic_sign(q, num, 0)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
+
+    @pytest.mark.parametrize("l, family", [(200, 1), (201, 2)])
+    def test_beyond_1_at_degree_100(self, l, family, monkeypatch):
+        # q, of degree 100, has roots up to about (2 l / pi)^2: every sign of
+        # its isolation at |x| > 1 starts from 64 + 99 g fraction bits and
+        # decides on the first pass, and the RootSet is the exact Horner's
+        p = quadratic_eigenfunction(l, family).poly
+        coeffs = integer_coefficients(p)
+        q = _parity_split(coeffs)[1]
+        assert len(q) - 1 == 100
+        calls = fallbacks(monkeypatch)
+        # g = bitlen(num) - shift of every filter pass, and the number of signs
+        passes, signs = [], []
+        filtered, kernel = nodal._filtered_sign, nodal._sign_kernel
+        monkeypatch.setattr(
+            nodal, "_filtered_sign", lambda scaled, n, num, shift: passes.append(num.bit_length() - shift) or filtered(scaled, n, num, shift)
+        )
+        monkeypatch.setattr(nodal, "_sign_kernel", lambda c: (lambda sign: lambda *x: signs.append(x) or sign(*x))(kernel(c)))
+        rs = isolate_real_roots(p)
+        assert calls == [] and rs.count == l
+        # one pass per sign, most of them at |x| >= 1
+        assert len(passes) == len(signs) and sum(g > 0 for g in passes) > len(passes) / 2
+        sign = _sign_kernel(q)
+        for k in range(40):
+            num, shift = (3 + 7 * k) ** 9 + 1, 10 + k
+            assert sign(num, shift) == exact_sign(q, num, shift)
+        monkeypatch.setattr(nodal, "_sign_kernel", lambda c: functools.partial(_dyadic_sign, c))
+        assert isolate_real_roots(p) == rs
+
+
+@st.composite
+def refinement_cases(draw):
+    """A square-free p with rational and irrational roots, and the Sturm oracle's isolating intervals, the outer ones widened.
+
+    The widened ends are dyadics beyond 64, a power of two or not, so that
+    refinement cuts their far end to sixteenths.
+    """
+    roots = draw(st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=12), min_size=1, max_size=5, unique=True))
+    p = poly_from_roots(roots)
+    if draw(st.booleans()):
+        p = p * RatPoly([-2, 0, 1])
+    if draw(st.booleans()):
+        p = p * RatPoly([draw(st.integers(1, 10**6)), 0, 1])
+    if draw(st.booleans()):
+        p = p * RatPoly([-1, 1 << draw(st.integers(0, 1100))])
+    intervals = [(a, b) for a, b, _ in sturm_isolation(p.coeffs)]
+    if draw(st.booleans()):
+        e = Fraction(draw(st.one_of(st.integers(2**12, 2**80), st.sampled_from([2**12, 2**40]))), 1 << draw(st.integers(0, 6)))
+        intervals[0] = (-e, intervals[0][1])
+        intervals[-1] = (intervals[-1][0], e)
+    return p, intervals
+
+
+class TestIntegerRefinement:
+    """Root refinement on integers over a power of two, and signs through the filter, give what `Fraction` refinement and the exact Horner give, bit for bit."""
+
+    @given(
+        refinement_cases(),
+        st.one_of(st.sampled_from([1e-12, 1e-3, 2.0**-60, 1e-30]), st.floats(min_value=1e-40, max_value=0.5)),
+        st.sampled_from(["none", "root", "near", "middle", "outside"]),
+        st.floats(min_value=-1e-6, max_value=1e-6),
+    )
+    @example((poly_from_roots([Fraction(1, 3)]), [(Fraction(0), Fraction(1))]), 1e-300, "none", 0.0)
+    @example(
+        (
+            poly_from_roots([Fraction(1, 3), Fraction(-2)]) * RatPoly([-2, 0, 1]),
+            [(Fraction(-3), Fraction(-3, 2)), (Fraction(-3, 2), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(2))],
+        ),
+        1e-300,
+        "root",
+        0.0,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equal_to_the_fraction_oracle(self, case, tol, start_at, eps):
+        p, intervals = case
+        coeffs = integer_coefficients(p)
+        sign = _sign_kernel(coeffs)
+        for lo, hi in intervals:
+            # the oracle's refinement at 1e-12 is a float within about 1e-12 of the root, or one that overflows
+            try:
+                root = refine_root(coeffs, lo, hi, 1e-12, None)
+            except ValueError:
+                root = float(lo / 2 + hi / 2)
+            start = {
+                "none": None,
+                "root": root,
+                "near": root * (1 + eps),
+                "middle": float(lo / 2 + hi / 2),
+                "outside": float(hi) + 1.0,
+            }[start_at]
+            results = []
+            for refine, ends in ((_refine_root, (_dyadic(lo), _dyadic(hi))), (refine_root, (lo, hi))):
+                args = (coeffs, *ends, tol, start) + ((sign,) if refine is _refine_root else ())
+                try:
+                    results.append(refine(*args).hex())
+                except ValueError as e:
+                    results.append(str(e))
+            assert results[0] == results[1]
+
+    @pytest.mark.parametrize("family", [1, 2])
+    @pytest.mark.parametrize("ls", [range(k, k + 14) for k in range(1, 71, 14)], ids=lambda ls: f"l{ls[0]}-{ls[-1]}")
+    def test_eigenfunction_refinements_equal_the_fraction_oracle(self, family, ls, monkeypatch):
+        # every refinement of the unseeded psi_{l,f} isolation, bit for bit
+        calls = []
+        refine = nodal._refine_root
+
+        def both(coeffs, lo, hi, tol, start, sign):
+            got = refine(coeffs, lo, hi, tol, start, sign)
+            assert got.hex() == refine_root(coeffs, nodal._fraction(lo), nodal._fraction(hi), tol, start).hex()
+            calls.append(got)
+            return got
+
+        monkeypatch.setattr(nodal, "_refine_root", both)
+        for l in ls:
+            assert isolate_real_roots(quadratic_eigenfunction(l, family).poly).count == l
+        # one refinement per positive root, l // 2 of them
+        assert len(calls) == sum(l // 2 for l in ls)
+
+    @pytest.mark.parametrize(
+        "equation, alphas, lmin",
+        [
+            ("laplace", "-1,1", 2),
+            ("laplace", "0,1", 2),
+            ("bilaplace", "-1,1", 3),
+            ("bilaplace", "-1/2,2/3", 3),
+            ("bilaplace", "-1,0,1", 3),
+            ("bilaplace", "0,1/3", 3),
+            ("bilaplace", "-2,1", 3),
+            ("bilaplace", "-2,0,1", 3),
+            ("laplace", "1/3", 1),
+        ],
+    )
+    def test_filter_and_exact_horner_give_the_same_rootsets(self, equation, alphas, lmin, monkeypatch):
+        # every zero set of the sweep to l = 60, exact intervals and float.hex of the roots
+        check = check_admissibility_laplace if equation == "laplace" else check_admissibility_bilaplace
+        config = CrackConfig(tuple(Fraction(a) for a in alphas.split(",")))
+
+        def zero_sets():
+            return [
+                None if (z := v.full_zero_set) is None else (z.isolating_intervals, [r.hex() for r in z.refined_roots], z.multiplicities)
+                for v in check(config, (lmin, 60))
+            ]
+
+        filtered = zero_sets()
+        assert any(filtered)
+        monkeypatch.setattr(nodal, "_sign_kernel", lambda coeffs: functools.partial(_dyadic_sign, coeffs))
+        assert zero_sets() == filtered
 
 
 @st.composite
