@@ -3,74 +3,38 @@
 A `Combination`, the order-l weighted sum of the family eigenfunctions,
 owns its polynomial and isolates its roots from seeds, one float guess per
 real root, taken from the phase form of its own weights (closed-form
-cotangents for Laplace, a float scan in the angle for bi-Laplace).  One
-short dyadic separator between consecutive seeds, and the root bound at
-either end, cut the line into gaps.  One certificate (`_certified_gaps`)
-takes the separators, p's exact sign and an upper bound N on p's real
-roots between the outer separators: alternating nonzero signs put an odd
-number of roots in each gap, so with N gaps each holds exactly one simple
-root, and no Sturm chain is built.  Seeds for every root give N = deg p.
-Seeds that miss a complex pair leave fewer gaps: then the number of sign
-variations V after the Moebius map of a run of consecutive gaps onto
-(0, +inf) bounds the roots in the run from above, with their parity
-(Descartes' rule of signs), and V equal to the run's number of gaps is its
-N; a run that fails splits at its middle separator, and a single gap is
-bisected until every piece has V <= 1.  An even or odd p = z^k q(z^2),
-k <= 1, q(0) != 0 (split once), is isolated on the positive half line
-alone, where every exact sign of p is that of q at x^2, a Horner of half
-the steps: its positive seeds, less the seed nearest 0 for k = 1 (it
-stands for the exact root 0), are cut apart from s0 (0 for k = 0, else the
-short dyadic between 0 and the least of them) to the root bound, and
-certify with N = deg q, or past a complex pair by Descartes runs.  The
-negative roots are the mirror images of the positive ones, -r on
-(-hi, -lo), and for k = 1 the root 0 is exact, on (-s0, s0), so every
-isolation of such a p is symmetric bit for bit.  Without seeds, or when
-they fail, such a p seeds its positive roots from the Sturm chain of q, of
-half its degree: the chain seeds q's roots w as p's own chain would seed
-p's, each w takes one exact Newton step on q, and the positive ones give
-sqrt(w); the same chain gives N = V_q(0) - V_q(+inf), p's exact number of
-positive roots, so a pair +-iy on the imaginary axis (a root -y^2 of q)
-costs nothing more.  A chain of q that ends at a non-constant gcd shows a
-repeated root of q, and so of p.  Any other p, and an even or odd p with a
-repeated root, builds p's own Sturm chain over the integers (the remainder
-sequence of p and p', `polyring._remainder_sequence`, scaled only by
-positive factors) once.  When the chain ends at a non-constant
-g = gcd(p, p'), p has a repeated root: its square-free part s = p / g
-goes through this same pipeline as an unseeded call (the half line for an
-even or odd s, s's own chain otherwise), so p gets the intervals and roots
-of s, and a root's multiplicity is 1 plus the number of chains in the gcd
-tower g_{i+1} = gcd(g_i, g_i') with a root in its interval: a chain whose
-count over the whole line is 0 or the number of intervals says so at
-once, and any other is evaluated once at each distinct interval end.  When
-the chain is normal (an element of every degree), its identities read as
-a continued fraction of float ratios seed p's real roots themselves (float
-bisection on the count of negative ratios, then Newton on p / p'), and the
-same certificate, with N the chain's exact count of p's real roots
-(V(-inf) - V(+inf)), accepts or rejects them, past complex pairs too.  A
-square-free p whose seeds all fail (an abnormal chain, a float overflow, a
-spent evaluation budget, a failed certificate) is isolated by the same
-Descartes bisection as past a complex pair, started from the whole line
-(-bound, bound), or for an even or odd p from the half line (s0, bound),
-as one gap and with no cap on its tests: for a square-free p it ends.
-One Descartes bound on the part of that gap beyond 2^1024 comes first: an
-odd one is an odd number of roots no float can hold, and raises at once.
-Every root is refined by one seeded exact Newton: from its seed (the
-caller's, q's or the chain's), or from its interval's midpoint after the
-bisection, safeguarded by the bracket, and certified by exact opposite
-signs on either side of the result, with exact bisection only where that
-certificate fails.  Every point p is evaluated at is dyadic,
-num / 2^shift, and is held as that pair of integers (a `Fraction` point
-that is not dyadic raises); `Fraction`s are built only for the intervals
-of the result.  Every exact sign comes from one sign kernel per
-polynomial (`_sign_kernel`): a fixed-point Horner with shifts, with P
-fraction bits, decides the sign when its value exceeds the a-priori bound
-n 2^((n-1) g) on its floor errors, for |x| < 2^g.  P starts at 64, plus
-(n-1) g at |x| >= 1, and is doubled once when that cannot decide; the
-exact Horner with shifts decides the rest, a root of p among them.  Exact
-Newton is the exact Horner with a slope accumulator, its iterate one
-correctly rounded integer division.  Root
-counts read the remainder sequence at infinity: of q, at 0 and +inf, for
-an even or odd p, and of p otherwise.
+cotangents for Laplace, a float scan in the angle for bi-Laplace).
+
+`isolate_real_roots` climbs one ladder (`_ladder`) on one line (`_Line`).
+An even or odd p = z^k q(z^2), k <= 1, q(0) != 0, is isolated on the
+positive half line (s0, B), every exact sign of p taken on q at x^2, and
+its negative roots are the mirror images -r on (-hi, -lo), with the exact
+root 0 on (-s0, s0) for k = 1.  Any other p is isolated on the whole line
+(-B, B).  B is the root bound.  Short dyadic separators cut seeds apart,
+and N gaps between separators with alternating nonzero exact signs, N an
+upper bound on the roots between the outer two, hold one simple root each
+(`_certified_gaps`).  The rungs, each taken when those before it fail:
+
+1. the caller's seeds on the line, with N = deg p (deg q on the half line);
+2. Descartes runs on their gaps past a complex pair (`_descartes_gaps`);
+3. the seeds of p's Sturm chain (q's on the half line, `_parity_seeds`),
+   with N the chain's exact count of the roots on the line; a count of 0
+   is no root;
+4. Descartes bisection of the line with no cap (`_bisected`).
+
+A chain that ends at a non-constant gcd g shows a repeated root (when it is
+q's chain, p's own chain gives g): p then gets the intervals and roots of
+its square-free part p / g, climbed without seeds, and a root's
+multiplicity counts the elements of the gcd tower g_{i+1} = gcd(g_i, g_i')
+with a root in its interval (`_multiplicities`).  Every root is refined
+by a safeguarded exact Newton from its seed, or from its interval's
+midpoint after bisection (`_refine_root`).  Every point p is evaluated at
+is dyadic, num / 2^shift, held as that pair of integers, and every exact
+sign comes from a fixed-point filter with an exact fallback
+(`_sign_kernel`); `Fraction`s are built only for the intervals of the
+result.  Root counts (`count_real_roots`) read the Sturm chain of q at 0
+and +inf for an even or odd p, and of p at -inf and +inf otherwise.
+
 Admissibility of a slope tuple at expansion order l is a nullspace
 question for the matrix of eigenfunction values at the slopes: exact over
 the rationals, SVD-thresholded for floating input.
@@ -119,7 +83,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences over the integers
+# dyadic points and exact signs
 
 
 def _dyadic(x: Fraction | float) -> tuple[int, int]:
@@ -254,6 +218,10 @@ def _parity_sign(k: int, q: list[int]) -> Callable[[int, int], int]:
     if k == 0:
         return lambda num, shift: sign(num * num, 2 * shift)
     return lambda num, shift: sign(num * num, 2 * shift) * ((num > 0) - (num < 0))
+
+
+# ---------------------------------------------------------------------------
+# Sturm sequences over the integers
 
 
 @dataclass(frozen=True)
@@ -548,7 +516,8 @@ def _chain_seeds(chain: _SturmChain) -> list[float] | None:
     overflows a float, a ratio is NaN, the counts contradict each other, or
     the evaluations exceed _CF_EVALS per degree.  The guesses carry no
     guarantee: `_certified_gaps` certifies them, or isolation falls back to
-    Descartes bisection of the whole line.
+    Descartes bisection of the line: the whole line for p's own chain, or
+    the half line (s0, bound) for q's chain (`_parity_seeds`).
     """
     polys = chain.polys
     n = len(polys[0]) - 1
@@ -824,20 +793,21 @@ def _refine_root(
     return _float(a + b, shift + 1)
 
 
-def _parity_seeds(q: list[int], chain: _SturmChain) -> tuple[list[float], int] | None:
-    """Float guesses of the positive real roots of p(z) = z^k q(z^2), sorted, and their exact number, or None.
+def _parity_seeds(q: list[int], chain: _SturmChain) -> list[float] | None:
+    """Float guesses of the positive real roots of p(z) = z^k q(z^2), sorted, or None.
 
-    Both come from chain, the Sturm chain of q, of half p's degree, which
+    They come from chain, the Sturm chain of q, of half p's degree, which
     ends in a nonzero constant: q is square-free, and with q(0) != 0 so is
     p.  Its positive roots are the square roots sqrt(w) of q's positive
-    roots w, V_q(0) - V_q(+inf) of them, all simple; the negative ones are
-    their mirror images, and 0 is the last root when k = 1.  q's chain
-    seeds (`_chain_seeds`), at a quarter of the float work of p's, guess
-    the w; each takes one exact Newton step on q, which brings a small w to
-    full relative accuracy, and the positive ones give sqrt(w).  A
-    nonpositive w is a pair of roots of p off the real line.  None when q's
-    chain seeds none.  The guesses carry no guarantee: `_certified_gaps`
-    certifies them on the positive half line against the count.
+    roots w, V_q(0) - V_q(+inf) of them (`_positive_roots`), all simple;
+    the negative ones are their mirror images, and 0 is the last root when
+    k = 1.  q's chain seeds (`_chain_seeds`), at a quarter of the float
+    work of p's, guess the w; each takes one exact Newton step on q, which
+    brings a small w to full relative accuracy, and the positive ones give
+    sqrt(w).  A nonpositive w is a pair of roots of p off the real line.
+    None when q's chain seeds none.  The guesses carry no guarantee:
+    `_certified_gaps` certifies them on the positive half line against the
+    count.
     """
     ws = _chain_seeds(chain)
     if ws is None:
@@ -846,7 +816,7 @@ def _parity_seeds(q: list[int], chain: _SturmChain) -> tuple[list[float], int] |
     for w in ws:
         step = _exact_newton(q, w)[1]
         polished.append(w if step is None else step)
-    return sorted(math.sqrt(w) for w in polished if w > 0), _positive_roots(chain.polys)
+    return sorted(math.sqrt(w) for w in polished if w > 0)
 
 
 @dataclass(frozen=True)
@@ -863,13 +833,10 @@ class RootSet:
     (z^k q(z^2) with k = 1) the exact root 0.0 on (-s0, s0).  Seeded and
     unseeded isolation of one polynomial give the same counts and
     multiplicities and roots within that bound, but not always the same
-    intervals: seeds that certify give their own gaps, or pieces of them
-    past a complex pair; without seeds, an even or odd p gives the gaps of
-    q's seeds, and another p with a normal chain the gaps of its chain's
-    seeds, complex pairs or not; a square-free p whose seeds all fail gives
-    the pieces of the Descartes bisection of the whole line, or of the
-    positive half line for an even or odd p.  A p with a repeated root gives
-    the intervals and roots of its square-free part, bit for bit.
+    intervals: each rung of the ladder (see the module docstring) gives its
+    own gaps, the seeds' gaps or pieces of them, or the pieces of the
+    bisection.  A p with a repeated root gives the intervals and roots of
+    its square-free part, bit for bit.
     """
 
     poly: RatPoly
@@ -888,43 +855,11 @@ def _check_tol(tol: float) -> None:
 
 
 def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | None = None) -> RootSet:
-    """Isolate and refine every real root of p with exact multiplicities.
+    """Isolate and refine every real root of p with exact multiplicities, by the ladder of the module docstring.
 
-    p is split once (`_parity_split`).  An even or odd p = z^k q(z^2),
-    k <= 1, is isolated on the positive half line (`_half_line_roots`),
-    every exact sign taken on q (`_parity_sign`), and its negative roots
-    are the mirror images of the positive ones, with the exact root 0 for
-    k = 1 (`_mirrored`).  seeds, guesses of p's real roots, each taken as
-    float(s), are cut apart by separators (`_separators`, or
-    `_half_separators` from s0 for an even or odd p, whose seeds there are
-    the positive ones less the seed nearest 0 for k = 1).  With as many
-    seeds as the degree, deg p (or deg q on the half line), one exact sign
-    per separator certifies that all roots are real and simple
-    (`_certified_gaps` with N that degree).  With fewer of them, the
-    missing roots being a complex pair or more (an even number of them for
-    a p with no parity), Descartes bounds on runs of their gaps certify
-    them instead (`_descartes_gaps`, which gives up on a seed gap with an
-    even number of roots, or after _DESCARTES_TESTS tests).  Each root is
-    then refined from its seed.  A seed with no finite float value fails.
-    When the seeds fail, or without seeds, an even or odd p is seeded from
-    q's chain (`_parity_seeds`), and those positive seeds go through the
-    same certificate, with N that chain's count of positive roots, and the
-    same refinement; if they fail, the half line is bisected by Descartes
-    bounds with no cap (`_bisected`).  Failing that, which means that q
-    has a repeated root, and for every other p, p's own Sturm chain is
-    built.  If it ends at a non-constant g_1 = gcd(p, p'), the square-free
-    part, the primitive part of p / g_1, is isolated as an unseeded call
-    would isolate it, and its intervals and roots are returned; the tower
-    g_{i+1} = gcd(g_i, g_i'), each the last element of g_i's chain, counts
-    multiplicities: a root of multiplicity m is a root of exactly
-    g_1 ... g_{m-1} (`_multiplicities`).  Otherwise p is square-free, and a
-    normal chain seeds p's real roots itself (`_chain_seeds`); they go
-    through the same certificate, with N the chain's real-root count, and
-    the same refinement.  When those fail too, Descartes bisection of the
-    whole line isolates p's roots (`_bisected` from (-bound, bound), with
-    no cap), and each is refined from its interval's midpoint
-    (`_refine_root`).  A tol outside (0, inf), or a real root beyond the
-    float range, raises ValueError.
+    seeds are guesses of p's real roots, each taken as float(s); one with
+    no finite float value fails them all.  A tol outside (0, inf), or a
+    real root beyond the float range, raises ValueError.
     """
     _check_tol(tol)
     if p.is_zero():
@@ -936,92 +871,98 @@ def isolate_real_roots(p: RatPoly, tol: float = 1e-12, seeds: Sequence[float] | 
     return RootSet(p, tuple(intervals), tuple(roots), tuple(mults))
 
 
-def _real_roots(
-    coeffs: list[int], seeds: list[float] | None, tol: float
-) -> tuple[list[tuple[Fraction, Fraction]], list[float], list[int]]:
-    """Isolating intervals, refined roots and multiplicities of p's real roots, as `isolate_real_roots` describes."""
+# isolating intervals, refined roots and multiplicities
+_Roots = tuple[list[tuple[Fraction, Fraction]], list[float], list[int]]
+
+
+def _real_roots(coeffs: list[int], seeds: list[float] | None, tol: float) -> _Roots:
+    """p's real roots on the half line of an even or odd p, else on the whole line; through its square-free part at a repeated root."""
     split = _parity_split(coeffs)
     bound = _power_of_two(_root_bound(coeffs))
     # k >= 2 makes 0 a repeated root
-    if split is not None and split[0] <= 1:
-        found = _half_line_roots(coeffs, *split, seeds, tol, bound)
-        if found is not None:
-            return found
-        # q has a repeated root, and so has p: its chain below ends at gcd(p, p')
-    else:
-        n = len(coeffs) - 1
-        sign = _sign_kernel(coeffs)
-        seps = None if seeds is None else _separators(seeds, bound)
-        if seps is not None:
-            gaps = _certified_gaps(seps, sign, n)
-            if gaps is not None:
-                return _refined(coeffs, gaps, seeds, tol, sign)
-            if len(seeds) < n and (n - len(seeds)) % 2 == 0:
-                found = _descartes_gaps(coeffs, seps, sign, False)
-                if found is not None:
-                    gaps = [(lo, hi) for _, lo, hi in found]
-                    return _refined(coeffs, gaps, [seeds[i] for i, _, _ in found], tol, sign)
-    chain = _sturm_chain(coeffs)
-    g = chain.polys[-1]
-    if len(g) > 1:
-        # the caller's seeds guess p's roots; without them p's RootSet is that of isolate_real_roots(s)
-        intervals, roots, _ = _real_roots(_int_primitive(_pseudo_divide(coeffs, g)[1]), None, tol)
-        return intervals, roots, _multiplicities(g, intervals)
-    own = _chain_seeds(chain)
-    seps = None if own is None else _separators(own, bound)
-    # p is square-free, so neither even nor odd (k <= 1 returned above, k >= 2 is a repeated root): N is the chain's count of distinct real roots
-    gaps = None if seps is None else _certified_gaps(seps, sign, _distinct_real_roots(chain.polys))
-    if gaps is not None:
-        return _refined(coeffs, gaps, own, tol, sign)
-    gaps = _bisected(coeffs, (-bound[0], bound[1]), bound, sign)
-    return _refined(coeffs, gaps, [None] * len(gaps), tol, sign)
+    half = split is not None and split[0] <= 1
+    found = _ladder(_half_line(coeffs, *split, bound) if half else _whole_line(coeffs, bound), seeds, tol)
+    if isinstance(found, tuple):
+        return found
+    # found ends a chain at a non-constant gcd: p's own, g, or q's, and then p has a repeated root too
+    g = _sturm_chain(coeffs).polys[-1] if half else found
+    # the caller's seeds guess p's roots; without them p's RootSet is that of isolate_real_roots(s)
+    intervals, roots, _ = _real_roots(_int_primitive(_pseudo_divide(coeffs, g)[1]), None, tol)
+    return intervals, roots, _multiplicities(g, intervals)
 
 
-def _half_line_roots(
-    coeffs: list[int], k: int, q: list[int], seeds: list[float] | None, tol: float, bound: tuple[int, int]
-) -> tuple[list[tuple[Fraction, Fraction]], list[float], list[int]] | None:
-    """The real roots of p = z^k q(z^2), k <= 1, as `_real_roots` gives them, or None when q, and so p, has a repeated root.
+@dataclass(frozen=True)
+class _Line:
+    """What differs between the lines `_ladder` climbs: the whole line of p, or the positive half line of p = z^k q(z^2).
 
-    Only the half line (s0, bound) is certified and refined, and the rest
-    is its mirror (`_mirrored`): the caller's positive seeds with N = deg q,
-    or past a complex pair by Descartes runs; then q's chain seeds
-    (`_parity_seeds`) with N its count of positive roots; then bisection.
+    coeffs is p, whose roots are refined; sign is p's exact sign at
+    num / 2^shift, and bound the root bound.  kept takes the caller's
+    sorted seeds to those on the line, and separators cuts seeds on the
+    line apart (None if it cannot).  chained is the polynomial whose degree
+    is N for the caller's seeds and whose Sturm chain seeds the line:
+    count(chain.polys) is the exact number of p's real roots on the line,
+    N for chain_seeds(chain), the chain's seeds (None if it gives none).
+    descartes(deficit, s0) tells whether Descartes runs may start on the
+    caller's seed gaps, deficit being N less their number and s0 the least
+    separator.  Bisection runs on (start, bound), and
+    finish(s0, intervals, roots) gives all of p's roots from those on the
+    line above s0.
     """
-    sign = _parity_sign(k, q)
-    if seeds is not None:
-        positive = [s for s in seeds if s > 0]
-        if k and positive and positive[0] == min(seeds, key=abs):
-            del positive[0]
-        seps = _half_separators(k, positive, bound)
-        if seps is not None:
-            gaps = _certified_gaps(seps, sign, len(q) - 1)
-            if gaps is not None:
-                return _mirrored(coeffs, k, seps[0], gaps, positive, tol, sign)
-            # for k = 1 the runs start at s0, so (0, s0) must hold no root: q has none in (0, s0^2)
-            if len(positive) < len(q) - 1 and (k == 0 or _descartes_bound(q, (0, 0), (seps[0][0] ** 2, 2 * seps[0][1])) == 0):
-                found = _descartes_gaps(coeffs, seps, sign, False)
-                if found is not None:
-                    gaps = [(lo, hi) for _, lo, hi in found]
-                    return _mirrored(coeffs, k, seps[0], gaps, [positive[i] for i, _, _ in found], tol, sign)
-    # a constant q makes p = c z
-    if len(q) == 1:
-        return _mirrored(coeffs, k, bound, [], [], tol, sign)
-    chain = _sturm_chain(q)
-    if len(chain.polys[-1]) > 1:
-        return None
-    own = _parity_seeds(q, chain)
-    if own is not None:
-        positive, count = own
-        if count == 0:
-            return _mirrored(coeffs, k, bound, [], [], tol, sign)
-        seps = _half_separators(k, positive, bound)
-        gaps = None if seps is None else _certified_gaps(seps, sign, count)
-        if gaps is not None:
-            return _mirrored(coeffs, k, seps[0], gaps, positive, tol, sign)
-    # p is square-free; for k = 1, s0 lies below |r| for every root r != 0 of p (the root bound of p / z reversed)
-    s0 = (0, 0) if k == 0 else _power_of_two(-_root_bound(coeffs[:0:-1]))
-    gaps = _bisected(coeffs, s0, bound, sign)
-    return _mirrored(coeffs, k, s0, gaps, [None] * len(gaps), tol, sign)
+
+    coeffs: list[int]
+    sign: Callable[[int, int], int]
+    bound: tuple[int, int]
+    kept: Callable[[list[float]], list[float]]
+    separators: Callable[[list[float]], list[tuple[int, int]] | None]
+    descartes: Callable[[int, tuple[int, int]], bool]
+    chained: list[int]
+    count: Callable[[list[list[int]]], int]
+    chain_seeds: Callable[[_SturmChain], list[float] | None]
+    start: tuple[int, int]
+    finish: Callable[[tuple[int, int], list, list[float]], tuple[list, list[float]]]
+
+
+def _whole_line(coeffs: list[int], bound: tuple[int, int]) -> _Line:
+    """The whole line (-bound, bound) of p: every seed, N = deg p, p's own chain, and the roots as they are."""
+    return _Line(
+        coeffs,
+        _sign_kernel(coeffs),
+        bound,
+        kept=lambda seeds: seeds,
+        separators=functools.partial(_separators, bound=bound),
+        # p's missing roots are complex pairs
+        descartes=lambda deficit, s0: deficit % 2 == 0,
+        chained=coeffs,
+        count=_distinct_real_roots,
+        chain_seeds=_chain_seeds,
+        start=(-bound[0], bound[1]),
+        finish=lambda s0, intervals, roots: (intervals, roots),
+    )
+
+
+def _half_line(coeffs: list[int], k: int, q: list[int], bound: tuple[int, int]) -> _Line:
+    """The positive half line (s0, bound) of p = z^k q(z^2), k <= 1, q(0) != 0: signs and chain on q, N = deg q, and the mirror."""
+    return _Line(
+        coeffs,
+        _parity_sign(k, q),
+        bound,
+        kept=functools.partial(_positive_seeds, k),
+        separators=functools.partial(_half_separators, k, bound=bound),
+        # for k = 1 the runs start at s0, so (0, s0) must hold no root: q has none in (0, s0^2)
+        descartes=lambda deficit, s0: k == 0 or _descartes_bound(q, (0, 0), (s0[0] ** 2, 2 * s0[1])) == 0,
+        chained=q,
+        count=_positive_roots,
+        chain_seeds=functools.partial(_parity_seeds, q),
+        # for k = 1, the root bound of p / z reversed: s0 lies below |r| for every root r != 0 of p
+        start=(0, 0) if k == 0 else _power_of_two(-_root_bound(coeffs[:0:-1])),
+        finish=functools.partial(_mirror, k),
+    )
+
+
+def _positive_seeds(k: int, seeds: list[float]) -> list[float]:
+    """The positive seeds, less the one nearest 0 for k = 1: it stands for the exact root 0."""
+    positive = [s for s in seeds if s > 0]
+    return positive[1:] if k and positive and positive[0] == min(seeds, key=abs) else positive
 
 
 def _half_separators(k: int, seeds: list[float], bound: tuple[int, int]) -> list[tuple[int, int]] | None:
@@ -1041,28 +982,50 @@ def _half_separators(k: int, seeds: list[float], bound: tuple[int, int]) -> list
     return seps[1:] if k else [(0, 0), *seps[1:]]
 
 
-def _mirrored(
-    coeffs: list[int],
-    k: int,
-    s0: tuple[int, int],
-    gaps: list[tuple[tuple[int, int], tuple[int, int]]],
-    starts: Sequence[float | None],
-    tol: float,
-    sign: Callable[[int, int], int],
-) -> tuple[list[tuple[Fraction, Fraction]], list[float], list[int]]:
-    """All real roots of an even or odd p from the positive ones, each isolated by its gap in (s0, bound).
+def _ladder(line: _Line, seeds: list[float] | None, tol: float) -> _Roots | list[int]:
+    """p's real roots from the rungs of the module docstring, in order, on line; or the last element of a chain that ends at a non-constant gcd."""
 
-    Each positive root is refined from its start (`_refine_root`); the
-    negative roots are their mirror images, -r on (-hi, -lo), and for
-    k = 1 the root 0, exact, lies on (-s0, s0).  Every root is simple.
-    The dyadic gaps become `Fraction` intervals here.
-    """
-    roots = [_refine_root(coeffs, lo, hi, tol, s, sign) for (lo, hi), s in zip(gaps, starts)]
-    positive = _intervals(gaps)
+    def finish(s0, gaps, starts):
+        """p's real roots from gaps that each isolate one simple root on the line above s0, refined from their starts."""
+        roots = [_refine_root(line.coeffs, lo, hi, tol, s, line.sign) for (lo, hi), s in zip(gaps, starts)]
+        intervals, roots = line.finish(s0, _intervals(gaps), roots)
+        return intervals, roots, [1] * len(roots)
+
+    n = len(line.chained) - 1
+    if seeds is not None:
+        seeds = line.kept(seeds)
+        seps = line.separators(seeds)
+        if seps is not None:
+            gaps = _certified_gaps(seps, line.sign, n)
+            if gaps is not None:
+                return finish(seps[0], gaps, seeds)
+            if len(seeds) < n and line.descartes(n - len(seeds), seps[0]):
+                found = _descartes_gaps(line.coeffs, seps, line.sign, False)
+                if found is not None:
+                    return finish(seps[0], [(lo, hi) for _, lo, hi in found], [seeds[i] for i, _, _ in found])
+    # a constant q, of p = c z, has neither roots nor a chain
+    count = 0
+    if n:
+        chain = _sturm_chain(line.chained)
+        if len(chain.polys[-1]) > 1:
+            return chain.polys[-1]
+        count = line.count(chain.polys)
+    if count == 0:
+        return finish(line.bound, [], [])
+    seeds = line.chain_seeds(chain)
+    seps = None if seeds is None else line.separators(seeds)
+    gaps = None if seps is None else _certified_gaps(seps, line.sign, count)
+    if gaps is not None:
+        return finish(seps[0], gaps, seeds)
+    gaps = _bisected(line.coeffs, line.start, line.bound, line.sign)
+    return finish(line.start, gaps, [None] * len(gaps))
+
+
+def _mirror(k: int, s0: tuple[int, int], positive: list, roots: list[float]) -> tuple[list, list[float]]:
+    """All real roots of an even or odd p from its positive ones: -r on (-hi, -lo) for each r on (lo, hi), and for k = 1 the exact root 0 on (-s0, s0)."""
     zero = _fraction(s0)
     intervals = [(-hi, -lo) for lo, hi in reversed(positive)] + [(-zero, zero)] * k + positive
-    roots = [-r for r in reversed(roots)] + [0.0] * k + roots
-    return intervals, roots, [1] * len(roots)
+    return intervals, [-r for r in reversed(roots)] + [0.0] * k + roots
 
 
 # 2^1024, the least power of two beyond the float range
@@ -1108,18 +1071,6 @@ def _multiplicities(g: list[int], intervals: list[tuple[Fraction, Fraction]]) ->
         if len(chain.polys[-1]) == 1:
             return mults
         chain = _sturm_chain(chain.polys[-1])
-
-
-def _refined(
-    coeffs: list[int],
-    gaps: list[tuple[tuple[int, int], tuple[int, int]]],
-    starts: Sequence[float | None],
-    tol: float,
-    sign: Callable[[int, int], int],
-) -> tuple[list[tuple[Fraction, Fraction]], list[float], list[int]]:
-    """gaps as `Fraction` intervals, the simple root each isolates refined from its start (`_refine_root`), and multiplicities 1."""
-    roots = [_refine_root(coeffs, lo, hi, tol, s, sign) for (lo, hi), s in zip(gaps, starts)]
-    return _intervals(gaps), roots, [1] * len(gaps)
 
 
 # phase-scan samples per unit of l: two roots of a bi-Laplace combination

@@ -1,6 +1,7 @@
 """Root isolation, transversality, and admissibility decisions."""
 
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -1168,6 +1169,24 @@ class TestWholeLine:
         assert rs.multiplicities == (1,) * rs.count
         assert_matches_oracle(rs)
 
+    @pytest.mark.parametrize(
+        "p",
+        [_Z**2 + _Z + 1, RatPoly(range(1, 8)), _Z**4 + 1, _Z * RatPoly([1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7])],
+        ids=["z2+z+1", "7z6+...+2z+1", "z4+1", "z(7z12+...+2z2+1)"],
+    )
+    def test_rootless_stops_at_the_chain_count(self, p, monkeypatch):
+        # a chain that counts no real root on the line leaves nothing to bisect, on either line, though
+        # the chain of 7z^6 + ... + 2z + 1 (p's, and q's of the odd p) is not normal and seeds nothing
+        def refuse(*args):
+            raise AssertionError("bisected a polynomial with no real root on its line")
+
+        monkeypatch.setattr(nodal, "_bisected", refuse)
+        monkeypatch.setattr(nodal, "_descartes_gaps", refuse)
+        # an odd p keeps its exact root 0, on the whole root bound
+        odd = p.coeffs[0] == 0
+        bound = nodal._fraction(root_bound(integer_coefficients(p)))
+        assert isolate_real_roots(p) == nodal.RootSet(p, ((-bound, bound),) * odd, (0.0,) * odd, (1,) * odd)
+
 
 class TestTransversality:
     def test_quartic_harmonic(self):
@@ -2157,3 +2176,85 @@ class TestEnumeration:
             enumerate_admissible(0, 2, [1])
         with pytest.raises(ValueError):
             enumerate_admissible(3, 2, [1])
+
+
+def rootset_digest(rs: nodal.RootSet) -> str:
+    """A short sha256 of rs: exact interval ends, `float.hex` roots and multiplicities."""
+    text = repr(([(str(lo), str(hi)) for lo, hi in rs.isolating_intervals], [r.hex() for r in rs.refined_roots], rs.multiplicities))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def rung_spies(monkeypatch) -> dict:
+    """What the rungs of every isolation from here on run: the count of each `_certified_gaps` call made outside a
+    `_descartes_gaps` call, the square_free of each `_descartes_gaps` call, and the number of `_sturm_chain` calls."""
+    ran = {"certified": [], "descartes": [], "chains": 0}
+    certify, descartes, chain = nodal._certified_gaps, nodal._descartes_gaps, nodal._sturm_chain
+
+    def certified_spy(seps, sign, count):
+        ran["certified"].append(count)
+        return certify(seps, sign, count)
+
+    def descartes_spy(coeffs, seps, sign, square_free):
+        ran["descartes"].append(square_free)
+        before = len(ran["certified"])
+        found = descartes(coeffs, seps, sign, square_free)
+        del ran["certified"][before:]
+        return found
+
+    def chain_spy(coeffs):
+        ran["chains"] += 1
+        return chain(coeffs)
+
+    monkeypatch.setattr(nodal, "_certified_gaps", certified_spy)
+    monkeypatch.setattr(nodal, "_descartes_gaps", descartes_spy)
+    monkeypatch.setattr(nodal, "_sturm_chain", chain_spy)
+    return ran
+
+
+_WHOLE = (_Z - 1) * (_Z - 2) * (_Z + 3)
+_WHOLE_PAIR = (_Z - 1) * (_Z - 2) * (_Z**2 + _Z + 1)
+_EVEN = (_Z**2 - 1) * (_Z**2 - 4)
+# q = (w - 1) (w - 4) (w + 1): the pair +-i is one root of q, so the seed deficit on the half line is odd
+_EVEN_PAIR = _EVEN * (_Z**2 + 1)
+_ODD = _Z * _EVEN
+_ODD_PAIR = _Z * (_Z**2 - 1) * (_Z**2 + 1)
+
+# case: (p, seeds or None, whether `_chain_seeds` fails, then what `rung_spies` records:
+# the `_certified_gaps` counts, the `_descartes_gaps` square_free flags and the number
+# of Sturm chains, and last the digest of the RootSet)
+_RUNGS = {
+    "whole/seeds": (_WHOLE, [-3.1, 0.9, 2.1], False, [3], [], 0, "8308a8cdb45f4fa5"),
+    "whole/seeded-descartes": (_WHOLE_PAIR, [0.9, 2.1], False, [4], [False], 0, "7daf63bc2ba38b8a"),
+    "whole/chain-seeds": (_WHOLE_PAIR, None, False, [2], [], 1, "e92e8da52a937075"),
+    "whole/bisection": (_WHOLE_PAIR, None, True, [], [True], 1, "623a34891ba62930"),
+    "even/seeds": (_EVEN, [-2.1, -0.9, 0.9, 2.1], False, [2], [], 0, "b3047d4f46da5e2d"),
+    "even/seeded-descartes": (_EVEN_PAIR, [-2.1, -0.9, 0.9, 2.1], False, [3], [False], 0, "b3047d4f46da5e2d"),
+    "even/chain-seeds": (_EVEN_PAIR, None, False, [2], [], 1, "b3047d4f46da5e2d"),
+    "even/bisection": (_EVEN_PAIR, None, True, [], [True], 1, "80c32c61a298ec05"),
+    # the seed 0.001 is the one nearest 0: it stands for the root 0 and is dropped
+    "odd/seeds": (_ODD, [-2.1, -0.9, 0.001, 0.9, 2.1], False, [2], [], 0, "08078e20b018444d"),
+    "odd/seeded-descartes": (_ODD_PAIR, [-1.1, 0.0, 1.1], False, [2], [False], 0, "ce48b77b04b31337"),
+    "odd/chain-seeds": (_ODD_PAIR, None, False, [1], [], 1, "ce48b77b04b31337"),
+    "odd/bisection": (_ODD_PAIR, None, True, [], [True], 1, "b1953fa12f2bfac7"),
+    "constant-q": (RatPoly([0, 3]), None, False, [], [], 0, "a829fe9ad3dc23c2"),
+    # p's chain, then s's and g's
+    "square-free-part": ((_Z - 1) ** 2 * (_Z + 2), None, False, [2], [], 3, "415c5a2d713b040f"),
+    # q's chain, then p's, then that of s's q and g's
+    "even-square-free-part": ((_Z**2 - 2) ** 2, None, False, [1], [], 4, "d8e73ee260ae6e02"),
+    "rootless-even": (_Z**4 + _Z**2 + 1, None, False, [], [], 1, "d1300cf8821c5ce1"),
+}
+
+
+class TestRungs:
+    """One polynomial per rung of each line, unseeded or with float seeds (no trig): the rungs that ran and the RootSet's digest."""
+
+    @pytest.mark.parametrize("case", list(_RUNGS))
+    def test_rung(self, case, monkeypatch):
+        p, seeds, no_chain_seeds, certified, descartes, chains, digest = _RUNGS[case]
+        if no_chain_seeds:
+            monkeypatch.setattr(nodal, "_chain_seeds", lambda chain: None)
+        ran = rung_spies(monkeypatch)
+        rs = isolate_real_roots(p, seeds=seeds)
+        assert (ran["certified"], ran["descartes"], ran["chains"]) == (certified, descartes, chains)
+        assert rootset_digest(rs) == digest
+        assert_matches_oracle(rs)
