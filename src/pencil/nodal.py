@@ -56,6 +56,7 @@ from .linalg import rational_kernel
 from .pencils import Eigenpair, quadratic_eigenfunction, quartic_eigenfunction
 from .polyring import (
     RatPoly,
+    _from_int_form,
     _int_diff,
     _int_form,
     _int_horner,
@@ -700,8 +701,11 @@ def _refine_root(
     bracket instead.  After a step shorter than _FLOAT_STEP relative to
     max(|r|, 1) the iterate is tried by the certificate.  Newton ends on a
     certificate, on an iterate that is not strictly inside the bracket (it
-    has stalled at float resolution) or on a bracket narrower than goal;
-    then the bracket is bisected exactly down to width goal, or until both
+    has stalled at float resolution) or on a bracket narrower than goal.
+    A stalled iterate sits on an end of the bracket, with the root within
+    about an ulp of it: its float neighbours, those strictly inside the
+    bracket, take exact signs that narrow it, most often to one ulp.  Then
+    the bracket is bisected exactly down to width goal, or until both
     of its ends round to one float: the root lies between them, so that
     float is the answer further bisection would give.  Exact signs come
     from sign, as in `_certified_gaps`: a fixed-point filter, with the exact
@@ -754,6 +758,24 @@ def _refine_root(
             a, b, shift = a << (s - shift), b << (s - shift), s
         x = num << (shift - s)
         if not a < x < b:
+            # r has stalled at float resolution: its float neighbours inside
+            # the bracket take exact signs, and bisection starts from there
+            for side in (-math.inf, math.inf):
+                y = math.nextafter(r, side)
+                if not math.isfinite(y):
+                    continue
+                num, s = _dyadic(y)
+                if s > shift:
+                    a, b, shift = a << (s - shift), b << (s - shift), s
+                x = num << (shift - s)
+                if a < x < b:
+                    sy = sign(num, s)
+                    if sy == 0:
+                        return y
+                    if sy == slo:
+                        a = x
+                    else:
+                        b = x
             break
         sx, step = _exact_newton(coeffs, r)
         if sx == 0:
@@ -1235,9 +1257,9 @@ class Combination:
         """The combination, exactly: a float weight is taken as its exact binary value.
 
         Each nonzero weight enters as its integer ratio and each eigenfunction
-        as its integer numerators over their common denominator, so the sum
-        runs over the integers, over one common denominator, and only the
-        coefficients of the result are `Fraction`s.
+        as its kept integer form, numerators over their common denominator,
+        so the sum runs over the integers, over one common denominator, and
+        the result keeps its integer form (`_from_int_form`).
         """
         terms = []
         for family, c in enumerate(self.coeffs, start=1):
@@ -1253,7 +1275,7 @@ class Combination:
             for k, v in enumerate(nums):
                 if v:
                     total[k] += scale * v
-        return RatPoly(Fraction(v, common) for v in total)
+        return _from_int_form(total, common)
 
     def roots(self) -> RootSet:
         """Every real root of poly, seeded from the phase form of coeffs."""

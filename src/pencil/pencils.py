@@ -13,6 +13,14 @@ certified by its exact pencil residual.  The dense nullspace of the pencil
 matrix and the coefficient recursions are test oracles (tests/pencil_oracles.py).
 mpmath is imported only inside `sturm_liouville_check`, the one
 high-precision float computation here.
+
+Each eigenfunction is also certified in (x, y): u(x, y) = (-y)^n psi(x / -y)
+is homogeneous of degree n, and on the coefficient list of such a
+polynomial the Laplacian is a banded map.  For u = sum_k c_k x^k (-y)^(n-k),
+Delta u has the coefficient (j+2)(j+1) c_{j+2} + (n-j)(n-j-1) c_j at
+x^j (-y)^(n-2-j); `reconstruct_xy` applies it, twice for the bi-Laplacian,
+to the integer numerators of psi.  `xy_laplacian` takes any bivariate
+polynomial as a dict of monomials.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from fractions import Fraction
 
 # not called here; perfbench/tracing.py wraps it under this name on this module
 from .linalg import rational_kernel  # noqa: F401
-from .polyring import DiffOpTerm, RatPoly, op_apply, poly_to_json
+from .polyring import DiffOpTerm, RatPoly, _from_int_form, _int_form, op_apply, poly_to_json
 
 __all__ = [
     "Eigenpair",
@@ -161,9 +169,9 @@ def quadratic_eigenfunction(l: int, family: int) -> Eigenpair:
     _check_family_l(QUADRATIC, l, family)
     lam = _eigenvalue(l, family)
     if family == 1:
-        poly = RatPoly(_z_plus_i_power(l)[0])
+        poly = _from_int_form(_z_plus_i_power(l)[0], 1)
     else:
-        poly = RatPoly(Fraction(c, l + 1) for c in _z_plus_i_power(l + 1)[1])
+        poly = _from_int_form(_z_plus_i_power(l + 1)[1], l + 1)
     return Eigenpair(QUADRATIC, family, l, lam, poly)
 
 
@@ -185,7 +193,7 @@ def quartic_eigenfunction(l: int, family: int) -> Eigenpair:
         im = _z_plus_i_power(n)[1]
         re = _z_plus_i_power(n - 1)[0]
         den = n * (n - 1) * (n - 2)
-        poly = RatPoly(Fraction(3 * (im[k] - n * re[k]), den) for k in range(l + 1))
+        poly = _from_int_form([3 * (im[k] - n * re[k]) for k in range(l + 1)], den)
     return Eigenpair(QUARTIC, family, l, lam, poly)
 
 
@@ -226,31 +234,40 @@ class ReconstructionReport:
     bilaplacian_zero: bool
 
 
-def reconstruct_xy(pair: Eigenpair) -> ReconstructionReport:
-    """Expand u(x, y) = (-y)^(-lam) * poly(x / -y) and apply the Laplacian.
+def _banded_laplacian(cs: list[int]) -> list[int]:
+    """Delta u as its coefficient list, for u = sum_k cs[k] x^k (-y)^(m-k) with m = len(cs) - 1.
 
-    Requires -eigenvalue >= deg(poly) so the reconstruction is a polynomial;
-    reports whether the Laplacian and the bi-Laplacian vanish identically.
+    The entry at x^j (-y)^(m-2-j) is (j+2)(j+1) cs[j+2] + (m-j)(m-j-1) cs[j]:
+    d^2/dy^2 (-y)^e = e (e-1) (-y)^(e-2).
+    """
+    m = len(cs) - 1
+    return [(j + 2) * (j + 1) * cs[j + 2] + (m - j) * (m - j - 1) * cs[j] for j in range(m - 1)]
+
+
+def reconstruct_xy(pair: Eigenpair) -> ReconstructionReport:
+    """Expand u(x, y) = (-y)^n poly(x / -y), n = -lam, and apply the Laplacian.
+
+    Requires n >= deg(poly) so the reconstruction is a polynomial, the sum of
+    c_k x^k (-y)^(n-k) over poly's coefficients c_k; its xy_coefficients are
+    the nonzero c_k (-1)^(n-k) at (k, n-k), k ascending.  The Laplacian and
+    the bi-Laplacian are the banded map of the module docstring, applied
+    once and twice to poly's integer numerators padded to n + 1 entries;
+    the report says whether each vanishes identically.
     """
     n = -pair.eigenvalue
     if pair.poly.degree > n:
         raise ValueError(
             f"reconstruction is not polynomial: degree {pair.poly.degree} exceeds {n}"
         )
-    coeffs: dict[tuple[int, int], Fraction] = {}
-    for k in range(pair.poly.degree + 1):
-        c = pair.poly.coefficient(k)
-        if c != 0:
-            sign = -1 if (n - k) % 2 else 1
-            coeffs[(k, n - k)] = c * sign
-    lap = xy_laplacian(coeffs)
-    bilap = xy_laplacian(lap)
+    nums = _int_form(pair.poly)[0]
+    lap = _banded_laplacian(nums + [0] * (n + 1 - len(nums)))
+    laplacian_zero = not any(lap)
     return ReconstructionReport(
         pair=pair,
         homogeneity_degree=n,
-        xy_coefficients=tuple(sorted(coeffs.items())),
-        laplacian_zero=not lap,
-        bilaplacian_zero=not bilap,
+        xy_coefficients=tuple(((k, n - k), -c if (n - k) & 1 else c) for k, c in enumerate(pair.poly.coeffs) if c),
+        laplacian_zero=laplacian_zero,
+        bilaplacian_zero=laplacian_zero or not any(_banded_laplacian(lap)),
     )
 
 

@@ -7,6 +7,14 @@ are finite sums of :class:`DiffOpTerm` and are applied symbolically.
 Over the integers, one signed remainder sequence (`_remainder_sequence`)
 gives the gcds here and the Sturm chains of `pencil.nodal`.
 
+A `RatPoly` derives each of three forms at most once and keeps it: its
+integer form, numerators over the lcm of the denominators (`_int_form`);
+its primitive integer list (`integer_coefficients`); and its float
+coefficients (`eval_float`).  A builder that has summed the integer form
+already presets it (`_from_int_form`).  Callers get fresh lists, so none
+can change a kept form, and pickling rebuilds a polynomial from its
+coefficients alone.
+
 All values are immutable after construction; operations are pure.
 """
 
@@ -44,7 +52,8 @@ class RatPoly:
     degree -1.  Trailing zero coefficients are trimmed on construction.
     """
 
-    __slots__ = ("coeffs",)
+    # coeffs, then the kept forms of the module docstring, each set on first use
+    __slots__ = ("coeffs", "_ints", "_primitive", "_floats")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_as_fraction(c) for c in coeffs]
@@ -54,6 +63,9 @@ class RatPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
+
+    def __reduce__(self):
+        return RatPoly, (self.coeffs,)
 
     @classmethod
     def zero(cls) -> "RatPoly":
@@ -206,15 +218,15 @@ class RatPoly:
         if not self.coeffs:
             return Fraction(0)
         a, b = x.numerator, x.denominator
-        nums, d = _int_form(self)
+        nums, d = _kept(self, "_ints", _ints)
         return Fraction(_int_horner(nums, a, b), d * b ** (len(nums) - 1))
 
     __call__ = eval
 
     def eval_float(self, x: float) -> float:
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+        for c in reversed(_kept(self, "_floats", _floats)):
+            acc = acc * x + c
         return acc
 
     def monic(self) -> "RatPoly":
@@ -280,13 +292,60 @@ def poly_to_json(p: RatPoly) -> list[list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# gcd and square-free structure
+# kept integer and float forms
+
+
+def _kept(p: RatPoly, name: str, derive):
+    """p's form in slot name, derived as derive(p) and kept on first use."""
+    try:
+        return getattr(p, name)
+    except AttributeError:
+        form = derive(p)
+        object.__setattr__(p, name, form)
+        return form
+
+
+def _ints(p: RatPoly) -> tuple[tuple[int, ...], int]:
+    d = lcm(*(c.denominator for c in p.coeffs))
+    return tuple(c.numerator * (d // c.denominator) for c in p.coeffs), d
+
+
+def _primitive(p: RatPoly) -> tuple[int, ...]:
+    nums = _kept(p, "_ints", _ints)[0]
+    content = gcd(*nums)
+    return nums if content == 1 else tuple(v // content for v in nums)
+
+
+def _floats(p: RatPoly) -> tuple[float | Fraction, ...]:
+    # a coefficient beyond the float range stays a Fraction, so that Horner
+    # raises OverflowError where it reaches it, after any error from x
+    out: list[float | Fraction] = []
+    for c in p.coeffs:
+        try:
+            out.append(float(c))
+        except OverflowError:
+            out.append(c)
+    return tuple(out)
 
 
 def _int_form(p: RatPoly) -> tuple[list[int], int]:
     """(nums, d) with p = sum_k nums[k] z^k / d and d > 0 the lcm of p's denominators."""
-    d = lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (d // c.denominator) for c in p.coeffs], d
+    nums, d = _kept(p, "_ints", _ints)
+    return list(nums), d
+
+
+def _from_int_form(nums: Sequence[int], d: int) -> RatPoly:
+    """The polynomial sum_k nums[k] z^k / d, d > 0, with its integer form kept."""
+    nums = list(nums)
+    while nums and nums[-1] == 0:
+        nums.pop()
+    g = gcd(d, *nums)
+    if g != 1:
+        nums, d = [v // g for v in nums], d // g
+    p = object.__new__(RatPoly)
+    object.__setattr__(p, "coeffs", tuple(Fraction(v, d) for v in nums))
+    object.__setattr__(p, "_ints", (tuple(nums), d))
+    return p
 
 
 def _int_horner(nums: Sequence[int], a: int, b: int) -> int:
@@ -300,7 +359,11 @@ def _int_horner(nums: Sequence[int], a: int, b: int) -> int:
 
 def integer_coefficients(p: RatPoly) -> list[int]:
     """Primitive integer coefficient list with the same sign and roots as p."""
-    return _int_primitive(_int_form(p)[0])
+    return list(_kept(p, "_primitive", _primitive))
+
+
+# ---------------------------------------------------------------------------
+# gcd and square-free structure
 
 
 def _int_primitive(cs: list[int]) -> list[int]:

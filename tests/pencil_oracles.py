@@ -32,6 +32,13 @@ eigenfunctions in `RatPoly` arithmetic, where `Combination.poly` sums
 integer numerators over one common denominator, and `exact_admissibility`
 is an exact verdict's rank and kernel basis from a matrix of `Fraction`
 power sums, where `pencil.nodal` scales each row to integers.
+`int_form`, `primitive_coefficients` and `float_horner` derive a
+`RatPoly`'s integer form, primitive integer list and float value from its
+`Fraction`s on every call, where the `RatPoly` derives each once and keeps it.
+`reconstruct_xy_by_monomials` expands an eigenpair into a dict of (x, y)
+monomials and applies `pencil.pencils.xy_laplacian` to it, where
+`pencil.pencils.reconstruct_xy` applies the banded map of a homogeneous
+polynomial's coefficient list to integer numerators.
 `characteristic_quartic` and `verify_quartic_factorization` prove the
 quartic eigenvalue rule {-l, ..., -l-3} by exact division.  `generic_dp5`
 is the adaptive Dormand-Prince 5(4) pair for any right-hand side and any
@@ -56,7 +63,7 @@ from typing import Sequence
 from pencil import svg
 from pencil.linalg import rational_kernel
 from pencil.nodal import _FLOAT_STEP, _PHASE_SAMPLES, _PHASE_STEPS
-from pencil.pencils import quadratic_eigenfunction, quartic_eigenfunction
+from pencil.pencils import ReconstructionReport, quadratic_eigenfunction, quartic_eigenfunction, xy_laplacian
 from pencil.polyring import RatPoly, op_apply
 
 
@@ -102,6 +109,27 @@ def fraction_kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tupl
     return basis
 
 
+def int_form(p: RatPoly) -> tuple[list[int], int]:
+    """(nums, d): p's numerators over d, the lcm of its coefficients' denominators."""
+    d = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (d // c.denominator) for c in p.coeffs], d
+
+
+def primitive_coefficients(p: RatPoly) -> list[int]:
+    """p's integer form divided by the gcd of its numerators."""
+    nums = int_form(p)[0]
+    content = math.gcd(*nums)
+    return [v // content for v in nums]
+
+
+def float_horner(p: RatPoly, x) -> float:
+    """Horner's rule at x with each coefficient converted to a float as it is reached."""
+    acc = 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * x + float(c)
+    return acc
+
+
 def combination_poly(combo) -> RatPoly:
     """sum_f psi_f Fraction(c_f) over `Combination` combo's nonzero weights, in
     `RatPoly` arithmetic, with a float weight as Fraction(float(c))."""
@@ -125,6 +153,30 @@ def exact_admissibility(equation: str, alphas: Sequence[Fraction], l: int) -> tu
     kernel = fraction_kernel(matrix, len(polys))
     basis = tuple(tuple(v / max(vec, key=abs) for v in vec) for vec in kernel)
     return len(polys) - len(kernel), basis or None
+
+
+def reconstruct_xy_by_monomials(pair) -> ReconstructionReport:
+    """The report of `reconstruct_xy` from u(x, y) = (-y)^n psi(x / -y), n = -lam, as {(i, j): c} monomials.
+
+    The Laplacian and the bi-Laplacian are `xy_laplacian` applied once and
+    twice to that dict.
+    """
+    n = -pair.eigenvalue
+    if pair.poly.degree > n:
+        raise ValueError(f"reconstruction is not polynomial: degree {pair.poly.degree} exceeds {n}")
+    coeffs = {}
+    for k in range(pair.poly.degree + 1):
+        c = pair.poly.coefficient(k)
+        if c != 0:
+            coeffs[(k, n - k)] = c * (-1 if (n - k) % 2 else 1)
+    lap = xy_laplacian(coeffs)
+    return ReconstructionReport(
+        pair=pair,
+        homogeneity_degree=n,
+        xy_coefficients=tuple(sorted(coeffs.items())),
+        laplacian_zero=not lap,
+        bilaplacian_zero=not xy_laplacian(lap),
+    )
 
 
 def dense_kernel_in_class(op, l: int) -> RatPoly | None:
@@ -321,7 +373,8 @@ def refine_root(coeffs: Sequence[int], lo: Fraction, hi: Fraction, tol: float, s
     The one root of p in the open interval (lo, hi), with nonzero signs at
     both ends, refined step for step as the program refines it: the far end
     cut to sixteenths, the r +- 2^k certificate of the start, safeguarded
-    exact Newton, then exact bisection down to width goal, where the
+    exact Newton, the signs at the float neighbours of an iterate that has
+    stalled, then exact bisection down to width goal, where the
     program stops as soon as both bracket ends round to one float (the
     answer is that float either way).  Every sign is that of a Horner sum
     in a and b at a/b (`_horner`), and every Newton iterate is
@@ -385,6 +438,13 @@ def refine_root(coeffs: Sequence[int], lo: Fraction, hi: Fraction, tol: float, s
     while True:
         x = Fraction(r)
         if not a < x < b:
+            # stalled: r's float neighbours inside (a, b) take signs, below first
+            for y in (math.nextafter(r, -math.inf), math.nextafter(r, math.inf)):
+                if math.isfinite(y) and a < Fraction(y) < b:
+                    s_y = sign(Fraction(y))
+                    if s_y == 0:
+                        return y
+                    a, b = (Fraction(y), b) if s_y == slo else (a, Fraction(y))
             break
         sx, step = newton(r)
         if sx == 0:

@@ -1,6 +1,9 @@
 """Pencil spectra, eigenfunctions, reconstructions, and cross-checks."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,6 +14,8 @@ from hypothesis import strategies as st
 from pencil.linalg import rational_kernel, rational_rref
 from pencil.pencils import (
     Eigenpair,
+    ReconstructionReport,
+    _banded_laplacian,
     eigenpair_to_json,
     pencil_residual,
     quadratic_eigenfunction,
@@ -23,17 +28,39 @@ from pencil.pencils import (
     sturm_liouville_check,
     xy_laplacian,
 )
-from pencil.polyring import RatPoly, op_apply
+from pencil.polyring import RatPoly, _int_form, integer_coefficients, op_apply
 
 from pencil_oracles import (
     characteristic_quartic,
     dense_kernel_in_class,
     fraction_kernel,
     fraction_rref,
+    int_form,
+    primitive_coefficients,
     quadratic_recursion_poly,
     quartic_recursion_report,
+    reconstruct_xy_by_monomials,
     verify_quartic_factorization,
 )
+
+
+@st.composite
+def homogeneous(draw):
+    """(m, [c_0, ..., c_m]) for u = sum_k c_k x^k (-y)^(m-k), m <= 40: rational
+    coefficients, or a rational mix of Re and Im (x + iy)^m, which is harmonic."""
+    m = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        return m, draw(st.lists(st.fractions(max_denominator=50, min_value=-10**6, max_value=10**6), min_size=m + 1, max_size=m + 1))
+    a, b = draw(st.fractions(max_denominator=50)), draw(st.fractions(max_denominator=50))
+    # C(m, k) x^k (iy)^(m-k) = C(m, k) (-i)^(m-k) x^k (-y)^(m-k)
+    unit = [(1, 0), (0, -1), (-1, 0), (0, 1)]
+    return m, [math.comb(m, k) * (a * unit[(m - k) % 4][0] + b * unit[(m - k) % 4][1]) for k in range(m + 1)]
+
+
+def as_monomials(cs) -> dict:
+    """{(i, j): c} of sum_k cs[k] x^k (-y)^(m-k), m = len(cs) - 1, without zero terms."""
+    m = len(cs) - 1
+    return {(k, m - k): c * (-1) ** (m - k) for k, c in enumerate(cs) if c != 0}
 
 
 def binomial_harmonic(l: int, kind: str) -> RatPoly:
@@ -316,6 +343,45 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             reconstruct_xy(bad)
 
+    @given(homogeneous())
+    @example((0, [Fraction(3)]))
+    @example((2, [Fraction(1), Fraction(0), Fraction(1)]))
+    @example((40, [Fraction(1)] * 41))
+    @settings(max_examples=150, deadline=None)
+    def test_banded_map_is_the_monomial_laplacian(self, case):
+        # u = sum_k c_k x^k (-y)^(m-k); Delta and Delta^2 of its coefficient
+        # list are xy_laplacian applied once and twice to its monomials
+        m, cs = case
+        u = as_monomials(cs)
+        lap = _banded_laplacian(cs)
+        assert as_monomials(lap) == xy_laplacian(u)
+        assert as_monomials(_banded_laplacian(lap)) == xy_laplacian(xy_laplacian(u))
+
+    @pytest.mark.parametrize(
+        "order, families, lmax", [("quadratic", (1, 2), 70), ("quartic", (1, 2, 3, 4), 30)]
+    )
+    def test_reports_equal_the_monomial_oracle(self, order, families, lmax):
+        build = quadratic_eigenfunction if order == "quadratic" else quartic_eigenfunction
+        for family in families:
+            for l in range(1 if family == 1 else 0, lmax + 1):
+                pair = build(l, family)
+                got, want = reconstruct_xy(pair), reconstruct_xy_by_monomials(pair)
+                for field in dataclasses.fields(ReconstructionReport):
+                    assert getattr(got, field.name) == getattr(want, field.name), (l, family, field.name)
+                # the integer form the builder kept is the form of the Fractions
+                assert _int_form(pair.poly) == int_form(pair.poly)
+                assert integer_coefficients(pair.poly) == primitive_coefficients(pair.poly)
+
+    @given(st.lists(st.fractions(max_denominator=30, min_value=-20, max_value=20), max_size=25), st.integers(0, 3))
+    @example([], 0)
+    @example([Fraction(1)], 0)
+    @settings(max_examples=100, deadline=None)
+    def test_any_polynomial_report_equals_the_monomial_oracle(self, coeffs, pad):
+        # n = deg + pad: a reconstruction of any polynomial, harmonic or not
+        poly = RatPoly(coeffs)
+        pair = Eigenpair("quadratic", 1, max(poly.degree, 0), -(max(poly.degree, 0) + pad), poly)
+        assert reconstruct_xy(pair) == reconstruct_xy_by_monomials(pair)
+
 
 class TestSturmLiouville:
     def test_identity_case(self):
@@ -340,6 +406,16 @@ class TestSturmLiouville:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("build, l, family", [(quadratic_eigenfunction, 7, 2), (quartic_eigenfunction, 6, 4)])
+    def test_pickle_and_deepcopy(self, build, l, family):
+        pair = build(l, family)
+        rep = reconstruct_xy(pair)
+        for value in (pair, rep):
+            for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                assert back == value and type(back) is type(value)
+        back = pickle.loads(pickle.dumps(rep))
+        assert reconstruct_xy(back.pair) == rep and pencil_residual(back.pair).is_zero()
+
     def test_round_trip_residual(self):
         pair = quartic_eigenfunction(5, 4)
         data = eigenpair_to_json(pair)

@@ -1,6 +1,8 @@
 """Exact polynomial ring and differential operator application."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,13 +12,18 @@ from hypothesis import strategies as st
 from pencil.polyring import (
     DiffOpTerm,
     RatPoly,
+    _from_int_form,
+    _int_form,
     _remainder_sequence,
+    integer_coefficients,
     op_apply,
     poly_gcd,
     poly_to_json,
     square_free_decomposition,
     square_free_part,
 )
+
+from pencil_oracles import float_horner, int_form, primitive_coefficients
 
 Z = RatPoly.monomial(1)
 
@@ -213,3 +220,73 @@ class TestRemainderSequence:
             p0, p1, p2 = (RatPoly(q) for q in polys[j : j + 3])
             assert p0 * scale == RatPoly(quot) * p1 + p2 * kappa
             assert scale * kappa < 0  # P_{j+2} is a positive multiple of -rem(P_j, P_{j+1})
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e)
+
+
+huge = st.builds(lambda k, sign: RatPoly([1, 0, sign * 10**k]), st.integers(300, 400), st.sampled_from([-1, 1]))
+
+
+class TestKeptForms:
+    """A RatPoly keeps its integer form, primitive list and float coefficients; keeping them changes no result."""
+
+    @given(st.one_of(polys, huge), st.one_of(st.floats(-8.0, 8.0), st.just(1e300), st.just("x")))
+    @example(RatPoly.zero(), "x")
+    @example(RatPoly([3, 0, 10**400]), 1.0)
+    @settings(max_examples=150, deadline=None)
+    def test_equal_to_their_formulas_fresh_and_reused(self, p, x):
+        want = (int_form(p), primitive_coefficients(p), _outcome(float_horner, p, x))
+        fresh = RatPoly(p.coeffs)
+        for q in (fresh, fresh, p, p):
+            assert (_int_form(q), integer_coefficients(q), _outcome(q.eval_float, x)) == want
+
+    @given(polys, points)
+    @settings(max_examples=60, deadline=None)
+    def test_mutated_lists_change_no_later_result(self, p, x):
+        nums, d = _int_form(p)
+        primitive = integer_coefficients(p)
+        nums.append(7)
+        primitive[:0] = [1, 2]
+        if nums:
+            nums[0] += 1
+        assert _int_form(p) == int_form(p)
+        assert integer_coefficients(p) == primitive_coefficients(p)
+        assert p.eval(x) == _fraction_horner(p, x)
+
+    @given(polys)
+    @settings(max_examples=60, deadline=None)
+    def test_equality_and_hash_unchanged(self, p):
+        plain = RatPoly(p.coeffs)
+        before = hash(p)
+        _int_form(p), integer_coefficients(p), p.eval_float(0.5)
+        assert hash(p) == before == hash(plain) == hash(p.coeffs)
+        assert p == plain and plain == p and p != p + 1
+
+    @given(st.lists(st.integers(-(2**80), 2**80), max_size=12), st.integers(1, 10**12))
+    @example([0, 0], 5)
+    @example([6, 0, -12, 0], 18)
+    @settings(max_examples=100, deadline=None)
+    def test_preset_form_equals_the_form_of_its_fractions(self, nums, d):
+        p = _from_int_form(nums, d)
+        want = RatPoly(Fraction(v, d) for v in nums)
+        assert p == want and hash(p) == hash(want)
+        assert _int_form(p) == int_form(want) and integer_coefficients(p) == primitive_coefficients(want)
+
+
+class TestPickling:
+    @given(polys)
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_keeps_no_derived_form(self, p):
+        plain = pickle.dumps(p)
+        _int_form(p), integer_coefficients(p), p.eval_float(0.5)
+        # a polynomial pickles as its coefficients alone, whatever forms it has kept
+        assert pickle.dumps(p) == plain
+        for q in (pickle.loads(plain), copy.deepcopy(p), copy.copy(p)):
+            assert type(q) is RatPoly and q == p and hash(q) == hash(p)
+            assert _int_form(q) == int_form(p) and q.eval_float(0.5) == float_horner(p, 0.5)
