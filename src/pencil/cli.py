@@ -489,7 +489,7 @@ def _suite_reconstruction(lmax: int) -> list[tuple[str, bool]]:
         for family in (1, 2):
             rep = pencils.reconstruct_xy(pencils.quadratic_eigenfunction(l, family))
             checks.append((f"quadratic l={l} family={family}: Laplacian not zero", rep.laplacian_zero))
-    for family, l, _ in pencils.quartic_spectrum(min(lmax, 15)):
+    for family, l, _ in pencils.quartic_spectrum(lmax):
         rep = pencils.reconstruct_xy(pencils.quartic_eigenfunction(l, family))
         ok = rep.bilaplacian_zero and (family in (1, 2) or not rep.laplacian_zero)
         checks.append((f"quartic l={l} family={family}: reconstruction check failed", ok))

@@ -68,7 +68,12 @@ class NoProfileFoundError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProfileSolution:
-    """A numerically resolved profile with its zeros and far-field constant."""
+    """A numerically resolved profile with its zeros and far-field constant.
+
+    `asymptotic_constant` is c in f ~ c/z for a stationary decay profile,
+    f(z_end) for a plateau one, and for a self-similar one g'(0), the 1/xi
+    coefficient of its far field f = g(0) + g'(0)/xi + ... in t = 1/xi.
+    """
 
     kind: str
     p: float
@@ -201,13 +206,17 @@ def solve_stationary(
     class first changes, then bisected: f(theta_end) > 1 for a plateau, one
     lookup of W; f > 0 on all of (0, pi/2] for decay, which holds exactly when
     the phase omega pi/2 lies below the first zero of W after 0 (monotone in s,
-    as the first zero moves inward when s grows).  A plateau bracket is bisected
-    to float resolution, and a shot with |f(z_end) - 1| >= PLATEAU_TOL raises
-    NoProfileFoundError before the grid is built.  A decay profile is taken on
-    the positive side and its constant c in f ~ c/z is -f_theta(pi/2).  The
-    zeros are the zero phases of W below omega theta_end, whose count grows
-    like omega: past MAX_STEPS of them they stop, with `truncated` set.  The
-    output grid is uniform in z over [0, z_end], with f_z = f_theta / (1 + z^2).
+    as the first zero moves inward when s grows).  Every bracket is bisected
+    until its midpoint is one of its ends.  A plateau shot with
+    |f(z_end) - 1| >= PLATEAU_TOL raises NoProfileFoundError before the grid is
+    built, and its constant is f(z_end).  The decay test is closed-form in s,
+    so a decay shot is the last float on the positive side, whatever `tol`, and
+    its constant c in f ~ c/z is |f_theta(pi/2)| = a omega sqrt(2/(p+1)), from
+    the energy at a zero of W.  `tol` is the orbit's integration tolerance
+    alone.  The zeros are the zero phases of W below omega theta_end, whose
+    count grows like omega: past MAX_STEPS of them they stop, with `truncated`
+    set.  The output grid is uniform in z over [0, z_end], with
+    f_z = f_theta / (1 + z^2).
     """
     _check_exponent_and_tol(p, tol)
     if symmetry not in ("symmetric", "antisymmetric"):
@@ -238,28 +247,27 @@ def solve_stationary(
         return a * orbit(omega * theta_end)[0] > 1
 
     lo, hi, lo_above = _scan_bracket(above, s_lo, s_hi)
-    # f(z_end) = a W(omega theta_end) moves by about a omega theta_end per unit
-    # relative change of s (s^2 theta_end for symmetric p = 3), so a plateau
-    # shot bisects to float resolution: no tolerance in s holds its contract
-    # once |s| is large
-    shot_tol = max(tol, 1e-12) * max(1.0, min(lo, hi)) if decay else 0.0
-    while abs(hi - lo) > shot_tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            # float resolution: a negative bracket's tolerance is absolute, and
-            # past |s| ~ 5e5 it lies below the spacing of s
-            break
+    # every shot bisects to float resolution: f(z_end) = a W(omega theta_end)
+    # moves by about a omega theta_end per unit relative change of s (s^2
+    # theta_end for symmetric p = 3), so no tolerance in s holds a plateau
+    # once |s| is large, and the decay class is a closed-form test of s
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         lo, hi = (mid, hi) if above(mid) == lo_above else (lo, mid)
 
-    shot = lo if decay else 0.5 * (lo + hi)
+    shot = lo if decay else mid
     a, omega = scaling(shot)
-    w_end, dw_end = orbit(omega * theta_end)
-    if not decay and not abs(a * w_end - 1) < PLATEAU_TOL:
-        # checked before the grid and the zeros, whose count grows like omega
-        raise NoProfileFoundError(
-            f"no float shot in [{s_lo:g}, {s_hi:g}] meets the plateau: the nearest, s={shot!r},"
-            f" gives f(z_end)={a * w_end!r}, not within {PLATEAU_TOL:g} of 1"
-        )
+    if decay:
+        # f_theta(pi/2) is a omega W' at a zero of W, where the unit orbit's
+        # energy 1/(p+1) is all kinetic
+        constant = a * omega * math.sqrt(2 / (p + 1))
+    else:
+        constant = a * orbit(omega * theta_end)[0]
+        if not abs(constant - 1) < PLATEAU_TOL:
+            # checked before the grid and the zeros, whose count grows like omega
+            raise NoProfileFoundError(
+                f"no float shot in [{s_lo:g}, {s_hi:g}] meets the plateau: the nearest, s={shot!r},"
+                f" gives f(z_end)={constant!r}, not within {PLATEAU_TOL:g} of 1"
+            )
     grid = tuple(z_end * i / (N_OUTPUT - 1) for i in range(N_OUTPUT))
     states = orbit.states(omega * math.atan(z) for z in grid)
     n_zeros = max(0, math.ceil((omega * theta_end - first) / (2 * k)))
@@ -274,7 +282,7 @@ def solve_stationary(
         derivative_values=tuple(a * omega * dw / (1 + z * z) for z, (_, dw) in zip(grid, states)),
         shot_parameter=shot,
         zeros=tuple(math.tan((first + 2 * k * j) / omega) for j in range(min(n_zeros, MAX_STEPS))),
-        asymptotic_constant=-a * omega * dw_end if decay else a * w_end,
+        asymptotic_constant=constant,
         truncated=truncated,
     )
 
@@ -370,7 +378,10 @@ def solve_selfsimilar(
     t0 + (2 j K - phi0) / omega, j >= 1, in closed form, and the grid is the
     quarter's nodes reflected onto every quarter out to t = 1/xi_min.  Past
     MAX_STEPS grid rows the grid and the zeros stop, with `truncated` set;
-    `selfsimilar_zeros` counts the zeros without the rows.
+    `selfsimilar_zeros` counts the zeros without the rows.  The orbit continued
+    to t = 0 gives the far field f = g(0) + g'(0)/xi + ..., and the constant is
+    g'(0) = a omega V'(phi0 - omega t0).  `tol` is the unit orbit's integration
+    tolerance.
     """
     o = _selfsimilar_orbit(p, amplitude, xi_far, xi_min, tol)
     if o is None:
@@ -438,9 +449,6 @@ def solve_selfsimilar(
     grid.reverse()
     values.reverse()
     derivatives.reverse()
-    # the grid ascends, so the rows with xi >= xi_far / 2 are a suffix
-    far = bisect_left(grid, xi_far / 2)
-    tail = [x * f for x, f in zip(grid[far:], values[far:])]
     return ProfileSolution(
         kind=SELFSIMILAR,
         p=p,
@@ -451,7 +459,7 @@ def solve_selfsimilar(
         derivative_values=tuple(derivatives),
         shot_parameter=amplitude,
         zeros=_zeros(o, t_last, None)[1],
-        asymptotic_constant=sum(tail) / len(tail),
+        asymptotic_constant=a * omega * orbit(phi0 - omega * t0)[1],
         truncated=truncated,
     )
 

@@ -1,5 +1,6 @@
 """Command-line surface: schemas, determinism, exit codes, file emission."""
 
+import dataclasses
 import itertools
 import json
 import os
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from pencil import cli, semilinear
+from pencil import cli, pencils, semilinear
 from pencil.cli import main
 from pencil.pencils import Eigenpair, pencil_residual
 from pencil.polyring import RatPoly
@@ -295,6 +296,38 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "admissibility-examples")
         assert code == 0
         assert "failed=0" in out
+
+    def test_reconstruction_counts_every_family_to_lmax(self, capsys):
+        # 2 quadratic checks per l, and the 4 quartic families over l = 0..lmax
+        # less the l = 0 eigenfunctions the spectrum does not have: 6 lmax + 3
+        code, out, _ = run_cli(capsys, "verify", "--suite", "reconstruction", "--lmax", "20", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["failed"] == 0
+        (suite,) = payload["suites"]
+        assert (suite["suite"], suite["passed"], suite["failed"]) == ("reconstruction", 123, 0)
+
+    def test_a_failed_check_is_reported_and_exits_1(self, capsys, monkeypatch):
+        reconstruct = pencils.reconstruct_xy
+
+        def broken(pair):
+            rep = reconstruct(pair)
+            if (pair.order, pair.l, pair.family) == ("quadratic", 3, 2):
+                return dataclasses.replace(rep, laplacian_zero=False)
+            return rep
+
+        monkeypatch.setattr(pencils, "reconstruct_xy", broken)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "reconstruction", "--lmax", "4")
+        assert code == 1
+        assert "suite=reconstruction passed=26 failed=1" in out.splitlines()
+        assert [line for line in out.splitlines() if line.startswith("  FAIL")] == [
+            "  FAIL quadratic l=3 family=2: Laplacian not zero"
+        ]
+        code, out, _ = run_cli(capsys, "verify", "--suite", "reconstruction", "--lmax", "4", "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["failed"] == 1
+        assert payload["suites"][0]["details"] == ["quadratic l=3 family=2: Laplacian not zero"]
 
     def test_parallel_agrees_with_serial(self, capsys):
         argv = ("verify", "--suite", "residuals", "--lmax", "6", "--json")

@@ -329,6 +329,8 @@ class TestStationary:
     @pytest.mark.parametrize(
         "p, symmetry, expected",
         [
+            (1.5, "symmetric", 1.2037713709),
+            (1.5, "antisymmetric", 36.0890113429),
             (2.0, "symmetric", 1.1952543850),
             (2.0, "antisymmetric", 8.5356161403),
             (3.0, "symmetric", 1.1803405990),
@@ -336,6 +338,8 @@ class TestStationary:
             # one scan step passes several sign changes of f(pi/2) here
             (7.0, "symmetric", 1.1399969415),
             (7.0, "antisymmetric", 2.1279336219),
+            (50.0, "symmetric", 1.0499556394),
+            (50.0, "antisymmetric", 1.4122321134),
         ],
     )
     def test_decay_shot_closed_form(self, p, symmetry, expected):
@@ -351,10 +355,21 @@ class TestStationary:
             shot = math.sqrt(2 / (p + 1)) * a ** ((p + 1) / 2)
         assert shot == pytest.approx(expected, rel=1e-9)
         sol = solve_stationary(p, symmetry, "decay_inverse")
-        assert sol.shot_parameter == pytest.approx(shot, rel=1e-8)
+        # the shot is bisected to the last float of its closed-form class
+        assert sol.shot_parameter == pytest.approx(shot, rel=1e-14)
         # f ~ c/z with c = |f_theta(pi/2)| = sqrt(2E), E = a^(p+1)/(p+1)
         c = math.sqrt(2 / (p + 1)) * a ** ((p + 1) / 2)
-        assert sol.asymptotic_constant == pytest.approx(c, rel=1e-8)
+        assert sol.asymptotic_constant == pytest.approx(c, rel=1e-14)
+        assert len(sol.zeros) == (symmetry == "antisymmetric")
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 7.0])
+    @pytest.mark.parametrize("symmetry", ["symmetric", "antisymmetric"])
+    def test_decay_shot_does_not_depend_on_tol(self, p, symmetry):
+        # the decay class is a closed-form test of the shot: the orbit's
+        # integration tolerance moves no bisection step
+        loose, tight = (solve_stationary(p, symmetry, "decay_inverse", tol=tol) for tol in (1e-6, 1e-12))
+        assert loose.shot_parameter == tight.shot_parameter
+        assert loose.asymptotic_constant == tight.asymptotic_constant
 
     def test_z_end_validation(self):
         with pytest.raises(ValueError):
@@ -427,9 +442,9 @@ class TestStationary:
         "symmetry, s_range", [("symmetric", (-1e6, -1e5)), ("antisymmetric", (-1e8, -1e7))]
     )
     def test_far_negative_bracket_ends(self, symmetry, s_range):
-        # on a negative bracket the shot tolerance is 1e-10 absolute, below the
-        # float spacing of these shots: the bisection stops at float resolution
-        # instead of halving a bracket that no longer shrinks
+        # the float spacing of these shots is far above 1e-10: the bisection
+        # stops when the bracket's midpoint is one of its ends, instead of
+        # halving a bracket that no longer shrinks
         sol = solve_stationary(3.0, symmetry, "plateau_one", s_range=s_range)
         assert s_range[0] < sol.shot_parameter < s_range[1]
         assert abs(sol.values[-1] - 1.0) < 1e-3
@@ -559,6 +574,25 @@ def _beta_phase_zeros(p: float, amplitude: float, xi_far: float, xi_min: float, 
         return [float(1 / (t_zero + j * half)) for j in range(count, last, -1)]
 
 
+def _far_field_slope(p: float, amplitude: float, xi_far: float) -> float:
+    """g'(0) of the self-similar profile in t = 1/xi, by scipy DOP853 on the
+    oscillator from its start (A t0, A) at t0 = 1/xi_far back to t = 0.
+
+    It integrates h = g / A, h'' = -|A|^(p-1) |h|^(p-1) h from (t0, 1), so a
+    subnormal A keeps h of order one."""
+    t0, weight = 1 / xi_far, abs(amplitude) ** (p - 1)
+    ref = solve_ivp(
+        lambda t, y: [y[1], -weight * math.copysign(abs(y[0]) ** p, y[0])],
+        (t0, 0.0),
+        [t0, 1.0],
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-15,
+    )
+    assert ref.success
+    return amplitude * float(ref.y[1, -1])
+
+
 class TestSelfSimilar:
     def test_oscillation_and_zero_count(self, oscillatory):
         sol = oscillatory
@@ -664,17 +698,30 @@ class TestSelfSimilar:
         st.floats(1e-2, 9.0),
         st.integers(0, 40),
     )
+    # g(0) = -0.186 here: xi f tends to no constant near xi_far
+    @example(3.0, 1.0, 1.0, 1e-2, 3)
     def test_zeros_alone_are_the_solve_zeros(self, p, amplitude, xi_far, xi_min, first):
         # bit for bit, without a grid row; the grid ascends, and the far-field
-        # constant is the mean of xi f over every row with xi >= xi_far / 2.
+        # constant is g'(0) of scipy's orbit in t = 1/xi.
         # with omega below 7 and t = 1/xi below 100, the grid keeps below 10^5 rows
         sol = solve_selfsimilar(p, amplitude, xi_far=xi_far, xi_min=xi_min)
         assert not sol.truncated
         count, zeros = selfsimilar_zeros(p, amplitude, first, xi_far=xi_far, xi_min=xi_min)
         assert count == len(sol.zeros) and zeros == sol.zeros[:first]
         assert all(a <= b for a, b in zip(sol.grid, sol.grid[1:]))
-        tail = [x * f for x, f in zip(sol.grid, sol.values) if x >= xi_far / 2]
-        assert sol.asymptotic_constant == sum(tail) / len(tail)
+        assert sol.asymptotic_constant == pytest.approx(_far_field_slope(p, amplitude, xi_far), rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "p, amplitude, xi_far",
+        [(3.0, 1.0, 1.0), (3.0, 1.0, 10.0), (3.0, 1.0, 100.0), (2.0, -0.7, 5.0), (5.0, 2.0, 2.0)],
+    )
+    def test_far_field_constant_is_the_orbit_slope_at_infinity(self, p, amplitude, xi_far):
+        # f = g(0) + g'(0)/xi + ... as xi -> infinity; at xi_far = 1 the orbit
+        # has g(0) = -0.186, so no mean of xi f near xi_far is g'(0)
+        constant = solve_selfsimilar(p, amplitude, xi_far=xi_far, xi_min=1e-2).asymptotic_constant
+        assert constant == pytest.approx(_far_field_slope(p, amplitude, xi_far), rel=1e-8)
+        if (p, amplitude, xi_far) == (3.0, 1.0, 1.0):
+            assert constant == pytest.approx(1.224502522446, rel=1e-8)
 
     @pytest.mark.parametrize("xi_min, count", [(1e-5, 32_070), (1e-6, 320_700)])
     def test_zero_count_past_the_grid_budget(self, xi_min, count):
