@@ -11,8 +11,9 @@ Each eigenfunction is built from its closed form in z + i, the real or
 imaginary part of a power (z+i)^n with integer binomial coefficients, and is
 certified by its exact pencil residual.  The dense nullspace of the pencil
 matrix and the coefficient recursions are test oracles (tests/pencil_oracles.py).
-mpmath is imported only inside `sturm_liouville_check`, the one
-high-precision float computation here.
+`sturm_liouville_check` certifies the reduction of the quadratic pencil to
+a standard Sturm-Liouville problem just as exactly: the substitution leaves
+a polynomial, which must vanish at every sample point.
 
 Each eigenfunction is also certified in (x, y): u(x, y) = (-y)^n psi(x / -y)
 is homogeneous of degree n, and on the coefficient list of such a
@@ -26,6 +27,7 @@ polynomial as a dict of monomials.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -277,11 +279,12 @@ def reconstruct_xy(pair: Eigenpair) -> ReconstructionReport:
 
 @dataclass(frozen=True)
 class SLReduction:
-    """Numeric certificate for the reduction to a standard eigenproblem.
+    """Exact certificate for the reduction to a standard eigenproblem.
 
     The substitution psi = (1+z^2)^exponent phi with exponent = -(lam+1)/2
     turns the quadratic pencil into -(1+z^2)^2 phi'' = mu phi with
-    mu = (lam+1)(lam-1).
+    mu = (lam+1)(lam-1).  Each residual is that equation's left side less
+    its right at a sample point, 0.0 exactly when the equation holds there.
     """
 
     eigenvalue: int
@@ -291,40 +294,41 @@ class SLReduction:
 
 
 DEFAULT_SL_SAMPLES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4))
-# mpmath working precision of `sturm_liouville_check`, in decimal digits
-_SL_DPS = 60
 
 
 def sturm_liouville_check(pair: Eigenpair, sample_points=None) -> SLReduction:
-    """Evaluate the transformed-equation residual at rational sample points.
+    """The residual -(1+z^2)^2 phi'' - mu phi of the transformed equation at rational points.
 
-    The transform carries a half-integer power of (1+z^2), so phi'' is taken
-    numerically (high-precision central differences) rather than symbolically.
+    With w = 1 + z^2 and phi = w^g psi, g = -exponent, the product rule gives
+    -w^2 phi'' - mu phi = -w^g B for the polynomial
+
+        B = w^2 psi'' + 4g w z psi' + (4g(g-1) z^2 + 2g w + mu) psi.
+
+    B is built exactly, with 4g, 4g(g-1) and 2g taken from the exponent and
+    mu on its own, so a wrong exponent or a wrong mu leaves B nonzero.  At
+    each sample, -B(z) w^ceil(g) is an exact rational rounded once to a
+    float, times w^(g - ceil(g)), which is 1 or w^(-1/2).  A residual is 0.0
+    exactly when B(z) = 0: a nonzero one too small for a float reads as the
+    smallest subnormal of its sign.
     """
-    import mpmath as mp
-
     if pair.order != QUADRATIC:
         raise ValueError("the Sturm-Liouville reduction applies to quadratic eigenpairs")
     lam = pair.eigenvalue
     exponent = Fraction(-(lam + 1), 2)
     mu = (lam + 1) * (lam - 1)
-    samples = DEFAULT_SL_SAMPLES if sample_points is None else tuple(Fraction(z) for z in sample_points)
+    g = -exponent
+    psi, w, z = pair.poly, RatPoly([1, 0, 1]), RatPoly([0, 1])
+    b = w * w * psi.diff(2) + 4 * g * w * z * psi.diff() + (4 * g * (g - 1) * z * z + 2 * g * w + mu) * psi
+    whole = math.ceil(g)
+    samples = DEFAULT_SL_SAMPLES if sample_points is None else tuple(Fraction(x) for x in sample_points)
     residuals = []
-    with mp.workdps(_SL_DPS):
-        power = mp.mpf(-exponent.numerator) / exponent.denominator
-        poly_coeffs = [mp.mpf(c.numerator) / c.denominator for c in pair.poly.coeffs]
-
-        def phi(t):
-            acc = mp.mpf(0)
-            for c in reversed(poly_coeffs):
-                acc = acc * t + c
-            return (1 + t * t) ** power * acc
-
-        for z in samples:
-            zm = mp.mpf(z.numerator) / z.denominator
-            second = mp.diff(phi, zm, 2)
-            res = -((1 + zm * zm) ** 2) * second - mu * phi(zm)
-            residuals.append((z, float(res)))
+    for x in samples:
+        wx = 1 + x * x
+        exact = -b.eval(x) * wx**whole
+        value = float(exact) * (1.0 if g == whole else float(wx) ** -0.5)
+        if value == 0 and exact:
+            value = math.copysign(math.ulp(0.0), exact)
+        residuals.append((x, value))
     return SLReduction(eigenvalue=lam, exponent=exponent, sl_eigenvalue=mu, residuals=tuple(residuals))
 
 

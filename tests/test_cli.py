@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -61,6 +62,54 @@ class TestEig:
         with pytest.raises(SystemExit) as exc:
             main(["eig", "--order", "cubic", "--l", "1", "--family", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_coefficients_past_the_string_digit_limit_exit_1(self, capsys, as_json):
+        # at 640 digits, the smallest limit CPython allows, psi_{l,1} first has
+        # a coefficient of 641 digits at l = 2132
+        argv = ["eig", "--order", "quadratic", "--family", "1", "--l"]
+        flags = ["--json"] if as_json else []
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            code, out, _ = run_cli(capsys, *argv, "2131", *flags)
+            assert code == 0 and out
+            code, out, err = run_cli(capsys, *argv, "2132", *flags)
+            assert code == 1 and out == ""
+            assert json.loads(err) == {
+                "error": "ValueError",
+                "message": "--l 2132 gives coefficients of more than 640 digits, "
+                "the limit of sys.get_int_max_str_digits()",
+            }
+            sys.set_int_max_str_digits(0)
+            code, out, _ = run_cli(capsys, *argv, "2132", *flags)
+            assert code == 0 and out
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("order, lmax, count", [("quadratic", 500000, 1000001), ("quartic", 250000, 1000003)])
+    def test_entry_bound_exit_1(self, capsys, monkeypatch, order, lmax, count):
+        def spectrum(l_max):
+            raise AssertionError("the spectrum was built")
+
+        monkeypatch.setattr(pencils, f"{order}_spectrum", spectrum)
+        code, out, err = run_cli(capsys, "spectrum", "--order", order, "--lmax", str(lmax))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": f"the {order} spectrum to --lmax {lmax} has {count} points, more than the bound of 1000000",
+        }
+
+    @pytest.mark.parametrize("order, lmax", [("quadratic", 5), ("quartic", 2)])
+    def test_entry_count_is_the_bound(self, capsys, monkeypatch, order, lmax):
+        # 11 entries either way: 2 lmax + 1 quadratic, 4 lmax + 3 quartic
+        monkeypatch.setattr(cli, "MAX_POINTS", 11)
+        code, out, _ = run_cli(capsys, "spectrum", "--order", order, "--lmax", str(lmax), "--json")
+        assert code == 0 and len(json.loads(out)["entries"]) == 11
+        code, _, err = run_cli(capsys, "spectrum", "--order", order, "--lmax", str(lmax + 1))
+        assert code == 1 and "more than the bound of 11" in json.loads(err)["message"]
 
 
 class TestCracks:
@@ -328,6 +377,28 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["failed"] == 1
         assert payload["suites"][0]["details"] == ["quadratic l=3 family=2: Laplacian not zero"]
+
+    def test_a_nonzero_sturm_liouville_residual_fails_and_exits_1(self, capsys, monkeypatch):
+        check = pencils.sturm_liouville_check
+
+        def broken(pair):
+            red = check(pair)
+            if (pair.l, pair.family) == (3, 2):
+                return dataclasses.replace(red, residuals=(*red.residuals[:-1], (Fraction(4), math.ulp(0.0))))
+            return red
+
+        monkeypatch.setattr(pencils, "sturm_liouville_check", broken)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "sturm-liouville", "--lmax", "4")
+        assert code == 1
+        assert "suite=sturm-liouville passed=7 failed=1" in out.splitlines()
+        assert [line for line in out.splitlines() if line.startswith("  FAIL")] == [
+            "  FAIL l=3 family=2: residual 4.941e-324 is not 0"
+        ]
+        code, out, _ = run_cli(capsys, "verify", "--suite", "sturm-liouville", "--lmax", "4", "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["failed"] == 1
+        assert payload["suites"][0]["details"] == ["l=3 family=2: residual 4.941e-324 is not 0"]
 
     def test_parallel_agrees_with_serial(self, capsys):
         argv = ("verify", "--suite", "residuals", "--lmax", "6", "--json")

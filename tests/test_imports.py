@@ -1,12 +1,12 @@
-"""numpy and mpmath load only in the functions that use them.
+"""numpy loads only in the functions that use it, and mpmath never.
 
 Each case runs in a fresh interpreter, since this test process has imported
 both long before.  No CLI command loads numpy: every slope the CLI reads is
 exact, and root seeds are plain float loops, so numpy is left to the float
 SVD of `_verdict_at` and the least-squares fits of `pencil.expansion`,
-which only the library API reaches.  mpmath loads only for the
-`sturm-liouville` verify suite.  The API paths must still run when the
-import happens inside the call.
+which only the library API reaches.  The API paths must still run when the
+import happens inside the call.  The package does not import mpmath at all:
+the `sturm-liouville` verify suite, once its one caller, is exact.
 """
 
 import json
@@ -65,9 +65,8 @@ def test_exact_commands_load_neither(argv):
     assert _fresh(argv) == {"code": 0, "loaded": []}
 
 
-def test_verify_all_loads_no_numpy():
-    # the sturm-liouville suite is mpmath's one caller
-    assert _fresh(["verify", "--all"]) == {"code": 0, "loaded": ["mpmath"]}
+def test_verify_all_loads_neither():
+    assert _fresh(["verify", "--all"]) == {"code": 0, "loaded": []}
 
 
 _API = (
@@ -89,5 +88,5 @@ def test_api_float_paths_import_numpy_on_call():
     assert json.loads(out.stdout) == {"before": False, "after_svd": True, "verdicts": 2, "slope": 2}
 
 
-def test_sturm_liouville_imports_mpmath_on_call():
-    assert _fresh(["verify", "--suite", "sturm-liouville"]) == {"code": 0, "loaded": ["mpmath"]}
+def test_sturm_liouville_suite_loads_neither():
+    assert _fresh(["verify", "--suite", "sturm-liouville"]) == {"code": 0, "loaded": []}

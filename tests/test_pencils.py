@@ -7,12 +7,14 @@ import pickle
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pencil.linalg import rational_kernel, rational_rref
 from pencil.pencils import (
+    DEFAULT_SL_SAMPLES,
     Eigenpair,
     ReconstructionReport,
     _banded_laplacian,
@@ -383,17 +385,66 @@ class TestReconstruction:
         assert reconstruct_xy(pair) == reconstruct_xy_by_monomials(pair)
 
 
+def _sl_oracle(pair: Eigenpair, z: Fraction) -> float:
+    """-(1+z^2)^2 phi'' - mu phi for phi = (1+z^2)^((lam+1)/2) psi, by 50-digit numerical differentiation."""
+    lam = pair.eigenvalue
+    with mpmath.workdps(50):
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in pair.poly.coeffs]
+
+        def phi(t):
+            return (1 + t * t) ** (mpmath.mpf(lam + 1) / 2) * mpmath.polyval(coeffs[::-1], t)
+
+        t = mpmath.mpf(z.numerator) / z.denominator
+        return float(-((1 + t * t) ** 2) * mpmath.diff(phi, t, 2) - (lam + 1) * (lam - 1) * phi(t))
+
+
 class TestSturmLiouville:
     def test_identity_case(self):
         red = sturm_liouville_check(quadratic_eigenfunction(1, 1))
         assert red.sl_eigenvalue == 0
         assert red.exponent == 0
-        assert all(abs(r) < 1e-30 for _, r in red.residuals)
+        assert all(r == 0 for _, r in red.residuals)
 
     def test_l2_case(self):
         red = sturm_liouville_check(quadratic_eigenfunction(2, 1))
         assert red.sl_eigenvalue == 3
-        assert all(abs(r) < 1e-10 for _, r in red.residuals)
+        assert all(r == 0 for _, r in red.residuals)
+
+    def test_every_eigenpair_has_residual_exactly_zero(self):
+        # numerical differentiation missed 1e-10 from l = 315 on
+        pairs = [(l, family) for l in range(1, 51) for family in (1, 2)] + [(315, 1), (600, 1)]
+        for l, family in pairs:
+            red = sturm_liouville_check(quadratic_eigenfunction(l, family))
+            assert [z for z, _ in red.residuals] == list(DEFAULT_SL_SAMPLES)
+            assert all(r == 0 and math.copysign(1.0, r) == 1.0 for _, r in red.residuals), (l, family)
+
+    @pytest.mark.parametrize("l", [5, 300, 1000])
+    def test_a_wrong_eigenvalue_or_polynomial_leaves_a_residual(self, l):
+        pair = quadratic_eigenfunction(l, 1)
+        wrong = dataclasses.replace(pair, eigenvalue=-(l + 1))
+        perturbed = dataclasses.replace(pair, poly=pair.poly + RatPoly([0, Fraction(1, 10**9)]))
+        for bad in (wrong, perturbed):
+            residuals = [r for _, r in sturm_liouville_check(bad).residuals]
+            assert all(math.isfinite(r) for r in residuals) and any(residuals), (bad.eigenvalue, residuals)
+
+    @pytest.mark.parametrize(
+        "l, family, eigenvalue, shift",
+        [(5, 1, -6, 0), (4, 2, -4, 0), (5, 1, -5, Fraction(1, 10**9)), (6, 2, -7, Fraction(-3, 7))],
+        ids=["g=-5/2 wrong lambda", "g=-3/2 wrong lambda", "g=-2 perturbed", "g=-3 perturbed"],
+    )
+    def test_residuals_match_numerical_differentiation(self, l, family, eigenvalue, shift):
+        pair = quadratic_eigenfunction(l, family)
+        bad = dataclasses.replace(pair, eigenvalue=eigenvalue, poly=pair.poly + RatPoly([0, shift]))
+        red = sturm_liouville_check(bad)
+        assert any(r for _, r in red.residuals)
+        for z, r in red.residuals:
+            assert r == pytest.approx(_sl_oracle(bad, z), rel=1e-12, abs=1e-30), z
+
+    def test_a_residual_below_the_float_range_is_not_zero(self):
+        # the perturbation's residual at z = 4 is about -1e-600
+        pair = quadratic_eigenfunction(1000, 1)
+        bad = dataclasses.replace(pair, poly=pair.poly + RatPoly([0, Fraction(1, 10**9)]))
+        assert sturm_liouville_check(bad, [4]).residuals == ((Fraction(4), -math.ulp(0.0)),)
 
     def test_mu_monotone(self):
         mus = [sturm_liouville_check(quadratic_eigenfunction(l, 1)).sl_eigenvalue for l in range(1, 9)]
