@@ -275,19 +275,31 @@ def _fuse_flag_values(argv: list[str]) -> list[str]:
 # commands
 
 
-def _cmd_eig(args) -> int:
-    if args.order == "quadratic":
-        pair = pencils.quadratic_eigenfunction(args.l, args.family)
-    else:
-        pair = pencils.quartic_eigenfunction(args.l, args.family)
+def _past_digit_limit(build, order: str, l: int, family: int) -> bool:
+    """Whether a coefficient of the eigenfunction that build(l, family) gives reaches 10^d, d = sys.get_int_max_str_digits().
+
+    The widest numerator or denominator W lies in [2^lo, 2^hi)
+    (`pencils._widest_coefficient_bits`), and 2^(3.3219 d) < 10^d < 2^(3.3220 d),
+    so l alone decides unless 10^d falls between the bounds; only then is
+    the eigenfunction built and W compared with 10^d.
+    """
     digits = sys.get_int_max_str_digits()
-    widest = max(max(abs(c.numerator), c.denominator) for c in pair.poly.coeffs)
-    # 10^digits > 2^(3 digits), so the bit length clears most eigenfunctions before 10^digits is built
-    if digits and widest.bit_length() > 3 * digits and widest >= 10**digits:
+    lo, hi = pencils._widest_coefficient_bits(order, l, family)
+    if not digits or hi <= 33219 * digits // 10**4:
+        return False
+    if lo >= -(-33220 * digits // 10**4):
+        return True
+    return max(max(abs(c.numerator), c.denominator) for c in build(l, family).poly.coeffs) >= 10**digits
+
+
+def _cmd_eig(args) -> int:
+    build = pencils.quadratic_eigenfunction if args.order == "quadratic" else pencils.quartic_eigenfunction
+    if _past_digit_limit(build, args.order, args.l, args.family):
         raise ValueError(
-            f"--l {args.l} gives coefficients of more than {digits} digits, "
+            f"--l {args.l} gives coefficients of more than {sys.get_int_max_str_digits()} digits, "
             "the limit of sys.get_int_max_str_digits()"
         )
+    pair = build(args.l, args.family)
     text = [
         f"order={pair.order} family={pair.family} l={pair.l} lambda={pair.eigenvalue}",
         f"psi(z) = {pair.poly.pretty()}",

@@ -10,27 +10,35 @@ An even or odd p = z^k q(z^2), k <= 1, q(0) != 0, is isolated on the
 positive half line (s0, B), every exact sign of p taken on q at x^2, and
 its negative roots are the mirror images -r on (-hi, -lo), with the exact
 root 0 on (-s0, s0) for k = 1.  Any other p is isolated on the whole line
-(-B, B).  B is the root bound.  Short dyadic separators cut seeds apart,
-and N gaps between separators with alternating nonzero exact signs, N an
-upper bound on the roots between the outer two, hold one simple root each
-(`_certified_gaps`).  The rungs, each taken when those before it fail:
+(-B, B).  B is the root bound.  Short dyadic separators cut seeds apart
+into gaps, one seed in each.  With N an upper bound on the roots between
+the outer two separators, N gaps that each hold a root hold one simple
+root each.  A gap holds a root when its seed's r +- h bracket has
+opposite exact signs, which also certifies the seed as the refined root,
+or failing that when its two separators do (`_certified_roots`): a seed
+that certifies costs two exact signs, and its separators none.  The
+rungs, each taken when those before it fail:
 
-1. the caller's seeds on the line, with N = deg p (deg q on the half line);
-2. Descartes runs on their gaps past a complex pair (`_descartes_gaps`);
+1. the caller's seeds on the line, with N = deg p (deg q on the half line),
+   certified gap by gap (`_certified_roots`);
+2. Descartes runs on their gaps past a complex pair (`_descartes_gaps`),
+   a run of gaps certified by alternating signs at its separators
+   (`_certified_gaps`);
 3. the seeds of p's Sturm chain (q's on the half line, `_parity_seeds`),
-   with N the chain's exact count of the roots on the line; a count of 0
-   is no root;
+   with N the chain's exact count of the roots on the line, certified as
+   in rung 1; a count of 0 is no root;
 4. Descartes bisection of the line with no cap (`_bisected`).
 
 A chain that ends at a non-constant gcd g shows a repeated root (when it is
 q's chain, p's own chain gives g): p then gets the intervals and roots of
 its square-free part p / g, climbed without seeds, and a root's
 multiplicity counts the elements of the gcd tower g_{i+1} = gcd(g_i, g_i')
-with a root in its interval (`_multiplicities`).  Every root is refined
-by a safeguarded exact Newton from its seed, or from its interval's
-midpoint after bisection (`_refine_root`).  Every point p is evaluated at
-is dyadic, num / 2^shift, held as that pair of integers, and every exact
-sign comes from a fixed-point filter with an exact fallback
+with a root in its interval (`_multiplicities`).  A root whose seed's
+bracket certifies it is that seed; every other root is refined by a
+safeguarded exact Newton from its seed, or from its interval's midpoint
+after bisection (`_refine_root`, `_newton_root`).  Every point p is
+evaluated at is dyadic, num / 2^shift, held as that pair of integers, and
+every exact sign comes from a fixed-point filter with an exact fallback
 (`_sign_kernel`); `Fraction`s are built only for the intervals of the
 result.  Root counts (`count_real_roots`) read the Sturm chain of q at 0
 and +inf for an even or odd p, and of p at -inf and +inf otherwise.
@@ -371,7 +379,9 @@ def _certified_gaps(
     that fails to alternate) returns None.  sign(num, shift) is p's exact
     sign at num / 2^shift: `_sign_kernel` of p's coefficients, or
     `_parity_sign` on its half-degree part.  The count is checked first, so
-    a wrong one costs no sign.
+    a wrong one costs no sign.  This certifies the runs of `_descartes_gaps`,
+    which have no seed per gap; seeded gaps are certified by their seeds'
+    brackets (`_certified_roots`), which give these same gaps.
     """
     if len(seps) - 1 != count:
         return None
@@ -516,7 +526,7 @@ def _chain_seeds(chain: _SturmChain) -> list[float] | None:
     repeated roots, or a remainder drops more than one degree), an identity
     overflows a float, a ratio is NaN, the counts contradict each other, or
     the evaluations exceed _CF_EVALS per degree.  The guesses carry no
-    guarantee: `_certified_gaps` certifies them, or isolation falls back to
+    guarantee: `_certified_roots` certifies them, or isolation falls back to
     Descartes bisection of the line: the whole line for p's own chain, or
     the half line (s0, bound) for q's chain (`_parity_seeds`).
     """
@@ -589,7 +599,7 @@ def _chain_seeds(chain: _SturmChain) -> list[float] | None:
 
 
 # a Newton step this short relative to max(|x|, 1) leaves an error near float
-# resolution: `_chain_seeds` takes one more step, and `_refine_root` tries the
+# resolution: `_chain_seeds` takes one more step, and `_newton_root` tries the
 # r +- h certificate of its iterate
 _FLOAT_STEP = 2.0**-26
 
@@ -671,45 +681,23 @@ def _one_float(lo: int, hi: int, shift: int) -> bool:
     return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
-def _refine_root(
-    coeffs: list[int],
-    lo: tuple[int, int],
-    hi: tuple[int, int],
-    tol: float,
-    start: float | None,
-    sign: Callable[[int, int], int],
-) -> float:
-    """Refine the one root in an open isolating interval to a float within goal/2 of it.
+def _seed_bracket(
+    lo: tuple[int, int], hi: tuple[int, int], tol: float, start: float | None, sign: Callable[[int, int], int]
+) -> tuple[float | None, tuple[int, int, int]]:
+    """The far-end cut of (lo, hi) and the r +- h certificate of start in what is left: (root or None, (a, b, shift)).
 
-    lo and hi are dyadics (num, shift), and p has nonzero exact signs at
-    both.  Every point here is an integer over one power of two 2^shift,
-    which grows when a finer point (a float iterate, a bisection midpoint)
-    needs it, and each exact sign is taken at the point in lowest terms, so
-    no `Fraction` is built.  First the end of (lo, hi) farther from 0 is cut
-    to a sixteenth, by exact signs, while the root lies within that
-    sixteenth, so that goal = tol/8 * max(|lo|, |hi|, 1) <= 2 tol max(|root|, 1)
-    however wide the isolating interval (one in [-16, 16], or not
-    containing a sixteenth of its far end, costs no sign).  goal's
-    denominator is a power of two (`_goal`).  With h = 2^k in
-    (goal/8, goal/2], exact opposite signs at r - h and r + h, both strictly
-    inside (lo, hi), certify r (a zero sign there is the root itself); a
-    start is tried by that certificate first.  Then one exact Newton runs
-    from the start, if it lies inside (lo, hi), or from the midpoint.  Each
-    iterate is correctly rounded to a float, and its exact sign narrows the
-    bracket.  A step that leaves the bracket, or is longer than half the
-    step before last (the rule of rtsafe, as in `_chain_seeds`), bisects the
-    bracket instead.  After a step shorter than _FLOAT_STEP relative to
-    max(|r|, 1) the iterate is tried by the certificate.  Newton ends on a
-    certificate, on an iterate that is not strictly inside the bracket (it
-    has stalled at float resolution) or on a bracket narrower than goal.
-    A stalled iterate sits on an end of the bracket, with the root within
-    about an ulp of it: its float neighbours, those strictly inside the
-    bracket, take exact signs that narrow it, most often to one ulp.  Then
-    the bracket is bisected exactly down to width goal, or until both
-    of its ends round to one float: the root lies between them, so that
-    float is the answer further bisection would give.  Exact signs come
-    from sign, as in `_certified_gaps`: a fixed-point filter, with the exact
-    Horner where it cannot decide (`_sign_kernel`).  Newton runs on coeffs.
+    lo and hi are dyadics (num, shift), and (a / 2^shift, b / 2^shift) is
+    what is left of (lo, hi) after the cut.  The end of (lo, hi) farther
+    from 0 is cut to a sixteenth, by exact signs, while the sixteenth and
+    the end have one sign, so that goal = tol/8 * max(|a|, |b|, 1) is at
+    most 2 tol max(|root|, 1) however wide the interval (one in [-16, 16],
+    or not containing a sixteenth of its far end, costs no sign); a zero
+    at the cut is the root.  goal's denominator is a power of two
+    (`_goal`).  With h = 2^k in (goal/8, goal/2], exact opposite signs at
+    start - h and start + h, both strictly inside (a, b), certify start,
+    and a zero sign there is the root itself.  Either way p has a root
+    strictly inside (lo, hi); None is no certificate.  Both `_refine_root`
+    and `_certified_roots` start here.
     """
     (a, s), (b, t) = lo, hi
     shift = max(s, t)
@@ -721,7 +709,7 @@ def _refine_root(
             break
         s_cut, s_far = sign(*_reduced(far, shift + 4)), sign(*_reduced(far, shift))
         if s_cut == 0:
-            return _float(far, shift + 4)
+            return _float(far, shift + 4), (a, b, shift)
         if s_cut != s_far:
             break
         at_hi = far == b
@@ -734,16 +722,71 @@ def _refine_root(
             b = far
         else:
             a = far
+    bracket = a, b, shift
+    if start is None:
+        return None, bracket
+    goal, goal_shift = _goal(a, b, shift, tol)
+    points = _certificate_points(start, goal.bit_length() - goal_shift - 3, *bracket)
+    return (None if points is None else _sign_certificate(sign, start, *points)), bracket
+
+
+def _refine_root(
+    coeffs: list[int],
+    lo: tuple[int, int],
+    hi: tuple[int, int],
+    tol: float,
+    start: float | None,
+    sign: Callable[[int, int], int],
+) -> float:
+    """Refine the one root in an open isolating interval to a float within goal/2 of it.
+
+    lo and hi are dyadics (num, shift), and p has nonzero exact signs at
+    both.  The far end is cut and a start tried by the r +- h certificate
+    first (`_seed_bracket`); without a certificate, exact Newton finishes
+    from p's sign at the lower end (`_newton_root`).
+    """
+    found, bracket = _seed_bracket(lo, hi, tol, start, sign)
+    if found is not None:
+        return found
+    a, _, shift = bracket
+    return _newton_root(coeffs, bracket, tol, start, sign, sign(*_reduced(a, shift)))
+
+
+def _newton_root(
+    coeffs: list[int],
+    bracket: tuple[int, int, int],
+    tol: float,
+    start: float | None,
+    sign: Callable[[int, int], int],
+    slo: int,
+) -> float:
+    """The one root in (a / 2^shift, b / 2^shift) as a float within goal/2 of it, for bracket (a, b, shift) and p's nonzero sign slo at a.
+
+    Every point here is an integer over one power of two 2^shift, which
+    grows when a finer point (a float iterate, a bisection midpoint) needs
+    it, and each exact sign is taken at the point in lowest terms, so no
+    `Fraction` is built.  goal and h are those of `_seed_bracket` for this
+    bracket.  One exact Newton runs from the start, if it lies inside the
+    bracket, or from the midpoint.  Each iterate is correctly rounded to a
+    float, and its exact sign narrows the bracket.  A step that leaves the
+    bracket, or is longer than half the step before last (the rule of
+    rtsafe, as in `_chain_seeds`), bisects the bracket instead.  After a
+    step shorter than _FLOAT_STEP relative to max(|r|, 1) the iterate is
+    tried by the r +- h certificate.  Newton ends on a certificate, on an
+    iterate that is not strictly inside the bracket (it has stalled at
+    float resolution) or on a bracket narrower than goal.  A stalled
+    iterate sits on an end of the bracket, with the root within about an
+    ulp of it: its float neighbours, those strictly inside the bracket,
+    take exact signs that narrow it, most often to one ulp.  Then the
+    bracket is bisected exactly down to width goal, or until both of its
+    ends round to one float: the root lies between them, so that float is
+    the answer further bisection would give.  Exact signs come from sign:
+    a fixed-point filter, with the exact Horner where it cannot decide
+    (`_sign_kernel`).  Newton runs on coeffs.
+    """
+    a, b, shift = bracket
     goal, goal_shift = _goal(a, b, shift, tol)
     k = goal.bit_length() - goal_shift - 3
-    # the certificate's points lie inside this (lo, hi)
-    inner = a, b, shift
-    points = None if start is None else _certificate_points(start, k, *inner)
-    if points is not None:
-        found = _sign_certificate(sign, start, *points)
-        if found is not None:
-            return found
-    slo = sign(*_reduced(a, shift))
     r = start
     if start is not None:
         num, s = _dyadic(start)
@@ -795,7 +838,8 @@ def _refine_root(
         if (b - a) << goal_shift <= goal << shift:
             break
         if dx <= _FLOAT_STEP * max(abs(r), 1.0):
-            points = _certificate_points(r, k, *inner)
+            # the certificate's points lie inside the bracket as it was given
+            points = _certificate_points(r, k, *bracket)
             found = None if points is None else _sign_certificate(sign, r, *points)
             if found is not None:
                 return found
@@ -815,6 +859,49 @@ def _refine_root(
     return _float(a + b, shift + 1)
 
 
+def _certified_roots(
+    coeffs: list[int],
+    seps: Sequence[tuple[int, int]],
+    starts: Sequence[float],
+    sign: Callable[[int, int], int],
+    count: int,
+    tol: float,
+) -> list[float] | None:
+    """The refined root in each gap between consecutive separators, every gap certified to hold exactly one simple root of p; or None.
+
+    starts holds one seed per gap, and count is an upper bound on the real
+    roots of p, with multiplicity, in (seps[0], seps[-1]).  A gap is
+    certified when its seed's bracket certifies a root (`_seed_bracket`), or
+    failing that when p has nonzero, opposite exact signs at its two
+    separators.  Either way it holds an odd number of roots, so at least
+    one; when there are count gaps, each holds exactly one and it is simple,
+    no root lies anywhere else, and so p is nonzero at every separator with
+    alternating signs: the gaps are those `_certified_gaps` certifies.  A
+    bracket's root is the one `_refine_root` gives; exact Newton finishes
+    the other gaps once all are certified (`_newton_root`), from the sign
+    at their lower separator.  Any other outcome (another number of gaps,
+    or a gap that neither certifies) returns None, and the count is checked
+    first, so a wrong one costs no sign.
+    """
+    if len(seps) - 1 != count:
+        return None
+    found = []
+    ends: dict[int, int] = {}
+    for i, start in enumerate(starts):
+        root, bracket = _seed_bracket(seps[i], seps[i + 1], tol, start, sign)
+        if root is None:
+            for j in (i, i + 1):
+                if j not in ends:
+                    ends[j] = sign(*seps[j])
+            if not ends[i] * ends[i + 1] < 0:
+                return None
+        found.append((root, bracket))
+    return [
+        root if root is not None else _newton_root(coeffs, bracket, tol, start, sign, ends[i])
+        for i, ((root, bracket), start) in enumerate(zip(found, starts))
+    ]
+
+
 def _parity_seeds(q: list[int], chain: _SturmChain) -> list[float] | None:
     """Float guesses of the positive real roots of p(z) = z^k q(z^2), sorted, or None.
 
@@ -828,7 +915,7 @@ def _parity_seeds(q: list[int], chain: _SturmChain) -> list[float] | None:
     brings a small w to full relative accuracy, and the positive ones give
     sqrt(w).  A nonpositive w is a pair of roots of p off the real line.
     None when q's chain seeds none.  The guesses carry no guarantee:
-    `_certified_gaps` certifies them on the positive half line against the
+    `_certified_roots` certifies them on the positive half line against the
     count.
     """
     ws = _chain_seeds(chain)
@@ -847,12 +934,16 @@ class RootSet:
 
     Each isolating interval (lo, hi) is open and holds exactly one distinct
     real root: lo < hi, and the square-free part of p has nonzero, opposite
-    exact signs at lo and hi.  Each refined root lies within
-    tol * max(|root|, 1), and within tol/16 * max(|lo|, |hi|, 1), up to the
-    rounding to a float, of that root.  For an even or odd p the negative
-    half is the exact mirror of the positive one: the interval (-hi, -lo)
-    and the root -r for each positive (lo, hi) and r, and for an odd p
-    (z^k q(z^2) with k = 1) the exact root 0.0 on (-s0, s0).  Seeded and
+    exact signs at lo and hi.  Those signs are proven, not always taken: a
+    seed gap whose seed's r +- h bracket certifies a root takes no sign at
+    its ends, since N such gaps for at most N roots leave p nonzero at
+    every separator with alternating signs (`_certified_roots`).  Each
+    refined root lies within tol * max(|root|, 1), and within
+    tol/16 * max(|lo|, |hi|, 1), up to the rounding to a float, of that
+    root.  For an even or odd p the negative half is the exact mirror of
+    the positive one: the interval (-hi, -lo) and the root -r for each
+    positive (lo, hi) and r, and for an odd p (z^k q(z^2) with k = 1) the
+    exact root 0.0 on (-s0, s0).  Seeded and
     unseeded isolation of one polynomial give the same counts and
     multiplicities and roots within that bound, but not always the same
     intervals: each rung of the ladder (see the module docstring) gives its
@@ -1007,24 +1098,32 @@ def _half_separators(k: int, seeds: list[float], bound: tuple[int, int]) -> list
 def _ladder(line: _Line, seeds: list[float] | None, tol: float) -> _Roots | list[int]:
     """p's real roots from the rungs of the module docstring, in order, on line; or the last element of a chain that ends at a non-constant gcd."""
 
-    def finish(s0, gaps, starts):
-        """p's real roots from gaps that each isolate one simple root on the line above s0, refined from their starts."""
-        roots = [_refine_root(line.coeffs, lo, hi, tol, s, line.sign) for (lo, hi), s in zip(gaps, starts)]
+    def finish(s0, gaps, roots):
+        """p's real roots from gaps that each isolate one simple root on the line above s0, and their refined roots."""
         intervals, roots = line.finish(s0, _intervals(gaps), roots)
         return intervals, roots, [1] * len(roots)
+
+    def seeded(seps, seeds, count):
+        """p's real roots if seeds, separated by seps, certify count gaps (`_certified_roots`), else None."""
+        roots = _certified_roots(line.coeffs, seps, seeds, line.sign, count, tol)
+        return None if roots is None else finish(seps[0], list(zip(seps, seps[1:])), roots)
+
+    def refined(s0, gaps, starts):
+        """p's real roots from gaps that each isolate one simple root on the line above s0, refined from their starts."""
+        return finish(s0, gaps, [_refine_root(line.coeffs, lo, hi, tol, s, line.sign) for (lo, hi), s in zip(gaps, starts)])
 
     n = len(line.chained) - 1
     if seeds is not None:
         seeds = line.kept(seeds)
         seps = line.separators(seeds)
         if seps is not None:
-            gaps = _certified_gaps(seps, line.sign, n)
-            if gaps is not None:
-                return finish(seps[0], gaps, seeds)
+            found = seeded(seps, seeds, n)
+            if found is not None:
+                return found
             if len(seeds) < n and line.descartes(n - len(seeds), seps[0]):
                 found = _descartes_gaps(line.coeffs, seps, line.sign, False)
                 if found is not None:
-                    return finish(seps[0], [(lo, hi) for _, lo, hi in found], [seeds[i] for i, _, _ in found])
+                    return refined(seps[0], [(lo, hi) for _, lo, hi in found], [seeds[i] for i, _, _ in found])
     # a constant q, of p = c z, has neither roots nor a chain
     count = 0
     if n:
@@ -1036,11 +1135,11 @@ def _ladder(line: _Line, seeds: list[float] | None, tol: float) -> _Roots | list
         return finish(line.bound, [], [])
     seeds = line.chain_seeds(chain)
     seps = None if seeds is None else line.separators(seeds)
-    gaps = None if seps is None else _certified_gaps(seps, line.sign, count)
-    if gaps is not None:
-        return finish(seps[0], gaps, seeds)
+    found = None if seps is None else seeded(seps, seeds, count)
+    if found is not None:
+        return found
     gaps = _bisected(line.coeffs, line.start, line.bound, line.sign)
-    return finish(line.start, gaps, [None] * len(gaps))
+    return refined(line.start, gaps, [None] * len(gaps))
 
 
 def _mirror(k: int, s0: tuple[int, int], positive: list, roots: list[float]) -> tuple[list, list[float]]:

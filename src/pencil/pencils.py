@@ -199,6 +199,34 @@ def quartic_eigenfunction(l: int, family: int) -> Eigenpair:
     return Eigenpair(QUARTIC, family, l, lam, poly)
 
 
+def _widest_coefficient_bits(order: str, l: int, family: int) -> tuple[int, int]:
+    """(lo, hi) with 2^lo <= W < 2^hi, W the widest numerator or denominator of the eigenfunction's coefficients, from l alone.
+
+    The order, l and family are checked as the eigenfunction builders check
+    them.  A reduced coefficient c = num / den has |num| >= |c|, so W is at
+    least the largest |c|, and that is at least the mean of the |c| over
+    the terms present; each closed form gives the sum of those |c| exactly:
+    - Re (z+i)^l (family 1 of either pencil): C(l, j) for even j, which sum
+      to 2^(l-1) over l // 2 + 1 terms, and each C(l, j) < 2^l;
+    - Im (z+i)^n / n, n = l + 1 (family 2, and quartic families 2 and 3): C(n, j) / n
+      for odd j, which sum to 2^(n-1) / n over (n + 1) // 2 terms, and each
+      numerator and denominator is below 2^n;
+    - quartic family 4, n = l + 3: 3 (j-1) C(n, j) / (n (n-1) (n-2)) for odd
+      j >= 3, as n C(n-1, j-1) = j C(n, j), where the (j-1) C(n, j) sum to
+      (n-2) 2^(n-2) over (n - 1) // 2 terms, and each numerator is below
+      3 (n-1) 2^n, which also exceeds n (n-1) (n-2).
+    A mean above 2^e / m is above 2^(e - bitlen m).
+    """
+    _check_family_l(order, l, family)
+    if family == 1:
+        return l - 1 - (l // 2 + 1).bit_length(), l
+    if family < 4:
+        n = l + 1
+        return n - 1 - ((n + 1) // 2 * n).bit_length(), n
+    n = l + 3
+    return n - 2 - ((n - 1) // 2 * n * (n - 1)).bit_length(), n + (3 * (n - 1)).bit_length()
+
+
 def pencil_residual(pair: Eigenpair) -> RatPoly:
     """Apply the pencil at the pair's eigenvalue to its eigenfunction, exactly.
 
@@ -309,7 +337,8 @@ def sturm_liouville_check(pair: Eigenpair, sample_points=None) -> SLReduction:
     each sample, -B(z) w^ceil(g) is an exact rational rounded once to a
     float, times w^(g - ceil(g)), which is 1 or w^(-1/2).  A residual is 0.0
     exactly when B(z) = 0: a nonzero one too small for a float reads as the
-    smallest subnormal of its sign.
+    smallest subnormal of its sign, and one whose -B(z) w^ceil(g) is past the
+    float range (a large positive g) as the infinity of its sign.
     """
     if pair.order != QUADRATIC:
         raise ValueError("the Sturm-Liouville reduction applies to quadratic eigenpairs")
@@ -325,7 +354,11 @@ def sturm_liouville_check(pair: Eigenpair, sample_points=None) -> SLReduction:
     for x in samples:
         wx = 1 + x * x
         exact = -b.eval(x) * wx**whole
-        value = float(exact) * (1.0 if g == whole else float(wx) ** -0.5)
+        try:
+            value = float(exact)
+        except OverflowError:
+            value = math.inf if exact > 0 else -math.inf
+        value *= 1.0 if g == whole else float(wx) ** -0.5
         if value == 0 and exact:
             value = math.copysign(math.ulp(0.0), exact)
         residuals.append((x, value))

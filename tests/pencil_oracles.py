@@ -2,10 +2,13 @@
 
 The program builds every eigenfunction from its closed form in z + i.  These
 constructions share none of that code: the exact dense nullspace of the
-pencil matrix, the two-term quadratic coefficient recursion and the
-reference four-term quartic relation.  `phase_seeds` is the numpy array
-form of the phase-form root seeds, which `pencil.nodal._phase_seeds`
-computes in plain float loops with the same operations in the same order.
+pencil matrix, the two-term quadratic coefficient recursion, the quartic
+relation `quartic_relation` derived by applying the written-out quartic
+operator to monomials over the integers, and the transcribed reference
+four-term quartic relation, whose mismatches are only logged.
+`phase_seeds` is the numpy array form of the phase-form root seeds, which
+`pencil.nodal._phase_seeds` computes in plain float loops with the same
+operations in the same order.
 `variations_at` counts a Sturm chain's sign variations with one Horner sum
 in a and b per element at the point a/b, where
 `pencil.nodal._variations_at` takes each element's sign from its sign
@@ -239,6 +242,52 @@ def _reference_quartic_relation(k: int, lam: int) -> tuple[int, int, int]:
         + 24 * k
     )
     return ((k + 4) * (k + 3) * (k + 2) * (k + 1), (k + 2) * (k + 1) * n2, n0)
+
+
+def _quartic_operator(lam: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The quartic pencil at lam, written out as (coefficients of a polynomial in z, lowest first; derivative order) terms:
+
+    (1+z^2)^2 D^4 + c3 (z + z^3) D^3 + c2 (1 + 3 z^2) D^2 + c1 z D + c0.
+    """
+    c3 = 4 * lam + 12
+    c2 = 2 * lam * (lam + 5) + 12
+    c1 = 4 * lam * (lam**2 + 6 * lam + 11) + 24
+    c0 = lam * (lam + 1) * (lam + 2) * (lam + 3)
+    return (((1, 0, 2, 0, 1), 4), ((0, c3, 0, c3), 3), ((c2, 0, 3 * c2), 2), ((0, c1), 1), ((c0,), 0))
+
+
+def _on_monomial(terms, j: int) -> dict[int, int]:
+    """The operator applied to z^j over the integers: {degree: coefficient}, D^d z^j = j (j-1) ... (j-d+1) z^(j-d)."""
+    out: dict[int, int] = {}
+    for coeffs, order in terms:
+        falling = math.prod(range(j - order + 1, j + 1))
+        for i, c in enumerate(coeffs):
+            if c and falling:
+                out[i + j - order] = out.get(i + j - order, 0) + c * falling
+    return out
+
+
+def quartic_relation(k: int, lam: int) -> tuple[int, int, int]:
+    """(A4, A2, A0) of A4 b_{k+4} + A2 b_{k+2} + A0 b_k = 0, derived by applying the quartic operator to monomials.
+
+    Every term of the operator lowers the degree by 4, 2 or 0, so only
+    z^(k+4), z^(k+2) and z^k reach z^k: the coefficient of z^k in the
+    operator applied to sum_j b_j z^j is that sum, which vanishes for an
+    eigenfunction.
+    """
+    terms = _quartic_operator(lam)
+    return tuple(_on_monomial(terms, k + d).get(k, 0) for d in (4, 2, 0))
+
+
+def quartic_relation_residuals(l: int, family: int) -> list[Fraction]:
+    """A4 b_{k+4} + A2 b_{k+2} + A0 b_k (`quartic_relation`) on the program's eigenfunction, for k = l mod 2, ..., l - 2, l."""
+    pair = quartic_eigenfunction(l, family)
+    b = [pair.poly.coefficient(j) for j in range(l + 5)]
+    out = []
+    for k in range(l % 2, l + 1, 2):
+        a4, a2, a0 = quartic_relation(k, pair.eigenvalue)
+        out.append(a4 * b[k + 4] + a2 * b[k + 2] + a0 * b[k])
+    return out
 
 
 def quartic_recursion_report(l: int, family: int) -> list[dict]:

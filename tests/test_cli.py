@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -86,6 +87,46 @@ class TestEig:
             assert code == 0 and out
         finally:
             sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("order, family", [("quadratic", 1), ("quadratic", 2), ("quartic", 3), ("quartic", 4)])
+    def test_refuses_from_l_before_it_builds(self, capsys, monkeypatch, order, family):
+        # at 4,300 digits, CPython's default limit, every coefficient bound of
+        # l = 40,000 is past 10^4300: the eigenfunction, of 12,000-digit
+        # coefficients, is never built (that takes about 0.8 s and 170 MB), and
+        # the refusal takes well under 0.1 s
+        def build(l, family):
+            raise AssertionError("the eigenfunction was built")
+
+        monkeypatch.setattr(pencils, f"{order}_eigenfunction", build)
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "eig", "--order", order, "--family", str(family), "--l", "40000", "--json")
+            elapsed = time.perf_counter() - start
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 1 and out == ""
+        assert json.loads(err)["message"].startswith("--l 40000 gives coefficients of more than 4300 digits")
+        assert elapsed < 0.05
+
+    @pytest.mark.parametrize("order, family", [("quadratic", 1), ("quadratic", 2), ("quartic", 1), ("quartic", 2), ("quartic", 3), ("quartic", 4)])
+    def test_every_l_keeps_the_exact_verdict(self, order, family):
+        # at 640 digits every order from 2,100 to 2,169, where each family's first
+        # coefficient of 641 digits appears, gets the verdict of the exact
+        # comparison of the widest coefficient with 10^640; only a run of l inside
+        # that range, where the bounds straddle 10^640, builds the eigenfunction
+        build = pencils.quadratic_eigenfunction if order == "quadratic" else pencils.quartic_eigenfunction
+        built = []
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            for l in range(2100, 2170):
+                widest = max(max(abs(c.numerator), c.denominator) for c in build(l, family).poly.coeffs)
+                assert cli._past_digit_limit(lambda l, f: built.append(l) or build(l, f), order, l, family) == (widest >= 10**640)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert built == list(range(built[0], built[-1] + 1)) and 2100 < built[0] and built[-1] < 2169
 
 
 class TestSpectrum:

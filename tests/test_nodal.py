@@ -1,6 +1,7 @@
 """Root isolation, transversality, and admissibility decisions."""
 
 import copy
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -580,16 +581,33 @@ def chain_degrees(monkeypatch) -> list:
     return built
 
 
+def refinements(monkeypatch, record) -> None:
+    """Call record(coeffs, lo, hi, tol, start, root) for every root refined from here on, in call order.
+
+    A root is refined by a `_refine_root` call, or in a gap between
+    separators that `_certified_roots` certifies, from that gap's seed.
+    """
+    refine, certify = nodal._refine_root, nodal._certified_roots
+
+    def refine_spy(coeffs, lo, hi, tol, start, sign):
+        root = refine(coeffs, lo, hi, tol, start, sign)
+        record(coeffs, lo, hi, tol, start, root)
+        return root
+
+    def certify_spy(coeffs, seps, starts, sign, count, tol):
+        roots = certify(coeffs, seps, starts, sign, count, tol)
+        for lo, hi, start, root in zip(seps, seps[1:], starts, roots or []):
+            record(coeffs, lo, hi, tol, start, root)
+        return roots
+
+    monkeypatch.setattr(nodal, "_refine_root", refine_spy)
+    monkeypatch.setattr(nodal, "_certified_roots", certify_spy)
+
+
 def refinement_starts(monkeypatch) -> list:
-    """The start of every `_refine_root` call from here on, in call order."""
+    """The start of every root refined from here on (`refinements`), in call order."""
     starts = []
-    refine = nodal._refine_root
-
-    def spy(coeffs, lo, hi, tol, start, sign):
-        starts.append(start)
-        return refine(coeffs, lo, hi, tol, start, sign)
-
-    monkeypatch.setattr(nodal, "_refine_root", spy)
+    refinements(monkeypatch, lambda coeffs, lo, hi, tol, start, root: starts.append(start))
     return starts
 
 
@@ -1631,7 +1649,7 @@ class TestPhaseSeeds:
     float64 sin and cos round as the platform libm behind `math` does.  A
     numpy build that dispatches to other (SIMD) routines can move a seed by
     a few ulps and fail the equalities below while the program is correct:
-    seeds are only guesses, certified exactly by `_certified_gaps`.
+    seeds are only guesses, certified exactly by `_certified_roots`.
     """
 
     @pytest.mark.parametrize("equation", ["laplace", "bilaplace"])
@@ -1917,7 +1935,9 @@ class TestSignKernel:
     def test_beyond_1_at_degree_100(self, l, family, monkeypatch):
         # q, of degree 100, has roots up to about (2 l / pi)^2: every sign of
         # its isolation at |x| > 1 starts from 64 + 99 g fraction bits and
-        # decides on the first pass, and the RootSet is the exact Horner's
+        # decides on the first pass, and the RootSet is the exact Horner's.
+        # Each of the 100 positive roots takes the two signs of its seed's
+        # bracket and no other
         p = quadratic_eigenfunction(l, family).poly
         coeffs = integer_coefficients(p)
         q = _parity_split(coeffs)[1]
@@ -1932,8 +1952,8 @@ class TestSignKernel:
         monkeypatch.setattr(nodal, "_sign_kernel", lambda c: (lambda sign: lambda *x: signs.append(x) or sign(*x))(kernel(c)))
         rs = isolate_real_roots(p)
         assert calls == [] and rs.count == l
-        # one pass per sign, most of them at |x| >= 1
-        assert len(passes) == len(signs) and sum(g > 0 for g in passes) > len(passes) / 2
+        # one pass per sign, half of them at |x| >= 1
+        assert len(signs) == len(passes) == 200 and sum(g > 0 for g in passes) == 100
         sign = _sign_kernel(q)
         for k in range(40):
             num, shift = (3 + 7 * k) ** 9 + 1, 10 + k
@@ -2016,15 +2036,12 @@ class TestIntegerRefinement:
     def test_eigenfunction_refinements_equal_the_fraction_oracle(self, family, ls, monkeypatch):
         # every refinement of the unseeded psi_{l,f} isolation, bit for bit
         calls = []
-        refine = nodal._refine_root
 
-        def both(coeffs, lo, hi, tol, start, sign):
-            got = refine(coeffs, lo, hi, tol, start, sign)
+        def both(coeffs, lo, hi, tol, start, got):
             assert got.hex() == refine_root(coeffs, nodal._fraction(lo), nodal._fraction(hi), tol, start).hex()
             calls.append(got)
-            return got
 
-        monkeypatch.setattr(nodal, "_refine_root", both)
+        refinements(monkeypatch, both)
         for l in ls:
             assert isolate_real_roots(quadratic_eigenfunction(l, family).poly).count == l
         # one refinement per positive root, l // 2 of them
@@ -2212,27 +2229,24 @@ def rootset_digest(rs: nodal.RootSet) -> str:
 
 
 def rung_spies(monkeypatch) -> dict:
-    """What the rungs of every isolation from here on run: the count of each `_certified_gaps` call made outside a
-    `_descartes_gaps` call, the square_free of each `_descartes_gaps` call, and the number of `_sturm_chain` calls."""
+    """What the rungs of every isolation from here on run: the count of each `_certified_roots` call (rungs 1 and 3),
+    the square_free of each `_descartes_gaps` call, and the number of `_sturm_chain` calls."""
     ran = {"certified": [], "descartes": [], "chains": 0}
-    certify, descartes, chain = nodal._certified_gaps, nodal._descartes_gaps, nodal._sturm_chain
+    certify, descartes, chain = nodal._certified_roots, nodal._descartes_gaps, nodal._sturm_chain
 
-    def certified_spy(seps, sign, count):
+    def certified_spy(coeffs, seps, starts, sign, count, tol):
         ran["certified"].append(count)
-        return certify(seps, sign, count)
+        return certify(coeffs, seps, starts, sign, count, tol)
 
     def descartes_spy(coeffs, seps, sign, square_free):
         ran["descartes"].append(square_free)
-        before = len(ran["certified"])
-        found = descartes(coeffs, seps, sign, square_free)
-        del ran["certified"][before:]
-        return found
+        return descartes(coeffs, seps, sign, square_free)
 
     def chain_spy(coeffs):
         ran["chains"] += 1
         return chain(coeffs)
 
-    monkeypatch.setattr(nodal, "_certified_gaps", certified_spy)
+    monkeypatch.setattr(nodal, "_certified_roots", certified_spy)
     monkeypatch.setattr(nodal, "_descartes_gaps", descartes_spy)
     monkeypatch.setattr(nodal, "_sturm_chain", chain_spy)
     return ran
@@ -2247,7 +2261,7 @@ _ODD = _Z * _EVEN
 _ODD_PAIR = _Z * (_Z**2 - 1) * (_Z**2 + 1)
 
 # case: (p, seeds or None, whether `_chain_seeds` fails, then what `rung_spies` records:
-# the `_certified_gaps` counts, the `_descartes_gaps` square_free flags and the number
+# the `_certified_roots` counts, the `_descartes_gaps` square_free flags and the number
 # of Sturm chains, and last the digest of the RootSet)
 _RUNGS = {
     "whole/seeds": (_WHOLE, [-3.1, 0.9, 2.1], False, [3], [], 0, "8308a8cdb45f4fa5"),
@@ -2285,3 +2299,130 @@ class TestRungs:
         assert (ran["certified"], ran["descartes"], ran["chains"]) == (certified, descartes, chains)
         assert rootset_digest(rs) == digest
         assert_matches_oracle(rs)
+
+
+def line_signs(monkeypatch) -> list:
+    """The point of every exact sign of p that the ladder takes from here on (`_Line.sign`), as a `Fraction`, in call order."""
+    points = []
+
+    def wrapped(build):
+        def line(*args):
+            built = build(*args)
+            sign = built.sign
+            return dataclasses.replace(built, sign=lambda num, shift: points.append(Fraction(num, 1 << shift)) or sign(num, shift))
+
+        return line
+
+    monkeypatch.setattr(nodal, "_whole_line", wrapped(nodal._whole_line))
+    monkeypatch.setattr(nodal, "_half_line", wrapped(nodal._half_line))
+    return points
+
+
+@st.composite
+def perturbed_seeds(draw):
+    """A Laplace combination with l simple real roots (l - 1 for c_1 = 0), and its phase seeds with some of them moved.
+
+    A moved seed s becomes s (1 + d), 1e-9 <= |d| <= 1e-3: far enough that
+    its r +- h bracket misses the root, near enough that the separators
+    still part every pair of roots, so its gap certifies by its end signs.
+    """
+    l = draw(st.integers(3, 40))
+    coeffs = draw(
+        st.one_of(
+            st.sampled_from([(1, 0), (0, 1)]),
+            st.tuples(st.fractions(-9, 9, max_denominator=9).filter(bool), st.fractions(-9, 9, max_denominator=9)),
+        )
+    )
+    seeds = sorted(_phase_seeds(l, coeffs))
+    moved = draw(st.lists(st.booleans(), min_size=len(seeds), max_size=len(seeds)))
+    d = st.floats(1e-9, 1e-3).flatmap(lambda d: st.sampled_from([d, -d]))
+    seeds = [s * (1 + draw(d)) if m else s for s, m in zip(seeds, moved)]
+    return Combination("laplace", l, coeffs).poly, seeds, moved
+
+
+class TestSeedBrackets:
+    """Rungs 1 and 3 certify each gap by its seed's r +- h bracket, and take the signs at its separators only where that fails."""
+
+    @pytest.mark.parametrize("family", [1, 2])
+    @pytest.mark.parametrize("l", [20, 45, 70])
+    def test_two_signs_per_positive_root(self, l, family, monkeypatch):
+        # q's chain seeds every positive root of psi_{l,f}; no far end's sixteenth
+        # lies inside its gap, so the far-end cut takes no sign, and each root
+        # takes the two signs of its bracket, which straddle it, and no other
+        p = quadratic_eigenfunction(l, family).poly
+        coeffs = integer_coefficients(p)
+        k, q = _parity_split(coeffs)
+        seeds = nodal._parity_seeds(q, _sturm_chain(q))
+        seps = [nodal._fraction(x) for x in nodal._half_separators(k, seeds, root_bound(coeffs))]
+        assert all(hi <= 16 or hi / 16 <= lo for lo, hi in zip(seps, seps[1:]))
+        points = line_signs(monkeypatch)
+        rs = isolate_real_roots(p)
+        positive = [r for r in rs.refined_roots if r > 0]
+        assert len(positive) == l // 2 and len(points) == 2 * len(positive)
+        assert not set(points) & set(seps)
+        for (left, right), r in zip(zip(points[::2], points[1::2]), positive):
+            assert left < Fraction(r) < right
+
+    @given(perturbed_seeds())
+    @example((quadratic_eigenfunction(12, 1).poly, [r * (1 + 1e-6) if k == 6 else r for k, r in enumerate(sorted(_psi_roots(12, 1)))], [k == 6 for k in range(12)]))
+    @settings(max_examples=60, deadline=None)
+    def test_failed_brackets_fall_back_to_end_signs(self, case):
+        # every gap still holds one root: the seeded rung certifies, a moved seed by
+        # its end signs, and exact Newton refines that root from the seed
+        p, seeds, moved = case
+        newton = []
+        run = nodal._newton_root
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nodal, "_newton_root", lambda *args: newton.append(args[3]) or run(*args))
+            ran = rung_spies(mp)
+            rs = isolate_real_roots(p, seeds=seeds)
+        assert ran["chains"] == 0 and ran["descartes"] == []
+        assert_matches_oracle(rs)
+        # a seed in [1e-2, 1] moved by 1e-9 of itself is at least 1e-11 from its root,
+        # and its bracket's points lie within 1e-12 of it; the positive seeds are on
+        # the line whether p is even, odd or neither
+        far_moved = [s for s, m in zip(seeds, moved) if m and 1e-2 <= s <= 1]
+        assert set(far_moved) <= set(newton) <= set(seeds)
+
+    @pytest.mark.parametrize(
+        "equation, alphas, lmin, digests",
+        [
+            (
+                "laplace",
+                "-1,1",
+                2,
+                {
+                    2: "4294c6454f227200", 4: "c553a4681768d448", 6: "4e36773bd464c1b2", 8: "45b3d02922cfea0b",
+                    10: "759029df12d38716", 12: "eaa23ae2279d6e91", 14: "43258b3130ec30d2", 16: "f7c4643a504f12ff",
+                    18: "3109d434f86bb9b5", 20: "e4b0e22fd9ca6948", 22: "d1a023df740046ed", 24: "6c88c62b74f0dc1c",
+                    26: "8f388f81b9088094", 28: "9b15c6ea379facea", 30: "02d36ee2e85e572f", 32: "4447dd20c47ae22d",
+                    34: "046fe8f514c6998c", 36: "9a550ce73b7af90b", 38: "d53ec794fa307276", 40: "b167165a51d094b3",
+                },
+            ),
+            (
+                "bilaplace",
+                "-1/2,2/3",
+                3,
+                {
+                    3: "0ab9dd525a5519d2", 4: "faa148cb8dce15c5", 5: "c26159a117275c5e", 6: "e5254b8c0c095a24",
+                    7: "91044ce01f82a6ff", 8: "88c8399390e9d63f", 9: "cae9f46b9c151dc6", 10: "8406ecd67956987d",
+                    11: "6db120ce33cae702", 12: "a33e161e1523c894", 13: "c5d095288d7ed402", 14: "797e73ebb27e7a4c",
+                    15: "988a83eadcda19e3", 16: "555d460c6406ca45", 17: "8512151be37e8f90", 18: "179aa8826cd13c4c",
+                    19: "d9683f6562ed17a0", 20: "d2f9ae55a2b702c7", 21: "b211e9fac3d1476e", 22: "f98e3a664db0c527",
+                    23: "550cdbdd30bcf02f", 24: "2199d0df3c500b36", 25: "b6d527bf49bddafb", 26: "84284442b9e0b290",
+                    27: "e3cf1c8cc858a5de", 28: "0097eb5a7557b868", 29: "e3abef53fa8a8c45", 30: "f2028a4713ee5101",
+                    31: "8021bbc1f64aff0d", 32: "87d4fa2db1ac3cae", 33: "e402d17ad9c3b7f1", 34: "ec463f776fa3b7fe",
+                    35: "4527c39a213ed18c", 36: "444d177d0f16841f", 37: "9205bc95c7dca169", 38: "474c18d14afdbd76",
+                    39: "bd944fa141985a39", 40: "70ba489c6bded92f",
+                },
+            ),
+        ],
+        ids=["laplace", "bilaplace"],
+    )
+    def test_sweep_rootsets_unchanged(self, equation, alphas, lmin, digests):
+        # the digest of every zero set to l = 40, as the ladder that took a sign at
+        # every separator gave it: one certificate instead of two moves no interval
+        check = check_admissibility_laplace if equation == "laplace" else check_admissibility_bilaplace
+        config = CrackConfig(tuple(Fraction(a) for a in alphas.split(",")))
+        got = {v.l: rootset_digest(v.full_zero_set) for v in check(config, (lmin, 40)) if v.full_zero_set is not None}
+        assert got == digests

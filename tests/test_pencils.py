@@ -18,6 +18,7 @@ from pencil.pencils import (
     Eigenpair,
     ReconstructionReport,
     _banded_laplacian,
+    _widest_coefficient_bits,
     eigenpair_to_json,
     pencil_residual,
     quadratic_eigenfunction,
@@ -32,6 +33,7 @@ from pencil.pencils import (
 )
 from pencil.polyring import RatPoly, _int_form, integer_coefficients, op_apply
 
+import pencil_oracles
 from pencil_oracles import (
     characteristic_quartic,
     dense_kernel_in_class,
@@ -41,6 +43,8 @@ from pencil_oracles import (
     primitive_coefficients,
     quadratic_recursion_poly,
     quartic_recursion_report,
+    quartic_relation,
+    quartic_relation_residuals,
     reconstruct_xy_by_monomials,
     verify_quartic_factorization,
 )
@@ -244,6 +248,27 @@ class TestClosedForms:
             assert quartic_eigenfunction(l - 3, 4).poly == form * Fraction(3, l * (l - 1) * (l - 2))
 
 
+class TestCoefficientBounds:
+    """`_widest_coefficient_bits` brackets the widest numerator or denominator of every eigenfunction, from l alone."""
+
+    @pytest.mark.parametrize(
+        "order, family", [("quadratic", 1), ("quadratic", 2), ("quartic", 1), ("quartic", 2), ("quartic", 3), ("quartic", 4)]
+    )
+    def test_bounds_bracket_the_widest_coefficient(self, order, family):
+        build = quadratic_eigenfunction if order == "quadratic" else quartic_eigenfunction
+        for l in [*range(1 if family == 1 else 0, 300), 1000, 2131, 2132]:
+            lo, hi = _widest_coefficient_bits(order, l, family)
+            widest = max(max(abs(c.numerator), c.denominator) for c in build(l, family).poly.coeffs)
+            assert 2**lo <= widest < 2**hi, (l, lo, hi, widest.bit_length())
+            # a band of a few times log2 l bits: l alone decides all but a few orders
+            assert hi - lo <= 4 * (l + 3).bit_length() + 3
+
+    def test_orders_and_families_are_checked(self):
+        for order, l, family in (("quadratic", 5, 3), ("quartic", 5, 5), ("quadratic", 0, 1), ("quartic", -1, 4)):
+            with pytest.raises(ValueError):
+                _widest_coefficient_bits(order, l, family)
+
+
 class TestClosedFormCertificates:
     """Exact certificates beyond the degrees the dense oracle reaches."""
 
@@ -307,6 +332,22 @@ class TestQuarticEigenfunctions:
             assert isinstance(row["oracle"], Fraction)
         with pytest.raises(ValueError):
             quartic_recursion_report(4, 1)
+
+    def test_derived_relation_holds_exactly_and_can_fail(self, monkeypatch):
+        # the relation from the written-out operator applied to monomials holds on
+        # every coefficient of families 3 and 4 to l = 39, 828 in all; a wrong
+        # coefficient or a wrong eigenvalue breaks it
+        residuals = [quartic_relation_residuals(l, family) for family in (3, 4) for l in range(4, 40)]
+        assert sum(map(len, residuals)) == 828 and not any(r for rs in residuals for r in rs)
+        # its top line, k = l, is the eigenvalue condition A0 = 0 at lam in {-l, ..., -l-3}
+        assert all(quartic_relation(l, -l - f + 1)[2] == 0 for l in range(4, 40) for f in (1, 2, 3, 4))
+        assert quartic_relation(9, -8)[2] != 0
+        pair = quartic_eigenfunction(9, 4)
+        bad = dataclasses.replace(pair, poly=pair.poly + RatPoly([0, 0, 0, Fraction(1, 10**9)]))
+        monkeypatch.setattr(pencil_oracles, "quartic_eigenfunction", lambda l, family: bad)
+        assert any(quartic_relation_residuals(9, 4))
+        monkeypatch.setattr(pencil_oracles, "quartic_eigenfunction", lambda l, family: dataclasses.replace(pair, eigenvalue=-11))
+        assert any(quartic_relation_residuals(9, 4))
 
     def test_shared_eigenvalue_kernel_is_ambiguous_without_tiebreak(self):
         # at lam=-6 the even-degree class holds both the degree-6 harmonic
@@ -445,6 +486,15 @@ class TestSturmLiouville:
         pair = quadratic_eigenfunction(1000, 1)
         bad = dataclasses.replace(pair, poly=pair.poly + RatPoly([0, Fraction(1, 10**9)]))
         assert sturm_liouville_check(bad, [4]).residuals == ((Fraction(4), -math.ulp(0.0)),)
+
+    def test_a_residual_past_the_float_range_is_infinite(self):
+        # lambda = 2000 gives g = 2001/2: -B(z) w^ceil(g) = -B(z) (1 + z^2)^1001 is
+        # past the float range at z = 1, 2 and 4, and the wrong eigenvalue fails
+        # the check without raising
+        pair = dataclasses.replace(quadratic_eigenfunction(5, 1), eigenvalue=2000)
+        residuals = dict(sturm_liouville_check(pair).residuals)
+        assert [residuals[Fraction(z)] for z in (1, 2, 4)] == [math.inf, math.inf, -math.inf]
+        assert math.isfinite(residuals[Fraction(1, 2)]) and residuals[Fraction(1, 2)] != 0
 
     def test_mu_monotone(self):
         mus = [sturm_liouville_check(quadratic_eigenfunction(l, 1)).sl_eigenvalue for l in range(1, 9)]
