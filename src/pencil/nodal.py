@@ -16,18 +16,20 @@ the outer two separators, N gaps that each hold a root hold one simple
 root each.  A gap holds a root when its seed's r +- h bracket has
 opposite exact signs, which also certifies the seed as the refined root,
 or failing that when its two separators do (`_certified_roots`): a seed
-that certifies costs two exact signs, and its separators none.  The
-rungs, each taken when those before it fail:
+that certifies costs two exact signs, and its separators none.  Every gap
+of every rung is certified so.  The rungs, each taken when those before
+it fail:
 
 1. the caller's seeds on the line, with N = deg p (deg q on the half line),
    certified gap by gap (`_certified_roots`);
-2. Descartes runs on their gaps past a complex pair (`_descartes_gaps`),
-   a run of gaps certified by alternating signs at its separators
-   (`_certified_gaps`);
+2. Descartes runs on their gaps past a complex pair (`_descartes_roots`):
+   a run of gaps, with N its Descartes bound and nonzero signs at its two
+   ends, certified as in rung 1;
 3. the seeds of p's Sturm chain (q's on the half line, `_parity_seeds`),
    with N the chain's exact count of the roots on the line, certified as
    in rung 1; a count of 0 is no root;
-4. Descartes bisection of the line with no cap (`_bisected`).
+4. Descartes bisection of the line with no cap (`_descartes_roots` with
+   no seed), each piece certified as in rung 2.
 
 A chain that ends at a non-constant gcd g shows a repeated root (when it is
 q's chain, p's own chain gives g): p then gets the intervals and roots of
@@ -36,7 +38,7 @@ multiplicity counts the elements of the gcd tower g_{i+1} = gcd(g_i, g_i')
 with a root in its interval (`_multiplicities`).  A root whose seed's
 bracket certifies it is that seed; every other root is refined by a
 safeguarded exact Newton from its seed, or from its interval's midpoint
-after bisection (`_refine_root`, `_newton_root`).  Every point p is
+without one (`_seed_bracket`, `_newton_root`).  Every point p is
 evaluated at is dyadic, num / 2^shift, held as that pair of integers, and
 every exact sign comes from a fixed-point filter with an exact fallback
 (`_sign_kernel`); `Fraction`s are built only for the intervals of the
@@ -366,34 +368,6 @@ def _separators(seeds: Sequence[float], bound: tuple[int, int]) -> list[tuple[in
     return seps
 
 
-def _certified_gaps(
-    seps: Sequence[tuple[int, int]], sign: Callable[[int, int], int], count: int
-) -> list[tuple[tuple[int, int], tuple[int, int]]] | None:
-    """The gaps between consecutive separators (dyadics (num, shift)), each certified to hold exactly one simple root of p, or None.
-
-    count is an upper bound on the real roots of p, with multiplicity, in
-    (seps[0], seps[-1]).  If p is nonzero at every separator with
-    alternating signs, each gap holds an odd number of roots, so at least
-    one; when there are count gaps, each holds exactly one and it is
-    simple.  Any other outcome (another number of gaps, a zero or a sign
-    that fails to alternate) returns None.  sign(num, shift) is p's exact
-    sign at num / 2^shift: `_sign_kernel` of p's coefficients, or
-    `_parity_sign` on its half-degree part.  The count is checked first, so
-    a wrong one costs no sign.  This certifies the runs of `_descartes_gaps`,
-    which have no seed per gap; seeded gaps are certified by their seeds'
-    brackets (`_certified_roots`), which give these same gaps.
-    """
-    if len(seps) - 1 != count:
-        return None
-    last = sign(*seps[0])
-    for x in seps[1:]:
-        nxt = sign(*x)
-        if last == 0 or nxt != -last:
-            return None
-        last = nxt
-    return list(zip(seps, seps[1:]))
-
-
 def _descartes_bound(coeffs: list[int], lo: tuple[int, int], hi: tuple[int, int]) -> int:
     """Sign variations of (1 + x)^n p((lo + hi x) / (1 + x)), n = deg p, for dyadics lo < hi as (num, shift).
 
@@ -423,66 +397,6 @@ def _descartes_bound(coeffs: list[int], lo: tuple[int, int], hi: tuple[int, int]
         for j in range(n - 1, i - 1, -1):
             c[j] += c[j + 1]
     return _sign_variations((x > 0) - (x < 0) for x in c)
-
-
-# Descartes tests in one seeded isolation before it gives up: p may have a
-# repeated root there, where bisection never ends; the bi-Laplace
-# combinations of the crack sweeps take 3 to 13
-_DESCARTES_TESTS = 64
-
-
-def _descartes_gaps(
-    coeffs: list[int], seps: list[tuple[int, int]], sign: Callable[[int, int], int], square_free: bool
-) -> list[tuple[int, tuple[int, int], tuple[int, int]]] | None:
-    """(i, lo, hi) for every real root of p, (lo, hi) isolating it within gap i of seps; or None.
-
-    seps separate seeds that miss some of p's roots, most often the two of
-    a complex pair, or they are the whole line (-bound, bound) of a
-    square-free p.  A run of consecutive gaps, all of seps first, takes the
-    Descartes bound V of its ends (`_descartes_bound`).  V equal to the
-    run's number of gaps is the count of `_certified_gaps`: alternating
-    signs then leave one simple root in each gap.  Otherwise a run of
-    several gaps splits at its middle separator.  A single gap with a zero
-    sign at an end gives None; else it holds no root if V = 0 and one if
-    V = 1 (its signs then alternate), and with V >= 2 it is bisected, a
-    midpoint that is a root of p moving halfway toward lo until it is not.
-    For a square-free p bisection ends (Collins & Akritas, SYMSAC 1976).
-    Otherwise p may have a repeated root, whose pieces keep V >= 2: then a
-    seed gap (not a piece of one) with equal signs and V >= 2, an even
-    number of roots about one seed, gives None at once, and so do more than
-    _DESCARTES_TESTS tests.
-    """
-    tests = math.inf if square_free else _DESCARTES_TESTS
-    out: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
-    # (i, run): the run's first gap is gap i of seps
-    stack: list[tuple[int, list[tuple[int, int]]]] = [(0, seps)]
-    while stack:
-        if tests <= 0:
-            return None
-        tests -= 1
-        i, run = stack.pop()
-        v = _descartes_bound(coeffs, run[0], run[-1])
-        gaps = _certified_gaps(run, sign, v)
-        if gaps is not None:
-            out += [(i + j, lo, hi) for j, (lo, hi) in enumerate(gaps)]
-        elif len(run) > 2:
-            mid = len(run) // 2
-            stack += [(i + mid, run[mid:]), (i, run[: mid + 1])]
-        else:
-            lo, hi = run
-            s_lo, s_hi = sign(*lo), sign(*hi)
-            if not (s_lo and s_hi):
-                # a root on a separator: V counts only the roots inside a gap, so it would go unseen
-                return None
-            if not v:
-                continue
-            if s_lo == s_hi and not square_free and run == seps[i : i + 2]:
-                return None
-            mid = _midpoint(lo, hi)
-            while sign(*mid) == 0:
-                mid = _midpoint(lo, mid)
-            stack += [(i, [mid, hi]), (i, [lo, mid])]
-    return out
 
 
 # continued-fraction evaluations per root before `_chain_seeds` gives up;
@@ -627,30 +541,28 @@ def _exact_newton(coeffs: list[int], x: float) -> tuple[int, float | None]:
         return sign, None
 
 
-def _certificate_points(r: float, k: int, lo: int, hi: int, shift: int) -> tuple[int, int, int] | None:
-    """r - 2^k and r + 2^k as (left, right, s), integers over 2^s.
+def _certificate(sign: Callable[[int, int], int], r: float, k: int, bracket: tuple[int, int, int]) -> float | None:
+    """The root that p's exact signs at r - 2^k and r + 2^k certify: r if they are opposite, a point whose sign is 0, else None.
 
-    None unless both points lie strictly inside (lo / 2^shift, hi / 2^shift).
-    r is its float mantissa over a power of two.
+    Both points must lie strictly inside (a / 2^shift, b / 2^shift) for
+    bracket (a, b, shift), or there is no certificate.  r is taken as its
+    float mantissa over a power of two, and the points as integers over
+    2^s.
     """
+    a, b, shift = bracket
     num, r_shift = _dyadic(r)
     s = max(r_shift, -k)
     x, h = num << (s - r_shift), 1 << (s + k)
     left, right = x - h, x + h
-    if lo << s < left << shift and right << shift < hi << s:
-        return left, right, s
-    return None
-
-
-def _sign_certificate(sign: Callable[[int, int], int], r: float, left: int, right: int, shift: int) -> float | None:
-    """r if p has opposite exact signs at left / 2^shift and right / 2^shift, a zero there, or None."""
-    s_left, s_right = sign(left, shift), sign(right, shift)
+    if not (a << s < left << shift and right << shift < b << s):
+        return None
+    s_left, s_right = sign(left, s), sign(right, s)
     if s_left * s_right < 0:
         return r
     if s_left == 0:
-        return left / (1 << shift)
+        return left / (1 << s)
     if s_right == 0:
-        return right / (1 << shift)
+        return right / (1 << s)
     return None
 
 
@@ -664,7 +576,7 @@ def _goal(lo: int, hi: int, shift: int, tol: float) -> tuple[int, int]:
 
 
 def _float(num: int, shift: int) -> float:
-    """num / 2^shift correctly rounded, a point of `_refine_root`; ValueError where it overflows, for a root past 2^1020."""
+    """num / 2^shift correctly rounded, a point of a refinement; ValueError where it overflows, for a root past 2^1020."""
     try:
         return num / (1 << shift)
     except OverflowError:
@@ -695,9 +607,11 @@ def _seed_bracket(
     at the cut is the root.  goal's denominator is a power of two
     (`_goal`).  With h = 2^k in (goal/8, goal/2], exact opposite signs at
     start - h and start + h, both strictly inside (a, b), certify start,
-    and a zero sign there is the root itself.  Either way p has a root
-    strictly inside (lo, hi); None is no certificate.  Both `_refine_root`
-    and `_certified_roots` start here.
+    and a zero sign there is the root itself (`_certificate`).  Either way
+    p has a root strictly inside (lo, hi); None is no certificate, and
+    always so for no start.  The cut moves an end only while the end and
+    the cut have one sign, so p has the same sign at a as at lo.  Every gap
+    of every rung starts here (`_certified_roots`).
     """
     (a, s), (b, t) = lo, hi
     shift = max(s, t)
@@ -726,30 +640,7 @@ def _seed_bracket(
     if start is None:
         return None, bracket
     goal, goal_shift = _goal(a, b, shift, tol)
-    points = _certificate_points(start, goal.bit_length() - goal_shift - 3, *bracket)
-    return (None if points is None else _sign_certificate(sign, start, *points)), bracket
-
-
-def _refine_root(
-    coeffs: list[int],
-    lo: tuple[int, int],
-    hi: tuple[int, int],
-    tol: float,
-    start: float | None,
-    sign: Callable[[int, int], int],
-) -> float:
-    """Refine the one root in an open isolating interval to a float within goal/2 of it.
-
-    lo and hi are dyadics (num, shift), and p has nonzero exact signs at
-    both.  The far end is cut and a start tried by the r +- h certificate
-    first (`_seed_bracket`); without a certificate, exact Newton finishes
-    from p's sign at the lower end (`_newton_root`).
-    """
-    found, bracket = _seed_bracket(lo, hi, tol, start, sign)
-    if found is not None:
-        return found
-    a, _, shift = bracket
-    return _newton_root(coeffs, bracket, tol, start, sign, sign(*_reduced(a, shift)))
+    return _certificate(sign, start, goal.bit_length() - goal_shift - 3, bracket), bracket
 
 
 def _newton_root(
@@ -839,8 +730,7 @@ def _newton_root(
             break
         if dx <= _FLOAT_STEP * max(abs(r), 1.0):
             # the certificate's points lie inside the bracket as it was given
-            points = _certificate_points(r, k, *bracket)
-            found = None if points is None else _sign_certificate(sign, r, *points)
+            found = _certificate(sign, r, k, bracket)
             if found is not None:
                 return found
     while (b - a) << goal_shift > goal << shift and not _one_float(a, b, shift):
@@ -862,26 +752,30 @@ def _newton_root(
 def _certified_roots(
     coeffs: list[int],
     seps: Sequence[tuple[int, int]],
-    starts: Sequence[float],
+    starts: Sequence[float | None],
     sign: Callable[[int, int], int],
     count: int,
     tol: float,
 ) -> list[float] | None:
     """The refined root in each gap between consecutive separators, every gap certified to hold exactly one simple root of p; or None.
 
-    starts holds one seed per gap, and count is an upper bound on the real
-    roots of p, with multiplicity, in (seps[0], seps[-1]).  A gap is
-    certified when its seed's bracket certifies a root (`_seed_bracket`), or
-    failing that when p has nonzero, opposite exact signs at its two
-    separators.  Either way it holds an odd number of roots, so at least
-    one; when there are count gaps, each holds exactly one and it is simple,
-    no root lies anywhere else, and so p is nonzero at every separator with
-    alternating signs: the gaps are those `_certified_gaps` certifies.  A
-    bracket's root is the one `_refine_root` gives; exact Newton finishes
-    the other gaps once all are certified (`_newton_root`), from the sign
-    at their lower separator.  Any other outcome (another number of gaps,
-    or a gap that neither certifies) returns None, and the count is checked
-    first, so a wrong one costs no sign.
+    seps are dyadics (num, shift), starts holds one seed (or None) per gap,
+    and count is an upper bound on the real roots of p, with multiplicity,
+    in (seps[0], seps[-1]).  A gap is certified when its seed's bracket
+    certifies a root (`_seed_bracket`), or failing that when p has
+    nonzero, opposite exact signs at its two separators.  Either way it
+    holds at least one root strictly inside; when there are count gaps,
+    each holds exactly one and it is simple, and no root lies in
+    (seps[0], seps[-1]) outside them, so p alternates in sign across the
+    inner separators.  sign(num, shift) is p's exact sign at num / 2^shift:
+    `_sign_kernel` of p's coefficients, or `_parity_sign` on its
+    half-degree part.  A bracket's root is its seed, or the zero at its cut
+    or at a point; exact Newton finishes the other gaps once all are
+    certified (`_newton_root`), from the sign at their lower separator,
+    which is p's sign at the lower end of the cut bracket.  Any other
+    outcome (another number of gaps, or a gap that neither certifies)
+    returns None, and the count is checked first, so a wrong one costs no
+    sign.
     """
     if len(seps) - 1 != count:
         return None
@@ -900,6 +794,74 @@ def _certified_roots(
         root if root is not None else _newton_root(coeffs, bracket, tol, start, sign, ends[i])
         for i, ((root, bracket), start) in enumerate(zip(found, starts))
     ]
+
+
+# Descartes tests in one seeded isolation before it gives up: p may have a
+# repeated root there, where bisection never ends; the bi-Laplace
+# combinations of the crack sweeps take 3 to 13
+_DESCARTES_TESTS = 64
+
+
+def _descartes_roots(
+    coeffs: list[int],
+    seps: list[tuple[int, int]],
+    starts: Sequence[float | None],
+    sign: Callable[[int, int], int],
+    square_free: bool,
+    tol: float,
+) -> tuple[list[tuple[tuple[int, int], tuple[int, int]]], list[float]] | None:
+    """(gaps, roots): one gap inside a gap of seps for each real root of p in (seps[0], seps[-1]), isolating it, and the refined roots; or None.
+
+    seps separate starts, one per gap, that miss some of p's roots, most
+    often the two of a complex pair; or they are the two ends of the line
+    of a square-free p, with the start None.  A run of consecutive gaps,
+    all of seps first, takes p's exact signs at its two ends, and a zero
+    there gives None: the run's Descartes bound V (`_descartes_bound`)
+    counts only the roots strictly inside it, so a root on an end would go
+    unseen.  The run is then certified and refined by `_certified_roots`,
+    with V for the count and each gap's start.  Otherwise a run of several
+    gaps splits at its middle separator, and a single gap holds no root if
+    V = 0; with V >= 2 it is bisected, a midpoint that is a root of p
+    moving halfway toward lo until it is not, and each piece keeps the
+    gap's start.  For a square-free p bisection ends (Collins & Akritas,
+    SYMSAC 1976).  Otherwise p may have a repeated root, whose pieces keep
+    V >= 2: then a seed gap (not a piece of one) with equal signs and
+    V >= 2, an even number of roots about one seed, gives None at once, and
+    so do more than _DESCARTES_TESTS tests.  Every sign is memoized for
+    the call, so a separator that ends several runs is signed once.
+    """
+    sign = functools.cache(sign)
+    tests = math.inf if square_free else _DESCARTES_TESTS
+    gaps: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    roots: list[float] = []
+    # (i, run): the run's first gap is gap i of seps, or a piece of it
+    stack: list[tuple[int, list[tuple[int, int]]]] = [(0, seps)]
+    while stack:
+        if tests <= 0:
+            return None
+        tests -= 1
+        i, run = stack.pop()
+        lo, hi = run[0], run[-1]
+        s_lo, s_hi = sign(*lo), sign(*hi)
+        if not (s_lo and s_hi):
+            # a root on a run end, which V does not count
+            return None
+        v = _descartes_bound(coeffs, lo, hi)
+        found = _certified_roots(coeffs, run, starts[i : i + len(run) - 1], sign, v, tol)
+        if found is not None:
+            gaps += zip(run, run[1:])
+            roots += found
+        elif len(run) > 2:
+            mid = len(run) // 2
+            stack += [(i + mid, run[mid:]), (i, run[: mid + 1])]
+        elif v:
+            if s_lo == s_hi and not square_free and run == seps[i : i + 2]:
+                return None
+            mid = _midpoint(lo, hi)
+            while sign(*mid) == 0:
+                mid = _midpoint(lo, mid)
+            stack += [(i, [mid, hi]), (i, [lo, mid])]
+    return gaps, roots
 
 
 def _parity_seeds(q: list[int], chain: _SturmChain) -> list[float] | None:
@@ -1108,10 +1070,6 @@ def _ladder(line: _Line, seeds: list[float] | None, tol: float) -> _Roots | list
         roots = _certified_roots(line.coeffs, seps, seeds, line.sign, count, tol)
         return None if roots is None else finish(seps[0], list(zip(seps, seps[1:])), roots)
 
-    def refined(s0, gaps, starts):
-        """p's real roots from gaps that each isolate one simple root on the line above s0, refined from their starts."""
-        return finish(s0, gaps, [_refine_root(line.coeffs, lo, hi, tol, s, line.sign) for (lo, hi), s in zip(gaps, starts)])
-
     n = len(line.chained) - 1
     if seeds is not None:
         seeds = line.kept(seeds)
@@ -1121,9 +1079,9 @@ def _ladder(line: _Line, seeds: list[float] | None, tol: float) -> _Roots | list
             if found is not None:
                 return found
             if len(seeds) < n and line.descartes(n - len(seeds), seps[0]):
-                found = _descartes_gaps(line.coeffs, seps, line.sign, False)
+                found = _descartes_roots(line.coeffs, seps, seeds, line.sign, False, tol)
                 if found is not None:
-                    return refined(seps[0], [(lo, hi) for _, lo, hi in found], [seeds[i] for i, _, _ in found])
+                    return finish(seps[0], *found)
     # a constant q, of p = c z, has neither roots nor a chain
     count = 0
     if n:
@@ -1138,8 +1096,8 @@ def _ladder(line: _Line, seeds: list[float] | None, tol: float) -> _Roots | list
     found = None if seps is None else seeded(seps, seeds, count)
     if found is not None:
         return found
-    gaps = _bisected(line.coeffs, line.start, line.bound, line.sign)
-    return refined(line.start, gaps, [None] * len(gaps))
+    _check_float_range(line.coeffs, line.start, line.bound)
+    return finish(line.start, *_descartes_roots(line.coeffs, [line.start, line.bound], [None], line.sign, True, tol))
 
 
 def _mirror(k: int, s0: tuple[int, int], positive: list, roots: list[float]) -> tuple[list, list[float]]:
@@ -1153,20 +1111,16 @@ def _mirror(k: int, s0: tuple[int, int], positive: list, roots: list[float]) -> 
 _FLOAT_END = 1 << 1024
 
 
-def _bisected(
-    coeffs: list[int], lo: tuple[int, int], hi: tuple[int, int], sign: Callable[[int, int], int]
-) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Isolating intervals of the roots of a square-free p in (lo, hi), by Descartes bisection with no cap (it ends).
+def _check_float_range(coeffs: list[int], lo: tuple[int, int], hi: tuple[int, int]) -> None:
+    """Before Descartes bisection of (lo, hi): one Descartes bound on each part of it beyond the float range.
 
-    First one Descartes bound on each part of (lo, hi) beyond the float
-    range: an odd bound there means an odd number of roots, so a real root
-    that no float can hold, and ValueError is raised at once, where the
+    An odd bound there means an odd number of roots, so a real root that
+    no float can hold, and ValueError is raised at once, where the
     bisection would first separate it from every complex root near 0.
     """
     for a, b in (((_FLOAT_END, 0), hi), (lo, (-_FLOAT_END, 0))):
         if not _less(a, lo) and _less(a, b) and not _less(hi, b) and _descartes_bound(coeffs, a, b) % 2:
             raise ValueError("a real root beyond 2^1024 lies beyond the float range (|x| < 2^1024)")
-    return [(a, b) for _, a, b in _descartes_gaps(coeffs, [lo, hi], sign, True)]
 
 
 def _multiplicities(g: list[int], intervals: list[tuple[Fraction, Fraction]]) -> list[int]:
@@ -1196,7 +1150,7 @@ def _multiplicities(g: list[int], intervals: list[tuple[Fraction, Fraction]]) ->
 
 # phase-scan samples per unit of l: two roots of a bi-Laplace combination
 # closer than pi / (_PHASE_SAMPLES * l) in angle can share a sample interval
-# with no sign change; the scan misses both, and `_descartes_gaps` bisects
+# with no sign change; the scan misses both, and `_descartes_roots` bisects
 # their seed gap until it finds them, or isolation falls back to p's own chain
 _PHASE_SAMPLES = 32
 # safeguarded Newton steps per scan bracket, at most: from the bracket's

@@ -16,8 +16,9 @@ kernel (`pencil.nodal._sign_kernel`) at a dyadic point.  `exact_newton` is
 the exact Newton step as a reduced Fraction from powers of the denominator, where
 `pencil.nodal._exact_newton` shifts and divides once.  `refine_root`
 refines a root with every point a `Fraction` and every sign an a/b
-Horner sum, where `pencil.nodal._refine_root` keeps integers over a power
-of two and takes its signs through a fixed-point filter.  `sturm_count` is
+Horner sum, where `pencil.nodal` (`_seed_bracket` and `_newton_root`, for
+each gap `_certified_roots` certifies) keeps integers over a power of two
+and takes its signs through a fixed-point filter.  `sturm_count` is
 the distinct real root count of the classical Sturm sequence of p and p'
 over the rationals on the whole line, where `pencil.nodal.count_real_roots`
 counts an even or odd p on the integer chain of its half-degree part.
@@ -417,7 +418,7 @@ def exact_newton(coeffs: Sequence[int], x: float) -> tuple[int, Fraction | None]
 
 
 def refine_root(coeffs: Sequence[int], lo: Fraction, hi: Fraction, tol: float, start: float | None) -> float:
-    """The refinement of `pencil.nodal._refine_root` with every point a `Fraction`.
+    """The refinement of a certified gap's root in `pencil.nodal._certified_roots` with every point a `Fraction`.
 
     The one root of p in the open interval (lo, hi), with nonzero signs at
     both ends, refined step for step as the program refines it: the far end

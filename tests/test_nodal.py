@@ -19,7 +19,7 @@ from pencil import nodal, polyring
 from pencil.nodal import (
     Combination,
     CrackConfig,
-    _certified_gaps,
+    _certified_roots,
     _dyadic,
     _dyadic_sign,
     _exact_newton,
@@ -28,7 +28,6 @@ from pencil.nodal import (
     _parity_sign,
     _parity_split,
     _phase_seeds,
-    _refine_root,
     _separators,
     _sign_kernel,
     _sturm_chain,
@@ -408,10 +407,10 @@ def assert_same_roots(seeded, plain, tol=1e-12):
 
 
 def certified(p, seeds) -> bool:
-    """Whether seeds certify p's whole line: one simple root in each of deg p seed gaps."""
+    """Whether seeds certify p's whole line: one simple root in each of deg p seed gaps (`_certified_roots`)."""
     coeffs = integer_coefficients(p)
     seps = _separators(seeds, root_bound(coeffs))
-    return seps is not None and _certified_gaps(seps, functools.partial(_dyadic_sign, coeffs), p.degree) is not None
+    return seps is not None and _certified_roots(coeffs, seps, sorted(seeds), functools.partial(_dyadic_sign, coeffs), p.degree, 1e-12) is not None
 
 
 class TestSeededIsolation:
@@ -506,6 +505,9 @@ class TestSeededIsolation:
             (z - 1) * (z + Fraction(1, 3)) * (z ** 2 + 2) * (z ** 2 - 3),
             -(z ** 5) + 3 * z - 1,
         ]
+        # the digests of these rung-4 isolations as the ladder gave them when
+        # Descartes runs were certified by the signs at every separator
+        digests = ["242b08bb2d98aca0", "55d1eee4aa956304", "b90cc6e50457c299", "12f95c083afdbd32"]
         expected = []
         for p in square_free:
             factors = square_free_decomposition(p)
@@ -515,15 +517,13 @@ class TestSeededIsolation:
             bound = root_bound(coeffs)
             split = _parity_split(coeffs)
             if split is None:
-                gaps = [(lo, hi) for _, lo, hi in nodal._descartes_gaps(coeffs, [(-bound[0], bound[1]), bound], sign, True)]
-                roots = [_refine_root(coeffs, lo, hi, 1e-12, None, sign) for lo, hi in gaps]
+                gaps, roots = nodal._descartes_roots(coeffs, [(-bound[0], bound[1]), bound], [None], sign, True, 1e-12)
                 intervals = nodal._intervals(gaps)
             else:
                 # s0 = 0, or for an odd p the inverse root bound of p / z reversed
                 k = split[0]
                 s0 = (0, 0) if k == 0 else nodal._power_of_two(-nodal._root_bound(coeffs[:0:-1]))
-                gaps = [(lo, hi) for _, lo, hi in nodal._descartes_gaps(coeffs, [s0, bound], sign, True)]
-                positive = [_refine_root(coeffs, lo, hi, 1e-12, None, sign) for lo, hi in gaps]
+                gaps, positive = nodal._descartes_roots(coeffs, [s0, bound], [None], sign, True, 1e-12)
                 gaps = nodal._intervals(gaps)
                 zero = nodal._fraction(s0)
                 intervals = [(-hi, -lo) for lo, hi in reversed(gaps)] + [(-zero, zero)] * k + gaps
@@ -542,9 +542,10 @@ class TestSeededIsolation:
         for name in ("square_free_decomposition", "square_free_part"):
             monkeypatch.setattr(nodal, name, refuse)
             monkeypatch.setattr(polyring, name, refuse)
-        for p, (intervals, roots) in zip(square_free, expected):
+        for p, (intervals, roots), digest in zip(square_free, expected, digests, strict=True):
             rs = whole_line_isolation(p)
             assert (rs.isolating_intervals, rs.refined_roots) == (intervals, roots)
+            assert rootset_digest(rs) == digest
             assert rs.multiplicities == (1,) * len(roots)
             assert_matches_oracle(rs)
             assert_same_roots(isolate_real_roots(p), rs)
@@ -584,15 +585,10 @@ def chain_degrees(monkeypatch) -> list:
 def refinements(monkeypatch, record) -> None:
     """Call record(coeffs, lo, hi, tol, start, root) for every root refined from here on, in call order.
 
-    A root is refined by a `_refine_root` call, or in a gap between
-    separators that `_certified_roots` certifies, from that gap's seed.
+    Every rung refines a root in a gap between separators that
+    `_certified_roots` certifies, from that gap's seed (None in bisection).
     """
-    refine, certify = nodal._refine_root, nodal._certified_roots
-
-    def refine_spy(coeffs, lo, hi, tol, start, sign):
-        root = refine(coeffs, lo, hi, tol, start, sign)
-        record(coeffs, lo, hi, tol, start, root)
-        return root
+    certify = nodal._certified_roots
 
     def certify_spy(coeffs, seps, starts, sign, count, tol):
         roots = certify(coeffs, seps, starts, sign, count, tol)
@@ -600,7 +596,6 @@ def refinements(monkeypatch, record) -> None:
             record(coeffs, lo, hi, tol, start, root)
         return roots
 
-    monkeypatch.setattr(nodal, "_refine_root", refine_spy)
     monkeypatch.setattr(nodal, "_certified_roots", certify_spy)
 
 
@@ -619,7 +614,7 @@ def assert_certified_on_chain_seeds(p: RatPoly, count: int) -> nodal.RootSet:
     seps = [nodal._fraction(x) for x in _separators(seeds, root_bound(coeffs))]
     with pytest.MonkeyPatch.context() as mp:
         starts = refinement_starts(mp)
-        mp.setattr(nodal, "_descartes_gaps", lambda *args: pytest.fail("bisected the whole line"))
+        mp.setattr(nodal, "_descartes_roots", lambda *args: pytest.fail("bisected the whole line"))
         rs = isolate_real_roots(p)
     assert rs.isolating_intervals == tuple(zip(seps, seps[1:]))
     assert starts == seeds and rs.multiplicities == (1,) * count
@@ -1000,12 +995,13 @@ class TestDescartesGaps:
         seeds = [float(r) for r in roots]
         coeffs = integer_coefficients(p)
         sign = functools.partial(_dyadic_sign, coeffs)
-        found = nodal._descartes_gaps(coeffs, _separators(seeds, root_bound(coeffs)), sign, False)
+        found = nodal._descartes_roots(coeffs, _separators(seeds, root_bound(coeffs)), seeds, sign, False, 1e-12)
         oracle = sturm_isolation(p.coeffs)
         if found is not None:
             # never a wrong count: one simple root in each open interval with opposite exact signs
-            assert len(found) == len(oracle) == sturm_count(p.coeffs) and all(m == 1 for *_, m in oracle)
-            intervals = nodal._intervals([gap for _, *gap in found])
+            gaps, refined = found
+            assert len(gaps) == len(refined) == len(oracle) == sturm_count(p.coeffs) and all(m == 1 for *_, m in oracle)
+            intervals = nodal._intervals(gaps)
             for lo, hi in intervals:
                 assert [m for *_, m in sturm_isolation(p.coeffs, lo, hi)] == [1] and p.eval(lo) * p.eval(hi) < 0
             for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
@@ -1021,7 +1017,8 @@ class TestDescartesGaps:
         coeffs = integer_coefficients(p)
         seps = _separators([-3.0, -1.0, 1.0, 3.0], root_bound(coeffs))
         assert seps[1:-1] == [(-2, 0), (0, 0), (2, 0)]
-        assert nodal._descartes_gaps(coeffs, seps, functools.partial(_dyadic_sign, coeffs), False) is None
+        sign = functools.partial(_dyadic_sign, coeffs)
+        assert nodal._descartes_roots(coeffs, seps, [-3.0, -1.0, 1.0, 3.0], sign, False, 1e-12) is None
         assert isolate_real_roots(p, seeds=[-3.0, -1.0, 1.0, 3.0]).refined_roots == (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)
 
     def test_run_with_two_roots_in_one_gap_and_none_in_the_next(self):
@@ -1037,13 +1034,17 @@ class TestDescartesGaps:
         seps = _separators([-3.0, -1.0, 1.0, 3.0], root_bound(coeffs))
         assert seps[1:-1] == [(-2, 0), (0, 0), (2, 0)] and nodal._descartes_bound(coeffs, seps[0], seps[2]) == 2
         sign = functools.partial(_dyadic_sign, coeffs)
-        assert nodal._descartes_gaps(coeffs, seps, sign, False) is None
+        seeds = [-3.0, -1.0, 1.0, 3.0]
+        assert nodal._descartes_roots(coeffs, seps, seeds, sign, False, 1e-12) is None
         # p is square-free: with that known, the seed gap is bisected, and the
         # next, with bound 0, holds no root
-        found = nodal._descartes_gaps(coeffs, seps, sign, True)
-        assert [i for i, _, _ in found] == [0, 0, 2, 3]
-        for (lo, hi), r in zip(nodal._intervals([gap for _, *gap in found]), roots, strict=True):
+        gaps, refined = nodal._descartes_roots(coeffs, seps, seeds, sign, True, 1e-12)
+        # the seed gap that holds each interval
+        at = [next(i for i in range(len(seps) - 1) if not nodal._less(lo, seps[i]) and not nodal._less(seps[i + 1], hi)) for lo, hi in gaps]
+        assert at == [0, 0, 2, 3]
+        for (lo, hi), r in zip(nodal._intervals(gaps), roots, strict=True):
             assert lo < r < hi and p.eval(lo) * p.eval(hi) < 0
+        assert refined == pytest.approx([float(r) for r in roots], rel=1e-12)
         assert_matches_oracle(isolate_real_roots(p, seeds=[-3.0, -1.0, 1.0, 3.0]))
 
     def test_seed_gap_about_a_repeated_root_gives_up_at_once(self, monkeypatch):
@@ -1061,7 +1062,7 @@ class TestDescartesGaps:
         tests = []
         descartes_bound = nodal._descartes_bound
         monkeypatch.setattr(nodal, "_descartes_bound", lambda *args: tests.append(args) or descartes_bound(*args))
-        assert nodal._descartes_gaps(coeffs, seps, functools.partial(_dyadic_sign, coeffs), False) is None
+        assert nodal._descartes_roots(coeffs, seps, seeds, functools.partial(_dyadic_sign, coeffs), False, 1e-12) is None
         assert len(tests) < 10
         rs = isolate_real_roots(p, seeds=seeds)
         assert rs.count == 21 and rs.multiplicities == tuple(1 + (abs(r - 1 / 3) < 1e-12) for r in rs.refined_roots)
@@ -1158,15 +1159,15 @@ class TestSquareFreePart:
 
 
 def whole_line_calls(monkeypatch) -> list:
-    """(len(seps), square_free) of every `_descartes_gaps` call from here on."""
+    """(len(seps), square_free) of every `_descartes_roots` call from here on."""
     calls = []
-    gaps = nodal._descartes_gaps
+    descartes = nodal._descartes_roots
 
-    def spy(coeffs, seps, sign, square_free):
+    def spy(coeffs, seps, starts, sign, square_free, tol):
         calls.append((len(seps), square_free))
-        return gaps(coeffs, seps, sign, square_free)
+        return descartes(coeffs, seps, starts, sign, square_free, tol)
 
-    monkeypatch.setattr(nodal, "_descartes_gaps", spy)
+    monkeypatch.setattr(nodal, "_descartes_roots", spy)
     return calls
 
 
@@ -1206,8 +1207,8 @@ class TestWholeLine:
         def refuse(*args):
             raise AssertionError("bisected a polynomial with no real root on its line")
 
-        monkeypatch.setattr(nodal, "_bisected", refuse)
-        monkeypatch.setattr(nodal, "_descartes_gaps", refuse)
+        monkeypatch.setattr(nodal, "_check_float_range", refuse)
+        monkeypatch.setattr(nodal, "_descartes_roots", refuse)
         # an odd p keeps its exact root 0, on the whole root bound
         odd = p.coeffs[0] == 0
         bound = nodal._fraction(root_bound(integer_coefficients(p)))
@@ -1964,10 +1965,11 @@ class TestSignKernel:
 
 @st.composite
 def refinement_cases(draw):
-    """A square-free p with rational and irrational roots, and the Sturm oracle's isolating intervals, the outer ones widened.
+    """A p with rational and irrational roots, and the Sturm oracle's isolating intervals, the outer ones widened.
 
-    The widened ends are dyadics beyond 64, a power of two or not, so that
-    refinement cuts their far end to sixteenths.
+    p is square-free unless its factor z - 1/2^k meets a drawn root, which
+    is then a double root.  The widened ends are dyadics beyond 64, a power
+    of two or not, so that refinement cuts their far end to sixteenths.
     """
     roots = draw(st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=12), min_size=1, max_size=5, unique=True))
     p = poly_from_roots(roots)
@@ -1983,6 +1985,22 @@ def refinement_cases(draw):
         intervals[0] = (-e, intervals[0][1])
         intervals[-1] = (intervals[-1][0], e)
     return p, intervals
+
+
+def program_refinement(coeffs, lo, hi, tol, start, sign) -> float:
+    """The program's refinement of the one distinct root in (lo, hi), dyadics (num, shift) with nonzero signs.
+
+    A single gap that `_certified_roots` certifies gives its root.  A root
+    of even multiplicity, as z - 1 gives with a drawn root 1, leaves equal
+    signs at both ends: `_certified_roots` refuses that gap unless its
+    bracket meets the root, and its seed bracket and exact Newton refine it.
+    """
+    roots = _certified_roots(coeffs, [lo, hi], [start], sign, 1, tol)
+    if roots is not None:
+        return roots[0]
+    assert sign(*lo) == sign(*hi) != 0
+    found, bracket = nodal._seed_bracket(lo, hi, tol, start, sign)
+    return found if found is not None else nodal._newton_root(coeffs, bracket, tol, start, sign, sign(*lo))
 
 
 class TestIntegerRefinement:
@@ -2023,10 +2041,12 @@ class TestIntegerRefinement:
                 "outside": float(hi) + 1.0,
             }[start_at]
             results = []
-            for refine, ends in ((_refine_root, (_dyadic(lo), _dyadic(hi))), (refine_root, (lo, hi))):
-                args = (coeffs, *ends, tol, start) + ((sign,) if refine is _refine_root else ())
+            for refine in (
+                lambda: program_refinement(coeffs, _dyadic(lo), _dyadic(hi), tol, start, sign),
+                lambda: refine_root(coeffs, lo, hi, tol, start),
+            ):
                 try:
-                    results.append(refine(*args).hex())
+                    results.append(refine().hex())
                 except ValueError as e:
                     results.append(str(e))
             assert results[0] == results[1]
@@ -2229,25 +2249,32 @@ def rootset_digest(rs: nodal.RootSet) -> str:
 
 
 def rung_spies(monkeypatch) -> dict:
-    """What the rungs of every isolation from here on run: the count of each `_certified_roots` call (rungs 1 and 3),
-    the square_free of each `_descartes_gaps` call, and the number of `_sturm_chain` calls."""
+    """What the rungs of every isolation from here on run: the count of each `_certified_roots` call of rungs 1 and 3
+    (those outside `_descartes_roots`), the square_free of each `_descartes_roots` call (rungs 2 and 4), and the
+    number of `_sturm_chain` calls."""
     ran = {"certified": [], "descartes": [], "chains": 0}
-    certify, descartes, chain = nodal._certified_roots, nodal._descartes_gaps, nodal._sturm_chain
+    certify, descartes, chain = nodal._certified_roots, nodal._descartes_roots, nodal._sturm_chain
+    inside = []
 
     def certified_spy(coeffs, seps, starts, sign, count, tol):
-        ran["certified"].append(count)
+        if not inside:
+            ran["certified"].append(count)
         return certify(coeffs, seps, starts, sign, count, tol)
 
-    def descartes_spy(coeffs, seps, sign, square_free):
+    def descartes_spy(coeffs, seps, starts, sign, square_free, tol):
         ran["descartes"].append(square_free)
-        return descartes(coeffs, seps, sign, square_free)
+        inside.append(True)
+        try:
+            return descartes(coeffs, seps, starts, sign, square_free, tol)
+        finally:
+            inside.pop()
 
     def chain_spy(coeffs):
         ran["chains"] += 1
         return chain(coeffs)
 
     monkeypatch.setattr(nodal, "_certified_roots", certified_spy)
-    monkeypatch.setattr(nodal, "_descartes_gaps", descartes_spy)
+    monkeypatch.setattr(nodal, "_descartes_roots", descartes_spy)
     monkeypatch.setattr(nodal, "_sturm_chain", chain_spy)
     return ran
 
@@ -2261,7 +2288,7 @@ _ODD = _Z * _EVEN
 _ODD_PAIR = _Z * (_Z**2 - 1) * (_Z**2 + 1)
 
 # case: (p, seeds or None, whether `_chain_seeds` fails, then what `rung_spies` records:
-# the `_certified_roots` counts, the `_descartes_gaps` square_free flags and the number
+# the `_certified_roots` counts, the `_descartes_roots` square_free flags and the number
 # of Sturm chains, and last the digest of the RootSet)
 _RUNGS = {
     "whole/seeds": (_WHOLE, [-3.1, 0.9, 2.1], False, [3], [], 0, "8308a8cdb45f4fa5"),
@@ -2341,7 +2368,7 @@ def perturbed_seeds(draw):
 
 
 class TestSeedBrackets:
-    """Rungs 1 and 3 certify each gap by its seed's r +- h bracket, and take the signs at its separators only where that fails."""
+    """Every rung certifies each gap by its seed's r +- h bracket, and takes the signs at its separators only where that fails."""
 
     @pytest.mark.parametrize("family", [1, 2])
     @pytest.mark.parametrize("l", [20, 45, 70])
@@ -2384,6 +2411,19 @@ class TestSeedBrackets:
         far_moved = [s for s, m in zip(seeds, moved) if m and 1e-2 <= s <= 1]
         assert set(far_moved) <= set(newton) <= set(seeds)
 
+    @pytest.mark.parametrize("l, digest", [(13, "c5d095288d7ed402"), (23, "550cdbdd30bcf02f"), (26, "84284442b9e0b290"), (29, "e3abef53fa8a8c45")])
+    def test_descartes_runs_sign_each_point_once(self, l, digest, monkeypatch):
+        # the bi-Laplace (-1/2, 2/3) zero set at l has a complex pair: the phase
+        # seeds miss it, and rung 2 certifies the seed gaps in Descartes runs,
+        # each run and each gap once, with every sign of the call taken once
+        config = CrackConfig((Fraction(-1, 2), Fraction(2, 3)))
+        ran = rung_spies(monkeypatch)
+        points = line_signs(monkeypatch)
+        rs = check_admissibility_bilaplace(config, (l, l))[0].full_zero_set
+        assert ran["descartes"] == [False] and ran["chains"] == 0
+        assert points and len(set(points)) == len(points)
+        assert rootset_digest(rs) == digest
+
     @pytest.mark.parametrize(
         "equation, alphas, lmin, digests",
         [
@@ -2416,12 +2456,32 @@ class TestSeedBrackets:
                     39: "bd944fa141985a39", 40: "70ba489c6bded92f",
                 },
             ),
+            (
+                # even and odd combinations, a quarter of them with a complex pair:
+                # rung 2 runs on the seed gaps of the positive half line
+                "bilaplace",
+                "-1,0,1",
+                3,
+                {
+                    3: "c553a4681768d448", 4: "c553a4681768d448", 5: "c553a4681768d448", 6: "ce48b77b04b31337",
+                    7: "572fe624a9b0b613", 8: "45b3d02922cfea0b", 9: "45b3d02922cfea0b", 10: "84f6bcb4ba489d4b",
+                    11: "c8ef9c60a29b790b", 12: "eaa23ae2279d6e91", 13: "9d301e7752168301", 14: "1f73c9c820f1285b",
+                    15: "c01ee3758281e45d", 16: "f7c4643a504f12ff", 17: "f7c4643a504f12ff", 18: "a6d4c2b73f814d39",
+                    19: "d9f485aa8bc6a4e4", 20: "e4b0e22fd9ca6948", 21: "e4b0e22fd9ca6948", 22: "38d6aaa3e1db4c5f",
+                    23: "ce79621929987f23", 24: "6c88c62b74f0dc1c", 25: "c6e64a2d35e34de3", 26: "c5da11d9aaff1f98",
+                    27: "5be485bb48e98f8e", 28: "9b15c6ea379facea", 29: "9895cd928197fe2f", 30: "4ef08823aa2152b8",
+                    31: "c8835f2098e13b72", 32: "4447dd20c47ae22d", 33: "0f828c171c0680c5", 34: "4ff09bd2fc12bb38",
+                    35: "fb977eabf8a9dedc", 36: "9a550ce73b7af90b", 37: "c7158a03f401cfce", 38: "973263c47602cb24",
+                    39: "8f5474fffa2395f4", 40: "b167165a51d094b3",
+                },
+            ),
         ],
-        ids=["laplace", "bilaplace"],
+        ids=["laplace", "bilaplace", "bilaplace-half-line"],
     )
     def test_sweep_rootsets_unchanged(self, equation, alphas, lmin, digests):
         # the digest of every zero set to l = 40, as the ladder that took a sign at
-        # every separator gave it: one certificate instead of two moves no interval
+        # every separator gave it, and that certified Descartes runs by those signs
+        # alone: one certificate for every rung moves no interval
         check = check_admissibility_laplace if equation == "laplace" else check_admissibility_bilaplace
         config = CrackConfig(tuple(Fraction(a) for a in alphas.split(",")))
         got = {v.l: rootset_digest(v.full_zero_set) for v in check(config, (lmin, 40)) if v.full_zero_set is not None}
