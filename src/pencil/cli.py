@@ -235,9 +235,16 @@ def _parse_grid(text: str) -> dict[str, list[float]]:
     out = {}
     for chunk in text.split(","):
         name, _, spec = chunk.partition("=")
+        name = name.strip()
         if not spec:
             raise ValueError(f"grid chunk {chunk!r} must look like name=start:stop:step")
-        out[name.strip()] = _parse_range(spec)
+        if name not in ("z", "tau"):
+            raise ValueError(f"grid axis {name!r} is unknown; the axes are z and tau")
+        if name in out:
+            raise ValueError(f"grid axis {name!r} is given twice")
+        out[name] = _parse_range(spec)
+    if len(out) != 2:
+        raise ValueError("grid must define z and tau, e.g. z=-3:3:0.5,tau=0:5:1")
     _check_points(f"grid {text!r}", math.prod(len(axis) for axis in out.values()))
     return out
 
@@ -386,8 +393,6 @@ def _cmd_cracks_enum(args) -> int:
 def _cmd_expand_eval(args) -> int:
     exp = _parse_terms(args.terms, args.equation)
     grid = _parse_grid(args.grid)
-    if "z" not in grid or "tau" not in grid:
-        raise ValueError("grid must define z and tau, e.g. z=-3:3:0.5,tau=0:5:1")
     rows = []
     for tau in grid["tau"]:
         for z in grid["z"]:

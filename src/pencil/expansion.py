@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 from .nodal import Combination
 # not called here; perfbench/tracing.py wraps them under these names on this module
 from .pencils import quadratic_eigenfunction, quartic_eigenfunction  # noqa: F401
+from .pencils import QUADRATIC, QUARTIC, _widest_coefficient_bits
 from .polyring import RatPoly
 
 __all__ = [
@@ -93,17 +94,28 @@ class Expansion:
     def l_start(self) -> int:
         return min(self.terms)
 
-    @property
-    def k_max(self) -> int:
-        return max(self.terms)
-
     def combination(self, k: int) -> RatPoly:
         """The exact order-k combination: terms[k] weighting the eigenfunctions."""
         return self._combinations[k].poly
 
     @functools.cached_property
     def _float_terms(self) -> tuple[tuple[int, tuple[float, ...]], ...]:
-        """(k, float coefficients of combination(k)) for each k, in increasing k."""
+        """(k, float coefficients of combination(k)) for each k, in increasing k.
+
+        A term past the float range raises ValueError before any combination
+        is built: families 1 and 3 weight monomials of one parity, 2 and 4 the
+        other, and where w_f is the only nonzero weight of its class nothing
+        cancels it, so its coefficients reach 2^(e-1) 2^lo, with e = frexp(w_f)[1]
+        and 2^lo a lower bound on psi_f's largest coefficient.
+        """
+        order = QUADRATIC if self.equation == "laplace" else QUARTIC
+        for k, weights in self.terms.items():
+            for parity_class in ((1, 3), (2, 4)):
+                nonzero = [(f, weights[f - 1]) for f in parity_class if f <= len(weights) and weights[f - 1]]
+                if len(nonzero) == 1:
+                    (f, w), = nonzero
+                    if math.frexp(w)[1] - 1 + _widest_coefficient_bits(order, k - f + 1, f)[0] >= 1024:
+                        raise ValueError(f"the k={k} term's family {f} coefficients are past the float range")
         return tuple((k, tuple(float(c) for c in self.combination(k).coeffs)) for k in self.terms)
 
 
@@ -145,10 +157,10 @@ class DecayFit:
     residual: float
 
 
-_DEFAULT_ANGLES = tuple(-math.pi + math.pi * (j + 0.5) / 64 for j in range(64))
+_ANGLES = tuple(-math.pi + math.pi * (j + 0.5) / 64 for j in range(64))
 
 
-def decay_order(exp: Expansion, radii: Sequence[float], angles: Sequence[float] | None = None) -> DecayFit:
+def decay_order(exp: Expansion, radii: Sequence[float]) -> DecayFit:
     """Least-squares slope of log max|u| against log r over the given radii.
 
     The max is over a fixed fan of directions in the lower half-plane, which
@@ -163,11 +175,10 @@ def decay_order(exp: Expansion, radii: Sequence[float], angles: Sequence[float] 
         raise ValueError("radii must lie in (0, 1)")
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
-    angles = _DEFAULT_ANGLES if angles is None else tuple(angles)
     logs_r = []
     logs_u = []
     for r in radii:
-        peak = max(abs(eval_expansion_xy(exp, r * math.cos(t), r * math.sin(t))) for t in angles)
+        peak = max(abs(eval_expansion_xy(exp, r * math.cos(t), r * math.sin(t))) for t in _ANGLES)
         if peak == 0.0:
             raise ValueError("expansion vanishes on the whole sample fan")
         logs_r.append(math.log(r))
@@ -214,10 +225,9 @@ class NegligibilityReport:
     z: float
 
 
-def perturbation_negligibility(
-    exp: Expansion, p: float, tau_grid: Sequence[float], z: float | None = None
-) -> NegligibilityReport:
-    """Table of exp(-2 tau)|w|^p against the leading term along a fixed ray.
+def perturbation_negligibility(exp: Expansion, p: float, tau_grid: Sequence[float]) -> NegligibilityReport:
+    """Table of exp(-2 tau)|w|^p against the leading term along a fixed ray:
+    of 81 evenly spaced z in [-2, 2], the one where the leading combination is largest.
 
     The log-ratio decays linearly in tau with slope -(2 + l(p-1)) for an
     expansion of leading order l.
@@ -230,9 +240,7 @@ def perturbation_negligibility(
     if len(taus) < 2:
         raise ValueError("need at least two tau values")
     lead = exp._float_terms[0][1]
-    if z is None:
-        candidates = np.linspace(-2.0, 2.0, 81)
-        z = float(max(candidates, key=lambda t: abs(_horner(lead, t))))
+    z = float(max(np.linspace(-2.0, 2.0, 81), key=lambda t: abs(_horner(lead, t))))
     lead_mag = abs(_horner(lead, z))
     if lead_mag == 0.0:
         raise ValueError("leading combination vanishes at the chosen ray")

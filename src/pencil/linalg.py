@@ -1,40 +1,18 @@
-"""Exact row reduction and nullspace computation for rational matrices.
+"""Exact nullspace of the integer matrices of the crack-admissibility rank decisions.
 
-A matrix is a list of rows of exact rationals (`int` or `Fraction`, or
-anything `Fraction` accepts).  Each row is first scaled by the lcm of its
-entries' denominators, which leaves its row space, and so the reduced
-row-echelon form, as it is.  The integer matrix is then reduced by
-fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968, with
-the rows above each pivot cleared as well): every entry stays an integer,
-each step's division by the previous pivot is exact, and at the end the
-matrix is d times its RREF, with d the last pivot.  `Fraction`s are made
-only for the entries returned.  Used for the exact crack-admissibility rank
-decisions.
+A matrix, a nonempty list of rows of `int`s, is reduced by fraction-free
+Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968, with the rows above
+each pivot cleared as well): every entry stays an integer, each division by
+the previous pivot is exact, and at the end the matrix is d times its RREF,
+with d the last pivot.  `Fraction`s are made only for the kernel returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
-__all__ = ["rational_rref", "rational_kernel"]
-
-
-def _ratio(value) -> tuple[int, int]:
-    if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
-    return value.as_integer_ratio()
-
-
-def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Each row times the lcm of its denominators: integer rows with the same RREF."""
-    out = []
-    for row in rows:
-        ratios = [_ratio(v) for v in row]
-        scale = lcm(*(den for _, den in ratios))
-        out.append([num * (scale // den) for num, den in ratios])
-    return out
+__all__ = ["rational_kernel"]
 
 
 def _fraction_free_rref(m: list[list[int]]) -> tuple[int, list[int]]:
@@ -70,30 +48,15 @@ def _fraction_free_rref(m: list[list[int]]) -> tuple[int, list[int]]:
     return d, pivots
 
 
-def rational_rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row-echelon form and pivot column indices, exactly."""
-    if not rows:
-        return [], []
-    m = _integer_rows(rows)
-    d, pivots = _fraction_free_rref(m)
-    return [[Fraction(a, d) for a in row] for row in m], pivots
+def rational_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Basis of the right nullspace {v : M v = 0}, each vector with one free coordinate set to 1.
 
-
-def rational_kernel(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[tuple[Fraction, ...]]:
-    """Basis of the right nullspace {v : M v = 0}.
-
-    Each basis vector has a single free coordinate set to 1, which makes the
-    result deterministic for a given matrix.
+    An entry that is not an `int` raises `TypeError`: on a `Fraction` the
+    elimination's floor division would not be exact.
     """
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols is required for a matrix with no rows")
-        ncols = len(rows[0])
-    if not rows:
-        return [
-            tuple(Fraction(int(i == j)) for i in range(ncols)) for j in range(ncols)
-        ]
-    m = _integer_rows(rows)
+    if any(type(v) is not int for row in rows for v in row):
+        raise TypeError("rational_kernel takes rows of int entries")
+    m = list(rows)
     d, pivots = _fraction_free_rref(m)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []

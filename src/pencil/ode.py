@@ -88,10 +88,6 @@ class IntegrationResult:
     nfev: int
     _segments: list[tuple[float, float, tuple[float, float], list[tuple[float, float]]]]
 
-    @property
-    def y_end(self) -> tuple[float, float]:
-        return self.ys[-1]
-
     def interpolate(self, t: float) -> tuple[float, float]:
         """Dense-output state (f, f') anywhere inside the covered span."""
         return self.interpolate_all((t,))[0]

@@ -324,8 +324,9 @@ class SLReduction:
 DEFAULT_SL_SAMPLES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4))
 
 
-def sturm_liouville_check(pair: Eigenpair, sample_points=None) -> SLReduction:
-    """The residual -(1+z^2)^2 phi'' - mu phi of the transformed equation at rational points.
+def sturm_liouville_check(pair: Eigenpair) -> SLReduction:
+    """The residual -(1+z^2)^2 phi'' - mu phi of the transformed equation at the
+    rational points `DEFAULT_SL_SAMPLES`.
 
     With w = 1 + z^2 and phi = w^g psi, g = -exponent, the product rule gives
     -w^2 phi'' - mu phi = -w^g B for the polynomial
@@ -349,9 +350,8 @@ def sturm_liouville_check(pair: Eigenpair, sample_points=None) -> SLReduction:
     psi, w, z = pair.poly, RatPoly([1, 0, 1]), RatPoly([0, 1])
     b = w * w * psi.diff(2) + 4 * g * w * z * psi.diff() + (4 * g * (g - 1) * z * z + 2 * g * w + mu) * psi
     whole = math.ceil(g)
-    samples = DEFAULT_SL_SAMPLES if sample_points is None else tuple(Fraction(x) for x in sample_points)
     residuals = []
-    for x in samples:
+    for x in DEFAULT_SL_SAMPLES:
         wx = 1 + x * x
         exact = -b.eval(x) * wx**whole
         try:

@@ -75,12 +75,6 @@ class RatPoly:
     def one(cls) -> "RatPoly":
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, degree: int, coeff=1) -> "RatPoly":
-        if degree < 0:
-            raise ValueError("monomial degree must be >= 0")
-        return cls([0] * degree + [coeff])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -233,10 +227,6 @@ class RatPoly:
         if self.is_zero():
             raise ValueError("the zero polynomial has no monic normalization")
         return self / self.leading_coefficient
-
-    def parity_support(self) -> set[int]:
-        """Set of degree parities (0 and/or 1) carrying nonzero coefficients."""
-        return {i % 2 for i, c in enumerate(self.coeffs) if c != 0}
 
     def __repr__(self) -> str:
         return f"RatPoly({self.pretty()!r})"

@@ -510,16 +510,11 @@ class CrackCurve:
     points: tuple[tuple[float, float], ...]
 
 
-def crack_curves(
-    sol: ProfileSolution, alpha: float, p: float, y_grid: Sequence[float], max_curves: int | None = None
-) -> list[CrackCurve]:
-    """Zero curves of a self-similar profile: `curves_from_zeros` on its
-    first max_curves zeros, or on every zero without it."""
+def crack_curves(sol: ProfileSolution, alpha: float, p: float, y_grid: Sequence[float]) -> list[CrackCurve]:
+    """Zero curves of a self-similar profile: `curves_from_zeros` on every zero."""
     if sol.kind != SELFSIMILAR:
         raise ValueError("crack curves are built from a self-similar profile")
-    if max_curves is not None and max_curves < 0:
-        raise ValueError(f"max_curves must be >= 0, got {max_curves}")
-    return curves_from_zeros(sol.zeros if max_curves is None else sol.zeros[:max_curves], alpha, p, y_grid)
+    return curves_from_zeros(sol.zeros, alpha, p, y_grid)
 
 
 def curves_from_zeros(zeros: Sequence[float], alpha: float, p: float, y_grid: Sequence[float]) -> list[CrackCurve]:

@@ -29,13 +29,14 @@ positive half line for an even or odd p, whose negative half is their
 mirror image), isolates a repeated root through the square-free part and bisects only by Descartes
 bounds.  Both Sturm oracles are memoized on their arguments.
 `fraction_rref` and `fraction_kernel` are Gauss-Jordan elimination over
-`Fraction`s, each pivot row divided by its pivot, where `pencil.linalg`
-clears each row's denominators and eliminates fraction-free over the
-integers.  `combination_poly` sums a `Combination`'s weighted
-eigenfunctions in `RatPoly` arithmetic, where `Combination.poly` sums
-integer numerators over one common denominator, and `exact_admissibility`
-is an exact verdict's rank and kernel basis from a matrix of `Fraction`
-power sums, where `pencil.nodal` scales each row to integers.
+`Fraction`s, each pivot row divided by its pivot, where
+`pencil.linalg.rational_kernel` eliminates fraction-free over the integers,
+on the integer matrices `pencil.nodal` builds; `dense_kernel_in_class`
+takes its nullspace from `fraction_kernel`.  `combination_poly` sums a
+`Combination`'s weighted eigenfunctions in `RatPoly` arithmetic, where
+`Combination.poly` sums integer numerators over one common denominator, and
+`exact_admissibility` is an exact verdict's rank and kernel basis from a
+matrix of `Fraction` power sums, where `pencil.nodal` scales each row to integers.
 `int_form`, `primitive_coefficients` and `float_horner` derive a
 `RatPoly`'s integer form, primitive integer list and float value from its
 `Fraction`s on every call, where the `RatPoly` derives each once and keeps it.
@@ -65,7 +66,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from pencil import svg
-from pencil.linalg import rational_kernel
 from pencil.nodal import _FLOAT_STEP, _PHASE_SAMPLES, _PHASE_STEPS
 from pencil.pencils import ReconstructionReport, quadratic_eigenfunction, quartic_eigenfunction, xy_laplacian
 from pencil.polyring import RatPoly, op_apply
@@ -188,9 +188,9 @@ def dense_kernel_in_class(op, l: int) -> RatPoly | None:
     parity-of-l monomials, made monic; None unless it is one element of
     exact degree l."""
     degrees = list(range(l % 2, l + 1, 2))
-    columns = [op_apply(op, RatPoly.monomial(d)) for d in degrees]
+    columns = [op_apply(op, RatPoly([0] * d + [1])) for d in degrees]
     rows = [[col.coefficient(r) for col in columns] for r in range(l + 1)]
-    kernel = rational_kernel(rows, ncols=len(degrees))
+    kernel = fraction_kernel(rows, len(degrees))
     if len(kernel) != 1 or kernel[0][-1] == 0:
         return None
     coeffs = [Fraction(0)] * (l + 1)

@@ -123,16 +123,15 @@ def test_criterion_05_reconstruction():
 
 
 def test_criterion_06_sturm_liouville():
-    points = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4))
     worst = 0.0
     for l in range(1, 11):
         for fam in (1, 2):
-            red = sturm_liouville_check(quadratic_eigenfunction(l, fam), points)
+            red = sturm_liouville_check(quadratic_eigenfunction(l, fam))
             worst = max(worst, max(abs(r) for _, r in red.residuals))
     _criterion(
         6,
-        "transformed-equation residual < 1e-10 at z in {0, 1/2, 1, 2, 4}, l<=10",
-        worst < 1e-10,
+        "transformed-equation residual exactly 0 at z in {0, 1/2, 1, 2, 4}, l<=10",
+        worst == 0.0,
         f"worst {worst:.2e}",
     )
 

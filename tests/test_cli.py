@@ -268,6 +268,29 @@ class TestExpand:
         assert code == 1
         assert "1001000 points" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("z=0:1:0.5,tau=0:1:0.5,z=1:2:1", "grid axis 'z' is given twice"),
+            ("z=0:1:1,tau=0:0:1,q=0:5:1", "grid axis 'q' is unknown; the axes are z and tau"),
+            ("z=0:1:1", "grid must define z and tau, e.g. z=-3:3:0.5,tau=0:5:1"),
+        ],
+    )
+    def test_eval_grid_axes_exit_1(self, capsys, grid, message):
+        code, out, err = run_cli(capsys, "expand", "eval", "--terms", '{"2":[1,0]}', "--grid", grid)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("command", ["eval", "trace"])
+    def test_an_order_past_the_float_range_exit_1(self, capsys, command):
+        extra = ["--grid", "z=0:0:1,tau=0:0:1"] if command == "eval" else []
+        code, out, err = run_cli(capsys, "expand", command, "--terms", '{"40000":[1,0]}', *extra)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "the k=40000 term's family 1 coefficients are past the float range",
+        }
+
     def test_eval_out_without_json_writes_payload(self, tmp_path, capsys):
         path = tmp_path / "eval.json"
         code, out, _ = run_cli(capsys, *self.EVAL, "--out", str(path))

@@ -21,6 +21,7 @@ from pencil.expansion import (
     synthesize_boundary_trace,
     to_blowup,
 )
+from pencil.pencils import quadratic_eigenfunction, quartic_eigenfunction
 
 
 class TestBlowup:
@@ -80,7 +81,7 @@ class TestExpansionType:
     def test_bounds(self):
         e = Expansion("laplace", {2: (1, 0), 5: (0, 1)})
         assert e.l_start == 2
-        assert e.k_max == 5
+        assert max(e.terms) == 5
 
     def test_dropped_expansions_leave_nothing_behind(self):
         # a long-lived process evaluates many distinct expansions; once dropped,
@@ -170,6 +171,35 @@ class TestEvaluation:
                         acc = acc * z + c
                     values.append(math.exp(-k * tau) * acc)
                 assert eval_expansion(e, z, tau) == _neumaier_sum(values)
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize(
+        "equation, terms, k, family",
+        [
+            ("laplace", {40000: (1, 0)}, 40000, 1),
+            ("laplace", {1100: (1, 0)}, 1100, 1),
+            ("laplace", {2: (1, 0), 1100: (0, -1)}, 1100, 2),
+            ("bilaplace", {1100: (0, 0, 1, 0)}, 1100, 3),
+        ],
+    )
+    def test_a_term_past_the_float_range_raises_before_it_is_built(self, equation, terms, k, family):
+        # psi_{1100,1} has a coefficient C(1100, 550) > 2^1090: no float holds it
+        builders = (quadratic_eigenfunction, quartic_eigenfunction)
+        misses = [build.cache_info().misses for build in builders]
+        e = Expansion(equation, terms)
+        with pytest.raises(ValueError, match=f"^the k={k} term's family {family} coefficients are past the float range$"):
+            eval_expansion(e, 0.0, 0.0)
+        assert [build.cache_info().misses for build in builders] == misses
+
+    def test_a_small_weight_brings_the_term_into_range(self):
+        # psi_{1100,1}(0) = Re i^1100 = 1
+        assert eval_expansion(Expansion("laplace", {1100: (1e-300, 0)}), 0.0, 0.0) == 1e-300
+
+    def test_two_weights_of_one_class_are_built(self):
+        # families 1 and 3 weight the even monomials alike and could cancel
+        e = Expansion("bilaplace", {1100: (1e-300, 0, 1e-300, 0)})
+        assert math.isfinite(eval_expansion(e, 0.5, 0.0))
 
 
 class TestDecayOrder:

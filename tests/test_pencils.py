@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pencil.linalg import rational_kernel, rational_rref
+from pencil.linalg import rational_kernel
 from pencil.pencils import (
     DEFAULT_SL_SAMPLES,
     Eigenpair,
@@ -88,11 +88,11 @@ def quartic_kernel_degrees(lam: int, max_degree: int) -> tuple[int, ...]:
     echelon form by leading degree."""
     op = quartic_pencil(lam)
     degrees = list(range(0, max_degree + 1))
-    columns = [op_apply(op, RatPoly.monomial(d)) for d in degrees]
+    columns = [op_apply(op, RatPoly([0] * d + [1])) for d in degrees]
     max_row = max((c.degree for c in columns if not c.is_zero()), default=0)
     rows = [[col.coefficient(r) for col in columns] for r in range(max(max_row, max_degree) + 1)]
     echelon: dict[int, RatPoly] = {}
-    for vec in rational_kernel(rows, ncols=len(degrees)):
+    for vec in fraction_kernel(rows, len(degrees)):
         p = RatPoly(vec)
         while not p.is_zero() and p.degree in echelon:
             q = echelon[p.degree]
@@ -154,7 +154,7 @@ class TestOperatorStructure:
         # twice, with the decay parameter shifted by 2 on the outer pass
         for lam in (-7, -3, 0, 2, Fraction(1, 2)):
             for k in range(0, 12):
-                mono = RatPoly.monomial(k)
+                mono = RatPoly([0] * k + [1])
                 lhs = op_apply(quartic_pencil(lam), mono)
                 inner = op_apply(quadratic_pencil(lam), mono)
                 rhs = op_apply(quadratic_pencil(Fraction(lam) + 2), inner)
@@ -165,7 +165,7 @@ class TestOperatorStructure:
         # characteristic quartic evaluated at that degree
         for lam in range(-9, 1):
             for k in range(0, 10):
-                applied = op_apply(quartic_pencil(lam), RatPoly.monomial(k))
+                applied = op_apply(quartic_pencil(lam), RatPoly([0] * k + [1]))
                 assert applied.coefficient(k) == characteristic_quartic(k).eval(Fraction(lam))
 
 
@@ -203,7 +203,8 @@ class TestQuadraticEigenfunctions:
     def test_parity_support(self):
         for l in range(1, 20):
             for fam in (1, 2):
-                assert quadratic_eigenfunction(l, fam).poly.parity_support() == {l % 2}
+                coeffs = quadratic_eigenfunction(l, fam).poly.coeffs
+                assert {i % 2 for i, c in enumerate(coeffs) if c} == {l % 2}
 
     def test_recursion_matches_oracle(self):
         for l in range(1, 30):
@@ -485,7 +486,7 @@ class TestSturmLiouville:
         # the perturbation's residual at z = 4 is about -1e-600
         pair = quadratic_eigenfunction(1000, 1)
         bad = dataclasses.replace(pair, poly=pair.poly + RatPoly([0, Fraction(1, 10**9)]))
-        assert sturm_liouville_check(bad, [4]).residuals == ((Fraction(4), -math.ulp(0.0)),)
+        assert dict(sturm_liouville_check(bad).residuals)[Fraction(4)] == -math.ulp(0.0)
 
     def test_a_residual_past_the_float_range_is_infinite(self):
         # lambda = 2000 gives g = 2001/2: -B(z) w^ceil(g) = -B(z) (1 + z^2)^1001 is
@@ -531,11 +532,21 @@ class TestSerialization:
         assert data["coefficients"] == [["1", "1"], ["0", "1"], ["-6", "1"], ["0", "1"], ["1", "1"]]
 
 
+def _integer_rows(rows):
+    """Each row times the lcm of its denominators: integer rows with the same kernel."""
+    out = []
+    for row in rows:
+        scale = math.lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(x * scale) for x in row])
+    return out
+
+
 @st.composite
-def rational_matrices(draw):
-    """Matrices of up to 6 x 6 rationals with entries up to 2^200 over denominators
-    up to b^60, made rank deficient by duplicate rows, rational combinations of
-    rows and zero rows and columns; entries are ints where they are integers."""
+def integer_matrices(draw):
+    """Matrices of up to 6 x 6 integers: rationals with entries up to 2^200 over
+    denominators up to b^60, made rank deficient by duplicate rows, rational
+    combinations of rows and zero rows and columns, then each row scaled by
+    the lcm of its denominators."""
     nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     entry = st.builds(
         lambda n, scale, den: Fraction(n * scale, den),
@@ -558,23 +569,23 @@ def rational_matrices(draw):
     for col in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
         for row in rows:
             row[col] = Fraction(0)
-    return [[int(x) if x.denominator == 1 and draw(st.booleans()) else x for x in row] for row in rows]
+    return _integer_rows(rows)
 
 
 class TestLinalg:
     @settings(max_examples=300, deadline=None)
-    @given(rational_matrices())
-    @example([[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), Fraction(1)]])  # denominators cleared per row
+    @given(integer_matrices())
+    @example([[1, 2], [3, 6]])  # proportional rows
     @example([[0, 2, 4], [3, 1, 0], [6, 2, 1]])  # a swap, then a negative pivot
     @example([[0, 0], [0, 0]])
     def test_fraction_free_matches_the_fraction_oracle(self, rows):
-        rref, pivots = rational_rref(rows)
-        assert (rref, pivots) == fraction_rref(rows)
-        assert all(type(v) is Fraction for row in rref for v in row)
+        before = [list(row) for row in rows]
         ncols = len(rows[0])
         basis = rational_kernel(rows, ncols=ncols)
+        assert rows == before
         assert basis == fraction_kernel(rows, ncols)
-        assert len(basis) + len(pivots) == ncols
+        assert all(type(x) is Fraction for v in basis for x in v)
+        assert len(basis) + len(fraction_rref(rows)[1]) == ncols
         for v in basis:
             assert all(sum((a * x for a, x in zip(row, v)), Fraction(0)) == 0 for row in rows)
 
@@ -582,30 +593,26 @@ class TestLinalg:
     def test_dense_pencil_matrices_match_the_fraction_oracle(self, l):
         # the oracle's dense quartic-pencil matrix at its eigenvalue: large, sparse and rank deficient
         op = quartic_pencil(-l)
-        columns = [op_apply(op, RatPoly.monomial(d)) for d in range(l + 1)]
+        columns = [op_apply(op, RatPoly([0] * d + [1])) for d in range(l + 1)]
         rows = [[col.coefficient(r) for col in columns] for r in range(l + 4)]
-        assert rational_rref(rows) == fraction_rref(rows)
-        assert rational_kernel(rows, ncols=l + 1) == fraction_kernel(rows, l + 1)
+        assert rational_kernel(_integer_rows(rows), ncols=l + 1) == fraction_kernel(rows, l + 1)
 
-    def test_edge_shapes(self):
-        assert rational_rref([]) == ([], [])
-        assert rational_rref([[], []]) == ([[], []], [])
-        assert rational_kernel([], ncols=2) == [(1, 0), (0, 1)]
-        assert rational_kernel([[0, 0]]) == [(1, 0), (0, 1)]
-        # anything Fraction accepts is an entry, as before
-        assert rational_rref([["1/2", 0.25], [True, 3]]) == fraction_rref([["1/2", 0.25], [True, 3]])
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(3), "1", 1.0, True])
+    def test_an_entry_that_is_not_an_int_raises(self, entry):
+        # a Fraction would floor-divide silently in the elimination
+        with pytest.raises(TypeError, match="int entries"):
+            rational_kernel([[1, 0], [0, entry]], ncols=2)
 
     def test_kernel_of_rank_deficient(self):
-        m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-        basis = rational_kernel(m)
+        basis = rational_kernel([[1, 2], [2, 4]], ncols=2)
         assert len(basis) == 1
         v = basis[0]
         assert v[0] * 1 + v[1] * 2 == 0
 
     def test_rank(self):
-        m = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-        assert rational_rref(m)[1] == [0, 1]
-        assert rational_rref([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])[1] == [0]
+        assert rational_kernel([[1, 0], [0, 1]], ncols=2) == []
+        assert rational_kernel([[0, 0]], ncols=2) == [(1, 0), (0, 1)]
+        assert len(rational_kernel([[1, 2, 3]], ncols=3)) == 2
 
 
 class TestDenseOracle:

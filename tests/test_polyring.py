@@ -25,7 +25,7 @@ from pencil.polyring import (
 
 from pencil_oracles import float_horner, int_form, primitive_coefficients
 
-Z = RatPoly.monomial(1)
+Z = RatPoly([0, 1])
 
 
 def second_order_flux_operator():

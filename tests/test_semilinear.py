@@ -28,6 +28,7 @@ from pencil.semilinear import (
     FAR_FIELD_ROOT,
     NoProfileFoundError,
     crack_curves,
+    curves_from_zeros,
     selfsimilar_zeros,
     solve_selfsimilar,
     solve_stationary,
@@ -87,8 +88,8 @@ class TestIntegrator:
             rtol=1e-12,
             atol=1e-14,
         )
-        assert ours.y_end[0] == pytest.approx(ref.y[0, -1], rel=1e-8, abs=1e-12)
-        assert ours.y_end[1] == pytest.approx(ref.y[1, -1], rel=1e-8, abs=1e-12)
+        assert ours.ys[-1][0] == pytest.approx(ref.y[0, -1], rel=1e-8, abs=1e-12)
+        assert ours.ys[-1][1] == pytest.approx(ref.y[1, -1], rel=1e-8, abs=1e-12)
 
     def test_against_scipy_stationary_shot(self):
         # the generic oracle, on the stationary equation in its original variable z
@@ -248,8 +249,8 @@ class TestIntegrator:
         # one through (0, sqrt(2/(p+1))) reaches (1, 0)
         p = 3.0
         k, v = semilinear._quarter_period(p), math.sqrt(2 / (p + 1))
-        down = integrate(p, k, (1.0, 0.0)).y_end
-        up = integrate(p, k, (0.0, v)).y_end
+        down = integrate(p, k, (1.0, 0.0)).ys[-1]
+        up = integrate(p, k, (0.0, v)).ys[-1]
         assert abs(down[0]) < 1e-9 and abs(down[1] + v) < 1e-9
         assert abs(up[0] - 1.0) < 1e-9 and abs(up[1]) < 1e-9
 
@@ -849,21 +850,18 @@ class TestCrackCurves:
         with pytest.raises(ValueError, match=re.escape(f"not a finite float at y={y!r}, beta={alpha!r}")):
             crack_curves(oscillatory, alpha, 3.0, [-0.5, y])
 
-    def test_max_curves_builds_the_first_curves(self, oscillatory):
+    def test_the_first_zeros_build_the_first_curves(self, oscillatory):
         ys = [-0.5, -0.1]
         curves = crack_curves(oscillatory, 1.0, 3.0, ys)
         assert len(curves) == len(oscillatory.zeros) > 2
         for n in (0, 2, len(curves), len(curves) + 5):
-            assert crack_curves(oscillatory, 1.0, 3.0, ys, max_curves=n) == curves[:n]
-        # a negative count would slice from the end
-        with pytest.raises(ValueError, match="max_curves must be >= 0, got -1"):
-            crack_curves(oscillatory, 1.0, 3.0, ys, max_curves=-1)
+            assert curves_from_zeros(oscillatory.zeros[:n], 1.0, 3.0, ys) == curves[:n]
 
     def test_only_built_points_must_be_finite(self, oscillatory):
         # at beta = 3.5 the last zero's point at y = -1e300 is past the float
         # range and the first zero's is not; a curve that is not built cannot fail
         ys = [-0.5, -1e300]
-        (first,) = crack_curves(oscillatory, 3.5, 3.0, ys, max_curves=1)
+        (first,) = curves_from_zeros(oscillatory.zeros[:1], 3.5, 3.0, ys)
         assert first.xi == oscillatory.zeros[0] and math.isfinite(first.points[-1][1])
         with pytest.raises(ValueError, match=re.escape("not a finite float at y=-1e+300, beta=3.5")):
             crack_curves(oscillatory, 3.5, 3.0, ys)
