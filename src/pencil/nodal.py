@@ -2,8 +2,13 @@
 
 A `Combination`, the order-l weighted sum of the family eigenfunctions,
 owns its polynomial and isolates its roots from seeds, one float guess per
-real root, taken from the phase form of its own weights (closed-form
-cotangents for Laplace, a float scan in the angle for bi-Laplace).
+real root, taken from the phase form of its own weights with no sampling
+(`_phase_seeds`): closed-form cotangents for Laplace; for bi-Laplace, the
+crossings of the phase of a rotating ellipse with its levels, one
+safeguarded Newton solve per root, in the case (all l roots real, l - 2 of
+them, a closed form, or an arc where the phase turns back) that the exact
+weights decide.  An even or odd combination gets seeds on the positive
+half line only, with 0.0 for an exact root 0.
 
 `isolate_real_roots` climbs one ladder (`_ladder`) on one line (`_Line`).
 An even or odd p = z^k q(z^2), k <= 1, q(0) != 0, is isolated on the
@@ -56,6 +61,7 @@ the standard library alone.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -1035,7 +1041,11 @@ def _half_line(coeffs: list[int], k: int, q: list[int], bound: tuple[int, int]) 
 
 
 def _positive_seeds(k: int, seeds: list[float]) -> list[float]:
-    """The positive seeds, less the one nearest 0 for k = 1: it stands for the exact root 0."""
+    """The positive seeds, less the one nearest 0 for k = 1 when it is positive: it stands for the exact root 0.
+
+    `_phase_seeds` guesses the root 0 as 0.0, which is not positive, so
+    each of its positive seeds is kept.
+    """
     positive = [s for s in seeds if s > 0]
     return positive[1:] if k and positive and positive[0] == min(seeds, key=abs) else positive
 
@@ -1148,15 +1158,11 @@ def _multiplicities(g: list[int], intervals: list[tuple[Fraction, Fraction]]) ->
         chain = _sturm_chain(chain.polys[-1])
 
 
-# phase-scan samples per unit of l: two roots of a bi-Laplace combination
-# closer than pi / (_PHASE_SAMPLES * l) in angle can share a sample interval
-# with no sign change; the scan misses both, and `_descartes_roots` bisects
-# their seed gap until it finds them, or isolation falls back to p's own chain
-_PHASE_SAMPLES = 32
-# safeguarded Newton steps per scan bracket, at most: from the bracket's
-# midpoint the error falls about as e -> l e^2 / 2, so four or five steps
-# reach float resolution; a step that would leave the bracket bisects it
-_PHASE_STEPS = 12
+# safeguarded Newton steps per level crossing, at most: from the crossing
+# before it the error falls about as e -> C e^2, so three to five steps reach
+# 2 ulps; a step that would leave the bracket bisects it instead, and 64
+# halvings bring any bracket in [0, pi/2] to float resolution
+_LEVEL_STEPS = 64
 
 
 def _phase_seeds(l: int, coeffs: Sequence) -> list[float]:
@@ -1165,22 +1171,49 @@ def _phase_seeds(l: int, coeffs: Sequence) -> list[float]:
     coeffs holds c_1, c_2 and, for bi-Laplace, c_3 and c_4; the psi are the
     monic family eigenfunctions.  With z = cot(phi), the closed forms in
     z + i that `pencil.pencils` builds them from give
-    sin^l(phi) p(cot phi) = A cos(l phi) + B sin(l phi)
-                            + sin(phi) (C sin((l-1) phi) + D cos((l-1) phi)),
-    a sum well conditioned in phi for every l, whose zeros in (0, pi) are
-    the roots' angles.  For Laplace (C = D = 0) it is
-    |w| cos(l phi - theta) with w = c_1 - i c_2 / l = |w| e^(-i theta), so the
-    roots are the l closed-form cot((theta + pi/2 + k pi) / l).  Otherwise
-    the sum is sampled at 32 l + 1 evenly spaced angles in [0, pi], and
-    Newton steps in phi, safeguarded by bisection, refine every sign-change
-    bracket together until all have converged.  When c_1 = 0 the degree is
-    below l and the endpoint zeros at phi = 0 and pi are not roots.  Plain
-    float loops do all of it, on the weights scaled exactly by the one power
-    of two that brings the largest below 2 and above 1/2: the roots do not
-    change, and tiny or huge weights neither underflow nor overflow the
-    form.  A guess whose cotangent is not a finite float is dropped.  The
-    guesses carry no guarantee: `isolate_real_roots` certifies them or falls
-    back.
+    F(phi) = sin^l(phi) p(cot phi) = A cos(l phi) + B sin(l phi)
+                                     + sin(phi) (C sin((l-1) phi) + D cos((l-1) phi)),
+    whose zeros in (0, pi) are the roots' angles.  For Laplace (C = D = 0)
+    it is |w| cos(l phi - theta) with w = c_1 - i c_2 / l = |w| e^(-i theta),
+    so the roots are the l closed-form cot((theta + pi/2 + k pi) / l).
+
+    For bi-Laplace, with a, b, c, d the scaled weights below, F is
+    Re(e^(i (l-1) phi) G(phi)), G(phi) = alpha e^(i phi) + beta e^(-i phi),
+    alpha = (a - c/2) - i (b + d/2) and beta = (c + i d) / 2: G runs round an
+    ellipse, and the zeros are the crossings of the phase
+    Theta = (l-1) phi + arg G with the levels pi/2 + k pi, where
+    Theta' = (l-1) + (|alpha|^2 - |beta|^2) / |G|^2.  The exact weights
+    decide which of four cases holds (`_ellipse_case`), and no case samples:
+    - |alpha| > |beta|: Theta = l phi + arg alpha + Arg(1 + (beta/alpha) e^(-2 i phi))
+      rises with Theta' >= l - 1, and all l roots are real;
+    - |alpha| = |beta|: F = 2 |alpha| cos(phi + (a' - b')/2) cos((l-1) phi + (a' + b')/2),
+      a' and b' the arguments of alpha and beta, and the roots are
+      closed-form cotangents, as for Laplace;
+    - |alpha| < |beta| and l^2 |alpha|^2 < (l-2)^2 |beta|^2:
+      Theta = (l-2) phi + arg beta + Arg(1 + (alpha/beta) e^(2 i phi)) rises,
+      and l - 2 roots are real;
+    - otherwise Theta has the same form but falls on one arc, between the
+      two angles where |G|^2 = (|beta|^2 - |alpha|^2) / (l-1), each a
+      closed-form arccosine; it is monotone on at most three pieces of
+      (0, pi), and l - 2 or l roots are real.
+    Each half of (0, pi) is taken from its own end (`_half_angles`): the
+    angles in (0, pi/2) give the positive roots, and those of the mirror
+    image, p(-z), with weights (a, -b, c, -d), the negative ones.  An even
+    or odd combination (c_2 = c_4 = 0, or c_1 = c_3 = 0) is its own mirror
+    image, so only its positive roots are guessed, the half line that
+    `isolate_real_roots` isolates it on.  An exact root 0 (p(0) = 0, exactly)
+    is guessed as 0.0, the seed `_positive_seeds` takes for it, and a level
+    that F meets exactly at an end, phi = 0 and pi for c_1 = 0 or pi/2 for
+    p(0) = 0, is no crossing.  Every crossing is one solve of
+    Theta = level by Newton steps in phi, safeguarded by the bracket from the
+    crossing before it to the end of its piece, to 2 ulps.
+
+    Plain float loops do all of it, on the weights scaled exactly by the
+    one power of two that brings the largest below 2 and above 1/2: the
+    roots do not change, and tiny or huge weights neither underflow nor
+    overflow the form.  A guess whose cotangent is not a finite float is
+    dropped.  The guesses carry no guarantee: `isolate_real_roots`
+    certifies them or falls back.
     """
     # |n/d| in lowest terms lies in (2^(e-1), 2^(e+1)) with e = len(n) - len(d)
     # in bits; the largest e sets the scale, and one integer true division,
@@ -1203,43 +1236,182 @@ def _phase_seeds(l: int, coeffs: Sequence) -> list[float]:
     b = c2 / l + (3 * c4 / (l * (l - 1) * (l - 2)) if c4 else 0.0)
     c = c3 / (l - 1) if c3 else 0.0
     d = -3 * c4 / ((l - 1) * (l - 2)) if c4 else 0.0
-    m = l - 1
-    cos, sin = math.cos, math.sin
+    case, symmetric, origin, flags = _ellipse_case(l, ratios)
+    angles = functools.partial(_half_angles, l, case, flags, origin)
+    negative = [] if symmetric else [-z for z in _cotangents(angles(a, -b, c, -d))]
+    return negative + [0.0] * origin + _cotangents(angles(a, b, c, d))[::-1]
 
-    n = _PHASE_SAMPLES * l
-    width = math.pi / n
-    phi = [k * width for k in range(n)] + [math.pi]
-    # the exact endpoint values; with c_1 = 0 both are zeros that are not roots
-    values = [a] + [a * cos(l * x) + b * sin(l * x) + sin(x) * (c * sin(m * x) + d * cos(m * x)) for x in phi[1:-1]]
-    values.append(a * (-1) ** l)
-    signs = [(v > 0) - (v < 0) for v in values]
-    roots = [x for x, v in zip(phi[1:-1], values[1:-1]) if v == 0]
-    # [lo, hi, sign at lo, iterate] for each sign-change bracket
-    brackets = [
-        [phi[j], phi[j + 1], signs[j], 0.5 * (phi[j] + phi[j + 1])] for j in range(n) if signs[j] * signs[j + 1] < 0
-    ]
-    for _ in range(_PHASE_STEPS):
-        done = True
-        for bracket in brackets:
-            lo, hi, s_lo, x = bracket
-            cos_l, sin_l, cos_m, sin_m = cos(l * x), sin(l * x), cos(m * x), sin(m * x)
-            cos_1, sin_1 = cos(x), sin(x)
-            inner = c * sin_m + d * cos_m
-            value = a * cos_l + b * sin_l + sin_1 * inner
-            slope = l * (b * cos_l - a * sin_l) + cos_1 * inner + m * sin_1 * (c * cos_m - d * sin_m)
-            if (value > 0) - (value < 0) == s_lo:
-                lo = x
-            else:
-                hi = x
-            # a zero slope, or an infinite or NaN quotient, bisects
-            step = x - value / slope if slope else math.nan
-            if not lo <= step <= hi:
-                step = 0.5 * (lo + hi)
-            done = done and abs(step - x) <= 2 * math.ulp(x)
-            bracket[:] = lo, hi, s_lo, step
-        if done:
-            break
-    return _cotangents(roots + [x for *_, x in brackets])
+
+def _ellipse_case(l: int, ratios: list[tuple[int, int]]) -> tuple[str, bool, bool, tuple[bool, ...]]:
+    """(case, symmetric, origin, flags) of a bi-Laplace combination, from the integer ratios of its weights, exactly.
+
+    case is "alpha" (|alpha| > |beta|), "equal", "beta" (|alpha| < |beta|
+    and l^2 |alpha|^2 < (l-2)^2 |beta|^2) or "arc", for the alpha and beta of
+    `_phase_seeds`; symmetric tells an even or odd combination, and origin
+    whether p(0) = F(pi/2) = Re(i^l (alpha - beta)) is 0.  flags is
+    (c_1 = c_2 = 0,), which makes phi = 0 a turning point of an arc, except
+    in the equal case: there it tells, for the factor cos(phi + (a' - b')/2)
+    and then for cos((l-1) phi + (a' + b')/2), whether the factor vanishes
+    at phi = 0 and whether at pi/2.  a, b, c and d here are the weights of
+    `_phase_seeds` times one positive integer, so integers.
+    """
+    (n1, d1), (n2, d2), (n3, d3), (n4, d4) = (ratios + [(0, 1)] * 3)[:4]
+    e = l * (l - 1) * (l - 2 if n4 else 1)
+    den = d1 * d2 * d3 * d4
+    a = n1 * (den // d1) * e
+    b = n2 * (den // d2) * (e // l)
+    c = n3 * (den // d3) * (e // (l - 1))
+    d = 0
+    if n4:
+        w = 3 * n4 * (den // d4)
+        b, d = b + w, -w * l
+    # 2 alpha = x - i y and 2 beta = c + i d
+    x, y = 2 * a - c, 2 * b + d
+    na, nb = x * x + y * y, c * c + d * d
+    if na > nb:
+        case = "alpha"
+    elif na == nb:
+        case = "equal"
+    elif l * l * na < (l - 2) ** 2 * nb:
+        case = "beta"
+    else:
+        case = "arc"
+    origin = a == c if l % 2 == 0 else b + d == 0
+    symmetric = n2 == n4 == 0 or n1 == n3 == 0
+    flags: tuple[bool, ...] = (n1 == n2 == 0,)
+    if case == "equal":
+        # 4 alpha conj(beta) = r1 + i i1 and 4 alpha beta = r2 + i i2: a factor
+        # vanishes at 0 where its product is a negative real, and at pi/2 where
+        # that product, times (-1)^l for the second factor, is a positive real
+        r1, i1 = x * c - y * d, -(x * d + y * c)
+        r2, i2 = x * c + y * d, x * d - y * c
+        flags = (i1 == 0 and r1 < 0, i1 == 0 and r1 > 0, i2 == 0 and r2 < 0, i2 == 0 and (r2 > 0) == (l % 2 == 0))
+    return case, symmetric, origin, flags
+
+
+def _half_angles(l: int, case: str, flags: tuple[bool, ...], origin: bool, a: float, b: float, c: float, d: float) -> list[float]:
+    """The angles in (0, pi/2) where the phase form of scaled weights a, b, c, d crosses a level, ascending (see `_phase_seeds`).
+
+    In the equal case each factor of F has a linear phase, n phi plus the
+    argument of the square root of gamma (n = 1 and gamma = alpha conj(beta),
+    or n = l - 1 and gamma = alpha beta), and its crossings are the closed
+    forms (delta + k pi) / n.  Otherwise Theta - Theta(0) is measured from
+    phi = 0, where Theta(0) = arg(a - i b), so that a small angle keeps its
+    relative accuracy, and the levels are delta + k pi, delta in [0, pi)
+    (`_level_offset`), crossed on each monotone piece between the ends and
+    the turning points.  A level met exactly at an end, phi = 0 for c_1 = 0
+    (delta = 0) or pi/2 for origin, is no crossing.
+    """
+    alpha, beta = complex(a - c / 2, -(b + d / 2)), complex(c / 2, d / 2)
+    if case == "equal":
+        angles = []
+        for n, gamma, at_zero, at_end in ((1, alpha * beta.conjugate(), *flags[:2]), (l - 1, alpha * beta, *flags[2:])):
+            delta = _level_offset(cmath.sqrt(gamma), at_zero)
+            end = n * math.pi / 2
+            angles += [level / n for level in _levels(delta, 0.0, _snapped(delta, end) if at_end else end)]
+        return sorted(angles)
+    if case == "alpha":
+        n, sigma, num, den = l, -1.0, beta, alpha
+    else:
+        n, sigma, num, den = l - 2, 1.0, alpha, beta
+    if not den:
+        return []
+    rho = num / den
+    # with w = e^(2 i sigma phi), Theta(phi) - Theta(0) = n phi + arg((1 + rho w) / (1 + rho))
+    # = n phi + arg(v), v = |1 + rho|^2 + rho (1 + conj(rho)) (w - 1), and
+    # w - 1 = 2 i sin(sigma phi) e^(i sigma phi) keeps v - |1 + rho|^2 accurate near 0;
+    # 1 + rho = G(0) / den = (a - i b) / den keeps its accuracy for rho near -1
+    one = complex(a, -b) / den
+    k0 = one.real * one.real + one.imag * one.imag
+    k1 = 2j * rho * one.conjugate()
+    q = sigma * (1 - abs(rho) ** 2) * k0
+    m = l - 1
+
+    def phase(x: float) -> tuple[float, float]:
+        """Theta(x) - Theta(0) and Theta'(x) = (l-1) - sigma (1 - |rho|^2) / |1 + rho w|^2, 0.0 where that is undefined."""
+        e = cmath.rect(1.0, sigma * x)
+        v = k0 + k1 * (e.imag * e)
+        s = v.real * v.real + v.imag * v.imag
+        return n * x + cmath.phase(v), (m - q / s if s else 0.0)
+
+    ends = [0.0, math.pi / 2]
+    if case == "arc" and rho:
+        # Theta' = 0 where |1 + rho w|^2 = 1 + |rho|^2 + 2 |rho| cos(2 phi + arg rho) = (1 - |rho|^2) / (l-1)
+        r = abs(rho)
+        kappa = ((1 - r * r) / m - 1 - r * r) / (2 * r)
+        if -1 < kappa < 1:
+            turn, t = math.acos(kappa), cmath.phase(rho)
+            turns = [(turn - t) / 2 % math.pi, (-turn - t) / 2 % math.pi]
+            if flags[0]:
+                # c_1 = c_2 = 0: F has a double zero at 0, and one turning point is 0 itself
+                turns.remove(min(turns, key=lambda x: min(x, math.pi - x)))
+            ends[1:1] = sorted(x for x in turns if 0 < x < math.pi / 2)
+    delta = _level_offset(complex(a, -b), False)
+    values = [0.0] + [phase(x)[0] for x in ends[1:]]
+    if origin:
+        values[-1] = _snapped(delta, values[-1])
+    angles: list[float] = []
+    rect, arg, ulp = cmath.rect, cmath.phase, math.ulp
+    for x0, x1, v0, v1 in zip(ends, ends[1:], values, values[1:]):
+        rising = v1 > v0
+        lo, prev, slope = x0, v0, 0.0
+        for level in _levels(delta, v0, v1):
+            # a Newton step from the crossing before, else the chord to the piece's end
+            x = lo + (level - prev) / slope if slope else lo + (level - prev) / (v1 - prev) * (x1 - lo)
+            hi = x1
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+            dx = dx_old = math.inf
+            for _ in range(_LEVEL_STEPS):
+                # phase(x), written out: this loop is where the seeds' time goes
+                e = rect(1.0, sigma * x)
+                v = k0 + k1 * (e.imag * e)
+                s = v.real * v.real + v.imag * v.imag
+                residual = n * x + arg(v) - level
+                slope = m - q / s if s else 0.0
+                if (residual < 0) == rising:
+                    lo = x
+                else:
+                    hi = x
+                step = x - residual / slope if slope else math.nan
+                # a step that leaves the bracket, or is longer than half the step
+                # before last (the rule of rtsafe), bisects it instead
+                if not (lo <= step <= hi and abs(step - x) <= dx_old / 2):
+                    step = 0.5 * (lo + hi)
+                dx_old, dx = dx, abs(step - x)
+                x = step
+                if dx <= 2 * ulp(x):
+                    break
+            angles.append(x)
+            lo, prev = x, level
+    return angles
+
+
+def _level_offset(z: complex, zero: bool) -> float:
+    """The delta in [0, pi) with arg z + delta in pi/2 + pi Z; 0.0 when zero, or when z is imaginary (arg z is itself a level)."""
+    x, y = z.real, z.imag
+    if zero or x == 0:
+        return 0.0
+    # (y, x) is z turned by pi/2 - 2 arg z; the sign puts it in the upper half plane
+    return math.atan2(x, y) if x > 0 else math.atan2(-x, -y)
+
+
+def _snapped(delta: float, value: float) -> float:
+    """The level delta + k pi nearest value, as `_levels` computes it: value is exactly a level, up to rounding."""
+    return delta + round((value - delta) / math.pi) * math.pi
+
+
+def _levels(delta: float, v0: float, v1: float) -> list[float]:
+    """The levels delta + k pi strictly between v0 and v1, in order from v0 to v1."""
+    lo, hi = min(v0, v1), max(v0, v1)
+    k = math.floor((lo - delta) / math.pi)
+    while delta + k * math.pi <= lo:
+        k += 1
+    levels = []
+    while (level := delta + k * math.pi) < hi:
+        levels.append(level)
+        k += 1
+    return levels if v1 >= v0 else levels[::-1]
 
 
 def _cotangents(angles: Iterable[float]) -> list[float]:

@@ -11,8 +11,9 @@ A `RatPoly` derives each of three forms at most once and keeps it: its
 integer form, numerators over the lcm of the denominators (`_int_form`);
 its primitive integer list (`integer_coefficients`); and its float
 coefficients (`eval_float`).  A builder that has summed the integer form
-already presets it (`_from_int_form`).  Callers get fresh lists, so none
-can change a kept form, and pickling rebuilds a polynomial from its
+already presets it (`_from_int_form`), and then the `Fraction` coefficients
+are built only when something reads them.  Callers get fresh lists, so
+none can change a kept form, and pickling rebuilds a polynomial from its
 coefficients alone.
 
 All values are immutable after construction; operations are pure.
@@ -324,16 +325,54 @@ def _int_form(p: RatPoly) -> tuple[list[int], int]:
     return list(nums), d
 
 
+class _IntFormPoly(RatPoly):
+    """A `RatPoly` made from its integer form (`_from_int_form`), whose coeffs slot stays unset until its first read.
+
+    Only an unset slot reaches `__getattr__`, which derives coeffs from the
+    kept integer form and sets it.  degree, is_zero and bool read whichever
+    form is there, so root isolation, which reads only the integer form,
+    builds no `Fraction`.  `__getattr__` lives on this subclass alone: on
+    RatPoly itself it would slow every attribute read.  A copy or a pickle
+    is a plain RatPoly (`RatPoly.__reduce__`).
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "coeffs":
+            raise AttributeError(name)
+        nums, d = self._ints
+        coeffs = tuple(Fraction(v, d) for v in nums)
+        object.__setattr__(self, "coeffs", coeffs)
+        return coeffs
+
+    def _terms(self) -> tuple:
+        """coeffs if it is set, else the kept numerators: the same length, with zeros in the same places."""
+        try:
+            return object.__getattribute__(self, "coeffs")
+        except AttributeError:
+            return self._ints[0]
+
+    @property
+    def degree(self) -> int:
+        return len(self._terms()) - 1
+
+    def is_zero(self) -> bool:
+        return not self._terms()
+
+    def __bool__(self) -> bool:
+        return bool(self._terms())
+
+
 def _from_int_form(nums: Sequence[int], d: int) -> RatPoly:
-    """The polynomial sum_k nums[k] z^k / d, d > 0, with its integer form kept."""
+    """The polynomial sum_k nums[k] z^k / d, d > 0, with its integer form kept and its coeffs built on first read."""
     nums = list(nums)
     while nums and nums[-1] == 0:
         nums.pop()
     g = gcd(d, *nums)
     if g != 1:
         nums, d = [v // g for v in nums], d // g
-    p = object.__new__(RatPoly)
-    object.__setattr__(p, "coeffs", tuple(Fraction(v, d) for v in nums))
+    p = object.__new__(_IntFormPoly)
     object.__setattr__(p, "_ints", (tuple(nums), d))
     return p
 

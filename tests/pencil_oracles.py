@@ -6,9 +6,10 @@ pencil matrix, the two-term quadratic coefficient recursion, the quartic
 relation `quartic_relation` derived by applying the written-out quartic
 operator to monomials over the integers, and the transcribed reference
 four-term quartic relation, whose mismatches are only logged.
-`phase_seeds` is the numpy array form of the phase-form root seeds, which
-`pencil.nodal._phase_seeds` computes in plain float loops with the same
-operations in the same order.
+`phase_seeds` takes root seeds from the phase form on numpy arrays: the
+Laplace closed form with the operations of `pencil.nodal._phase_seeds` in
+the same order, and for bi-Laplace a scan of 32 l + 1 samples, where the
+program solves for the level crossings of the phase without sampling.
 `variations_at` counts a Sturm chain's sign variations with one Horner sum
 in a and b per element at the point a/b, where
 `pencil.nodal._variations_at` takes each element's sign from its sign
@@ -66,7 +67,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from pencil import svg
-from pencil.nodal import _FLOAT_STEP, _PHASE_SAMPLES, _PHASE_STEPS
+from pencil.nodal import _FLOAT_STEP
 from pencil.pencils import ReconstructionReport, quadratic_eigenfunction, quartic_eigenfunction, xy_laplacian
 from pencil.polyring import RatPoly, op_apply
 
@@ -324,13 +325,23 @@ def quartic_recursion_report(l: int, family: int) -> list[dict]:
     return report
 
 
-def phase_seeds(l: int, coeffs: Sequence) -> list[float]:
-    """`pencil.nodal._phase_seeds` computed on numpy arrays.
+# the scan's samples per unit of l, and its safeguarded Newton steps per bracket
+_PHASE_SAMPLES = 32
+_PHASE_STEPS = 12
 
-    The same phase form on the same samples, with every sign-change bracket
-    stepped by one vectorised safeguarded Newton iteration; see the
-    program's docstring for the mathematics.  A zero sine gives an infinite
-    or NaN guess here, where the program drops the guess.
+
+def phase_seeds(l: int, coeffs: Sequence) -> list[float]:
+    """Root seeds of a `pencil.nodal.Combination` from a numpy scan of its phase form.
+
+    The Laplace seeds are the closed-form cotangents that
+    `pencil.nodal._phase_seeds` computes, with the same operations in the
+    same order.  The bi-Laplace phase form is sampled at 32 l + 1 evenly
+    spaced angles in [0, pi], and every sign-change bracket is stepped by
+    one vectorised safeguarded Newton iteration, up to 12 times, where the
+    program solves for level crossings of the phase with no sampling.  Two
+    roots closer than pi / (32 l) in angle can share a sample interval
+    with no sign change, and the scan misses both.  A zero sine gives an
+    infinite or NaN guess here, where the program drops the guess.
     """
     import numpy as np
 
@@ -845,3 +856,4 @@ def render_line_chart(series, *args, **kwargs) -> str:
     points = iter(polyline_points(series))
     doc = svg.render_line_chart(series, *args, **kwargs)
     return re.sub(r'<polyline points="[^"]*"', lambda _: f'<polyline points="{next(points)}"', doc)
+

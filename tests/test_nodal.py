@@ -1,5 +1,6 @@
 """Root isolation, transversality, and admissibility decisions."""
 
+import bisect
 import copy
 import dataclasses
 import functools
@@ -388,17 +389,20 @@ ADM_POOL = (
 )
 
 
+def assert_within_contract(got: nodal.RootSet, want: nodal.RootSet, tol: float = 1e-12) -> None:
+    """got and want, two isolations of one polynomial, have the same counts and multiplicities, and roots within the RootSet bound of each other."""
+    assert got.count == want.count
+    assert got.multiplicities == want.multiplicities
+    # each refined root is within tol/16 * max(|lo|, |hi|, 1) of the true root
+    scales = [[float(max(abs(lo), abs(hi), 1)) for lo, hi in rs.isolating_intervals] for rs in (got, want)]
+    for a, b, s_a, s_b in zip(got.refined_roots, want.refined_roots, *scales):
+        assert abs(a - b) <= tol / 16 * (s_a + s_b)
+
+
 def assert_same_roots(seeded, plain, tol=1e-12):
     """Seeded and unseeded isolation of one polynomial agree; each seeded interval is certified."""
     p = seeded.poly
-    assert seeded.count == plain.count
-    assert seeded.multiplicities == plain.multiplicities
-    # each refined root is within tol/16 * max(|lo|, |hi|, 1) of the true root
-    scales = [
-        [float(max(abs(lo), abs(hi), 1)) for lo, hi in rs.isolating_intervals] for rs in (seeded, plain)
-    ]
-    for a, b, s_a, s_b in zip(seeded.refined_roots, plain.refined_roots, *scales):
-        assert abs(a - b) <= tol / 16 * (s_a + s_b)
+    assert_within_contract(seeded, plain, tol)
     for (lo, hi), m in zip(seeded.isolating_intervals, seeded.multiplicities):
         # every interval is open, with a root of any multiplicity inside and none at either end
         assert lo < hi and p.eval(lo) * p.eval(hi) * (-1) ** m > 0
@@ -1642,15 +1646,46 @@ _SEED_WEIGHTS = st.one_of(
 )
 
 
-class TestPhaseSeeds:
-    """The float-loop seeds against the numpy array form they replaced.
+def assert_seeds_in_intervals(seeds, rs: nodal.RootSet) -> None:
+    """Each seed lies inside the isolating interval of its own root of rs: no seed outside them, and no two in one."""
+    intervals = rs.isolating_intervals
+    held = [bisect.bisect_left(intervals, (Fraction(s),)) - 1 for s in seeds]
+    assert all(i >= 0 and intervals[i][0] < s < intervals[i][1] for s, i in zip(seeds, held)), (seeds, intervals)
+    assert len(set(held)) == len(held), (seeds, intervals)
 
-    Both forms do the same IEEE operations in the same order, so the seeds
-    and the roots refined from them are equal bit for bit as long as numpy's
-    float64 sin and cos round as the platform libm behind `math` does.  A
-    numpy build that dispatches to other (SIMD) routines can move a seed by
-    a few ulps and fail the equalities below while the program is correct:
-    seeds are only guesses, certified exactly by `_certified_roots`.
+
+def assert_oracle_seeded_alike(equation: str, l: int, coeffs) -> None:
+    """The program's seeds and the numpy oracle's: bit for bit for Laplace; for bi-Laplace, the same RootSet contract.
+
+    A bi-Laplace RootSet from the program's seeds has the counts and
+    multiplicities of the one from the oracle's scan seeds, and roots
+    within the RootSet bound of them; each program seed lies inside the
+    isolating interval of its root.
+    """
+    if equation == "laplace":
+        assert _phase_seeds(l, coeffs) == phase_seeds(l, coeffs), (l, coeffs)
+        return
+    combo = Combination(equation, l, coeffs)
+    if combo.poly.degree < 1:
+        return
+    seeds = _phase_seeds(l, coeffs)
+    program = combo.roots()
+    assert_within_contract(program, isolate_real_roots(combo.poly, seeds=phase_seeds(l, coeffs)))
+    assert_seeds_in_intervals(seeds, program)
+
+
+class TestPhaseSeeds:
+    """The seeds against a numpy oracle: the Laplace closed form bit for bit, and the bi-Laplace level crossings against a scan.
+
+    The Laplace seeds do the same IEEE operations in the same order in both
+    forms, so they and the roots refined from them are equal bit for bit
+    as long as numpy's float64 sin and cos round as the platform libm
+    behind `math` does.  A numpy build that dispatches to other (SIMD)
+    routines can move a seed by a few ulps and fail those equalities while
+    the program is correct: seeds are only guesses, certified exactly by
+    `_certified_roots`.  The bi-Laplace seeds solve for level crossings of
+    the phase, where the oracle scans the phase form, so only the RootSet
+    contract holds between the two.
     """
 
     @pytest.mark.parametrize("equation", ["laplace", "bilaplace"])
@@ -1659,7 +1694,7 @@ class TestPhaseSeeds:
         for l in ls:
             rng = random.Random(f"{equation}-{l}")
             for coeffs in _seed_weights(equation, l, rng):
-                assert _phase_seeds(l, coeffs) == phase_seeds(l, coeffs), (l, coeffs)
+                assert_oracle_seeded_alike(equation, l, coeffs)
 
     @given(
         st.sampled_from(["laplace", "bilaplace"]), st.integers(1, 40), st.lists(_SEED_WEIGHTS, min_size=4, max_size=4)
@@ -1706,8 +1741,97 @@ class TestPhaseSeeds:
         ]
         combos = [(e, l, c) for e, l, c in combos if Combination(e, l, c).poly.degree > 0]
         program = [Combination(*combo).roots() for combo in combos]
+        seeds = [_phase_seeds(l, c) for _, l, c in combos]
         monkeypatch.setattr(nodal, "_phase_seeds", phase_seeds)
-        assert [Combination(*combo).roots() for combo in combos] == program
+        oracle = [Combination(*combo).roots() for combo in combos]
+        for (equation, *_), got, want, s in zip(combos, program, oracle, seeds):
+            if equation == "laplace":
+                assert got == want
+            else:
+                assert_within_contract(got, want)
+                assert_seeds_in_intervals(s, got)
+
+
+def ellipse_seed_count(p: RatPoly, symmetric: bool) -> int:
+    """The seeds `_phase_seeds` makes for p: one per distinct real root by the `Fraction` Sturm oracle, or per root >= 0 for an even or odd p."""
+    n = sturm_count(p.coeffs)
+    return (n + (p.coefficient(0) == 0)) // 2 if symmetric else n
+
+
+# weights that zero some families: none, c_1 (degree below l), c_2 and c_4 (even or
+# odd), c_1 and c_3 (odd or even), c_1 and c_2 (a double zero of the phase form at 0)
+_ZEROED = st.sampled_from([(), (0,), (1, 3), (0, 2), (0, 1)])
+
+
+class TestEllipseSeeds:
+    """The bi-Laplace seeds from the rotating ellipse: one per real root, each inside its root's certified interval."""
+
+    @given(st.integers(3, 200), st.lists(st.fractions(-99, 99, max_denominator=99), min_size=4, max_size=4), _ZEROED)
+    @example(64, [Fraction(0), Fraction(0), Fraction(-67, 4), Fraction(-73, 45)], ())  # |alpha / beta| within 7e-7 of 1
+    @example(57, [Fraction(0), Fraction(21, 23), Fraction(-38), Fraction(-83, 4)], ())  # |beta / alpha| = 0.9976
+    @settings(max_examples=60, deadline=None)
+    def test_one_seed_per_real_root(self, l, weights, zeroed):
+        # in the three monotone cases the exact case fixes the count, which the
+        # Fraction Sturm oracle confirms to l = 40 (it takes seconds past l = 100);
+        # in every case the seeds certify: each lies in the isolating interval of its
+        # own root, with one seed per root (per root >= 0 for an even or odd p)
+        weights = [0 if k in zeroed else w for k, w in enumerate(weights)]
+        if weights[2] == weights[3] == 0:
+            weights[3] = Fraction(1)
+        combo = Combination("bilaplace", l, weights)
+        p = combo.poly
+        if p.degree < 1:
+            return
+        case, symmetric, _, _ = nodal._ellipse_case(l, [w.as_integer_ratio() for w in weights])
+        seeds = _phase_seeds(l, weights)
+        rs = combo.roots()
+        assert_seeds_in_intervals(seeds, rs)
+        held = sum(r >= 0 for r in rs.refined_roots) if symmetric else rs.count
+        if case != "arc" or len(set(rs.multiplicities)) == 1:
+            assert len(seeds) == held
+        if symmetric:
+            assert all(s >= 0 for s in seeds)
+        if l <= 40:
+            if case != "arc":
+                assert len(seeds) == ellipse_seed_count(p, symmetric)
+            assert_matches_oracle(rs)
+
+    @pytest.mark.parametrize(
+        "l, weights, case, count",
+        [
+            # alpha = -beta: the pure psi_{6,3}, whose roots are cot(k pi / 7); even
+            (8, (0, 0, 1, 0), "equal", 3),
+            # |alpha| = |beta| with c_1 = c_2 = 1 and c_3 = l - 1: both factors have roots
+            (10, (1, 9, 9, 24), "equal", 10),
+            # c_1 = 0: the degree is l - 1, and phi = 0 and pi are no roots
+            (12, (0, 1, 2, 3), "alpha", 11),
+            (9, (0, 1, 1, 5), "beta", 6),
+            # an arc that recrosses levels: all l roots real
+            (6, (Fraction(-5, 4), -4, -9, Fraction(9, 2)), "arc", 6),
+            # an arc with l - 2 real roots and one complex pair
+            (8, (1, 3, 9, 1), "arc", 6),
+            # even and odd (c_2 = c_4 = 0, or c_1 = c_3 = 0): positive seeds only,
+            # and 0.0 for the exact root 0 of an odd combination, or the double
+            # root 0 of an even one
+            (10, (1, 0, 3, 0), "alpha", 5),
+            (11, (1, 0, 3, 0), "alpha", 6),
+            (11, (0, 1, 0, 2), "alpha", 5),
+            (11, (0, 1, 0, 3), "equal", 5),
+        ],
+    )
+    def test_cases(self, l, weights, case, count):
+        weights = tuple(Fraction(w) for w in weights)
+        combo = Combination("bilaplace", l, weights)
+        got, symmetric, origin, _ = nodal._ellipse_case(l, [w.as_integer_ratio() for w in weights])
+        seeds = _phase_seeds(l, weights)
+        assert got == case
+        assert len(seeds) == count == ellipse_seed_count(combo.poly, symmetric)
+        assert (0.0 in seeds) == origin
+        if symmetric:
+            assert all(s >= 0 for s in seeds)
+        rs = combo.roots()
+        assert_seeds_in_intervals(seeds, rs)
+        assert_matches_oracle(rs)
 
 
 class TestCertificateArithmetic:
@@ -2411,7 +2535,7 @@ class TestSeedBrackets:
         far_moved = [s for s, m in zip(seeds, moved) if m and 1e-2 <= s <= 1]
         assert set(far_moved) <= set(newton) <= set(seeds)
 
-    @pytest.mark.parametrize("l, digest", [(13, "c5d095288d7ed402"), (23, "550cdbdd30bcf02f"), (26, "84284442b9e0b290"), (29, "e3abef53fa8a8c45")])
+    @pytest.mark.parametrize("l, digest", [(13, "d223b8ca3e396e6c"), (23, "702b21218b8f925b"), (26, "158c0b8e2d6fd3ee"), (29, "91274b353ef6b4c0")])
     def test_descartes_runs_sign_each_point_once(self, l, digest, monkeypatch):
         # the bi-Laplace (-1/2, 2/3) zero set at l has a complex pair: the phase
         # seeds miss it, and rung 2 certifies the seed gaps in Descartes runs,
@@ -2444,16 +2568,16 @@ class TestSeedBrackets:
                 "-1/2,2/3",
                 3,
                 {
-                    3: "0ab9dd525a5519d2", 4: "faa148cb8dce15c5", 5: "c26159a117275c5e", 6: "e5254b8c0c095a24",
-                    7: "91044ce01f82a6ff", 8: "88c8399390e9d63f", 9: "cae9f46b9c151dc6", 10: "8406ecd67956987d",
-                    11: "6db120ce33cae702", 12: "a33e161e1523c894", 13: "c5d095288d7ed402", 14: "797e73ebb27e7a4c",
-                    15: "988a83eadcda19e3", 16: "555d460c6406ca45", 17: "8512151be37e8f90", 18: "179aa8826cd13c4c",
-                    19: "d9683f6562ed17a0", 20: "d2f9ae55a2b702c7", 21: "b211e9fac3d1476e", 22: "f98e3a664db0c527",
-                    23: "550cdbdd30bcf02f", 24: "2199d0df3c500b36", 25: "b6d527bf49bddafb", 26: "84284442b9e0b290",
-                    27: "e3cf1c8cc858a5de", 28: "0097eb5a7557b868", 29: "e3abef53fa8a8c45", 30: "f2028a4713ee5101",
-                    31: "8021bbc1f64aff0d", 32: "87d4fa2db1ac3cae", 33: "e402d17ad9c3b7f1", 34: "ec463f776fa3b7fe",
-                    35: "4527c39a213ed18c", 36: "444d177d0f16841f", 37: "9205bc95c7dca169", 38: "474c18d14afdbd76",
-                    39: "bd944fa141985a39", 40: "70ba489c6bded92f",
+                    3: "0477c409c30aa5d6", 4: "3200e01d58f6b394", 5: "7f8f95660c751989", 6: "69f12da51d0397f3",
+                    7: "78a4943cf03a5e0c", 8: "8b42056da11ccf97", 9: "d2a10d1cef884663", 10: "be88a09a37f545fd",
+                    11: "cbd7d376e97b1ba2", 12: "132cc970354f6fde", 13: "d223b8ca3e396e6c", 14: "a78b045b112123cb",
+                    15: "1abc2ccd46b65686", 16: "360d4ea8b99dcd16", 17: "5c56a1e89a4f12e5", 18: "dccfd0d4e2d9be66",
+                    19: "ab34ab8ac3d5987f", 20: "aab197763bc478e9", 21: "e87dc739bba861b2", 22: "cff73edbdaaddf68",
+                    23: "702b21218b8f925b", 24: "26144f076203e6ec", 25: "b90f90562590de24", 26: "158c0b8e2d6fd3ee",
+                    27: "9c04f3ef92b13bec", 28: "012685366db2bf28", 29: "91274b353ef6b4c0", 30: "ce90efbf746f2845",
+                    31: "9914d74a9ce2253b", 32: "4894960193130724", 33: "7594a7bdc709dbcf", 34: "24322a31862a5571",
+                    35: "307418981b67992c", 36: "bf6eac61c401442d", 37: "d1397edf9e42792b", 38: "4eb46fb6db1e6f5d",
+                    39: "d41dd052cab8b7dd", 40: "fc1d106dc93feeca",
                 },
             ),
             (
@@ -2463,16 +2587,16 @@ class TestSeedBrackets:
                 "-1,0,1",
                 3,
                 {
-                    3: "c553a4681768d448", 4: "c553a4681768d448", 5: "c553a4681768d448", 6: "ce48b77b04b31337",
-                    7: "572fe624a9b0b613", 8: "45b3d02922cfea0b", 9: "45b3d02922cfea0b", 10: "84f6bcb4ba489d4b",
-                    11: "c8ef9c60a29b790b", 12: "eaa23ae2279d6e91", 13: "9d301e7752168301", 14: "1f73c9c820f1285b",
-                    15: "c01ee3758281e45d", 16: "f7c4643a504f12ff", 17: "f7c4643a504f12ff", 18: "a6d4c2b73f814d39",
-                    19: "d9f485aa8bc6a4e4", 20: "e4b0e22fd9ca6948", 21: "e4b0e22fd9ca6948", 22: "38d6aaa3e1db4c5f",
-                    23: "ce79621929987f23", 24: "6c88c62b74f0dc1c", 25: "c6e64a2d35e34de3", 26: "c5da11d9aaff1f98",
-                    27: "5be485bb48e98f8e", 28: "9b15c6ea379facea", 29: "9895cd928197fe2f", 30: "4ef08823aa2152b8",
-                    31: "c8835f2098e13b72", 32: "4447dd20c47ae22d", 33: "0f828c171c0680c5", 34: "4ff09bd2fc12bb38",
-                    35: "fb977eabf8a9dedc", 36: "9a550ce73b7af90b", 37: "c7158a03f401cfce", 38: "973263c47602cb24",
-                    39: "8f5474fffa2395f4", 40: "b167165a51d094b3",
+                    3: "c553a4681768d448", 4: "c553a4681768d448", 5: "c553a4681768d448", 6: "c553a4681768d448",
+                    7: "47edf4af47ffcaab", 8: "45b3d02922cfea0b", 9: "45b3d02922cfea0b", 10: "45b3d02922cfea0b",
+                    11: "40ecb24d56fb5f80", 12: "eaa23ae2279d6e91", 13: "78a92330e1444ce0", 14: "78a92330e1444ce0",
+                    15: "e3b779222cb2f441", 16: "f7c4643a504f12ff", 17: "f7c4643a504f12ff", 18: "f7c4643a504f12ff",
+                    19: "04e479b3cc63861b", 20: "e4b0e22fd9ca6948", 21: "e4b0e22fd9ca6948", 22: "e4b0e22fd9ca6948",
+                    23: "2cad44c082ea0511", 24: "6c88c62b74f0dc1c", 25: "6da25c744a95ec80", 26: "6da25c744a95ec80",
+                    27: "9b3b5f109ca1c183", 28: "9b15c6ea379facea", 29: "7a27dacf73fc409c", 30: "7a27dacf73fc409c",
+                    31: "b8544a3ebf638918", 32: "4447dd20c47ae22d", 33: "4447dd20c47ae22d", 34: "4447dd20c47ae22d",
+                    35: "2a40dc9dfe1ac843", 36: "9a550ce73b7af90b", 37: "ffc1b641ae839f01", 38: "ffc1b641ae839f01",
+                    39: "133783c172b61124", 40: "b167165a51d094b3",
                 },
             ),
         ],
@@ -2481,7 +2605,8 @@ class TestSeedBrackets:
     def test_sweep_rootsets_unchanged(self, equation, alphas, lmin, digests):
         # the digest of every zero set to l = 40, as the ladder that took a sign at
         # every separator gave it, and that certified Descartes runs by those signs
-        # alone: one certificate for every rung moves no interval
+        # alone: one certificate for every rung moves no interval; a bi-Laplace
+        # root is the level-crossing seed that certifies it
         check = check_admissibility_laplace if equation == "laplace" else check_admissibility_bilaplace
         config = CrackConfig(tuple(Fraction(a) for a in alphas.split(",")))
         got = {v.l: rootset_digest(v.full_zero_set) for v in check(config, (lmin, 40)) if v.full_zero_set is not None}

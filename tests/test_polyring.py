@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pencil.nodal import Combination, isolate_real_roots
 from pencil.polyring import (
     DiffOpTerm,
     RatPoly,
@@ -22,7 +23,6 @@ from pencil.polyring import (
     square_free_decomposition,
     square_free_part,
 )
-
 from pencil_oracles import float_horner, int_form, primitive_coefficients
 
 Z = RatPoly([0, 1])
@@ -277,6 +277,45 @@ class TestKeptForms:
         want = RatPoly(Fraction(v, d) for v in nums)
         assert p == want and hash(p) == hash(want)
         assert _int_form(p) == int_form(want) and integer_coefficients(p) == primitive_coefficients(want)
+
+
+class TestUnreadCoefficients:
+    """`_from_int_form` leaves coeffs unset until its first read: a polynomial built so behaves as one built from its `Fraction`s."""
+
+    @given(st.lists(st.integers(-(2**80), 2**80), max_size=12), st.integers(1, 10**12), st.booleans())
+    @example([0, 0], 5, False)
+    @example([6, 0, -12, 0], 18, False)
+    @settings(max_examples=100, deadline=None)
+    def test_before_and_after_the_first_read(self, nums, d, read):
+        want = RatPoly(Fraction(v, d) for v in nums)
+        built = [_from_int_form(nums, d) for _ in range(6)]
+        # degree, is_zero and bool read the integer form, and leave coeffs unset
+        for q in built:
+            assert (q.degree, q.is_zero(), bool(q)) == (want.degree, want.is_zero(), bool(want))
+        if read:
+            for q in built:
+                assert q.coeffs == want.coeffs
+        p, h, d_, c, pickled, frozen = built
+        assert p == want and want == p and p != want + 1
+        assert hash(h) == hash(want)
+        for q in (pickle.loads(pickle.dumps(pickled)), copy.deepcopy(d_), copy.copy(c)):
+            assert type(q) is RatPoly and q == want and q.coeffs == want.coeffs
+            assert _int_form(q) == int_form(want)
+        assert pickle.dumps(_from_int_form(nums, d)) == pickle.dumps(want)
+        with pytest.raises(AttributeError):
+            frozen.coeffs = ()
+        with pytest.raises(AttributeError):
+            frozen.missing
+        assert frozen.coeffs == want.coeffs and frozen.degree == want.degree
+
+    def test_isolation_builds_no_fraction(self):
+        # a combination's polynomial keeps its integer form, and isolating it reads nothing else
+        p = Combination("bilaplace", 12, (1, 2, 3, 4)).poly
+        with pytest.raises(AttributeError):
+            object.__getattribute__(p, "coeffs")
+        isolate_real_roots(p)
+        with pytest.raises(AttributeError):
+            object.__getattribute__(p, "coeffs")
 
 
 class TestPickling:
